@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "compute_recovery_line",
-    "NaiveRecoveryLineSolver",
     "RecoveryProcess",
     "RecoveryReport",
 ]
@@ -45,35 +44,29 @@ __all__ = [
 
 SPEExport = dict[int, tuple[int, dict[int, int]]]  # epoch -> (start_date, {peer: Er})
 
-#: "not rolled back" sentinel for the dense scratch array (compares above
-#: every real epoch)
-_INF = float("inf")
-
 
 class RecoveryLineSolver:
     """Worklist implementation of the Fig. 4 fix-point.
 
-    The naive formulation rescans every SPE entry per iteration — fine for
-    one recovery, too slow for the Table I offline analysis (every
-    (snapshot, failed-rank) pair at 4096 ranks).  This solver builds, once
-    per snapshot, a reverse index ``receiver -> [(sender, epoch_send,
-    epoch_recv)]`` and then propagates rollbacks with a worklist: when a
-    rank's restart epoch drops, only *its* inbound entries are rescanned.
+    The naive formulation rescans every SPE entry per iteration.  This
+    solver builds, once per set of tables, a reverse index ``receiver ->
+    [(sender, epoch_send, epoch_recv)]`` and then propagates rollbacks
+    with a worklist: when a rank's restart epoch drops, only *its* inbound
+    entries are rescanned.
 
-    The untraced path (``on_step=None`` — the Table I analysis and live
-    recovery without the flight recorder) is *incremental*: each
-    receiver's inbound edges are sorted by ``epoch_recv`` descending once
-    per snapshot, and a per-solve cursor remembers how far down that list
-    earlier pops already consumed.  When a rank's bound drops again, only
-    the newly-exposed suffix (edges whose ``epoch_recv`` sits between the
-    new and the previous bound) is examined — every edge is touched at
-    most once per solve, so a solve costs O(affected edges), not
-    O(all inbound edges × pops).  The traced path keeps the original
-    per-edge rescan so the ``on_step`` sequence (and the RL_STEP flight
-    records / ``repro explain`` attribution built from it) stays
-    byte-identical.  Both paths reach the same least fix-point and emit
-    the result in rank-sorted order, so the returned mapping does not
-    depend on which path ran.
+    The untraced path (``on_step=None`` — live recovery without the
+    flight recorder) is *incremental*: each receiver's inbound edges are
+    sorted by ``epoch_recv`` descending once per set of tables, and a
+    per-solve cursor remembers how far down that list earlier pops
+    already consumed.  When a rank's bound drops again, only the
+    newly-exposed suffix (edges whose ``epoch_recv`` sits between the new
+    and the previous bound) is examined — every edge is touched at most
+    once per solve, so a solve costs O(affected edges), not O(all inbound
+    edges × pops).  The traced path keeps the original per-edge rescan so
+    the ``on_step`` sequence (and the RL_STEP flight records / ``repro
+    explain`` attribution built from it) stays byte-identical.  Both paths
+    reach the same least fix-point and emit the result in rank-sorted
+    order, so the returned mapping does not depend on which path ran.
     """
 
     def __init__(self, spe_tables: dict[int, SPEExport]):
@@ -91,19 +84,8 @@ class RecoveryLineSolver:
         self._sorted_inbound: dict[
             int, tuple[list[int], list[int], list[int]]
         ] | None = None
-        # dense fast path (ranks are 0..n-1 ints, the live-simulator case):
-        # list-indexed edges plus reusable scratch arrays.  The Table I
-        # offline analysis issues p solves per snapshot against one solver;
-        # per-solve dict allocation and hashing dominate at 4K ranks, so
-        # the scratch arrays are allocated once and reset O(affected) after
-        # each solve via the touched list.
-        self._dense_n: int | None = None
-        self._dense_edges: list[tuple[list[int], list[int], list[int]] | None] = []
-        self._rl_scratch: list[float] = []
-        self._cursor_scratch: list[int] = []
-        self._touched: list[int] = []
 
-    def _build_sorted_inbound(self) -> dict[int, tuple[list[int], list[int], list[int]]]:
+    def _build_sorted_inbound(self) -> None:
         idx: dict[int, tuple[list[int], list[int], list[int]]] = {}
         for j, edges in self.inbound.items():
             edges_desc = sorted(edges, key=lambda e: e[2], reverse=True)
@@ -112,17 +94,6 @@ class RecoveryLineSolver:
             ers = [e[2] for e in edges_desc]
             idx[j] = (ks, ess, ers)
         self._sorted_inbound = idx
-        ranks = [*self.spe_tables, *idx]  # order-insensitive use (max/all)
-        if ranks and all(isinstance(r, int) and r >= 0 for r in ranks):
-            n = max(ranks) + 1
-            if n <= max(1024, 4 * len(ranks)):  # dense, not pathological ids
-                self._dense_n = n
-                self._dense_edges = [None] * n
-                for j, triple in idx.items():
-                    self._dense_edges[j] = triple
-                self._rl_scratch = [_INF] * n
-                self._cursor_scratch = [0] * n
-        return idx
 
     def solve(
         self,
@@ -138,26 +109,11 @@ class RecoveryLineSolver:
             return self._solve_traced(failed_restarts, on_step)
         return self._finish(self._solve_bounds(failed_restarts))
 
-    def solve_count(self, failed_restarts: dict[int, int]) -> int:
-        """Number of ranks on the recovery line, skipping date resolution.
-
-        The offline Table I analysis needs only ``len(solve(...))`` for
-        every (snapshot, failed-rank) pair — p solves per snapshot — and
-        at 4K ranks the rank-sorted date lookup in :meth:`_finish` costs
-        as much as the fix-point itself.  No SPE-epoch validation happens
-        on this path (there are no dates to resolve)."""
-        return len(self._solve_bounds(failed_restarts))
-
     def _solve_bounds(self, failed_restarts: dict[int, int]) -> dict[int, int]:
         """Incremental fix-point; returns ``rank -> restart epoch``
         (iteration order unspecified — :meth:`_finish` sorts)."""
         if self._sorted_inbound is None:
             self._build_sorted_inbound()
-        n = self._dense_n
-        if n is not None and all(
-            type(r) is int and 0 <= r < n for r in failed_restarts
-        ):
-            return self._solve_bounds_dense(failed_restarts)
         rl: dict[int, int] = dict(failed_restarts)
         work = list(failed_restarts)
         # j -> number of inbound edges already applied in this solve; the
@@ -187,48 +143,6 @@ class RecoveryLineSolver:
                 i += 1
             cursor[j] = i
         return rl
-
-    def _solve_bounds_dense(self, failed_restarts: dict[int, int]) -> dict[int, int]:
-        """Same fix-point on list-indexed scratch arrays.
-
-        ``rl``/``cursor`` persist across solves (allocated once with the
-        sorted index); the touched list undoes exactly the entries this
-        solve wrote, so both the solve and the reset are O(affected)."""
-        rl = self._rl_scratch
-        cursor = self._cursor_scratch
-        touched = self._touched
-        edges_of = self._dense_edges
-        for r, e in failed_restarts.items():
-            if e < rl[r]:
-                if rl[r] is _INF:
-                    touched.append(r)
-                rl[r] = e
-        work = list(failed_restarts)
-        while work:
-            j = work.pop()
-            edges = edges_of[j]
-            if edges is None:
-                continue
-            ks, ess, ers = edges
-            i = cursor[j]
-            n_edges = len(ers)
-            bound = rl[j]
-            while i < n_edges and ers[i] >= bound:
-                k = ks[i]
-                epoch_send = ess[i]
-                if epoch_send < rl[k]:
-                    if rl[k] is _INF:
-                        touched.append(k)
-                    rl[k] = epoch_send
-                    work.append(k)
-                i += 1
-            cursor[j] = i
-        out = {r: rl[r] for r in touched}
-        for r in touched:
-            rl[r] = _INF
-            cursor[r] = 0
-        touched.clear()
-        return out
 
     def _solve_traced(
         self,
@@ -262,46 +176,6 @@ class RecoveryLineSolver:
         for rank in sorted(rl):
             epoch = rl[rank]
             spe = spe_tables.get(rank, {})
-            if epoch not in spe:
-                raise ProtocolError(
-                    f"recovery line needs epoch {epoch} of rank {rank} but its "
-                    f"SPE has no such epoch (available: {sorted(spe)})"
-                )
-            out[rank] = (epoch, spe[epoch][0])
-        return out
-
-
-class NaiveRecoveryLineSolver:
-    """Textbook Fig. 4 fix-point: rescan *every* SPE entry until stable.
-
-    Deliberately the most literal transcription of the paper's pseudocode
-    (lines 9-16) — O(all edges) per sweep, sweeping until nothing changes.
-    Retained as the reference implementation the equivalence property test
-    checks :class:`RecoveryLineSolver` against; never used on a hot path.
-    """
-
-    def __init__(self, spe_tables: dict[int, SPEExport]):
-        self.spe_tables = spe_tables
-
-    def solve(self, failed_restarts: dict[int, int]) -> dict[int, tuple[int, int]]:
-        rl: dict[int, int] = dict(failed_restarts)
-        changed = True
-        while changed:
-            changed = False
-            for k, spe in self.spe_tables.items():
-                for epoch_send, (_start, per_peer) in spe.items():
-                    for j, epoch_recv in per_peer.items():
-                        bound = rl.get(j)
-                        if bound is None or epoch_recv < bound:
-                            continue
-                        cur = rl.get(k)
-                        if cur is None or epoch_send < cur:
-                            rl[k] = epoch_send
-                            changed = True
-        out: dict[int, tuple[int, int]] = {}
-        for rank in sorted(rl):
-            epoch = rl[rank]
-            spe = self.spe_tables.get(rank, {})
             if epoch not in spe:
                 raise ProtocolError(
                     f"recovery line needs epoch {epoch} of rank {rank} but its "

@@ -39,10 +39,15 @@ correctness argument rests on:
     (``digest=None``) still checks destination, tag and size.  This is
     the runtime twin of the static SD certifier in
     :mod:`repro.lint.sendet`.
+``rollback_closure``
+    The offline Table I analysis counts every failure's recovery line in
+    one reachability pass per SPE snapshot; on a stride of ~32 failed
+    ranks per snapshot the count equals the size of the line the Fig. 4
+    fix-point (:class:`repro.core.recovery.RecoveryLineSolver`) computes.
 
 Cost model: the enabled checks are O(1) per event except the two
-recovery-line checks (once per recovery round) and the engine audit
-(amortised O(1)).  When *disabled* — the default — components cache
+recovery-line checks (once per recovery round), the engine audit
+(amortised O(1)) and the closure check (~32 fix-points per snapshot).  When *disabled* — the default — components cache
 ``None`` instead of a sanitizer, exactly the observability subsystem's
 cached-instrument pattern, so the hot path pays one identity comparison
 (measured ~0 in ``benchmarks/test_sanitize_overhead.py``).
@@ -87,6 +92,7 @@ INVARIANTS: tuple[str, ...] = (
     "rl_monotone",
     "engine_pending_audit",
     "send_witness",
+    "rollback_closure",
 )
 
 
@@ -232,6 +238,16 @@ class Sanitizer:
                 self._fail("rl_monotone",
                            f"recovery line restarts rank {rank} at epoch "
                            f"{epoch}, above its bound {bound}")
+
+    def rollback_closure(self, time: float, rank: int, closure_count: int,
+                         fixpoint_count: int) -> None:
+        """Called by the rollback analysis per sampled (snapshot, failure)."""
+        self._tick("rollback_closure")
+        if closure_count != fixpoint_count:
+            self._fail("rollback_closure",
+                       f"snapshot t={time!r}, failure of rank {rank}: the "
+                       f"closure pass counts {closure_count} rolled-back "
+                       f"ranks, the fix-point {fixpoint_count}")
 
     # ------------------------------------------------------------------
     # Send-determinism witness (per application send, incl. replays)

@@ -16,9 +16,8 @@ epoch at or above the receiver's bound, giving the message ``uid`` the
 rest of the tooling (Perfetto flows, trace dumps) indexes by.
 
 The explained recovery line is produced by the *same* solver the recovery
-process and the Table I offline analysis use, so it is equal to
-``RecoveryLineSolver.solve()`` by construction — asserted in
-``tests/obs/test_explain.py``.
+process uses, so it is equal to ``RecoveryLineSolver.solve()`` by
+construction — asserted in ``tests/obs/test_explain.py``.
 """
 
 from __future__ import annotations

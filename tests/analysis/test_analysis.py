@@ -98,6 +98,28 @@ def test_rollback_analysis_specific_ranks():
     assert stats.percent == 50.0
 
 
+def test_rollback_analysis_reordered_subset_of_ranks():
+    """Counts follow ``failed_ranks``' order within each snapshot and
+    ``per_rank_mean`` is keyed by rank, not by position."""
+    tables = {
+        0: {1: (0, {}), 2: (4, {})},
+        1: {1: (0, {0: 1}), 2: (4, {0: 2})},   # 0 failing pulls 1
+        2: {1: (0, {1: 1}), 2: (4, {})},       # 1 failing in epoch 1 pulls 2
+        3: {1: (0, {})},
+    }
+    snaps = [
+        SpeSnapshot(time=0.0, spe_tables=tables, epochs={0: 1, 1: 1, 2: 1, 3: 1}),
+        SpeSnapshot(time=1.0, spe_tables=tables, epochs={0: 2, 1: 2, 2: 2, 3: 1}),
+    ]
+    stats = rollback_analysis(snaps, 4, failed_ranks=[3, 0, 1])
+    assert stats.trials == 6
+    assert stats.counts == [1, 3, 2, 1, 2, 1]
+    assert stats.per_rank_mean == {3: 1.0, 0: 2.5, 1: 1.5}
+    assert list(stats.per_rank_mean) == [3, 0, 1]
+    full = rollback_analysis(snaps, 4)
+    assert [full.per_rank_mean[r] for r in (3, 0, 1)] == [1.0, 2.5, 1.5]
+
+
 def test_rollback_stats_extrema():
     snap = SpeSnapshot(time=0.0,
                        spe_tables={0: {1: (0, {})}, 1: {1: (0, {0: 1})}},

@@ -5,6 +5,8 @@ cycle."""
 
 import pytest
 
+from repro.analysis import rollback as rollback_mod
+from repro.analysis.rollback import SpeSampler, SpeSnapshot, rollback_analysis
 from repro.apps import Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.clustering import block_clusters
@@ -124,6 +126,39 @@ def test_engine_pending_audit_violation():
         san.engine_pending_audit(5, 6)
 
 
+def test_rollback_closure_violation():
+    san = Sanitizer()
+    san.rollback_closure(7e-5, 3, 5, 5)
+    with _raises("rollback_closure"):
+        san.rollback_closure(7e-5, 3, 5, 4)
+
+
+def test_rollback_closure_catches_a_planted_closure_defect(monkeypatch):
+    """A closure pass that drops one rank from one failure's line goes
+    unnoticed disarmed and is named (snapshot, rank, both counts) armed."""
+    snap = SpeSnapshot(
+        time=0.25,
+        spe_tables={0: {1: (0, {})}, 1: {1: (0, {0: 1})}, 2: {1: (0, {1: 1})}},
+        epochs={0: 1, 1: 1, 2: 1},
+    )
+    assert rollback_analysis([snap], 3).counts == [3, 2, 1]
+    real = rollback_mod._closure_counts
+
+    def defective(spe_tables, epochs, failed_ranks):
+        counts = real(spe_tables, epochs, failed_ranks)
+        counts[0] -= 1
+        return counts
+
+    monkeypatch.setattr(rollback_mod, "_closure_counts", defective)
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert rollback_analysis([snap], 3).counts == [2, 2, 1]
+    monkeypatch.setenv(ENV_VAR, "1")
+    with pytest.raises(InvariantViolation,
+                       match=r"rollback_closure.*t=0\.25.*rank 0.*counts 2 .*"
+                             r"fix-point 3"):
+        rollback_analysis([snap], 3)
+
+
 def test_counts_land_in_checks_and_registry():
     obs = MetricsRegistry()
     san = Sanitizer(obs)
@@ -164,10 +199,16 @@ def test_full_run_every_invariant_executes(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "1")
     obs = MetricsRegistry()
     world, ctl = _build(obs=obs, fail_at=7e-5)
+    sampler = SpeSampler(ctl, interval=4e-5)
+    sampler.arm()
     world.launch()
     world.run()
     assert len(ctl.recovery_reports) >= 1  # recovery actually happened
     assert world.engine.events_dispatched >= AUDIT_INTERVAL  # audits fired
+    # the offline analysis arms its own registry-free sanitizer; hand it
+    # this run's registry so its checks are counted with the rest
+    monkeypatch.setattr(rollback_mod, "sanitizer_for", lambda: Sanitizer(obs))
+    rollback_analysis(sampler.snapshots, 8)
     counter = obs.counter("sanitize.checks", ("invariant",))
     executed = {name: counter.get((name,)) for name in INVARIANTS}
     missing = [name for name, n in executed.items() if n < 1]

@@ -1,6 +1,7 @@
 """Equivalence property: the worklist recovery-line solver (both its
 incremental untraced path and its traced full-rescan path) computes the
-same least fix-point as the literal Fig. 4 transcription.
+same least fix-point as the literal Fig. 4 transcription, and the offline
+analysis' all-failures closure pass counts exactly that fix-point's ranks.
 
 The incremental path's correctness rests on a subtle invariant — each
 receiver's consumed edge prefix covers every edge with ``epoch_recv``
@@ -8,21 +9,28 @@ at or above the *minimum* bound seen so far — so it is checked three ways:
 
 * randomized SPE tables and failure sets (including multi-failure unions);
 * repeated solves on one solver instance (the per-solve cursor must reset,
-  and the once-per-snapshot sorted index must not be corrupted by use —
-  this is exactly the Table I / rollback-analysis usage pattern);
+  and the once-per-instance sorted index must not be corrupted by use);
 * the full protocol stack on the minimized chaos reproducer schedules
   (second failure during network drain, re-kill of a just-restored rank,
   two rounds queued back-to-back), where every live ``solve`` call is
   cross-checked against the naive reference mid-recovery.
+
+The closure pass (``rollback_analysis``) is held to the same oracle: on the
+same random worlds its count for *every* rank at *every* one of its epochs
+equals the naive line's size, plus directed cases for what the random
+tables rarely produce.
 """
 
 import random
 
 import pytest
 
+from repro.analysis.rollback import SpeSnapshot, rollback_analysis
 from repro.chaos.schedule import FailureSpec, TrialSchedule
 from repro.chaos.trial import run_trial_schedule
-from repro.core.recovery import NaiveRecoveryLineSolver, RecoveryLineSolver
+from repro.core.recovery import RecoveryLineSolver
+
+from .naive_solver import NaiveRecoveryLineSolver
 
 
 def _random_world(rng: random.Random):
@@ -69,15 +77,32 @@ def _assert_equivalent(tables, failed):
     # the mapping's iteration order must also be path-independent (it can
     # leak into restore scheduling)
     assert list(fast) == list(ref) == list(traced)
-    # the count-only path (Table I analysis) sees the same line size, and
-    # repeating it on the same instance must not corrupt the scratch state
-    assert solver.solve_count(failed) == len(ref)
-    assert solver.solve_count(failed) == len(ref)
+    # repeating a solve on the same instance must not corrupt the index
     assert solver.solve(failed) == ref
     # every traced step lowers a bound onto an edge that exists
     for k, epoch_send, j, _epoch_recv, _bound in steps:
         assert epoch_send in tables[k]
-    return solver, ref
+
+
+def _assert_closure_matches_naive(tables, failed_ranks=None):
+    """All-failures counts == naive line sizes, for every failed rank at
+    every one of its epochs (snapshot i puts each rank in its i-th epoch,
+    cycling, so the snapshots together cover every (rank, epoch) pair)."""
+    ranks = sorted(tables) if failed_ranks is None else failed_ranks
+    naive = NaiveRecoveryLineSolver(tables)
+    snaps = [
+        SpeSnapshot(
+            time=float(i), spe_tables=tables,
+            epochs={r: sorted(spe)[i % len(spe)] for r, spe in tables.items()},
+        )
+        for i in range(max(len(spe) for spe in tables.values()))
+    ]
+    stats = rollback_analysis(snaps, len(tables), ranks)
+    expected = [len(naive.solve({f: snap.epochs[f]}))
+                for snap in snaps for f in ranks]
+    assert stats.counts == expected  # snapshot-major, argument order
+    assert stats.trials == len(expected)
+    return stats
 
 
 def test_randomized_tables_and_failures():
@@ -85,6 +110,7 @@ def test_randomized_tables_and_failures():
     for _ in range(300):
         tables, failed = _random_world(rng)
         _assert_equivalent(tables, failed)
+        _assert_closure_matches_naive(tables)
 
 
 def test_repeated_solves_reuse_one_solver():
@@ -111,9 +137,9 @@ def test_multi_failure_union_matches_reference():
         _assert_equivalent(tables, failed)
 
 
-def test_sparse_rank_ids_fall_back_to_dict_path():
+def test_sparse_rank_ids_match_reference():
     """Non-contiguous rank ids (offline analyses can slice worlds) must
-    take the dict-backed path and still match the reference."""
+    still match the reference — solver and closure pass alike."""
     rng = random.Random(99)
     for _ in range(60):
         tables, failed = _random_world(rng)
@@ -126,8 +152,57 @@ def test_sparse_rank_ids_fall_back_to_dict_path():
             for k, spe in tables.items()
         }
         failed = {remap[r]: e for r, e in failed.items()}
-        solver, _ = _assert_equivalent(tables, failed)
-        assert solver._dense_n is None  # really exercised the dict path
+        _assert_equivalent(tables, failed)
+        _assert_closure_matches_naive(tables)
+        # a reordered subset: counts follow the argument's order
+        _assert_closure_matches_naive(
+            tables, failed_ranks=sorted(tables, reverse=True)[::2])
+
+
+# ----------------------------------------------------------------------
+# Closure pass: directed cases
+# ----------------------------------------------------------------------
+
+def test_closure_condenses_a_cycle_spanning_three_ranks():
+    """0 -> 1 -> 2 -> 0 in one epoch is one strongly connected component:
+    any of the three failing rolls back all three, and rank 3 (which only
+    *received* from the cycle) on top when it is the one that fails."""
+    tables = {
+        0: {1: (0, {}), 2: (5, {1: 2})},
+        1: {1: (0, {}), 2: (5, {2: 2})},
+        2: {1: (0, {}), 2: (5, {0: 2, 3: 2})},
+        3: {1: (0, {}), 2: (5, {})},
+    }
+    snap = SpeSnapshot(time=0.0, spe_tables=tables,
+                       epochs={0: 2, 1: 2, 2: 2, 3: 2})
+    assert rollback_analysis([snap], 4).counts == [3, 3, 3, 4]
+    _assert_closure_matches_naive(tables)
+
+
+def test_closure_rank_without_inbound_edges_rolls_back_alone():
+    tables = {
+        0: {1: (0, {1: 1})},      # 0 sent to 1; nobody sent to 0
+        1: {1: (0, {})},
+        2: {},                    # no SPE at all
+    }
+    snap = SpeSnapshot(time=0.0, spe_tables=tables, epochs={0: 1, 1: 1, 2: 1})
+    assert rollback_analysis([snap], 3).counts == [1, 2, 1]
+
+
+def test_closure_receptions_in_epochs_absent_from_receiver_spe():
+    """``epoch_recv`` is the receiver's epoch at delivery and need not be
+    a key of its SPE (it sent nothing from it): bounds compare by value."""
+    tables = {
+        0: {1: (0, {}), 4: (9, {1: 7})},   # 1 received it in its epoch 7
+        1: {2: (0, {}), 9: (30, {})},      # ... which 1's SPE never lists
+        2: {3: (0, {1: 8}), 5: (12, {0: 2})},
+    }
+    stats = _assert_closure_matches_naive(tables)
+    # 1 fails in epoch 2 <= 7, 8: both senders re-send; 0 at 4 exposes
+    # nothing new (2's message landed in 0's epoch 2 < 4)
+    assert stats.counts[1] == 3
+    # 1 fails in epoch 9: both receptions precede it, nobody else moves
+    assert stats.counts[4] == 1
 
 
 @pytest.mark.parametrize(
