@@ -10,13 +10,14 @@ with the rank count, and times checkpoint capture.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.apps import Stencil1D
-from repro.core import ProtocolConfig, build_ft_world
+from repro.core import LoggedMessage, PendingAck, ProtocolConfig, build_ft_world
 from repro.core.recovery import RecoveryLineSolver, compute_recovery_line
 
-from conftest import emit, format_table, is_paper_scale
+from conftest import emit, format_table, is_paper_scale, timed
 
 
 def synthetic_spe(nprocs: int, epochs: int = 6, degree: int = 8, seed: int = 1):
@@ -40,6 +41,15 @@ def synthetic_spe(nprocs: int, epochs: int = 6, degree: int = 8, seed: int = 1):
 
 
 SIZES = [64, 256, 1024] if is_paper_scale() else [64, 256]
+
+_sections: dict[str, str] = {}
+
+
+def emit_recovery_machinery(section: str, table: str) -> None:
+    """``results/recovery_machinery.txt`` holds one table per benchmark of
+    this module; each re-emits the file with every table produced so far."""
+    _sections[section] = table
+    emit("recovery_machinery.txt", "\n\n".join(_sections.values()))
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +76,7 @@ def test_recovery_line_scaling_table(scaling_rows, benchmark):
         ["ranks", "recovery-line ms (worklist)", "mean rolled back"],
         scaling_rows,
     )
-    emit("recovery_machinery.txt", table)
+    emit_recovery_machinery("recovery line", table)
     tables = synthetic_spe(SIZES[-1])
     solver = RecoveryLineSolver(tables)
     benchmark(lambda: solver.solve({0: max(tables[0])}))
@@ -118,21 +128,67 @@ def test_live_recovery_latency(benchmark):
     assert benchmark(run) == 1
 
 
-def test_checkpoint_capture_cost(benchmark):
-    """Time to capture one full checkpoint (app snapshot + protocol state
-    deep copy) for a mid-sized rank state."""
+#: (logged, un-acked) records planted on rank 0 before timing a capture
+CAPTURE_CASES = {
+    "as the run left it": (0, 0),
+    "long sender log": (1000, 200),
+}
+
+
+def _capture_controller(logged: int, unacked: int):
+    """A finished 4-rank stencil world whose rank 0 holds, on top of what
+    the run left, ``logged`` sender-log entries and ``unacked`` NonAck
+    records with 1 KiB ndarray payloads — the state a checkpoint of a
+    long-running, heavily logging rank has to capture."""
     world, ctl = build_ft_world(
         4, lambda r, s: Stencil1D(r, s, niters=10, cells=4096),
         ProtocolConfig(),
     )
     world.launch()
     world.run()
-    ctl.protocols[0].state.begin_epoch()
-    counter = iter(range(10**9))
+    st = ctl.protocols[0].state
+    st.begin_epoch()
+    payload = np.arange(128, dtype=np.float64)
+    common = dict(tag=0, size=payload.nbytes, epoch_send=st.epoch,
+                  phase_send=st.phase)
+    for i in range(logged):
+        st.lg_append(LoggedMessage(dst=1 + i % 3, payload=payload.copy(),
+                                   date=st.next_date(),
+                                   epoch_recv=st.epoch + 1, **common))
+    for i in range(unacked):
+        st.na_append(PendingAck(dst=1 + i % 3, payload=payload.copy(),
+                                date=st.next_date(), **common))
+    return ctl
+
+
+_capture_rows: dict[str, list] = {}
+
+
+@pytest.mark.parametrize("case", CAPTURE_CASES)
+def test_checkpoint_capture_cost(case, benchmark):
+    """Time to capture one full checkpoint — app snapshot, library-queue
+    image and the typed structural copy of the protocol state
+    (docs/performance.md, "Checkpoint capture") — for a rank with almost no
+    log and for one with >= 1000 logged and >= 200 un-acked messages."""
+    logged, unacked = CAPTURE_CASES[case]
+    ctl = _capture_controller(logged, unacked)
+    st = ctl.protocols[0].state
+    st.epoch = 100
 
     def capture():
-        # bump the epoch each time so the store accepts the checkpoint
-        ctl.protocols[0].state.epoch = 100 + next(counter)
         ctl.store_checkpoint(0)
+        # drop it again: the store refuses a second checkpoint of an epoch
+        ctl.store.discard_above(0, 99)
 
+    # own clock for the emitted figure, so it is there under
+    # --benchmark-disable too
+    per_call = timed(lambda: [capture() for _ in range(20)], rounds=5) / 20
+    _capture_rows[case] = [case, len(st.logs), len(st.non_ack),
+                           f"{per_call * 1e6:.1f}"]
+    emit_recovery_machinery(
+        "capture",
+        format_table(["rank 0 state", "logged", "un-acked",
+                      "checkpoint_capture_us"],
+                     list(_capture_rows.values())),
+    )
     benchmark(capture)

@@ -33,7 +33,6 @@ Recovery restores the most recent completed round on **all** ranks
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -106,7 +105,7 @@ class CoordinatedHook(ProtocolHook):
             round_no=round_no,
             app_state=world.programs[self.rank].snapshot(),
             coll_seq=world.apis[self.rank]._coll_seq,
-            unexpected=[copy.deepcopy(e) for e in self.proc.unexpected],
+            unexpected=[e.stored_copy() for e in self.proc.unexpected],
         )
 
     def record_initial(self) -> None:
@@ -266,7 +265,7 @@ class CLController:
             program = world.programs[rank]
             program.restore(snap.app_state)
             world.apis[rank]._coll_seq = snap.coll_seq
-            proc.unexpected.extend(copy.deepcopy(e) for e in snap.unexpected)
+            proc.unexpected.extend(e.stored_copy() for e in snap.unexpected)
             proc.start(program.run(world.apis[rank]))
         self.round = restore_round
 

@@ -155,7 +155,7 @@ class PMLHook(ProtocolHook):
             _PMLCheckpoint(
                 app_state=self.world.programs[self.rank].snapshot(),
                 coll_seq=self.world.apis[self.rank]._coll_seq,
-                unexpected=[copy.deepcopy(e) for e in self.proc.unexpected],
+                unexpected=[e.stored_copy() for e in self.proc.unexpected],
                 send_seq=dict(self.send_seq),
                 recv_seq=dict(self.recv_seq),
                 determinant_count=len(self.determinants),
@@ -217,7 +217,7 @@ class PMLController:
         program = world.programs[rank]
         program.restore(ckpt.app_state)
         world.apis[rank]._coll_seq = ckpt.coll_seq
-        proc.unexpected.extend(copy.deepcopy(e) for e in ckpt.unexpected)
+        proc.unexpected.extend(e.stored_copy() for e in ckpt.unexpected)
         hook.send_seq = dict(ckpt.send_seq)
         hook.recv_seq = dict(ckpt.recv_seq)
         # determinants after the checkpoint define the exact replay order

@@ -123,18 +123,23 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
 
             proto._on_ack = overclearing
     elif bug == "log_drop":
+        # Planted at the logging decision (the way ack_drop wraps _on_ack),
+        # not in the ``logs`` container: the defect then means the same
+        # thing however checkpoints copy the state, and survives a restore.
         for proto in controller.protocols:
-            state = proto.state
             counter = {"n": 0}
 
-            class _LossyLogs(list):
-                def append(self, item, _c=counter):  # type: ignore[override]
+            def lossy_logging(src, payload, _orig=proto._on_ack, _p=proto,
+                              _c=counter):
+                before = len(_p.state.logs)
+                _orig(src, payload)
+                logs = _p.state.logs
+                if len(logs) > before:
                     _c["n"] += 1
                     if _c["n"] % 2 == 0:
-                        return  # logged message silently lost
-                    list.append(self, item)
+                        logs.pop()  # logged message silently lost
 
-            state.logs = _LossyLogs(state.logs)
+            proto._on_ack = lossy_logging
     elif bug == "restore_corrupt":
         orig = controller._install_checkpoint
 

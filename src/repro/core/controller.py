@@ -27,7 +27,6 @@ state is indistinguishable from a normal one).
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -36,7 +35,7 @@ from ..errors import ProtocolError, SimulationError
 from ..obs.flight import FlightKind
 from ..obs.registry import NULL_OBS
 from ..simmpi.failure import FailureInjector
-from ..simmpi.message import Envelope
+from ..simmpi.message import Envelope, retention_copy
 from ..simmpi.runtime import World
 from .checkpoint import Checkpoint, CheckpointSchedule, CheckpointStore
 from .protocol import CTL, SDProtocol, Status
@@ -252,7 +251,7 @@ class FTController:
                                  (proto.state.epoch,))
             return
         app_state = world.programs[rank].snapshot()
-        unexpected = [copy.deepcopy(e) for e in world.procs[rank].unexpected]
+        unexpected = [e.stored_copy() for e in world.procs[rank].unexpected]
         ckpt = Checkpoint(
             rank=rank,
             epoch=proto.state.epoch,
@@ -291,7 +290,7 @@ class FTController:
         assert self.world is not None
         for rank in range(self.nprocs):
             env = Envelope(src=self.recovery_rank, dst=rank, tag=tag,
-                           payload=copy.deepcopy(payload))
+                           payload=retention_copy(payload))
             self.world.transmit_control(env)
 
     # ------------------------------------------------------------------
@@ -480,7 +479,7 @@ class FTController:
         program = world.programs[rank]
         program.restore(ckpt.app_state)
         world.apis[rank]._coll_seq = ckpt.coll_seq
-        proc.unexpected.extend(copy.deepcopy(e) for e in ckpt.unexpected)
+        proc.unexpected.extend(e.stored_copy() for e in ckpt.unexpected)
         self.store.discard_above(rank, ckpt.epoch)
         proto = self.protocols[rank]
         proto.adopt_state(ckpt.proto.checkpoint_copy())

@@ -29,9 +29,10 @@ Structures
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
+
+from ..simmpi.message import retention_copy
 
 __all__ = [
     "LoggedMessage",
@@ -116,8 +117,10 @@ class ProtocolState:
       make an index lookup disagree with a fresh list scan.
 
     All cache/index fields are excluded from comparison and repr: they are
-    derived state, and ``deepcopy`` (checkpoints) preserves the aliasing
-    between an index and its list via the memo, so copies stay coherent.
+    derived state.  :meth:`checkpoint_copy` does not copy them — a copy
+    starts with every cache and index unset, and the guards above rebuild
+    them against the copy's own lists on first use, so a stored checkpoint
+    carries no index and a copy can never alias its source through one.
     """
 
     date: int = 0
@@ -297,8 +300,43 @@ class ProtocolState:
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def checkpoint_copy(self) -> "ProtocolState":
-        """Deep copy of the protocol state for stable storage."""
-        return copy.deepcopy(self)
+        """Independent copy of the protocol state — the one path for both
+        checkpoint capture and restore.
+
+        The shape is known statically, so this is a typed structural copy,
+        not a generic object walk: fresh ``spe`` / ``rpp`` /
+        ``last_date_from`` dicts (their leaves are ints) and fresh
+        ``non_ack`` / ``logs`` records whose payloads follow the
+        :func:`~repro.simmpi.message.retention_copy` rule — immutable
+        shared, mutable copied, with one memo across the whole state so a
+        payload object referenced by two records is one object in the copy
+        too.  Row caches and ``(dst, date)`` indexes are left unset (see
+        the class docstring)."""
+        memo: dict[int, Any] = {}
+        return ProtocolState(
+            date=self.date,
+            epoch=self.epoch,
+            phase=self.phase,
+            spe={
+                e: EpochRecord(rec.start_date, dict(rec.recv_epoch))
+                for e, rec in self.spe.items()
+            },
+            rpp={phase: dict(row) for phase, row in self.rpp.items()},
+            non_ack=[
+                PendingAck(pa.dst, pa.tag, retention_copy(pa.payload, memo),
+                           pa.size, pa.date, pa.epoch_send, pa.phase_send,
+                           pa.uid)
+                for pa in self.non_ack
+            ],
+            logs=[
+                LoggedMessage(lm.dst, lm.tag, retention_copy(lm.payload, memo),
+                              lm.size, lm.date, lm.epoch_send, lm.phase_send,
+                              lm.epoch_recv, lm.uid)
+                for lm in self.logs
+            ],
+            last_date_from=dict(self.last_date_from),
+            delivered_count=self.delivered_count,
+        )
 
     def is_duplicate(self, src: int, date: int) -> bool:
         return date <= self.last_date_from.get(src, 0)

@@ -127,16 +127,21 @@ def is_immutable_payload(payload: Any) -> bool:
     return False
 
 
-def retention_copy(payload: Any) -> Any:
+def retention_copy(payload: Any, memo: dict[int, Any] | None = None) -> Any:
     """Copy ``payload`` for retention (sender-based log, checkpoint).
 
     The zero-copy rule: immutable payloads are shared, mutable ones are
     deep-copied at the moment they are *retained* — not at send time.  This
     is the only place the protocol stack pays a payload copy.
+
+    ``memo`` is :func:`copy.deepcopy`'s ``id`` memo: callers that copy
+    several payloads of one structure (a checkpoint's ``non_ack`` and
+    ``logs``) pass the same dict so an object referenced twice is copied
+    once and stays shared in the copy.
     """
     if is_immutable_payload(payload):
         return payload
-    return _copy.deepcopy(payload)
+    return _copy.deepcopy(payload, memo)
 
 
 class Envelope:
@@ -200,6 +205,17 @@ class Envelope:
         return (
             f"Envelope(src={self.src}, dst={self.dst}, tag={self.tag}, "
             f"size={self.size}, uid={self.uid})"
+        )
+
+    def stored_copy(self) -> "Envelope":
+        """Independent copy for a checkpoint's image of the library queue
+        (and back out of it on restore): same ``uid`` and timing fields,
+        payload and ``meta`` values under the :func:`retention_copy` rule."""
+        return Envelope(
+            self.src, self.dst, self.tag, retention_copy(self.payload),
+            self.size,
+            {key: retention_copy(value) for key, value in self.meta.items()},
+            self.uid, self.send_time, self.src_incarnation,
         )
 
     @property

@@ -1,5 +1,7 @@
 """Unit tests for envelopes and payload sizing."""
 
+import copy
+
 import numpy as np
 
 from repro.simmpi.message import (
@@ -9,6 +11,7 @@ from repro.simmpi.message import (
     CONTROL_TAG_BASE,
     Envelope,
     payload_nbytes,
+    retention_copy,
 )
 
 
@@ -77,3 +80,31 @@ def test_describe_mentions_endpoints():
     env = Envelope(src=2, dst=7, tag=9, payload=1)
     s = env.describe()
     assert "2->7" in s and "tag=9" in s
+
+
+def test_retention_copy_memo_keeps_one_object_one_copy():
+    arr = np.arange(3.0)
+    memo = {}
+    first, second = retention_copy(arr, memo), retention_copy(arr, memo)
+    assert first is second and first is not arr
+    assert retention_copy(arr) is not first          # no memo, fresh copy
+    frozen = (1, "x", (2.5, None))
+    assert retention_copy(frozen, memo) is frozen    # immutable: shared
+
+
+def test_stored_copy_matches_deepcopy_and_shares_nothing_mutable():
+    env = Envelope(src=3, dst=1, tag=9, payload=[1, np.arange(4.0)], size=77,
+                   meta={"date": 5, "acks": [{"date": 2, "epoch_recv": 1}]},
+                   send_time=1.5e-4, src_incarnation=2)
+    dup, ref = env.stored_copy(), copy.deepcopy(env)
+    for slot in Envelope.__slots__:
+        if slot != "payload":
+            assert getattr(dup, slot) == getattr(ref, slot) == getattr(env, slot)
+    assert dup.payload[0] == 1 and (dup.payload[1] == env.payload[1]).all()
+    assert dup.payload is not env.payload
+    assert not np.shares_memory(dup.payload[1], env.payload[1])
+    assert dup.meta is not env.meta
+    assert dup.meta["acks"][0] is not env.meta["acks"][0]
+    # immutable payloads stay shared (the zero-copy rule)
+    blob = Envelope(src=0, dst=1, tag=0, payload=b"abc")
+    assert blob.stored_copy().payload is blob.payload
