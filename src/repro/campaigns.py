@@ -1,22 +1,30 @@
-"""Campaign task functions and task-list builders.
+"""Campaigns: what each kind computes, and the one way to run it.
 
-One module, two front-ends: the one-shot CLI commands (``repro table1``,
-``repro sweep``, ``repro chaos``) and the resident campaign service
-(``repro serve`` / ``repro submit``) both build their work from these
-functions, so a campaign computes the same cells whichever door it came
-in through — and the content-addressed result cache addresses them
+A *campaign spec* is a plain JSON mapping — ``{"kind": "table1", ...}`` —
+and the only description of a campaign there is: the one-shot commands
+(``repro table1``, ``repro sweep``, ``repro chaos``) build one from their
+flags, ``repro submit`` sends one over the wire and the campaign service
+queues it.  This module decides what a spec means:
+
+* :data:`DEFAULTS` — per kind, every accepted field and its default
+  (flags left unset on either door fall through to these);
+* :func:`plan` — the task function, the task list, the base seed and the
+  kernel classes a spec runs;
+* :func:`run_campaign` — the one runner: registry, ``--stream``
+  begin/end events, the :func:`repro.sweep.run_sweep` call and, for
+  chaos, scoring and shrinking.  Front-ends format what it returns.
+
+So a campaign computes the same cells whichever door it came in
+through — and the content-addressed result cache addresses them
 identically.
 
 Every task function here is module-level (sweeps pickle them into
-workers) and a pure function of ``(seed, params)``; the code-dependency
-resolvers registered at the bottom tell the cache which kernel classes
-each function's results depend on, wiring the certifier's MRO code
-digests into the cache key.
+workers) and a pure function of ``(seed, params)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,15 +32,23 @@ from .analysis import SpeSampler, rollback_analysis
 from .apps import TABLE1_KERNELS, Stencil2D
 from .core import ProtocolConfig, build_ft_world
 from .core.clustering import block_clusters
-from .service.cache import register_code_deps
+from .errors import ConfigError
+from .obs import MetricsRegistry, ProgressStream, stream_progress
+from .sweep import SweepTask, run_sweep
 
 __all__ = [
+    "CAMPAIGN_KINDS",
+    "DEFAULTS",
+    "CampaignRun",
     "failure_scenario",
     "failure_tasks",
+    "plan",
+    "run_campaign",
     "selftest_cell",
     "selftest_tasks",
     "table1_cell",
     "table1_tasks",
+    "validate_spec",
 ]
 
 
@@ -85,8 +101,6 @@ def table1_cell(params: dict) -> dict:
 def table1_tasks(kernels: Sequence[str], ranks: Sequence[int],
                  clusters: Sequence[int], niters: int) -> list:
     """Task list for the Table I grid, in the table's row order."""
-    from .sweep import SweepTask
-
     return [
         SweepTask(
             name=f"{name}/{nprocs}r/{ncl}cl",
@@ -147,8 +161,6 @@ def failure_scenario(params: dict) -> dict:
 
 
 def failure_tasks(runs: int, ranks: int, clusters: int, niters: int) -> list:
-    from .sweep import SweepTask
-
     return [
         SweepTask(name=f"failure-{i:03d}",
                   params={"ranks": ranks, "clusters": clusters,
@@ -167,30 +179,185 @@ def selftest_cell(params: dict) -> dict:
 
 
 def selftest_tasks(count: int) -> list:
-    from .sweep import SweepTask
-
     return [SweepTask(name=f"self-{i:03d}", params={"i": i})
             for i in range(count)]
 
 
 # ----------------------------------------------------------------------
-# Cache code-dependency resolvers: which kernel classes feed each task
-# function's results (the cache folds their certifier MRO digests into
-# the key, so editing a kernel invalidates exactly its cached cells).
-# table1_cell needs no explicit entry — the default resolver picks the
-# class up from params["kernel"].
+# Specs, the planner and the runner
 # ----------------------------------------------------------------------
-register_code_deps(f"{__name__}.failure_scenario", lambda params: (Stencil2D,))
-register_code_deps(f"{__name__}.selftest_cell", lambda params: ())
+CAMPAIGN_KINDS = ("sweep", "table1", "chaos", "selftest")
+
+#: per kind, every accepted spec field (beyond "kind") and its default.
+#: The chaos row repeats the defaults of :func:`repro.chaos.run_campaign`,
+#: whose callers pass every field explicitly.
+DEFAULTS: dict[str, dict[str, Any]] = {
+    "table1": {"kernels": ("CG", "FT"), "ranks": (16,), "clusters": (4,),
+               "niters": 8, "base_seed": 0, "timeseries": None},
+    "sweep": {"scenario": "failures", "ranks": 8, "clusters": 2,
+              "niters": 40, "runs": 8, "base_seed": 0, "timeseries": None},
+    "chaos": {"trials": 100, "seed": 0, "kernels": None, "max_failures": 4,
+              "allow_no_log": True, "bug": "", "check_determinism": True,
+              "sanitize": True, "shrink": 3, "shrink_trials": 200},
+    "selftest": {"tasks": 8, "base_seed": 0},
+}
 
 
-def _chaos_trial_deps(params: dict[str, Any]):
-    """A chaos trial depends on every kernel its schedule may draw."""
-    from .chaos.schedule import KERNELS as CHAOS_KERNELS
-    from .lint.certify import chaos_pool_classes
+def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
+    """Check a campaign spec's shape; returns a copy with every field of
+    its kind present (absent or ``None`` fields take the default)."""
+    if not isinstance(spec, dict):
+        raise ConfigError("campaign spec must be a JSON object")
+    kind = spec.get("kind")
+    if kind not in CAMPAIGN_KINDS:
+        raise ConfigError(
+            f"unknown campaign kind {kind!r} (have {CAMPAIGN_KINDS})")
+    unknown = sorted(set(spec) - set(DEFAULTS[kind]) - {"kind"})
+    if unknown:
+        raise ConfigError(
+            f"unknown spec field(s) for kind {kind!r}: {', '.join(unknown)}")
+    given = {k: v for k, v in spec.items() if v is not None}
+    return {**DEFAULTS[kind], **given}
 
-    pool = params.get("kernels") or sorted(CHAOS_KERNELS)
-    return chaos_pool_classes(tuple(pool))
+
+def _many(value: Any) -> list[int]:
+    """A grid axis: ``repro submit`` sends one number, table1 a list."""
+    return [int(v) for v in value] if isinstance(value, (list, tuple)) \
+        else [int(value)]
 
 
-register_code_deps("repro.chaos.trial.run_trial", _chaos_trial_deps)
+def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
+    """What campaign ``spec`` computes: ``(fn, tasks, base_seed, kernels)``
+    — ``fn`` runs over ``tasks`` seeded from ``base_seed``; ``kernels``
+    are the rank-program classes the tasks may instantiate (what the
+    ``--strict-sd`` certification gate checks).  No simulation runs."""
+    spec = validate_spec(spec)
+    kind = spec["kind"]
+    if kind == "chaos":
+        from .chaos.schedule import KERNELS as CHAOS_KERNELS
+        from .chaos.trial import run_trial
+        from .lint.certify import chaos_pool_classes
+
+        # run_trial's params: the schedule generator's options and which
+        # oracles to run
+        pool = list(spec["kernels"]) if spec["kernels"] else None
+        params = {"kernels": pool, **{name: spec[name] for name in (
+            "max_failures", "allow_no_log", "bug", "check_determinism",
+            "sanitize")}}
+        tasks = [SweepTask(name=f"trial-{i}", params=dict(params))
+                 for i in range(int(spec["trials"]))]
+        return (run_trial, tasks, int(spec["seed"]),
+                chaos_pool_classes(pool or sorted(CHAOS_KERNELS)))
+    base_seed = int(spec["base_seed"])
+    if kind == "selftest":
+        return selftest_cell, selftest_tasks(int(spec["tasks"])), base_seed, []
+    scenario = spec.get("scenario", "table1")  # kind table1 has none
+    if scenario == "failures":
+        tasks = failure_tasks(int(spec["runs"]), int(spec["ranks"]),
+                              int(spec["clusters"]), int(spec["niters"]))
+        return failure_scenario, tasks, base_seed, [Stencil2D]
+    if scenario != "table1":
+        raise ConfigError(f"unknown sweep scenario {scenario!r}")
+    if kind == "table1":
+        names = list(spec["kernels"])
+        grid = (_many(spec["ranks"]), _many(spec["clusters"]),
+                int(spec["niters"]))
+    else:
+        # the whole suite on one (ranks, clusters) point, at a fifth of
+        # the failures scenario's iteration count
+        names = sorted(TABLE1_KERNELS)
+        grid = ([int(spec["ranks"])], [int(spec["clusters"])],
+                max(2, int(spec["niters"]) // 5))
+    # an unknown kernel name is left to fail in its own cells, as a task
+    # error
+    return (table1_cell, table1_tasks(names, *grid), base_seed,
+            [TABLE1_KERNELS[k] for k in names if k in TABLE1_KERNELS])
+
+
+class CampaignRun(NamedTuple):
+    """What :func:`run_campaign` hands its front-end to format: results
+    in task order, the merged simulation registry (never holds cache or
+    steal accounting), this run's share of the cache's hit / miss / store
+    / unkeyable tallies, and — chaos only — the scored and shrunk
+    :class:`~repro.chaos.CampaignReport`."""
+
+    results: list
+    registry: Any
+    cache_delta: dict[str, int] | None
+    report: Any
+
+
+def run_campaign(
+    spec: dict[str, Any],
+    workers: int = 1,
+    cache: Any = None,
+    scheduler: Any = None,
+    service_obs: Any = None,
+    obs: Any = None,
+    on_progress: Callable[[Any], None] | None = None,
+    stream: Any = None,
+    collect_obs: bool = True,
+) -> CampaignRun:
+    """Run the campaign ``spec`` describes — the one path under the
+    one-shot CLI, :func:`repro.chaos.run_campaign` and the service.
+
+    ``cache`` / ``scheduler`` / ``service_obs`` / ``collect_obs`` pass
+    straight through to :func:`repro.sweep.run_sweep`.  ``obs`` replaces
+    the fresh merge registry the run otherwise creates (a disabled one
+    skips merging).  ``stream`` — a :class:`repro.obs.ProgressStream`, or
+    the path to open one at — gets ``campaign_begin``, one ``task_done``
+    per task and ``campaign_end``; the runner closes it, whatever
+    happens, so ``campaign_end`` is the last event of a stream that has
+    one.
+    """
+    if isinstance(stream, str):
+        stream = ProgressStream.open(stream)
+    try:
+        spec = validate_spec(spec)
+        kind = spec["kind"]
+        fn, tasks, base_seed, _ = plan(spec)
+        registry = obs if obs is not None else MetricsRegistry()
+        before = cache.stats() if cache is not None else None
+        if stream is not None:
+            begin = {"trials" if kind == "chaos" else "tasks": len(tasks),
+                     "workers": workers}
+            if kind in ("sweep", "chaos"):
+                begin["seed"] = base_seed
+            if kind == "sweep":
+                begin["scenario"] = spec["scenario"]
+            elif kind != "selftest":
+                pool = spec["kernels"]
+                begin["kernels"] = list(pool) if pool else None
+            stream.emit("campaign_begin", campaign=kind, **begin)
+            on_progress = stream_progress(stream, len(tasks),
+                                          inner=on_progress)
+        results = run_sweep(
+            fn, tasks, workers=workers, base_seed=base_seed, obs=registry,
+            on_progress=on_progress, collect_obs=collect_obs,
+            timeseries=spec.get("timeseries"), cache=cache,
+            scheduler=scheduler, service_obs=service_obs,
+        )
+        report = None
+        if kind == "chaos":
+            from .chaos.campaign import score_trials, shrink_failures
+
+            report = score_trials(results, base_seed, workers, registry)
+            end = report.tallies()
+        else:
+            errors = sum(1 for r in results if not r.ok)
+            end = {"ok": not errors, "tasks": len(results), "errors": errors,
+                   "cache": cache.stats() if cache is not None else None}
+        if stream is not None:
+            stream.emit("campaign_end", campaign=kind, **end)
+        if report is not None:
+            shrink_failures(report, int(spec["shrink"]),
+                            int(spec["shrink_trials"]))
+    finally:
+        if stream is not None:
+            stream.close()
+    delta = None
+    if cache is not None:
+        after = cache.stats()
+        delta = {k: after[k] - before[k]
+                 for k in ("hits", "misses", "stores", "unkeyable")}
+    return CampaignRun(results, registry, delta, report)

@@ -19,14 +19,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..sweep import SweepResult, SweepTask, run_sweep
+from .. import campaigns
+from ..obs import NULL_OBS
+from ..sweep import SweepResult, task_seed
 from .oracles import ORACLES
 from .schedule import generate_schedule, schedule_from_json
 from .shrink import shrink_schedule
 from .trial import run_trial
 
 __all__ = ["CampaignReport", "run_campaign", "replay_trial",
-           "schedule_for_trial"]
+           "schedule_for_trial", "score_trials", "shrink_failures"]
 
 #: failing trials retained in full (schedule + verdicts + flight dump);
 #: beyond this only the (index, seed, oracles) triple is kept
@@ -69,16 +71,23 @@ class CampaignReport:
             parts.append(f"{len(self.shrunk)} failure(s) shrunk")
         return "; ".join(parts)
 
-    def to_json(self) -> dict[str, Any]:
+    def tallies(self) -> dict[str, Any]:
+        """The verdict counts: the ``campaign_end`` event's fields and
+        the head of :meth:`to_json`."""
         return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "workers": self.workers,
             "passed": self.passed,
             "failed": self.failed,
             "errors": self.errors,
             "ok": self.ok,
             "oracle_failures": dict(sorted(self.oracle_failures.items())),
+        }
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "seed": self.seed,
+            "trials": self.trials,
+            "workers": self.workers,
+            **self.tallies(),
             "failure_index": self.failure_index,
             "failures": self.failures,
             "shrunk": self.shrunk,
@@ -102,22 +111,20 @@ def _score(report: CampaignReport, result: SweepResult, obs: Any) -> None:
             report.failures.append(
                 {"index": index, "seed": result.seed, "harness_error": True,
                  "error": result.error, "traceback": result.traceback})
-        if obs is not None:
-            obs.counter("chaos.trials", ("outcome",)).inc(labels=("error",))
+        obs.counter("chaos.trials", ("outcome",)).inc(labels=("error",))
         return
 
     trial = result.value  # TrialResult.to_json() payload
     oracles = trial.get("oracles", {})
     trial_passed = bool(trial.get("passed"))
-    if obs is not None:
-        obs.counter("chaos.trials", ("outcome",)).inc(
-            labels=("pass" if trial_passed else "fail",))
-        for name in ORACLES:
-            verdict = oracles.get(name)
-            if verdict is None:
-                continue
-            obs.counter("chaos.oracle", ("name", "passed")).inc(
-                labels=(name, bool(verdict.get("passed"))))
+    obs.counter("chaos.trials", ("outcome",)).inc(
+        labels=("pass" if trial_passed else "fail",))
+    for name in ORACLES:
+        verdict = oracles.get(name)
+        if verdict is None:
+            continue
+        obs.counter("chaos.oracle", ("name", "passed")).inc(
+            labels=(name, bool(verdict.get("passed"))))
     if trial_passed:
         report.passed += 1
         return
@@ -131,6 +138,33 @@ def _score(report: CampaignReport, result: SweepResult, obs: Any) -> None:
     if len(report.failures) < MAX_FAILURES_KEPT:
         report.failures.append(
             {"index": index, "seed": result.seed, **trial})
+
+
+def score_trials(results: list[SweepResult], seed: int, workers: int,
+                 obs: Any) -> CampaignReport:
+    """Score a campaign's trial results (task order) into a report and
+    the ``chaos.*`` counters of ``obs``."""
+    report = CampaignReport(seed=seed, trials=len(results), workers=workers)
+    for result in results:
+        _score(report, result, obs)
+    return report
+
+
+def shrink_failures(report: CampaignReport, shrink: int,
+                    shrink_trials: int) -> None:
+    """Delta-debug the first ``shrink`` retained oracle failures of
+    ``report`` into ``report.shrunk`` (serial, in-process)."""
+    for entry in report.failures[: max(0, shrink)]:
+        if entry.get("harness_error") or "schedule" not in entry:
+            continue
+        schedule = schedule_from_json(entry["schedule"])
+        try:
+            shrunk = shrink_schedule(schedule, max_trials=shrink_trials)
+        except Exception as exc:  # noqa: BLE001 — shrinking is best-effort
+            report.shrunk.append(
+                {"index": entry["index"], "error": f"shrink failed: {exc!r}"})
+            continue
+        report.shrunk.append({"index": entry["index"], **shrunk.to_json()})
 
 
 def run_campaign(
@@ -154,6 +188,8 @@ def run_campaign(
 ) -> CampaignReport:
     """Run a chaos campaign of ``trials`` seeded trials.
 
+    The keyword form of a ``kind: chaos`` campaign spec, run by
+    :func:`repro.campaigns.run_campaign` like every other campaign.
     ``workers <= 1`` runs inline (bit-identical to a loop); more fans out
     over a process pool with crash isolation — results and the merged
     observability registry are in task order either way.  ``shrink``
@@ -162,59 +198,34 @@ def run_campaign(
     (harness self-test).  Flight-recorder dumps ride on each failing
     trial's record via the sweep's per-task registries.  ``stream`` (a
     :class:`repro.obs.stream.ProgressStream`) emits a live JSONL event
-    per trial plus campaign begin/end markers.  ``cache`` /
-    ``scheduler`` / ``service_obs`` pass straight through to
+    per trial plus campaign begin/end markers, and is closed at the end.
+    ``cache`` / ``scheduler`` / ``service_obs`` pass straight through to
     :func:`repro.sweep.run_sweep`: trials are pure functions of
     ``(campaign_seed, index)``, so the content-addressed cache serves
     re-submitted campaigns without re-running trials.
     """
-    base = {
-        "kernels": list(kernels) if kernels else None,
-        "max_failures": max_failures,
-        "allow_no_log": allow_no_log,
-        "bug": bug,
-        "check_determinism": check_determinism,
-        "sanitize": sanitize,
+    spec = {
+        "kind": "chaos", "trials": trials, "seed": seed, "kernels": kernels,
+        "max_failures": max_failures, "allow_no_log": allow_no_log,
+        "bug": bug, "shrink": shrink, "shrink_trials": shrink_trials,
+        "check_determinism": check_determinism, "sanitize": sanitize,
     }
-    tasks = [SweepTask(name=f"trial-{i}", params=dict(base))
-             for i in range(trials)]
-    report = CampaignReport(seed=seed, trials=trials, workers=workers)
-    if stream is not None:
-        from ..obs.stream import stream_progress
+    return campaigns.run_campaign(
+        spec, workers=workers, cache=cache, scheduler=scheduler,
+        service_obs=service_obs, on_progress=on_progress, stream=stream,
+        # no registry asked for: nothing is merged or counted
+        obs=obs if obs is not None else NULL_OBS,
+    ).report
 
-        stream.emit(
-            "campaign_begin", campaign="chaos", trials=trials, seed=seed,
-            workers=workers, kernels=list(kernels) if kernels else None,
-        )
-        on_progress = stream_progress(stream, trials, inner=on_progress)
-    results = run_sweep(
-        run_trial, tasks, workers=workers, base_seed=seed,
-        obs=obs, on_progress=on_progress, collect_obs=True,
-        cache=cache, scheduler=scheduler, service_obs=service_obs,
-    )
-    for result in results:
-        _score(report, result, obs)
-    if stream is not None:
-        stream.emit(
-            "campaign_end", campaign="chaos", ok=report.ok,
-            passed=report.passed, failed=report.failed,
-            errors=report.errors,
-            oracle_failures=dict(sorted(report.oracle_failures.items())),
-        )
 
-    # shrink the first few oracle failures (serial, in-process)
-    for entry in report.failures[: max(0, shrink)]:
-        if entry.get("harness_error") or "schedule" not in entry:
-            continue
-        schedule = schedule_from_json(entry["schedule"])
-        try:
-            shrunk = shrink_schedule(schedule, max_trials=shrink_trials)
-        except Exception as exc:  # noqa: BLE001 — shrinking is best-effort
-            report.shrunk.append(
-                {"index": entry["index"], "error": f"shrink failed: {exc!r}"})
-            continue
-        report.shrunk.append({"index": entry["index"], **shrunk.to_json()})
-    return report
+def _trial_params(campaign_seed: int, index: int, **options: Any) -> dict:
+    """:func:`run_trial`'s input for trial ``index``, as a campaign with
+    these options plans and seeds it (it plans the trials before, too)."""
+    _, tasks, base_seed, _ = campaigns.plan(
+        {"kind": "chaos", "trials": index + 1, "seed": campaign_seed,
+         **options})
+    task = tasks[index]
+    return {**task.params, "seed": task_seed(base_seed, index, task.name)}
 
 
 def replay_trial(campaign_seed: int, index: int,
@@ -227,16 +238,9 @@ def replay_trial(campaign_seed: int, index: int,
     the campaign used, so the trial quoted in a CI report can be replayed
     locally with nothing but the two integers.
     """
-    from ..sweep import task_seed
-
-    params = {
-        "seed": task_seed(campaign_seed, index, f"trial-{index}"),
-        "kernels": list(kernels) if kernels else None,
-        "max_failures": max_failures,
-        "allow_no_log": allow_no_log,
-        "bug": bug,
-    }
-    return run_trial(params)
+    return run_trial(_trial_params(
+        campaign_seed, index, kernels=kernels, max_failures=max_failures,
+        allow_no_log=allow_no_log, bug=bug))
 
 
 def schedule_for_trial(campaign_seed: int, index: int,
@@ -245,10 +249,7 @@ def schedule_for_trial(campaign_seed: int, index: int,
                        allow_no_log: bool = True,
                        bug: str = ""):
     """The schedule campaign trial ``(campaign_seed, index)`` runs."""
-    from ..sweep import task_seed
-
+    options = dict(kernels=kernels, max_failures=max_failures,
+                   allow_no_log=allow_no_log, bug=bug)
     return generate_schedule(
-        task_seed(campaign_seed, index, f"trial-{index}"),
-        kernels=kernels, max_failures=max_failures,
-        allow_no_log=allow_no_log, bug=bug,
-    )
+        _trial_params(campaign_seed, index, **options)["seed"], **options)

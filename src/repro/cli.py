@@ -1,6 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Thin front-end over the library for the common workflows:
+Thin front-end over the library for the common workflows.  The campaign
+commands (``table1``, ``sweep``, ``chaos``, ``submit``) only translate
+flags into a campaign spec and format what comes back: what a spec
+computes, its defaults and how it runs live in :mod:`repro.campaigns`.
 
 * ``demo`` — run a clustered workload, inject a failure, report recovery;
 * ``table1`` — regenerate Table I for chosen kernels/sizes/clusters
@@ -47,6 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import campaigns
 from .analysis import (
     collect_matrix,
     expected_rollback_fraction,
@@ -55,13 +59,6 @@ from .analysis import (
 from .analysis.report import Table1Cell, format_table, format_table1
 from .apps import TABLE1_KERNELS, Stencil2D
 from .baselines import run_domino_analysis
-from .campaigns import (  # noqa: F401 — table1_cell/failure_scenario are
-    _run,  # re-exported: historical import site for pickled task fns
-    failure_scenario,
-    failure_tasks,
-    table1_cell,
-    table1_tasks,
-)
 from .core import ProtocolConfig, build_ft_world
 from .core.clustering import Clustering, block_clusters
 from .lint.certify import (
@@ -76,17 +73,17 @@ from .obs.timeseries import DEFAULT_TIMESERIES_INTERVAL
 __all__ = ["main", "build_parser"]
 
 
-def _add_strict_sd_arg(p: argparse.ArgumentParser) -> None:
-    """Shared certification-gate flag (table1 / sweep / chaos)."""
+def _add_campaign_args(p: argparse.ArgumentParser, unit: str) -> None:
+    """The flags every one-shot campaign command shares (table1 / sweep /
+    chaos): progress stream, certification gate, result cache."""
+    p.add_argument("--stream", default=None, metavar="PATH",
+                   help=f"live JSONL progress stream: one event per {unit} "
+                        "plus campaign begin/end ('-' = stderr)")
     p.add_argument("--strict-sd", action="store_true",
                    help="refuse to run kernels that are not certified "
                         "send-deterministic in the certification registry "
                         f"({DEFAULT_REGISTRY}; see `repro certify`); "
                         "without this flag uncertified kernels only warn")
-
-
-def _add_cache_arg(p: argparse.ArgumentParser) -> None:
-    """Shared result-cache flag (table1 / sweep / chaos)."""
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="content-addressed result cache directory: tasks "
                         "whose (code digest, seed, params) address is "
@@ -118,9 +115,18 @@ def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
                         f"(default {DEFAULT_TIMESERIES_INTERVAL:g})")
     p.add_argument("--timeseries-out", default=None, metavar="PATH",
                    help="write the merged time-series dump (JSONL) here")
-    p.add_argument("--stream", default=None, metavar="PATH",
-                   help="live JSONL progress stream: one event per task "
-                        "plus campaign begin/end ('-' = stderr)")
+
+
+def _defaults(*fields: tuple[str, str]) -> str:
+    """Help suffix quoting the planner's default per ``(kind, field)``:
+    `repro submit` flags are unset by default and fall through to it."""
+    def show(kind: str, field: str) -> str:
+        value = campaigns.DEFAULTS[kind][field]
+        return " ".join(map(str, value)) if isinstance(value, tuple) \
+            else str(value)
+
+    return "(default " + ", ".join(
+        f"{kind}: {show(kind, field)}" for kind, field in fields) + ")"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "(IPDPS 2011) — reproduction toolkit",
     )
     parser.add_argument(
-        "--sanitize", action="store_true",
+        # not the chaos spec's `sanitize` field, which _campaign_spec
+        # would otherwise read from this flag
+        "--sanitize", dest="arm_sanitizer", action="store_true",
         help="enable the runtime protocol-invariant sanitizer for this "
              "run (same as REPRO_SANITIZE=1)",
     )
@@ -141,36 +149,38 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--clusters", type=int, default=2)
     demo.add_argument("--fail-rank", type=int, default=None)
 
+    # the one-shot campaign flags default to the planner's defaults
     t1 = sub.add_parser("table1", help="regenerate Table I cells")
-    t1.add_argument("--kernels", nargs="+", default=["CG", "FT"],
+    defaults = campaigns.DEFAULTS["table1"]
+    t1.add_argument("--kernels", nargs="+", default=defaults["kernels"],
                     choices=sorted(TABLE1_KERNELS))
-    t1.add_argument("--ranks", nargs="+", type=int, default=[16])
-    t1.add_argument("--clusters", nargs="+", type=int, default=[4])
-    t1.add_argument("--niters", type=int, default=8)
+    t1.add_argument("--ranks", nargs="+", type=int, default=defaults["ranks"])
+    t1.add_argument("--clusters", nargs="+", type=int,
+                    default=defaults["clusters"])
+    t1.add_argument("--niters", type=int, default=defaults["niters"])
     t1.add_argument("--workers", type=int, default=1,
                     help="fan cells across N worker processes (1 = inline, "
                          "output identical either way)")
     _add_telemetry_args(t1)
-    _add_strict_sd_arg(t1)
-    _add_cache_arg(t1)
+    _add_campaign_args(t1, "task")
 
     sw = sub.add_parser(
         "sweep", help="fan independent scenario runs across worker processes"
     )
+    defaults = campaigns.DEFAULTS["sweep"]
     sw.add_argument("--scenario", choices=["failures", "table1"],
-                    default="failures")
-    sw.add_argument("--ranks", type=int, default=8)
-    sw.add_argument("--clusters", type=int, default=2)
-    sw.add_argument("--niters", type=int, default=40)
-    sw.add_argument("--runs", type=int, default=8,
+                    default=defaults["scenario"])
+    sw.add_argument("--ranks", type=int, default=defaults["ranks"])
+    sw.add_argument("--clusters", type=int, default=defaults["clusters"])
+    sw.add_argument("--niters", type=int, default=defaults["niters"])
+    sw.add_argument("--runs", type=int, default=defaults["runs"],
                     help="number of runs (failures scenario)")
     sw.add_argument("--workers", type=int, default=1)
-    sw.add_argument("--base-seed", type=int, default=0)
+    sw.add_argument("--base-seed", type=int, default=defaults["base_seed"])
     sw.add_argument("--out", default=None,
                     help="write structured JSON results here")
     _add_telemetry_args(sw)
-    _add_strict_sd_arg(sw)
-    _add_cache_arg(sw)
+    _add_campaign_args(sw, "task")
 
     sub.add_parser("fig6", help="ping-pong latency/bandwidth table")
 
@@ -229,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
              "and failure placements, four validity oracles per trial, "
              "delta-debugging shrinker for failures",
     )
-    chaos.add_argument("--trials", type=int, default=100)
-    chaos.add_argument("--seed", type=int, default=0,
+    defaults = campaigns.DEFAULTS["chaos"]
+    chaos.add_argument("--trials", type=int, default=defaults["trials"])
+    chaos.add_argument("--seed", type=int, default=defaults["seed"],
                        help="campaign seed; trial i is a pure function of "
                             "(seed, i) for any worker count")
     chaos.add_argument("--workers", type=int, default=1,
@@ -238,16 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = inline, verdicts identical either way)")
     chaos.add_argument("--kernels", nargs="+", default=None,
                        help="restrict the kernel pool (default: all)")
-    chaos.add_argument("--max-failures", type=int, default=4,
+    chaos.add_argument("--max-failures", type=int,
+                       default=defaults["max_failures"],
                        help="max failure events per trial schedule")
-    chaos.add_argument("--no-domino-axis", action="store_true",
+    chaos.add_argument("--no-domino-axis", dest="allow_no_log",
+                       action="store_false",
                        help="drop the log_cross_epoch=False axis (plain "
                             "uncoordinated degradation) from the generator")
-    chaos.add_argument("--bug", default="",
+    chaos.add_argument("--bug", default=defaults["bug"],
                        help="plant a synthetic protocol bug in every trial "
                             "(harness self-test; see repro.chaos."
                             "SYNTHETIC_BUGS)")
-    chaos.add_argument("--shrink", type=int, default=3,
+    chaos.add_argument("--shrink", type=int, default=defaults["shrink"],
                        help="delta-debug at most N failing trials down to "
                             "minimal reproducers (0 disables)")
     chaos.add_argument("--replay", type=int, default=None, metavar="INDEX",
@@ -259,11 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-failure artifacts (schedule JSON, "
                             "flight-recorder dump, shrunk pytest "
                             "reproducers) into this directory")
-    chaos.add_argument("--stream", default=None, metavar="PATH",
-                       help="live JSONL progress stream: one event per "
-                            "trial plus campaign begin/end ('-' = stderr)")
-    _add_strict_sd_arg(chaos)
-    _add_cache_arg(chaos)
+    _add_campaign_args(chaos, "trial")
 
     rep = sub.add_parser(
         "report",
@@ -379,15 +388,27 @@ def build_parser() -> argparse.ArgumentParser:
                                         "selftest"],
                      default="sweep", help="campaign kind to submit")
     sbm.add_argument("--scenario", choices=["failures", "table1"],
-                     default="failures", help="sweep scenario")
-    sbm.add_argument("--kernels", nargs="+", default=None)
-    sbm.add_argument("--ranks", type=int, default=8)
-    sbm.add_argument("--clusters", type=int, default=2)
-    sbm.add_argument("--niters", type=int, default=40)
-    sbm.add_argument("--runs", type=int, default=8,
+                     help="sweep scenario "
+                          + _defaults(("sweep", "scenario")))
+    sbm.add_argument("--kernels", nargs="+",
+                     help="table1 cells / chaos kernel pool "
+                          + _defaults(("table1", "kernels"))
+                          + " (chaos: all)")
+    sbm.add_argument("--ranks", type=int,
+                     help=_defaults(("sweep", "ranks"), ("table1", "ranks")))
+    sbm.add_argument("--clusters", type=int,
+                     help=_defaults(("sweep", "clusters"),
+                                   ("table1", "clusters")))
+    sbm.add_argument("--niters", type=int,
+                     help=_defaults(("sweep", "niters"),
+                                   ("table1", "niters")))
+    sbm.add_argument("--runs", type=int,
                      help="runs (sweep failures) / trials (chaos) / "
-                          "tasks (selftest)")
-    sbm.add_argument("--base-seed", type=int, default=0)
+                          "tasks (selftest) "
+                          + _defaults(("sweep", "runs"), ("chaos", "trials"),
+                                     ("selftest", "tasks")))
+    sbm.add_argument("--base-seed", type=int,
+                     help=_defaults(("sweep", "base_seed"), ("chaos", "seed")))
     sbm.add_argument("--no-wait", action="store_true",
                      help="enqueue and print the job id without waiting")
     sbm.add_argument("--out", default=None,
@@ -398,23 +419,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def cmd_demo(args: argparse.Namespace) -> int:
-    nprocs = args.ranks
-    clusters = block_clusters(nprocs, args.clusters)
-    config = ProtocolConfig(checkpoint_interval=3e-5, cluster_of=clusters,
+def _stencil_run(nprocs: int, nclusters: int, fail_rank: int | None = None,
+                 obs=None, fail: bool = True):
+    """The scenario behind ``demo``, ``explain``, ``obs`` and ``report``:
+    Stencil2D, 40 iterations, block clusters, and — unless ``fail`` is
+    off — ``fail_rank`` (default: the last rank) killed at half the
+    horizon a failure-free reference run measures first.  Returns
+    ``(ref, world, controller, fail_rank, fail_time)`` with ``world`` run
+    to completion (``ref`` and ``fail_time`` are ``None`` without a
+    failure)."""
+    config = ProtocolConfig(checkpoint_interval=3e-5,
+                            cluster_of=block_clusters(nprocs, nclusters),
                             cluster_stagger=5e-6, rank_stagger=1e-6)
     factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
-
-    ref, _ = _run(nprocs, factory, config)
-    fail_rank = args.fail_rank if args.fail_rank is not None else nprocs - 1
-    world, controller = build_ft_world(nprocs, factory, config)
-    controller.inject_failure(ref.engine.now / 2, fail_rank)
-    controller.arm()
+    ref = fail_time = None
+    if fail:
+        ref, _ = build_ft_world(nprocs, factory, config)
+        ref.launch()
+        ref.run()
+        fail_rank = nprocs - 1 if fail_rank is None else fail_rank
+        fail_time = ref.engine.now / 2
+    world, controller = build_ft_world(nprocs, factory, config, obs=obs)
+    if fail:
+        controller.inject_failure(fail_time, fail_rank)
+        controller.arm()
     world.launch()
     world.run()
+    return ref, world, controller, fail_rank, fail_time
+
+
+def cmd_demo(args: argparse.Namespace) -> int:
+    nprocs = args.ranks
+    ref, world, controller, fail_rank, fail_time = _stencil_run(
+        nprocs, args.clusters, args.fail_rank)
     report = controller.recovery_reports[0]
     stats = controller.logging_stats()
-    print(f"failure of rank {fail_rank} at t={ref.engine.now / 2 * 1e3:.3f} ms")
+    print(f"failure of rank {fail_rank} at t={fail_time * 1e3:.3f} ms")
     print(f"rolled back  : {report.rolled_back} "
           f"({len(report.rolled_back)}/{nprocs})")
     print(f"%log         : {100 * stats['log_fraction']:.1f}")
@@ -492,76 +532,68 @@ def _sd_gate(kernels, strict: bool) -> int:
     return 0
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    from .obs import MetricsRegistry, ProgressStream, stream_progress
-    from .sweep import run_sweep
+def _campaign_spec(kind: str, args: argparse.Namespace,
+                   **flag_of: str) -> dict:
+    """The campaign spec a parsed command line describes: every field of
+    ``kind`` that has a flag (``flag_of`` renames) the user set.  Unset
+    flags stay out, so the planner's defaults apply — the same through
+    the one-shot commands and through ``repro submit``."""
+    spec = {"kind": kind}
+    for field in campaigns.DEFAULTS[kind]:
+        value = getattr(args, flag_of.get(field, field), None)
+        if value is not None:
+            spec[field] = value
+    return spec
 
-    gate = _sd_gate([TABLE1_KERNELS[k] for k in args.kernels], args.strict_sd)
+
+def _print_telemetry(registry, cache, args: argparse.Namespace,
+                     file) -> None:
+    """The obs / cache / time-series digest lines of table1 and sweep."""
+    print(_obs_summary(registry), file=file)
+    if cache is not None:
+        print(_cache_summary(cache), file=sys.stderr)
+    if registry.timeseries is not None:
+        print(_ts_digest(registry), file=file)
+        if args.timeseries_out:
+            _write_timeseries(registry, args.timeseries_out)
+            print(f"timeseries -> {args.timeseries_out}", file=sys.stderr)
+
+
+def cmd_table1(args: argparse.Namespace) -> int:
+    spec = campaigns.validate_spec(_campaign_spec("table1", args))
+    *_, kernels = campaigns.plan(spec)
+    gate = _sd_gate(kernels, args.strict_sd)
     if gate:
         return gate
-    registry = MetricsRegistry()
     cache = _open_cache(args)
-    tasks = table1_tasks(args.kernels, args.ranks, args.clusters, args.niters)
-    stream = ProgressStream.open(args.stream) if args.stream else None
-    on_progress = None
-    if stream is not None:
-        stream.emit("campaign_begin", campaign="table1", tasks=len(tasks),
-                    workers=args.workers, kernels=list(args.kernels))
-        on_progress = stream_progress(stream, len(tasks))
-    results = run_sweep(table1_cell, tasks, workers=args.workers,
-                        obs=registry, collect_obs=True,
-                        on_progress=on_progress,
-                        timeseries=args.timeseries, cache=cache)
-    failed = [r for r in results if not r.ok]
+    run = campaigns.run_campaign(spec, workers=args.workers, cache=cache,
+                                 stream=args.stream)
+    failed = [r for r in run.results if not r.ok]
     for r in failed:
         print(f"cell {r.name} failed: {r.error}", file=sys.stderr)
     cells = [
         Table1Cell(v["kernel"], v["ranks"], v["clusters"],
                    v["pct_log"], v["pct_rollback"])
-        for v in (r.value for r in results if r.ok)
+        for v in (r.value for r in run.results if r.ok)
     ]
     print(format_table1(cells))
     theory = "  ".join(
         f"{p}cl:{100 * expected_rollback_fraction(p):.1f}%"
-        for p in sorted(set(args.clusters))
+        for p in sorted(set(spec["clusters"]))
     )
     print(f"theoretical %rl ((p+1)/2p): {theory}")
-    print(_obs_summary(registry))
-    if cache is not None:
-        print(_cache_summary(cache), file=sys.stderr)
-    if registry.timeseries is not None:
-        print(_ts_digest(registry))
-        if args.timeseries_out:
-            _write_timeseries(registry, args.timeseries_out)
-            print(f"timeseries -> {args.timeseries_out}", file=sys.stderr)
-    if stream is not None:
-        stream.emit("campaign_end", campaign="table1",
-                    ok=not failed, tasks=len(tasks), errors=len(failed),
-                    cache=cache.stats() if cache is not None else None)
-        stream.close()
+    _print_telemetry(run.registry, cache, args, sys.stdout)
     return 1 if failed else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .obs import MetricsRegistry, ProgressStream, stream_progress
-    from .sweep import run_sweep, save_results
+    from .sweep import save_results
 
-    gate = _sd_gate(
-        sorted(TABLE1_KERNELS.values(), key=lambda c: c.__name__)
-        if args.scenario == "table1" else [Stencil2D],
-        args.strict_sd,
-    )
+    spec = campaigns.validate_spec(_campaign_spec("sweep", args))
+    _, tasks, _, kernels = campaigns.plan(spec)
+    gate = _sd_gate(kernels, args.strict_sd)
     if gate:
         return gate
-    if args.scenario == "table1":
-        kernels = sorted(TABLE1_KERNELS)
-        tasks = table1_tasks(kernels, [args.ranks], [args.clusters],
-                             niters=max(2, args.niters // 5))
-        fn = table1_cell
-    else:
-        tasks = failure_tasks(args.runs, args.ranks, args.clusters,
-                              args.niters)
-        fn = failure_scenario
 
     done = {"n": 0}
 
@@ -571,52 +603,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"[{done['n']:3d}/{len(tasks)}] {result.name}: {status} "
               f"({result.duration:.2f}s)", file=sys.stderr)
 
-    registry = MetricsRegistry()
     cache = _open_cache(args)
-    stream = ProgressStream.open(args.stream) if args.stream else None
-    on_progress = progress
-    if stream is not None:
-        stream.emit("campaign_begin", campaign="sweep",
-                    scenario=args.scenario, tasks=len(tasks),
-                    workers=args.workers, seed=args.base_seed)
-        on_progress = stream_progress(stream, len(tasks), inner=progress)
-    results = run_sweep(fn, tasks, workers=args.workers,
-                        base_seed=args.base_seed, on_progress=on_progress,
-                        obs=registry, collect_obs=True,
-                        timeseries=args.timeseries, cache=cache)
-    print(_obs_summary(registry), file=sys.stderr)
-    if cache is not None:
-        print(_cache_summary(cache), file=sys.stderr)
-    if registry.timeseries is not None:
-        print(_ts_digest(registry), file=sys.stderr)
-        if args.timeseries_out:
-            _write_timeseries(registry, args.timeseries_out)
-            print(f"timeseries -> {args.timeseries_out}", file=sys.stderr)
+    run = campaigns.run_campaign(spec, workers=args.workers, cache=cache,
+                                 stream=args.stream, on_progress=progress)
+    results = run.results
+    _print_telemetry(run.registry, cache, args, sys.stderr)
     ok = [r for r in results if r.ok]
     failed = [r for r in results if not r.ok]
     for r in failed:
         print(f"{r.name} failed: {r.error}", file=sys.stderr)
-    if args.scenario == "failures" and ok:
+    invalid = []
+    if spec["scenario"] == "failures" and ok:
         invalid = [r.name for r in ok if not r.value["valid"]]
         mean_rb = sum(r.value["pct_rolled_back"] for r in ok) / len(ok)
         print(f"{len(ok)}/{len(results)} runs ok, mean rolled back "
               f"{mean_rb:.1f}%, validity violations: {invalid or 'none'}")
-        if invalid:
-            return 1
     if args.out:
-        extra = {"ranks": args.ranks, "clusters": args.clusters,
-                 "workers": args.workers, "base_seed": args.base_seed}
+        extra = {"ranks": spec["ranks"], "clusters": spec["clusters"],
+                 "workers": args.workers, "base_seed": spec["base_seed"]}
         if cache is not None:
             extra["service"] = {"cache": cache.stats()}
-        save_results(args.out, results, sweep_name=args.scenario,
+        save_results(args.out, results, sweep_name=spec["scenario"],
                      extra=extra)
         print(f"results -> {args.out}")
-    if stream is not None:
-        stream.emit("campaign_end", campaign="sweep", ok=not failed,
-                    tasks=len(tasks), errors=len(failed),
-                    cache=cache.stats() if cache is not None else None)
-        stream.close()
-    return 1 if failed else 0
+    return 1 if failed or invalid else 0
 
 
 def cmd_fig6(_args: argparse.Namespace) -> int:
@@ -665,20 +675,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     uids from the flight recorder) that forced its rollback."""
     from .obs import MetricsRegistry, explain_report
 
-    nprocs = args.ranks
-    clusters = block_clusters(nprocs, args.clusters)
-    config = ProtocolConfig(checkpoint_interval=3e-5, cluster_of=clusters,
-                            cluster_stagger=5e-6, rank_stagger=1e-6)
-    factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
-
-    ref, _ = _run(nprocs, factory, config)
-    fail_rank = args.fail_rank if args.fail_rank is not None else nprocs - 1
     registry = MetricsRegistry()
-    world, controller = build_ft_world(nprocs, factory, config, obs=registry)
-    controller.inject_failure(ref.engine.now / 2, fail_rank)
-    controller.arm()
-    world.launch()
-    world.run()
+    _, _, controller, fail_rank, fail_time = _stencil_run(
+        args.ranks, args.clusters, args.fail_rank, obs=registry)
     if not controller.recovery_reports:
         print("no recovery round to explain", file=sys.stderr)
         return 1
@@ -688,7 +687,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return 1
     report = controller.recovery_reports[args.round]
     explanation = explain_report(report, flight=registry.flight)
-    print(f"failure: rank {fail_rank} at t={ref.engine.now / 2 * 1e3:.3f} ms "
+    print(f"failure: rank {fail_rank} at t={fail_time * 1e3:.3f} ms "
           f"(round {report.round_no})")
     print(explanation.format())
     print(f"fix-point steps: {len(explanation.steps)}  "
@@ -711,21 +710,10 @@ def cmd_obs(args: argparse.Namespace) -> int:
     from .obs.perfetto import dump_perfetto
 
     nprocs = args.ranks
-    clusters = block_clusters(nprocs, args.clusters)
-    config = ProtocolConfig(checkpoint_interval=3e-5, cluster_of=clusters,
-                            cluster_stagger=5e-6, rank_stagger=1e-6)
-    factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
-
     registry = MetricsRegistry(timeseries_interval=args.timeseries)
-    world, controller = build_ft_world(nprocs, factory, config, obs=registry)
-    if not args.no_failure:
-        # a failure-free probe run fixes the horizon for the injection
-        ref, _ = _run(nprocs, factory, config)
-        fail_rank = args.fail_rank if args.fail_rank is not None else nprocs - 1
-        controller.inject_failure(ref.engine.now / 2, fail_rank)
-        controller.arm()
-    world.launch()
-    world.run()
+    _, world, controller, _, _ = _stencil_run(
+        nprocs, args.clusters, args.fail_rank, obs=registry,
+        fail=not args.no_failure)
 
     # the trace/flight streams stay JSONL when the metrics view is text
     stream_fmt = "jsonl" if args.format == "text" else args.format
@@ -772,36 +760,29 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos campaign; exit 0 when every trial passes all five oracles."""
-    from .chaos import SYNTHETIC_BUGS, replay_trial, run_campaign
+    from .chaos import SYNTHETIC_BUGS, replay_trial
     from .chaos.oracles import ORACLES
-    from .obs import MetricsRegistry
 
     if args.bug and args.bug not in SYNTHETIC_BUGS:
         print(f"unknown synthetic bug {args.bug!r} "
               f"(have {sorted(SYNTHETIC_BUGS)})", file=sys.stderr)
         return 2
-    kernels = tuple(args.kernels) if args.kernels else None
-
-    from .chaos.schedule import KERNELS as CHAOS_KERNELS
-    from .lint.certify import chaos_pool_classes
-
-    gate = _sd_gate(
-        chaos_pool_classes(kernels if kernels else sorted(CHAOS_KERNELS)),
-        args.strict_sd,
-    )
+    spec = campaigns.validate_spec(_campaign_spec("chaos", args))
+    *_, kernels = campaigns.plan(spec)
+    gate = _sd_gate(kernels, args.strict_sd)
     if gate:
         return gate
 
     if args.replay is not None:
         verdict = replay_trial(
-            args.seed, args.replay, kernels=kernels,
-            max_failures=args.max_failures,
-            allow_no_log=not args.no_domino_axis, bug=args.bug,
+            spec["seed"], args.replay,
+            kernels=tuple(spec["kernels"]) if spec["kernels"] else None,
+            max_failures=spec["max_failures"],
+            allow_no_log=spec["allow_no_log"], bug=spec["bug"],
         )
         print(json.dumps(verdict, indent=2))
         return 0 if verdict.get("passed") else 1
 
-    obs = MetricsRegistry()
     done = {"n": 0, "failed": 0}
 
     def progress(result):
@@ -810,26 +791,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if not ok:
             done["failed"] += 1
         if done["n"] % 25 == 0 or not ok:
-            print(f"  [{done['n']}/{args.trials}] "
+            print(f"  [{done['n']}/{spec['trials']}] "
                   f"{done['failed']} failing", file=sys.stderr)
 
-    stream = None
-    if args.stream:
-        from .obs import ProgressStream
-
-        stream = ProgressStream.open(args.stream)
     cache = _open_cache(args)
-    try:
-        report = run_campaign(
-            args.trials, seed=args.seed, workers=args.workers,
-            kernels=kernels, max_failures=args.max_failures,
-            allow_no_log=not args.no_domino_axis, bug=args.bug,
-            shrink=args.shrink, obs=obs, on_progress=progress,
-            stream=stream, cache=cache,
-        )
-    finally:
-        if stream is not None:
-            stream.close()
+    run = campaigns.run_campaign(spec, workers=args.workers, cache=cache,
+                                 stream=args.stream, on_progress=progress)
+    report, obs = run.report, run.registry
     print(report.summary())
     if cache is not None:
         print(_cache_summary(cache), file=sys.stderr)
@@ -886,18 +854,8 @@ def _report_timeseries_rows(args: argparse.Namespace) -> list[dict]:
         return []
     from .obs import MetricsRegistry, timeseries_rows
 
-    nprocs = args.ranks
-    clusters = block_clusters(nprocs, args.clusters)
-    config = ProtocolConfig(checkpoint_interval=3e-5, cluster_of=clusters,
-                            cluster_stagger=5e-6, rank_stagger=1e-6)
-    factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
-    ref, _ = _run(nprocs, factory, config)
     registry = MetricsRegistry(timeseries_interval=args.interval)
-    world, controller = build_ft_world(nprocs, factory, config, obs=registry)
-    controller.inject_failure(ref.engine.now / 2, nprocs - 1)
-    controller.arm()
-    world.launch()
-    world.run()
+    _stencil_run(args.ranks, args.clusters, obs=registry)
     return timeseries_rows(registry)
 
 
@@ -1036,26 +994,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _submit_spec(args: argparse.Namespace) -> dict:
     """Build the campaign spec `repro submit` sends over the wire."""
-    kind = args.kind
-    if kind == "table1":
-        spec: dict = {"kind": "table1", "ranks": [args.ranks],
-                      "clusters": [args.clusters], "niters": args.niters}
-        if args.kernels:
-            spec["kernels"] = list(args.kernels)
-    elif kind == "sweep":
-        spec = {"kind": "sweep", "scenario": args.scenario,
-                "ranks": args.ranks, "clusters": args.clusters,
-                "niters": args.niters, "runs": args.runs,
-                "base_seed": args.base_seed}
-    elif kind == "chaos":
-        spec = {"kind": "chaos", "trials": args.runs,
-                "seed": args.base_seed}
-        if args.kernels:
-            spec["kernels"] = list(args.kernels)
-    else:  # selftest
-        spec = {"kind": "selftest", "tasks": args.runs,
-                "base_seed": args.base_seed}
-    return spec
+    return _campaign_spec(args.kind, args, trials="runs", tasks="runs",
+                          seed="base_seed")
+
+
+def _write_json(path: str, doc, what: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{what} -> {path}", file=sys.stderr)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -1075,10 +1022,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             stats = reply.get("stats", {})
             print(json.dumps(stats, indent=2, sort_keys=True))
             if args.stats_out:
-                with open(args.stats_out, "w") as fh:
-                    json.dump(stats, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"stats -> {args.stats_out}", file=sys.stderr)
+                _write_json(args.stats_out, stats, "stats")
             return 0 if reply.get("ok") else 1
         if args.op == "status":
             reply = client.status(args.job)
@@ -1119,19 +1063,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
         summary = reply.get("summary", {})
         print(json.dumps(summary, indent=2, sort_keys=True))
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump({"job": reply.get("job"), "summary": summary,
-                           "results": reply.get("results"),
-                           "obs": reply.get("obs")},
-                          fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"results -> {args.out}", file=sys.stderr)
+            _write_json(args.out,
+                        {"job": reply.get("job"), "summary": summary,
+                         "results": reply.get("results"),
+                         "obs": reply.get("obs")}, "results")
         if args.stats_out:
-            stats = client.stats().get("stats", {})
-            with open(args.stats_out, "w") as fh:
-                json.dump(stats, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"stats -> {args.stats_out}", file=sys.stderr)
+            _write_json(args.stats_out, client.stats().get("stats", {}),
+                        "stats")
         return 0 if not summary.get("errors") else 1
 
 
@@ -1155,7 +1093,7 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.sanitize:
+    if args.arm_sanitizer:
         # must land in the environment before any world is built: every
         # component snapshots sanitizer state at construction time
         os.environ[SANITIZE_ENV_VAR] = "1"

@@ -41,7 +41,12 @@ from .checkpoint import Checkpoint, CheckpointSchedule, CheckpointStore
 from .protocol import CTL, SDProtocol, Status
 from .recovery import RecoveryProcess, RecoveryReport
 
-__all__ = ["ProtocolConfig", "FTController", "build_ft_world"]
+__all__ = ["EPOCH_SPACING", "ProtocolConfig", "FTController",
+           "build_ft_world"]
+
+#: clusters start this many epochs apart — the paper's value, so a
+#: cluster checkpoint never equalises two clusters' epochs
+EPOCH_SPACING = 2
 
 
 @dataclass
@@ -49,8 +54,7 @@ class ProtocolConfig:
     """Knobs for the protocol and its checkpointing policy.
 
     ``cluster_of`` maps each rank to a cluster index; clusters receive
-    starting epochs separated by ``epoch_spacing`` (2 in the paper, so a
-    cluster checkpoint never equalises two clusters' epochs) and their
+    starting epochs separated by :data:`EPOCH_SPACING` and their
     checkpoint schedules are staggered by ``cluster_stagger`` seconds.
     """
 
@@ -60,9 +64,9 @@ class ProtocolConfig:
     cluster_of: list[int] | None = None
     #: explicit cluster -> initial epoch map (e.g. from
     #: :meth:`repro.core.clustering.Clustering.initial_epochs` after an
-    #: epoch reconfiguration); derived from ``epoch_spacing`` when absent
+    #: epoch reconfiguration); derived from :data:`EPOCH_SPACING` when
+    #: absent
     cluster_epochs: dict[int, int] | None = None
-    epoch_spacing: int = 2
     cluster_stagger: float = 0.0
     rank_stagger: float = 0.0
     restart_delay: float = 0.0
@@ -76,7 +80,6 @@ class ProtocolConfig:
     #: keep message payloads in NonAck/Logs (needed for replay); analysis
     #: runs that never recover can disable it to save time and memory
     retain_payloads: bool = True
-    max_checkpoints_per_rank: int | None = None
     #: acknowledgement coalescing (Fig. 5 spirit): batch up to this many
     #: pending acks per (receiver, sender) channel, flushing piggybacked on
     #: the next application message to that sender, when the batch fills,
@@ -213,7 +216,7 @@ class FTController:
         cluster = self.config.cluster(rank)
         if self.config.cluster_epochs is not None:
             return self.config.cluster_epochs[cluster]
-        return 1 + self.config.epoch_spacing * cluster
+        return 1 + EPOCH_SPACING * cluster
 
     def make_schedule(self, rank: int) -> CheckpointSchedule:
         cfg = self.config
@@ -228,7 +231,6 @@ class FTController:
             offset=offset,
             jitter=cfg.checkpoint_jitter,
             seed=cfg.checkpoint_seed * 7919 + rank,
-            max_checkpoints=cfg.max_checkpoints_per_rank,
         )
 
     # ------------------------------------------------------------------

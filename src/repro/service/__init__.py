@@ -10,8 +10,9 @@ The one-shot sweep executor grown into a resident orchestration layer:
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
   asyncio job-queue service (``repro serve``) and its JSONL client
   (``repro submit``);
-* :mod:`~repro.service.jobs` — campaign specs and the job runner shared
-  by the service and the one-shot CLI.
+* :mod:`~repro.service.jobs` — the job runner: one campaign spec run by
+  :func:`repro.campaigns.run_campaign` (the runner the one-shot CLI
+  uses) and returned as a document with content digests.
 
 See ``docs/service.md`` for queue/lease/cache semantics.
 """
@@ -22,7 +23,6 @@ from .cache import (
     cache_key,
     canonical_params,
     code_digest,
-    register_code_deps,
 )
 from .client import ServiceClient
 from .jobs import CAMPAIGN_KINDS, run_campaign_job, validate_spec
@@ -40,7 +40,6 @@ __all__ = [
     "cache_key",
     "canonical_params",
     "code_digest",
-    "register_code_deps",
     "run_campaign_job",
     "serve",
     "validate_spec",

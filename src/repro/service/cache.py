@@ -14,18 +14,16 @@ Cache key
 ---------
 ``blake2b-128`` over a canonical JSON document::
 
-    {"v": 1, "code": <code digest>, "seed": <task seed>,
+    {"v": 2, "code": <code digest>, "seed": <task seed>,
      "params": <canonical params>, "opts": {...execution options...}}
 
-* **code digest** — blake2b over the task function's source plus, for
-  every kernel class the task depends on, the MRO code digest from the
-  send-determinism certifier (:func:`repro.lint.certify.
-  current_kernel_digest`): editing a kernel — or a base class it
-  inherits ``run`` from — invalidates its cached cells.  Task functions
-  declare their kernel dependencies through :func:`register_code_deps`
-  (keyed by qualified name, so registration needs no imports); tasks
-  with a ``params["kernel"]`` naming a Table-1 kernel are resolved
-  automatically.
+* **code digest** — the task function's qualified name plus one blake2b
+  over the source of the whole ``repro`` package (every ``*.py``, by
+  relative path and bytes; a function defined outside the package adds
+  its own module file): whatever a task can reach — kernels, protocol,
+  simulator, analysis — is covered, so an edit anywhere invalidates
+  every cached result rather than serving a stale one.  Hashed once per
+  process.
 * **seed** — the injected per-task seed (which already encodes the
   campaign base seed, task index and task name).
 * **params** — strict-canonical JSON of the task's params: sorted keys,
@@ -55,12 +53,15 @@ unpickling executes code.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import pickle
+import sys
 import tempfile
-from typing import Any, Callable, Iterable
+from pathlib import Path
+from typing import Any, Callable
 
 __all__ = [
     "CacheUnkeyable",
@@ -68,11 +69,10 @@ __all__ = [
     "cache_key",
     "canonical_params",
     "code_digest",
-    "register_code_deps",
 ]
 
 #: bump when the key document layout changes
-KEY_SCHEMA_VERSION = 1
+KEY_SCHEMA_VERSION = 2
 
 
 class CacheUnkeyable(ValueError):
@@ -106,69 +106,35 @@ def canonical_params(params: dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # Code digest
 # ----------------------------------------------------------------------
-#: "module.qualname" of a task fn -> resolver(params) -> kernel classes
-_DEP_RESOLVERS: dict[str, Callable[[dict[str, Any]], Iterable[type]]] = {}
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
-def register_code_deps(
-    qualname: str, resolver: Callable[[dict[str, Any]], Iterable[type]]
-) -> None:
-    """Declare which kernel classes a task function's results depend on.
-
-    ``qualname`` is ``f"{fn.__module__}.{fn.__qualname__}"`` — a string,
-    so registration sites need not import the function's module (and the
-    resolver itself may import lazily)."""
-    _DEP_RESOLVERS[qualname] = resolver
-
-
-def _default_deps(params: dict[str, Any]) -> Iterable[type]:
-    kernel = params.get("kernel")
-    if isinstance(kernel, str):
-        from ..apps import TABLE1_KERNELS
-
-        cls = TABLE1_KERNELS.get(kernel)
-        if cls is not None:
-            return (cls,)
-    return ()
-
-
-def _fn_source(fn: Callable[..., Any]) -> str:
-    import inspect
-
-    try:
-        return inspect.getsource(fn)
-    except (OSError, TypeError):
-        return ""
-
-
-def _kernel_digest(cls: type) -> str:
-    """MRO code digest of a kernel class, with a stable fallback."""
-    from ..lint.certify import current_kernel_digest
-
-    digest = current_kernel_digest(cls)
-    if digest is None:  # no source (REPL class): identity only
-        digest = f"unversioned:{cls.__module__}.{cls.__qualname__}"
-    return digest
-
-
-def code_digest(fn: Callable[..., Any], params: dict[str, Any]) -> str:
-    """Digest of the code a task's result depends on.
-
-    Covers the task function's own source and the certifier MRO digest
-    of every declared kernel dependency.  Helpers the function calls are
-    *not* transitively hashed — ``docs/service.md`` spells out the
-    contract (bump the function, or clear the cache, when shared
-    helpers change semantics)."""
-    qualname = f"{fn.__module__}.{fn.__qualname__}"
-    resolver = _DEP_RESOLVERS.get(qualname, _default_deps)
+@functools.lru_cache(maxsize=None)
+def _source_digest(outside: str | None) -> str:
+    """blake2b over the sorted ``(relative path, bytes)`` of every ``*.py``
+    under the ``repro`` package, plus the file of module ``outside`` (a
+    task function's home, when that is not in the package).  Read once
+    per process: a process computes keys for the code it has loaded."""
+    files = {path.relative_to(_PACKAGE_ROOT).as_posix(): path
+             for path in _PACKAGE_ROOT.rglob("*.py")}
+    own = getattr(sys.modules.get(outside), "__file__", None)
+    if own:
+        files[f"<{outside}>"] = Path(own)
     h = hashlib.blake2b(digest_size=16)
-    h.update(qualname.encode())
-    h.update(b"\x00")
-    h.update(_fn_source(fn).encode())
-    for cls in sorted(resolver(params), key=lambda c: c.__qualname__):
-        h.update(b"\x00")
-        h.update(_kernel_digest(cls).encode())
+    for rel in sorted(files):
+        data = files[rel].read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
     return h.hexdigest()
+
+
+def code_digest(fn: Callable[..., Any]) -> str:
+    """Digest of the code a task's result depends on: which function,
+    and every source file it can reach (see :func:`_source_digest`)."""
+    module = fn.__module__
+    inside = module.partition(".")[0] == _PACKAGE_ROOT.name
+    return (f"{module}.{fn.__qualname__}:"
+            f"{_source_digest(None if inside else module)}")
 
 
 def _sanitize_armed() -> bool:
@@ -188,7 +154,7 @@ def cache_key(
     :class:`CacheUnkeyable` when params cannot be canonicalized)."""
     doc = {
         "v": KEY_SCHEMA_VERSION,
-        "code": code_digest(fn, params),
+        "code": code_digest(fn),
         "seed": int(seed),
         "params": canonical_params(params),
         "opts": {

@@ -1,8 +1,9 @@
-"""Campaign specifications and the job runner shared by service + CLI.
+"""The service's job runner: a campaign run as a plain-data document.
 
-A *campaign spec* is a plain JSON mapping — what ``repro submit`` sends
+A *campaign spec* (:mod:`repro.campaigns`) is what ``repro submit`` sends
 over the wire and what the service queues.  :func:`run_campaign_job`
-executes one spec synchronously (the server calls it from a worker
+hands one spec to :func:`repro.campaigns.run_campaign` — the runner the
+one-shot CLI uses — synchronously (the server calls it from a worker
 thread) and returns a plain-data job document:
 
 * ``summary`` — tallies plus cache/steal accounting and two content
@@ -24,91 +25,13 @@ import hashlib
 import json
 from typing import Any, Callable
 
-from ..errors import ConfigError
+from ..campaigns import CAMPAIGN_KINDS, run_campaign, validate_spec
 
 __all__ = ["CAMPAIGN_KINDS", "run_campaign_job", "validate_spec"]
-
-CAMPAIGN_KINDS = ("sweep", "table1", "chaos", "selftest")
-
-#: accepted spec fields per kind (beyond "kind"); everything optional
-_SPEC_FIELDS: dict[str, tuple[str, ...]] = {
-    "table1": ("kernels", "ranks", "clusters", "niters", "base_seed",
-               "timeseries"),
-    "sweep": ("scenario", "ranks", "clusters", "niters", "runs",
-              "base_seed", "timeseries"),
-    "chaos": ("trials", "seed", "kernels", "max_failures", "allow_no_log",
-              "shrink"),
-    "selftest": ("tasks", "base_seed"),
-}
-
-
-def _one(value: Any, default: int) -> int:
-    """First element of a possibly-list numeric field."""
-    if value is None:
-        return default
-    if isinstance(value, (list, tuple)):
-        value = value[0] if value else default
-    return int(value)
-
-
-def _many(value: Any, default: list[int]) -> list[int]:
-    if value is None:
-        return list(default)
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(value)]
-
-
-def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """Check a campaign spec's shape; returns a normalized copy."""
-    if not isinstance(spec, dict):
-        raise ConfigError("campaign spec must be a JSON object")
-    kind = spec.get("kind")
-    if kind not in CAMPAIGN_KINDS:
-        raise ConfigError(
-            f"unknown campaign kind {kind!r} (have {CAMPAIGN_KINDS})")
-    allowed = set(_SPEC_FIELDS[kind]) | {"kind"}
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown spec field(s) for kind {kind!r}: {', '.join(unknown)}")
-    return dict(spec)
 
 
 def _digest(text: str) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-
-
-def _build_tasks(spec: dict[str, Any]):
-    """(fn, tasks, base_seed, name) for the non-chaos kinds."""
-    from .. import campaigns
-
-    kind = spec["kind"]
-    if kind == "table1":
-        kernels = spec.get("kernels") or ["CG", "FT"]
-        tasks = campaigns.table1_tasks(
-            kernels, _many(spec.get("ranks"), [16]),
-            _many(spec.get("clusters"), [4]), _one(spec.get("niters"), 8))
-        return campaigns.table1_cell, tasks, _one(spec.get("base_seed"), 0)
-    if kind == "sweep":
-        scenario = spec.get("scenario", "failures")
-        if scenario == "table1":
-            from ..apps import TABLE1_KERNELS
-
-            niters = max(2, _one(spec.get("niters"), 40) // 5)
-            tasks = campaigns.table1_tasks(
-                sorted(TABLE1_KERNELS), [_one(spec.get("ranks"), 8)],
-                [_one(spec.get("clusters"), 2)], niters)
-            return campaigns.table1_cell, tasks, _one(spec.get("base_seed"), 0)
-        if scenario != "failures":
-            raise ConfigError(f"unknown sweep scenario {scenario!r}")
-        tasks = campaigns.failure_tasks(
-            _one(spec.get("runs"), 8), _one(spec.get("ranks"), 8),
-            _one(spec.get("clusters"), 2), _one(spec.get("niters"), 40))
-        return campaigns.failure_scenario, tasks, _one(spec.get("base_seed"), 0)
-    # selftest
-    tasks = campaigns.selftest_tasks(_one(spec.get("tasks"), 8))
-    return campaigns.selftest_cell, tasks, _one(spec.get("base_seed"), 0)
 
 
 def run_campaign_job(
@@ -126,64 +49,36 @@ def run_campaign_job(
     ``scheduler`` is the resident work-stealing pool to reuse;
     ``service_obs`` the service-lifetime accounting registry.
     """
-    from ..obs import MetricsRegistry, dump_metrics
-
-    spec = validate_spec(spec)
-    kind = spec["kind"]
-    registry = MetricsRegistry(
-        timeseries_interval=spec.get("timeseries"))
-    cache_before = cache.stats() if cache is not None else None
-
-    def emit(event: dict[str, Any]) -> None:
-        if on_event is not None:
-            on_event(event)
+    from ..obs import dump_metrics
+    from ..sweep import results_document
 
     def on_progress(result: Any) -> None:
-        emit({
-            "kind": "task_done", "index": result.index, "name": result.name,
-            "status": result.status, "cached": bool(result.cached),
-            "duration_s": round(result.duration, 6),
-        })
+        if on_event is not None:
+            on_event({
+                "kind": "task_done", "index": result.index,
+                "name": result.name, "status": result.status,
+                "cached": bool(result.cached),
+                "duration_s": round(result.duration, 6),
+            })
 
-    if kind == "chaos":
-        from ..chaos import run_campaign
-
-        report = run_campaign(
-            _one(spec.get("trials"), 50), seed=_one(spec.get("seed"), 0),
-            workers=workers,
-            kernels=tuple(spec["kernels"]) if spec.get("kernels") else None,
-            max_failures=_one(spec.get("max_failures"), 4),
-            allow_no_log=bool(spec.get("allow_no_log", True)),
-            shrink=_one(spec.get("shrink"), 0),
-            obs=registry, on_progress=on_progress,
-            cache=cache, scheduler=scheduler, service_obs=service_obs,
-        )
+    run = run_campaign(
+        spec, workers=workers, cache=cache, scheduler=scheduler,
+        service_obs=service_obs, on_progress=on_progress,
+        collect_obs=collect_obs,
+    )
+    kind = spec["kind"]
+    report = run.report
+    if report is not None:  # chaos: trials are scored, not just completed
         results_doc: dict[str, Any] = report.to_json()
-        tasks = report.trials
-        ok = report.passed
+        tasks, ok = report.trials, report.passed
         errors = report.failed + report.errors
     else:
-        from ..sweep import results_document, run_sweep
-
-        fn, tasks_list, base_seed = _build_tasks(spec)
-        results = run_sweep(
-            fn, tasks_list, workers=workers, base_seed=base_seed,
-            obs=registry, collect_obs=collect_obs,
-            timeseries=spec.get("timeseries"),
-            on_progress=on_progress, cache=cache, scheduler=scheduler,
-            service_obs=service_obs,
-        )
-        results_doc = results_document(results, sweep_name=kind)
-        tasks = len(results)
-        ok = sum(1 for r in results if r.ok)
+        results_doc = results_document(run.results, sweep_name=kind)
+        tasks = len(run.results)
+        ok = sum(1 for r in run.results if r.ok)
         errors = tasks - ok
 
-    obs_export = dump_metrics(registry, "jsonl")
-    cache_stats = None
-    if cache is not None:
-        after = cache.stats()
-        cache_stats = {k: after[k] - cache_before.get(k, 0)
-                       for k in ("hits", "misses", "stores", "unkeyable")}
+    obs_export = dump_metrics(run.registry, "jsonl")
     steals = leases = 0
     if service_obs is not None and getattr(service_obs, "enabled", False):
         steals = int(service_obs.counter("service.steals").get())
@@ -195,7 +90,7 @@ def run_campaign_job(
         "tasks": tasks,
         "ok": ok,
         "errors": errors,
-        "cache": cache_stats,
+        "cache": run.cache_delta,
         "steals_total": steals,
         "leases_total": leases,
         "results_digest": _digest(results_json),

@@ -270,7 +270,6 @@ def run_sweep(
     timeseries: float | None = None,
     cache: Any = None,
     scheduler: Any = None,
-    mp_method: str | None = None,
     service_obs: Any = None,
 ) -> list[SweepResult]:
     """Run every task through ``fn``; returns results in task order.
@@ -310,9 +309,6 @@ def run_sweep(
         Optional :class:`repro.service.WorkStealingScheduler` to reuse (a
         resident service keeps one pool across jobs).  When given, its
         worker count wins over ``workers``.
-    mp_method:
-        Explicit multiprocessing start method for a scheduler created by
-        this call (default: the pinned :data:`MP_START_METHOD`).
     service_obs:
         Registry for *service accounting*: ``service.cache`` hit/miss and
         ``service.leases``/``service.steals``/``service.tasks_lost``
@@ -402,7 +398,7 @@ def run_sweep(
 
         own = scheduler is None
         sched = scheduler if scheduler is not None else WorkStealingScheduler(
-            min(workers, len(pending)), mp_method=mp_method, obs=acct)
+            min(workers, len(pending)), obs=acct)
         if scheduler is not None and sched.obs is None:
             sched.obs = acct
         try:

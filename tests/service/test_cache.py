@@ -1,6 +1,10 @@
 """Content-addressed result cache: keys, invalidation, storage."""
 
+import os
 import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -65,6 +69,52 @@ def test_cache_key_covers_kernel_dependency():
     cg = cache_key(table1_cell, {"kernel": "CG", "ranks": 8}, seed=1)
     ft = cache_key(table1_cell, {"kernel": "FT", "ranks": 8}, seed=1)
     assert cg != ft
+
+
+def test_cache_key_covers_every_source_file_of_the_package(tmp_path):
+    """Key soundness: an edit to *any* module a task can reach — here a
+    copy of ``core/protocol.py``, which is neither the task function nor
+    a kernel — must change the key, or stale results are served as
+    byte-identical hits.  Bytecode caches are not source."""
+    import repro
+
+    tree = tmp_path / "repro"
+    shutil.copytree(os.path.dirname(repro.__file__), tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def key() -> str:
+        code = ("from repro.campaigns import table1_cell\n"
+                "from repro.service import cache_key\n"
+                "print(cache_key(table1_cell, {'kernel': 'CG', 'ranks': 8},"
+                " seed=1))")
+        env = dict(os.environ, PYTHONPATH=str(tmp_path),
+                   PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=120).stdout.strip()
+
+    base = key()
+    assert key() == base  # a fresh interpreter agrees with itself
+    (tree / "core" / "__pycache__").mkdir()
+    (tree / "core" / "__pycache__" / "protocol.cpython-312.pyc").write_bytes(
+        b"not source")
+    assert key() == base
+    with open(tree / "core" / "protocol.py", "a") as fh:
+        fh.write("#")
+    assert key() != base
+
+
+def test_cache_key_covers_a_task_function_outside_the_package():
+    """A task function from outside ``repro`` adds its own module file to
+    the digest (here: this test module), and still keys by its name."""
+    from repro.service import code_digest
+
+    inside, outside = code_digest(selftest_cell), code_digest(_spawned_key)
+    assert inside.startswith("repro.campaigns.selftest_cell:")
+    assert outside.startswith(f"{__name__}._spawned_key:")
+    assert inside.rpartition(":")[2] != outside.rpartition(":")[2]
+    assert code_digest(_result).rpartition(":")[2] == \
+        outside.rpartition(":")[2]  # same module, same sources
 
 
 def _spawned_key(_):
