@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.apps import Stencil2D
-from repro.baselines import CLConfig, build_cl_world
-from repro.core import ProtocolConfig, build_ft_world
+from repro.baselines import CLConfig, CLController
+from repro.core import ProtocolConfig, build_ft_world, build_world
 from repro.core.clustering import block_clusters
 
 from conftest import emit, format_table
@@ -110,8 +110,8 @@ def checkpoint_times():
     ours = [e.time for e in world.tracer.events if e.kind == "checkpoint"]
 
     # coordinated baseline: everyone snapshots at the round's drain point
-    cl_world, cl_ctl = build_cl_world(NPROCS, factory,
-                                      CLConfig(snapshot_interval=2e-5))
+    cl_world, cl_ctl = build_world(
+        CLController(NPROCS, CLConfig(snapshot_interval=2e-5)), factory)
     cl_world.launch()
     cl_world.run()
     # each completed round captures all ranks at one instant
@@ -160,8 +160,6 @@ def test_io_burst_cost_table(benchmark):
     """With the checkpoint write model enabled, coordinated rounds
     serialise P writes on the shared device while the staggered
     uncoordinated schedule overlaps them with computation."""
-    from repro.baselines import CLConfig, build_cl_world
-
     # 10 KB checkpoints, 1 GB/s device -> 10 us per write; the staggered
     # schedule spaces writers further apart than one write
     size_bytes, bw = 10_000, 1e9
@@ -174,10 +172,11 @@ def test_io_burst_cost_table(benchmark):
     world_u.launch()
     t_unc = world_u.run()
 
-    world_c, ctl_c = build_cl_world(
-        NPROCS, factory,
-        CLConfig(snapshot_interval=1e-4, snapshot_size_bytes=size_bytes,
-                 storage_bandwidth=bw),
+    world_c, ctl_c = build_world(
+        CLController(NPROCS, CLConfig(snapshot_interval=1e-4,
+                                      snapshot_size_bytes=size_bytes,
+                                      storage_bandwidth=bw)),
+        factory,
     )
     world_c.launch()
     t_coord = world_c.run()

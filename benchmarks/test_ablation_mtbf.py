@@ -19,8 +19,8 @@ import random
 import pytest
 
 from repro.apps import Stencil2D
-from repro.baselines import CLConfig, build_cl_world
-from repro.core import ProtocolConfig, build_ft_world
+from repro.baselines import CLConfig, CLController
+from repro.core import ProtocolConfig, build_ft_world, build_world
 from repro.core.clustering import block_clusters
 
 from conftest import emit, format_table
@@ -63,7 +63,8 @@ def run_ours(schedule):
 
 
 def run_coordinated(schedule):
-    world, ctl = build_cl_world(NPROCS, factory, CLConfig(snapshot_interval=3e-5))
+    world, ctl = build_world(
+        CLController(NPROCS, CLConfig(snapshot_interval=3e-5)), factory)
     for t, r in schedule:
         ctl.inject_failure(t, r)
     ctl.arm()

@@ -20,12 +20,12 @@ from repro.analysis import SpeSampler, rollback_analysis
 from repro.apps import Stencil2D
 from repro.baselines import (
     CLConfig,
+    CLController,
     PMLConfig,
-    build_cl_world,
-    build_pml_world,
+    PMLController,
     run_domino_analysis,
 )
-from repro.core import ProtocolConfig, build_ft_world
+from repro.core import ProtocolConfig, build_ft_world, build_world
 from repro.core.clustering import block_clusters
 
 from conftest import emit, format_table
@@ -44,7 +44,8 @@ def comparison():
     out = {}
 
     # coordinated
-    world, ctl = build_cl_world(NPROCS, factory, CLConfig(snapshot_interval=3e-5))
+    world, ctl = build_world(
+        CLController(NPROCS, CLConfig(snapshot_interval=3e-5)), factory)
     ctl.inject_failure(FAIL_AT, FAIL_RANK)
     ctl.arm()
     world.launch()
@@ -52,8 +53,9 @@ def comparison():
     out["coordinated"] = dict(log=0.0, rolled=100.0 * ctl.rolled_back_history[0] / NPROCS)
 
     # pessimistic message logging
-    world, ctl = build_pml_world(
-        NPROCS, factory, PMLConfig(checkpoint_interval=3e-5, rank_stagger=1e-6)
+    world, ctl = build_world(
+        PMLController(NPROCS, PMLConfig(checkpoint_interval=3e-5, rank_stagger=1e-6)),
+        factory,
     )
     ctl.inject_failure(FAIL_AT, FAIL_RANK)
     ctl.arm()

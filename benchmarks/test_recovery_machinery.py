@@ -84,8 +84,10 @@ def test_recovery_line_scaling_table(scaling_rows, benchmark):
 
 def test_recovery_line_reuses_index(benchmark):
     """Amortisation check: reusing the solver's index across failure
-    hypotheses (the Table I analysis pattern) is much cheaper than
-    rebuilding it per failure."""
+    hypotheses (the pattern of ``run_domino_analysis`` and of the
+    ``rollback_closure`` sanitizer's sampled re-solves; Table I itself has
+    used the all-failures closure of ``analysis/rollback.py`` since PR 12)
+    is much cheaper than rebuilding it per failure."""
     tables = synthetic_spe(256)
     solver = RecoveryLineSolver(tables)
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 __all__ = [
     "expected_rolled_back_clusters",
     "expected_rollback_fraction",
@@ -60,8 +58,3 @@ def monte_carlo_rollback_fraction(p: int, trials: int = 10000, seed: int = 0) ->
         total += rollback_fraction_given_position(p, pos)
     return total / trials
 
-
-def table1_theory_row(cluster_counts: list[int]) -> dict[int, float]:
-    """``%rl`` predicted by the model for each cluster count (Table I's
-    near-constant per-cluster-count columns)."""
-    return {p: 100.0 * expected_rollback_fraction(p) for p in cluster_counts}

@@ -26,7 +26,7 @@ from typing import Any, Generator
 
 from ..simmpi.api import MpiApi
 
-__all__ = ["RankProgram", "iterate_with_checkpoints"]
+__all__ = ["RankProgram"]
 
 
 class RankProgram(ABC):
@@ -59,17 +59,3 @@ class RankProgram(ABC):
         """The program's final output (kernel-specific; default: state)."""
         return self.state
 
-
-def iterate_with_checkpoints(program: RankProgram, api: MpiApi, body, niters_key: str = "it",
-                             total_key: str = "niters"):
-    """Drive ``body(it)`` for the remaining iterations with checkpoint offers.
-
-    A shared helper for iterative kernels: resumes at ``state[niters_key]``,
-    offers an (uncoordinated) checkpoint opportunity after every iteration,
-    and advances the iteration counter *before* the offer so a restored
-    program does not redo the completed iteration.
-    """
-    while program.state[niters_key] < program.state[total_key]:
-        yield from body(program.state[niters_key])
-        program.state[niters_key] += 1
-        yield api.maybe_checkpoint()

@@ -1,6 +1,13 @@
 """``repro.baselines`` — the protocols the paper compares against.
 
-* :mod:`repro.baselines.coordinated` — Chandy–Lamport coordinated
+Each is a :class:`~repro.simmpi.process.ProtocolHook` plus a recovery
+policy on a :class:`~repro.core.controller.Controller` subclass, built
+with ``repro.core.build_world(SomeController(nprocs, config), factory)``.
+Process images, rank restart, the periodic-checkpoint timer and the
+failure wiring are the paper's protocol's own (``repro.core.checkpoint``,
+``repro.core.controller``), not re-implemented here.
+
+* :mod:`repro.baselines.coordinated` — blocking coordinated
   checkpointing (global restart; the "100 % rollback" reference).
 * :mod:`repro.baselines.pessimistic_log` — pessimistic sender-based
   message logging (restart one process; logs 100 % of messages).
@@ -10,9 +17,9 @@
   checkpointing (forced-checkpoint amplification, Section VI).
 """
 
-from .cic import CICConfig, CICController, build_cic_world
-from .coordinated import CLConfig, CLController, build_cl_world
-from .pessimistic_log import PMLConfig, PMLController, build_pml_world
+from .cic import CICConfig, CICController
+from .coordinated import CLConfig, CLController
+from .pessimistic_log import PMLConfig, PMLController
 from .uncoordinated_plain import (
     DominoStats,
     plain_uncoordinated_config,
@@ -20,8 +27,8 @@ from .uncoordinated_plain import (
 )
 
 __all__ = [
-    "CICConfig", "CICController", "build_cic_world",
-    "CLConfig", "CLController", "build_cl_world",
-    "PMLConfig", "PMLController", "build_pml_world",
+    "CICConfig", "CICController",
+    "CLConfig", "CLController",
+    "PMLConfig", "PMLController",
     "DominoStats", "plain_uncoordinated_config", "run_domino_analysis",
 ]

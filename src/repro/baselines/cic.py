@@ -17,13 +17,13 @@ worsens with scale.  This implementation measures exactly that:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
+from ..core.checkpoint import CheckpointSchedule
+from ..core.controller import Controller
 from ..simmpi.message import Envelope
 from ..simmpi.process import ProtocolHook
-from ..simmpi.runtime import World
 
-__all__ = ["CICConfig", "CICHook", "CICController", "build_cic_world"]
+__all__ = ["CICConfig", "CICHook", "CICController"]
 
 
 @dataclass
@@ -41,7 +41,8 @@ class CICHook(ProtocolHook):
     opportunities; a *forced* checkpoint fires immediately (conceptually
     before delivery) when a message carries a larger index.  Forced
     checkpoints here snapshot protocol state only — the baseline exists to
-    count checkpoints, not to run recovery.
+    count checkpoints, not to run recovery (its controller inherits the
+    shared wiring and the refusing default ``on_failures``).
     """
 
     def __init__(self, rank: int, controller: "CICController"):
@@ -50,7 +51,9 @@ class CICHook(ProtocolHook):
         self.index = 0
         self.basic_checkpoints = 0
         self.forced_checkpoints = 0
-        self._next_due: float | None = None
+        cfg = controller.config
+        self.schedule = CheckpointSchedule(cfg.checkpoint_interval,
+                                           offset=cfg.rank_stagger * rank)
 
     # --- message paths ---------------------------------------------------
     def on_app_send(self, env: Envelope) -> None:
@@ -66,29 +69,20 @@ class CICHook(ProtocolHook):
 
     # --- basic (timer) checkpoints ------------------------------------------
     def checkpoint_due(self) -> bool:
-        cfg = self.controller.config
-        now = self.world.engine.now
-        if self._next_due is None:
-            self._next_due = cfg.checkpoint_interval + cfg.rank_stagger * self.rank
-        return now >= self._next_due
+        return self.schedule.due(self.world.engine.now)
 
     def on_checkpoint(self) -> None:
-        cfg = self.controller.config
-        self._next_due = self.world.engine.now + cfg.checkpoint_interval
+        self.schedule.mark_taken(self.world.engine.now)
         self.index += 1
         self.basic_checkpoints += 1
 
 
-class CICController:
+class CICController(Controller):
     """Aggregates per-rank CIC checkpoint counts."""
 
     def __init__(self, nprocs: int, config: CICConfig):
-        self.nprocs = nprocs
-        self.config = config
+        super().__init__(nprocs, config)
         self.hooks = [CICHook(r, self) for r in range(nprocs)]
-
-    def hook_for(self, rank: int) -> CICHook:
-        return self.hooks[rank]
 
     def stats(self) -> dict[str, float]:
         basic = sum(h.basic_checkpoints for h in self.hooks)
@@ -99,10 +93,3 @@ class CICController:
             "amplification": (basic + forced) / basic if basic else float("inf"),
         }
 
-
-def build_cic_world(nprocs: int, program_factory: Callable[[int, int], Any],
-                    config: CICConfig, **world_kwargs: Any) -> tuple[World, CICController]:
-    controller = CICController(nprocs, config)
-    world = World(nprocs, program_factory, hook_factory=controller.hook_for,
-                  **world_kwargs)
-    return world, controller

@@ -28,21 +28,25 @@ requires snapshotting at marker-arrival instants, i.e. mid-iteration
 process images, which application-level checkpointing cannot capture.
 
 Recovery restores the most recent completed round on **all** ranks
-(``rolled back = 100 %``) and purges the network.
+(``rolled back = 100 %``) and purges the network.  Snapshot parts are
+plain :class:`~repro.core.checkpoint.ProcessImage` objects and ranks come
+back through :func:`~repro.core.checkpoint.restart_rank` — the same image
+and restart the paper's protocol uses; only the policy (everyone, to the
+last completed round) is this module's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
+from ..core.checkpoint import ProcessImage, restart_rank
+from ..core.controller import Controller
 from ..errors import ProtocolError, SimulationError
-from ..simmpi.failure import FailureInjector
 from ..simmpi.message import Envelope
 from ..simmpi.process import ProtocolHook
 from ..simmpi.runtime import World
 
-__all__ = ["CLConfig", "CoordinatedHook", "CLController", "build_cl_world"]
+__all__ = ["CLConfig", "CoordinatedHook", "CLController"]
 
 
 @dataclass
@@ -56,17 +60,8 @@ class CLConfig:
     """
 
     snapshot_interval: float | None = None
-    first_snapshot_at: float | None = None
     snapshot_size_bytes: int = 0
     storage_bandwidth: float = 1e9
-
-
-@dataclass
-class _GlobalSnapshotPart:
-    round_no: int
-    app_state: Any
-    coll_seq: int
-    unexpected: list[Envelope]
 
 
 class CoordinatedHook(ProtocolHook):
@@ -77,8 +72,16 @@ class CoordinatedHook(ProtocolHook):
         self.controller = controller
         self.boundary_count = 0
         self.target: int | None = None
-        #: completed global snapshot parts by round
-        self.snapshots: dict[int, _GlobalSnapshotPart] = {}
+        #: application sends so far — stamped on each as its ``date``, the
+        #: key the tracer collapses re-executed sends by; rolls back with
+        #: the snapshot
+        self.date = 0
+        #: this rank's part of each kept global snapshot, by round
+        self.snapshots: dict[int, tuple[ProcessImage, int]] = {}
+
+    def on_app_send(self, env: Envelope) -> None:
+        self.date += 1
+        env.meta["date"] = self.date
 
     # --- boundary detection ------------------------------------------------
     def checkpoint_due(self) -> bool:
@@ -100,55 +103,32 @@ class CoordinatedHook(ProtocolHook):
 
     # --- snapshot capture (controller-driven, post-drain) --------------------
     def capture(self, round_no: int) -> None:
-        world = self.world
-        self.snapshots[round_no] = _GlobalSnapshotPart(
-            round_no=round_no,
-            app_state=world.programs[self.rank].snapshot(),
-            coll_seq=world.apis[self.rank]._coll_seq,
-            unexpected=[e.stored_copy() for e in self.proc.unexpected],
-        )
-
-    def record_initial(self) -> None:
-        """Round 0: the initial state is a trivially consistent snapshot."""
-        self.snapshots[0] = _GlobalSnapshotPart(
-            round_no=0,
-            app_state=self.world.programs[self.rank].snapshot(),
-            coll_seq=0,
-            unexpected=[],
-        )
+        self.snapshots[round_no] = (
+            ProcessImage.capture(self.world, self.rank), self.date)
 
 
-class CLController:
+class CLController(Controller):
     """Coordinates snapshot rounds and performs global restarts."""
 
     def __init__(self, nprocs: int, config: CLConfig | None = None):
-        self.nprocs = nprocs
-        self.config = config or CLConfig()
+        super().__init__(nprocs, config or CLConfig())
         self.hooks = [CoordinatedHook(r, self) for r in range(nprocs)]
-        self.world: World | None = None
-        self.injector: FailureInjector | None = None
         self.round = 0
         self.round_active = False
         self._at_boundary: set[int] = set()
         self.completed_rounds: list[int] = []
         self.global_restarts = 0
-        self.rolled_back_history: list[int] = []
         self._drain_polls = 0
         #: cumulative machine time lost to serialised snapshot writes
         self.io_burst_time = 0.0
 
-    def hook_for(self, rank: int) -> CoordinatedHook:
-        return self.hooks[rank]
-
     def bind(self, world: World) -> None:
-        self.world = world
-        self.injector = FailureInjector(world, self.on_failures)
+        super().bind(world)
         for hook in self.hooks:
-            hook.record_initial()
-        cfg = self.config
-        if cfg.snapshot_interval is not None:
-            first = cfg.first_snapshot_at or cfg.snapshot_interval
-            world.engine.schedule_at(first, self._periodic)
+            # round 0: the initial state is a trivially consistent snapshot
+            hook.capture(0)
+        if self.config.snapshot_interval is not None:
+            world.engine.schedule_at(self.config.snapshot_interval, self._periodic)
 
     def _periodic(self) -> None:
         assert self.world is not None and self.config.snapshot_interval is not None
@@ -228,14 +208,6 @@ class CLController:
     # ------------------------------------------------------------------
     # Failure handling: global restart
     # ------------------------------------------------------------------
-    def inject_failure(self, time: float, rank: int) -> None:
-        assert self.injector is not None
-        self.injector.at(time, rank)
-
-    def arm(self) -> None:
-        assert self.injector is not None
-        self.injector.arm()
-
     def on_failures(self, ranks: list[int]) -> None:
         """Restore the last completed global snapshot on *every* rank."""
         assert self.world is not None
@@ -245,36 +217,13 @@ class CLController:
         self.round_active = False
         world.network.purge_all()
         restore_round = self.completed_rounds[-1] if self.completed_rounds else 0
-        for rank in range(self.nprocs):
-            proc = world.procs[rank]
-            if proc.done:
-                world.note_rank_restarted()
-            if rank in ranks:
-                proc.kill()
-                proc.alive = True
-            else:
-                proc.reincarnate()
-            proc.paused = False
-            hook = self.hooks[rank]
+        for rank, hook in enumerate(self.hooks):
             hook.target = None
             snap = hook.snapshots.get(restore_round)
             if snap is None:
                 raise ProtocolError(
                     f"rank {rank} lacks snapshot for round {restore_round}"
                 )
-            program = world.programs[rank]
-            program.restore(snap.app_state)
-            world.apis[rank]._coll_seq = snap.coll_seq
-            proc.unexpected.extend(e.stored_copy() for e in snap.unexpected)
-            proc.start(program.run(world.apis[rank]))
+            image, hook.date = snap
+            restart_rank(world, rank, image, killed=rank in ranks)
         self.round = restore_round
-
-
-def build_cl_world(nprocs: int, program_factory, config: CLConfig | None = None,
-                   **world_kwargs) -> tuple[World, CLController]:
-    """World + coordinated-checkpointing controller, wired."""
-    controller = CLController(nprocs, config)
-    world = World(nprocs, program_factory, hook_factory=controller.hook_for,
-                  **world_kwargs)
-    controller.bind(world)
-    return world, controller

@@ -11,10 +11,16 @@ determinant-logging latency on every receive.
 Implementation notes
 --------------------
 * Payload logging is in sender memory (as in the paper's sender-based
-  references); determinants go to a simulated synchronous stable store
-  whose write latency is chargeable (``determinant_latency``).
-* On a failure, the controller restores the failed rank from its latest
-  local checkpoint, collects from every peer the logged messages the
+  references), under the same retention rule as the paper's protocol
+  (:func:`~repro.simmpi.message.retention_copy`); determinants go to a
+  simulated synchronous stable store (no write latency is modelled).
+* A local checkpoint is a :class:`~repro.core.checkpoint.ProcessImage`
+  plus this protocol's sequence numbers, timed by the same
+  :class:`~repro.core.checkpoint.CheckpointSchedule` the paper's protocol
+  uses.
+* On a failure, the controller restarts the failed rank from its latest
+  local checkpoint (:func:`~repro.core.checkpoint.restart_rank`), collects
+  from every peer the logged messages the
   restored state has not yet delivered, and feeds them to the restarted
   process **in the recorded determinant order** — that is what makes
   non-send-deterministic applications replay correctly.
@@ -27,33 +33,28 @@ numbers Table I compares against.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from ..core.checkpoint import CheckpointSchedule, ProcessImage, restart_rank
+from ..core.controller import Controller
 from ..errors import ProtocolError
-from ..simmpi.failure import FailureInjector
-from ..simmpi.message import Envelope
+from ..simmpi.message import Envelope, retention_copy
 from ..simmpi.process import ProtocolHook
 from ..simmpi.runtime import World
 
-__all__ = ["PMLConfig", "PMLHook", "PMLController", "build_pml_world"]
+__all__ = ["PMLConfig", "PMLHook", "PMLController"]
 
 
 @dataclass
 class PMLConfig:
     checkpoint_interval: float | None = None
     rank_stagger: float = 0.0
-    #: synchronous determinant-write latency charged per delivery (the
-    #: classic pessimistic-logging cost; 0 disables)
-    determinant_latency: float = 0.0
 
 
 @dataclass
 class _PMLCheckpoint:
-    app_state: Any
-    coll_seq: int
-    unexpected: list[Envelope]
+    image: ProcessImage
     send_seq: dict[int, int]
     recv_seq: dict[int, int]
     determinant_count: int
@@ -69,12 +70,14 @@ class PMLHook(ProtocolHook):
         self.send_seq: dict[int, int] = {}
         #: per source: highest delivered sequence number (dup watermark)
         self.recv_seq: dict[int, int] = {}
-        #: sender-based payload log: dst -> [(seq, tag, payload, size)]
-        self.sent_log: dict[int, list[tuple[int, int, Any, int]]] = {}
+        #: sender-based payload log: dst -> [(seq, date, tag, payload, size)]
+        self.sent_log: dict[int, list[tuple[int, int, int, Any, int]]] = {}
         #: receiver determinant log (synchronous stable store)
         self.determinants: list[tuple[int, int]] = []  # (src, seq)
         self.checkpoints: list[_PMLCheckpoint] = []
-        self._next_ckpt: float | None = None
+        cfg = controller.config
+        self.schedule = CheckpointSchedule(cfg.checkpoint_interval,
+                                           offset=cfg.rank_stagger * rank)
         self.messages_logged = 0
         self.bytes_logged = 0
         self.replaying = False
@@ -87,8 +90,12 @@ class PMLHook(ProtocolHook):
         seq = self.send_seq.get(env.dst, 0) + 1
         self.send_seq[env.dst] = seq
         env.meta["seq"] = seq
+        # the sender's send-sequence number over all destinations: the key
+        # the tracer collapses re-executed and replayed sends by (it rolls
+        # back with ``send_seq``, so a re-execution reuses the date)
+        date = env.meta["date"] = sum(self.send_seq.values())
         self.sent_log.setdefault(env.dst, []).append(
-            (seq, env.tag, copy.deepcopy(env.payload), env.size)
+            (seq, date, env.tag, retention_copy(env.payload), env.size)
         )
         self.messages_logged += 1
         self.bytes_logged += env.size
@@ -139,23 +146,16 @@ class PMLHook(ProtocolHook):
 
     # --- checkpointing -----------------------------------------------------
     def checkpoint_due(self) -> bool:
-        cfg = self.controller.config
-        if cfg.checkpoint_interval is None:
-            return False
-        now = self.world.engine.now
-        if self._next_ckpt is None:
-            self._next_ckpt = cfg.checkpoint_interval + cfg.rank_stagger * self.rank
-        return now >= self._next_ckpt
+        return self.schedule.due(self.world.engine.now)
 
     def on_checkpoint(self) -> None:
-        cfg = self.controller.config
-        assert cfg.checkpoint_interval is not None and self._next_ckpt is not None
-        self._next_ckpt = self.world.engine.now + cfg.checkpoint_interval
+        self.schedule.mark_taken(self.world.engine.now)
+        self.take_checkpoint()
+
+    def take_checkpoint(self) -> None:
         self.checkpoints.append(
             _PMLCheckpoint(
-                app_state=self.world.programs[self.rank].snapshot(),
-                coll_seq=self.world.apis[self.rank]._coll_seq,
-                unexpected=[e.stored_copy() for e in self.proc.unexpected],
+                image=ProcessImage.capture(self.world, self.rank),
                 send_seq=dict(self.send_seq),
                 recv_seq=dict(self.recv_seq),
                 determinant_count=len(self.determinants),
@@ -163,39 +163,17 @@ class PMLHook(ProtocolHook):
         )
 
 
-class PMLController:
+class PMLController(Controller):
     """Failure orchestration: restart the failed rank only."""
 
     def __init__(self, nprocs: int, config: PMLConfig | None = None):
-        self.nprocs = nprocs
-        self.config = config or PMLConfig()
+        super().__init__(nprocs, config or PMLConfig())
         self.hooks = [PMLHook(r, self) for r in range(nprocs)]
-        self.world: World | None = None
-        self.injector: FailureInjector | None = None
-        self.rolled_back_history: list[int] = []
-
-    def hook_for(self, rank: int) -> PMLHook:
-        return self.hooks[rank]
 
     def bind(self, world: World) -> None:
-        self.world = world
-        self.injector = FailureInjector(world, self.on_failures)
-        for rank, hook in enumerate(self.hooks):
-            hook.checkpoints.append(
-                _PMLCheckpoint(
-                    app_state=world.programs[rank].snapshot(),
-                    coll_seq=0, unexpected=[], send_seq={}, recv_seq={},
-                    determinant_count=0,
-                )
-            )
-
-    def inject_failure(self, time: float, rank: int) -> None:
-        assert self.injector is not None
-        self.injector.at(time, rank)
-
-    def arm(self) -> None:
-        assert self.injector is not None
-        self.injector.arm()
+        super().bind(world)
+        for hook in self.hooks:
+            hook.take_checkpoint()  # the initial state
 
     # ------------------------------------------------------------------
     def on_failures(self, ranks: list[int]) -> None:
@@ -207,54 +185,25 @@ class PMLController:
         world = self.world
         rank = ranks[0]
         self.rolled_back_history.append(1)
-        proc = world.procs[rank]
-        if proc.done:
-            world.note_rank_restarted()
-        proc.kill()
-        proc.alive = True
         hook = self.hooks[rank]
         ckpt = hook.checkpoints[-1]
-        program = world.programs[rank]
-        program.restore(ckpt.app_state)
-        world.apis[rank]._coll_seq = ckpt.coll_seq
-        proc.unexpected.extend(e.stored_copy() for e in ckpt.unexpected)
+        restart_rank(world, rank, ckpt.image, killed=True)
         hook.send_seq = dict(ckpt.send_seq)
         hook.recv_seq = dict(ckpt.recv_seq)
         # determinants after the checkpoint define the exact replay order
         plan = hook.determinants[ckpt.determinant_count:]
         hook.determinants = hook.determinants[: ckpt.determinant_count]
         hook.begin_replay(plan)
-        proc.start(program.run(world.apis[rank]))
         # peers re-send from their sender-based logs everything the restored
         # state has not delivered yet (the failed rank's own re-sends are
         # suppressed at the peers by the sequence watermarks)
         for peer_rank, peer in enumerate(self.hooks):
             if peer_rank == rank:
                 continue
-            for seq, tag, payload, size in peer.sent_log.get(rank, []):
+            for seq, date, tag, payload, size in peer.sent_log.get(rank, []):
                 if seq > hook.recv_seq.get(peer_rank, 0):
                     env = Envelope(src=peer_rank, dst=rank, tag=tag,
-                                   payload=copy.deepcopy(payload), size=size)
-                    env.meta["seq"] = seq
-                    env.meta["replayed"] = True
+                                   payload=retention_copy(payload), size=size,
+                                   meta={"seq": seq, "date": date,
+                                         "replayed": True})
                     world.transmit_app(env)
-
-    # ------------------------------------------------------------------
-    def logging_stats(self) -> dict[str, float]:
-        assert self.world is not None
-        total = self.world.tracer.total_app_messages()
-        logged = sum(h.messages_logged for h in self.hooks)
-        return {
-            "messages_total": total,
-            "messages_logged": logged,
-            "log_fraction": logged / total if total else 0.0,
-        }
-
-
-def build_pml_world(nprocs: int, program_factory, config: PMLConfig | None = None,
-                    **world_kwargs) -> tuple[World, PMLController]:
-    controller = PMLController(nprocs, config)
-    world = World(nprocs, program_factory, hook_factory=controller.hook_for,
-                  **world_kwargs)
-    controller.bind(world)
-    return world, controller

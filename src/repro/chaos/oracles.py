@@ -80,10 +80,6 @@ class TrialResult:
         return [n for n in ORACLES
                 if n in self.oracles and not self.oracles[n].passed]
 
-    def oracle_passed(self, name: str) -> bool:
-        res = self.oracles.get(name)
-        return res is not None and res.passed
-
     def detail(self, name: str) -> str:
         res = self.oracles.get(name)
         return res.detail if res is not None else "<oracle not evaluated>"

@@ -6,8 +6,10 @@ epoch-crossing partial message logging, process clustering with staggered
 epochs (Section V-E-3) and garbage collection (Section III-A-4).
 """
 
-from .checkpoint import Checkpoint, CheckpointSchedule, CheckpointStore
-from .controller import FTController, ProtocolConfig, build_ft_world
+from .checkpoint import (Checkpoint, CheckpointSchedule, CheckpointStore,
+                         ProcessImage, restart_rank)
+from .controller import (Controller, FTController, ProtocolConfig,
+                         build_ft_world, build_world)
 from .protocol import SDProtocol, Status
 from .recovery import RecoveryProcess, RecoveryReport, compute_recovery_line
 from .state import EpochRecord, LoggedMessage, PendingAck, ProtocolState
@@ -16,8 +18,12 @@ __all__ = [
     "Checkpoint",
     "CheckpointSchedule",
     "CheckpointStore",
+    "ProcessImage",
+    "restart_rank",
+    "Controller",
     "FTController",
     "ProtocolConfig",
+    "build_world",
     "build_ft_world",
     "SDProtocol",
     "Status",

@@ -1,8 +1,11 @@
-"""Checkpoint storage and scheduling.
+"""Process images, checkpoint storage and scheduling.
 
 A checkpoint is the paper's Fig. 3 line 42 tuple — process image plus
-protocol metadata — with two simulator-specific additions that complete
-the "process image" under application-level checkpointing:
+protocol metadata.  :class:`ProcessImage` and :func:`restart_rank` define
+the image and the restart from one for every protocol in the repo, the
+baselines included; a protocol adds only its own metadata.  The image is
+the rank program's snapshot with two simulator-specific additions that
+complete it under application-level checkpointing:
 
 * the library-level *unexpected message queue* (messages delivered but not
   yet matched by a receive live in MPI buffers and are part of a
@@ -15,19 +18,77 @@ the "process image" under application-level checkpointing:
 of the evaluation: independent periodic checkpoints with per-rank (or
 per-cluster, Section V-E-3) staggered offsets, and the random-time policy
 of Section V-E-2 that demonstrates why naive uncoordinated checkpointing
-rolls everyone back.
+rolls everyone back.  The baselines' local timers are the same class.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TYPE_CHECKING
 
 from ..errors import CheckpointError
+from ..simmpi.message import Envelope
 from .state import ProtocolState
 
-__all__ = ["Checkpoint", "CheckpointStore", "CheckpointSchedule"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..simmpi.runtime import World
+
+__all__ = ["ProcessImage", "restart_rank", "Checkpoint", "CheckpointStore",
+           "CheckpointSchedule"]
+
+
+@dataclass
+class ProcessImage:
+    """What a restart needs besides protocol metadata: the rank program's
+    snapshot, the collective sequence counter and the unexpected queue."""
+
+    app_state: Any
+    coll_seq: int
+    unexpected: list[Envelope]
+
+    @classmethod
+    def capture(cls, world: "World", rank: int) -> "ProcessImage":
+        """Image of ``rank`` as it stands now.  Queued envelopes are stored
+        as copies, so nothing the process does later reaches the image."""
+        return cls(
+            app_state=world.programs[rank].snapshot(),
+            coll_seq=world.apis[rank]._coll_seq,
+            unexpected=[e.stored_copy() for e in world.procs[rank].unexpected],
+        )
+
+    def install(self, world: "World", rank: int) -> None:
+        """Make ``rank`` (holding no execution, see :func:`restart_rank`)
+        this image and schedule its program's first step.  It gets copies
+        again, so one image can be installed repeatedly."""
+        program = world.programs[rank]
+        program.restore(self.app_state)
+        world.apis[rank]._coll_seq = self.coll_seq
+        proc = world.procs[rank]
+        proc.unexpected.extend(e.stored_copy() for e in self.unexpected)
+        proc.start(program.run(world.apis[rank]))
+
+
+def restart_rank(world: "World", rank: int, image: ProcessImage,
+                 killed: bool) -> None:
+    """Discard whatever ``rank`` is executing and restart it from ``image``.
+
+    ``killed``: the rank failed (fail-stop, its in-flight inbound traffic
+    is lost) rather than being a live process rolled back by the protocol.
+    The kill is not repeated for a rank already dead — the paper's protocol
+    kills on detection and restarts after the network drained.  The rank
+    comes back alive and unpaused; if it had finished it runs again.
+    """
+    proc = world.procs[rank]
+    if proc.done:
+        world.note_rank_restarted()
+    if not killed:
+        proc.reincarnate()
+    elif proc.alive:
+        proc.kill()
+    proc.alive = True
+    proc.paused = False
+    image.install(world, rank)
 
 
 @dataclass
@@ -37,9 +98,7 @@ class Checkpoint:
     rank: int
     epoch: int
     time: float
-    app_state: Any
-    coll_seq: int
-    unexpected: list[Any]
+    image: ProcessImage
     proto: ProtocolState
 
     @property
@@ -126,7 +185,8 @@ class CheckpointStore:
 class CheckpointSchedule:
     """Decides when a rank takes its next (uncoordinated) checkpoint.
 
-    ``interval`` is the per-rank checkpoint period in virtual seconds;
+    ``interval`` is the per-rank checkpoint period in virtual seconds
+    (``None``: never — forced checkpoints still work);
     ``offset`` staggers ranks/clusters (the paper schedules clusters at
     different times to smooth I/O bursts); ``jitter`` (for the random
     policy of Section V-E-2) perturbs each period by a uniform factor in
@@ -137,7 +197,7 @@ class CheckpointSchedule:
     inherit the host's notion of time, not the image's).
     """
 
-    interval: float
+    interval: float | None
     offset: float = 0.0
     jitter: float = 0.0
     seed: int = 0
@@ -147,6 +207,8 @@ class CheckpointSchedule:
     _taken: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
+        if self.interval is None:  # no periodic checkpoints configured
+            self.interval = float("inf")
         self._rng = random.Random(self.seed)
         self._next_due = self.offset + self._period()
 
@@ -167,4 +229,4 @@ class CheckpointSchedule:
     @staticmethod
     def never() -> "CheckpointSchedule":
         """A schedule that never fires (forced checkpoints still work)."""
-        return CheckpointSchedule(interval=float("inf"))
+        return CheckpointSchedule(interval=None)

@@ -198,10 +198,6 @@ class Clustering:
         return 1.0 - self.locality()
 
     # ------------------------------------------------------------------
-    def position_of(self, cluster: int) -> int:
-        assert self.epoch_order is not None
-        return self.epoch_order.index(cluster)
-
     def predicted_log_fraction(self) -> float:
         """Fraction of messages the epoch rule will log: traffic from a
         lower-epoch cluster to a higher-epoch cluster (inter-cluster only;

@@ -1,6 +1,12 @@
 """Fault-tolerance controller: wires the protocol into the simulator.
 
-The controller owns what, on a real cluster, is spread across the runtime
+:class:`Controller` and :func:`build_world` are the lifecycle every
+protocol in the repo shares, the baselines included — one hook per rank,
+one world, one failure injector feeding ``on_failures`` — so a protocol is
+a :class:`~repro.simmpi.process.ProtocolHook` plus a recovery policy.
+
+:class:`FTController`, the paper's protocol, owns what, on a real cluster,
+is spread across the runtime
 environment: the checkpoint store (stable storage), the per-rank checkpoint
 schedules, the recovery process, failure detection and process restart.
 
@@ -28,7 +34,7 @@ state is indistinguishable from a normal one).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import ProtocolError, SimulationError
@@ -37,12 +43,14 @@ from ..obs.registry import NULL_OBS
 from ..simmpi.failure import FailureInjector
 from ..simmpi.message import Envelope, retention_copy
 from ..simmpi.runtime import World
-from .checkpoint import Checkpoint, CheckpointSchedule, CheckpointStore
-from .protocol import CTL, SDProtocol, Status
+from ..simmpi.process import ProtocolHook
+from .checkpoint import (Checkpoint, CheckpointSchedule, CheckpointStore,
+                         ProcessImage, restart_rank)
+from .protocol import SDProtocol, Status
 from .recovery import RecoveryProcess, RecoveryReport
 
-__all__ = ["EPOCH_SPACING", "ProtocolConfig", "FTController",
-           "build_ft_world"]
+__all__ = ["EPOCH_SPACING", "ProtocolConfig", "Controller", "FTController",
+           "build_world", "build_ft_world"]
 
 #: clusters start this many epochs apart — the paper's value, so a
 #: cluster checkpoint never equalises two clusters' epochs
@@ -108,17 +116,68 @@ class ProtocolConfig:
     def cluster(self, rank: int) -> int:
         return 0 if self.cluster_of is None else self.cluster_of[rank]
 
-    def n_clusters(self) -> int:
-        return 1 if self.cluster_of is None else max(self.cluster_of) + 1
+
+class Controller:
+    """The part of a protocol's controller that is the same for all of
+    them: per-rank hooks, world binding, failure wiring, statistics.
+
+    A subclass fills ``self.hooks`` (one :class:`ProtocolHook` per rank)
+    in its constructor and implements :meth:`on_failures`.
+    """
+
+    def __init__(self, nprocs: int, config: Any):
+        self.nprocs = nprocs
+        self.config = config
+        self.hooks: list[Any] = []
+        self.world: World | None = None
+        self.injector: FailureInjector | None = None
+        #: number of ranks rolled back by each failure recovered so far
+        self.rolled_back_history: list[int] = []
+
+    def hook_for(self, rank: int) -> ProtocolHook:
+        return self.hooks[rank]
+
+    def bind(self, world: World) -> None:
+        """Attach to the world (whose procs already carry the hooks)."""
+        self.world = world
+        self.injector = FailureInjector(world, self.on_failures)
+
+    def on_failures(self, ranks: list[int]) -> None:
+        raise ProtocolError(f"{type(self).__name__} implements no recovery")
+
+    def inject_failure(self, time: float, rank: int) -> None:
+        assert self.injector is not None
+        self.injector.at(time, rank)
+
+    def inject_concurrent_failures(self, time: float, ranks: list[int]) -> None:
+        assert self.injector is not None
+        self.injector.concurrent(time, ranks)
+
+    def arm(self) -> None:
+        assert self.injector is not None
+        self.injector.arm()
+
+    def logging_stats(self) -> dict[str, float]:
+        """Aggregate logging statistics (Table I inputs); a protocol whose
+        hooks keep no message log reports zero."""
+        assert self.world is not None
+        logged = sum(getattr(h, "messages_logged", 0) for h in self.hooks)
+        logged_bytes = sum(getattr(h, "bytes_logged", 0) for h in self.hooks)
+        total = self.world.tracer.total_app_messages()
+        return {
+            "messages_logged": logged,
+            "bytes_logged": logged_bytes,
+            "messages_total": total,
+            "log_fraction": (logged / total) if total else 0.0,
+        }
 
 
-class FTController:
+class FTController(Controller):
     """Per-world fault-tolerance services shared by all rank protocols."""
 
     def __init__(self, nprocs: int, config: ProtocolConfig | None = None,
                  obs: Any = None):
-        self.nprocs = nprocs
-        self.config = config or ProtocolConfig()
+        super().__init__(nprocs, config or ProtocolConfig())
         if self.config.cluster_of is not None and len(self.config.cluster_of) != nprocs:
             raise ProtocolError("cluster_of must map every rank")
         self.obs = obs if obs is not None else NULL_OBS
@@ -129,10 +188,9 @@ class FTController:
             self._ckpt_cells = [ckpt.slot((r,)) for r in range(nprocs)]
         self.store = CheckpointStore(nprocs)
         self.protocols: list[SDProtocol] = [SDProtocol(r, self) for r in range(nprocs)]
+        self.hooks = self.protocols
         self.recovery = RecoveryProcess(self)
         self.recovery_rank = nprocs  # pseudo-rank on the network
-        self.world: World | None = None
-        self.injector: FailureInjector | None = None
         self.round = 0
         self._pending_failures: deque[list[int]] = deque()
         self._drain_polls = 0
@@ -147,7 +205,6 @@ class FTController:
         #: a mid-round collect_garbage(defer=True) call parked here; runs
         #: once the last queued round settles
         self._gc_deferred = False
-        self._was_done: dict[int, bool] = {}
         #: shared-storage device model: the next instant the device is free
         self._storage_free_at = 0.0
         #: accumulated per-rank time spent writing checkpoints
@@ -160,17 +217,13 @@ class FTController:
     # ------------------------------------------------------------------
     # World wiring
     # ------------------------------------------------------------------
-    def hook_for(self, rank: int) -> SDProtocol:
-        return self.protocols[rank]
-
     def bind(self, world: World) -> None:
         """Attach to the world: recovery pseudo-rank, injector, initial
         checkpoints (every rank's epoch begins with one — the initial state
         is the implicit first checkpoint, so 'restart from the beginning'
         is always representable)."""
-        self.world = world
+        super().bind(world)
         world.network.attach(self.recovery_rank, self.recovery.receive)
-        self.injector = FailureInjector(world, self.on_failures)
         if self.obs.enabled:
             ts = getattr(self.obs, "timeseries", None)
             if ts is not None and ts.engine is world.engine:
@@ -220,8 +273,6 @@ class FTController:
 
     def make_schedule(self, rank: int) -> CheckpointSchedule:
         cfg = self.config
-        if cfg.checkpoint_interval is None:
-            return CheckpointSchedule.never()
         offset = (
             cfg.cluster_stagger * cfg.cluster(rank)
             + cfg.rank_stagger * rank
@@ -242,29 +293,21 @@ class FTController:
         assert self.world is not None
         proto = self.protocols[rank]
         world = self.world
+        epoch = proto.state.epoch
         if self.obs.enabled:
             self._ckpt_cells[rank].n += 1
-            self.obs.event("checkpoint", rank=rank, epoch=proto.state.epoch)
+            self.obs.event("checkpoint", rank=rank, epoch=epoch)
         if self.config.lightweight:
             # epoch bookkeeping already advanced (begin_epoch); analysis
             # runs never restore, so skip the expensive state capture
             self.store.checkpoints_taken += 1
-            world.tracer.on_mark("checkpoint", rank, world.engine.now,
-                                 (proto.state.epoch,))
-            return
-        app_state = world.programs[rank].snapshot()
-        unexpected = [e.stored_copy() for e in world.procs[rank].unexpected]
-        ckpt = Checkpoint(
-            rank=rank,
-            epoch=proto.state.epoch,
-            time=world.engine.now,
-            app_state=app_state,
-            coll_seq=world.apis[rank]._coll_seq,
-            unexpected=unexpected,
-            proto=proto.state.checkpoint_copy(),
-        )
-        self.store.add(ckpt)
-        world.tracer.on_mark("checkpoint", rank, world.engine.now, (ckpt.epoch,))
+        else:
+            self.store.add(Checkpoint(
+                rank=rank, epoch=epoch, time=world.engine.now,
+                image=ProcessImage.capture(world, rank),
+                proto=proto.state.checkpoint_copy(),
+            ))
+        world.tracer.on_mark("checkpoint", rank, world.engine.now, (epoch,))
 
     def checkpoint_write_stall(self) -> float:
         """Process-visible duration of the checkpoint write (I/O model).
@@ -298,18 +341,6 @@ class FTController:
     # ------------------------------------------------------------------
     # Failure orchestration
     # ------------------------------------------------------------------
-    def inject_failure(self, time: float, rank: int) -> None:
-        assert self.injector is not None
-        self.injector.at(time, rank)
-
-    def inject_concurrent_failures(self, time: float, ranks: list[int]) -> None:
-        assert self.injector is not None
-        self.injector.concurrent(time, ranks)
-
-    def arm(self) -> None:
-        assert self.injector is not None
-        self.injector.arm()
-
     def on_failures(self, ranks: list[int]) -> None:
         # A round is "in progress" from the first kill until the settle
         # poll confirms every process is Running again — strictly wider
@@ -336,7 +367,6 @@ class FTController:
                                   epoch_send=self.protocols[r].state.epoch,
                                   phase=self.protocols[r].state.phase,
                                   extra=self.round)
-        self._was_done = {r: world.procs[r].done for r in range(self.nprocs)}
         for r in ranks:
             if world.procs[r].done:
                 world.note_rank_restarted()
@@ -466,28 +496,15 @@ class FTController:
 
     def _install_checkpoint(self, rank: int, ckpt: Checkpoint, was_killed: bool) -> None:
         assert self.world is not None
-        if self.config.lightweight:
-            raise ProtocolError(
-                "cannot restore checkpoints in lightweight mode (no app snapshots)"
-            )
         world = self.world
-        proc = world.procs[rank]
-        if not was_killed:
-            if self._was_done.get(rank):
-                world.note_rank_restarted()
-                self._was_done[rank] = False
-            proc.reincarnate()
-        proc.alive = True
-        program = world.programs[rank]
-        program.restore(ckpt.app_state)
-        world.apis[rank]._coll_seq = ckpt.coll_seq
-        proc.unexpected.extend(e.stored_copy() for e in ckpt.unexpected)
+        restart_rank(world, rank, ckpt.image, killed=was_killed)
+        # the restarted program's first step is queued, not run: it stays
+        # paused until the recovery round releases it
+        world.procs[rank].pause()
         self.store.discard_above(rank, ckpt.epoch)
         proto = self.protocols[rank]
         proto.adopt_state(ckpt.proto.checkpoint_copy())
         proto.status = Status.ROLLED_BACK
-        proc.pause()
-        proc.start(program.run(world.apis[rank]))
         world.tracer.on_mark("restore", rank, world.engine.now, (ckpt.epoch,))
         if self.obs.enabled:
             self.obs.counter("recovery.restores", ("rank",)).inc(labels=(rank,))
@@ -504,6 +521,7 @@ class FTController:
         every process is Running and every replay list drained, otherwise
         the new round's bookkeeping would race the old round's messages."""
         self.recovery_reports.append(report)
+        self.rolled_back_history.append(len(report.rolled_back))
         self._settle_polls = 0
         self._poll_settled()
 
@@ -614,21 +632,26 @@ class FTController:
             "observations_removed": removed_obs,
         }
 
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def logging_stats(self) -> dict[str, float]:
-        """Aggregate logging statistics (Table I inputs)."""
-        assert self.world is not None
-        logged = sum(p.messages_logged for p in self.protocols)
-        logged_bytes = sum(p.bytes_logged for p in self.protocols)
-        total = self.world.tracer.total_app_messages()
-        return {
-            "messages_logged": logged,
-            "bytes_logged": logged_bytes,
-            "messages_total": total,
-            "log_fraction": (logged / total) if total else 0.0,
-        }
+
+def build_world(
+    controller: Controller,
+    program_factory: Callable[[int, int], Any],
+    obs: Any = None,
+    **world_kwargs: Any,
+) -> tuple[World, Any]:
+    """World + ``controller``, fully wired (for the paper's protocol: with
+    every rank's initial checkpoint taken).  Call ``world.launch()`` (and
+    ``controller.arm()`` if failures were injected) before ``world.run()``.
+
+    ``obs`` (a :class:`repro.obs.MetricsRegistry`) instruments the whole
+    stack — engine, network, protocol and recovery share one registry.
+    """
+    world = World(
+        controller.nprocs, program_factory, hook_factory=controller.hook_for,
+        obs=obs, **world_kwargs
+    )
+    controller.bind(world)
+    return world, controller
 
 
 def build_ft_world(
@@ -638,17 +661,6 @@ def build_ft_world(
     obs: Any = None,
     **world_kwargs: Any,
 ) -> tuple[World, FTController]:
-    """Convenience constructor: world + controller, fully wired and with
-    every rank's initial checkpoint taken.  Call ``world.launch()`` (and
-    ``controller.arm()`` if failures were injected) before ``world.run()``.
-
-    ``obs`` (a :class:`repro.obs.MetricsRegistry`) instruments the whole
-    stack — engine, network, protocol and recovery share one registry.
-    """
-    controller = FTController(nprocs, config, obs=obs)
-    world = World(
-        nprocs, program_factory, hook_factory=controller.hook_for, obs=obs,
-        **world_kwargs
-    )
-    controller.bind(world)
-    return world, controller
+    """:func:`build_world` for the paper's protocol."""
+    return build_world(FTController(nprocs, config, obs=obs), program_factory,
+                       obs=obs, **world_kwargs)

@@ -52,7 +52,9 @@ class RecoveryLineSolver:
     solver builds, once per set of tables, a reverse index ``receiver ->
     [(sender, epoch_send, epoch_recv)]`` and then propagates rollbacks
     with a worklist: when a rank's restart epoch drops, only *its* inbound
-    entries are rescanned.
+    entries are rescanned.  One solver serves many failure hypotheses over
+    the same tables (the domino analysis; Table I uses the all-failures
+    closure in ``analysis/rollback.py`` instead).
 
     The untraced path (``on_step=None`` — live recovery without the
     flight recorder) is *incremental*: each receiver's inbound edges are

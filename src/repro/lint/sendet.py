@@ -1209,12 +1209,6 @@ class SendetResult:
     noqa_findings: list[LintFinding] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
-    def findings_for(self, path: str) -> list[LintFinding]:
-        out = [f for r in self.reports if r.path == path for f in r.findings]
-        out.extend(f for f in self.noqa_findings if f.path == path)
-        out.sort(key=lambda f: (f.line, f.col, f.code))
-        return out
-
     def all_findings(self) -> list[LintFinding]:
         out = [f for r in self.reports for f in r.findings]
         out.extend(self.noqa_findings)

@@ -258,17 +258,6 @@ class FlightRecorder:
             sink.n += len(records)
             self._buffers[rank].extend(tuple(rec) for rec in records)
 
-    def clear(self) -> None:
-        """Drop all records and accounting.
-
-        Invalidates any :meth:`sink` handles resolved before the clear —
-        components must re-resolve (in practice recorders live and die with
-        one world, so this only matters to tests).
-        """
-        self._buffers.clear()
-        self._sinks.clear()
-        self._carried.clear()
-
 
 def record_to_dict(rec: tuple) -> dict[str, Any]:
     """Expand one record tuple into a field-named mapping (export path)."""
@@ -314,7 +303,6 @@ class NullFlightRecorder:
     def snapshot(self) -> dict[str, Any]:
         return {}
     def merge(self, snap: dict[str, Any]) -> None: ...
-    def clear(self) -> None: ...
 
 
 #: process-wide disabled recorder (safe to share — it holds no state)

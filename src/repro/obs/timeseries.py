@@ -177,11 +177,6 @@ class TimeSeriesRecorder:
         s = self._new_series(name, "counter")
         self._counters.append((s, lambda: counter.total))
 
-    def track_gauge(self, name: str, gauge: Any) -> None:
-        """Track a registry :class:`~repro.obs.registry.Gauge`'s value."""
-        s = self._new_series(name, "gauge")
-        self._gauges.append((s, lambda: gauge.value))
-
     # ------------------------------------------------------------------
     # Sampling (called from the engine dispatch loop)
     # ------------------------------------------------------------------

@@ -320,9 +320,6 @@ class CampaignService:
                     pass
             self.scheduler.close()
 
-    def shutdown(self) -> None:
-        self._stopping.set()
-
 
 def serve(socket_path: str | None = None, host: str = "127.0.0.1",
           port: int = 7723, workers: int = 2,

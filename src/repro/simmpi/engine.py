@@ -201,8 +201,8 @@ class Engine:
         self._san = sanitizer_for(self.obs)
         if self.obs is not None:
             self.obs.bind_time_source(self)
-            # slot-resolve the instruments once: _record_dispatch runs per
-            # event, so it works against bare cells (callback label ->
+            # slot-resolve the instruments once: dispatch recording runs
+            # per event, so it works against bare cells (callback label ->
             # CounterCell, cached below) rather than registry lookups
             self._disp_counter = self.obs.counter(
                 "engine.events_dispatched", ("callback",)
@@ -291,14 +291,6 @@ class Engine:
         heapq.heappush(self._queue, entry)
         return RunHandle(entry, self)
 
-    def schedule_run(
-        self, delay: float, callback: Callable[[list], None], items: list
-    ) -> RunHandle:
-        """Relative-delay form of :meth:`schedule_run_at`."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_run_at(self.now + delay, callback, items)
-
     # ------------------------------------------------------------------
     # Cancelled-entry compaction
     # ------------------------------------------------------------------
@@ -343,37 +335,6 @@ class Engine:
         """Number of lazy compaction passes performed so far."""
         return self._compactions
 
-    def step(self) -> bool:
-        """Dispatch the next event (for a run entry: the whole run).
-        Returns ``False`` when the queue is empty."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            if entry[_STATE] == _CANCELLED:
-                self._cancelled -= 1
-                continue
-            time = entry[_TIME]
-            if time < self.now:
-                raise SimulationError("event queue corrupted: time went backwards")
-            ts = self._ts
-            if ts is not None and time >= ts.next_time:
-                ts.sample_through(time)
-            self.now = time
-            entry[_STATE] = _DISPATCHED
-            live = entry[_LIVE] if len(entry) > _ITEMS else 1
-            self._pending -= live
-            self._events_dispatched += live
-            if self.obs is not None:
-                self._record_dispatch(entry, live)
-            if self._san is not None and (self._events_dispatched & _AUDIT_MASK) < live:
-                self._audit_pending()
-            if len(entry) > _ITEMS:
-                entry[_CALLBACK](entry[_ITEMS])
-            else:
-                entry[_CALLBACK]()
-            return True
-        return False
-
     def _audit_pending(self) -> None:
         """Sanitizer: recount live queue entries against the O(1) counter."""
         live = sum(
@@ -382,37 +343,6 @@ class Engine:
             if e[_STATE] == _PENDING
         )
         self._san.engine_pending_audit(live, self._pending)
-
-    def _record_dispatch(self, entry: list, live: int = 1) -> None:
-        """Attribute the dispatch to the callback's qualified name.
-
-        The label cell is cached keyed by the callback's *code object*:
-        bound methods of the same method and every lambda from one call
-        site share a code object, so the cache stays as small as the
-        label cardinality while the per-event key is two C-slot loads
-        (``__func__``/``__code__``) — no qualname string fetch.  A run
-        entry attributes all ``live`` members in one cell update.
-        """
-        cb = entry[_CALLBACK]
-        try:
-            key: Any = cb.__code__
-        except AttributeError:
-            key = type(cb)
-        cell = self._disp_cells.get(key)
-        if cell is None:
-            cell = self._resolve_disp_cell(cb, key)
-        cell.n += live
-        cd = self._depth_cd - live
-        if cd > 0:
-            self._depth_cd = cd
-        else:
-            self._depth_cd = self._depth_interval
-            depth = len(self._queue)
-            self._depth_hist.observe(depth)
-            gauge = self._depth_gauge
-            gauge.value = depth
-            if depth > gauge.high_water:
-                gauge.high_water = depth
 
     def _resolve_disp_cell(self, cb: Any, key: Any) -> Any:
         """Slow path: first dispatch of a callback site — derive the label
@@ -503,7 +433,13 @@ class Engine:
                 events_dispatched += live
                 dispatched += live
                 if obs_on:
-                    # inlined _record_dispatch (keep the two in sync)
+                    # attribute the dispatch to the callback's qualified
+                    # name.  The label cell is cached keyed by the callback's
+                    # *code object*: bound methods of one method and every
+                    # lambda from one call site share it, so the cache stays
+                    # as small as the label cardinality while the per-event
+                    # key is two C-slot loads — no qualname string fetch.  A
+                    # run entry attributes all ``live`` members in one update.
                     try:
                         key = callback.__code__
                     except AttributeError:

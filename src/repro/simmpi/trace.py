@@ -13,7 +13,7 @@ The tracer is the measurement substrate for the paper's evaluation:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -150,12 +150,6 @@ class Tracer:
             self.events.append(
                 TraceEvent("send", time, rank, (env.dst, env.tag, env.size, env.uid))
             )
-
-    def mark_last_send_duplicate(self, rank: int) -> None:
-        """Reclassify the most recent send of ``rank`` as a recovery re-send."""
-        idx = len(self._sends[rank]) - 1
-        if idx >= 0 and idx not in self._dup_send_idx[rank]:
-            self._dup_send_idx[rank].add(idx)
 
     def on_app_deliver(self, env: Envelope, time: float) -> None:
         self._delivers[env.dst].append((env.src, env.tag, env.size))

@@ -7,13 +7,14 @@ import pytest
 from repro.apps.stencil import Stencil1D
 from repro.baselines import (
     CICConfig,
+    CICController,
     CLConfig,
+    CLController,
     PMLConfig,
-    build_cic_world,
-    build_cl_world,
-    build_pml_world,
+    PMLController,
     run_domino_analysis,
 )
+from repro.core import build_world
 from repro.simmpi import World
 
 
@@ -33,7 +34,7 @@ def reference():
 # Coordinated checkpointing (global restart)
 # ----------------------------------------------------------------------
 def test_cl_failure_free_rounds_complete(reference):
-    world, ctl = build_cl_world(6, factory, CLConfig(snapshot_interval=2e-5))
+    world, ctl = build_world(CLController(6, CLConfig(snapshot_interval=2e-5)), factory)
     world.launch()
     world.run()
     assert ctl.completed_rounds
@@ -44,7 +45,7 @@ def test_cl_failure_free_rounds_complete(reference):
 
 @pytest.mark.parametrize("fail_time", [3e-5, 6e-5, 1.0e-4])
 def test_cl_recovers_with_global_restart(reference, fail_time):
-    world, ctl = build_cl_world(6, factory, CLConfig(snapshot_interval=2e-5))
+    world, ctl = build_world(CLController(6, CLConfig(snapshot_interval=2e-5)), factory)
     ctl.inject_failure(fail_time, 3)
     ctl.arm()
     world.launch()
@@ -56,7 +57,7 @@ def test_cl_recovers_with_global_restart(reference, fail_time):
 
 
 def test_cl_failure_before_first_round_restarts_from_scratch(reference):
-    world, ctl = build_cl_world(6, factory, CLConfig(snapshot_interval=1.0))
+    world, ctl = build_world(CLController(6, CLConfig(snapshot_interval=1.0)), factory)
     ctl.inject_failure(3e-5, 1)
     ctl.arm()
     world.launch()
@@ -67,7 +68,7 @@ def test_cl_failure_before_first_round_restarts_from_scratch(reference):
 
 
 def test_cl_two_failures(reference):
-    world, ctl = build_cl_world(6, factory, CLConfig(snapshot_interval=2e-5))
+    world, ctl = build_world(CLController(6, CLConfig(snapshot_interval=2e-5)), factory)
     ctl.inject_failure(5e-5, 0)
     ctl.inject_failure(1.1e-4, 5)
     ctl.arm()
@@ -82,7 +83,8 @@ def test_cl_two_failures(reference):
 # Pessimistic sender-based message logging
 # ----------------------------------------------------------------------
 def test_pml_logs_everything(reference):
-    world, ctl = build_pml_world(6, factory, PMLConfig(checkpoint_interval=2e-5))
+    world, ctl = build_world(
+        PMLController(6, PMLConfig(checkpoint_interval=2e-5)), factory)
     world.launch()
     world.run()
     stats = ctl.logging_stats()
@@ -91,8 +93,9 @@ def test_pml_logs_everything(reference):
 
 @pytest.mark.parametrize("fail_rank", [0, 3, 5])
 def test_pml_restarts_only_failed_rank(reference, fail_rank):
-    world, ctl = build_pml_world(
-        6, factory, PMLConfig(checkpoint_interval=2e-5, rank_stagger=1e-6)
+    world, ctl = build_world(
+        PMLController(6, PMLConfig(checkpoint_interval=2e-5, rank_stagger=1e-6)),
+        factory,
     )
     ctl.inject_failure(6e-5, fail_rank)
     ctl.arm()
@@ -104,7 +107,7 @@ def test_pml_restarts_only_failed_rank(reference, fail_rank):
 
 
 def test_pml_failure_before_checkpoint(reference):
-    world, ctl = build_pml_world(6, factory, PMLConfig(checkpoint_interval=1.0))
+    world, ctl = build_world(PMLController(6, PMLConfig(checkpoint_interval=1.0)), factory)
     ctl.inject_failure(4e-5, 2)
     ctl.arm()
     world.launch()
@@ -114,8 +117,9 @@ def test_pml_failure_before_checkpoint(reference):
 
 
 def test_pml_replays_in_determinant_order(reference):
-    world, ctl = build_pml_world(
-        6, factory, PMLConfig(checkpoint_interval=2e-5, rank_stagger=1e-6)
+    world, ctl = build_world(
+        PMLController(6, PMLConfig(checkpoint_interval=2e-5, rank_stagger=1e-6)),
+        factory,
     )
     ctl.inject_failure(8e-5, 1)
     ctl.arm()
@@ -168,8 +172,9 @@ def test_domino_vs_protocol_with_logging():
 # Communication-induced checkpointing
 # ----------------------------------------------------------------------
 def test_cic_counts_forced_checkpoints():
-    world, ctl = build_cic_world(
-        6, factory, CICConfig(checkpoint_interval=2e-5, rank_stagger=4e-6)
+    world, ctl = build_world(
+        CICController(6, CICConfig(checkpoint_interval=2e-5, rank_stagger=4e-6)),
+        factory,
     )
     world.launch()
     world.run()
@@ -180,8 +185,9 @@ def test_cic_counts_forced_checkpoints():
 
 
 def test_cic_indices_propagate():
-    world, ctl = build_cic_world(
-        6, factory, CICConfig(checkpoint_interval=2e-5, rank_stagger=4e-6)
+    world, ctl = build_world(
+        CICController(6, CICConfig(checkpoint_interval=2e-5, rank_stagger=4e-6)),
+        factory,
     )
     world.launch()
     world.run()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.apps.stencil import Stencil1D
-from repro.baselines import CLConfig, build_cl_world
-from repro.core import ProtocolConfig, build_ft_world
+from repro.baselines import CLConfig, CLController
+from repro.core import ProtocolConfig, build_ft_world, build_world
 
 from ..conftest import assert_valid_execution, run_failure_free, run_with_failures
 
@@ -57,10 +57,11 @@ def test_recovery_still_valid_with_io_costs():
 
 def test_coordinated_burst_time_scales_with_ranks():
     def burst_for(nprocs):
-        world, ctl = build_cl_world(
-            nprocs, factory,
-            CLConfig(snapshot_interval=4e-5, snapshot_size_bytes=50_000,
-                     storage_bandwidth=1e9),
+        world, ctl = build_world(
+            CLController(nprocs, CLConfig(snapshot_interval=4e-5,
+                                          snapshot_size_bytes=50_000,
+                                          storage_bandwidth=1e9)),
+            factory,
         )
         world.launch()
         world.run()
@@ -71,9 +72,9 @@ def test_coordinated_burst_time_scales_with_ranks():
 
 
 def test_coordinated_with_io_still_recovers():
-    world, ctl = build_cl_world(
-        6, factory,
-        CLConfig(snapshot_interval=4e-5, snapshot_size_bytes=20_000),
+    world, ctl = build_world(
+        CLController(6, CLConfig(snapshot_interval=4e-5, snapshot_size_bytes=20_000)),
+        factory,
     )
     ctl.inject_failure(9e-5, 3)
     ctl.arm()
