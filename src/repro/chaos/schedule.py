@@ -93,6 +93,9 @@ class FailureSpec:
 class _KernelInfo:
     """How to instantiate one app kernel at campaign scale."""
 
+    #: the rank-program class ``make`` instantiates (what the
+    #: ``--strict-sd`` certification gate checks)
+    cls: type
     nprocs_choices: tuple[int, ...]
     make: Callable[[int], Callable[[int, int], Any]]  # niters -> factory
     #: ``result()`` reports virtual-time measurements (latency), which
@@ -105,29 +108,29 @@ class _KernelInfo:
 #: coverage with many runs, not big runs.
 KERNELS: dict[str, _KernelInfo] = {
     "stencil": _KernelInfo(
-        (4, 5, 6, 8),
+        Stencil1D, (4, 5, 6, 8),
         lambda niters: lambda r, s: Stencil1D(r, s, niters=niters, cells=4),
     ),
     "stencil2d": _KernelInfo(
-        (4, 6, 8),
+        Stencil2D, (4, 6, 8),
         lambda niters: lambda r, s: Stencil2D(r, s, niters=niters, block=3),
     ),
     "cg": _KernelInfo(
-        (4, 8),
+        CGKernel, (4, 8),
         lambda niters: lambda r, s: CGKernel(r, s, niters=niters, block=4),
     ),
     "lu": _KernelInfo(
-        (4, 6),
+        LUKernel, (4, 6),
         lambda niters: lambda r, s: LUKernel(
             r, s, niters=max(2, niters // 4), nblocks=3, block=4
         ),
     ),
     "reduce": _KernelInfo(
-        (4, 6, 8),
+        ReduceTreeKernel, (4, 6, 8),
         lambda niters: lambda r, s: ReduceTreeKernel(r, s, niters=niters),
     ),
     "pingpong": _KernelInfo(
-        (2, 4),
+        PingPong, (2, 4),
         lambda niters: lambda r, s: PingPong(
             r, s, sizes=[64, 1024, 8192], reps=max(2, niters // 8)
         ),

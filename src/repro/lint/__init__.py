@@ -8,6 +8,11 @@ Two complementary halves, one subsystem:
   iteration on hot paths, ``id()`` ordering, float equality on logical
   clocks, mutable defaults and bare excepts.  ``repro lint [paths]``
   exits nonzero on findings; ``# repro: noqa[RPDxxx]`` suppresses a line.
+  The send-determinism certifier (:mod:`repro.lint.sendet` /
+  :mod:`repro.lint.certify`, ``repro certify``) traces the same sources
+  to a rank program's sends.  What a nondeterminism source *is* — the
+  callable catalogue and the import-spelling resolver — is defined once,
+  in :mod:`repro.lint.sources`, under both.
 * **Dynamic** (:mod:`repro.lint.sanitize`) — runtime assertions, enabled
   by ``REPRO_SANITIZE=1`` (or ``repro --sanitize ...``), that check the
   paper's protocol invariants live inside the protocol, recovery and

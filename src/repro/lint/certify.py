@@ -31,6 +31,7 @@ one interpreter invocation.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ __all__ = [
     "DEFAULT_SCHEDULES",
     "DEFAULT_JITTER",
     "KERNEL_RUNS",
-    "CHAOS_KERNEL_CLASSES",
     "OK_VERDICTS",
     "chaos_pool_classes",
     "CertRun",
@@ -95,9 +95,12 @@ class CertRun:
     factory: Callable[[int, int], Any]
 
 
+@functools.cache
 def _kernel_runs() -> dict[str, CertRun]:
-    # imported lazily so `repro.lint` never drags the app kernels (and
-    # numpy workspaces) into a pure static-analysis run
+    """Kernel class name -> dynamic-verification configuration, built on
+    first use so `repro.lint` never drags the app kernels (and numpy
+    workspaces) into a pure static-analysis run.  Every caller gets the
+    same dict; module attribute ``KERNEL_RUNS`` is this mapping."""
     from ..apps import (
         ADIKernel,
         BTKernel,
@@ -139,51 +142,10 @@ def _kernel_runs() -> dict[str, CertRun]:
     }
 
 
-class _LazyRuns(dict):
-    """``KERNEL_RUNS`` facade that defers the apps import to first use."""
-
-    def _fill(self) -> None:
-        if not dict.__len__(self):
-            dict.update(self, _kernel_runs())
-
-    def __getitem__(self, key):  # type: ignore[override]
-        self._fill()
-        return dict.__getitem__(self, key)
-
-    def __contains__(self, key):  # type: ignore[override]
-        self._fill()
-        return dict.__contains__(self, key)
-
-    def __iter__(self):  # type: ignore[override]
-        self._fill()
-        return dict.__iter__(self)
-
-    def __len__(self):  # type: ignore[override]
-        self._fill()
-        return dict.__len__(self)
-
-    def keys(self):  # type: ignore[override]
-        self._fill()
-        return dict.keys(self)
-
-    def items(self):  # type: ignore[override]
-        self._fill()
-        return dict.items(self)
-
-
-#: kernel class name -> dynamic-verification configuration
-KERNEL_RUNS: dict[str, CertRun] = _LazyRuns()
-
-#: chaos-campaign kernel pool names -> kernel class names (the chaos gate
-#: certifies by pool name, the registry is keyed by class name)
-CHAOS_KERNEL_CLASSES: dict[str, str] = {
-    "stencil": "Stencil1D",
-    "stencil2d": "Stencil2D",
-    "cg": "CGKernel",
-    "lu": "LUKernel",
-    "reduce": "ReduceTreeKernel",
-    "pingpong": "PingPong",
-}
+def __getattr__(name: str) -> Any:
+    if name == "KERNEL_RUNS":
+        return _kernel_runs()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -226,12 +188,12 @@ def dynamic_verify(
     from ..simmpi.network import TimingModel
     from ..simmpi.trace import send_witness_chains
 
-    if kernel not in KERNEL_RUNS:
+    run = _kernel_runs().get(kernel)
+    if run is None:
         raise ConfigError(
             f"no dynamic-verification config for kernel {kernel!r} "
-            f"(have {sorted(KERNEL_RUNS)})"
+            f"(have {sorted(_kernel_runs())})"
         )
-    run = KERNEL_RUNS[kernel]
     ref_chains: list[str] | None = None
     for s in range(max(2, schedules)):
         timing = TimingModel(jitter=0.0 if s == 0 else jitter)
@@ -283,7 +245,7 @@ def build_registry(
         entry = report.to_json()
         entry["static"] = report.verdict
         entry["dynamic"] = None
-        if dynamic and report.name in KERNEL_RUNS:
+        if dynamic and report.name in _kernel_runs():
             dv = dynamic_verify(report.name, schedules=schedules,
                                 jitter=jitter, base_seed=base_seed)
             entry["dynamic"] = dv.to_json()
@@ -430,15 +392,12 @@ def _entry_why(entry: dict[str, Any]) -> str:
 
 
 def chaos_pool_classes(names: Iterable[str]) -> list[type]:
-    """Resolve chaos-campaign pool names to kernel classes (unknown names
-    are skipped — the campaign itself validates the pool)."""
-    from .. import apps
+    """Resolve chaos-campaign pool names to the kernel classes the pool
+    itself declares (names outside the pool are skipped — the campaign
+    validates the pool)."""
+    from ..chaos.schedule import KERNELS
 
-    return [
-        getattr(apps, CHAOS_KERNEL_CLASSES[n])
-        for n in names
-        if n in CHAOS_KERNEL_CLASSES
-    ]
+    return [KERNELS[n].cls for n in names if n in KERNELS]
 
 
 # ----------------------------------------------------------------------

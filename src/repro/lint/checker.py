@@ -7,10 +7,13 @@ suppressions).
 
 Design notes
 ------------
-The checker is *name-resolution light*: it tracks import aliases
-(``import numpy as np`` makes ``np.random.rand`` recognisable) and, for
-the unordered-iteration rule, simple local assignments (``s = set(...)``
-followed by ``for x in s``), but it does not attempt type inference.
+The checker is *name-resolution light*: import spellings are resolved by
+the shared :class:`~repro.lint.sources.ImportMap` (``import numpy as np``
+makes ``np.random.rand`` recognisable) and which callables are
+nondeterminism sources is :func:`~repro.lint.sources.classify_call`'s
+answer, mapped here to RPD001/002/004; for the unordered-iteration rule
+it tracks simple local assignments (``s = set(...)`` followed by ``for x
+in s``), but it does not attempt type inference.
 False negatives are accepted — a linter that misses a hazard is still
 useful; one that cries wolf gets ``noqa``-ed into silence.  Every
 heuristic below errs toward precision.
@@ -23,19 +26,19 @@ from typing import Iterable
 
 from .noqa import parse_suppressions
 from .rules import PARSE_ERROR_CODE, RULE_CODES, LintFinding
+from .sources import ImportMap, classify_call, classify_ref
 
 __all__ = ["DeterminismChecker", "lint_source"]
 
-#: time-module attributes that read a host clock
-_TIME_CLOCK_FNS = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
-    "clock_gettime", "clock_gettime_ns", "thread_time", "thread_time_ns",
-})
-#: datetime classmethods that read a host clock
-_DATETIME_NOW_FNS = frozenset({"now", "utcnow", "today"})
-#: numpy.random constructors that are fine *when given a seed argument*
-_SEEDED_RNG_CTORS = frozenset({"default_rng", "RandomState", "Generator"})
+#: source kind -> (rule code, message template over the source's label);
+#: ``addr`` is absent because an ``id()`` call alone is harmless — RPD004
+#: flags it only where it orders something
+_SOURCE_RULES = {
+    "rng": ("RPD001", "{} draws from unseeded RNG state; use a seeded "
+                      "random.Random(seed) / numpy.random.default_rng(seed)"),
+    "time": ("RPD002", "wall-clock read {}"),
+    "entropy": ("RPD002", "{} reads OS entropy"),
+}
 #: builtins that materialise their argument in iteration order
 _ORDER_MATERIALISERS = frozenset({"list", "tuple", "iter", "enumerate"})
 #: set methods that return another set
@@ -65,31 +68,12 @@ def _terminal_name(node: ast.expr) -> str | None:
     return None
 
 
-def _dotted(node: ast.expr) -> str:
-    """Best-effort dotted rendering of a call target, for messages."""
-    if isinstance(node, ast.Attribute):
-        return f"{_dotted(node.value)}.{node.attr}"
-    if isinstance(node, ast.Name):
-        return node.id
-    return "<expr>"
-
-
 class DeterminismChecker(ast.NodeVisitor):
     """Single-pass visitor collecting RPD findings for one module."""
 
     def __init__(self) -> None:
         self.findings: list[LintFinding] = []
-        # import tracking -----------------------------------------------
-        self._random_mods: set[str] = set()       # import random [as r]
-        self._numpy_mods: set[str] = set()        # import numpy [as np]
-        self._numpy_random: set[str] = set()      # from numpy import random
-        self._time_mods: set[str] = set()
-        self._os_mods: set[str] = set()
-        self._datetime_mods: set[str] = set()
-        self._datetime_classes: set[str] = set()  # from datetime import datetime
-        #: local name -> (module, original name) for from-imports of
-        #: random/time/os functions
-        self._from_fns: dict[str, tuple[str, str]] = {}
+        self._imports = ImportMap()
         # scope stack for set-typed local names (RPD003) -----------------
         self._set_vars: list[set[str]] = [set()]
 
@@ -100,41 +84,8 @@ class DeterminismChecker(ast.NodeVisitor):
             col=getattr(node, "col_offset", 0), code=code, message=message,
         ))
 
-    # ------------------------------------------------------------------
-    # Imports
-    # ------------------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self._random_mods.add(local)
-            elif alias.name == "numpy" or alias.name.startswith("numpy."):
-                if alias.name == "numpy.random" and alias.asname:
-                    self._numpy_random.add(alias.asname)
-                else:
-                    self._numpy_mods.add(local)
-            elif alias.name == "time":
-                self._time_mods.add(local)
-            elif alias.name == "os":
-                self._os_mods.add(local)
-            elif alias.name == "datetime":
-                self._datetime_mods.add(local)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        mod = node.module or ""
-        for alias in node.names:
-            local = alias.asname or alias.name
-            if mod == "numpy" and alias.name == "random":
-                self._numpy_random.add(local)
-            elif mod == "random":
-                self._from_fns[local] = ("random", alias.name)
-            elif mod == "time" and alias.name in _TIME_CLOCK_FNS:
-                self._from_fns[local] = ("time", alias.name)
-            elif mod == "os" and alias.name == "urandom":
-                self._from_fns[local] = ("os", alias.name)
-            elif mod == "datetime" and alias.name in ("datetime", "date"):
-                self._datetime_classes.add(local)
+    def visit_Module(self, node: ast.Module) -> None:
+        self._imports = ImportMap(node)
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
@@ -270,8 +221,10 @@ class DeterminismChecker(ast.NodeVisitor):
     # ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        self._check_rng_call(node, func)
-        self._check_clock_call(node, func)
+        source = classify_call(node, self._imports)
+        if source is not None and source.kind in _SOURCE_RULES:
+            code, message = _SOURCE_RULES[source.kind]
+            self._emit(node, code, message.format(source.label))
         # list(set(...)) and friends materialise in iteration order
         if (isinstance(func, ast.Name)
                 and func.id in _ORDER_MATERIALISERS
@@ -287,105 +240,29 @@ class DeterminismChecker(ast.NodeVisitor):
         target = _terminal_name(func)
         if target in ("sorted", "min", "max", "sort"):
             for kw in node.keywords:
-                if (kw.arg == "key" and isinstance(kw.value, ast.Name)
-                        and kw.value.id == "id"):
+                if kw.arg == "key" and self._kind(kw.value) == "addr":
                     self._emit(node, "RPD004",
                                f"{target}(key=id) orders by allocator "
                                "address; use a stable key")
         self.generic_visit(node)
 
-    def _check_rng_call(self, node: ast.Call, func: ast.expr) -> None:
-        # random.<fn>(...) on the module object
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base, attr = func.value.id, func.attr
-            if base in self._random_mods:
-                if attr in ("Random", "SystemRandom"):
-                    if attr == "SystemRandom" or not node.args:
-                        self._emit(node, "RPD001",
-                                   f"{_dotted(func)}() without a seed draws "
-                                   "from OS entropy")
-                else:
-                    self._emit(node, "RPD001",
-                               f"module-level {_dotted(func)}() uses the "
-                               "shared unseeded RNG")
-                return
-            if base in self._numpy_random:
-                self._check_numpy_random_attr(node, func, attr)
-                return
-        # np.random.<fn>(...)
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id in self._numpy_mods
-                and func.value.attr == "random"):
-            self._check_numpy_random_attr(node, func, func.attr)
-            return
-        # from random import randrange; randrange(...)
-        if isinstance(func, ast.Name):
-            origin = self._from_fns.get(func.id)
-            if origin is not None and origin[0] == "random":
-                if origin[1] == "Random" and node.args:
-                    return  # seeded instance construction
-                self._emit(node, "RPD001",
-                           f"module-level {origin[0]}.{origin[1]}() uses "
-                           "the shared unseeded RNG")
-
-    def _check_numpy_random_attr(self, node: ast.Call, func: ast.expr,
-                                 attr: str) -> None:
-        if attr in _SEEDED_RNG_CTORS and node.args:
-            return  # explicitly seeded generator
-        self._emit(node, "RPD001",
-                   f"{_dotted(func)}() draws from numpy's global/unseeded "
-                   "RNG; use numpy.random.default_rng(seed)")
-
-    def _check_clock_call(self, node: ast.Call, func: ast.expr) -> None:
-        if isinstance(func, ast.Attribute):
-            value, attr = func.value, func.attr
-            if isinstance(value, ast.Name):
-                if value.id in self._time_mods and attr in _TIME_CLOCK_FNS:
-                    self._emit(node, "RPD002",
-                               f"wall-clock read {_dotted(func)}()")
-                    return
-                if value.id in self._os_mods and attr == "urandom":
-                    self._emit(node, "RPD002",
-                               "os.urandom() reads OS entropy")
-                    return
-                if (value.id in self._datetime_classes
-                        and attr in _DATETIME_NOW_FNS):
-                    self._emit(node, "RPD002",
-                               f"wall-clock read {_dotted(func)}()")
-                    return
-            # datetime.datetime.now(...)
-            if (isinstance(value, ast.Attribute)
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id in self._datetime_mods
-                    and value.attr in ("datetime", "date")
-                    and attr in _DATETIME_NOW_FNS):
-                self._emit(node, "RPD002",
-                           f"wall-clock read {_dotted(func)}()")
-                return
-        if isinstance(func, ast.Name):
-            origin = self._from_fns.get(func.id)
-            if origin is not None and origin[0] in ("time", "os"):
-                self._emit(node, "RPD002",
-                           f"wall-clock read {origin[0]}.{origin[1]}()")
-
     # ------------------------------------------------------------------
     # RPD004 (id comparisons) and RPD005 (float equality)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_id_call(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "id")
+    def _kind(self, node: ast.expr) -> str | None:
+        """Catalogue kind of the source a call reads / a reference names."""
+        source = (classify_call(node, self._imports)
+                  if isinstance(node, ast.Call)
+                  else classify_ref(node, self._imports))
+        return source.kind if source is not None else None
 
-    @classmethod
-    def _is_clockish(cls, node: ast.expr) -> bool:
+    def _is_clockish(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Constant):
             return isinstance(node.value, float)
         if isinstance(node, ast.Call):
-            name = _terminal_name(node.func)
-            return name in ("now", "time", "perf_counter", "monotonic")
+            # a host clock read, or anything's .now() (api.now(), engine.now())
+            return (self._kind(node) == "time"
+                    or _terminal_name(node.func) == "now")
         name = _terminal_name(node)
         if name is None:
             return False
@@ -397,7 +274,7 @@ class DeterminismChecker(ast.NodeVisitor):
         for i, op in enumerate(node.ops):
             left, right = operands[i], operands[i + 1]
             if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                if self._is_id_call(left) and self._is_id_call(right):
+                if self._kind(left) == self._kind(right) == "addr":
                     self._emit(node, "RPD004",
                                "ordering id() values compares allocator "
                                "addresses")

@@ -20,7 +20,7 @@ from .checker import lint_source
 from .rules import RULES, RULE_CODES, LintFinding
 
 __all__ = ["JSON_SCHEMA_VERSION", "LintReport", "lint_paths",
-           "iter_python_files", "render_text", "render_json",
+           "iter_python_files", "read_sources", "render_text", "render_json",
            "list_rules_text"]
 
 #: version of the JSON report document emitted by :func:`render_json`
@@ -79,6 +79,20 @@ def iter_python_files(paths: list[str]) -> tuple[list[str], list[str]]:
     return sorted(dict.fromkeys(files)), errors
 
 
+def read_sources(paths: list[str]) -> tuple[dict[str, str], list[str]]:
+    """``({path: text}, errors)`` for every ``*.py`` under ``paths`` — the
+    file set both ``repro lint`` and ``repro certify`` analyze."""
+    files, errors = iter_python_files(paths)
+    sources: dict[str, str] = {}
+    for path in files:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                sources[path] = fh.read()
+        except OSError as exc:
+            errors.append(f"cannot read {path}: {exc}")
+    return sources, errors
+
+
 def _validate_codes(codes: list[str] | None, label: str,
                     errors: list[str]) -> frozenset[str] | None:
     if not codes:
@@ -103,17 +117,10 @@ def lint_paths(
     report = LintReport()
     sel = _validate_codes(select, "select", report.errors)
     ign = _validate_codes(ignore, "ignore", report.errors)
-    files, path_errors = iter_python_files(paths)
-    report.errors.extend(path_errors)
+    sources, read_errors = read_sources(paths)
+    report.errors.extend(read_errors)
     if report.errors:
         return report
-    sources: dict[str, str] = {}
-    for path in files:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                sources[path] = fh.read()
-        except OSError as exc:
-            report.errors.append(f"cannot read {path}: {exc}")
     # pass 1: per-file RPD checker
     per_file: dict[str, list[LintFinding]] = {}
     for path in sorted(sources):

@@ -17,12 +17,14 @@ that deliver non-causally-related messages in different orders:
 * the result of ``api.recv`` / ``api.irecv`` with ``ANY_SOURCE`` (the
   default!) and any arrival-metadata (``with_status`` results, ``.source``
   / ``.tag`` on a status object) — kind ``order``;
-* wall-clock reads (``time.time`` & friends) and the *virtual* clock
-  ``api.now()``, whose value moves with delivery timing — kind ``time``;
-* unseeded randomness (``random.random()``, ``np.random.default_rng()``
-  with no seed, the ``numpy.random`` module-level generator) — kind
-  ``rng``;
-* ``id()`` (allocator addresses) — kind ``addr``;
+* host-dependent callables — host clocks (kind ``time``), unseeded
+  randomness and OS entropy (``rng``), ``id()`` addresses (``addr``) —
+  exactly as :mod:`repro.lint.sources` catalogues and import-resolves
+  them: the one model ``repro lint`` reports RPD001/002/004 from, so a
+  line the linter flags cannot be certified clean here.  An explicitly
+  seeded generator is as clean as its seed expression;
+* the *virtual* clock ``api.now()``, whose value moves with delivery
+  timing — kind ``time``;
 * iteration over ``set`` / ``frozenset`` (unordered) — kind ``iter``.
 
 **Sinks** — any argument of ``send`` / ``isend`` / ``sendrecv`` or a
@@ -79,6 +81,7 @@ from dataclasses import dataclass, field
 
 from .noqa import Suppressions, parse_suppressions
 from .rules import LintFinding
+from .sources import ImportMap, classify_call
 
 __all__ = [
     "VERDICTS",
@@ -102,6 +105,10 @@ _KIND_CODES = {
     "time": ("SD105", "SD105"),
     "addr": ("SD106", "SD106"),
 }
+
+#: catalogue source kind -> taint kind (OS entropy is randomness here)
+_SOURCE_TAINT = {"rng": "rng", "entropy": "rng", "time": "time",
+                 "addr": "addr"}
 
 _KIND_LABEL = {
     "order": "arrival order",
@@ -129,16 +136,6 @@ _NEUTRAL_OPS = frozenset({"compute", "checkpoint", "maybe_checkpoint"})
 #: they neutralize order/iter taint.  ``sum`` is intentionally absent:
 #: float addition is non-associative.
 _ORDER_NEUTRALIZERS = frozenset({"sorted", "min", "max", "len"})
-
-_WALL_CLOCK_FNS = frozenset({
-    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
-    "monotonic_ns", "process_time", "process_time_ns", "clock",
-})
-_RANDOM_MODULE_FNS = frozenset({
-    "random", "randint", "randrange", "uniform", "gauss", "normalvariate",
-    "choice", "choices", "sample", "shuffle", "betavariate", "expovariate",
-    "triangular", "vonmisesvariate", "getrandbits", "randbytes",
-})
 
 _MAX_STEPS = 10
 _MAX_CALL_DEPTH = 12
@@ -229,8 +226,8 @@ class ModuleIndex:
 
     def __init__(self) -> None:
         self.classes: dict[str, _ClassInfo] = {}
-        #: path -> (tree, source, module-alias maps)
-        self.modules: dict[str, tuple[ast.Module, str, dict[str, set[str]]]] = {}
+        #: path -> the module's import map
+        self.imports: dict[str, ImportMap] = {}
         self.parse_errors: list[str] = []
 
     # ------------------------------------------------------------------
@@ -240,8 +237,7 @@ class ModuleIndex:
         except SyntaxError as exc:
             self.parse_errors.append(f"{path}: {exc.msg} (line {exc.lineno})")
             return
-        aliases = _module_aliases(tree)
-        self.modules[path] = (tree, source, aliases)
+        self.imports[path] = ImportMap(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bases = []
@@ -304,30 +300,6 @@ class ModuleIndex:
         return None
 
 
-def _module_aliases(tree: ast.Module) -> dict[str, set[str]]:
-    """Names bound to the hazard modules: numpy / random / time / datetime
-    plus the ``numpy.random`` submodule."""
-    out: dict[str, set[str]] = {
-        "numpy": set(), "random": set(), "time": set(),
-        "datetime": set(), "np_random": set(),
-    }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                bound = alias.asname or root
-                if root in ("numpy", "random", "time", "datetime"):
-                    out[root].add(bound)
-                if alias.name == "numpy.random":
-                    out["np_random"].add(alias.asname or "numpy")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "numpy":
-                for alias in node.names:
-                    if alias.name == "random":
-                        out["np_random"].add(alias.asname or "random")
-    return out
-
-
 def kernel_code_digest(index: ModuleIndex, name: str) -> str:
     """Stable digest of a kernel's code: the class source segments along
     its (index-resolved) ancestry.  Keys the certification registry, so a
@@ -349,10 +321,10 @@ class _KernelContext:
     """Shared mutable state while analyzing one kernel class."""
 
     def __init__(self, index: ModuleIndex, info: _ClassInfo,
-                 aliases: dict[str, set[str]]):
+                 imports: ImportMap):
         self.index = index
         self.info = info
-        self.aliases = aliases
+        self.imports = imports
         #: self.state key (or "*") -> taints; flow-insensitive fixpoint
         self.state_taints: dict[str, frozenset[Taint]] = {}
         #: self.<attr> -> taints
@@ -434,8 +406,6 @@ class _MethodFrame:
         self.api_names: set[str] = set()
         self.state_aliases: set[str] = set()
         self.set_vars: set[str] = set()
-        #: names bound to seeded (clean) RNG objects
-        self.seeded_rngs: set[str] = set()
         self.returns: frozenset[Taint] = frozenset()
 
 
@@ -473,10 +443,6 @@ class _Analyzer:
             return True
         return (isinstance(node, ast.Name)
                 and node.id in self.frame.state_aliases)
-
-    def _module_alias(self, node: ast.AST, which: str) -> bool:
-        return (isinstance(node, ast.Name)
-                and node.id in self.ctx.aliases.get(which, ()))
 
     def _is_set_expr(self, node: ast.AST) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
@@ -654,14 +620,20 @@ class _Analyzer:
         if isinstance(func, ast.Attribute) and self._is_api(func.value):
             return self._api_call(node, func.attr)
 
+        # catalogued nondeterminism sources (clocks, RNG, id()); an
+        # explicitly seeded generator is as clean as its seed and falls
+        # through to the argument pass-through below
+        source = classify_call(node, self.ctx.imports)
+        if source is not None:
+            return _source(_SOURCE_TAINT[source.kind], node.lineno,
+                           source.label)
+
         # builtins -------------------------------------------------------
         if isinstance(func, ast.Name):
             name = func.id
             if name in _ORDER_NEUTRALIZERS:
                 return _via(_strip(arg_taints, frozenset({"order", "iter"})),
                             node.lineno, f"{name}(...)")
-            if name == "id":
-                return _source("addr", node.lineno, "id()")
             if name in ("set", "frozenset", "list", "tuple", "dict", "print",
                         "enumerate", "zip", "range", "abs", "float", "int",
                         "str", "repr", "round", "sum", "any", "all", "map",
@@ -669,16 +641,12 @@ class _Analyzer:
                         "hasattr", "max", "min"):
                 return arg_taints
 
-        # hazard modules -------------------------------------------------
         if isinstance(func, ast.Attribute):
-            src = self._hazard_module_call(node, func)
-            if src is not None:
-                return src
             # self-method call: interprocedural
             if self._is_self(func.value):
                 return self._self_call(node, func.attr)
             # np.sort etc. on a numpy alias neutralizes like sorted()
-            if func.attr == "sort" and self._module_alias(func.value, "numpy"):
+            if self.ctx.imports.resolve(func) == "numpy.sort":
                 return _via(_strip(arg_taints, frozenset({"order", "iter"})),
                             node.lineno, "np.sort(...)")
             # mutating method on a local: taint flows into the receiver
@@ -707,46 +675,6 @@ class _Analyzer:
         for kw in node.keywords:
             out |= self.ev(kw.value)
         return out
-
-    def _hazard_module_call(self, node: ast.Call,
-                            func: ast.Attribute) -> frozenset[Taint] | None:
-        """Wall-clock / RNG sources reached through module aliases."""
-        val = func.value
-        attr = func.attr
-        line = node.lineno
-        if self._module_alias(val, "time") and attr in _WALL_CLOCK_FNS:
-            return _source("time", line, f"time.{attr}()")
-        if self._module_alias(val, "datetime") and attr in ("now", "utcnow", "today"):
-            return _source("time", line, f"datetime.{attr}()")
-        if isinstance(val, ast.Attribute) and val.attr in ("datetime", "date"):
-            if attr in ("now", "utcnow", "today"):
-                return _source("time", line, f"datetime.{attr}()")
-        if self._module_alias(val, "random"):
-            if attr == "Random" or attr == "SystemRandom":
-                if attr == "SystemRandom" or not (node.args or node.keywords):
-                    return _source("rng", line, f"random.{attr}() unseeded")
-                return _EMPTY  # seeded generator
-            if attr in _RANDOM_MODULE_FNS or attr == "seed":
-                return _source("rng", line, f"random.{attr}() (global RNG)")
-        # numpy.random reached as np.random.<fn> or an aliased submodule
-        np_random = (
-            (isinstance(val, ast.Attribute) and val.attr == "random"
-             and self._module_alias(val.value, "numpy"))
-            or self._module_alias(val, "np_random")
-        )
-        if np_random:
-            if attr == "default_rng" or attr == "Generator":
-                if not (node.args or node.keywords):
-                    return _source("rng", line,
-                                   "np.random.default_rng() unseeded")
-                return _EMPTY
-            if attr == "SeedSequence":
-                return _EMPTY
-            return _source("rng", line,
-                           f"np.random.{attr}() (global RNG)")
-        if attr == "urandom" and isinstance(val, ast.Name) and val.id == "os":
-            return _source("rng", line, "os.urandom()")
-        return None
 
     def _api_call(self, node: ast.Call, op: str) -> frozenset[Taint]:
         """Simulator ops: sends/collectives are sinks, receives sources."""
@@ -951,34 +879,18 @@ class _Analyzer:
             return
         taints = self.ev(value)
         is_set = self._is_set_expr(value)
-        seeded = self._is_seeded_rng_ctor(value)
         for t in node.targets:
             single_name = isinstance(t, ast.Name)
             self._bind_target(t, taints, node.lineno, strong=single_name)
             if single_name:
                 if is_set:
                     self.frame.set_vars.add(t.id)
-                if seeded:
-                    self.frame.seeded_rngs.add(t.id)
             elif is_set and isinstance(t, ast.Subscript) \
                     and self._is_state_alias(t.value):
                 self.ctx.state_set_keys.add(self._const_key(t.slice))
             elif is_set and isinstance(t, ast.Attribute) \
                     and self._is_self(t.value) and t.attr != "state":
                 self.ctx.attr_sets.add(t.attr)
-
-    def _is_seeded_rng_ctor(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        has_args = bool(node.args or node.keywords)
-        if func.attr == "Random" and self._module_alias(func.value, "random"):
-            return has_args
-        if func.attr == "default_rng":
-            return has_args
-        return False
 
     def _st_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is None:
@@ -1119,8 +1031,9 @@ def _analyze_kernel(index: ModuleIndex, info: _ClassInfo,
         return report
     run_fn = run[1]
 
-    aliases = _merged_aliases(index, chain)
-    ctx = _KernelContext(index, info, aliases)
+    # the kernel's own module first: its bindings win a cross-file clash
+    imports = ImportMap.merged(index.imports[c.path] for c in chain)
+    ctx = _KernelContext(index, info, imports)
     # overridden snapshot/restore cannot be proven taint-preserving
     # statically; the default deep-copy pair on RankProgram itself is the
     # identity on taint, so only subclass overrides need an assumption
@@ -1173,18 +1086,6 @@ def _analyze_kernel(index: ModuleIndex, info: _ClassInfo,
     else:
         report.verdict = "PROVEN_SD"
     return report
-
-
-def _merged_aliases(index: ModuleIndex,
-                    chain: list[_ClassInfo]) -> dict[str, set[str]]:
-    merged: dict[str, set[str]] = {}
-    for info in chain:
-        mod = index.modules.get(info.path)
-        if mod is None:
-            continue
-        for key, names in mod[2].items():
-            merged.setdefault(key, set()).update(names)
-    return merged
 
 
 def _run_method(ctx: _KernelContext, fn: ast.FunctionDef,
@@ -1246,17 +1147,9 @@ def analyze_sources(sources: dict[str, str]) -> SendetResult:
 def analyze_paths(paths: list[str]) -> SendetResult:
     """Certify kernels across files/directories (cross-file inheritance
     resolves within the given path set)."""
-    from .runner import iter_python_files
+    from .runner import read_sources
 
-    files, errors = iter_python_files(paths)
-    sources: dict[str, str] = {}
-    result_errors = list(errors)
-    for path in files:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                sources[path] = fh.read()
-        except OSError as exc:
-            result_errors.append(f"cannot read {path}: {exc}")
+    sources, errors = read_sources(paths)
     result = analyze_sources(sources)
-    result.errors = result_errors + result.errors
+    result.errors = errors + result.errors
     return result

@@ -63,6 +63,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
+from ..lint.sanitize import sanitize_enabled
+
 __all__ = [
     "CacheUnkeyable",
     "ResultCache",
@@ -137,12 +139,6 @@ def code_digest(fn: Callable[..., Any]) -> str:
             f"{_source_digest(None if inside else module)}")
 
 
-def _sanitize_armed() -> bool:
-    from ..lint.sanitize import ENV_VAR
-
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
-
-
 def cache_key(
     fn: Callable[..., Any],
     params: dict[str, Any],
@@ -160,7 +156,7 @@ def cache_key(
         "opts": {
             "collect_obs": bool(collect_obs),
             "timeseries": timeseries,
-            "sanitize": _sanitize_armed(),
+            "sanitize": sanitize_enabled(),
         },
     }
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))

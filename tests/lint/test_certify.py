@@ -5,15 +5,17 @@ planted order-dependent kernel, and the registry + campaign gates behave.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import apps
 from repro.apps.base import RankProgram
+from repro.chaos.schedule import KERNELS as CHAOS_KERNELS
 from repro.core.controller import build_ft_world
 from repro.errors import ConfigError
 from repro.lint.certify import (
-    CHAOS_KERNEL_CLASSES,
     KERNEL_RUNS,
     OK_VERDICTS,
     REGISTRY_VERSION,
@@ -33,6 +35,7 @@ from repro.simmpi.trace import send_witness_chains
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 APPS = os.path.join(REPO, "src", "repro", "apps")
+UNSOUND = os.path.join(REPO, "tests", "lint", "fixtures", "unsound_kernel.py")
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +218,19 @@ def test_gate_strict_raises(tmp_path):
 
 
 def test_chaos_pool_classes_resolve():
-    classes = chaos_pool_classes(sorted(CHAOS_KERNEL_CLASSES))
+    classes = chaos_pool_classes(sorted(CHAOS_KERNELS))
     assert apps.Stencil1D in classes and apps.PingPong in classes
     assert chaos_pool_classes(["not-a-pool"]) == []
+
+
+def test_certify_cli_goes_red_on_unsound_kernel():
+    """The CI negative control: the committed fixture sends a
+    ``from time import perf_counter`` reading, so ``repro certify`` must
+    exit non-zero with verdict VIOLATION."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "certify", UNSOUND, "--out", "-"],
+        capture_output=True, text=True, cwd=REPO,
+        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
+    assert proc.returncode == 1, proc.stderr
+    assert "UnsoundKernel" in proc.stdout and "VIOLATION" in proc.stdout
+    assert "SD105" in proc.stdout and "time.perf_counter()" in proc.stdout

@@ -75,6 +75,8 @@ def test_rpd001_seeded_constructions_clean():
         x = rng.random()
         g = np.random.default_rng(7)
         y = g.integers(10)
+        kw = random.Random(x=42)
+        gk = np.random.default_rng(seed=7)
     """) == []
 
 

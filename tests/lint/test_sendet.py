@@ -5,7 +5,10 @@ the shipped kernels certify clean."""
 import os
 import textwrap
 
-from repro.lint import VERDICTS, analyze_paths, analyze_sources
+import pytest
+
+from repro.lint import VERDICTS, analyze_paths, analyze_sources, lint_source
+from repro.lint.sources import CATALOGUE
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 APPS = os.path.join(REPO, "src", "repro", "apps")
@@ -204,6 +207,126 @@ def test_seeded_rng_is_proven():
         """)
     assert report.verdict == "PROVEN_SD"
     assert report.findings == []
+
+
+# ----------------------------------------------------------------------
+# One source model: every catalogue entry, under every import spelling,
+# is a VIOLATION to the certifier and an RPD finding on the same line
+# ----------------------------------------------------------------------
+#: source kind -> (certifier code, linter code)
+EXPECTED_CODES = {
+    "rng": ("SD103", "RPD001"),
+    "entropy": ("SD103", "RPD002"),
+    "time": ("SD105", "RPD002"),
+    "addr": ("SD106", "RPD004"),
+}
+#: representative attributes of the owners whose whole namespace is a
+#: source (catalogue value ``None``); constructors are called unseeded
+OPEN_ENDED = {
+    "random": ("random", "randint", "lognormvariate", "seed", "Random",
+               "SystemRandom"),
+    "numpy.random": ("rand", "randint", "normal", "seed", "default_rng",
+                     "RandomState"),
+}
+#: catalogue owners (and prefixes) that are importable modules
+MODULES = {"random", "numpy", "numpy.random", "time", "datetime", "os"}
+
+
+def spellings(dotted):
+    """``(import line, reference)`` for every way to reach ``dotted``."""
+    parts = dotted.split(".")
+    if parts[0] == "builtins":
+        yield "", parts[1]
+        return
+    yield f"import {parts[0]}", dotted
+    yield f"import {parts[0]} as m_", ".".join(["m_"] + parts[1:])
+    for k in range(1, len(parts)):
+        module, rest = ".".join(parts[:k]), parts[k:]
+        if module not in MODULES:
+            break
+        yield f"from {module} import {rest[0]}", ".".join(rest)
+        yield (f"from {module} import {rest[0]} as g_",
+               ".".join(["g_"] + rest[1:]))
+        if k > 1:
+            yield f"import {module}", dotted
+            yield f"import {module} as sub_", ".".join(["sub_"] + rest)
+
+
+def parity_cases():
+    for owner, (kind, attrs) in CATALOGUE.items():
+        for attr in sorted(attrs if attrs is not None else OPEN_ENDED[owner]):
+            for imports, ref in spellings(f"{owner}.{attr}"):
+                # RPD004 flags id() only where it orders something
+                expr = (f"{ref}(self) < {ref}(api)" if kind == "addr"
+                        else f"{ref}()")
+                yield pytest.param(imports, expr, *EXPECTED_CODES[kind],
+                                   id=f"{imports or 'builtin'}: {expr}")
+
+
+#: the spellings one analysis flagged and the other certified PROVEN_SD
+#: before the two shared a source model
+DRIFTED = [
+    pytest.param("from time import perf_counter", "perf_counter()",
+                 "SD105", "RPD002", id="from-time-import-perf_counter"),
+    pytest.param("import time", "time.thread_time()",
+                 "SD105", "RPD002", id="time.thread_time"),
+    pytest.param("import random", "random.lognormvariate(0, 1)",
+                 "SD103", "RPD001", id="random.lognormvariate"),
+    pytest.param("from random import random", "random()",
+                 "SD103", "RPD001", id="from-random-import-random"),
+    pytest.param("import os as o", "o.urandom(8)",
+                 "SD103", "RPD002", id="import-os-as-o"),
+    pytest.param("from os import urandom", "urandom(8)",
+                 "SD103", "RPD002", id="from-os-import-urandom"),
+]
+
+
+def sending_kernel(imports, expr):
+    return HEADER + (f"{imports}\n\n"
+                     "class Sends(RankProgram):\n"
+                     "    def run(self, api):\n"
+                     f"        yield api.send(1, {expr})\n")
+
+
+@pytest.mark.parametrize("imports,expr,sd_code,rpd_code",
+                         DRIFTED + list(parity_cases()))
+def test_source_is_flagged_by_both_analyses(imports, expr, sd_code, rpd_code):
+    src = sending_kernel(imports, expr)
+    report = analyze_sources({"fixture.py": src}).reports[0]
+    assert report.verdict == "VIOLATION"
+    assert codes(report) == [sd_code]
+    send_line = report.findings[0].line
+    assert (rpd_code, send_line) in [
+        (f.code, f.line) for f in lint_source(src, path="fixture.py")]
+
+
+@pytest.mark.parametrize("imports,expr", [
+    ("import numpy as np", "np.random.default_rng(seed=42).random()"),
+    ("from numpy.random import default_rng", "default_rng(seed=42).random()"),
+    ("import numpy.random as npr", "npr.default_rng(7).random()"),
+    ("import numpy", "numpy.random.SeedSequence(entropy=3).entropy"),
+    ("import random", "random.Random(x=7).random()"),
+    ("from random import Random as R", "R(7).random()"),
+])
+def test_seeded_constructor_is_clean_under_both_analyses(imports, expr):
+    src = sending_kernel(imports, expr)
+    report = analyze_sources({"fixture.py": src}).reports[0]
+    assert report.verdict == "PROVEN_SD", [f.message for f in report.findings]
+    assert lint_source(src, path="fixture.py") == []
+
+
+def test_seeded_constructor_is_only_as_clean_as_its_seed():
+    report = analyze("""\
+        import time
+        import numpy as np
+
+        class ClockSeeded(RankProgram):
+            def run(self, api):
+                rng = np.random.default_rng(time.time_ns())
+                yield api.send(1, rng.random())
+        """)
+    assert report.verdict == "VIOLATION"
+    assert codes(report) == ["SD105"]
 
 
 # ----------------------------------------------------------------------

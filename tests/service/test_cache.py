@@ -63,6 +63,21 @@ def test_cache_key_sensitive_to_sanitizer_arming(monkeypatch):
     assert on != off
 
 
+@pytest.mark.parametrize("spelling", ["off", "false", " No ", "0"])
+def test_cache_key_arming_is_the_sanitizers_own_rule(monkeypatch, spelling):
+    """The key's ``sanitize`` flag is ``sanitize_enabled()``: a value that
+    leaves every component unsanitized must address the unsanitized
+    entries, never the ones a ``REPRO_SANITIZE=1`` run is served."""
+    from repro.lint.sanitize import ENV_VAR
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    unset = cache_key(selftest_cell, {"i": 1}, seed=7)
+    monkeypatch.setenv(ENV_VAR, spelling)
+    assert cache_key(selftest_cell, {"i": 1}, seed=7) == unset
+    monkeypatch.setenv(ENV_VAR, "1")
+    assert cache_key(selftest_cell, {"i": 1}, seed=7) != unset
+
+
 def test_cache_key_covers_kernel_dependency():
     """``table1_cell`` results depend on the named kernel class: different
     kernels must address differently even with otherwise equal params."""
