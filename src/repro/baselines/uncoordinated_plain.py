@@ -14,6 +14,7 @@ analysis then reports how many processes roll back and how deep.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -67,12 +68,13 @@ def run_domino_analysis(
     domino effect with the paper's offline methodology."""
     cfg = plain_uncoordinated_config(checkpoint_interval, jitter, seed)
     world, controller = build_ft_world(nprocs, program_factory, cfg, **world_kwargs)
-    sampler = SpeSampler(controller, sample_interval)
-    sampler.arm()
-    world.launch()
-    world.run()
-    if not sampler.snapshots:
-        sampler.take()
+    with closing(controller):
+        sampler = SpeSampler(controller, sample_interval)
+        sampler.arm()
+        world.launch()
+        world.run()
+        if not sampler.snapshots:
+            sampler.take()
     stats = rollback_analysis(sampler.snapshots, nprocs)
     depths: list[float] = []
     hit_beginning = 0

@@ -24,6 +24,7 @@ workers) and a pure function of ``(seed, params)``.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,10 +54,13 @@ __all__ = [
 
 
 def _run(nprocs, factory, config):
+    """A failure-free run to completion; the world comes back closed
+    (programs, tracer and clock stay readable)."""
     world, controller = build_ft_world(nprocs, factory, config)
-    world.launch()
-    world.run()
-    return world, controller
+    with closing(controller):
+        world.launch()
+        world.run()
+    return world
 
 
 # ----------------------------------------------------------------------
@@ -84,12 +88,13 @@ def table1_cell(params: dict) -> dict:
         build_kwargs["obs"] = params["obs"]
     world, controller = build_ft_world(nprocs, factory, config,
                                        copy_payloads=False, **build_kwargs)
-    sampler = SpeSampler(controller, interval=7e-5)
-    sampler.arm()
-    world.launch()
-    world.run()
-    if not sampler.snapshots:
-        sampler.take()
+    with closing(controller):
+        sampler = SpeSampler(controller, interval=7e-5)
+        sampler.arm()
+        world.launch()
+        world.run()
+        if not sampler.snapshots:
+            sampler.take()
     log = controller.logging_stats()
     rb = rollback_analysis(sampler.snapshots, nprocs)
     return {
@@ -132,17 +137,18 @@ def failure_scenario(params: dict) -> dict:
                             cluster_of=block_clusters(nprocs, ncl),
                             cluster_stagger=5e-6, rank_stagger=1e-6)
     factory = lambda r, s: Stencil2D(r, s, niters=niters, block=3)
-    ref, _ = _run(nprocs, factory, config)
+    ref = _run(nprocs, factory, config)
     fail_rank = rng.randrange(nprocs)
     fail_time = rng.uniform(0.2, 0.8) * ref.engine.now
     build_kwargs = {}
     if params.get("obs") is not None:
         build_kwargs["obs"] = params["obs"]
     world, controller = build_ft_world(nprocs, factory, config, **build_kwargs)
-    controller.inject_failure(fail_time, fail_rank)
-    controller.arm()
-    world.launch()
-    world.run()
+    with closing(controller):
+        controller.inject_failure(fail_time, fail_rank)
+        controller.arm()
+        world.launch()
+        world.run()
     report = controller.recovery_reports[0]
     stats = controller.logging_stats()
     valid = all(

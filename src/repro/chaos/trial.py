@@ -174,13 +174,33 @@ def _perturb_state(program: Any) -> None:
 # Execution
 # ----------------------------------------------------------------------
 def _run_reference(schedule: TrialSchedule, sanitize: bool):
+    """The failure-free run; returns its world, closed (everything the
+    oracles and the failure placement read stays readable)."""
     with _sanitize_env(sanitize):
         world, controller = build_ft_world(
             schedule.nprocs, schedule.factory(), _config(schedule)
         )
-        world.launch()
-        world.run()
-    return world, controller
+        with contextlib.closing(controller):
+            world.launch()
+            world.run()
+    return world
+
+
+class _GcTicker:
+    """Calls ``collect_garbage(defer=True)`` every ``period`` virtual
+    seconds while the world runs.  An object with a method, not a closure
+    that reschedules itself: a self-referential closure is cyclic garbage
+    that pins the world and the controller."""
+
+    def __init__(self, world: Any, controller: Any, period: float):
+        self.world = world
+        self.controller = controller
+        self.period = period
+
+    def tick(self) -> None:
+        self.controller.collect_garbage(defer=True)
+        if not self.world.all_done:
+            self.world.engine.schedule(self.period, self.tick)
 
 
 def _inject_schedule(schedule: TrialSchedule, controller: Any,
@@ -216,43 +236,42 @@ def _inject_schedule(schedule: TrialSchedule, controller: Any,
 
 def _run_chaos(schedule: TrialSchedule, ref_world: Any, horizon: float,
                obs: Any, sanitize: bool):
-    """One chaos execution.  Returns (world, controller, exception)."""
+    """One chaos execution.  Returns (world, controller, exception,
+    placements), the pair closed."""
     with _sanitize_env(sanitize):
         kwargs = {"obs": obs} if obs is not None else {}
         world, controller = build_ft_world(
             schedule.nprocs, schedule.factory(), _config(schedule), **kwargs
         )
-        placements = _inject_schedule(schedule, controller, ref_world, horizon)
-        _plant_bug(world, controller, schedule.bug)
-        if schedule.gc_frac:
-            period = schedule.gc_frac * horizon
-
-            def gc_tick():
-                controller.collect_garbage(defer=True)
-                if not world.all_done:
-                    world.engine.schedule(period, gc_tick)
-
-            world.engine.schedule_at(period, gc_tick)
-        world.launch()
         exc: BaseException | None = None
-        # A defective protocol can livelock (e.g. an endless replay /
-        # re-ack cycle) and generate events forever; the failure-free
-        # reference bounds how much work a sane recovery can possibly
-        # need, so anything far past it fails ``settles`` instead of
-        # hanging the campaign.
-        budget = 100_000 + 60 * ref_world.engine.events_dispatched
-        try:
-            world.engine.run(max_events=budget)
-            if not world.all_done and world.engine._peek_time() != float("inf"):
-                raise ProtocolError(
-                    f"chaos run still busy after {budget} events "
-                    f"(reference needed "
-                    f"{ref_world.engine.events_dispatched}) — livelock"
-                )
-            world.run()  # queue is drained: raises DeadlockError with
-            #              per-rank diagnostics if any rank is stuck
-        except Exception as err:  # noqa: BLE001 — the oracle wants the error
-            exc = err
+        with contextlib.closing(controller):
+            placements = _inject_schedule(schedule, controller, ref_world,
+                                          horizon)
+            _plant_bug(world, controller, schedule.bug)
+            if schedule.gc_frac:
+                period = schedule.gc_frac * horizon
+                world.engine.schedule_at(
+                    period, _GcTicker(world, controller, period).tick)
+            world.launch()
+            # A defective protocol can livelock (e.g. an endless replay /
+            # re-ack cycle) and generate events forever; the failure-free
+            # reference bounds how much work a sane recovery can possibly
+            # need, so anything far past it fails ``settles`` instead of
+            # hanging the campaign.
+            budget = 100_000 + 60 * ref_world.engine.events_dispatched
+            try:
+                world.engine.run(max_events=budget)
+                if (not world.all_done
+                        and world.engine._peek_time() != float("inf")):
+                    raise ProtocolError(
+                        f"chaos run still busy after {budget} events "
+                        f"(reference needed "
+                        f"{ref_world.engine.events_dispatched}) — livelock"
+                    )
+                world.run()  # queue is drained: raises DeadlockError with
+                #              per-rank diagnostics if any rank is stuck
+            except Exception as err:  # noqa: BLE001 — the oracle wants it
+                exc = err
     return world, controller, exc, placements
 
 
@@ -273,7 +292,7 @@ def run_trial_schedule(
     schedule.validate()
     result = TrialResult(schedule=schedule)
     try:
-        ref_world, _ref_ctl = _run_reference(schedule, sanitize)
+        ref_world = _run_reference(schedule, sanitize)
     except Exception as err:  # noqa: BLE001
         # the reference must never fail — if it does, the trial is broken
         # before any failure was injected

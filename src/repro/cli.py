@@ -46,6 +46,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from typing import Sequence
 
 import numpy as np
@@ -427,24 +428,27 @@ def _stencil_run(nprocs: int, nclusters: int, fail_rank: int | None = None,
     horizon a failure-free reference run measures first.  Returns
     ``(ref, world, controller, fail_rank, fail_time)`` with ``world`` run
     to completion (``ref`` and ``fail_time`` are ``None`` without a
-    failure)."""
+    failure).  Both worlds come back closed: results, reports and
+    statistics stay readable."""
     config = ProtocolConfig(checkpoint_interval=3e-5,
                             cluster_of=block_clusters(nprocs, nclusters),
                             cluster_stagger=5e-6, rank_stagger=1e-6)
     factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
     ref = fail_time = None
     if fail:
-        ref, _ = build_ft_world(nprocs, factory, config)
-        ref.launch()
-        ref.run()
+        ref, ref_controller = build_ft_world(nprocs, factory, config)
+        with closing(ref_controller):
+            ref.launch()
+            ref.run()
         fail_rank = nprocs - 1 if fail_rank is None else fail_rank
         fail_time = ref.engine.now / 2
     world, controller = build_ft_world(nprocs, factory, config, obs=obs)
-    if fail:
-        controller.inject_failure(fail_time, fail_rank)
-        controller.arm()
-    world.launch()
-    world.run()
+    with closing(controller):
+        if fail:
+            controller.inject_failure(fail_time, fail_rank)
+            controller.arm()
+        world.launch()
+        world.run()
     return ref, world, controller, fail_rank, fail_time
 
 

@@ -142,6 +142,23 @@ class Controller:
         self.world = world
         self.injector = FailureInjector(world, self.on_failures)
 
+    def close(self) -> None:
+        """Close the world and sever the controller's own back-references
+        (hook -> controller, injector -> handler).
+
+        The owner of a ``(world, controller)`` pair calls this in a
+        ``finally`` once the run is over, so the pair is freed by reference
+        count when the owner lets go — see :meth:`World.close`.  The closed
+        world stays attached: hooks, reports and :meth:`logging_stats`
+        remain readable.
+        """
+        if self.world is not None:
+            self.world.close()
+        if self.injector is not None:
+            self.injector.close()
+        for hook in self.hooks:
+            hook.controller = None
+
     def on_failures(self, ranks: list[int]) -> None:
         raise ProtocolError(f"{type(self).__name__} implements no recovery")
 
@@ -230,6 +247,11 @@ class FTController(Controller):
                 self._register_timeseries(ts)
         for rank in range(self.nprocs):
             self.store_checkpoint(rank)
+
+    def close(self) -> None:
+        super().close()
+        self.recovery.controller = None
+        self._watchdog_handle = None
 
     def _register_timeseries(self, ts: Any) -> None:
         """Protocol/recovery curves for the virtual-time series recorder.

@@ -35,7 +35,8 @@ from typing import Any, TYPE_CHECKING
 from ..errors import ProtocolError
 from ..lint.sanitize import sanitizer_for
 from ..obs.flight import FlightKind
-from ..simmpi.message import CONTROL_TAG_BASE, Envelope, retention_copy
+from ..simmpi.message import (CONTROL_TAG_BASE, Envelope, payload_nbytes,
+                              retention_copy)
 from ..simmpi.trace import payload_digest
 from ..simmpi.process import ProtocolHook
 from .state import LoggedMessage, PendingAck, ProtocolState
@@ -67,6 +68,15 @@ class CTL:
     ORPHAN_NOTIF = CONTROL_TAG_BASE - 5
     NO_ORPHAN = CONTROL_TAG_BASE - 6
     READY_PHASE = CONTROL_TAG_BASE - 7
+
+
+#: wire size of one eager acknowledgement record.  ``payload_nbytes``
+#: sizes a dict from its keys plus 8 bytes per scalar value, so every
+#: record :meth:`SDProtocol._send_ack` builds sizes the same — measured
+#: once here instead of re-walked per ack.
+_ACK_RECORD_NBYTES = payload_nbytes(
+    {"date": 0, "epoch_send": 0, "epoch_recv": 0, "dup": False}
+)
 
 
 class Status(enum.Enum):
@@ -210,18 +220,8 @@ class SDProtocol(ProtocolHook):
             if self.controller.config.retain_payloads
             else None
         )
-        st.na_append(
-            PendingAck(
-                dst=env.dst,
-                tag=env.tag,
-                payload=payload,
-                size=env.size,
-                date=date,
-                epoch_send=st.epoch,
-                phase_send=st.phase,
-                uid=env.uid,
-            )
-        )
+        st.na_append(PendingAck(env.dst, env.tag, payload, env.size, date,
+                                st.epoch, st.phase, env.uid))
         sink = self._flight_sink
         if sink is not None:
             sink.n += 1
@@ -309,7 +309,8 @@ class SDProtocol(ProtocolHook):
         # resolves promptly.  With the default ack_batch=1 this method is
         # byte-for-byte the paper's one-ack-per-message protocol.
         if self._ack_batch <= 1 or duplicate:
-            self._ctl(env.src, CTL.ACK, record)
+            self.world.transmit_control(Envelope(
+                self.rank, env.src, CTL.ACK, record, _ACK_RECORD_NBYTES))
             return
         batch = self._pending_acks.setdefault(env.src, [])
         batch.append(record)
@@ -377,6 +378,12 @@ class SDProtocol(ProtocolHook):
     def on_program_done(self) -> None:
         if self._ack_batch > 1:
             self.flush_acks()
+
+    def detach(self) -> None:
+        super().detach()
+        # a run that was aborted can leave flush timers armed; their queue
+        # entries call back into this object
+        self._ack_timers.clear()
 
     def _orphan_countdown(self, src: int, date: int) -> None:
         # One NoOrphan notification per drained (phase, sender) pair: the

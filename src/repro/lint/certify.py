@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -197,11 +198,12 @@ def dynamic_verify(
     ref_chains: list[str] | None = None
     for s in range(max(2, schedules)):
         timing = TimingModel(jitter=0.0 if s == 0 else jitter)
-        world, _controller = build_ft_world(
+        world, controller = build_ft_world(
             run.nprocs, run.factory, timing=timing, network_seed=base_seed + s
         )
-        world.launch()
-        world.run()
+        with closing(controller):
+            world.launch()
+            world.run()
         chains = send_witness_chains(world.tracer)
         if ref_chains is None:
             ref_chains = chains

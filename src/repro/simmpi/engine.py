@@ -29,6 +29,7 @@ single identity comparison per event.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable
 
@@ -36,10 +37,11 @@ from ..errors import SimulationError
 from ..lint.sanitize import AUDIT_INTERVAL, sanitizer_for
 from ..obs.registry import DEPTH_BUCKETS
 
-__all__ = ["Engine", "EventHandle", "RunHandle", "RunMemberHandle"]
+__all__ = ["Engine", "EventHandle"]
 
 # Queue-entry slots: [time, seq, state, callback] for singleton events;
-# run entries carry two extra slots, [..., items, live] (see RunHandle).
+# run entries carry two extra slots, [..., items, live] (see
+# Engine.schedule_run_at).
 _TIME, _SEQ, _STATE, _CALLBACK = 0, 1, 2, 3
 _ITEMS, _LIVE = 4, 5
 # Entry states.
@@ -80,98 +82,6 @@ class EventHandle:
         engine._pending -= 1
         engine._cancelled += 1
         engine._maybe_compact()
-
-
-class RunHandle:
-    """Handle for a *run entry*: one queue entry carrying a batch of
-    logical events at a shared timestamp.
-
-    A run entry is ``[time, seq, state, callback, items, live]`` — the heap
-    is popped once and ``callback(items)`` dispatches every item, so a
-    burst of ``n`` same-instant events costs one sift instead of ``n``.
-    ``items`` may contain ``None`` holes where members were cancelled; the
-    callback must skip them.  ``live`` counts the non-hole members and is
-    what the engine's event accounting (``pending``, ``events_dispatched``,
-    obs dispatch counters) is kept in terms of, so a run of ``n`` members
-    is indistinguishable from ``n`` singleton events in every counter.
-    """
-
-    __slots__ = ("_entry", "_engine")
-
-    def __init__(self, entry: list, engine: "Engine"):
-        self._entry = entry
-        self._engine = engine
-
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
-
-    @property
-    def open(self) -> bool:
-        """True while the run may still absorb members: it has not been
-        dispatched or cancelled, and *no other event has been scheduled
-        since* (its sequence number is still the engine's latest).  The
-        second condition is what makes :meth:`append` order-safe — an
-        appended member dispatches exactly where a fresh singleton would
-        have (same time, next sequence slot, nothing in between)."""
-        entry = self._entry
-        return entry[_STATE] == _PENDING and self._engine._seq == entry[_SEQ]
-
-    def append(self, item: Any) -> "RunMemberHandle":
-        """Add a member to a still-:attr:`open` run (caller checks)."""
-        entry = self._entry
-        items = entry[_ITEMS]
-        idx = len(items)
-        items.append(item)
-        entry[_LIVE] += 1
-        self._engine._pending += 1
-        return RunMemberHandle(entry, idx, self._engine)
-
-    def member(self, idx: int) -> "RunMemberHandle":
-        """Cancellation handle for one member of the run."""
-        return RunMemberHandle(self._entry, idx, self._engine)
-
-    def cancel(self) -> None:
-        """Cancel every remaining member (and the entry itself)."""
-        entry = self._entry
-        if entry[_STATE] != _PENDING:
-            return
-        entry[_STATE] = _CANCELLED
-        engine = self._engine
-        engine._pending -= entry[_LIVE]
-        entry[_LIVE] = 0
-        engine._cancelled += 1
-        engine._maybe_compact()
-
-
-class RunMemberHandle:
-    """Cancels a single logical event inside a run entry."""
-
-    __slots__ = ("_entry", "_idx", "_engine")
-
-    def __init__(self, entry: list, idx: int, engine: "Engine"):
-        self._entry = entry
-        self._idx = idx
-        self._engine = engine
-
-    @property
-    def cancelled(self) -> bool:
-        entry = self._entry
-        return entry[_STATE] == _CANCELLED or entry[_ITEMS][self._idx] is None
-
-    def cancel(self) -> None:
-        entry = self._entry
-        if entry[_STATE] != _PENDING or entry[_ITEMS][self._idx] is None:
-            return
-        entry[_ITEMS][self._idx] = None
-        entry[_LIVE] -= 1
-        engine = self._engine
-        engine._pending -= 1
-        if entry[_LIVE] == 0:
-            # last member gone: the entry itself is garbage now
-            entry[_STATE] = _CANCELLED
-            engine._cancelled += 1
-            engine._maybe_compact()
 
 
 class Engine:
@@ -270,16 +180,23 @@ class Engine:
 
     def schedule_run_at(
         self, time: float, callback: Callable[[list], None], items: list
-    ) -> RunHandle:
+    ) -> list:
         """Schedule a *run*: a batch of logical events sharing one timestamp.
 
-        The whole batch occupies a single queue entry; at ``time`` the
-        engine calls ``callback(items)`` once and the callback dispatches
-        each member (skipping ``None`` holes left by cancelled members).
-        Event accounting treats the run as ``len(items)`` events.  While
-        the returned handle is :attr:`RunHandle.open`, more members can be
-        appended in O(1) without extra heap traffic — the coalescing hook
-        the network uses for same-instant delivery bursts.
+        The whole batch occupies a single queue entry, ``[time, seq, state,
+        callback, items, live]`` — the heap is popped once and
+        ``callback(items)`` dispatches every member, so a burst of ``n``
+        same-instant events costs one sift instead of ``n``.  ``items`` may
+        contain ``None`` holes where members were cancelled; the callback
+        must skip them.  ``live`` counts the non-hole members and is what
+        the engine's event accounting (``pending``, ``events_dispatched``,
+        obs dispatch counters) is kept in terms of, so a run of ``n``
+        members is indistinguishable from ``n`` singleton events in every
+        counter.
+
+        Returns the entry, an opaque token for :meth:`run_append` and
+        :meth:`cancel_run_member` — there is no per-member handle object,
+        the caller keeps ``(entry, index)``.
         """
         time = float(time)
         now = self.now
@@ -289,7 +206,42 @@ class Engine:
         entry = [time, seq, _PENDING, callback, items, len(items)]
         self._pending += len(items)
         heapq.heappush(self._queue, entry)
-        return RunHandle(entry, self)
+        return entry
+
+    def run_append(self, entry: list, time: float, item: Any) -> int:
+        """Add ``item``, due at ``time``, to a run that is still *open* at
+        exactly that time; returns its member index, or -1 when it is not
+        (the caller schedules a new run).
+
+        A run is open while it has not been dispatched or cancelled and *no
+        other event has been scheduled since* (its sequence number is still
+        the engine's latest).  The second condition is what makes appending
+        order-safe — the member dispatches exactly where a fresh singleton
+        would have (same time, next sequence slot, nothing in between).
+        """
+        if (entry[_TIME] != time or entry[_STATE] != _PENDING
+                or self._seq != entry[_SEQ]):
+            return -1
+        items = entry[_ITEMS]
+        items.append(item)
+        entry[_LIVE] += 1
+        self._pending += 1
+        return len(items) - 1
+
+    def cancel_run_member(self, entry: list, idx: int) -> None:
+        """Cancel one logical event inside a run entry (leaves a ``None``
+        hole); a no-op once the run dispatched or the member is gone."""
+        items = entry[_ITEMS]
+        if entry[_STATE] != _PENDING or items[idx] is None:
+            return
+        items[idx] = None
+        entry[_LIVE] -= 1
+        self._pending -= 1
+        if entry[_LIVE] == 0:
+            # last member gone: the entry itself is garbage now
+            entry[_STATE] = _CANCELLED
+            self._cancelled += 1
+            self._maybe_compact()
 
     # ------------------------------------------------------------------
     # Cancelled-entry compaction
@@ -384,6 +336,12 @@ class Engine:
         ts = self._ts
         ts_next = ts.next_time if ts is not None else float("inf")
         events_dispatched = self._events_dispatched
+        # A run allocates no cyclic garbage (tests/integration pins it), so
+        # the hundreds of young-generation passes its container churn would
+        # schedule find nothing: pause the collector for the dispatch loop.
+        # Finished worlds are freed by reference count — see World.close().
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 # drop cancelled garbage that surfaced at the head, then
@@ -464,10 +422,20 @@ class Engine:
                 else:
                     callback()
         finally:
+            if gc_was_enabled:
+                gc.enable()
             self._running = False
             self._events_dispatched = events_dispatched
             if obs_on:
                 self._depth_cd = depth_cd
+
+    def close(self) -> None:
+        """Drop every event still queued (an aborted or horizon-bounded run
+        leaves some, and their callbacks reference whoever scheduled them);
+        the clock and the dispatch counters stay readable."""
+        self._queue.clear()
+        self._pending = 0
+        self._cancelled = 0
 
     def _peek_time(self) -> float:
         while self._queue and self._queue[0][_STATE] == _CANCELLED:

@@ -95,6 +95,8 @@ class FailureInjector:
     def _install_tap(self) -> None:
         if self._tap_wrapper is not None:
             return
+        # None: no instance-level wrapper was there before ours
+        self._orig_transmit = vars(self.world).get("transmit_app")
         original = self.world.transmit_app
 
         def tapped(env, _original=original):
@@ -121,7 +123,6 @@ class FailureInjector:
                     self._uninstall_tap()
             return cpu
 
-        self._orig_transmit = original
         self._tap_wrapper = tapped
         self.world.transmit_app = tapped
 
@@ -134,10 +135,21 @@ class FailureInjector:
         if self._tap_wrapper is None:
             return
         if self.world.transmit_app is self._tap_wrapper:
-            assert self._orig_transmit is not None
-            self.world.transmit_app = self._orig_transmit
+            if self._orig_transmit is None:
+                # the class's own method: putting a bound method back as
+                # an instance attribute would tie the world to itself
+                del self.world.transmit_app
+            else:
+                self.world.transmit_app = self._orig_transmit
         self._tap_wrapper = None
         self._orig_transmit = None
+
+    def close(self) -> None:
+        """Uninstall a tap that never fired and let go of the handler (see
+        ``Controller.close``); :attr:`fired` stays readable."""
+        self._taps.clear()
+        self._uninstall_tap()
+        self.handler = None
 
     # ------------------------------------------------------------------
     # Arming

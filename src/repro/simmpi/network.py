@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from ..errors import SimulationError
 from ..obs.registry import DEPTH_BUCKETS, SIZE_BUCKETS
-from .engine import Engine, RunHandle, RunMemberHandle
+from .engine import Engine
 from .message import Envelope
 
 __all__ = ["TimingModel", "Network"]
@@ -97,17 +97,17 @@ class Network:
         self._receivers: dict[int, Callable[[Envelope], None]] = {}
         # (src, dst) -> virtual time the last envelope on this channel arrives
         self._last_arrival: dict[tuple[int, int], float] = {}
-        # in-flight events per destination, keyed by envelope uid so a
-        # delivery removes its own entry in O(1) (a per-delivery list
-        # rebuild made draining n in-flight messages O(n^2))
-        self._in_flight: dict[
-            int, dict[int, tuple[RunMemberHandle, Envelope]]
-        ] = {}
-        # the delivery run still accepting members: transmits that land at
-        # the same arrival instant with no other event scheduled in between
-        # (RunHandle.open) join it instead of paying their own heap entry —
-        # control broadcasts and isend fan-outs become one pop at scale
-        self._open_burst: RunHandle | None = None
+        # in-flight events per destination (one dict per attached rank,
+        # created by attach), keyed by envelope uid so a delivery removes
+        # its own entry in O(1); each value is (run entry, member index,
+        # envelope) — what Engine.cancel_run_member needs, no handle object
+        self._in_flight: dict[int, dict[int, tuple[list, int, Envelope]]] = {}
+        # the latest delivery run: transmits that land at the same arrival
+        # instant with no other event scheduled in between
+        # (Engine.run_append) join it instead of paying their own heap
+        # entry — control broadcasts and isend fan-outs become one pop at
+        # scale
+        self._open_burst: list | None = None
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -155,6 +155,14 @@ class Network:
     def attach(self, rank: int, receiver: Callable[[Envelope], None]) -> None:
         """Register the delivery callback for ``rank`` (its inbound NIC)."""
         self._receivers[rank] = receiver
+        self._in_flight.setdefault(rank, {})
+
+    def close(self) -> None:
+        """Forget the receivers and whatever is still in flight: both
+        reference the processes behind them (see ``World.close``)."""
+        self._receivers.clear()
+        self._in_flight.clear()
+        self._open_burst = None
 
     def transmit(self, env: Envelope) -> float:
         """Put ``env`` on the wire; returns the sender-side CPU time consumed.
@@ -163,11 +171,14 @@ class Network:
         FIFO.  The returned CPU time lets the caller advance the sending
         process's virtual clock (the engine does not do it implicitly).
         """
-        if env.dst not in self._receivers:
-            raise SimulationError(f"transmit to unknown rank {env.dst}: {env.describe()}")
+        dst = env.dst
+        pending = self._in_flight.get(dst)
+        if pending is None:
+            raise SimulationError(f"transmit to unknown rank {dst}: {env.describe()}")
         engine = self.engine
+        now = engine.now
         size = env.size
-        env.send_time = engine.now
+        env.send_time = now
         # inlined TimingModel.transit_time / sender_cpu_time with the same
         # expressions (bit-identical floats; reproducibility depends on it)
         transit = self._latency + size / self._bandwidth
@@ -176,8 +187,8 @@ class Network:
         # sender CPU (post overhead + logging copies) serialises before the
         # wire: the NIC only sees the buffer once it is prepared
         cpu = self._send_overhead + size * self._per_byte
-        arrival = engine.now + cpu + transit
-        chan = (env.src, env.dst)
+        arrival = now + cpu + transit
+        chan = (env.src, dst)
         prev = self._last_arrival.get(chan, -1.0)
         if arrival <= prev:
             # Enforce FIFO: never overtake the previous message on the
@@ -191,18 +202,18 @@ class Network:
         # coalesce into the open delivery run when this transmit lands at
         # the exact same instant and nothing else was scheduled since the
         # run entry was created: the appended member dispatches precisely
-        # where its own singleton entry would have (see RunHandle.open),
+        # where its own singleton entry would have (see Engine.run_append),
         # so burst and non-burst executions are event-for-event identical
         burst = self._open_burst
-        if burst is not None and burst.time == arrival and burst.open:
-            member = burst.append(env)
-        else:
-            burst = engine.schedule_run_at(arrival, self._deliver_burst, [env])
-            self._open_burst = burst
-            member = burst.member(0)
-        self._in_flight.setdefault(env.dst, {})[env.uid] = (member, env)
+        idx = -1 if burst is None else engine.run_append(burst, arrival, env)
+        if idx < 0:
+            burst = self._open_burst = engine.schedule_run_at(
+                arrival, self._deliver_burst, [env]
+            )
+            idx = 0
+        pending[env.uid] = (burst, idx, env)
         self.messages_sent += 1
-        self.bytes_sent += env.size
+        self.bytes_sent += size
         if self.obs is not None:
             # inlined per-transmit recording: bare cells and plain
             # arithmetic only, no registry lookups and no method call.
@@ -242,11 +253,11 @@ class Network:
         longer in flight is skipped exactly as its cancelled singleton
         would have been (the purge already counted it as dropped).
         """
+        in_flight = self._in_flight
         for env in items:
             if env is None:
                 continue
-            pending = self._in_flight.get(env.dst)
-            if pending is None or pending.pop(env.uid, None) is None:
+            if in_flight[env.dst].pop(env.uid, None) is None:
                 continue
             self.messages_delivered += 1
             if self.obs is not None:
@@ -272,12 +283,16 @@ class Network:
         Called when ``rank`` fails: messages that had not yet arrived are
         lost with the process.  Returns the number of dropped envelopes.
         """
-        dropped = 0
-        for handle, _env in self._in_flight.pop(rank, {}).values():
-            handle.cancel()
-            dropped += 1
+        pending = self._in_flight.get(rank)
+        if not pending:
+            return 0
+        cancel = self.engine.cancel_run_member
+        for entry, idx, _env in pending.values():
+            cancel(entry, idx)
+        dropped = len(pending)
+        pending.clear()
         self.messages_dropped += dropped
-        if dropped and self.obs is not None:
+        if self.obs is not None:
             self.obs.counter("network.messages_dropped", ("dst",)).inc(
                 dropped, labels=(rank,)
             )
@@ -293,7 +308,7 @@ class Network:
     def purge_all(self) -> int:
         """Drop every in-flight envelope (global restart support)."""
         dropped = 0
-        for rank in list(self._in_flight):
+        for rank in self._in_flight:
             dropped += self.purge_inbound(rank)
         return dropped
 

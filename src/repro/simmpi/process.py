@@ -177,6 +177,11 @@ class ProtocolHook:
         self.proc = proc
         self.world = world
 
+    def detach(self) -> None:
+        """Called once when the world is closed: forget process and world."""
+        self.proc = None
+        self.world = None
+
     # --- send path ----------------------------------------------------
     def send_allowed(self) -> bool:
         """May the application emit a message right now? (recovery gating)"""
@@ -244,7 +249,12 @@ class Proc:
         self.alive = True
         self.done = False
         self.paused = False
-        self.blocked_on: str | None = None
+        #: what the process is blocked on, kept raw because it is set at
+        #: every blocking op and read only by :meth:`describe_block`: the
+        #: ``RecvOp`` / ``WaitOp`` / ``ComputeOp`` itself, the list of
+        #: requests a waitall still waits for, the duration of a
+        #: checkpoint write, or the string ``"send-gate"``
+        self.blocked_on: Any = None
         self._gen: Generator[Any, Any, Any] | None = None
         self._pending_resume: tuple[Any] | None = None  # boxed value
         self._posted: list[_PostedRecv] = []
@@ -379,7 +389,7 @@ class Proc:
                     value = self._recv_value(matched, op.with_status)
                     continue
                 self._post_recv(op.src, op.tag, self._make_recv_completer(op.with_status))
-                self.blocked_on = f"recv(src={op.src}, tag={op.tag})"
+                self.blocked_on = op
                 return
             elif isinstance(op, IsendOp):
                 value = self._handle_isend(op)
@@ -393,7 +403,7 @@ class Proc:
                     value = req.value
                     continue
                 self._wait_request(req)
-                self.blocked_on = f"wait({req.kind})"
+                self.blocked_on = op
                 return
             elif isinstance(op, WaitallOp):
                 pending = [r for r in op.requests if not r.done]
@@ -401,20 +411,20 @@ class Proc:
                     value = [r.value for r in op.requests]
                     continue
                 self._wait_all(op.requests, pending)
-                self.blocked_on = f"waitall({len(pending)} pending)"
+                self.blocked_on = pending
                 return
             elif isinstance(op, ComputeOp):
                 if op.seconds < 0:
                     raise SimulationError("negative compute time")
                 self._schedule_resume(op.seconds, None)
-                self.blocked_on = f"compute({op.seconds:g}s)"
+                self.blocked_on = op
                 return
             elif isinstance(op, CheckpointOp):
                 taken, duration = self._handle_checkpoint(op)
                 if duration > 0:
                     # checkpoint writes consume process time (I/O model)
                     self._schedule_resume(duration, taken)
-                    self.blocked_on = f"checkpoint-write({duration:g}s)"
+                    self.blocked_on = duration
                     return
                 value = taken
                 continue
@@ -603,6 +613,30 @@ class Proc:
 
     # ------------------------------------------------------------------
     def describe_block(self) -> str:
+        """The ``DeadlockError`` diagnostic for this rank."""
         if self.done:
             return "done"
-        return self.blocked_on or "runnable"
+        on = self.blocked_on
+        if on is None:
+            return "runnable"
+        if isinstance(on, RecvOp):
+            return f"recv(src={on.src}, tag={on.tag})"
+        if isinstance(on, WaitOp):
+            return f"wait({on.request.kind})"
+        if isinstance(on, list):
+            return f"waitall({len(on)} pending)"
+        if isinstance(on, ComputeOp):
+            return f"compute({on.seconds:g}s)"
+        if isinstance(on, float):
+            return f"checkpoint-write({on:g}s)"
+        return on
+
+    def close(self) -> None:
+        """Drop the execution and sever the back-references (the world is
+        being closed); the counters stay readable."""
+        self._gen = None
+        self._posted.clear()
+        self._gated_sends.clear()
+        self._pending_resume = None
+        self.hook.detach()
+        self.world = None

@@ -171,3 +171,21 @@ class World:
         """Drain every pending event without completion checks."""
         self.engine.run()
         return self.engine.now
+
+    def close(self) -> None:
+        """Sever the back-references of a finished world.
+
+        World, processes, hooks and the network's receivers all point at
+        each other, so a world its owner merely drops lingers until the
+        cyclic collector's next full pass — and :meth:`Engine.run` pauses
+        the collector, so there may be none for a long while.  Whoever
+        built the world calls this (in a ``finally``) once it has read its
+        results: the heap is then freed by reference count as the owner's
+        names go.  Programs, tracer and every counter stay readable; the
+        world cannot run again.
+        """
+        self.engine.close()
+        self.network.close()
+        for proc in self.procs:
+            proc.close()
+        self.on_all_done = None

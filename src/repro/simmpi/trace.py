@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -33,13 +33,13 @@ class TraceEvent:
     detail: tuple = ()
 
 
-@dataclass(frozen=True)
-class SendRecord:
+class SendRecord(NamedTuple):
     """Identity of one application send, used for sequence comparison.
 
     Two executions are *send-equivalent* when each rank's list of
     ``SendRecord`` matches element-wise.  ``digest`` summarizes the payload
     so content changes are caught without retaining the payload itself.
+    A tuple, not a dataclass: one is built per application send.
     """
 
     dst: int
@@ -65,6 +65,9 @@ class SendRecord:
             and self.size == other.size
             and self.digest == other.digest
         )
+
+
+_new_tuple = tuple.__new__
 
 
 def payload_digest(payload: Any) -> int:
@@ -126,12 +129,11 @@ class Tracer:
         self._sends: list[list[SendRecord]] = [[] for _ in range(nprocs)]
         #: rank -> ordered list of (src, tag, size) deliveries to the app
         self._delivers: list[list[tuple[int, int, int]]] = [[] for _ in range(nprocs)]
-        #: (src, dst) message counts / bytes — plain nested lists because a
-        #: numpy scalar-index increment costs ~1us and this is paid per send
-        #: (the :attr:`msg_count` / :attr:`msg_bytes` properties expose the
-        #: familiar ndarray view)
-        self._msg_count = [[0] * nprocs for _ in range(nprocs)]
-        self._msg_bytes = [[0] * nprocs for _ in range(nprocs)]
+        #: src -> {dst: [messages, bytes]} — sparse rows: a rank talks to a
+        #: handful of peers, and dense n x n tables were half the heap at
+        #: 4096 ranks (the :attr:`msg_count` / :attr:`msg_bytes` properties
+        #: build the familiar dense ndarray view on demand)
+        self._pairs: list[dict[int, list[int]]] = [{} for _ in range(nprocs)]
         #: sends marked as duplicates re-emitted during recovery, per rank:
         #: indices into the send list (so sequences can be de-duplicated)
         self._dup_send_idx: list[set[int]] = [set() for _ in range(nprocs)]
@@ -139,13 +141,24 @@ class Tracer:
     # ------------------------------------------------------------------
     def on_app_send(self, env: Envelope, time: float, is_replay_dup: bool = False) -> None:
         rank = env.src
-        self._sends[rank].append(SendRecord.of(env))
+        sends = self._sends[rank]
+        # SendRecord.of(env), inlined down to the tuple constructor (what
+        # the generated __new__ calls): this runs once per application send
+        sends.append(_new_tuple(SendRecord, (
+            env.dst, env.tag, env.size, payload_digest(env.payload),
+            env.meta.get("date"),
+        )))
         if is_replay_dup:
-            self._dup_send_idx[rank].add(len(self._sends[rank]) - 1)
+            self._dup_send_idx[rank].add(len(sends) - 1)
         else:
-            dst = env.dst
-            self._msg_count[rank][dst] += 1
-            self._msg_bytes[rank][dst] += env.size
+            row = self._pairs[rank]
+            try:
+                cell = row[env.dst]
+            except KeyError:  # first message of the pair
+                row[env.dst] = [1, env.size]
+            else:
+                cell[0] += 1
+                cell[1] += env.size
         if self.record_events:
             self.events.append(
                 TraceEvent("send", time, rank, (env.dst, env.tag, env.size, env.uid))
@@ -214,17 +227,24 @@ class Tracer:
         return [list(d) for d in self._delivers]
 
     def total_app_messages(self) -> int:
-        return sum(map(sum, self._msg_count))
+        return sum(cell[0] for row in self._pairs for cell in row.values())
+
+    def _dense(self, slot: int) -> np.ndarray:
+        out = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
+        for src, row in enumerate(self._pairs):
+            for dst, cell in row.items():
+                out[src, dst] = cell[slot]
+        return out
 
     @property
     def msg_count(self) -> np.ndarray:
         """(src, dst) application message counts (excludes replay dups)."""
-        return np.array(self._msg_count, dtype=np.int64)
+        return self._dense(0)
 
     @property
     def msg_bytes(self) -> np.ndarray:
         """(src, dst) application bytes sent (excludes replay dups)."""
-        return np.array(self._msg_bytes, dtype=np.int64)
+        return self._dense(1)
 
     def comm_matrix(self, weight: str = "count") -> np.ndarray:
         """Communication density matrix (Fig. 8 input)."""

@@ -46,6 +46,37 @@ def test_kernel_completes(name, cls, nprocs, kw):
     assert world.tracer.total_app_messages() > 0
 
 
+def _mg_neighbors_uncached(kernel, rank, stride):
+    """The derivation MG used to repeat at every exchange: (direction,
+    peer) for +-stride along each dimension, through ``CartGrid.shift``."""
+    grid = kernel.grid
+    out = []
+    for dim in range(grid.ndims):
+        if grid.dims[dim] == 1:
+            continue
+        step = stride % grid.dims[dim]
+        if step == 0:
+            step = grid.dims[dim] // 2 or 1
+        for di, disp in enumerate((-step, +step)):
+            peer = grid.shift(rank, dim, disp)
+            if peer is not None and peer != rank:
+                out.append((dim * 2 + di, peer))
+    return out
+
+
+@pytest.mark.parametrize("nprocs", [2, 8, 27, 64, 96, 256])
+def test_mg_neighbour_tables_equal_the_uncached_derivation(nprocs):
+    # 2 ranks: two dims of extent 1 (skipped); 8 and 96: a stride that is
+    # a multiple of an extent (the step == 0 fallback)
+    levels = 4
+    for rank in range(nprocs):
+        kernel = MGKernel(rank, nprocs, niters=1, levels=levels, block=4)
+        assert len(kernel._neighbors) == levels
+        for level in range(levels):
+            assert kernel._neighbors[level] == _mg_neighbors_uncached(
+                kernel, rank, 1 << level), (rank, level)
+
+
 @pytest.mark.parametrize("name,cls,nprocs,kw", KERNELS, ids=IDS)
 def test_kernel_deterministic_across_runs(name, cls, nprocs, kw):
     a = run_world(cls, nprocs, kw)

@@ -174,3 +174,44 @@ def test_logging_stats_aggregate():
     assert stats["messages_total"] == 1
     assert stats["messages_logged"] == 1
     assert stats["log_fraction"] == 1.0
+
+
+# ----------------------------------------------------------------------
+# The eager ack record's wire size is a constant
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dup", [False, True])
+@pytest.mark.parametrize("value", [0, 1, 255, 2**31, 2**40])
+def test_ack_record_size_constant_equals_the_sizer(dup, value):
+    from repro.core.protocol import _ACK_RECORD_NBYTES
+    from repro.simmpi.message import payload_nbytes
+
+    record = {"date": value, "epoch_send": value, "epoch_recv": value,
+              "dup": dup}
+    assert _ACK_RECORD_NBYTES == payload_nbytes(record) == 75
+
+
+def test_every_ack_on_the_wire_has_the_size_the_sizer_gives():
+    # fresh and duplicate acks of a run with a recovery: the envelope is
+    # built with the constant, and arrival times depend on the size
+    from repro.apps import Stencil2D
+    from repro.core.protocol import CTL
+    from repro.simmpi.message import payload_nbytes
+
+    config = ProtocolConfig(checkpoint_interval=3e-5, rank_stagger=1e-6)
+    world, ctl = build_ft_world(
+        4, lambda r, s: Stencil2D(r, s, niters=20, block=3), config)
+    acks = []
+    transmit = world.network.transmit
+
+    def spy(env):
+        if env.tag == CTL.ACK:
+            acks.append(env)
+        return transmit(env)
+
+    world.network.transmit = spy
+    ctl.inject_failure(1e-4, 3)
+    ctl.arm()
+    world.launch()
+    world.run()
+    assert {env.payload["dup"] for env in acks} == {False, True}
+    assert all(env.size == payload_nbytes(env.payload) for env in acks)

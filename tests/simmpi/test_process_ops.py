@@ -149,6 +149,67 @@ def test_deadlock_detection_reports_blocked():
     assert "recv" in exc.value.blocked[0]
 
 
+def test_block_descriptions_are_formatted_on_demand():
+    # blocked_on keeps the raw op; the text (pinned here to what the
+    # eagerly formatted strings used to read) is built when asked for
+    from repro.simmpi.process import ProtocolHook
+
+    class Hook(ProtocolHook):
+        def send_allowed(self):
+            return self.proc.rank != 3          # rank 3's sends are gated
+
+        def on_checkpoint(self):
+            return 2.5e-3                       # a checkpoint write stalls
+
+    def recv(api, out):
+        yield api.recv(5, tag=7)                # never sent
+
+    def wait(api, out):
+        req = yield api.irecv(5, tag=1)
+        yield api.wait(req)
+
+    def waitall(api, out):
+        reqs = []
+        for tag in (1, 2, 3):
+            reqs.append((yield api.irecv(6, tag=tag)))
+        yield api.waitall(reqs)                 # tag 2 arrives, 1 and 3 never
+
+    def gated(api, out):
+        yield api.send(0, "x", tag=0)
+
+    def compute(api, out):
+        yield api.compute(1.5)
+
+    def checkpoint(api, out):
+        yield api.checkpoint()
+
+    def feeder(api, out):
+        yield api.send(2, "two", tag=2)
+
+    bodies = {0: recv, 1: wait, 2: waitall, 3: gated, 4: compute,
+              5: checkpoint, 6: feeder}
+    cls = type("S", (Script,), {"bodies": bodies})
+    world = World(7, cls, hook_factory=lambda rank: Hook())
+    world.launch()
+    world.run(until=1e-3)
+    assert [p.describe_block() for p in world.procs] == [
+        "recv(src=5, tag=7)",
+        "wait(irecv)",
+        "waitall(3 pending)",   # counted when the op blocked
+        "send-gate",
+        "compute(1.5s)",
+        "checkpoint-write(0.0025s)",
+        "done",
+    ]
+    with pytest.raises(DeadlockError) as exc:
+        world.run()
+    assert str(exc.value) == "simulation quiesced with 4 unfinished ranks"
+    assert exc.value.blocked == {
+        0: "recv(src=5, tag=7)", 1: "wait(irecv)",
+        2: "waitall(3 pending)", 3: "send-gate",
+    }
+
+
 def test_negative_app_tag_rejected():
     def p0(api, out):
         yield api.send(1, 1, tag=-2_000_000)

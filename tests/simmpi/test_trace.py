@@ -63,6 +63,32 @@ def test_comm_matrix_counts_and_bytes():
     assert b[0, 1] == 160 and b[2, 0] == 40
 
 
+def test_dense_views_of_a_three_rank_exchange():
+    # the per-pair counters are sparse rows now; the ndarray views the
+    # analyses read (logstats, commmatrix) keep their values and dtype
+    t = Tracer(3)
+    t.on_app_send(env(0, 1, payload=np.zeros(10)), 0.0)
+    t.on_app_send(env(0, 1, payload=np.zeros(10)), 0.0)
+    t.on_app_send(env(1, 2, payload=b"abc"), 0.0)
+    t.on_app_send(env(2, 0, payload=np.zeros(5)), 0.0)
+    t.on_app_send(env(2, 2, payload=7), 0.0)            # self-send
+    dup = env(0, 1, payload=np.zeros(10), date=1)
+    dup.meta["replayed"] = True
+    t.on_app_send(dup, 0.0, is_replay_dup=True)        # must not count
+    counts = [[0, 2, 0], [0, 0, 1], [1, 0, 1]]
+    nbytes = [[0, 160, 0], [0, 0, 3], [40, 0, 8]]
+    for view, want in ((t.msg_count, counts), (t.msg_bytes, nbytes),
+                       (t.comm_matrix(), counts),
+                       (t.comm_matrix("bytes"), nbytes)):
+        assert view.dtype == np.int64 and view.shape == (3, 3)
+        assert view.tolist() == want
+    assert t.total_app_messages() == 5
+    assert int(t.msg_bytes.sum()) == 211
+    # each view is a fresh array: callers may scale it in place
+    t.msg_count[0, 1] = 99
+    assert t.msg_count[0, 1] == 2
+
+
 def test_comm_matrix_unknown_weight():
     with pytest.raises(ValueError):
         Tracer(2).comm_matrix("volume")
