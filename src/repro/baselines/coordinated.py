@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.checkpoint import ProcessImage, restart_rank
+from ..core.checkpoint import ProcessImage, StorageDevice, restart_rank
 from ..core.controller import Controller
-from ..errors import ProtocolError, SimulationError
+from ..errors import ProtocolError
 from ..simmpi.message import Envelope
 from ..simmpi.process import ProtocolHook
 from ..simmpi.runtime import World
@@ -118,9 +118,12 @@ class CLController(Controller):
         self._at_boundary: set[int] = set()
         self.completed_rounds: list[int] = []
         self.global_restarts = 0
-        self._drain_polls = 0
-        #: cumulative machine time lost to serialised snapshot writes
-        self.io_burst_time = 0.0
+        self.storage = StorageDevice(self.config.storage_bandwidth)
+
+    @property
+    def io_burst_time(self) -> float:
+        """Cumulative machine time lost to serialised snapshot writes."""
+        return self.storage.busy_time
 
     def bind(self, world: World) -> None:
         super().bind(world)
@@ -162,43 +165,25 @@ class CLController(Controller):
             return
         self._at_boundary.add(rank)
         if len(self._at_boundary) == self.nprocs:
-            self._drain_polls = 0
-            self._poll_drain()
-
-    def _poll_drain(self) -> None:
-        assert self.world is not None
-        if not self.round_active:
-            return
-        if self.world.network.in_flight_count() == 0:
-            self._complete_round()
-            return
-        self._drain_polls += 1
-        if self._drain_polls > 1_000_000:
-            raise SimulationError("coordinated round failed to drain")
-        self.world.engine.schedule(1e-6, self._poll_drain)
+            self.when_drained(self._complete_round)
 
     def _complete_round(self) -> None:
         assert self.world is not None
-        cfg = self.config
-        transfer = (
-            cfg.snapshot_size_bytes / cfg.storage_bandwidth
-            if cfg.snapshot_size_bytes else 0.0
-        )
-        free_at = self.world.engine.now
+        now = self.world.engine.now
+        nbytes = self.config.snapshot_size_bytes
         for rank, hook in enumerate(self.hooks):
             hook.capture(self.round)
             hook.snapshots = {
                 r: s for r, s in hook.snapshots.items()
                 if r >= self.round - 1 or r == 0
             }  # keep previous round until this one is fully durable
-            if transfer:
+            if nbytes:
                 # every rank's write serialises on the shared device; the
                 # whole machine is paused until its own write lands — the
                 # coordinated I/O burst
-                free_at += transfer
-                self.io_burst_time += transfer
                 self.world.engine.schedule_at(
-                    free_at, lambda r=rank: self.world.procs[r].unpause()
+                    self.storage.reserve(now, nbytes),
+                    lambda r=rank: self.world.procs[r].unpause()
                 )
             else:
                 self.world.procs[rank].unpause()
@@ -215,6 +200,7 @@ class CLController(Controller):
         self.global_restarts += 1
         self.rolled_back_history.append(self.nprocs)
         self.round_active = False
+        self._draining = False  # a round caught mid-drain is abandoned
         world.network.purge_all()
         restore_round = self.completed_rounds[-1] if self.completed_rounds else 0
         for rank, hook in enumerate(self.hooks):

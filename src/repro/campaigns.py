@@ -24,12 +24,11 @@ workers) and a pure function of ``(seed, params)``.
 
 from __future__ import annotations
 
+import random
 from contextlib import closing
 from typing import Any, Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from .analysis import SpeSampler, rollback_analysis
+from .analysis import SpeSampler, compare_executions, rollback_analysis
 from .apps import TABLE1_KERNELS, Stencil2D
 from .core import ProtocolConfig, build_ft_world
 from .core.clustering import block_clusters
@@ -47,20 +46,11 @@ __all__ = [
     "run_campaign",
     "selftest_cell",
     "selftest_tasks",
+    "stencil_scenario",
     "table1_cell",
     "table1_tasks",
     "validate_spec",
 ]
-
-
-def _run(nprocs, factory, config):
-    """A failure-free run to completion; the world comes back closed
-    (programs, tracer and clock stay readable)."""
-    world, controller = build_ft_world(nprocs, factory, config)
-    with closing(controller):
-        world.launch()
-        world.run()
-    return world
 
 
 # ----------------------------------------------------------------------
@@ -83,11 +73,9 @@ def table1_cell(params: dict) -> dict:
         cluster_stagger=8e-6, rank_stagger=2e-7,
         lightweight=True, retain_payloads=False,
     )
-    build_kwargs = {}
-    if params.get("obs") is not None:
-        build_kwargs["obs"] = params["obs"]
     world, controller = build_ft_world(nprocs, factory, config,
-                                       copy_payloads=False, **build_kwargs)
+                                       copy_payloads=False,
+                                       obs=params.get("obs"))
     with closing(controller):
         sampler = SpeSampler(controller, interval=7e-5)
         sampler.arm()
@@ -122,39 +110,56 @@ def table1_tasks(kernels: Sequence[str], ranks: Sequence[int],
 # ----------------------------------------------------------------------
 # Randomized failure/recovery runs
 # ----------------------------------------------------------------------
+def stencil_scenario(nprocs: int, nclusters: int, niters: int = 40,
+                     fail_rank: int | None = None,
+                     fail_frac: float | None = 0.5, obs: Any = None):
+    """The Stencil2D failure scenario behind ``repro sweep --scenario
+    failures`` and the CLI's ``demo`` / ``explain`` / ``obs`` / ``report``:
+    block clusters, and ``fail_rank`` (default: the last rank) killed at
+    ``fail_frac`` of the horizon a failure-free reference run measures
+    first.  ``fail_frac=None`` runs without a failure (and a reference).
+    Returns ``(ref, world, controller, fail_rank, fail_time)`` with
+    ``world`` — the one ``obs`` instruments — run to completion.  Both
+    worlds come back closed: results, reports and statistics stay
+    readable."""
+    config = ProtocolConfig(checkpoint_interval=3e-5,
+                            cluster_of=block_clusters(nprocs, nclusters),
+                            cluster_stagger=5e-6, rank_stagger=1e-6)
+    factory = lambda r, s: Stencil2D(r, s, niters=niters, block=3)
+    ref = fail_time = None
+    if fail_frac is not None:
+        ref, ref_controller = build_ft_world(nprocs, factory, config)
+        with closing(ref_controller):
+            ref.launch()
+            ref.run()
+        fail_rank = nprocs - 1 if fail_rank is None else fail_rank
+        fail_time = fail_frac * ref.engine.now
+    world, controller = build_ft_world(nprocs, factory, config, obs=obs)
+    with closing(controller):
+        if fail_frac is not None:
+            controller.inject_failure(fail_time, fail_rank)
+            controller.arm()
+        world.launch()
+        world.run()
+    return ref, world, controller, fail_rank, fail_time
+
+
 def failure_scenario(params: dict) -> dict:
     """One randomized failure/recovery run (module-level for pickling).
 
     The sweep seed picks the failing rank and failure time; the run then
-    validates recovery against its own failure-free reference and reports
+    validates recovery against its own failure-free reference
+    (Definition 1, :func:`repro.analysis.compare_executions`) and reports
     rollback/logging statistics.
     """
-    import random
-
-    nprocs, ncl, niters = params["ranks"], params["clusters"], params["niters"]
+    nprocs = params["ranks"]
     rng = random.Random(params["seed"])
-    config = ProtocolConfig(checkpoint_interval=3e-5,
-                            cluster_of=block_clusters(nprocs, ncl),
-                            cluster_stagger=5e-6, rank_stagger=1e-6)
-    factory = lambda r, s: Stencil2D(r, s, niters=niters, block=3)
-    ref = _run(nprocs, factory, config)
     fail_rank = rng.randrange(nprocs)
-    fail_time = rng.uniform(0.2, 0.8) * ref.engine.now
-    build_kwargs = {}
-    if params.get("obs") is not None:
-        build_kwargs["obs"] = params["obs"]
-    world, controller = build_ft_world(nprocs, factory, config, **build_kwargs)
-    with closing(controller):
-        controller.inject_failure(fail_time, fail_rank)
-        controller.arm()
-        world.launch()
-        world.run()
+    ref, world, controller, _, fail_time = stencil_scenario(
+        nprocs, params["clusters"], params["niters"], fail_rank,
+        rng.uniform(0.2, 0.8), obs=params.get("obs"))
     report = controller.recovery_reports[0]
     stats = controller.logging_stats()
-    valid = all(
-        np.allclose(ref.programs[r].result(), world.programs[r].result())
-        for r in range(nprocs)
-    ) and ref.tracer.logical_send_sequences() == world.tracer.logical_send_sequences()
     return {
         "fail_rank": fail_rank,
         "fail_time_ms": fail_time * 1e3,
@@ -162,7 +167,7 @@ def failure_scenario(params: dict) -> dict:
         "pct_rolled_back": 100 * len(report.rolled_back) / nprocs,
         "recovery_rounds": len(controller.recovery_reports),
         "pct_log": 100 * stats["log_fraction"],
-        "valid": valid,
+        "valid": compare_executions(ref, world).valid,
     }
 
 
@@ -309,9 +314,8 @@ def run_campaign(
 
     ``cache`` / ``scheduler`` / ``service_obs`` / ``collect_obs`` pass
     straight through to :func:`repro.sweep.run_sweep`.  ``obs`` replaces
-    the fresh merge registry the run otherwise creates (a disabled one
-    skips merging).  ``stream`` — a :class:`repro.obs.ProgressStream`, or
-    the path to open one at — gets ``campaign_begin``, one ``task_done``
+    the fresh merge registry the run otherwise creates.  ``stream`` — a
+    :class:`repro.obs.ProgressStream`, or the path to open one at — gets ``campaign_begin``, one ``task_done``
     per task and ``campaign_end``; the runner closes it, whatever
     happens, so ``campaign_end`` is the last event of a stream that has
     one.

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .. import campaigns
-from ..obs import NULL_OBS
 from ..sweep import SweepResult, task_seed
 from .oracles import ORACLES
 from .schedule import generate_schedule, schedule_from_json
@@ -213,8 +212,7 @@ def run_campaign(
     return campaigns.run_campaign(
         spec, workers=workers, cache=cache, scheduler=scheduler,
         service_obs=service_obs, on_progress=on_progress, stream=stream,
-        # no registry asked for: nothing is merged or counted
-        obs=obs if obs is not None else NULL_OBS,
+        obs=obs,
     ).report
 
 

@@ -118,8 +118,9 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
                 _c["n"] += 1
                 _orig(src, payload)
                 if _c["n"] % 3 == 0:
-                    st = _p.state
-                    st.non_ack[:] = [pa for pa in st.non_ack if pa.dst != src]
+                    non_ack = _p.state.non_ack
+                    for key in [k for k in non_ack if k[0] == src]:
+                        del non_ack[key]
 
             proto._on_ack = overclearing
     elif bug == "log_drop":
@@ -137,7 +138,7 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
                 if len(logs) > before:
                     _c["n"] += 1
                     if _c["n"] % 2 == 0:
-                        logs.pop()  # logged message silently lost
+                        logs.popitem()  # logged message silently lost
 
             proto._on_ack = lossy_logging
     elif bug == "restore_corrupt":
@@ -239,9 +240,8 @@ def _run_chaos(schedule: TrialSchedule, ref_world: Any, horizon: float,
     """One chaos execution.  Returns (world, controller, exception,
     placements), the pair closed."""
     with _sanitize_env(sanitize):
-        kwargs = {"obs": obs} if obs is not None else {}
         world, controller = build_ft_world(
-            schedule.nprocs, schedule.factory(), _config(schedule), **kwargs
+            schedule.nprocs, schedule.factory(), _config(schedule), obs=obs
         )
         exc: BaseException | None = None
         with contextlib.closing(controller):
@@ -375,7 +375,7 @@ def run_trial_schedule(
         result.oracles["determinism"] = OracleResult(
             "determinism", False, "not evaluated: run did not settle")
 
-    if not result.passed and obs is not None and getattr(obs, "enabled", False):
+    if not result.passed and obs is not None:
         from ..obs.export import dump_flight
 
         try:

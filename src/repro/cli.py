@@ -46,21 +46,19 @@ import argparse
 import json
 import os
 import sys
-from contextlib import closing
 from typing import Sequence
-
-import numpy as np
 
 from . import campaigns
 from .analysis import (
     collect_matrix,
+    compare_executions,
     expected_rollback_fraction,
     render_matrix,
 )
 from .analysis.report import Table1Cell, format_table, format_table1
 from .apps import TABLE1_KERNELS, Stencil2D
 from .baselines import run_domino_analysis
-from .core import ProtocolConfig, build_ft_world
+from .chaos.oracles import ORACLES
 from .core.clustering import Clustering, block_clusters
 from .lint.certify import (
     DEFAULT_JITTER,
@@ -237,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="seeded failure-schedule fuzzing: random kernels, config axes "
-             "and failure placements, four validity oracles per trial, "
-             "delta-debugging shrinker for failures",
+             f"and failure placements, {len(ORACLES)} validity oracles per "
+             "trial, delta-debugging shrinker for failures",
     )
     defaults = campaigns.DEFAULTS["chaos"]
     chaos.add_argument("--trials", type=int, default=defaults["trials"])
@@ -420,53 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _stencil_run(nprocs: int, nclusters: int, fail_rank: int | None = None,
-                 obs=None, fail: bool = True):
-    """The scenario behind ``demo``, ``explain``, ``obs`` and ``report``:
-    Stencil2D, 40 iterations, block clusters, and — unless ``fail`` is
-    off — ``fail_rank`` (default: the last rank) killed at half the
-    horizon a failure-free reference run measures first.  Returns
-    ``(ref, world, controller, fail_rank, fail_time)`` with ``world`` run
-    to completion (``ref`` and ``fail_time`` are ``None`` without a
-    failure).  Both worlds come back closed: results, reports and
-    statistics stay readable."""
-    config = ProtocolConfig(checkpoint_interval=3e-5,
-                            cluster_of=block_clusters(nprocs, nclusters),
-                            cluster_stagger=5e-6, rank_stagger=1e-6)
-    factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
-    ref = fail_time = None
-    if fail:
-        ref, ref_controller = build_ft_world(nprocs, factory, config)
-        with closing(ref_controller):
-            ref.launch()
-            ref.run()
-        fail_rank = nprocs - 1 if fail_rank is None else fail_rank
-        fail_time = ref.engine.now / 2
-    world, controller = build_ft_world(nprocs, factory, config, obs=obs)
-    with closing(controller):
-        if fail:
-            controller.inject_failure(fail_time, fail_rank)
-            controller.arm()
-        world.launch()
-        world.run()
-    return ref, world, controller, fail_rank, fail_time
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
     nprocs = args.ranks
-    ref, world, controller, fail_rank, fail_time = _stencil_run(
-        nprocs, args.clusters, args.fail_rank)
+    ref, world, controller, fail_rank, fail_time = campaigns.stencil_scenario(
+        nprocs, args.clusters, fail_rank=args.fail_rank)
     report = controller.recovery_reports[0]
     stats = controller.logging_stats()
     print(f"failure of rank {fail_rank} at t={fail_time * 1e3:.3f} ms")
     print(f"rolled back  : {report.rolled_back} "
           f"({len(report.rolled_back)}/{nprocs})")
     print(f"%log         : {100 * stats['log_fraction']:.1f}")
-    for rank in range(nprocs):
-        if not np.allclose(ref.programs[rank].result(),
-                           world.programs[rank].result()):
-            print(f"VALIDITY VIOLATION at rank {rank}")
-            return 1
+    validity = compare_executions(ref, world)
+    if not validity.valid:
+        print(f"VALIDITY VIOLATION: {validity.summary()}")
+        return 1
     print("validity     : results identical to the failure-free run")
     return 0
 
@@ -680,8 +645,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry, explain_report
 
     registry = MetricsRegistry()
-    _, _, controller, fail_rank, fail_time = _stencil_run(
-        args.ranks, args.clusters, args.fail_rank, obs=registry)
+    _, _, controller, fail_rank, fail_time = campaigns.stencil_scenario(
+        args.ranks, args.clusters, fail_rank=args.fail_rank, obs=registry)
     if not controller.recovery_reports:
         print("no recovery round to explain", file=sys.stderr)
         return 1
@@ -715,9 +680,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
     nprocs = args.ranks
     registry = MetricsRegistry(timeseries_interval=args.timeseries)
-    _, world, controller, _, _ = _stencil_run(
-        nprocs, args.clusters, args.fail_rank, obs=registry,
-        fail=not args.no_failure)
+    _, world, controller, _, _ = campaigns.stencil_scenario(
+        nprocs, args.clusters, fail_rank=args.fail_rank, obs=registry,
+        fail_frac=None if args.no_failure else 0.5)
 
     # the trace/flight streams stay JSONL when the metrics view is text
     stream_fmt = "jsonl" if args.format == "text" else args.format
@@ -765,7 +730,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos campaign; exit 0 when every trial passes all five oracles."""
     from .chaos import SYNTHETIC_BUGS, replay_trial
-    from .chaos.oracles import ORACLES
 
     if args.bug and args.bug not in SYNTHETIC_BUGS:
         print(f"unknown synthetic bug {args.bug!r} "
@@ -859,7 +823,7 @@ def _report_timeseries_rows(args: argparse.Namespace) -> list[dict]:
     from .obs import MetricsRegistry, timeseries_rows
 
     registry = MetricsRegistry(timeseries_interval=args.interval)
-    _stencil_run(args.ranks, args.clusters, obs=registry)
+    campaigns.stencil_scenario(args.ranks, args.clusters, obs=registry)
     return timeseries_rows(registry)
 
 

@@ -19,6 +19,10 @@ of the evaluation: independent periodic checkpoints with per-rank (or
 per-cluster, Section V-E-3) staggered offsets, and the random-time policy
 of Section V-E-2 that demonstrates why naive uncoordinated checkpointing
 rolls everyone back.  The baselines' local timers are the same class.
+
+:class:`StorageDevice` is the checkpoint I/O model of Section I's burst
+argument, shared by the paper's protocol and the coordinated baseline:
+concurrent writers serialise on one device.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..simmpi.runtime import World
 
 __all__ = ["ProcessImage", "restart_rank", "Checkpoint", "CheckpointStore",
-           "CheckpointSchedule"]
+           "CheckpointSchedule", "StorageDevice"]
 
 
 @dataclass
@@ -179,6 +183,26 @@ class CheckpointStore:
                 removed += 1
         self.checkpoints_collected += removed
         return removed
+
+
+class StorageDevice:
+    """Shared stable storage that serves one checkpoint write at a time."""
+
+    def __init__(self, bandwidth: float):
+        self.bandwidth = bandwidth
+        #: the next instant the device is free
+        self.free_at = 0.0
+        #: cumulative seconds spent transferring
+        self.busy_time = 0.0
+
+    def reserve(self, now: float, nbytes: int) -> float:
+        """Queue a write of ``nbytes`` issued at ``now`` behind the writes
+        already accepted; returns the instant it completes."""
+        transfer = nbytes / self.bandwidth
+        end = max(now, self.free_at) + transfer
+        self.free_at = end
+        self.busy_time += transfer
+        return end
 
 
 @dataclass

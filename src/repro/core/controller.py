@@ -39,13 +39,12 @@ from typing import Any, Callable
 
 from ..errors import ProtocolError, SimulationError
 from ..obs.flight import FlightKind
-from ..obs.registry import NULL_OBS
 from ..simmpi.failure import FailureInjector
 from ..simmpi.message import Envelope, retention_copy
 from ..simmpi.runtime import World
 from ..simmpi.process import ProtocolHook
 from .checkpoint import (Checkpoint, CheckpointSchedule, CheckpointStore,
-                         ProcessImage, restart_rank)
+                         ProcessImage, StorageDevice, restart_rank)
 from .protocol import SDProtocol, Status
 from .recovery import RecoveryProcess, RecoveryReport
 
@@ -77,7 +76,6 @@ class ProtocolConfig:
     cluster_epochs: dict[int, int] | None = None
     cluster_stagger: float = 0.0
     rank_stagger: float = 0.0
-    restart_delay: float = 0.0
     #: watchdog period for the recovery stall-breaker (virtual seconds);
     #: two consecutive ticks without progress trigger a replay flush
     stall_timeout: float = 1e-3
@@ -107,11 +105,10 @@ class ProtocolConfig:
     log_cross_epoch: bool = True
     #: checkpoint I/O model (Section I's burst argument): writing a
     #: checkpoint stalls the process for ``size / bandwidth`` seconds, and
-    #: with ``shared_storage`` concurrent writers serialise on one device —
-    #: which is what makes coordinated bursts expensive.  0 disables.
+    #: concurrent writers serialise on the one shared device — which is
+    #: what makes coordinated bursts expensive.  0 disables.
     checkpoint_size_bytes: int = 0
     storage_bandwidth: float = 1e9
-    shared_storage: bool = True
 
     def cluster(self, rank: int) -> int:
         return 0 if self.cluster_of is None else self.cluster_of[rank]
@@ -133,6 +130,7 @@ class Controller:
         self.injector: FailureInjector | None = None
         #: number of ranks rolled back by each failure recovered so far
         self.rolled_back_history: list[int] = []
+        self._draining = False
 
     def hook_for(self, rank: int) -> ProtocolHook:
         return self.hooks[rank]
@@ -161,6 +159,29 @@ class Controller:
 
     def on_failures(self, ranks: list[int]) -> None:
         raise ProtocolError(f"{type(self).__name__} implements no recovery")
+
+    def when_drained(self, then: Callable[[], None], polls: int = 0) -> None:
+        """Run ``then`` once no message is in flight and
+        :meth:`_drain_settled` agrees, polling every virtual microsecond.
+        One drain at a time; clearing ``_draining`` abandons it."""
+        assert self.world is not None
+        if polls == 0:
+            self._draining = True
+        elif not self._draining:
+            return
+        if (self.world.network.in_flight_count() == 0
+                and self._drain_settled()):
+            self._draining = False
+            then()
+            return
+        if polls >= 1_000_000:
+            raise SimulationError("network failed to drain")
+        self.world.engine.schedule(
+            1e-6, lambda: self.when_drained(then, polls + 1))
+
+    def _drain_settled(self) -> bool:
+        """Hook: with the network empty, is the drain really over?"""
+        return True
 
     def inject_failure(self, time: float, rank: int) -> None:
         assert self.injector is not None
@@ -197,11 +218,11 @@ class FTController(Controller):
         super().__init__(nprocs, config or ProtocolConfig())
         if self.config.cluster_of is not None and len(self.config.cluster_of) != nprocs:
             raise ProtocolError("cluster_of must map every rank")
-        self.obs = obs if obs is not None else NULL_OBS
-        if self.obs.enabled:
+        self.obs = obs
+        if obs is not None:
             # checkpoints fire per rank on every interval — slot-resolve the
             # per-rank series up front (rank cardinality is known here)
-            ckpt = self.obs.counter("checkpoint.stored", ("rank",))
+            ckpt = obs.counter("checkpoint.stored", ("rank",))
             self._ckpt_cells = [ckpt.slot((r,)) for r in range(nprocs)]
         self.store = CheckpointStore(nprocs)
         self.protocols: list[SDProtocol] = [SDProtocol(r, self) for r in range(nprocs)]
@@ -210,7 +231,6 @@ class FTController(Controller):
         self.recovery_rank = nprocs  # pseudo-rank on the network
         self.round = 0
         self._pending_failures: deque[list[int]] = deque()
-        self._drain_polls = 0
         self._settle_polls = 0
         self._round_in_progress = False
         self._stall_sig: tuple = ()
@@ -222,8 +242,7 @@ class FTController(Controller):
         #: a mid-round collect_garbage(defer=True) call parked here; runs
         #: once the last queued round settles
         self._gc_deferred = False
-        #: shared-storage device model: the next instant the device is free
-        self._storage_free_at = 0.0
+        self.storage = StorageDevice(self.config.storage_bandwidth)
         #: accumulated per-rank time spent writing checkpoints
         self.checkpoint_write_time: float = 0.0
         #: cumulative payload bytes reclaimed from message logs by GC —
@@ -241,8 +260,8 @@ class FTController(Controller):
         is always representable)."""
         super().bind(world)
         world.network.attach(self.recovery_rank, self.recovery.receive)
-        if self.obs.enabled:
-            ts = getattr(self.obs, "timeseries", None)
+        if self.obs is not None:
+            ts = self.obs.timeseries
             if ts is not None and ts.engine is world.engine:
                 self._register_timeseries(ts)
         for rank in range(self.nprocs):
@@ -257,7 +276,7 @@ class FTController(Controller):
         """Protocol/recovery curves for the virtual-time series recorder.
 
         Every reader is O(nprocs) per grid point (attribute sums and
-        ``len()`` over plain lists) — never a per-message walk — so the
+        ``len()`` over the state dicts) — never a per-message walk — so the
         recorder's cost scales with the sampling grid, not event count.
         """
         protocols = self.protocols
@@ -316,7 +335,7 @@ class FTController(Controller):
         proto = self.protocols[rank]
         world = self.world
         epoch = proto.state.epoch
-        if self.obs.enabled:
+        if self.obs is not None:
             self._ckpt_cells[rank].n += 1
             self.obs.event("checkpoint", rank=rank, epoch=epoch)
         if self.config.lightweight:
@@ -332,21 +351,13 @@ class FTController(Controller):
         world.tracer.on_mark("checkpoint", rank, world.engine.now, (epoch,))
 
     def checkpoint_write_stall(self) -> float:
-        """Process-visible duration of the checkpoint write (I/O model).
-
-        With shared storage the device serialises writers: the stall spans
-        the queueing delay plus this rank's own transfer."""
-        cfg = self.config
-        if not cfg.checkpoint_size_bytes:
+        """Process-visible duration of the checkpoint write (I/O model):
+        the queueing delay on the shared device plus this rank's own
+        transfer."""
+        nbytes = self.config.checkpoint_size_bytes
+        if not nbytes:
             return 0.0
-        transfer = cfg.checkpoint_size_bytes / cfg.storage_bandwidth
-        if not cfg.shared_storage:
-            self.checkpoint_write_time += transfer
-            return transfer
-        start = max(self.now, self._storage_free_at)
-        end = start + transfer
-        self._storage_free_at = end
-        stall = end - self.now
+        stall = self.storage.reserve(self.now, nbytes) - self.now
         self.checkpoint_write_time += stall
         return stall
 
@@ -379,11 +390,11 @@ class FTController(Controller):
         world = self.world
         self._round_in_progress = True
         self.round += 1
-        if self.obs.enabled:
+        if self.obs is not None:
             self.obs.counter("recovery.failures").inc(len(ranks))
             self.obs.event("failure", ranks=sorted(ranks), round=self.round)
             flight = self.obs.flight
-            if flight.enabled:
+            if flight is not None:
                 for r in sorted(ranks):
                     flight.record(r, FlightKind.FAILURE,
                                   epoch_send=self.protocols[r].state.epoch,
@@ -401,36 +412,26 @@ class FTController(Controller):
         for rank in range(self.nprocs):
             if rank not in ranks:
                 world.procs[rank].pause()
-        self._drain_polls = 0
-        self._poll_drain(ranks)
+        self.when_drained(lambda: self._begin_recovery(ranks))
 
-    def _poll_drain(self, failed: list[int]) -> None:
+    def _drain_settled(self) -> bool:
+        # With ack coalescing, batched acks are invisible to the network:
+        # force them out so the drained state satisfies the sequential
+        # invariant (every delivered message acknowledged) before SPE
+        # collection.  Flushed acks re-enter the network, so the drain is
+        # over only when a pass flushes nothing.
         assert self.world is not None
-        if self.world.network.in_flight_count() == 0:
-            # With ack coalescing, batched acks are invisible to the
-            # network: force them out so the drained state satisfies the
-            # sequential invariant (every delivered message acknowledged)
-            # before SPE collection.  Flushed acks re-enter the network, so
-            # keep polling until a pass flushes nothing.
-            flushed = sum(
-                p.flush_acks()
-                for p in self.protocols
-                if self.world.procs[p.rank].alive
-            )
-            if flushed == 0:
-                self._begin_recovery(failed)
-                return
-        self._drain_polls += 1
-        if self._drain_polls > 1_000_000:
-            raise SimulationError("network failed to drain after a failure")
-        self.world.engine.schedule(1e-6, lambda: self._poll_drain(failed))
+        return sum(
+            p.flush_acks()
+            for p in self.protocols
+            if self.world.procs[p.rank].alive
+        ) == 0
 
     def _begin_recovery(self, failed: list[int]) -> None:
         assert self.world is not None
         self.recovery.begin_round(self.round, failed, self.now)
-        delay = self.config.restart_delay
         for r in failed:
-            self.world.engine.schedule(delay, lambda rr=r: self._restart_failed(rr))
+            self.world.engine.call_soon(lambda rr=r: self._restart_failed(rr))
         self._arm_stall_watchdog()
 
     # ------------------------------------------------------------------
@@ -466,7 +467,7 @@ class FTController(Controller):
             # and let the orphan countdown resume.
             self._stall_flushed_round = round_no
             self.stall_flushes += 1
-            if self.obs.enabled:
+            if self.obs is not None:
                 self.obs.counter("recovery.stall_flushes").inc()
             for proto in self.protocols:
                 proto.flush_replays()
@@ -495,7 +496,7 @@ class FTController(Controller):
         target._reported_phase = None
         target.set_running()
         self.stall_releases += 1
-        if self.obs.enabled:
+        if self.obs is not None:
             self.obs.counter("recovery.stall_releases").inc()
         self._arm_stall_watchdog()
 
@@ -528,11 +529,11 @@ class FTController(Controller):
         proto.adopt_state(ckpt.proto.checkpoint_copy())
         proto.status = Status.ROLLED_BACK
         world.tracer.on_mark("restore", rank, world.engine.now, (ckpt.epoch,))
-        if self.obs.enabled:
+        if self.obs is not None:
             self.obs.counter("recovery.restores", ("rank",)).inc(labels=(rank,))
             self.obs.event("restore", rank=rank, epoch=ckpt.epoch,
                            was_killed=was_killed)
-            if self.obs.flight.enabled:
+            if self.obs.flight is not None:
                 self.obs.flight.record(rank, FlightKind.RESTORE,
                                        epoch_send=ckpt.epoch,
                                        extra=was_killed)
@@ -627,16 +628,9 @@ class FTController(Controller):
         removed_log_bytes = 0
         removed_obs = 0
         for proto in self.protocols:
-            kept = []
-            for lm in proto.state.logs:
-                if lm.epoch_recv >= min_epoch:
-                    kept.append(lm)
-                else:
-                    removed_logs += 1
-                    removed_log_bytes += lm.size
-            # reassign (not mutate): the state's derived log indexes are
-            # identity-guarded and rebuild on the new list
-            proto.state.logs = kept
+            count, nbytes = proto.state.drop_logs_below(min_epoch)
+            removed_logs += count
+            removed_log_bytes += nbytes
             # observation-table entries below the bound can never lift a
             # replay filter above any future recovery line (which is >= the
             # bound), so they are dead weight

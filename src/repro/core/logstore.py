@@ -84,7 +84,7 @@ class SenderChannel:
                  max_unacked: int = DEFAULT_MAX_UNACKED, obs: Any = None):
         self.eager_threshold = eager_threshold
         self.max_unacked = max_unacked
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        self.obs = obs
         if self.obs is not None:
             o = self.obs
             self._logged_counter = o.counter("logstore.messages_logged", ("epoch",))
@@ -238,7 +238,7 @@ class ReceiverChannel:
 
     def __init__(self, eager_threshold: int = DEFAULT_EAGER_THRESHOLD, obs: Any = None):
         self.eager_threshold = eager_threshold
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        self.obs = obs
         if self.obs is not None:
             recv_acks = self.obs.counter("logstore.recv_explicit_acks", ("reason",))
             self._c_ack_first_logged = recv_acks.slot(("first_logged",))

@@ -144,9 +144,8 @@ class SDProtocol(ProtocolHook):
         self.acks_sent = 0
         self.acks_piggybacked = 0
         self.ack_flushes = 0
-        obs = controller.obs
-        self.obs = obs if obs.enabled else None
-        if self.obs is not None:
+        obs = self.obs = controller.obs
+        if obs is not None:
             # slot-resolve every per-event series once; the receive/ack hot
             # paths then increment bare cells (epoch-labelled series are
             # cached lazily, keyed by epoch — small, bounded cardinality)
@@ -163,8 +162,7 @@ class SDProtocol(ProtocolHook):
             self._c_replayed = obs.counter_slot("protocol.messages_replayed")
         # flight recorder cached separately: disabled path is one identity
         # comparison even when metrics are on but the recorder is not
-        self.flight = (obs.flight
-                       if obs.enabled and obs.flight.enabled else None)
+        self.flight = obs.flight if obs is not None else None
         # pre-resolved per-rank flight sink: the send/deliver/ack hot paths
         # append record tuples in RECORD_FIELDS order straight onto the ring
         # buffer's bound C append — no recorder call per record (cold paths
@@ -642,10 +640,10 @@ class SDProtocol(ProtocolHook):
         # running maximum along its channel's date order (delaying a replay
         # is always safe; the gating only ever requires "not before").
         per_dst: dict[int, list[tuple[int, bool, Any]]] = {}
-        for lm in st.logs:
+        for lm in st.logs.values():
             if lm.dst in rl and lm.epoch_recv >= rl[lm.dst][0]:
                 per_dst.setdefault(lm.dst, []).append((lm.date, False, lm))
-        for pa in st.non_ack:
+        for pa in st.non_ack.values():
             if pa.dst in rl:
                 per_dst.setdefault(pa.dst, []).append((pa.date, True, pa))
         self.replay_logged = {}
@@ -791,7 +789,7 @@ class SDProtocol(ProtocolHook):
         filter and fix-point see current knowledge (DESIGN.md §7.2)."""
         # batched acks refer to deliveries of the branch being abandoned
         self._drop_pending_acks()
-        for lm in state.logs:
+        for lm in state.logs.values():
             observed = self._ack_obs.get(lm.dst, {}).get(lm.date, 0)
             if observed > lm.epoch_recv:
                 lm.epoch_recv = observed

@@ -28,7 +28,6 @@ from typing import Any, Callable, TYPE_CHECKING
 from ..errors import ProtocolError
 from ..lint.sanitize import sanitizer_for
 from ..obs.flight import FlightKind
-from ..obs.registry import NULL_OBS
 from ..simmpi.message import Envelope
 from .protocol import CTL
 
@@ -53,22 +52,9 @@ class RecoveryLineSolver:
     [(sender, epoch_send, epoch_recv)]`` and then propagates rollbacks
     with a worklist: when a rank's restart epoch drops, only *its* inbound
     entries are rescanned.  One solver serves many failure hypotheses over
-    the same tables (the domino analysis; Table I uses the all-failures
-    closure in ``analysis/rollback.py`` instead).
-
-    The untraced path (``on_step=None`` — live recovery without the
-    flight recorder) is *incremental*: each receiver's inbound edges are
-    sorted by ``epoch_recv`` descending once per set of tables, and a
-    per-solve cursor remembers how far down that list earlier pops
-    already consumed.  When a rank's bound drops again, only the
-    newly-exposed suffix (edges whose ``epoch_recv`` sits between the new
-    and the previous bound) is examined — every edge is touched at most
-    once per solve, so a solve costs O(affected edges), not O(all inbound
-    edges × pops).  The traced path keeps the original per-edge rescan so
-    the ``on_step`` sequence (and the RL_STEP flight records / ``repro
-    explain`` attribution built from it) stays byte-identical.  Both paths
-    reach the same least fix-point and emit the result in rank-sorted
-    order, so the returned mapping does not depend on which path ran.
+    the same tables (the domino analysis, the sanitizer's closure check;
+    Table I uses the all-failures closure in ``analysis/rollback.py``
+    instead).
     """
 
     def __init__(self, spe_tables: dict[int, SPEExport]):
@@ -80,22 +66,6 @@ class RecoveryLineSolver:
                     self.inbound.setdefault(j, []).append(
                         (k, epoch_send, epoch_recv)
                     )
-        # receiver -> parallel (senders, epoch_sends) lists plus the
-        # epoch_recv sort keys, edges ordered by epoch_recv DESCENDING.
-        # Built lazily: traced solves never touch it.
-        self._sorted_inbound: dict[
-            int, tuple[list[int], list[int], list[int]]
-        ] | None = None
-
-    def _build_sorted_inbound(self) -> None:
-        idx: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        for j, edges in self.inbound.items():
-            edges_desc = sorted(edges, key=lambda e: e[2], reverse=True)
-            ks = [e[0] for e in edges_desc]
-            ess = [e[1] for e in edges_desc]
-            ers = [e[2] for e in edges_desc]
-            idx[j] = (ks, ess, ers)
-        self._sorted_inbound = idx
 
     def solve(
         self,
@@ -106,54 +76,8 @@ class RecoveryLineSolver:
         ``on_step(k, epoch_send, j, epoch_recv, bound)`` every time rank
         ``k``'s restart epoch is lowered because receiver ``j`` (bounded at
         ``bound``) re-executes a non-logged reception — the raw material of
-        :mod:`repro.obs.explain`.  The callback never alters the result."""
-        if on_step is not None:
-            return self._solve_traced(failed_restarts, on_step)
-        return self._finish(self._solve_bounds(failed_restarts))
-
-    def _solve_bounds(self, failed_restarts: dict[int, int]) -> dict[int, int]:
-        """Incremental fix-point; returns ``rank -> restart epoch``
-        (iteration order unspecified — :meth:`_finish` sorts)."""
-        if self._sorted_inbound is None:
-            self._build_sorted_inbound()
-        rl: dict[int, int] = dict(failed_restarts)
-        work = list(failed_restarts)
-        # j -> number of inbound edges already applied in this solve; the
-        # already-applied prefix holds every edge with epoch_recv >= j's
-        # previous bound, whose epoch_send minima are folded into rl, so a
-        # re-pop only walks the new suffix down to the lowered bound.
-        cursor: dict[int, int] = {}
-        get_edges = self._sorted_inbound.get
-        while work:
-            j = work.pop()
-            edges = get_edges(j)
-            if edges is None:
-                continue
-            ks, ess, ers = edges
-            i = cursor.get(j, 0)
-            n_edges = len(ers)
-            bound = rl[j]
-            while i < n_edges and ers[i] >= bound:
-                # j re-executes the reception: k must re-send, so k
-                # restarts at or below the sending epoch.
-                k = ks[i]
-                epoch_send = ess[i]
-                cur = rl.get(k)
-                if cur is None or epoch_send < cur:
-                    rl[k] = epoch_send
-                    work.append(k)
-                i += 1
-            cursor[j] = i
-        return rl
-
-    def _solve_traced(
-        self,
-        failed_restarts: dict[int, int],
-        on_step: Callable[[int, int, int, int, int], None],
-    ) -> dict[int, tuple[int, int]]:
-        """Original worklist with full inbound rescans per pop — kept as
-        the traced path so the on_step edge sequence (flight RL_STEP
-        records, ``repro explain`` attribution) is unchanged."""
+        :mod:`repro.obs.explain` and the RL_STEP flight records.  The
+        callback never alters the result."""
         rl: dict[int, int] = dict(failed_restarts)
         work = list(failed_restarts)
         while work:
@@ -162,17 +86,18 @@ class RecoveryLineSolver:
             for k, epoch_send, epoch_recv in self.inbound.get(j, ()):
                 if epoch_recv < bound:
                     continue
+                # j re-executes the reception: k must re-send, so k
+                # restarts at or below the sending epoch
                 cur = rl.get(k)
                 if cur is None or epoch_send < cur:
                     rl[k] = epoch_send
                     work.append(k)
-                    on_step(k, epoch_send, j, epoch_recv, bound)
+                    if on_step is not None:
+                        on_step(k, epoch_send, j, epoch_recv, bound)
         return self._finish(rl)
 
     def _finish(self, rl: dict[int, int]) -> dict[int, tuple[int, int]]:
-        """Resolve restart epochs to dates, in rank-sorted order (the
-        traced and incremental paths discover ranks in different orders;
-        sorting makes the output independent of the path taken)."""
+        """Resolve restart epochs to dates, in rank-sorted order."""
         spe_tables = self.spe_tables
         out: dict[int, tuple[int, int]] = {}
         for rank in sorted(rl):
@@ -232,9 +157,8 @@ class RecoveryProcess:
 
     def __init__(self, controller: "FTController"):
         self.controller = controller
-        self.obs = getattr(controller, "obs", NULL_OBS)
-        self.flight = (self.obs.flight
-                       if self.obs.enabled and self.obs.flight.enabled else None)
+        self.obs = controller.obs
+        self.flight = self.obs.flight if self.obs is not None else None
         self.san = sanitizer_for(self.obs)
         self.nprocs = controller.nprocs
         self.active = False
@@ -268,7 +192,7 @@ class RecoveryProcess:
         self.report = RecoveryReport(round_no=round_no, failed=sorted(failed),
                                      started_at=now)
         obs = self.obs
-        if obs.enabled:
+        if obs is not None:
             obs.event("recovery.round_begin", round=round_no, failed=sorted(failed))
 
     # ------------------------------------------------------------------
@@ -410,7 +334,7 @@ class RecoveryProcess:
         self.reports.append(report)
         self.active = False
         obs = self.obs
-        if obs.enabled:
+        if obs is not None:
             obs.counter("recovery.rounds").inc()
             obs.counter("recovery.rollbacks").inc(len(report.rolled_back))
             obs.counter("recovery.phases_notified").inc(report.phases_notified)

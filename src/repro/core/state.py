@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..errors import ProtocolError
 from ..simmpi.message import retention_copy
 
 __all__ = [
@@ -101,26 +102,16 @@ class ProtocolState:
     multiple-failure argument relies on "all the information needed is
     included in the checkpoint").
 
-    Hot-path layout.  The per-delivery and per-ack paths go through row
-    caches and auxiliary indexes instead of nested dict walks:
+    ``non_ack`` and ``logs`` are insertion-ordered dicts keyed ``(dst,
+    date)`` — a sender's date names one message, so a key never repeats
+    and appending one twice raises :class:`~repro.errors.ProtocolError`.
+    Only the methods below add or remove entries; iteration order
+    (``.values()``) is append order, which replay and checkpoints rely on.
 
-    * ``record_rpp`` writes into a cached reference to the current phase's
-      RPP row (revalidated only when ``phase`` moved);
-    * ``record_spe`` keeps the last-touched epoch's :class:`EpochRecord`
-      bound (acks overwhelmingly confirm sends of one epoch at a time);
-    * ``non_ack`` and ``logs`` stay plain lists — tests, the chaos
-      harness and garbage collection mutate them directly — but carry
-      *derived* ``(dst, date)`` indexes used by the ack/replay paths.
-      Every index read first checks that the list still has the length
-      (and, for ``logs``, the identity) it had when the index was built
-      and rebuilds it otherwise, so direct external mutation can never
-      make an index lookup disagree with a fresh list scan.
-
-    All cache/index fields are excluded from comparison and repr: they are
-    derived state.  :meth:`checkpoint_copy` does not copy them — a copy
-    starts with every cache and index unset, and the guards above rebuild
-    them against the copy's own lists on first use, so a stored checkpoint
-    carries no index and a copy can never alias its source through one.
+    ``record_rpp`` / ``record_spe`` go through row caches (the current
+    phase's RPP row, the last-touched epoch's :class:`EpochRecord`); the
+    cache fields are derived state, excluded from comparison and repr and
+    left unset by :meth:`checkpoint_copy`.
     """
 
     date: int = 0
@@ -128,31 +119,18 @@ class ProtocolState:
     phase: int = 1
     spe: dict[int, EpochRecord] = field(default_factory=dict)
     rpp: dict[int, dict[int, int]] = field(default_factory=dict)
-    non_ack: list[PendingAck] = field(default_factory=list)
-    logs: list[LoggedMessage] = field(default_factory=list)
+    non_ack: dict[tuple[int, int], PendingAck] = field(default_factory=dict)
+    logs: dict[tuple[int, int], LoggedMessage] = field(default_factory=dict)
     #: per sender: date (send-seq) of the last message delivered from them —
     #: the duplicate-suppression watermark
     last_date_from: dict[int, int] = field(default_factory=dict)
     #: messages delivered (protocol-level receive count, for stats)
     delivered_count: int = 0
-    # --- derived row caches / indexes (see class docstring) -------------
+    # --- derived row caches (see class docstring) ------------------------
     _rpp_phase: int = field(default=-1, repr=False, compare=False)
     _rpp_row: dict[int, int] | None = field(default=None, repr=False, compare=False)
     _spe_epoch: int = field(default=-1, repr=False, compare=False)
     _spe_rec: EpochRecord | None = field(default=None, repr=False, compare=False)
-    #: (dst, date) -> FIFO bucket of matching non_ack entries
-    _na_index: dict[tuple[int, int], list[PendingAck]] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _na_len: int = field(default=-1, repr=False, compare=False)
-    #: (dst, date) -> first matching log entry (scan-equivalent: first wins)
-    _lg_index: dict[tuple[int, int], LoggedMessage] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _lg_len: int = field(default=-1, repr=False, compare=False)
-    _lg_list: list[LoggedMessage] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @staticmethod
     def initial(initial_epoch: int = 1) -> "ProtocolState":
@@ -204,97 +182,40 @@ class ProtocolState:
         self.spe[self.epoch] = EpochRecord(start_date=self.date)
 
     # ------------------------------------------------------------------
-    # non_ack / logs auxiliary indexes
+    # non_ack / logs
     # ------------------------------------------------------------------
-    def _na_rebuild(self) -> dict[tuple[int, int], list[PendingAck]]:
-        idx: dict[tuple[int, int], list[PendingAck]] = {}
-        for pa in self.non_ack:
-            key = (pa.dst, pa.date)
-            bucket = idx.get(key)
-            if bucket is None:
-                idx[key] = [pa]
-            else:
-                bucket.append(pa)
-        self._na_index = idx
-        self._na_len = len(self.non_ack)
-        return idx
-
     def na_append(self, pa: PendingAck) -> None:
-        """Append to ``non_ack`` keeping the ``(dst, date)`` index in step."""
-        idx = self._na_index
-        if idx is None or self._na_len != len(self.non_ack):
-            self.non_ack.append(pa)
-            self._na_rebuild()
-            return
-        self.non_ack.append(pa)
-        self._na_len += 1
         key = (pa.dst, pa.date)
-        bucket = idx.get(key)
-        if bucket is None:
-            idx[key] = [pa]
-        else:
-            bucket.append(pa)
+        if key in self.non_ack:
+            raise ProtocolError(f"NonAck already holds (dst, date) {key}")
+        self.non_ack[key] = pa
 
     def na_contains(self, dst: int, date: int) -> bool:
-        idx = self._na_index
-        if idx is None or self._na_len != len(self.non_ack):
-            idx = self._na_rebuild()
-        return (dst, date) in idx
+        return (dst, date) in self.non_ack
 
     def na_pop(self, dst: int, date: int) -> PendingAck | None:
-        """Remove and return the first ``non_ack`` entry matching
-        ``(dst, date)`` — exactly what the historical front-to-back scan
-        returned — or ``None``."""
-        idx = self._na_index
-        if idx is None or self._na_len != len(self.non_ack):
-            idx = self._na_rebuild()
-        key = (dst, date)
-        bucket = idx.get(key)
-        if bucket is None:
-            return None
-        pa = bucket.pop(0)
-        if not bucket:
-            del idx[key]
-        non_ack = self.non_ack
-        for i, x in enumerate(non_ack):
-            if x is pa:
-                non_ack.pop(i)
-                break
-        self._na_len = len(non_ack)
-        return pa
-
-    def _lg_rebuild(self) -> dict[tuple[int, int], LoggedMessage]:
-        idx: dict[tuple[int, int], LoggedMessage] = {}
-        for lm in self.logs:
-            idx.setdefault((lm.dst, lm.date), lm)
-        self._lg_index = idx
-        self._lg_len = len(self.logs)
-        self._lg_list = self.logs
-        return idx
+        """Remove and return the ``non_ack`` entry for ``(dst, date)``, or
+        ``None``."""
+        return self.non_ack.pop((dst, date), None)
 
     def lg_append(self, lm: LoggedMessage) -> None:
-        """Append to ``logs`` keeping the ``(dst, date)`` index in step."""
-        idx = self._lg_index
-        if (idx is None or self._lg_list is not self.logs
-                or self._lg_len != len(self.logs)):
-            self.logs.append(lm)
-            self._lg_rebuild()
-            return
-        self.logs.append(lm)
-        self._lg_len += 1
-        idx.setdefault((lm.dst, lm.date), lm)
+        key = (lm.dst, lm.date)
+        if key in self.logs:
+            raise ProtocolError(f"Logs already hold (dst, date) {key}")
+        self.logs[key] = lm
 
     def lg_find(self, dst: int, date: int) -> LoggedMessage | None:
-        """First log entry matching ``(dst, date)``, or ``None`` — the
-        index-backed equivalent of scanning ``logs`` front to back.  The
-        controller's garbage collector and the chaos harness rebind or
-        filter ``logs`` wholesale; the identity + length guard detects
-        both and rebuilds."""
-        idx = self._lg_index
-        if (idx is None or self._lg_list is not self.logs
-                or self._lg_len != len(self.logs)):
-            idx = self._lg_rebuild()
-        return idx.get((dst, date))
+        return self.logs.get((dst, date))
+
+    def drop_logs_below(self, min_epoch: int) -> tuple[int, int]:
+        """Garbage-collect log entries received before ``min_epoch``;
+        returns ``(entries, payload bytes)`` removed."""
+        stale = [key for key, lm in self.logs.items()
+                 if lm.epoch_recv < min_epoch]
+        nbytes = 0
+        for key in stale:
+            nbytes += self.logs.pop(key).size
+        return len(stale), nbytes
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -310,8 +231,7 @@ class ProtocolState:
         :func:`~repro.simmpi.message.retention_copy` rule — immutable
         shared, mutable copied, with one memo across the whole state so a
         payload object referenced by two records is one object in the copy
-        too.  Row caches and ``(dst, date)`` indexes are left unset (see
-        the class docstring)."""
+        too.  Row caches are left unset."""
         memo: dict[int, Any] = {}
         return ProtocolState(
             date=self.date,
@@ -322,18 +242,19 @@ class ProtocolState:
                 for e, rec in self.spe.items()
             },
             rpp={phase: dict(row) for phase, row in self.rpp.items()},
-            non_ack=[
-                PendingAck(pa.dst, pa.tag, retention_copy(pa.payload, memo),
-                           pa.size, pa.date, pa.epoch_send, pa.phase_send,
-                           pa.uid)
-                for pa in self.non_ack
-            ],
-            logs=[
-                LoggedMessage(lm.dst, lm.tag, retention_copy(lm.payload, memo),
-                              lm.size, lm.date, lm.epoch_send, lm.phase_send,
-                              lm.epoch_recv, lm.uid)
-                for lm in self.logs
-            ],
+            non_ack={
+                key: PendingAck(pa.dst, pa.tag,
+                                retention_copy(pa.payload, memo), pa.size,
+                                pa.date, pa.epoch_send, pa.phase_send, pa.uid)
+                for key, pa in self.non_ack.items()
+            },
+            logs={
+                key: LoggedMessage(lm.dst, lm.tag,
+                                   retention_copy(lm.payload, memo), lm.size,
+                                   lm.date, lm.epoch_send, lm.phase_send,
+                                   lm.epoch_recv, lm.uid)
+                for key, lm in self.logs.items()
+            },
             last_date_from=dict(self.last_date_from),
             delivered_count=self.delivered_count,
         )
@@ -354,4 +275,4 @@ class ProtocolState:
         return len(self.logs)
 
     def logged_bytes(self) -> int:
-        return sum(m.size for m in self.logs)
+        return sum(m.size for m in self.logs.values())

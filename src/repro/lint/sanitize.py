@@ -114,7 +114,7 @@ class Sanitizer:
     """Live invariant checks with per-invariant execution counts.
 
     Counts land both in ``self.checks`` (registry-free assertions) and,
-    when an enabled metrics registry is supplied, in the labelled counter
+    when a metrics registry is supplied, in the labelled counter
     ``sanitize.checks`` so CI can prove every invariant actually ran.
     """
 
@@ -124,7 +124,7 @@ class Sanitizer:
         self.checks: dict[str, int] = {}
         #: rank -> {send date -> (dst, tag, size, digest)} witness registry
         self._witness: dict[int, dict[int, tuple]] = {}
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs is not None:
             # per-invariant cardinality is the fixed INVARIANTS tuple, so
             # every series slot-resolves at construction
             counter = obs.counter("sanitize.checks", ("invariant",))

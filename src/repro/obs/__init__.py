@@ -2,10 +2,9 @@
 
 A :class:`MetricsRegistry` threads through every layer (engine, network,
 protocol, log store, controller, recovery) and collects counters, gauges,
-histograms, virtual-clock spans and a structured trace-event stream.  The
-default is the shared :data:`NULL_OBS` no-op registry, so uninstrumented
-runs pay (at most) one pointer comparison per event and the simulator's
-bit-reproducibility guarantee is untouched.
+histograms and a structured trace-event stream.  The default is
+``obs=None``, so uninstrumented runs pay (at most) one pointer comparison
+per event and the simulator's bit-reproducibility guarantee is untouched.
 
 Quick start::
 
@@ -25,9 +24,6 @@ from .registry import (
     Histogram,
     HistogramSampler,
     MetricsRegistry,
-    NullRegistry,
-    NULL_OBS,
-    Span,
     TraceRecord,
     DURATION_BUCKETS,
     DEPTH_BUCKETS,
@@ -58,8 +54,6 @@ from .flight import (
     DEFAULT_FLIGHT_CAPACITY,
     FlightKind,
     FlightRecorder,
-    NULL_FLIGHT,
-    NullFlightRecorder,
     RECORD_FIELDS,
     record_to_dict,
 )
@@ -79,9 +73,6 @@ __all__ = [
     "Histogram",
     "HistogramSampler",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_OBS",
-    "Span",
     "TraceRecord",
     "DURATION_BUCKETS",
     "DEPTH_BUCKETS",
@@ -108,8 +99,6 @@ __all__ = [
     "DEFAULT_FLIGHT_CAPACITY",
     "FlightKind",
     "FlightRecorder",
-    "NULL_FLIGHT",
-    "NullFlightRecorder",
     "RECORD_FIELDS",
     "record_to_dict",
     "ForcingEdge",

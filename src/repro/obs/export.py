@@ -152,7 +152,9 @@ def event_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
 
 def flight_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
     """Flatten the flight-record stream into export rows (global time order)."""
-    return [record_to_dict(rec) for rec in registry.flight.records()]
+    flight = registry.flight
+    return ([record_to_dict(rec) for rec in flight.records()]
+            if flight is not None else [])
 
 
 def to_jsonl(rows: list[dict[str, Any]]) -> str:

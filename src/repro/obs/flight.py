@@ -16,9 +16,10 @@ explainer (:mod:`repro.obs.explain`) and the Perfetto exporter
 through :meth:`FlightRecorder.snapshot` / :meth:`FlightRecorder.merge`
 (used by the sweep executor to ship worker buffers to the parent).
 
-Zero-cost-when-disabled contract: components cache
-``obs.flight if obs.enabled and obs.flight.enabled else None`` at
-construction, so the disabled path is one identity comparison.  Records
+Zero-cost-when-disabled contract: a registry built with
+``flight_capacity=0`` has ``flight is None``; components cache
+``obs.flight if obs is not None else None`` at construction, so the
+disabled path is one identity comparison.  Records
 are plain tuples.  Components that record for one fixed rank resolve a
 :meth:`FlightRecorder.sink` handle once at construction and append
 directly onto the ring buffer's bound C ``append`` (one timestamp
@@ -32,13 +33,11 @@ does the bounding; see ``benchmarks/test_simulator_throughput.py``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 __all__ = [
     "FlightKind",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
     "RECORD_FIELDS",
     "record_to_dict",
     "DEFAULT_FLIGHT_CAPACITY",
@@ -89,19 +88,6 @@ class _ZeroTime:
 _ZERO_TIME = _ZeroTime()
 
 
-class _ClockTime:
-    """Adapter presenting a ``clock()`` callable as a ``.now`` attribute."""
-
-    __slots__ = ("_clock",)
-
-    def __init__(self, clock: Callable[[], float]):
-        self._clock = clock
-
-    @property
-    def now(self) -> float:
-        return self._clock()
-
-
 class _RankSink:
     """Hot-path append handle for one rank's ring buffer.
 
@@ -129,32 +115,20 @@ class _RankSink:
 class FlightRecorder:
     """Per-rank bounded record streams with drop accounting."""
 
-    enabled = True
-
     __slots__ = ("capacity", "_buffers", "_sinks", "_carried", "_time_src")
 
-    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY,
-                 clock: Callable[[], float] | None = None):
+    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY):
         self.capacity = capacity
         self._buffers: dict[int, deque[tuple]] = {}
         self._sinks: dict[int, _RankSink] = {}
         #: drops carried in from merged snapshots (per rank)
         self._carried: dict[int, int] = {}
-        self._time_src: Any = _ClockTime(clock) if clock is not None else _ZERO_TIME
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self._rebind(_ClockTime(clock))
+        self._time_src: Any = _ZERO_TIME
 
     def bind_time_source(self, src: Any) -> None:
-        """Bind an object exposing a ``.now`` attribute (the engine).
-
-        Recording then timestamps with one attribute load instead of a
-        Python-level clock call; the latest binding wins over
-        :meth:`bind_clock`.
-        """
-        self._rebind(src)
-
-    def _rebind(self, src: Any) -> None:
+        """Bind an object exposing a ``.now`` attribute (the engine):
+        recording timestamps with one attribute load.  The latest binding
+        wins."""
         self._time_src = src
         for sink in self._sinks.values():
             sink.time = src
@@ -265,45 +239,3 @@ def record_to_dict(rec: tuple) -> dict[str, Any]:
     if d.get("extra") is None:
         del d["extra"]
     return d
-
-
-class NullFlightRecorder:
-    """Disabled recorder: same surface, every operation inert.
-
-    Stateless by construction — ``record`` discards, readers return fresh
-    empty values — so the shared :data:`NULL_FLIGHT` instance can never
-    leak state between two worlds (unlike a shared mutable buffer).
-    """
-
-    enabled = False
-    capacity = 0
-
-    __slots__ = ()
-
-    def bind_clock(self, clock: Callable[[], float]) -> None: ...
-    def bind_time_source(self, src: Any) -> None: ...
-    def sink(self, rank: int) -> Any:
-        # a fresh zero-capacity sink: appends discard, nothing is retained
-        return _RankSink(deque(maxlen=0), _ZERO_TIME)
-    def record(self, *a: Any, **k: Any) -> None: ...
-    def records(self, rank: int | None = None,
-                kind: str | None = None) -> Iterator[tuple]:
-        return iter(())
-    def ranks(self) -> list[int]:
-        return []
-    @property
-    def total_records(self) -> int:
-        return 0
-    @property
-    def total_dropped(self) -> int:
-        return 0
-    @property
-    def dropped(self) -> dict[int, int]:
-        return {}
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-    def merge(self, snap: dict[str, Any]) -> None: ...
-
-
-#: process-wide disabled recorder (safe to share — it holds no state)
-NULL_FLIGHT = NullFlightRecorder()

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms and virtual-clock spans.
+"""Metrics registry: counters, gauges, histograms and a trace stream.
 
 The observability subsystem gives every layer of the stack a shared place
 to record *attributable* measurements — events dispatched per callback
@@ -6,16 +6,12 @@ class, bytes per channel, messages logged per epoch, recovery-round
 durations — without coupling the layers to any output format.  Exporters
 (:mod:`repro.obs.export`) turn a registry into JSON-lines or CSV.
 
-Two registry implementations share one interface:
-
-* :class:`MetricsRegistry` — the real thing.  All timestamps come from the
-  *virtual* clock (bound via :meth:`MetricsRegistry.bind_clock`), never
-  from wall time, so an instrumented run stays bit-reproducible.
-* :class:`NullRegistry` — the default.  Every instrument it hands out is a
-  shared no-op, and its ``enabled`` flag is ``False`` so hot-path code can
-  skip instrumentation entirely (the engine and network cache ``None``
-  instead of a disabled registry; the per-event cost of "disabled" is a
-  single identity comparison).
+All timestamps of a :class:`MetricsRegistry` come from the *virtual* clock
+(bound via :meth:`MetricsRegistry.bind_time_source`), never from wall
+time, so an instrumented run stays bit-reproducible.  "Observability off"
+is ``None``: every component takes ``obs=None`` by default and guards its
+instrumentation with one identity comparison — there is no disabled
+registry object.
 
 Instruments are created lazily and idempotently by name; asking twice for
 the same name returns the same object, asking for the same name with a
@@ -32,8 +28,8 @@ instruments **once at construction**:
   ``cell.n += amount``: an attribute load, an add, a store.  Label arity
   is validated at slot-resolution time, so a mislabeled call site fails
   at registration, not by silently creating a phantom series.
-* Histograms and spans support **1-in-N sampling**
-  (``MetricsRegistry(hist_sample=N, span_sample=N)`` or an explicit
+* Histograms support **1-in-N sampling**
+  (``MetricsRegistry(hist_sample=N)`` or an explicit
   interval via :meth:`MetricsRegistry.sampled_histogram`): a deterministic
   stride countdown records every Nth observation, so sampled output is
   still bit-reproducible and merge-stable across worker counts.
@@ -50,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..errors import SimulationError
-from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder, NULL_FLIGHT
+from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from .timeseries import DEFAULT_TIMESERIES_CAPACITY, TimeSeriesRecorder
 
 __all__ = [
@@ -59,11 +55,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramSampler",
-    "Span",
     "TraceRecord",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_OBS",
     "DURATION_BUCKETS",
     "DEPTH_BUCKETS",
     "SIZE_BUCKETS",
@@ -240,76 +233,36 @@ class TraceRecord:
     fields: dict[str, Any] = field(default_factory=dict)
 
 
-class Span:
-    """Context manager timing a region against the virtual clock.
-
-    The duration lands in the histogram ``<name>.duration_s`` (resolved
-    once, at span creation) and, when the registry keeps a trace stream,
-    a ``span`` trace record is emitted with the start time, duration and
-    any extra fields.
-    """
-
-    __slots__ = ("_registry", "_hist", "name", "fields", "_t0")
-
-    def __init__(self, registry: "MetricsRegistry", name: str, fields: dict[str, Any]):
-        self._registry = registry
-        self._hist = registry.histogram(f"{name}.duration_s")
-        self.name = name
-        self.fields = fields
-        self._t0 = 0.0
-
-    def __enter__(self) -> "Span":
-        self._t0 = self._registry.now()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        end = self._registry.now()
-        duration = end - self._t0
-        self._hist.observe(duration)
-        self._registry.event(
-            "span", name=self.name, start=self._t0, duration=duration, **self.fields
-        )
-
-
 class MetricsRegistry:
     """Names → instruments, the bounded trace-event stream, and the
-    protocol flight recorder (``flight_capacity=0`` disables the latter —
-    instrumented components then cache ``None`` for it, same contract as
-    a disabled registry).
+    protocol flight recorder (``flight_capacity=0``: ``flight`` is
+    ``None``).
 
-    ``hist_sample`` / ``span_sample`` set the default 1-in-N sampling
-    interval that instrumented components apply to their *per-event*
-    histograms (engine queue depth, network size/depth/transit, logged
-    sizes) and to spans.  ``hist_sample`` defaults to 8 — that is what
-    keeps fully-enabled collection within the ≤1.25× budget; pass
-    ``hist_sample=1`` to record every observation.  ``span_sample``
-    defaults to 1 (every span).  Counters, gauge values and cold-path
-    histograms (e.g. recovery round durations) are always exact
-    regardless of the knobs.
+    ``hist_sample`` sets the default 1-in-N sampling interval that
+    instrumented components apply to their *per-event* histograms (engine
+    queue depth, network size/depth/transit, logged sizes).  It defaults
+    to 8 — that is what keeps fully-enabled collection within the ≤1.25×
+    budget; pass ``hist_sample=1`` to record every observation.  Counters,
+    gauge values and cold-path histograms (e.g. recovery round durations)
+    are always exact regardless of the knob.
     """
 
-    enabled = True
-
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 trace_capacity: int = 100_000,
+    def __init__(self, trace_capacity: int = 100_000,
                  flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
                  hist_sample: int = 8,
-                 span_sample: int = 1,
                  timeseries_interval: float | None = None,
                  timeseries_capacity: int | None = DEFAULT_TIMESERIES_CAPACITY):
-        if hist_sample < 1 or span_sample < 1:
+        if hist_sample < 1:
             raise SimulationError("sample intervals must be >= 1")
-        self._clock = clock
+        #: object exposing ``.now`` (the engine); None until one is bound
+        self._time_src: Any = None
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self.events: deque[TraceRecord] = deque(maxlen=trace_capacity)
         self.events_dropped = 0
         self._trace_capacity = trace_capacity
         self.hist_sample = hist_sample
-        self.span_sample = span_sample
-        self._span_countdown = 1
         self.flight = (
-            FlightRecorder(flight_capacity, clock)
-            if flight_capacity > 0 else NULL_FLIGHT
+            FlightRecorder(flight_capacity) if flight_capacity > 0 else None
         )
         # virtual-time metric series: None (the default) keeps the engine
         # dispatch loop on the recorder-free path entirely
@@ -321,22 +274,15 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the virtual-clock source (typically ``lambda: engine.now``)."""
-        self._clock = clock
-        self.flight.bind_clock(clock)
-
     def bind_time_source(self, src: Any) -> None:
-        """Attach an object exposing ``.now`` (the engine) as the clock.
-
-        Equivalent to ``bind_clock(lambda: src.now)`` for trace events and
-        spans, but lets the flight recorder timestamp with one attribute
-        load instead of a Python-level call per record."""
-        self._clock = lambda: src.now
-        self.flight.bind_time_source(src)
+        """Attach an object exposing ``.now`` (the engine) as the virtual
+        clock of trace events and flight records."""
+        self._time_src = src
+        if self.flight is not None:
+            self.flight.bind_time_source(src)
 
     def now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
+        return self._time_src.now if self._time_src is not None else 0.0
 
     # ------------------------------------------------------------------
     # Instrument factories (idempotent by name)
@@ -387,15 +333,6 @@ class MetricsRegistry:
         h = self.histogram(name, bounds)
         n = self.hist_sample if interval is None else interval
         return h if n <= 1 else HistogramSampler(h, n)
-
-    def span(self, name: str, **fields: Any) -> Any:
-        if self.span_sample > 1:
-            cd = self._span_countdown - 1
-            if cd:
-                self._span_countdown = cd
-                return _NULL_INSTRUMENT
-            self._span_countdown = self.span_sample
-        return Span(self, name, fields)
 
     # ------------------------------------------------------------------
     # Trace stream
@@ -453,7 +390,8 @@ class MetricsRegistry:
             "instruments": instruments,
             "events": [(r.time, r.kind, dict(r.fields)) for r in self.events],
             "events_dropped": self.events_dropped,
-            "flight": self.flight.snapshot() if self.flight.enabled else None,
+            "flight": (self.flight.snapshot()
+                       if self.flight is not None else None),
             "timeseries": (
                 self.timeseries.snapshot()
                 if self.timeseries is not None else None
@@ -514,7 +452,7 @@ class MetricsRegistry:
             events.append(TraceRecord(time, kind, fields))
         self.events_dropped += snap.get("events_dropped", 0)
         flight_snap = snap.get("flight")
-        if flight_snap and self.flight.enabled:
+        if flight_snap and self.flight is not None:
             self.flight.merge(flight_snap)
         ts_snap = snap.get("timeseries")
         if ts_snap:
@@ -526,81 +464,3 @@ class MetricsRegistry:
                     ts_snap["interval"], capacity=None
                 )
             self.timeseries.merge(ts_snap)
-
-
-class _NullInstrument:
-    """Absorbs every instrument method as a no-op.
-
-    ``n`` exists (and stays 0.0) so code that resolved a slot from a
-    disabled registry and does ``cell.n += x`` still works; the shared
-    instance is handed out everywhere, so the write is a dead store, not
-    shared state anyone reads back.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0.0
-
-    def inc(self, *a: Any, **k: Any) -> None: ...
-    def dec(self, *a: Any, **k: Any) -> None: ...
-    def set(self, *a: Any, **k: Any) -> None: ...
-    def observe(self, *a: Any, **k: Any) -> None: ...
-    def slot(self, labels: tuple = ()) -> "_NullInstrument":
-        return self
-    def __enter__(self) -> "_NullInstrument":
-        return self
-    def __exit__(self, *exc: Any) -> None: ...
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Disabled registry: same interface, every operation a no-op.
-
-    ``events`` is an immutable empty sentinel (not a shared mutable deque):
-    nothing can be appended through any code path, so two NullRegistries
-    can never observe each other's state.  Every instrument factory hands
-    out the one shared :class:`_NullInstrument`, so a hot loop that keeps
-    a resolved instrument pays one attribute load and a no-op call.
-    """
-
-    enabled = False
-    events: tuple = ()
-    events_dropped = 0
-    flight = NULL_FLIGHT
-    hist_sample = 1
-    span_sample = 1
-    timeseries = None
-
-    def bind_clock(self, clock: Callable[[], float]) -> None: ...
-    def bind_time_source(self, src: Any) -> None: ...
-    def now(self) -> float:
-        return 0.0
-    def counter(self, name: str, label_names: tuple[str, ...] = ()) -> Any:
-        return _NULL_INSTRUMENT
-    def counter_slot(self, name: str, label_names: tuple[str, ...] = (),
-                     labels: tuple = ()) -> Any:
-        return _NULL_INSTRUMENT
-    def gauge(self, name: str) -> Any:
-        return _NULL_INSTRUMENT
-    def histogram(self, name: str, bounds: tuple[float, ...] = ()) -> Any:
-        return _NULL_INSTRUMENT
-    def sampled_histogram(self, name: str, bounds: tuple[float, ...] = (),
-                          interval: int | None = None) -> Any:
-        return _NULL_INSTRUMENT
-    def span(self, name: str, **fields: Any) -> Any:
-        return _NULL_INSTRUMENT
-    def event(self, kind: str, **fields: Any) -> None: ...
-    def instruments(self) -> Iterator[Any]:
-        return iter(())
-    def get_counter_total(self, name: str) -> float:
-        return 0.0
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-    def merge(self, snap: dict[str, Any]) -> None: ...
-
-
-#: process-wide disabled registry, shared by every uninstrumented component
-NULL_OBS = NullRegistry()

@@ -477,7 +477,6 @@ def _chaos_section(doc: dict[str, Any]) -> str:
 _BENCH_TILES: tuple[tuple[str, str], ...] = (
     ("engine_events_per_s", "engine events / s"),
     ("speedup_vs_seed_protocol", "speedup vs seed"),
-    ("instrumentation_null_factor", "null-obs factor"),
     ("instrumentation_overhead_factor", "full-obs factor"),
     ("flight_overhead_factor", "flight factor"),
     ("timeseries_overhead_factor", "recorder factor"),

@@ -80,7 +80,7 @@ def run_campaign_job(
 
     obs_export = dump_metrics(run.registry, "jsonl")
     steals = leases = 0
-    if service_obs is not None and getattr(service_obs, "enabled", False):
+    if service_obs is not None:
         steals = int(service_obs.counter("service.steals").get())
         leases = int(service_obs.counter("service.leases").get())
     results_json = json.dumps(results_doc, sort_keys=True,

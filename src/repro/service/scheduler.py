@@ -147,7 +147,7 @@ class WorkStealingScheduler:
 
         obs = self.obs
         lease_counter = steal_counter = lost_counter = None
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs is not None:
             lease_counter = obs.counter("service.leases")
             steal_counter = obs.counter("service.steals")
             lost_counter = obs.counter("service.tasks_lost")

@@ -23,8 +23,8 @@ otherwise accumulate dead entries in the middle of the heap forever).
 
 Observability: pass a :class:`repro.obs.MetricsRegistry` to count events
 dispatched per callback class and sample queue depth.  With the default
-null registry the engine caches ``None`` and the dispatch loop pays a
-single identity comparison per event.
+``obs=None`` the dispatch loop pays a single identity comparison per
+event.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class Engine:
     start_time:
         Initial value of the virtual clock, in seconds.
     obs:
-        Optional metrics registry; ``None`` (or a disabled registry)
-        leaves the dispatch loop uninstrumented.
+        Optional metrics registry; ``None`` leaves the dispatch loop
+        uninstrumented.
     """
 
     def __init__(self, start_time: float = 0.0, obs: Any = None):
@@ -105,12 +105,12 @@ class Engine:
         self._events_dispatched = 0
         self._compactions = 0
         self._running = False
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        self.obs = obs
         # REPRO_SANITIZE: None when off — the dispatch loop pays a single
         # identity comparison, mirroring the cached-instrument pattern
-        self._san = sanitizer_for(self.obs)
-        if self.obs is not None:
-            self.obs.bind_time_source(self)
+        self._san = sanitizer_for(obs)
+        if obs is not None:
+            obs.bind_time_source(self)
             # slot-resolve the instruments once: dispatch recording runs
             # per event, so it works against bare cells (callback label ->
             # CounterCell, cached below) rather than registry lookups
@@ -132,7 +132,7 @@ class Engine:
         # is first-wins, so a second world on the same registry stays out.
         self._ts = None
         if self.obs is not None:
-            ts = getattr(self.obs, "timeseries", None)
+            ts = self.obs.timeseries
             if ts is not None and ts.bind_engine(self):
                 self._ts = ts
                 ts.track_counter("engine.events_dispatched", self._disp_counter)
@@ -332,7 +332,7 @@ class Engine:
             depth_cd = self._depth_cd
         san = self._san
         # ts_next is +inf when no recorder is armed, so the recorder-off
-        # (and null-registry) path pays one float compare per event
+        # path pays one float compare per event
         ts = self._ts
         ts_next = ts.next_time if ts is not None else float("inf")
         events_dispatched = self._events_dispatched

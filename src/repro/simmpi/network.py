@@ -112,12 +112,11 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
-        self.obs = obs if (obs is not None and obs.enabled) else None
-        if self.obs is not None:
+        self.obs = obs
+        if obs is not None:
             # per-transmit/deliver instruments, slot-resolved once; channel
             # cardinality is rank-pair count, so each (src, dst) series is
             # resolved to its CounterCell pair on first use and cached
-            obs = self.obs
             self._msg_counter = obs.counter(
                 "network.channel.messages", ("src", "dst")
             )

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..errors import DeadlockError, SimulationError
-from ..obs.registry import NULL_OBS
 from .api import MpiApi
 from .engine import Engine
 from .message import CONTROL_TAG_BASE, Envelope, retention_copy
@@ -55,8 +54,8 @@ class World:
         default, counts and sequences are always kept).
     obs:
         Optional :class:`repro.obs.MetricsRegistry`; threaded into the
-        engine and network.  Defaults to the shared no-op registry, which
-        keeps the hot paths uninstrumented.
+        engine and network.  ``None`` (the default) keeps the hot paths
+        uninstrumented.
     """
 
     def __init__(
@@ -73,9 +72,9 @@ class World:
         if nprocs < 1:
             raise SimulationError("need at least one rank")
         self.nprocs = nprocs
-        self.obs = obs if obs is not None else NULL_OBS
-        self.engine = Engine(obs=self.obs)
-        self.network = Network(self.engine, timing, seed=network_seed, obs=self.obs)
+        self.obs = obs
+        self.engine = Engine(obs=obs)
+        self.network = Network(self.engine, timing, seed=network_seed, obs=obs)
         self.tracer = Tracer(nprocs, record_events=record_events)
         self.copy_payloads = copy_payloads
         self.programs = [program_factory(rank, nprocs) for rank in range(nprocs)]

@@ -320,9 +320,6 @@ def run_sweep(
     """
     tasks = list(tasks)
     seeds = [task_seed(base_seed, i, t.name) for i, t in enumerate(tasks)]
-    obs = obs if (obs is not None and getattr(obs, "enabled", False)) else None
-    acct = service_obs if (service_obs is not None
-                           and getattr(service_obs, "enabled", False)) else None
 
     def _note(result: SweepResult) -> None:
         if obs is not None:
@@ -351,8 +348,8 @@ def run_sweep(
 
     # --- cache probe: hits short-circuit, in task order ---------------
     if cache is not None:
-        cache_counter = (acct.counter("service.cache", ("outcome",))
-                         if acct is not None else None)
+        cache_counter = (service_obs.counter("service.cache", ("outcome",))
+                         if service_obs is not None else None)
         pending = []
         for i, task in enumerate(tasks):
             keys[i] = cache.key_for(fn, task.params, seeds[i],
@@ -398,9 +395,9 @@ def run_sweep(
 
         own = scheduler is None
         sched = scheduler if scheduler is not None else WorkStealingScheduler(
-            min(workers, len(pending)), obs=acct)
+            min(workers, len(pending)), obs=service_obs)
         if scheduler is not None and sched.obs is None:
-            sched.obs = acct
+            sched.obs = service_obs
         try:
             outcome = sched.run(_worker, payloads, on_result=on_result)
         finally:

@@ -4,6 +4,7 @@ pessimistic message logging, plain uncoordinated (domino), and CIC."""
 import numpy as np
 import pytest
 
+from repro.apps.base import RankProgram
 from repro.apps.stencil import Stencil1D
 from repro.baselines import (
     CICConfig,
@@ -196,3 +197,44 @@ def test_cic_indices_propagate():
     # only lags by whatever it has not heard about since its last receive
     assert max(indices) - min(indices) <= 4
     assert min(indices) > 0
+
+
+# ----------------------------------------------------------------------
+# The shared drain loop under a coordinated round
+# ----------------------------------------------------------------------
+class Straggler(RankProgram):
+    """Rank 0 sends, then reaches the boundary; rank 1 reaches its boundary
+    *before* receiving: both pause with the message still in flight."""
+
+    def __init__(self, rank, size):
+        super().__init__(rank, size)
+        self.state = {"got": []}
+
+    def run(self, api):
+        for i in range(3):
+            yield api.compute(1e-5)
+            if api.rank == 0:
+                yield api.send(1, ("m", i), tag=1, size=200_000)
+                yield api.maybe_checkpoint()
+            else:
+                yield api.maybe_checkpoint()
+                self.state["got"].append((yield api.recv(0, tag=1)))
+
+
+def test_cl_round_waits_out_a_drain_of_many_polls():
+    """The round completes only once the straggler landed (172 polls of
+    1 us); times and event count are those of the commit before the drain
+    loop moved into the base controller."""
+    world, ctl = build_world(CLController(2, CLConfig()), Straggler)
+    completed_at = []
+    complete = ctl._complete_round
+    ctl._complete_round = lambda: (completed_at.append(world.engine.now),
+                                   complete())
+    ctl.trigger_snapshot()
+    world.launch()
+    world.run()
+    assert completed_at == [0.0001812999999999996]
+    assert ctl.completed_rounds == [1]
+    assert world.engine.now == 0.00037216722689075593
+    assert world.engine.events_dispatched == 189
+    assert world.programs[1].state["got"] == [("m", 0), ("m", 1), ("m", 2)]

@@ -61,3 +61,13 @@ def test_replay_trial_matches_campaign_schedule():
     verdict = replay_trial(0, 3)
     assert verdict["schedule"] == sched.to_json()
     assert verdict["passed"]
+
+
+def test_campaign_without_a_registry_equals_one_with():
+    """``obs=None`` means a fresh registry, as behind every other door —
+    not an uninstrumented or unscored campaign."""
+    registry = MetricsRegistry()
+    given = run_campaign(12, seed=3, shrink=0, obs=registry)
+    fresh = run_campaign(12, seed=3, shrink=0, obs=None)
+    assert fresh.to_json() == given.to_json()
+    assert registry.counter("chaos.trials", ("outcome",)).total == 12

@@ -11,6 +11,7 @@ from repro.core.checkpoint import (
     CheckpointSchedule,
     CheckpointStore,
     ProcessImage,
+    StorageDevice,
     restart_rank,
 )
 from repro.core.state import ProtocolState
@@ -217,3 +218,35 @@ def test_schedule_max_checkpoints():
 def test_schedule_never():
     s = CheckpointSchedule.never()
     assert not s.due(1e12)
+
+
+# ----------------------------------------------------------------------
+# Storage device: one model under both former I/O formulas
+# ----------------------------------------------------------------------
+def test_storage_device_equals_the_coordinated_burst_formula():
+    """Five writers at one instant: the running sum ``free_at += transfer``
+    the coordinated controller used to keep (floats compared with ==)."""
+    nbytes, bandwidth, now = 50_000, 1e9, 1.2345e-4
+    device = StorageDevice(bandwidth)
+    transfer = nbytes / bandwidth
+    free_at, burst = now, 0.0
+    for _ in range(5):
+        free_at += transfer
+        burst += transfer
+        assert device.reserve(now, nbytes) == free_at
+    assert device.busy_time == burst
+
+
+def test_storage_device_equals_the_serialised_writer_formula():
+    """Staggered writers, some queueing and some finding the device idle:
+    the ``max(now, free_at) + transfer`` the paper's controller used."""
+    nbytes, bandwidth = 30_000, 1e9
+    device = StorageDevice(bandwidth)
+    storage_free_at = 0.0
+    for now in (1e-5, 1.2e-5, 3.9e-5, 9e-5, 9.00001e-5, 2e-4, 2e-4):
+        transfer = nbytes / bandwidth
+        start = max(now, storage_free_at)
+        end = start + transfer
+        storage_free_at = end
+        assert device.reserve(now, nbytes) == end
+        assert device.free_at == end

@@ -43,7 +43,7 @@ def test_retain_payloads_off_keeps_counts():
     stats = ctl.logging_stats()
     assert stats["messages_total"] > 0
     for proto in ctl.protocols:
-        for lm in proto.state.logs:
+        for lm in proto.state.logs.values():
             assert lm.payload is None
             assert lm.size > 0
 

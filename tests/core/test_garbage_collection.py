@@ -27,7 +27,7 @@ def test_gc_removes_old_checkpoints_and_logs():
     for rank in range(6):
         assert all(e >= report["min_epoch"] for e in ctl.store.epochs(rank))
     for proto in ctl.protocols:
-        assert all(lm.epoch_recv >= report["min_epoch"] for lm in proto.state.logs)
+        assert all(lm.epoch_recv >= report["min_epoch"] for lm in proto.state.logs.values())
 
 
 def test_gc_keeps_epochs_needed_for_recovery():

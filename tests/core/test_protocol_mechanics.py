@@ -78,7 +78,7 @@ def test_epoch_crossing_message_logged_at_sender():
     world.run()
     p0 = ctl.protocols[0]
     assert p0.messages_logged == 1
-    lm = p0.state.logs[0]
+    (lm,) = p0.state.logs.values()
     assert lm.epoch_send == 1 and lm.epoch_recv == 2
     assert lm.payload == "cross"
     # and the receiver's phase jumped past the message's phase (+1 rule)
@@ -97,7 +97,7 @@ def test_acks_clear_non_ack():
     world, ctl = build_ft_world(2, lambda r, s: TwoPhase(r, s))
     world.launch()
     world.run()
-    assert ctl.protocols[0].state.non_ack == []
+    assert ctl.protocols[0].state.non_ack == {}
     assert ctl.protocols[0].acks_sent == 0 or True  # rank 0 receives nothing
     assert ctl.protocols[1].acks_sent == 2
 

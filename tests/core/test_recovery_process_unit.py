@@ -17,6 +17,7 @@ class StubController:
         self.broadcasts = []
         self.completed = []
         self.now = 0.0
+        self.obs = None
 
     def broadcast_control(self, tag, payload):
         self.broadcasts.append((tag, dict(payload)))

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core.state import EpochRecord, LoggedMessage, PendingAck, ProtocolState
+from repro.errors import ProtocolError
 
 
 def test_initial_state():
     st = ProtocolState.initial()
     assert st.date == 0 and st.epoch == 1 and st.phase == 1
     assert st.spe[1].start_date == 0
-    assert st.rpp == {} and st.non_ack == [] and st.logs == []
+    assert st.rpp == {} and st.non_ack == {} and st.logs == {}
 
 
 def test_initial_state_cluster_epoch():
@@ -76,11 +77,11 @@ def test_record_spe_recreates_missing_epoch():
 
 def test_checkpoint_copy_is_deep():
     st = ProtocolState.initial()
-    st.non_ack.append(PendingAck(dst=1, tag=0, payload=[1, 2], size=8, date=1,
-                                 epoch_send=1, phase_send=1))
+    st.na_append(PendingAck(dst=1, tag=0, payload=[1, 2], size=8, date=1,
+                            epoch_send=1, phase_send=1))
     copy = st.checkpoint_copy()
-    copy.non_ack[0].payload.append(3)
-    assert st.non_ack[0].payload == [1, 2]
+    copy.non_ack[1, 1].payload.append(3)
+    assert st.non_ack[1, 1].payload == [1, 2]
 
 
 def test_spe_export_plain_data():
@@ -95,10 +96,10 @@ def test_spe_export_plain_data():
 
 def test_logged_counters():
     st = ProtocolState.initial()
-    st.logs.append(LoggedMessage(dst=1, tag=0, payload=b"abc", size=3, date=1,
-                                 epoch_send=1, phase_send=1, epoch_recv=2))
-    st.logs.append(LoggedMessage(dst=2, tag=0, payload=b"x", size=1, date=2,
-                                 epoch_send=1, phase_send=1, epoch_recv=3))
+    st.lg_append(LoggedMessage(dst=1, tag=0, payload=b"abc", size=3, date=1,
+                               epoch_send=1, phase_send=1, epoch_recv=2))
+    st.lg_append(LoggedMessage(dst=2, tag=0, payload=b"x", size=1, date=2,
+                               epoch_send=1, phase_send=1, epoch_recv=3))
     assert st.logged_message_count() == 2
     assert st.logged_bytes() == 4
 
@@ -130,32 +131,23 @@ def _random_payload(rng):
 
 def _random_state(seed):
     """A state grown through the protocol's own mutators (so the source
-    carries live row caches and indexes), then disturbed the way the GC and
-    the chaos harness disturb it: direct appends, an in-place filter of
-    ``non_ack`` and a filtered, rebound ``logs``."""
+    carries live row caches), then thinned the way acknowledgements and
+    garbage collection thin it."""
     rng = random.Random(seed)
     st = ProtocolState.initial(initial_epoch=rng.choice((1, 3)))
     shared = [np.arange(4.0), [1, [2, 3]], {"k": [4]}][seed % 3]
     for step in range(rng.randrange(2, 40)):
         dst = rng.randrange(4)
-        # dates repeat now and then: (dst, date) buckets with two entries
-        date = st.next_date() if rng.random() < 0.8 else max(st.date, 1)
+        date = st.next_date()
         pa = PendingAck(dst=dst, tag=rng.randrange(3), payload=_random_payload(rng),
                         size=8, date=date, epoch_send=st.epoch,
                         phase_send=st.phase, uid=step)
-        if rng.random() < 0.8:
-            st.na_append(pa)
-        else:
-            st.non_ack.append(pa)                     # behind the index's back
+        st.na_append(pa)
         if rng.random() < 0.5:
-            lm = LoggedMessage(dst=dst, tag=pa.tag, payload=_random_payload(rng),
-                               size=8, date=date, epoch_send=st.epoch,
-                               phase_send=st.phase, epoch_recv=st.epoch + 1,
-                               uid=step)
-            if rng.random() < 0.8:
-                st.lg_append(lm)
-            else:
-                st.logs.append(lm)
+            st.lg_append(LoggedMessage(
+                dst=dst, tag=pa.tag, payload=_random_payload(rng), size=8,
+                date=date, epoch_send=st.epoch, phase_send=st.phase,
+                epoch_recv=st.epoch + rng.randrange(1, 3), uid=step))
         if rng.random() < 0.4:
             st.record_rpp(src=rng.randrange(4), date=1000 * (step + 1))
         if rng.random() < 0.4:
@@ -171,12 +163,12 @@ def _random_state(seed):
                             phase_send=st.phase))
     st.lg_append(LoggedMessage(dst=1, tag=7, payload=shared, size=8,
                                date=st.date, epoch_send=st.epoch,
-                               phase_send=st.phase, epoch_recv=st.epoch + 1))
-    st.lg_find(0, 1)
-    st.na_contains(0, 1)                              # both indexes are live
+                               phase_send=st.phase, epoch_recv=st.epoch + 2))
     if seed % 2:
-        st.logs = [lm for lm in st.logs if lm.uid % 3 or lm.tag == 7]  # GC
-        st.non_ack[:] = [pa for pa in st.non_ack if pa.uid % 4 or pa.tag == 7]
+        st.drop_logs_below(st.epoch + 1)
+        for pa in [pa for pa in st.non_ack.values()
+                   if pa.uid % 4 == 0 and pa.tag != 7]:
+            st.na_pop(pa.dst, pa.date)
     return st
 
 
@@ -197,10 +189,10 @@ def _plain(obj):
 def _comparable(st):
     return dataclasses.replace(
         st,
-        non_ack=[dataclasses.replace(pa, payload=_plain(pa.payload))
-                 for pa in st.non_ack],
-        logs=[dataclasses.replace(lm, payload=_plain(lm.payload))
-              for lm in st.logs],
+        non_ack={key: dataclasses.replace(pa, payload=_plain(pa.payload))
+                 for key, pa in st.non_ack.items()},
+        logs={key: dataclasses.replace(lm, payload=_plain(lm.payload))
+              for key, lm in st.logs.items()},
     )
 
 
@@ -230,21 +222,19 @@ def _mutable_objects(st):
     return seen, arrays
 
 
-def _keys_to_probe(records):
-    keys = {(r.dst, r.date) for r in records}
-    return sorted(keys | {(9, 1), (0, 10 ** 9)})
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_checkpoint_copy_equals_deepcopy(seed):
     st = _random_state(seed)
     reference = copy.deepcopy(st)
     dup = st.checkpoint_copy()
     assert _comparable(dup) == _comparable(reference)
-    assert type(dup.logs) is list and type(dup.non_ack) is list
-    # no cache or index travels with a copy
+    # same records in the same order, under the same keys
+    assert list(dup.non_ack) == list(st.non_ack)
+    assert list(dup.logs) == list(st.logs)
+    assert all(key == (r.dst, r.date)
+               for part in (dup.non_ack, dup.logs) for key, r in part.items())
+    # no row cache travels with a copy
     assert dup._rpp_row is None and dup._spe_rec is None
-    assert dup._na_index is None and dup._lg_index is None
 
     # shares no mutable object (or array memory) with its source ...
     src_objs, src_arrays = _mutable_objects(st)
@@ -255,25 +245,15 @@ def test_checkpoint_copy_equals_deepcopy(seed):
     # separate stays separate) ...
     assert len(dup_objs) == len(src_objs) == len(_mutable_objects(reference)[0])
     # ... and the payload shared by a non_ack and a logs record still is
-    shared_na = [pa for pa in dup.non_ack if pa.tag == 7]
-    shared_lg = [lm for lm in dup.logs if lm.tag == 7]
+    shared_na = [pa for pa in dup.non_ack.values() if pa.tag == 7]
+    shared_lg = [lm for lm in dup.logs.values() if lm.tag == 7]
     assert len(shared_na) == len(shared_lg) == 1
     assert shared_na[0].payload is shared_lg[0].payload
 
-    # the lazily rebuilt indexes agree with a front-to-back scan
-    for dst, date in _keys_to_probe(dup.logs):
-        scan = next((lm for lm in dup.logs if (lm.dst, lm.date) == (dst, date)), None)
-        assert dup.lg_find(dst, date) is scan
-    for dst, date in _keys_to_probe(dup.non_ack):
-        scan = [pa for pa in dup.non_ack if (pa.dst, pa.date) == (dst, date)]
-        assert dup.na_contains(dst, date) == bool(scan)
-        before = list(dup.non_ack)
-        popped = dup.na_pop(dst, date)
-        assert popped is (scan[0] if scan else None)
-        if scan:
-            before.pop(next(i for i, x in enumerate(before) if x is scan[0]))
-        assert all(a is b for a, b in zip(dup.non_ack, before))
-        assert len(dup.non_ack) == len(before)
+    for dst, date in list(dup.non_ack):
+        dup.na_pop(dst, date)
+    dup.drop_logs_below(10 ** 9)
+    assert not dup.non_ack and not dup.logs
     # draining the copy never touched the source
     assert _comparable(st) == _comparable(reference)
 
@@ -297,3 +277,103 @@ def test_checkpoint_copy_row_caches_do_not_alias_the_source():
     dup.record_spe(dst=2, epoch_send=1, epoch_recv=5)
     assert st.rpp == {1: {2: 1}} and st.spe[1].recv_epoch == {2: 1}
     assert dup.rpp == {1: {2: 2}} and dup.spe[1].recv_epoch == {2: 5}
+
+
+# ----------------------------------------------------------------------
+# non_ack / logs against a plain list-scan model
+# ----------------------------------------------------------------------
+def _scan(records, dst, date):
+    return next((r for r in records if (r.dst, r.date) == (dst, date)), None)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_non_ack_and_logs_match_a_list_scan_model(seed):
+    """Random op sequences against two plain lists scanned front to back
+    — the representation the dicts replaced."""
+    rng = random.Random(seed)
+    st = ProtocolState.initial()
+    na_model: list[PendingAck] = []
+    lg_model: list[LoggedMessage] = []
+
+    def probe():
+        if rng.random() < 0.7 and (na_model or lg_model):
+            r = rng.choice(na_model + lg_model)
+            return r.dst, r.date
+        return rng.randrange(4), rng.randrange(1, st.date + 3)
+
+    for step in range(rng.randrange(20, 120)):
+        op = rng.randrange(7)
+        if op == 0:
+            pa = PendingAck(dst=rng.randrange(4), tag=0,
+                            payload=_random_payload(rng), size=rng.randrange(64),
+                            date=st.next_date(), epoch_send=st.epoch,
+                            phase_send=st.phase, uid=step)
+            st.na_append(pa)
+            na_model.append(pa)
+        elif op == 1:
+            dst, date = probe()
+            expected = _scan(na_model, dst, date)
+            assert st.na_pop(dst, date) is expected
+            na_model = [r for r in na_model if r is not expected]
+        elif op == 2:
+            dst, date = probe()
+            assert st.na_contains(dst, date) == (_scan(na_model, dst, date) is not None)
+        elif op == 3:
+            # a log entry takes over the (dst, date) of an acknowledged send
+            dst, date = rng.randrange(4), st.next_date()
+            lm = LoggedMessage(dst=dst, tag=0, payload=_random_payload(rng),
+                               size=rng.randrange(64), date=date,
+                               epoch_send=st.epoch, phase_send=st.phase,
+                               epoch_recv=st.epoch + rng.randrange(1, 4),
+                               uid=step)
+            st.lg_append(lm)
+            lg_model.append(lm)
+        elif op == 4:
+            dst, date = probe()
+            assert st.lg_find(dst, date) is _scan(lg_model, dst, date)
+        elif op == 5:
+            bound = st.epoch + rng.randrange(0, 4)
+            stale = [lm for lm in lg_model if lm.epoch_recv < bound]
+            assert st.drop_logs_below(bound) == (
+                len(stale), sum(lm.size for lm in stale))
+            lg_model = [lm for lm in lg_model if lm.epoch_recv >= bound]
+            if rng.random() < 0.5:
+                st.begin_epoch()
+        else:
+            dup = st.checkpoint_copy()
+            assert [(r.dst, r.date, r.uid) for r in dup.non_ack.values()] == [
+                (r.dst, r.date, r.uid) for r in na_model]
+            assert [(r.dst, r.date, r.uid) for r in dup.logs.values()] == [
+                (r.dst, r.date, r.uid) for r in lg_model]
+            # retention_copy: immutable payloads shared, mutable ones copied
+            for mine, theirs in zip(
+                    [*dup.non_ack.values(), *dup.logs.values()],
+                    na_model + lg_model):
+                shared = mine.payload is theirs.payload
+                assert shared == _deeply_immutable(theirs.payload)
+        # iteration order is append order, always
+        assert len(st.non_ack) == len(na_model) and len(st.logs) == len(lg_model)
+        assert all(a is b for a, b in zip(st.non_ack.values(), na_model))
+        assert all(a is b for a, b in zip(st.logs.values(), lg_model))
+
+
+def _deeply_immutable(obj):
+    if isinstance(obj, tuple):
+        return all(_deeply_immutable(x) for x in obj)
+    return obj is None or isinstance(obj, (int, float, str, bytes))
+
+
+def test_duplicate_key_append_raises():
+    st = ProtocolState.initial()
+    common = dict(dst=2, tag=0, payload=None, size=0, date=5, epoch_send=1,
+                  phase_send=1)
+    st.na_append(PendingAck(**common))
+    with pytest.raises(ProtocolError):
+        st.na_append(PendingAck(**common))
+    st.lg_append(LoggedMessage(**common, epoch_recv=2))
+    with pytest.raises(ProtocolError):
+        st.lg_append(LoggedMessage(**common, epoch_recv=3))
+    # the first entries are untouched, and a popped key may come back
+    assert st.logs[2, 5].epoch_recv == 2
+    assert st.na_pop(2, 5) is not None
+    st.na_append(PendingAck(**common))

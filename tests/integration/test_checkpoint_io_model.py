@@ -29,17 +29,15 @@ def test_write_cost_extends_runtime():
 def test_shared_storage_serialises_writers():
     kw = dict(checkpoint_interval=3e-5, rank_stagger=0.0,
               checkpoint_size_bytes=50_000, storage_bandwidth=1e9)
-    _, shared = run_failure_free(4, factory, ProtocolConfig(**kw,
-                                                            shared_storage=True))
-    _, dedicated = run_failure_free(4, factory, ProtocolConfig(
-        **kw, shared_storage=False))
-    # simultaneous checkpoint times + shared device -> queueing delay
-    assert shared.checkpoint_write_time > dedicated.checkpoint_write_time
+    _, shared = run_failure_free(4, factory, ProtocolConfig(**kw))
+    # simultaneous checkpoint times + shared device -> queueing delay on
+    # top of the transfers themselves
+    assert shared.checkpoint_write_time > shared.storage.busy_time > 0
 
 
 def test_staggering_avoids_the_queue():
     kw = dict(checkpoint_interval=3e-5, checkpoint_size_bytes=50_000,
-              storage_bandwidth=1e9, shared_storage=True)
+              storage_bandwidth=1e9)
     _, burst = run_failure_free(4, factory, ProtocolConfig(**kw,
                                                            rank_stagger=0.0))
     _, staggered = run_failure_free(4, factory, ProtocolConfig(

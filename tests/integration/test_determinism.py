@@ -189,7 +189,7 @@ def test_logged_payload_isolated_from_sender_buffer():
     world.launch()
     world.run()
     proto = ctl.protocols[0]
-    entries = [e for e in list(proto.state.non_ack) + list(proto.state.logs)
+    entries = [e for e in [*proto.state.non_ack.values(), *proto.state.logs.values()]
                if e.payload is not None]
     assert entries, "workload produced no logged/in-flight entries"
     # mutate every application-side buffer after the fact

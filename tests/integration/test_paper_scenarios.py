@@ -83,7 +83,7 @@ def test_fig1_orphan_receiver_not_rolled_back(fig1):
 def test_fig1_logged_sender_not_rolled_back(fig1):
     assert 4 not in fig1.controller.recovery_reports[0].rolled_back
     assert fig1.controller.protocols[4].messages_logged == 1
-    lm = fig1.controller.protocols[4].state.logs[0]
+    (lm,) = fig1.controller.protocols[4].state.logs.values()
     assert lm.payload == "m7" and lm.epoch_send < lm.epoch_recv
 
 
@@ -161,7 +161,7 @@ def test_fig2_recovery_preserves_reception_content():
     logged_payloads = {
         lm.payload
         for proto in ctl.protocols
-        for lm in proto.state.logs
+        for lm in proto.state.logs.values()
     }
     assert {"m0", "m2"} <= logged_payloads
     # P2 restarted alone or nearly: senders of logged messages kept running

@@ -90,16 +90,6 @@ def test_duplicates_were_suppressed(stencil1d_factory):
     assert suppressed > 0
 
 
-def test_restart_delay_is_honoured(stencil1d_factory):
-    cfg = ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=3e-6,
-                         restart_delay=5e-5)
-    ref, _ = run_failure_free(6, stencil1d_factory, cfg)
-    world, ctl = run_with_failures(6, stencil1d_factory, [(6e-5, 2)], cfg)
-    assert_valid_execution(ref, world)
-    rep = ctl.recovery_reports[0]
-    assert rep.finished_at - rep.started_at >= 5e-5
-
-
 def test_failure_after_all_ranks_finished(stencil1d_factory, default_config):
     """A failure landing after the application completed rolls the failed
     rank (and its dependents) back; they re-execute to completion again."""

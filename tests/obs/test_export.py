@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 from repro.obs import (
     MetricsRegistry,
@@ -16,7 +17,8 @@ from repro.obs import (
 
 
 def populated_registry():
-    reg = MetricsRegistry(clock=lambda: 1.5)
+    reg = MetricsRegistry()
+    reg.bind_time_source(SimpleNamespace(now=1.5))
     reg.counter("c.plain").inc(2)
     reg.counter("c.labelled", ("src", "dst")).inc(labels=(0, 1))
     reg.gauge("g").set(7)

@@ -1,6 +1,8 @@
 """Flight recorder: ring-buffer semantics, snapshot/merge, protocol wiring,
 and the zero-perturbation guarantee when disabled."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.apps.stencil import Stencil2D
@@ -9,9 +11,8 @@ from repro.obs import (
     FlightKind,
     FlightRecorder,
     MetricsRegistry,
-    NULL_FLIGHT,
-    NullFlightRecorder,
     RECORD_FIELDS,
+    dump_metrics,
     record_to_dict,
 )
 
@@ -52,10 +53,12 @@ def test_ring_buffer_drops_oldest_and_counts():
 
 def test_records_filter_by_rank_and_kind_in_time_order():
     fr = FlightRecorder(capacity=16)
-    times = iter([3.0, 1.0, 2.0])
-    fr.bind_clock(lambda: next(times))
+    clock = SimpleNamespace(now=3.0)
+    fr.bind_time_source(clock)
     fr.record(1, FlightKind.SEND, uid=10)
+    clock.now = 1.0
     fr.record(0, FlightKind.DELIVER, uid=10)
+    clock.now = 2.0
     fr.record(0, FlightKind.SEND, uid=11)
     assert [r[4] for r in fr.records(kind=FlightKind.SEND)] == [11, 10]
     assert [r[0] for r in fr.records()] == [1.0, 2.0, 3.0]  # global merge
@@ -104,17 +107,6 @@ def test_merge_accepts_string_rank_keys_and_counts_overflow():
     assert a.total_records == 2
 
 
-def test_null_flight_is_stateless():
-    n1 = NullFlightRecorder()
-    n1.record(0, FlightKind.SEND, uid=1)
-    assert list(n1.records()) == []
-    assert n1.total_records == 0 and n1.total_dropped == 0
-    assert n1.snapshot() == {}
-    assert not NULL_FLIGHT.enabled
-    NULL_FLIGHT.record(5, FlightKind.FAILURE)
-    assert NULL_FLIGHT.dropped == {}
-
-
 # ----------------------------------------------------------------------
 # Integration: protocol wiring
 # ----------------------------------------------------------------------
@@ -154,14 +146,16 @@ def test_registry_snapshot_carries_flight_and_merge_restores_it():
 
 
 def test_flight_capacity_zero_is_null_and_bit_identical():
-    # flight disabled: same simulation results as a fully uninstrumented run
-    obs = MetricsRegistry(flight_capacity=0)
-    assert obs.flight is NULL_FLIGHT
-    world, controller = build_ft_world(6, factory, config(), obs=obs)
-    controller.inject_failure(4e-5, 3)
-    controller.arm()
-    world.launch()
-    world.run()
+    # flight off is None: same simulation results as a fully
+    # uninstrumented run, same metrics as a flight-on run
+    world, controller, obs = run_instrumented(flight_capacity=0)
+    assert obs.flight is None
+    assert controller.protocols[0].flight is None
+    assert controller.recovery.flight is None
+    assert obs.snapshot()["flight"] is None
+    _, _, flight_on = run_instrumented()
+    assert flight_on.flight.total_records > 0
+    assert dump_metrics(obs, "jsonl") == dump_metrics(flight_on, "jsonl")
     ref_world, ref_controller = build_ft_world(6, factory, config())
     ref_controller.inject_failure(4e-5, 3)
     ref_controller.arm()

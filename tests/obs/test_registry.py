@@ -1,15 +1,12 @@
 """Unit tests for the metrics registry (counters, gauges, histograms,
-spans, trace stream, null registry)."""
+trace stream) and for ``None`` being what "observability off" means."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import (
-    DEPTH_BUCKETS,
-    MetricsRegistry,
-    NULL_OBS,
-    NullRegistry,
-)
+from repro.obs import DEPTH_BUCKETS, MetricsRegistry
 
 
 def test_counter_unlabelled():
@@ -79,20 +76,6 @@ def test_depth_buckets_strictly_increasing():
     assert list(DEPTH_BUCKETS) == sorted(set(DEPTH_BUCKETS))
 
 
-def test_span_uses_virtual_clock():
-    t = {"now": 1.0}
-    reg = MetricsRegistry(clock=lambda: t["now"])
-    with reg.span("phase", rank=3):
-        t["now"] = 4.0
-    h = reg.histogram("phase.duration_s")
-    assert h.count == 1
-    assert h.sum == pytest.approx(3.0)
-    spans = [r for r in reg.events if r.kind == "span"]
-    assert spans[0].fields["name"] == "phase"
-    assert spans[0].fields["rank"] == 3
-    assert spans[0].fields["duration"] == pytest.approx(3.0)
-
-
 def test_trace_stream_bounded():
     reg = MetricsRegistry(trace_capacity=3)
     for i in range(5):
@@ -102,30 +85,16 @@ def test_trace_stream_bounded():
     assert reg.events_dropped == 2
 
 
-def test_null_registry_is_inert():
-    null = NullRegistry()
-    assert not null.enabled
-    c = null.counter("anything", ("a", "b"))
-    c.inc()
-    c.inc(5, labels=("x", "y"))
-    null.gauge("g").set(3)
-    null.histogram("h").observe(1.0)
-    null.event("kind", x=1)
-    with null.span("s"):
-        pass
-    assert list(null.instruments()) == []
-    assert null.get_counter_total("anything") == 0.0
-    assert len(null.events) == 0
-    assert NULL_OBS.enabled is False
-
-
-def test_bind_clock_stamps_events():
+def test_bind_time_source_stamps_events():
     reg = MetricsRegistry()
     reg.event("before")  # no clock yet: time 0
-    reg.bind_clock(lambda: 42.0)
+    clock = SimpleNamespace(now=42.0)
+    reg.bind_time_source(clock)
     reg.event("after")
-    times = [r.time for r in reg.events]
-    assert times == [0.0, 42.0]
+    clock.now = 43.5
+    reg.flight.record(0, "send")
+    assert [r.time for r in reg.events] == [0.0, 42.0]
+    assert [rec[0] for rec in reg.flight.records()] == [43.5]
 
 
 def test_histogram_bounds_mismatch_rejected():
@@ -137,17 +106,6 @@ def test_histogram_bounds_mismatch_rejected():
         reg.histogram("h", (1.0, 10.0, 100.0))
     # same bounds (even as ints) re-register fine
     assert reg.histogram("h", (1, 10)).bounds == (1.0, 10.0)
-
-
-def test_null_registries_share_no_state():
-    a, b = NullRegistry(), NullRegistry()
-    a.event("kind", x=1)
-    assert len(a.events) == 0
-    assert len(b.events) == 0
-    # the events sentinel is immutable — nothing can leak between instances
-    assert not hasattr(a.events, "append")
-    a.flight.record(0, "send")
-    assert b.flight.total_records == 0
 
 
 def test_snapshot_merge_counters_gauges_histograms():
@@ -300,17 +258,6 @@ def test_histogram_sampling_records_every_nth():
     assert exact is reg.histogram("h2", (10.0, 100.0))
     with pytest.raises(SimulationError):
         MetricsRegistry(hist_sample=0)
-
-
-def test_span_sampling_records_every_nth():
-    t = {"now": 0.0}
-    reg = MetricsRegistry(clock=lambda: t["now"], span_sample=2)
-    for i in range(4):  # spans 1 and 3 sampled
-        with reg.span("phase"):
-            t["now"] += 1.0
-    h = reg.histogram("phase.duration_s")
-    assert h.count == 2
-    assert len([r for r in reg.events if r.kind == "span"]) == 2
 
 
 def test_merge_rejects_histogram_bounds_clash():

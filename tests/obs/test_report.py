@@ -47,7 +47,7 @@ CHAOS_DOC = {
 
 BENCH = {
     "BENCH_throughput": {"engine_events_per_s": 1.5e6,
-                         "instrumentation_null_factor": 1.01},
+                         "instrumentation_overhead_factor": 1.2},
     "BENCH_scale": {"sizes": {
         "256": {"events_per_s": 1e6, "wall_s": 1.0},
         "1024": {"events_per_s": 9e5, "wall_s": 5.0},

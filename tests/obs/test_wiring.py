@@ -144,3 +144,17 @@ def test_logstore_channels_report():
             "logstore.recv_explicit_acks"} <= names
     assert obs.get_counter_total("logstore.explicit_acks") == 1
     assert obs.get_counter_total("logstore.piggybacks_applied") == 1
+
+
+def test_off_is_none_in_every_component():
+    world, controller = build_ft_world(6, factory, config())
+    assert world.obs is None
+    assert world.engine.obs is None and world.network.obs is None
+    assert controller.obs is None
+    assert controller.recovery.obs is None and controller.recovery.flight is None
+    assert all(p.obs is None and p.flight is None for p in controller.protocols)
+    controller.inject_failure(4e-5, 3)
+    controller.arm()
+    world.launch()
+    world.run()
+    assert len(controller.recovery_reports) == 1

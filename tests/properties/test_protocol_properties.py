@@ -166,7 +166,7 @@ def test_logging_rule_iff_epoch_crossing(seed):
     world.launch()
     world.run()
     for proto in ctl.protocols:
-        for lm in proto.state.logs:
+        for lm in proto.state.logs.values():
             assert lm.epoch_send < lm.epoch_recv
         for epoch, rec in proto.state.spe.items():
             for peer, epoch_recv in rec.recv_epoch.items():

@@ -1,19 +1,20 @@
-"""Equivalence property: the worklist recovery-line solver (both its
-incremental untraced path and its traced full-rescan path) computes the
-same least fix-point as the literal Fig. 4 transcription, and the offline
-analysis' all-failures closure pass counts exactly that fix-point's ranks.
+"""Equivalence property: the worklist recovery-line solver — with and
+without an ``on_step`` callback — computes the same least fix-point as the
+literal Fig. 4 transcription, and the offline analysis' all-failures
+closure pass counts exactly that fix-point's ranks.
 
-The incremental path's correctness rests on a subtle invariant — each
-receiver's consumed edge prefix covers every edge with ``epoch_recv``
-at or above the *minimum* bound seen so far — so it is checked three ways:
+Checked three ways:
 
 * randomized SPE tables and failure sets (including multi-failure unions);
-* repeated solves on one solver instance (the per-solve cursor must reset,
-  and the once-per-instance sorted index must not be corrupted by use);
+* repeated solves on one solver instance (the shared ``inbound`` index
+  must not be corrupted by use);
 * the full protocol stack on the minimized chaos reproducer schedules
   (second failure during network drain, re-kill of a just-restored rank,
   two rounds queued back-to-back), where every live ``solve`` call is
   cross-checked against the naive reference mid-recovery.
+
+The ``on_step`` edge sequence (RL_STEP flight records, ``repro explain``)
+is pinned by one hand-built table with its expected sequence written out.
 
 The closure pass (``rollback_analysis``) is held to the same oracle: on the
 same random worlds its count for *every* rank at *every* one of its epochs
@@ -67,16 +68,15 @@ def _random_world(rng: random.Random):
 def _assert_equivalent(tables, failed):
     ref = NaiveRecoveryLineSolver(tables).solve(failed)
     solver = RecoveryLineSolver(tables)
-    fast = solver.solve(failed)
+    plain = solver.solve(failed)
     steps = []
     traced = RecoveryLineSolver(tables).solve(
         failed, on_step=lambda *a: steps.append(a)
     )
-    assert fast == ref
-    assert traced == ref
-    # the mapping's iteration order must also be path-independent (it can
-    # leak into restore scheduling)
-    assert list(fast) == list(ref) == list(traced)
+    assert plain == traced == ref
+    # the mapping's iteration order must match too (it can leak into
+    # restore scheduling)
+    assert list(plain) == list(ref) == list(traced)
     # repeating a solve on the same instance must not corrupt the index
     assert solver.solve(failed) == ref
     # every traced step lowers a bound onto an edge that exists
@@ -113,9 +113,38 @@ def test_randomized_tables_and_failures():
         _assert_closure_matches_naive(tables)
 
 
+def test_on_step_sequence_of_a_hand_built_table():
+    """The edge sequence a callback sees — every lowering, in worklist
+    (LIFO) order, several ranks lowered twice — as the traced path of the
+    commit before the two paths became one reported it."""
+    tables = {
+        0: {1: (0, {1: 1}), 2: (4, {1: 2, 3: 1}), 3: (9, {2: 3})},
+        1: {1: (0, {0: 1, 2: 2}), 2: (6, {3: 2})},
+        2: {1: (0, {}), 2: (3, {0: 3, 1: 1}), 3: (8, {3: 3})},
+        3: {1: (0, {0: 2}), 2: (5, {2: 2}), 3: (11, {1: 2})},
+    }
+    line = {0: (1, 0), 1: (1, 0), 2: (2, 3), 3: (1, 0)}
+    # steps are (sender k, epoch_send, receiver j, epoch_recv, j's bound)
+    cases = [
+        ({3: 2}, [(1, 2, 3, 2, 2), (2, 3, 3, 3, 2), (0, 3, 2, 3, 3),
+                  (2, 2, 0, 3, 3), (1, 1, 2, 2, 2), (0, 1, 1, 1, 1),
+                  (3, 1, 0, 2, 1)]),
+        ({1: 1, 2: 3}, [(0, 3, 2, 3, 3), (2, 2, 0, 3, 3), (3, 2, 2, 2, 2),
+                        (0, 1, 1, 1, 1), (3, 1, 0, 2, 1)]),
+    ]
+    for failed, expected in cases:
+        steps = []
+        solver = RecoveryLineSolver(tables)
+        assert solver.solve(failed, on_step=lambda *a: steps.append(a)) == line
+        assert steps == expected
+        assert solver.solve(failed) == line
+        _assert_equivalent(tables, failed)
+
+
 def test_repeated_solves_reuse_one_solver():
-    """The rollback analysis builds one solver per snapshot and solves per
-    failed rank: per-solve cursors must not bleed between solves."""
+    """The domino analysis and the sanitizer build one solver per set of
+    tables and solve per failed rank: solves must not bleed into each
+    other."""
     rng = random.Random(4096)
     for _ in range(40):
         tables, _ = _random_world(rng)
@@ -233,15 +262,9 @@ def test_live_recovery_solves_match_reference(monkeypatch, failures):
         out = orig(self, failed_restarts, on_step)
         ref = NaiveRecoveryLineSolver(self.spe_tables).solve(failed_restarts)
         assert out == ref and list(out) == list(ref)
-        # exercise the *other* path on the same live tables too
-        if on_step is None:
-            other = orig(
-                rec.RecoveryLineSolver(self.spe_tables),
-                failed_restarts,
-                lambda *a: None,
-            )
-        else:
-            other = orig(rec.RecoveryLineSolver(self.spe_tables), failed_restarts)
+        # with the callback when the caller had none, and the reverse
+        other = orig(rec.RecoveryLineSolver(self.spe_tables), failed_restarts,
+                     (lambda *a: None) if on_step is None else None)
         assert other == ref
         solves.append(len(failed_restarts))
         return out

@@ -169,3 +169,12 @@ def test_report_from_timeseries_dump(tmp_path, capsys):
     html = out.read_text(encoding="utf-8")
     assert html.count("<svg") >= 4
     assert "In-flight" in html
+
+
+def test_chaos_help_names_the_oracle_count(capsys):
+    from repro.chaos.oracles import ORACLES
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"{len(ORACLES)} validity oracles per trial" in help_text
