@@ -104,10 +104,11 @@ def test_gc_keeps_at_least_one_checkpoint_per_rank(gc_run, benchmark):
 @pytest.fixture(scope="module")
 def checkpoint_times():
     # uncoordinated (this paper): staggered schedule
-    world, ctl = build_ft_world(NPROCS, factory, cfg(), record_events=True)
+    world, ctl = build_ft_world(NPROCS, factory, cfg())
     world.launch()
     world.run()
-    ours = [e.time for e in world.tracer.events if e.kind == "checkpoint"]
+    ours = [time for kind, time, _, _ in world.tracer.marks
+            if kind == "checkpoint"]
 
     # coordinated baseline: everyone snapshots at the round's drain point
     cl_world, cl_ctl = build_world(

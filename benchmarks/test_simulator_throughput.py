@@ -22,7 +22,7 @@ from conftest import (emit, emit_json, format_table, median, paired_factor,
 BURST_EVENTS = 10_000
 #: batched-dispatch burst: total logical events and members per run entry.
 #: The width matches what the network's burst coalescing produces for the
-#: recovery-line control broadcast and isend fan-outs at scale.
+#: recovery-line control broadcast and SPMD-symmetric sends at scale.
 RUN_EVENTS = 200_000
 RUN_WIDTH = 32
 
@@ -201,8 +201,8 @@ def test_engine_event_dispatch_rate(benchmark):
     one callback per event) — the floor every non-coalescible event pays.
     ``engine_events_per_s`` is the batched rate: same-instant deliveries
     coalesced into run entries of ``RUN_WIDTH`` members (the 4K-rank
-    scaling headline; the Table I sweep's control broadcasts and isend
-    fan-outs ride this path).
+    scaling headline; the Table I sweep's control broadcasts and the
+    sends SPMD ranks emit at the same instant ride this path).
     """
     wall_single = timed(_engine_burst)
     wall_runs = timed(_engine_run_burst, rounds=5)

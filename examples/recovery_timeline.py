@@ -22,7 +22,6 @@ def main() -> None:
     )
     world, controller = build_ft_world(
         8, lambda r, s: Stencil2D(r, s, niters=40, block=3), config,
-        record_events=True,
     )
     controller.inject_failure(9e-5, fail_rank)
     controller.arm()

@@ -32,10 +32,6 @@ class LogStats:
         """The paper's ``%log`` column."""
         return 100.0 * self.fraction
 
-    @property
-    def byte_fraction(self) -> float:
-        return self.bytes_logged / self.bytes_total if self.bytes_total else 0.0
-
 
 def collect_log_stats(controller: FTController) -> LogStats:
     assert controller.world is not None

@@ -1,16 +1,15 @@
 """Paper-style result formatting.
 
 Shared by the benchmark harness and the examples: fixed-width tables (no
-third-party dependency), Table-I layout helpers and experiment-record
-dataclasses used by EXPERIMENTS.md regeneration.
+third-party dependency) and Table-I layout helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "Table1Cell", "format_table1", "ExperimentRecord"]
+__all__ = ["format_table", "Table1Cell", "format_table1"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
@@ -63,19 +62,3 @@ def format_table1(cells: Iterable[Table1Cell]) -> str:
                 row += [f"{cell.log_percent:.1f}", f"{cell.rollback_percent:.1f}"]
         rows.append(row)
     return format_table(headers, rows)
-
-
-@dataclass
-class ExperimentRecord:
-    """A paper-vs-measured record for one artefact (EXPERIMENTS.md rows)."""
-
-    artefact: str
-    paper_claim: str
-    measured: str
-    holds: bool
-    notes: str = ""
-    details: dict[str, Any] = field(default_factory=dict)
-
-    def as_row(self) -> list[str]:
-        return [self.artefact, self.paper_claim, self.measured,
-                "✔" if self.holds else "✘", self.notes]

@@ -107,12 +107,6 @@ class RollbackStats:
         """The paper's ``%rl`` column."""
         return 100.0 * self.mean_fraction
 
-    def worst_fraction(self) -> float:
-        return max(self.counts) / self.nprocs if self.counts else 0.0
-
-    def best_fraction(self) -> float:
-        return min(self.counts) / self.nprocs if self.counts else 0.0
-
 
 def _closure_counts(
     spe_tables: dict[int, dict],

@@ -1,9 +1,8 @@
 """ASCII timelines of executions: checkpoints, failures, restores.
 
-Renders the tracer's event stream as one lifeline per rank — the quickest
-way to *see* a recovery: where the uncoordinated checkpoints fell, which
-ranks a failure dragged back, and how far.  Requires the world to have
-been built with ``record_events=True``.
+Renders the tracer's marks as one lifeline per rank — the quickest way to
+*see* a recovery: where the uncoordinated checkpoints fell, which ranks a
+failure dragged back, and how far.
 
 Example output::
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..simmpi.trace import TraceEvent, Tracer
+from ..simmpi.trace import Tracer
 
 __all__ = ["Timeline", "render_timeline"]
 
@@ -37,18 +36,12 @@ class Timeline:
 
     @staticmethod
     def from_tracer(tracer: Tracer, duration: float) -> "Timeline":
-        if not tracer.record_events:
-            raise ConfigError(
-                "timeline needs record_events=True on the World"
-            )
         marks: dict[int, list[tuple[float, str]]] = {
             r: [] for r in range(tracer.nprocs)
         }
         symbol = {"checkpoint": "c", "failure": "X", "restore": "r"}
-        for event in tracer.events:
-            s = symbol.get(event.kind)
-            if s is not None:
-                marks[event.rank].append((event.time, s))
+        for kind, time, rank, _detail in tracer.marks:
+            marks[rank].append((time, symbol[kind]))
         return Timeline(tracer.nprocs, duration, marks)
 
     def recovery_spans(self, rank: int) -> list[tuple[float, float]]:

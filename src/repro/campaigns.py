@@ -199,9 +199,9 @@ def selftest_tasks(count: int) -> list:
 # ----------------------------------------------------------------------
 CAMPAIGN_KINDS = ("sweep", "table1", "chaos", "selftest")
 
-#: per kind, every accepted spec field (beyond "kind") and its default.
-#: The chaos row repeats the defaults of :func:`repro.chaos.run_campaign`,
-#: whose callers pass every field explicitly.
+#: per kind, every accepted spec field (beyond "kind") and its default —
+#: the only statement of either: the keyword entry points of
+#: :mod:`repro.chaos` take these fields and defer to this table.
 DEFAULTS: dict[str, dict[str, Any]] = {
     "table1": {"kernels": ("CG", "FT"), "ranks": (16,), "clusters": (4,),
                "niters": 8, "base_seed": 0, "timeseries": None},

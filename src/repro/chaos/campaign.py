@@ -22,9 +22,9 @@ from typing import Any, Callable
 from .. import campaigns
 from ..sweep import SweepResult, task_seed
 from .oracles import ORACLES
-from .schedule import generate_schedule, schedule_from_json
+from .schedule import schedule_from_json
 from .shrink import shrink_schedule
-from .trial import run_trial
+from .trial import run_trial, trial_schedule
 
 __all__ = ["CampaignReport", "run_campaign", "replay_trial",
            "schedule_for_trial", "score_trials", "shrink_failures"]
@@ -168,27 +168,23 @@ def shrink_failures(report: CampaignReport, shrink: int,
 
 def run_campaign(
     trials: int,
-    seed: int = 0,
+    *,
     workers: int = 1,
-    kernels: tuple[str, ...] | None = None,
-    max_failures: int = 4,
-    allow_no_log: bool = True,
-    bug: str = "",
-    shrink: int = 3,
-    shrink_trials: int = 200,
     obs: Any = None,
     on_progress: Callable[[SweepResult], None] | None = None,
-    check_determinism: bool = True,
-    sanitize: bool = True,
     stream: Any = None,
     cache: Any = None,
     scheduler: Any = None,
     service_obs: Any = None,
+    **fields: Any,
 ) -> CampaignReport:
     """Run a chaos campaign of ``trials`` seeded trials.
 
     The keyword form of a ``kind: chaos`` campaign spec, run by
-    :func:`repro.campaigns.run_campaign` like every other campaign.
+    :func:`repro.campaigns.run_campaign` like every other campaign:
+    ``fields`` are the spec's other fields (``seed``, ``kernels``,
+    ``shrink``, ...), listed and defaulted by the ``"chaos"`` row of
+    :data:`repro.campaigns.DEFAULTS` and nowhere else.
     ``workers <= 1`` runs inline (bit-identical to a loop); more fans out
     over a process pool with crash isolation — results and the merged
     observability registry are in task order either way.  ``shrink``
@@ -203,51 +199,36 @@ def run_campaign(
     ``(campaign_seed, index)``, so the content-addressed cache serves
     re-submitted campaigns without re-running trials.
     """
-    spec = {
-        "kind": "chaos", "trials": trials, "seed": seed, "kernels": kernels,
-        "max_failures": max_failures, "allow_no_log": allow_no_log,
-        "bug": bug, "shrink": shrink, "shrink_trials": shrink_trials,
-        "check_determinism": check_determinism, "sanitize": sanitize,
-    }
     return campaigns.run_campaign(
-        spec, workers=workers, cache=cache, scheduler=scheduler,
+        dict(kind="chaos", trials=trials, **fields),
+        workers=workers, cache=cache, scheduler=scheduler,
         service_obs=service_obs, on_progress=on_progress, stream=stream,
         obs=obs,
     ).report
 
 
-def _trial_params(campaign_seed: int, index: int, **options: Any) -> dict:
+def _trial_params(campaign_seed: int, index: int, **fields: Any) -> dict:
     """:func:`run_trial`'s input for trial ``index``, as a campaign with
-    these options plans and seeds it (it plans the trials before, too)."""
+    these spec fields plans and seeds it (it plans the trials before,
+    too)."""
     _, tasks, base_seed, _ = campaigns.plan(
-        {"kind": "chaos", "trials": index + 1, "seed": campaign_seed,
-         **options})
+        dict(kind="chaos", trials=index + 1, seed=campaign_seed, **fields))
     task = tasks[index]
     return {**task.params, "seed": task_seed(base_seed, index, task.name)}
 
 
 def replay_trial(campaign_seed: int, index: int,
-                 kernels: tuple[str, ...] | None = None,
-                 max_failures: int = 4, allow_no_log: bool = True,
-                 bug: str = "") -> dict[str, Any]:
+                 **fields: Any) -> dict[str, Any]:
     """Re-run exactly one campaign trial by (campaign seed, index).
 
     Reconstructs the schedule through the same ``task_seed`` derivation
     the campaign used, so the trial quoted in a CI report can be replayed
-    locally with nothing but the two integers.
+    locally with nothing but the two integers (and the spec ``fields``
+    the campaign set, if any).
     """
-    return run_trial(_trial_params(
-        campaign_seed, index, kernels=kernels, max_failures=max_failures,
-        allow_no_log=allow_no_log, bug=bug))
+    return run_trial(_trial_params(campaign_seed, index, **fields))
 
 
-def schedule_for_trial(campaign_seed: int, index: int,
-                       kernels: tuple[str, ...] | None = None,
-                       max_failures: int = 4,
-                       allow_no_log: bool = True,
-                       bug: str = ""):
+def schedule_for_trial(campaign_seed: int, index: int, **fields: Any):
     """The schedule campaign trial ``(campaign_seed, index)`` runs."""
-    options = dict(kernels=kernels, max_failures=max_failures,
-                   allow_no_log=allow_no_log, bug=bug)
-    return generate_schedule(
-        _trial_params(campaign_seed, index, **options)["seed"], **options)
+    return trial_schedule(_trial_params(campaign_seed, index, **fields))

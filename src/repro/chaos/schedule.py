@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
+from .. import campaigns
 from ..apps import (
     CGKernel,
     LUKernel,
@@ -253,12 +254,16 @@ def schedule_from_json(data: dict[str, Any]) -> TrialSchedule:
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
+#: the generator's options default as a chaos campaign spec's fields do
+_SPEC = campaigns.DEFAULTS["chaos"]
+
+
 def generate_schedule(
     seed: int,
-    kernels: tuple[str, ...] | None = None,
-    max_failures: int = 4,
-    allow_no_log: bool = True,
-    bug: str = "",
+    kernels: tuple[str, ...] | None = _SPEC["kernels"],
+    max_failures: int = _SPEC["max_failures"],
+    allow_no_log: bool = _SPEC["allow_no_log"],
+    bug: str = _SPEC["bug"],
 ) -> TrialSchedule:
     """Draw one trial schedule from ``seed``.
 

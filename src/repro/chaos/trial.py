@@ -44,7 +44,8 @@ from .schedule import (
     schedule_from_json,
 )
 
-__all__ = ["run_trial", "run_trial_schedule", "SYNTHETIC_BUGS"]
+__all__ = ["run_trial", "run_trial_schedule", "trial_schedule",
+           "SYNTHETIC_BUGS"]
 
 #: available synthetic protocol bugs (shrinker self-test / harness
 #: self-validation); each entry documents what the bug breaks
@@ -394,30 +395,34 @@ def _format_exc(exc: BaseException) -> str:
 # ----------------------------------------------------------------------
 # Sweep entry point
 # ----------------------------------------------------------------------
+def trial_schedule(params: dict[str, Any]) -> TrialSchedule:
+    """The schedule :func:`run_trial` executes for ``params``: an explicit
+    ``schedule`` (JSON mapping, as :meth:`TrialSchedule.to_json` produces)
+    or the one :func:`generate_schedule` draws from the sweep-injected
+    ``seed`` under the campaign's generator options."""
+    if params.get("schedule") is not None:
+        return schedule_from_json(params["schedule"])
+    return generate_schedule(
+        params["seed"],
+        kernels=params["kernels"],
+        max_failures=int(params["max_failures"]),
+        allow_no_log=bool(params["allow_no_log"]),
+        bug=str(params["bug"]),
+    )
+
+
 def run_trial(params: dict[str, Any]) -> dict[str, Any]:
     """One campaign trial (module-level so sweeps can pickle it).
 
-    ``params`` carries either an explicit ``schedule`` (JSON mapping, as
-    produced by :meth:`TrialSchedule.to_json` — used by reproducers) or
-    generator options; the sweep-injected ``seed`` drives
-    :func:`generate_schedule` so trial ``i`` is a pure function of the
-    campaign seed.
+    ``params`` is what :func:`repro.campaigns.plan` builds — every
+    generator option and oracle switch of the campaign spec, defaulted
+    there and nowhere else — plus the sweep-injected ``seed``, so trial
+    ``i`` is a pure function of the campaign seed.
     """
-    if params.get("schedule") is not None:
-        schedule = schedule_from_json(params["schedule"])
-    else:
-        kernels = params.get("kernels")
-        schedule = generate_schedule(
-            params["seed"],
-            kernels=tuple(kernels) if kernels else None,
-            max_failures=int(params.get("max_failures", 4)),
-            allow_no_log=bool(params.get("allow_no_log", True)),
-            bug=str(params.get("bug", "")),
-        )
     result = run_trial_schedule(
-        schedule,
+        trial_schedule(params),
         obs=params.get("obs"),
-        sanitize=bool(params.get("sanitize", True)),
-        check_determinism=bool(params.get("check_determinism", True)),
+        sanitize=bool(params["sanitize"]),
+        check_determinism=bool(params["check_determinism"]),
     )
     return result.to_json()

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="recovery round to explain (default: first)")
 
     obs = sub.add_parser(
-        "obs", help="run an instrumented scenario, dump metrics/trace streams"
+        "obs", help="run an instrumented scenario, dump metrics/flight streams"
     )
     obs.add_argument("--ranks", type=int, default=8)
     obs.add_argument("--clusters", type=int, default=2)
@@ -226,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--timeseries-out", default=None, metavar="PATH",
                      help="write the time-series dump (JSONL) here")
     obs.add_argument("--trace-out", default=None,
-                     help="also write the trace-event stream to this path "
-                          "(a *.trace.json name gets Perfetto/Chrome "
-                          "trace-event JSON instead)")
+                     help="also write the run as Perfetto/Chrome "
+                          "trace-event JSON to this path")
     obs.add_argument("--flight-out", default=None,
                      help="write the flight-record stream (JSONL/CSV) here")
 
@@ -668,23 +667,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_obs(args: argparse.Namespace) -> int:
     """Instrumented run covering every layer: engine dispatch, per-channel
     traffic, logging decisions, and (unless --no-failure) a full recovery
-    round — then dump the metrics snapshot and optional trace stream."""
-    from .obs import (
-        MetricsRegistry,
-        dump_events,
-        dump_flight,
-        dump_metrics,
-        dump_text,
-    )
+    round — then dump the metrics snapshot and the optional flight /
+    Perfetto / time-series streams."""
+    from .obs import MetricsRegistry, dump_flight, dump_metrics, dump_text
     from .obs.perfetto import dump_perfetto
 
-    nprocs = args.ranks
+    if args.timeseries_out and args.timeseries is None:
+        print("--timeseries-out needs --timeseries", file=sys.stderr)
+        return 2
     registry = MetricsRegistry(timeseries_interval=args.timeseries)
     _, world, controller, _, _ = campaigns.stencil_scenario(
-        nprocs, args.clusters, fail_rank=args.fail_rank, obs=registry,
+        args.ranks, args.clusters, fail_rank=args.fail_rank, obs=registry,
         fail_frac=None if args.no_failure else 0.5)
 
-    # the trace/flight streams stay JSONL when the metrics view is text
+    # the flight stream stays JSONL when the metrics view is text
     stream_fmt = "jsonl" if args.format == "text" else args.format
     if args.format == "text":
         metrics_text = dump_text(registry)
@@ -697,22 +693,14 @@ def cmd_obs(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(metrics_text)
     if args.trace_out:
-        if args.trace_out.endswith(".trace.json"):
-            n = dump_perfetto(registry, args.trace_out, nprocs=nprocs)
-            print(f"perfetto trace ({n} events) -> {args.trace_out} "
-                  f"(open in ui.perfetto.dev)")
-        else:
-            with open(args.trace_out, "w") as fh:
-                fh.write(dump_events(registry, stream_fmt))
-            print(f"trace events ({stream_fmt}) -> {args.trace_out}")
+        n = dump_perfetto(registry, args.trace_out)
+        print(f"perfetto trace ({n} events) -> {args.trace_out} "
+              f"(open in ui.perfetto.dev)")
     if args.flight_out:
         with open(args.flight_out, "w") as fh:
             fh.write(dump_flight(registry, stream_fmt))
         print(f"flight records ({stream_fmt}) -> {args.flight_out}")
     if args.timeseries_out:
-        if registry.timeseries is None:
-            print("--timeseries-out needs --timeseries", file=sys.stderr)
-            return 2
         _write_timeseries(registry, args.timeseries_out)
         print(f"timeseries -> {args.timeseries_out}")
     summary = (
@@ -720,7 +708,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
         f"messages={world.network.messages_sent} "
         f"logged={controller.logging_stats()['messages_logged']:.0f} "
         f"recovery_rounds={len(controller.recovery_reports)} "
-        f"events_dropped={registry.events_dropped} "
         f"flight_dropped={registry.flight.total_dropped}"
     )
     print(summary, file=sys.stderr)

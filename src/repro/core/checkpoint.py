@@ -84,8 +84,6 @@ def restart_rank(world: "World", rank: int, image: ProcessImage,
     comes back alive and unpaused; if it had finished it runs again.
     """
     proc = world.procs[rank]
-    if proc.done:
-        world.note_rank_restarted()
     if not killed:
         proc.reincarnate()
     elif proc.alive:

@@ -337,7 +337,6 @@ class FTController(Controller):
         epoch = proto.state.epoch
         if self.obs is not None:
             self._ckpt_cells[rank].n += 1
-            self.obs.event("checkpoint", rank=rank, epoch=epoch)
         if self.config.lightweight:
             # epoch bookkeeping already advanced (begin_epoch); analysis
             # runs never restore, so skip the expensive state capture
@@ -392,7 +391,6 @@ class FTController(Controller):
         self.round += 1
         if self.obs is not None:
             self.obs.counter("recovery.failures").inc(len(ranks))
-            self.obs.event("failure", ranks=sorted(ranks), round=self.round)
             flight = self.obs.flight
             if flight is not None:
                 for r in sorted(ranks):
@@ -401,8 +399,6 @@ class FTController(Controller):
                                   phase=self.protocols[r].state.phase,
                                   extra=self.round)
         for r in ranks:
-            if world.procs[r].done:
-                world.note_rank_restarted()
             # a dead process must not speak: cancel its armed ack-flush
             # timers and discard its batched acks with the process image
             self.protocols[r]._drop_pending_acks()
@@ -531,8 +527,6 @@ class FTController(Controller):
         world.tracer.on_mark("restore", rank, world.engine.now, (ckpt.epoch,))
         if self.obs is not None:
             self.obs.counter("recovery.restores", ("rank",)).inc(labels=(rank,))
-            self.obs.event("restore", rank=rank, epoch=ckpt.epoch,
-                           was_killed=was_killed)
             if self.obs.flight is not None:
                 self.obs.flight.record(rank, FlightKind.RESTORE,
                                        epoch_send=ckpt.epoch,

@@ -681,21 +681,8 @@ class SDProtocol(ProtocolHook):
         """Fig. 3 lines 70-74: replay this phase's logged/unacked messages
         and unblock if the status condition is met."""
         phase = payload["phase"]
-        # Emit this phase's replays in date order (per-channel FIFO of the
-        # original execution).  EVERY replay re-enters the NonAck set until
-        # its (fresh or duplicate) acknowledgement returns: a replay is an
-        # unacknowledged send, and if the next failure purges it in flight
-        # the NonAck coverage of the following round re-sends it — a log
-        # entry alone would not (its recorded reception epoch belongs to
-        # the branch that never received this copy; DESIGN.md §7.2).
-        batch: list[tuple[int, Any]] = [
-            (lm.date, lm) for lm in self.replay_logged.pop(phase, [])
-        ] + [
-            (pa.date, pa) for pa in self.replay_nonack.pop(phase, [])
-        ]
-        for _date, m in sorted(batch, key=lambda e: e[0]):
-            self._replay(m.dst, m.tag, m.payload, m.size, m.date, m.epoch_send,
-                         m.phase_send, relog=True, orig_uid=m.uid)
+        self._emit_replays(self.replay_logged.pop(phase, [])
+                           + self.replay_nonack.pop(phase, []))
         reported = self._reported_phase
         if reported is None:
             return
@@ -724,47 +711,51 @@ class SDProtocol(ProtocolHook):
         messages always precede the sender's future traffic per channel,
         and within the flush phases go out in ascending order.
         """
-        entries: list[tuple[int, Any]] = []
-        for msgs in self.replay_logged.values():
-            entries.extend((lm.date, lm) for lm in msgs)
-        for msgs in self.replay_nonack.values():
-            entries.extend((pa.date, pa) for pa in msgs)
+        msgs = [m for bucket in (self.replay_logged, self.replay_nonack)
+                for phase_msgs in bucket.values() for m in phase_msgs]
         self.replay_logged = {}
         self.replay_nonack = {}
-        # Dates are this sender's send-sequence numbers, so date order IS
-        # the original per-channel emission order.  relog=True throughout —
-        # see _on_ready_phase.
-        for _date, m in sorted(entries, key=lambda e: e[0]):
-            self._replay(m.dst, m.tag, m.payload, m.size, m.date,
-                         m.epoch_send, m.phase_send, relog=True,
-                         orig_uid=m.uid)
-        return len(entries)
+        self._emit_replays(msgs)
+        return len(msgs)
 
-    def _replay(self, dst: int, tag: int, payload: Any, size: int, date: int,
-                epoch_send: int, phase_send: int, relog: bool,
-                orig_uid: int = 0) -> None:
-        """Emit a message from the log without re-executing application code.
+    def _emit_replays(self, msgs: list[Any]) -> None:
+        """Re-emit log entries / pending acks in date order: dates are this
+        sender's send-sequence numbers, so date order IS the original
+        per-channel emission order."""
+        for m in sorted(msgs, key=lambda m: m.date):
+            self._replay(m)
+
+    def _replay(self, m: Any) -> None:
+        """Emit the logged or unacknowledged message ``m`` without
+        re-executing application code.
 
         The original metadata is carried so the receiver's duplicate
         detection and phase machinery behave exactly as for a re-executed
-        message."""
-        env = Envelope(src=self.rank, dst=dst, tag=tag, payload=payload, size=size)
-        env.meta["date"] = date
-        env.meta["epoch"] = epoch_send
-        env.meta["phase"] = phase_send
+        message.  EVERY replay re-enters the NonAck set until its (fresh or
+        duplicate) acknowledgement returns: a replay is an unacknowledged
+        send, and if the next failure purges it in flight the NonAck
+        coverage of the following round re-sends it — a log entry alone
+        would not (its recorded reception epoch belongs to the branch that
+        never received this copy; DESIGN.md §7.2)."""
+        env = Envelope(src=self.rank, dst=m.dst, tag=m.tag, payload=m.payload,
+                       size=m.size)
+        env.meta["date"] = m.date
+        env.meta["epoch"] = m.epoch_send
+        env.meta["phase"] = m.phase_send
         env.meta["replayed"] = True
         if self.san is not None:
             # log replays must re-emit the witnessed message; a payload the
             # log did not retain (retain_payloads=False) checks shape only
             self.san.send_witness(
-                self.rank, date, dst, tag, size,
-                payload_digest(payload) if payload is not None else None,
+                self.rank, m.date, m.dst, m.tag, m.size,
+                payload_digest(m.payload) if m.payload is not None else None,
             )
-        if relog and not self.state.na_contains(dst, date):
+        if not self.state.na_contains(m.dst, m.date):
             self.state.na_append(
-                PendingAck(dst=dst, tag=tag, payload=retention_copy(payload),
-                           size=size, date=date, epoch_send=epoch_send,
-                           phase_send=phase_send, uid=orig_uid)
+                PendingAck(dst=m.dst, tag=m.tag,
+                           payload=retention_copy(m.payload), size=m.size,
+                           date=m.date, epoch_send=m.epoch_send,
+                           phase_send=m.phase_send, uid=m.uid)
             )
         self.messages_replayed += 1
         if self.obs is not None:
@@ -772,10 +763,10 @@ class SDProtocol(ProtocolHook):
         if self.flight is not None:
             # uid is the fresh emission; cause_uid links back to the
             # original send this replay re-executes
-            self.flight.record(self.rank, FlightKind.REPLAY, peer=dst,
-                               uid=env.uid, epoch_send=epoch_send,
-                               phase=phase_send, cause_uid=orig_uid,
-                               extra=date)
+            self.flight.record(self.rank, FlightKind.REPLAY, peer=m.dst,
+                               uid=env.uid, epoch_send=m.epoch_send,
+                               phase=m.phase_send, cause_uid=m.uid,
+                               extra=m.date)
         self.world.transmit_app(env)
 
     # ------------------------------------------------------------------

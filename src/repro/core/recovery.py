@@ -164,7 +164,6 @@ class RecoveryProcess:
         self.active = False
         self.round = 0
         self.report: RecoveryReport | None = None
-        self.reports: list[RecoveryReport] = []
         self._reset_round_state()
 
     def _reset_round_state(self) -> None:
@@ -191,9 +190,6 @@ class RecoveryProcess:
         self._expected_failed = set(failed)
         self.report = RecoveryReport(round_no=round_no, failed=sorted(failed),
                                      started_at=now)
-        obs = self.obs
-        if obs is not None:
-            obs.event("recovery.round_begin", round=round_no, failed=sorted(failed))
 
     # ------------------------------------------------------------------
     # Inbound control messages
@@ -331,7 +327,6 @@ class RecoveryProcess:
         assert self.report is not None
         report = self.report
         report.finished_at = self.controller.now
-        self.reports.append(report)
         self.active = False
         obs = self.obs
         if obs is not None:
@@ -340,12 +335,5 @@ class RecoveryProcess:
             obs.counter("recovery.phases_notified").inc(report.phases_notified)
             obs.histogram("recovery.round_duration_s").observe(
                 report.finished_at - report.started_at
-            )
-            obs.event(
-                "recovery.round_end",
-                round=report.round_no,
-                rolled_back=list(report.rolled_back),
-                phases_notified=report.phases_notified,
-                duration=report.finished_at - report.started_at,
             )
         self.controller.on_recovery_complete(report)

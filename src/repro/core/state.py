@@ -271,8 +271,5 @@ class ProtocolState:
             e: (rec.start_date, dict(rec.recv_epoch)) for e, rec in self.spe.items()
         }
 
-    def logged_message_count(self) -> int:
-        return len(self.logs)
-
     def logged_bytes(self) -> int:
         return sum(m.size for m in self.logs.values())

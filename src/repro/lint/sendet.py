@@ -14,9 +14,8 @@ The analysis is an interprocedural AST dataflow/taint pass over
 **Taint sources** — values that can differ between two correct executions
 that deliver non-causally-related messages in different orders:
 
-* the result of ``api.recv`` / ``api.irecv`` with ``ANY_SOURCE`` (the
-  default!) and any arrival-metadata (``with_status`` results, ``.source``
-  / ``.tag`` on a status object) — kind ``order``;
+* the result of ``api.recv`` with ``ANY_SOURCE`` (the default!) — kind
+  ``order``;
 * host-dependent callables — host clocks (kind ``time``), unseeded
   randomness and OS entropy (``rng``), ``id()`` addresses (``addr``) —
   exactly as :mod:`repro.lint.sources` catalogues and import-resolves
@@ -27,9 +26,9 @@ that deliver non-causally-related messages in different orders:
   timing — kind ``time``;
 * iteration over ``set`` / ``frozenset`` (unordered) — kind ``iter``.
 
-**Sinks** — any argument of ``send`` / ``isend`` / ``sendrecv`` or a
-collective (destination, payload, tag, size), and any branch or loop
-condition that dominates a send.
+**Sinks** — any argument of ``send`` or a collective (destination,
+payload, tag, size), and any branch or loop condition that dominates a
+send.
 
 **Propagation** — through locals, arithmetic, containers, ``self.state``
 fields (flow-insensitive fixpoint, so the default deep-copy
@@ -121,14 +120,7 @@ _KIND_LABEL = {
 #: the SD family's bare-suppression pseudo-code
 BARE_NOQA_CODE = "SD100"
 
-_SEND_OPS = frozenset({"send", "isend"})
-_SENDRECV_OPS = frozenset({"sendrecv"})
-_COLLECTIVE_OPS = frozenset({
-    "bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
-    "alltoall", "scan", "reduce_scatter", "barrier",
-})
-_RECV_OPS = frozenset({"recv", "irecv"})
-_WAIT_OPS = frozenset({"wait", "waitall"})
+_COLLECTIVE_OPS = frozenset({"bcast", "reduce", "allreduce", "alltoall"})
 #: api ops with order/time-free results
 _NEUTRAL_OPS = frozenset({"compute", "checkpoint", "maybe_checkpoint"})
 
@@ -506,8 +498,7 @@ class _Analyzer:
                 return self.ctx.state_get("*")
             return self.ctx.attr_get(node.attr)
         base = self.ev(node.value)
-        # arrival metadata on an order-tainted object (status.source etc.)
-        # keeps its taint; any attribute of a tainted value is tainted
+        # any attribute of a tainted value is tainted
         return _via(base, node.lineno, f".{node.attr}")
 
     def _ev_Subscript(self, node: ast.Subscript) -> frozenset[Taint]:
@@ -692,25 +683,14 @@ class _Analyzer:
             if guard:
                 self.ctx.sink(node, guard, f"{label}", control=True)
 
-        if op in _SEND_OPS:
-            sink_args(f"api.{op}", [
+        if op == "send":
+            sink_args("api.send", [
                 ("destination", args[0] if args else kwargs.get("dst")),
                 ("payload", args[1] if len(args) > 1 else kwargs.get("payload")),
                 ("tag", args[2] if len(args) > 2 else kwargs.get("tag")),
                 ("size", args[3] if len(args) > 3 else kwargs.get("size")),
             ])
             return _EMPTY
-        if op in _SENDRECV_OPS:
-            sink_args("api.sendrecv", [
-                ("destination", args[0] if args else kwargs.get("dst")),
-                ("payload", args[1] if len(args) > 1 else kwargs.get("payload")),
-                ("tag", args[3] if len(args) > 3 else kwargs.get("tag")),
-            ])
-            src = args[2] if len(args) > 2 else kwargs.get("src")
-            if self._is_any_source(src):
-                return _source("order", line,
-                               "sendrecv(ANY_SOURCE) result")
-            return self.ev(src)
         if op in _COLLECTIVE_OPS:
             # inputs are sinks (the collective sends them); results are
             # clean by the inductive hypothesis (fixed binomial trees,
@@ -719,27 +699,13 @@ class _Analyzer:
                 ("value", a) for a in args
             ] + [(kw.arg or "value", kw.value) for kw in node.keywords])
             return _EMPTY
-        if op in _RECV_OPS:
+        if op == "recv":
             src = args[0] if args else kwargs.get("src")
-            with_status = kwargs.get("with_status")
-            taints: frozenset[Taint] = frozenset()
             if self._is_any_source(src):
-                taints |= _source("order", line,
-                                  f"{op}(ANY_SOURCE) result")
-            else:
-                # receiving from an order/taint-chosen peer taints the
-                # result with whatever chose the peer
-                taints |= _via(self.ev(src), line, f"{op}(src) result")
-            if with_status is not None and not (
-                    isinstance(with_status, ast.Constant)
-                    and with_status.value is False):
-                # arrival metadata (status.source / status.tag / arrival
-                # time) reflects the delivery interleaving
-                taints |= _source("order", line,
-                                  f"{op}(...) status (arrival metadata)")
-            return taints
-        if op in _WAIT_OPS:
-            return self._all_arg_taints(node)
+                return _source("order", line, "recv(ANY_SOURCE) result")
+            # receiving from an order/taint-chosen peer taints the
+            # result with whatever chose the peer
+            return _via(self.ev(src), line, "recv(src) result")
         if op == "now":
             return _source("time", line, "api.now() (virtual clock)")
         if op in _NEUTRAL_OPS:

@@ -2,8 +2,8 @@
 
 Predicts the virtual-time latency of each collective from the point-to-
 point model and the algorithm structure documented in
-:mod:`repro.simmpi.collectives` (binomial trees, reduce+bcast composites,
-linear pipelines, pairwise exchange).  Used to sanity-check the simulator
+:mod:`repro.simmpi.collectives` (binomial trees, the reduce+bcast
+composite, pairwise exchange).  Used to sanity-check the simulator
 (prediction vs measurement tests) and to reason about how much of the
 Fig. 7 overhead comes from latency-bound collective chains.
 """
@@ -53,20 +53,6 @@ class CollectiveCost:
         """reduce to 0 + bcast from 0 (the substrate's composite)."""
         return self.reduce(size) + self.bcast(size)
 
-    def barrier(self) -> float:
-        return self.allreduce(8)
-
-    def gather(self, size: int) -> float:
-        """Linear: the root consumes P-1 messages; with buffered senders the
-        arrivals overlap, leaving the serial FIFO hand-off at the root."""
-        if self.nprocs == 1:
-            return 0.0
-        return self.hop(size) + (self.nprocs - 2) * self.timing.sender_cpu_time(size)
-
-    def scan(self, size: int) -> float:
-        """Linear pipeline: P-1 sequential hops to reach the last rank."""
-        return (self.nprocs - 1) * self.hop(size)
-
     def alltoall(self, size: int) -> float:
         """P-1 pairwise rounds; each round costs one hop (sends overlap),
         plus the per-round sender CPU for the round's emission."""
@@ -80,9 +66,7 @@ class CollectiveCost:
             "bcast": self.bcast,
             "reduce": self.reduce,
             "allreduce": self.allreduce,
-            "scan": self.scan,
             "alltoall": self.alltoall,
-            "gather": self.gather,
         }
         if name not in table:
             raise ConfigError(f"no cost model for collective {name!r}")

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` threads through every layer (engine, network,
 protocol, log store, controller, recovery) and collects counters, gauges,
-histograms and a structured trace-event stream.  The default is
+histograms and the per-rank flight-record stream.  The default is
 ``obs=None``, so uninstrumented runs pay (at most) one pointer comparison
 per event and the simulator's bit-reproducibility guarantee is untouched.
 
@@ -24,18 +24,15 @@ from .registry import (
     Histogram,
     HistogramSampler,
     MetricsRegistry,
-    TraceRecord,
     DURATION_BUCKETS,
     DEPTH_BUCKETS,
     SIZE_BUCKETS,
 )
 from .export import (
-    dump_events,
     dump_flight,
     dump_metrics,
     dump_text,
     dump_timeseries,
-    event_rows,
     flight_rows,
     histogram_quantile,
     metric_rows,
@@ -73,16 +70,13 @@ __all__ = [
     "Histogram",
     "HistogramSampler",
     "MetricsRegistry",
-    "TraceRecord",
     "DURATION_BUCKETS",
     "DEPTH_BUCKETS",
     "SIZE_BUCKETS",
-    "dump_events",
     "dump_flight",
     "dump_metrics",
     "dump_text",
     "dump_timeseries",
-    "event_rows",
     "flight_rows",
     "histogram_quantile",
     "metric_rows",

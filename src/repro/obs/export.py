@@ -7,10 +7,11 @@ jq, a spreadsheet) can consume either:
   ``{"metric", "type", "labels", "value", ...}`` where histograms add
   ``sum/count/min/max/mean/bounds/bucket_counts`` and gauges add
   ``high_water``;
-* trace rows — one per trace record: ``{"time", "kind", **fields}``.
+* flight rows — one per flight record
+  (:func:`repro.obs.flight.record_to_dict`).
 
-CSV cells that hold lists or mappings (histogram bounds, label sets,
-event fields) are JSON-encoded in place, keeping the file loadable with
+CSV cells that hold lists or mappings (histogram bounds, label sets) are
+JSON-encoded in place, keeping the file loadable with
 any CSV reader.
 """
 
@@ -29,14 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "metric_rows",
-    "event_rows",
     "flight_rows",
     "timeseries_rows",
     "histogram_quantile",
     "to_jsonl",
     "to_csv",
     "dump_metrics",
-    "dump_events",
     "dump_flight",
     "dump_timeseries",
     "dump_text",
@@ -145,11 +144,6 @@ def metric_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
     return rows
 
 
-def event_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
-    """Flatten the trace-event stream into export rows (time order)."""
-    return [{"time": r.time, "kind": r.kind, **r.fields} for r in registry.events]
-
-
 def flight_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
     """Flatten the flight-record stream into export rows (global time order)."""
     flight = registry.flight
@@ -186,12 +180,6 @@ def to_csv(rows: list[dict[str, Any]]) -> str:
 def dump_metrics(registry: "MetricsRegistry", fmt: str = "jsonl") -> str:
     """Render the full metrics snapshot in ``fmt`` ("jsonl" or "csv")."""
     rows = metric_rows(registry)
-    return to_csv(rows) if fmt == "csv" else to_jsonl(rows)
-
-
-def dump_events(registry: "MetricsRegistry", fmt: str = "jsonl") -> str:
-    """Render the trace-event stream in ``fmt`` ("jsonl" or "csv")."""
-    rows = event_rows(registry)
     return to_csv(rows) if fmt == "csv" else to_jsonl(rows)
 
 

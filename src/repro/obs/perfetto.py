@@ -57,15 +57,15 @@ def _flight_of(source: Any):
     return flight
 
 
-def perfetto_trace(source: Any, nprocs: int | None = None) -> dict[str, Any]:
+def perfetto_trace(source: Any) -> dict[str, Any]:
     """Build the ``{"traceEvents": [...]}`` object for one run.
 
     ``source`` is a :class:`~repro.obs.registry.MetricsRegistry`, a
     :class:`~repro.obs.flight.FlightRecorder`, or a flight snapshot.
-    ``nprocs`` is accepted for compatibility but ranks that never recorded
-    are *not* materialised: a fabricated full-length lane per silent rank
-    turns a sparse failure trace into O(p) filler at 4K ranks (Perfetto
-    numbers the lanes it does see by pid, so ordering stays stable).
+    Ranks that never recorded are *not* materialised: a fabricated
+    full-length lane per silent rank turns a sparse failure trace into
+    O(p) filler at 4K ranks (Perfetto numbers the lanes it does see by
+    pid, so ordering stays stable).
     """
     flight = _flight_of(source)
     events: list[dict[str, Any]] = []
@@ -138,9 +138,9 @@ def perfetto_trace(source: Any, nprocs: int | None = None) -> dict[str, Any]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def dump_perfetto(source: Any, path: str, nprocs: int | None = None) -> int:
+def dump_perfetto(source: Any, path: str) -> int:
     """Write the trace JSON to ``path``; returns the event count."""
-    trace = perfetto_trace(source, nprocs=nprocs)
+    trace = perfetto_trace(source)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(trace, fh, separators=(",", ":"))
         fh.write("\n")

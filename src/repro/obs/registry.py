@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms and a trace stream.
+"""Metrics registry: counters, gauges and histograms.
 
 The observability subsystem gives every layer of the stack a shared place
 to record *attributable* measurements — events dispatched per callback
@@ -6,9 +6,9 @@ class, bytes per channel, messages logged per epoch, recovery-round
 durations — without coupling the layers to any output format.  Exporters
 (:mod:`repro.obs.export`) turn a registry into JSON-lines or CSV.
 
-All timestamps of a :class:`MetricsRegistry` come from the *virtual* clock
-(bound via :meth:`MetricsRegistry.bind_time_source`), never from wall
-time, so an instrumented run stays bit-reproducible.  "Observability off"
+All timestamps under a :class:`MetricsRegistry` (flight records, the
+time-series grid) come from the *virtual* clock, never from wall time, so
+an instrumented run stays bit-reproducible.  "Observability off"
 is ``None``: every component takes ``obs=None`` by default and guards its
 instrumentation with one identity comparison — there is no disabled
 registry object.
@@ -41,8 +41,6 @@ resolves a slot per call) but is reserved for cold paths.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..errors import SimulationError
@@ -55,7 +53,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramSampler",
-    "TraceRecord",
     "MetricsRegistry",
     "DURATION_BUCKETS",
     "DEPTH_BUCKETS",
@@ -155,9 +152,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed-boundary histogram with sum/count/min/max.
@@ -224,19 +218,10 @@ class HistogramSampler:
         self.hist.observe(value)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One structured trace event (virtual-time-stamped)."""
-
-    time: float
-    kind: str
-    fields: dict[str, Any] = field(default_factory=dict)
-
-
 class MetricsRegistry:
-    """Names → instruments, the bounded trace-event stream, and the
-    protocol flight recorder (``flight_capacity=0``: ``flight`` is
-    ``None``).
+    """Names → instruments, plus the protocol flight recorder
+    (``flight_capacity=0``: ``flight`` is ``None``) and the optional
+    virtual-time series.
 
     ``hist_sample`` sets the default 1-in-N sampling interval that
     instrumented components apply to their *per-event* histograms (engine
@@ -247,19 +232,13 @@ class MetricsRegistry:
     are always exact regardless of the knob.
     """
 
-    def __init__(self, trace_capacity: int = 100_000,
-                 flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
+    def __init__(self, flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
                  hist_sample: int = 8,
                  timeseries_interval: float | None = None,
                  timeseries_capacity: int | None = DEFAULT_TIMESERIES_CAPACITY):
         if hist_sample < 1:
             raise SimulationError("sample intervals must be >= 1")
-        #: object exposing ``.now`` (the engine); None until one is bound
-        self._time_src: Any = None
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self.events: deque[TraceRecord] = deque(maxlen=trace_capacity)
-        self.events_dropped = 0
-        self._trace_capacity = trace_capacity
         self.hist_sample = hist_sample
         self.flight = (
             FlightRecorder(flight_capacity) if flight_capacity > 0 else None
@@ -276,13 +255,9 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def bind_time_source(self, src: Any) -> None:
         """Attach an object exposing ``.now`` (the engine) as the virtual
-        clock of trace events and flight records."""
-        self._time_src = src
+        clock of flight records."""
         if self.flight is not None:
             self.flight.bind_time_source(src)
-
-    def now(self) -> float:
-        return self._time_src.now if self._time_src is not None else 0.0
 
     # ------------------------------------------------------------------
     # Instrument factories (idempotent by name)
@@ -335,16 +310,6 @@ class MetricsRegistry:
         return h if n <= 1 else HistogramSampler(h, n)
 
     # ------------------------------------------------------------------
-    # Trace stream
-    # ------------------------------------------------------------------
-    def event(self, kind: str, **fields: Any) -> None:
-        if len(self.events) == self._trace_capacity:
-            # live ring semantics: the deque evicts the *oldest* record,
-            # which is the drop being counted here
-            self.events_dropped += 1
-        self.events.append(TraceRecord(self.now(), kind, fields))
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def instruments(self) -> Iterator[Counter | Gauge | Histogram]:
@@ -359,8 +324,8 @@ class MetricsRegistry:
     # Cross-process snapshot / merge
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Plain-data copy of every instrument, the trace stream and the
-        flight buffers — picklable, so sweep workers can ship it to the
+        """Plain-data copy of every instrument, the flight buffers and the
+        time series — picklable, so sweep workers can ship it to the
         parent process for :meth:`merge`."""
         instruments: dict[str, dict[str, Any]] = {}
         for name, inst in self._instruments.items():
@@ -388,8 +353,6 @@ class MetricsRegistry:
                 }
         return {
             "instruments": instruments,
-            "events": [(r.time, r.kind, dict(r.fields)) for r in self.events],
-            "events_dropped": self.events_dropped,
             "flight": (self.flight.snapshot()
                        if self.flight is not None else None),
             "timeseries": (
@@ -404,15 +367,11 @@ class MetricsRegistry:
         Counters and histograms add; gauges sum their values and keep a
         high-water mark that is never below the merged aggregate (after
         merging, ``value`` is an aggregate, no longer an instantaneous
-        reading, and ``high_water >= value`` stays invariant).  Trace
-        events keep their original timestamps and respect this registry's
-        capacity — once the stream is full, further merged events are
-        *counted as dropped and not appended*, so the merged stream never
-        silently evicts what an earlier merge contributed.  Flight buffers
-        concatenate per rank with drop accounting.  Merging is associative
-        and, per instrument, commutative — a parent merging N worker
-        snapshots in task order gets the same totals as one sequential
-        run.
+        reading, and ``high_water >= value`` stays invariant).  Flight
+        buffers concatenate per rank with drop accounting.  Merging is
+        associative and, per instrument, commutative — a parent merging N
+        worker snapshots in task order gets the same totals as one
+        sequential run.
         """
         if not snap:
             return
@@ -441,16 +400,6 @@ class MetricsRegistry:
                 h.max = max(h.max, data["max"])
             else:
                 raise SimulationError(f"cannot merge instrument type {kind!r}")
-        events = self.events
-        capacity = self._trace_capacity
-        for time, kind, fields in snap.get("events", ()):
-            if len(events) == capacity:
-                # counted drop must skip the append: appending to a full
-                # deque would evict an *earlier* merged event uncounted
-                self.events_dropped += 1
-                continue
-            events.append(TraceRecord(time, kind, fields))
-        self.events_dropped += snap.get("events_dropped", 0)
         flight_snap = snap.get("flight")
         if flight_snap and self.flight is not None:
             self.flight.merge(flight_snap)

@@ -10,10 +10,9 @@ from .engine import Engine
 from .failure import FailureInjector
 from .message import Envelope
 from .network import Network, TimingModel
-from .process import NullHook, Proc, ProtocolHook, Request, Status
+from .process import NullHook, Proc, ProtocolHook
 from .runtime import World
-from .subcomm import SubComm, split_by_color
-from .topology import CartGrid, balanced_dims, hypercube_neighbors
+from .topology import CartGrid, balanced_dims
 from .trace import SendRecord, Tracer
 
 __all__ = [
@@ -28,14 +27,9 @@ __all__ = [
     "NullHook",
     "Proc",
     "ProtocolHook",
-    "Request",
-    "Status",
     "World",
-    "SubComm",
-    "split_by_color",
     "CartGrid",
     "balanced_dims",
-    "hypercube_neighbors",
     "SendRecord",
     "Tracer",
 ]

@@ -20,18 +20,7 @@ from typing import Any
 
 from .message import ANY_SOURCE, ANY_TAG
 from . import collectives as _coll
-from .process import (
-    CheckpointOp,
-    ComputeOp,
-    IrecvOp,
-    IsendOp,
-    NowOp,
-    RecvOp,
-    Request,
-    SendOp,
-    WaitallOp,
-    WaitOp,
-)
+from .process import CheckpointOp, ComputeOp, NowOp, RecvOp, SendOp
 
 __all__ = ["MpiApi", "ANY_SOURCE", "ANY_TAG"]
 
@@ -62,23 +51,9 @@ class MpiApi:
         """Blocking buffered send."""
         return SendOp(dst, payload, tag, size)
 
-    def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG, with_status: bool = False) -> RecvOp:
-        """Blocking receive; yields the payload (or ``(payload, status)``)."""
-        return RecvOp(src, tag, with_status)
-
-    def isend(self, dst: int, payload: Any, tag: int = 0, size: int = 0) -> IsendOp:
-        """Non-blocking send; yields a :class:`Request`."""
-        return IsendOp(dst, payload, tag, size)
-
-    def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> IrecvOp:
-        """Non-blocking receive; yields a :class:`Request`."""
-        return IrecvOp(src, tag)
-
-    def wait(self, request: Request) -> WaitOp:
-        return WaitOp(request)
-
-    def waitall(self, requests: list[Request]) -> WaitallOp:
-        return WaitallOp(list(requests))
+    def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvOp:
+        """Blocking receive; yields the payload."""
+        return RecvOp(src, tag)
 
     # ------------------------------------------------------------------
     # Local operations
@@ -108,9 +83,6 @@ class MpiApi:
         self._coll_seq += 2
         return _coll.collective_tag(self._coll_seq)
 
-    def barrier(self):
-        return _coll.barrier(self, self._next_coll_tag())
-
     def bcast(self, value: Any = None, root: int = 0):
         return _coll.bcast(self, value, root, self._next_coll_tag())
 
@@ -120,27 +92,5 @@ class MpiApi:
     def allreduce(self, value: Any, op=None):
         return _coll.allreduce(self, value, op, self._next_coll_tag())
 
-    def gather(self, value: Any, root: int = 0):
-        return _coll.gather(self, value, root, self._next_coll_tag())
-
-    def scatter(self, values: list[Any] | None = None, root: int = 0):
-        return _coll.scatter(self, values, root, self._next_coll_tag())
-
-    def allgather(self, value: Any):
-        return _coll.allgather(self, value, self._next_coll_tag())
-
     def alltoall(self, values: list[Any]):
         return _coll.alltoall(self, values, self._next_coll_tag())
-
-    def scan(self, value: Any, op=None):
-        """Inclusive prefix reduction (use with ``yield from``)."""
-        return _coll.scan(self, value, op, self._next_coll_tag())
-
-    def reduce_scatter(self, values: list[Any], op=None):
-        """Element-wise combine + scatter (use with ``yield from``)."""
-        return _coll.reduce_scatter(self, values, op, self._next_coll_tag())
-
-    def sendrecv(self, dst: int, payload: Any, src: int, tag: int = 0,
-                 size: int = 0):
-        """Combined exchange, MPI_Sendrecv-style (use with ``yield from``)."""
-        return _coll.sendrecv(self, dst, payload, src, tag, size)

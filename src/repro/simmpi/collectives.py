@@ -9,12 +9,10 @@ property the paper's protocol requires of the application layer.
 Algorithms
 ----------
 * ``bcast`` / ``reduce`` — binomial trees rooted at ``root`` (log2 P steps).
-* ``allreduce`` / ``allgather`` — reduce/gather to rank 0 + broadcast; this
-  trades a little latency for simplicity and strict determinism.
-* ``barrier`` — zero-byte allreduce.
+* ``allreduce`` — reduce to rank 0 + broadcast; this trades a little
+  latency for simplicity and strict determinism.
 * ``alltoall`` — linear pairwise exchange ``(rank + i) mod P``; buffered
   sends make it deadlock-free.
-* ``gather`` / ``scatter`` — linear to/from the root, in rank order.
 
 Tags: each collective *instance* gets its own reserved tag (negative, below
 :data:`~repro.simmpi.message.COLLECTIVE_TAG_BASE`) derived from a per-rank
@@ -33,20 +31,7 @@ from .message import COLLECTIVE_TAG_BASE, CONTROL_TAG_BASE
 if TYPE_CHECKING:  # pragma: no cover
     from .api import MpiApi
 
-__all__ = [
-    "collective_tag",
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "alltoall",
-    "scan",
-    "reduce_scatter",
-    "sendrecv",
-]
+__all__ = ["collective_tag", "bcast", "reduce", "allreduce", "alltoall"]
 
 #: number of distinct collective tags before the counter wraps
 _TAG_SPACE = -(CONTROL_TAG_BASE - COLLECTIVE_TAG_BASE) - 16
@@ -115,96 +100,6 @@ def allreduce(api: "MpiApi", value: Any, op, tag: int):
     acc = yield from reduce(api, value, op, 0, tag)
     result = yield from bcast(api, acc, 0, tag - 1 if tag - 1 > CONTROL_TAG_BASE else tag)
     return result
-
-
-def barrier(api: "MpiApi", tag: int):
-    """Synchronize all ranks (zero-byte allreduce)."""
-    yield from allreduce(api, 0, None, tag)
-    return None
-
-
-def gather(api: "MpiApi", value: Any, root: int, tag: int):
-    """Linear gather; the root returns ``[value_0, ..., value_{P-1}]``."""
-    rank, size = api.rank, api.size
-    if rank == root:
-        out: list[Any] = [None] * size
-        out[root] = value
-        for src in range(size):
-            if src == root:
-                continue
-            out[src] = yield api.recv(src, tag)
-        return out
-    yield api.send(root, value, tag)
-    return None
-
-
-def scatter(api: "MpiApi", values: list[Any] | None, root: int, tag: int):
-    """Linear scatter; every rank returns its slice of the root's list."""
-    rank, size = api.rank, api.size
-    if rank == root:
-        if values is None or len(values) != size:
-            raise ValueError("scatter root must supply one value per rank")
-        for dst in range(size):
-            if dst == root:
-                continue
-            yield api.send(dst, values[dst], tag)
-        return values[root]
-    result = yield api.recv(root, tag)
-    return result
-
-
-def allgather(api: "MpiApi", value: Any, tag: int):
-    """Gather to rank 0 then broadcast the list; every rank returns it."""
-    gathered = yield from gather(api, value, 0, tag)
-    result = yield from bcast(
-        api, gathered, 0, tag - 1 if tag - 1 > CONTROL_TAG_BASE else tag
-    )
-    return result
-
-
-def scan(api: "MpiApi", value: Any, op, tag: int):
-    """Inclusive prefix reduction: rank ``i`` returns ``v_0 op ... op v_i``.
-
-    Linear pipeline (rank ``i`` receives the prefix from ``i - 1``,
-    combines, forwards) — latency O(P) but strictly deterministic and it
-    preserves non-commutative operator order, unlike tree schedules.
-    """
-    rank, size = api.rank, api.size
-    combine = _resolve_op(op)
-    acc = value
-    if rank > 0:
-        prefix = yield api.recv(rank - 1, tag)
-        acc = combine(prefix, value)
-    if rank + 1 < size:
-        yield api.send(rank + 1, acc, tag)
-    return acc
-
-
-def reduce_scatter(api: "MpiApi", values: list[Any], op, tag: int):
-    """Combine ``values`` element-wise across ranks; rank ``i`` returns the
-    combined element ``i`` (reduce to rank 0 + scatter)."""
-    rank, size = api.rank, api.size
-    if len(values) != size:
-        raise ValueError("reduce_scatter needs one value per rank")
-    combine = _resolve_op(op)
-
-    def merge(a: list[Any], b: list[Any]) -> list[Any]:
-        return [combine(x, y) for x, y in zip(a, b)]
-
-    combined = yield from reduce(api, list(values), merge, 0, tag)
-    result = yield from scatter(
-        api, combined, 0, tag - 1 if tag - 1 > CONTROL_TAG_BASE else tag
-    )
-    return result
-
-
-def sendrecv(api: "MpiApi", dst: int, payload: Any, src: int, tag: int,
-             size: int = 0):
-    """Combined send+receive (``MPI_Sendrecv``): deadlock-free under the
-    substrate's buffered sends; returns the received payload."""
-    yield api.send(dst, payload, tag, size)
-    received = yield api.recv(src, tag)
-    return received
 
 
 def alltoall(api: "MpiApi", values: list[Any], tag: int):

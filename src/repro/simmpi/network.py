@@ -105,8 +105,8 @@ class Network:
         # the latest delivery run: transmits that land at the same arrival
         # instant with no other event scheduled in between
         # (Engine.run_append) join it instead of paying their own heap
-        # entry — control broadcasts and isend fan-outs become one pop at
-        # scale
+        # entry — control broadcasts and the sends SPMD ranks emit at the
+        # same instant become one pop at scale
         self._open_burst: list | None = None
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -301,7 +301,6 @@ class Network:
                 self.messages_sent - self.messages_delivered
                 - self.messages_dropped
             )
-            self.obs.event("network.purge", rank=rank, dropped=dropped)
         return dropped
 
     def purge_all(self) -> int:

@@ -49,9 +49,6 @@ class World:
         copies when an envelope enters the sender-based log or a checkpoint
         (copy-on-log — see :func:`repro.simmpi.message.retention_copy`).
         Enable only for programs that recycle send buffers in place.
-    record_events:
-        Keep the full event log in the tracer (memory-hungry; off by
-        default, counts and sequences are always kept).
     obs:
         Optional :class:`repro.obs.MetricsRegistry`; threaded into the
         engine and network.  ``None`` (the default) keeps the hot paths
@@ -65,7 +62,6 @@ class World:
         timing: TimingModel | None = None,
         hook_factory: Callable[[int], ProtocolHook] | None = None,
         copy_payloads: bool = False,
-        record_events: bool = False,
         network_seed: int = 0,
         obs: Any = None,
     ):
@@ -75,7 +71,7 @@ class World:
         self.obs = obs
         self.engine = Engine(obs=obs)
         self.network = Network(self.engine, timing, seed=network_seed, obs=obs)
-        self.tracer = Tracer(nprocs, record_events=record_events)
+        self.tracer = Tracer(nprocs)
         self.copy_payloads = copy_payloads
         self.programs = [program_factory(rank, nprocs) for rank in range(nprocs)]
         self.apis = [MpiApi(rank, nprocs) for rank in range(nprocs)]
@@ -85,8 +81,6 @@ class World:
             proc = Proc(rank, self, hook)
             self.procs.append(proc)
             self.network.attach(rank, self._make_receiver(rank))
-        self._done_count = 0
-        self.on_all_done: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     def launch(self) -> None:
@@ -97,14 +91,13 @@ class World:
     def _make_receiver(self, rank: int) -> Callable[[Envelope], None]:
         proc = self.procs[rank]
         tracer = self.tracer
-        engine = self.engine
 
         def receive(env: Envelope) -> None:
             # env.is_control inlined: this runs once per delivered message
             if env.tag <= CONTROL_TAG_BASE:
                 proc.deliver_control(env)
             else:
-                tracer.on_app_deliver(env, engine.now)
+                tracer.on_app_deliver(env)
                 proc.deliver(env)
 
         return receive
@@ -118,9 +111,7 @@ class World:
             # defensive mode for buffer-recycling programs: immutable
             # payloads still travel zero-copy (retention_copy shares them)
             env.payload = retention_copy(env.payload)
-        self.tracer.on_app_send(
-            env, self.engine.now, is_replay_dup=bool(env.meta.get("replayed"))
-        )
+        self.tracer.on_app_send(env, is_replay_dup=bool(env.meta.get("replayed")))
         return self.network.transmit(env)
 
     def transmit_control(self, env: Envelope) -> float:
@@ -129,18 +120,6 @@ class World:
             raise SimulationError("transmit_control requires a control tag")
         return self.network.transmit(env)
 
-    # ------------------------------------------------------------------
-    # Completion tracking
-    # ------------------------------------------------------------------
-    def on_rank_done(self, rank: int) -> None:
-        self._done_count += 1
-        if self._done_count == self.nprocs and self.on_all_done is not None:
-            self.on_all_done()
-
-    def note_rank_restarted(self) -> None:
-        """A finished rank was rolled back and is running again."""
-        self._done_count -= 1
-
     @property
     def all_done(self) -> bool:
         return all(p.done for p in self.procs)
@@ -148,27 +127,22 @@ class World:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None, expect_completion: bool = True) -> float:
+    def run(self, until: float | None = None) -> float:
         """Run the simulation; returns the final virtual time.
 
-        With ``expect_completion`` a quiescent world with unfinished
-        programs raises :class:`DeadlockError` carrying per-rank blocking
+        Run to quiescence (no ``until``), a world with unfinished programs
+        raises :class:`DeadlockError` carrying per-rank blocking
         diagnostics — the single most useful debugging signal when a
         protocol gates a send it should have released.
         """
         self.engine.run(until=until)
-        if expect_completion and until is None and not self.all_done:
+        if until is None and not self.all_done:
             blocked = {
                 p.rank: p.describe_block() for p in self.procs if not p.done
             }
             raise DeadlockError(
                 f"simulation quiesced with {len(blocked)} unfinished ranks", blocked
             )
-        return self.engine.now
-
-    def run_until_quiescent(self) -> float:
-        """Drain every pending event without completion checks."""
-        self.engine.run()
         return self.engine.now
 
     def close(self) -> None:
@@ -187,4 +161,3 @@ class World:
         self.network.close()
         for proc in self.procs:
             proc.close()
-        self.on_all_done = None

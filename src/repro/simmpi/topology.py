@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
-__all__ = ["CartGrid", "balanced_dims", "hypercube_neighbors", "is_power_of_two"]
+__all__ = ["CartGrid", "balanced_dims", "is_power_of_two"]
 
 
 def is_power_of_two(n: int) -> bool:
@@ -107,14 +107,3 @@ class CartGrid:
                 if n is not None and n != rank and n not in out:
                     out.append(n)
         return out
-
-
-def hypercube_neighbors(rank: int, size: int) -> list[int]:
-    """Neighbors of ``rank`` in a binary hypercube of ``size`` nodes.
-
-    Used by the FT and CG kernels' butterfly/recursive-halving exchanges;
-    requires a power-of-two world.
-    """
-    if not is_power_of_two(size):
-        raise ConfigError(f"hypercube requires power-of-two size, got {size}")
-    return [rank ^ (1 << b) for b in range(size.bit_length() - 1)]

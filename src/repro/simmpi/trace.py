@@ -1,4 +1,4 @@
-"""Execution tracing: send sequences, communication matrices, event logs.
+"""Execution tracing: send sequences, communication matrices, lifecycle marks.
 
 The tracer is the measurement substrate for the paper's evaluation:
 
@@ -7,30 +7,20 @@ The tracer is the measurement substrate for the paper's evaluation:
   of messages even across failures);
 * the *communication matrix* (messages / bytes per ordered rank pair)
   feeds the clustering of Section V-E-3 and reproduces Fig. 8;
-* raw event records support debugging and the offline rollback analysis.
+* the checkpoint / failure / restore *marks* place each rank's lifecycle
+  on the virtual-time axis (:mod:`repro.analysis.timeline`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .message import Envelope
 
-__all__ = ["TraceEvent", "SendRecord", "Tracer", "send_witness_chains"]
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One traced event (kept deliberately small — traces get long)."""
-
-    kind: str  # "send" | "deliver" | "checkpoint" | "failure" | "restore"
-    time: float
-    rank: int
-    detail: tuple = ()
+__all__ = ["SendRecord", "Tracer", "send_witness_chains"]
 
 
 class SendRecord(NamedTuple):
@@ -120,10 +110,10 @@ def send_witness_chains(tracer: "Tracer") -> list[str]:
 class Tracer:
     """Accumulates events during a simulated run."""
 
-    def __init__(self, nprocs: int, record_events: bool = False):
+    def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        self.record_events = record_events
-        self.events: list[TraceEvent] = []
+        #: ``(kind, time, rank, detail)`` per checkpoint / failure / restore
+        self.marks: list[tuple[str, float, int, tuple]] = []
         #: rank -> ordered list of application SendRecords (includes re-sends
         #: suppressed later as duplicates — filtered by `send_sequences`)
         self._sends: list[list[SendRecord]] = [[] for _ in range(nprocs)]
@@ -139,7 +129,7 @@ class Tracer:
         self._dup_send_idx: list[set[int]] = [set() for _ in range(nprocs)]
 
     # ------------------------------------------------------------------
-    def on_app_send(self, env: Envelope, time: float, is_replay_dup: bool = False) -> None:
+    def on_app_send(self, env: Envelope, is_replay_dup: bool = False) -> None:
         rank = env.src
         sends = self._sends[rank]
         # SendRecord.of(env), inlined down to the tuple constructor (what
@@ -159,21 +149,12 @@ class Tracer:
             else:
                 cell[0] += 1
                 cell[1] += env.size
-        if self.record_events:
-            self.events.append(
-                TraceEvent("send", time, rank, (env.dst, env.tag, env.size, env.uid))
-            )
 
-    def on_app_deliver(self, env: Envelope, time: float) -> None:
+    def on_app_deliver(self, env: Envelope) -> None:
         self._delivers[env.dst].append((env.src, env.tag, env.size))
-        if self.record_events:
-            self.events.append(
-                TraceEvent("deliver", time, env.dst, (env.src, env.tag, env.size, env.uid))
-            )
 
     def on_mark(self, kind: str, rank: int, time: float, detail: tuple = ()) -> None:
-        if self.record_events:
-            self.events.append(TraceEvent(kind, time, rank, detail))
+        self.marks.append((kind, time, rank, detail))
 
     # ------------------------------------------------------------------
     def send_sequences(self, dedup: bool = True) -> list[list[SendRecord]]:

@@ -326,16 +326,13 @@ def run_sweep(
             obs.counter("sweep.tasks_completed", ("status",)).inc(
                 labels=(result.status,)
             )
-            obs.event(
-                "sweep.task_done", name=result.name, status=result.status,
-                duration_s=result.duration,
-            )
         if on_progress is not None:
             on_progress(result)
 
     def _merge_worker_obs(results: list[SweepResult]) -> None:
         # task order, not completion order: merge order is part of the
-        # determinism contract (histogram/event streams concatenate)
+        # determinism contract (float sums add, flight and time-series
+        # streams concatenate)
         if obs is None or not collect_obs:
             return
         for result in results:

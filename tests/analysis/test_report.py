@@ -1,7 +1,6 @@
 """Tests for the paper-style report formatting."""
 
 from repro.analysis.report import (
-    ExperimentRecord,
     Table1Cell,
     format_table,
     format_table1,
@@ -41,12 +40,3 @@ def test_format_table1_sorted_configs():
     out = format_table1(cells)
     header = out.splitlines()[0]
     assert header.index("64/4cl") < header.index("128/4cl")
-
-
-def test_experiment_record_row():
-    rec = ExperimentRecord("Fig. 6", "~15 %", "15.6 %", True, notes="calibrated")
-    row = rec.as_row()
-    assert row[0] == "Fig. 6"
-    assert row[3] == "✔"
-    bad = ExperimentRecord("X", "a", "b", False)
-    assert bad.as_row()[3] == "✘"

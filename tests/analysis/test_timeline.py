@@ -1,18 +1,14 @@
 """Tests for the ASCII recovery timeline."""
 
-import pytest
-
 from repro.analysis import Timeline, render_timeline
 from repro.apps.stencil import Stencil1D
 from repro.core import ProtocolConfig, build_ft_world
-from repro.errors import ConfigError
 
 
-def run(record=True, failure=True):
+def run(failure=True):
     world, ctl = build_ft_world(
         4, lambda r, s: Stencil1D(r, s, niters=25, cells=4),
         ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=2e-6),
-        record_events=record,
     )
     if failure:
         ctl.inject_failure(5e-5, 2)
@@ -43,10 +39,30 @@ def test_timeline_failure_free_has_no_marks():
     assert "c" in body
 
 
-def test_timeline_requires_recorded_events():
-    world, duration = run(record=False, failure=False)
-    with pytest.raises(ConfigError):
-        render_timeline(world.tracer, duration)
+def test_marks_list_every_checkpoint_failure_and_restore():
+    # always on, and exactly what the tracer's full event log of the same
+    # run used to hold for these three kinds (kind, time, rank, detail)
+    world, _duration = run()
+    assert world.tracer.marks == [
+        ("checkpoint", 0.0, 0, (1,)),
+        ("checkpoint", 0.0, 1, (1,)),
+        ("checkpoint", 0.0, 2, (1,)),
+        ("checkpoint", 0.0, 3, (1,)),
+        ("checkpoint", 2.2453781512605047e-05, 0, (2,)),
+        ("checkpoint", 2.2453781512605047e-05, 1, (2,)),
+        ("checkpoint", 2.526050420168068e-05, 2, (2,)),
+        ("checkpoint", 2.8067226890756313e-05, 3, (2,)),
+        ("checkpoint", 4.490756302521009e-05, 0, (3,)),
+        ("checkpoint", 4.490756302521009e-05, 1, (3,)),
+        ("checkpoint", 4.771428571428572e-05, 2, (3,)),
+        ("failure", 5e-05, 2, ()),
+        ("restore", 5.399999999999999e-05, 2, (3,)),
+        ("checkpoint", 6.954873949579836e-05, 2, (4,)),
+        ("checkpoint", 7.493109243697481e-05, 0, (4,)),
+        ("checkpoint", 7.493109243697481e-05, 1, (4,)),
+        ("checkpoint", 7.493109243697481e-05, 3, (3,)),
+        ("checkpoint", 9.177142857142851e-05, 2, (5,)),
+    ]
 
 
 def test_recovery_spans_follow_restores():
@@ -70,15 +86,13 @@ def test_rows_fixed_width():
 # drive recovery_spans; a two-failure run drives render_timeline)
 # ----------------------------------------------------------------------
 class _FakeTracer:
-    def __init__(self, nprocs, events):
-        self.record_events = True
+    def __init__(self, nprocs, marks):
         self.nprocs = nprocs
-        self.events = events
+        self.marks = marks
 
 
-class _Ev:
-    def __init__(self, time, rank, kind):
-        self.time, self.rank, self.kind = time, rank, kind
+def _Ev(time, rank, kind):
+    return (kind, time, rank, ())
 
 
 def test_recovery_spans_back_to_back_restores():
@@ -126,7 +140,6 @@ def test_two_real_failures_render_and_span_consistency():
     world, ctl = build_ft_world(
         4, lambda r, s: Stencil1D(r, s, niters=40, cells=4),
         ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=2e-6),
-        record_events=True,
     )
     ctl.inject_failure(5e-5, 2)
     ctl.inject_failure(9e-5, 1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import campaigns
 from repro.chaos.oracles import ORACLES
 from repro.chaos.schedule import FailureSpec, TrialSchedule, generate_schedule
 from repro.chaos.trial import SYNTHETIC_BUGS, run_trial, run_trial_schedule
@@ -69,7 +70,11 @@ def test_timing_result_kernel_passes_validity():
 
 
 def test_run_trial_entry_point_returns_plain_json():
-    out = run_trial({"seed": 17, "check_determinism": False})
+    # the planner fills every field a trial reads; run_trial has no
+    # defaults of its own
+    _, (task,), _, _ = campaigns.plan(
+        {"kind": "chaos", "trials": 1, "check_determinism": False})
+    out = run_trial({**task.params, "seed": 17})
     assert isinstance(out, dict)
     assert set(out["oracles"]) >= {"settles", "validity"}
     assert out["schedule"] == generate_schedule(17).to_json()

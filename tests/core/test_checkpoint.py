@@ -101,7 +101,6 @@ def test_restart_rank_counts_a_finished_rank_as_running_again():
     restart_rank(world, 0, image, killed=True)
     assert world.procs[0].incarnation == incarnation + 1   # killed once
     assert not world.procs[0].done and not world.all_done
-    assert world._done_count == 1
 
 
 def test_add_get_latest():

@@ -100,7 +100,7 @@ def test_logged_counters():
                                epoch_send=1, phase_send=1, epoch_recv=2))
     st.lg_append(LoggedMessage(dst=2, tag=0, payload=b"x", size=1, date=2,
                                epoch_send=1, phase_send=1, epoch_recv=3))
-    assert st.logged_message_count() == 2
+    assert len(st.logs) == 2
     assert st.logged_bytes() == 4
 
 

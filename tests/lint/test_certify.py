@@ -52,18 +52,21 @@ def test_dynamic_verifier_agrees_with_static(kernel):
 
 
 class OrderEcho(RankProgram):
-    """Deliberately NOT send-deterministic: rank 0 echoes ANY_SOURCE
-    arrivals back in arrival order, so its send sequence depends on the
-    delivery schedule."""
+    """Deliberately NOT send-deterministic: rank 0 forwards ANY_SOURCE
+    arrivals to the last rank in arrival order, so the payload sequence it
+    sends depends on the delivery schedule."""
 
     def run(self, api):  # pragma: no cover - exercised via dynamic_verify
+        last = self.size - 1
         if self.rank == 0:
-            for _ in range(self.size - 1):
-                val, status = yield api.recv(ANY_SOURCE, with_status=True)
-                yield api.send(status.source, val + 1.0)
+            for _ in range(1, last):
+                val = yield api.recv(ANY_SOURCE)
+                yield api.send(last, val + 1.0)
+        elif self.rank == last:
+            for _ in range(1, last):
+                yield api.recv(0)
         else:
             yield api.send(0, float(self.rank))
-            yield api.recv(0)
 
 
 def test_dynamic_verifier_catches_order_dependence():

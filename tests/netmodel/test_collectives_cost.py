@@ -18,7 +18,7 @@ def measure(nprocs, body):
     the collective's latency is the cross-rank envelope."""
     class P(RankProgram):
         def run(self, api):
-            yield from api.barrier()       # roughly align entry
+            yield from api.allreduce(0)    # roughly align entry
             self.state["t0"] = yield api.now()
             yield from body(api)
             self.state["t1"] = yield api.now()
@@ -34,7 +34,7 @@ SIZE = 800  # 100 float64s
 
 
 @pytest.mark.parametrize("nprocs", [2, 4, 8])
-@pytest.mark.parametrize("name", ["bcast", "allreduce", "scan", "alltoall"])
+@pytest.mark.parametrize("name", ["bcast", "reduce", "allreduce", "alltoall"])
 def test_predictions_track_simulation(nprocs, name):
     cost = CollectiveCost(TIMING, nprocs)
     payload = [0.0] * 100
@@ -44,15 +44,15 @@ def test_predictions_track_simulation(nprocs, name):
             yield from api.bcast(payload if api.rank == 0 else None, root=0)
         elif name == "allreduce":
             yield from api.allreduce(1.0)
-        elif name == "scan":
-            yield from api.scan(1.0)
+        elif name == "reduce":
+            yield from api.reduce(1.0)
         elif name == "alltoall":
             yield from api.alltoall([api.rank] * api.size)
 
     size = SIZE if name == "bcast" else 8
     predicted = cost.predict(name, size)
     measured = measure(nprocs, body)
-    # the measured envelope includes the aligning barrier's exit skew
+    # the measured envelope includes the aligning allreduce's exit skew
     # (roughly one tree depth of small hops)
     skew = cost.bcast(8)
     assert predicted * 0.4 <= measured <= (predicted + skew) * 1.6, (
@@ -70,7 +70,7 @@ def test_tree_collectives_scale_logarithmically():
 def test_linear_collectives_scale_linearly():
     cost64 = CollectiveCost(TIMING, 64)
     cost8 = CollectiveCost(TIMING, 8)
-    assert cost64.scan(8) / cost8.scan(8) == pytest.approx(63 / 7)
+    assert cost64.alltoall(8) / cost8.alltoall(8) == pytest.approx(63 / 7)
 
 
 def test_single_rank_free():

@@ -3,13 +3,11 @@
 import csv
 import io
 import json
-from types import SimpleNamespace
 
 from repro.obs import (
     MetricsRegistry,
-    dump_events,
+    dump_flight,
     dump_metrics,
-    event_rows,
     metric_rows,
     to_csv,
     to_jsonl,
@@ -18,12 +16,10 @@ from repro.obs import (
 
 def populated_registry():
     reg = MetricsRegistry()
-    reg.bind_time_source(SimpleNamespace(now=1.5))
     reg.counter("c.plain").inc(2)
     reg.counter("c.labelled", ("src", "dst")).inc(labels=(0, 1))
     reg.gauge("g").set(7)
     reg.histogram("h", (1.0, 2.0)).observe(1.5)
-    reg.event("checkpoint", rank=0, epoch=3)
     return reg
 
 
@@ -68,22 +64,12 @@ def test_csv_has_union_header_and_parses():
     assert json.loads(labelled["labels"]) == {"src": 0, "dst": 1}
 
 
-def test_event_rows_and_dump():
-    reg = populated_registry()
-    rows = event_rows(reg)
-    assert rows == [{"time": 1.5, "kind": "checkpoint", "rank": 0, "epoch": 3}]
-    parsed = json.loads(dump_events(reg, "jsonl").strip())
-    assert parsed["kind"] == "checkpoint"
-    csv_text = dump_events(reg, "csv")
-    assert "kind" in csv_text.splitlines()[0]
-
-
 def test_empty_exports():
     reg = MetricsRegistry()
     assert to_jsonl([]) == ""
     assert to_csv([]) == ""
     assert dump_metrics(reg) == ""
-    assert dump_events(reg) == ""
+    assert dump_flight(reg) == ""
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ def run_failure():
 
 def test_schema_valid_chrome_trace_events():
     _controller, obs = run_failure()
-    trace = perfetto_trace(obs, nprocs=NPROCS)
+    trace = perfetto_trace(obs)
     events = trace["traceEvents"]
     assert events
     for e in events:
@@ -46,7 +46,7 @@ def test_schema_valid_chrome_trace_events():
 
 def test_lanes_and_spans_per_rank():
     controller, obs = run_failure()
-    events = perfetto_trace(obs, nprocs=NPROCS)["traceEvents"]
+    events = perfetto_trace(obs)["traceEvents"]
     lanes = {e["pid"] for e in events}
     assert set(range(NPROCS)) <= lanes  # every rank has a lane
     spans = [e for e in events if e["ph"] == "X"]
@@ -75,7 +75,7 @@ def test_flow_events_paired_by_uid():
 def test_dump_perfetto_writes_loadable_json(tmp_path):
     _controller, obs = run_failure()
     out = tmp_path / "run.trace.json"
-    n = dump_perfetto(obs, str(out), nprocs=NPROCS)
+    n = dump_perfetto(obs, str(out))
     doc = json.loads(out.read_text())
     assert len(doc["traceEvents"]) == n > 0
 

@@ -47,7 +47,7 @@ def test_gauge_high_water():
     reg = MetricsRegistry()
     g = reg.gauge("depth")
     g.inc(5)
-    g.dec(3)
+    g.set(2)
     g.inc(1)
     assert g.value == 3
     assert g.high_water == 5
@@ -76,25 +76,15 @@ def test_depth_buckets_strictly_increasing():
     assert list(DEPTH_BUCKETS) == sorted(set(DEPTH_BUCKETS))
 
 
-def test_trace_stream_bounded():
-    reg = MetricsRegistry(trace_capacity=3)
-    for i in range(5):
-        reg.event("tick", i=i)
-    assert len(reg.events) == 3
-    assert [r.fields["i"] for r in reg.events] == [2, 3, 4]
-    assert reg.events_dropped == 2
-
-
 def test_bind_time_source_stamps_events():
     reg = MetricsRegistry()
-    reg.event("before")  # no clock yet: time 0
+    reg.flight.record(1, "send")  # no clock yet: time 0
     clock = SimpleNamespace(now=42.0)
     reg.bind_time_source(clock)
-    reg.event("after")
+    reg.flight.record(1, "send")
     clock.now = 43.5
     reg.flight.record(0, "send")
-    assert [r.time for r in reg.events] == [0.0, 42.0]
-    assert [rec[0] for rec in reg.flight.records()] == [43.5]
+    assert [rec[0] for rec in reg.flight.records()] == [0.0, 42.0, 43.5]
 
 
 def test_histogram_bounds_mismatch_rejected():
@@ -114,9 +104,8 @@ def test_snapshot_merge_counters_gauges_histograms():
         reg.counter("c", ("k",)).inc(2, labels=("x",))
         g = reg.gauge("g")
         g.inc(5)
-        g.dec(2)
+        g.set(3)
         reg.histogram("h", (1.0, 10.0)).observe(3.0)
-        reg.event("e", i=1)
         return reg
 
     a, b = build(), build()
@@ -131,7 +120,6 @@ def test_snapshot_merge_counters_gauges_histograms():
     h = merged.histogram("h", (1.0, 10.0))
     assert h.count == 2 and h.sum == pytest.approx(6.0)
     assert h.min == 3.0 and h.max == 3.0
-    assert len(merged.events) == 2
 
 
 def test_counter_slot_resolution():
@@ -169,7 +157,7 @@ def test_merged_gauge_high_water_never_below_value():
         reg = MetricsRegistry()
         g = reg.gauge("depth")
         g.inc(5)
-        g.dec(2)
+        g.set(3)
         return reg.snapshot()
 
     merged = MetricsRegistry()
@@ -179,36 +167,6 @@ def test_merged_gauge_high_water_never_below_value():
     assert g.value == 9
     assert g.high_water == 9
     assert g.high_water >= g.value
-
-
-def test_merge_respects_trace_capacity():
-    # a counted drop must skip the append: the merged stream never grows
-    # past capacity, and never silently evicts an earlier merged event
-    src = MetricsRegistry()
-    for i in range(4):
-        src.event("tick", i=i)
-    snap = src.snapshot()
-    dst = MetricsRegistry(trace_capacity=3)
-    dst.merge(snap)
-    assert len(dst.events) == 3
-    assert [r.fields["i"] for r in dst.events] == [0, 1, 2]  # earliest kept
-    assert dst.events_dropped == 1
-    # a second merge drops everything, and drop accounting accumulates
-    dst.merge(snap)
-    assert len(dst.events) == 3
-    assert [r.fields["i"] for r in dst.events] == [0, 1, 2]
-    assert dst.events_dropped == 5
-
-
-def test_merge_accumulates_source_drop_counts():
-    src = MetricsRegistry(trace_capacity=2)
-    for i in range(5):
-        src.event("tick", i=i)
-    assert src.events_dropped == 3
-    dst = MetricsRegistry()
-    dst.merge(src.snapshot())
-    assert len(dst.events) == 2
-    assert dst.events_dropped == 3
 
 
 def test_empty_histogram_min_max_survive_merge():

@@ -80,17 +80,30 @@ def test_recovery_round_duration_from_report():
 
 
 def test_trace_stream_records_failure_and_recovery():
-    _world, _controller, obs = run_instrumented()
-    kinds = [r.kind for r in obs.events]
-    for expected in ("checkpoint", "failure", "network.purge",
-                     "recovery.round_begin", "restore", "recovery.round_end"):
-        assert expected in kinds, f"missing trace kind {expected}"
-    begin = next(r for r in obs.events if r.kind == "recovery.round_begin")
-    end = next(r for r in obs.events if r.kind == "recovery.round_end")
-    assert begin.fields["round"] == end.fields["round"] == 1
-    assert begin.time <= end.time
-    # events are stamped with the virtual clock, in nondecreasing order
-    times = [r.time for r in obs.events]
+    # every lifecycle fact is in the flight stream, the recovery report
+    # and the counters — the one log per layer
+    from repro.obs.flight import FlightKind, record_to_dict
+
+    _world, controller, obs = run_instrumented()
+    flight = obs.flight
+    kinds = {rec[1] for rec in flight.records()}
+    for expected in (FlightKind.CHECKPOINT, FlightKind.FAILURE,
+                     FlightKind.RL_FIXED, FlightKind.RESTORE):
+        assert expected in kinds, f"missing flight kind {expected}"
+    (report,) = controller.recovery_reports
+    (failure,) = flight.records(kind=FlightKind.FAILURE)
+    (fixed,) = flight.records(kind=FlightKind.RL_FIXED)
+    assert failure[2] == 3 and record_to_dict(failure)["extra"] == 1
+    assert report.round_no == 1 and report.failed == [3]
+    assert report.started_at <= fixed[0] <= report.finished_at
+    assert record_to_dict(fixed)["extra"] == report.rolled_back
+    restored = sorted(rec[2] for rec in flight.records(kind=FlightKind.RESTORE))
+    assert restored == report.rolled_back
+    # the kill purged the failed rank's inbound traffic
+    dropped = obs.counter("network.messages_dropped", ("dst",))
+    assert set(dropped.values) == {(3,)}
+    # records are stamped with the virtual clock, in nondecreasing order
+    times = [rec[0] for rec in flight.records()]
     assert times == sorted(times)
 
 

@@ -23,15 +23,9 @@ class CollectiveProgram(RankProgram):
         )
         res["reduce"] = yield from api.reduce(api.rank + 1, root=0)
         res["allreduce"] = yield from api.allreduce(api.rank + 1)
-        res["gather"] = yield from api.gather(api.rank ** 2, root=0)
-        res["scatter"] = yield from api.scatter(
-            [i * 3 for i in range(api.size)] if api.rank == 0 else None, root=0
-        )
-        res["allgather"] = yield from api.allgather(chr(ord("a") + api.rank % 26))
         res["alltoall"] = yield from api.alltoall(
             [api.rank * 100 + j for j in range(api.size)]
         )
-        yield from api.barrier()
 
 
 @pytest.fixture(params=SIZES)
@@ -63,27 +57,6 @@ def test_allreduce_everywhere(collective_world):
     expected = n * (n + 1) // 2
     for res in results(collective_world):
         assert res["allreduce"] == expected
-
-
-def test_gather_in_rank_order(collective_world):
-    n = collective_world.nprocs
-    for rank, res in enumerate(results(collective_world)):
-        if rank == 0:
-            assert res["gather"] == [i ** 2 for i in range(n)]
-        else:
-            assert res["gather"] is None
-
-
-def test_scatter_slices(collective_world):
-    for rank, res in enumerate(results(collective_world)):
-        assert res["scatter"] == rank * 3
-
-
-def test_allgather_everywhere(collective_world):
-    n = collective_world.nprocs
-    expected = [chr(ord("a") + r % 26) for r in range(n)]
-    for res in results(collective_world):
-        assert res["allgather"] == expected
 
 
 def test_alltoall_transposes(collective_world):
@@ -141,17 +114,6 @@ def test_nonzero_root_bcast_and_reduce():
     world.run()
     assert all(p.state["b"] == "v" for p in world.programs)
     assert world.programs[3].state["r"] == 6
-
-
-def test_scatter_requires_full_list():
-    class P(RankProgram):
-        def run(self, api):
-            yield from api.scatter([1], root=0)
-
-    world = World(3, P)
-    world.launch()
-    with pytest.raises(ValueError):
-        world.run()
 
 
 def test_alltoall_requires_per_rank_values():

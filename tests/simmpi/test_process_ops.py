@@ -1,4 +1,4 @@
-"""Unit tests for process operations (send/recv/isend/irecv/compute/...)."""
+"""Unit tests for process operations (send/recv/compute/checkpoint/now)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.apps.base import RankProgram
 from repro.errors import DeadlockError, SimulationError
 from repro.simmpi import ANY_SOURCE, ANY_TAG, World
-from repro.simmpi.process import Status
 
 
 class Script(RankProgram):
@@ -59,18 +58,6 @@ def test_any_source_any_tag():
     assert w.programs[2].state["out"] == [0, 10]
 
 
-def test_recv_with_status():
-    def p0(api, out):
-        yield api.send(1, b"xyz", tag=9)
-
-    def p1(api, out):
-        payload, status = yield api.recv(0, tag=9, with_status=True)
-        out.append((payload, status.source, status.tag, status.size))
-
-    w = run_script(2, {0: p0, 1: p1})
-    assert w.programs[1].state["out"] == [(b"xyz", 0, 9, 3)]
-
-
 def test_tag_matching_skips_unexpected():
     def p0(api, out):
         yield api.send(1, "first", tag=1)
@@ -83,37 +70,6 @@ def test_tag_matching_skips_unexpected():
 
     w = run_script(2, {0: p0, 1: p1})
     assert w.programs[1].state["out"] == ["first", "second"]
-
-
-def test_isend_irecv_waitall():
-    def p0(api, out):
-        reqs = []
-        for i in range(4):
-            reqs.append((yield api.isend(1, i, tag=i)))
-        yield api.waitall(reqs)
-
-    def p1(api, out):
-        reqs = []
-        for i in range(4):
-            reqs.append((yield api.irecv(0, tag=i)))
-        values = yield api.waitall(reqs)
-        out.extend(values)
-
-    w = run_script(2, {0: p0, 1: p1})
-    assert w.programs[1].state["out"] == [0, 1, 2, 3]
-
-
-def test_wait_single_request():
-    def p0(api, out):
-        yield api.send(1, 42, tag=0)
-
-    def p1(api, out):
-        req = yield api.irecv(0, tag=0)
-        value = yield api.wait(req)
-        out.append(value)
-
-    w = run_script(2, {0: p0, 1: p1})
-    assert w.programs[1].state["out"] == [42]
 
 
 def test_compute_advances_clock():
@@ -156,7 +112,7 @@ def test_block_descriptions_are_formatted_on_demand():
 
     class Hook(ProtocolHook):
         def send_allowed(self):
-            return self.proc.rank != 3          # rank 3's sends are gated
+            return self.proc.rank != 2          # rank 2's sends are gated
 
         def on_checkpoint(self):
             return 2.5e-3                       # a checkpoint write stalls
@@ -164,15 +120,8 @@ def test_block_descriptions_are_formatted_on_demand():
     def recv(api, out):
         yield api.recv(5, tag=7)                # never sent
 
-    def wait(api, out):
-        req = yield api.irecv(5, tag=1)
-        yield api.wait(req)
-
-    def waitall(api, out):
-        reqs = []
-        for tag in (1, 2, 3):
-            reqs.append((yield api.irecv(6, tag=tag)))
-        yield api.waitall(reqs)                 # tag 2 arrives, 1 and 3 never
+    def never_started(api, out):
+        yield api.compute(1.0)
 
     def gated(api, out):
         yield api.send(0, "x", tag=0)
@@ -183,19 +132,15 @@ def test_block_descriptions_are_formatted_on_demand():
     def checkpoint(api, out):
         yield api.checkpoint()
 
-    def feeder(api, out):
-        yield api.send(2, "two", tag=2)
-
-    bodies = {0: recv, 1: wait, 2: waitall, 3: gated, 4: compute,
-              5: checkpoint, 6: feeder}
+    bodies = {0: recv, 1: never_started, 2: gated, 3: compute, 4: checkpoint}
     cls = type("S", (Script,), {"bodies": bodies})
-    world = World(7, cls, hook_factory=lambda rank: Hook())
+    world = World(6, cls, hook_factory=lambda rank: Hook())
+    world.procs[1].pause()                      # parked before its first step
     world.launch()
     world.run(until=1e-3)
     assert [p.describe_block() for p in world.procs] == [
         "recv(src=5, tag=7)",
-        "wait(irecv)",
-        "waitall(3 pending)",   # counted when the op blocked
+        "runnable",
         "send-gate",
         "compute(1.5s)",
         "checkpoint-write(0.0025s)",
@@ -203,10 +148,9 @@ def test_block_descriptions_are_formatted_on_demand():
     ]
     with pytest.raises(DeadlockError) as exc:
         world.run()
-    assert str(exc.value) == "simulation quiesced with 4 unfinished ranks"
+    assert str(exc.value) == "simulation quiesced with 3 unfinished ranks"
     assert exc.value.blocked == {
-        0: "recv(src=5, tag=7)", 1: "wait(irecv)",
-        2: "waitall(3 pending)", 3: "send-gate",
+        0: "recv(src=5, tag=7)", 1: "runnable", 2: "send-gate",
     }
 
 
@@ -282,19 +226,6 @@ def test_message_counters():
     w = run_script(2, {0: p0, 1: p1})
     assert w.procs[0].app_messages_sent == 2
     assert w.procs[1].app_messages_received == 2
-
-
-def test_forced_checkpoint_with_posted_recv_rejected():
-    def p0(api, out):
-        yield api.irecv(1, tag=0)
-        yield api.checkpoint()
-
-    def p1(api, out):
-        yield api.compute(1.0)
-        yield api.send(0, 1, tag=0)
-
-    with pytest.raises(SimulationError):
-        run_script(2, {0: p0, 1: p1})
 
 
 def test_maybe_checkpoint_defaults_to_not_taken():

@@ -13,15 +13,6 @@ class Quick(RankProgram):
         yield api.compute(1e-6)
 
 
-def test_on_all_done_callback():
-    world = World(3, Quick)
-    fired = []
-    world.on_all_done = lambda: fired.append(world.engine.now)
-    world.launch()
-    world.run()
-    assert fired == [1e-6]
-
-
 def test_all_done_flag():
     world = World(2, Quick)
     assert not world.all_done
@@ -30,14 +21,14 @@ def test_all_done_flag():
     assert world.all_done
 
 
-def test_note_rank_restarted_rearms_completion():
+def test_restarted_finished_rank_runs_to_completion_again():
     world = World(1, Quick)
     world.launch()
     world.run()
     assert world.all_done
-    world.note_rank_restarted()
     proc = world.procs[0]
     proc.reincarnate()
+    assert not world.all_done
     world.programs[0].restore({})
     proc.start(world.programs[0].run(world.apis[0]))
     world.run()
@@ -60,26 +51,10 @@ def test_run_until_leaves_programs_unfinished():
 
     world = World(2, Slow)
     world.launch()
-    world.run(until=0.5, expect_completion=False)
+    world.run(until=0.5)                # ``until`` skips the deadlock check
     assert not world.all_done
-    world.run_until_quiescent()
-    assert world.all_done
-
-
-def test_record_events_toggle():
-    world = World(2, EchoPair, record_events=True)
-    world.launch()
     world.run()
-    kinds = {e.kind for e in world.tracer.events}
-    assert "send" in kinds and "deliver" in kinds
-
-
-class EchoPair(RankProgram):
-    def run(self, api):
-        if api.rank == 0:
-            yield api.send(1, "x", tag=0)
-        else:
-            yield api.recv(0, tag=0)
+    assert world.all_done
 
 
 def test_error_hierarchy():

@@ -8,7 +8,6 @@ from repro.errors import ConfigError
 from repro.simmpi.topology import (
     CartGrid,
     balanced_dims,
-    hypercube_neighbors,
     is_power_of_two,
 )
 
@@ -93,15 +92,3 @@ def test_invalid_dims():
         CartGrid((0, 2))
     with pytest.raises(ConfigError):
         CartGrid(())
-
-
-def test_hypercube_neighbors():
-    n = hypercube_neighbors(0, 8)
-    assert sorted(n) == [1, 2, 4]
-    n5 = hypercube_neighbors(5, 8)
-    assert sorted(n5) == [1, 4, 7]
-
-
-def test_hypercube_requires_power_of_two():
-    with pytest.raises(ConfigError):
-        hypercube_neighbors(0, 6)

@@ -54,9 +54,9 @@ def test_send_record_equality_and_same_message():
 
 def test_comm_matrix_counts_and_bytes():
     t = Tracer(3)
-    t.on_app_send(env(0, 1, payload=np.zeros(10)), 0.0)
-    t.on_app_send(env(0, 1, payload=np.zeros(10)), 0.0)
-    t.on_app_send(env(2, 0, payload=np.zeros(5)), 0.0)
+    t.on_app_send(env(0, 1, payload=np.zeros(10)))
+    t.on_app_send(env(0, 1, payload=np.zeros(10)))
+    t.on_app_send(env(2, 0, payload=np.zeros(5)))
     m = t.comm_matrix()
     assert m[0, 1] == 2 and m[2, 0] == 1 and m.sum() == 3
     b = t.comm_matrix("bytes")
@@ -67,14 +67,14 @@ def test_dense_views_of_a_three_rank_exchange():
     # the per-pair counters are sparse rows now; the ndarray views the
     # analyses read (logstats, commmatrix) keep their values and dtype
     t = Tracer(3)
-    t.on_app_send(env(0, 1, payload=np.zeros(10)), 0.0)
-    t.on_app_send(env(0, 1, payload=np.zeros(10)), 0.0)
-    t.on_app_send(env(1, 2, payload=b"abc"), 0.0)
-    t.on_app_send(env(2, 0, payload=np.zeros(5)), 0.0)
-    t.on_app_send(env(2, 2, payload=7), 0.0)            # self-send
+    t.on_app_send(env(0, 1, payload=np.zeros(10)))
+    t.on_app_send(env(0, 1, payload=np.zeros(10)))
+    t.on_app_send(env(1, 2, payload=b"abc"))
+    t.on_app_send(env(2, 0, payload=np.zeros(5)))
+    t.on_app_send(env(2, 2, payload=7))            # self-send
     dup = env(0, 1, payload=np.zeros(10), date=1)
     dup.meta["replayed"] = True
-    t.on_app_send(dup, 0.0, is_replay_dup=True)        # must not count
+    t.on_app_send(dup, is_replay_dup=True)        # must not count
     counts = [[0, 2, 0], [0, 0, 1], [1, 0, 1]]
     nbytes = [[0, 160, 0], [0, 0, 3], [40, 0, 8]]
     for view, want in ((t.msg_count, counts), (t.msg_bytes, nbytes),
@@ -98,7 +98,7 @@ def test_replay_dup_not_counted_in_matrix():
     t = Tracer(2)
     e = env(0, 1, date=1)
     e.meta["replayed"] = True
-    t.on_app_send(e, 0.0, is_replay_dup=True)
+    t.on_app_send(e, is_replay_dup=True)
     assert t.comm_matrix().sum() == 0
     assert len(t.send_sequences(dedup=False)[0]) == 1
     assert len(t.send_sequences(dedup=True)[0]) == 0
@@ -106,40 +106,37 @@ def test_replay_dup_not_counted_in_matrix():
 
 def test_logical_sequences_collapse_by_date():
     t = Tracer(2)
-    t.on_app_send(env(0, 1, payload=7, date=1), 0.0)
-    t.on_app_send(env(0, 1, payload=8, date=2), 0.0)
-    t.on_app_send(env(0, 1, payload=7, date=1), 0.0)  # re-execution re-send
+    t.on_app_send(env(0, 1, payload=7, date=1))
+    t.on_app_send(env(0, 1, payload=8, date=2))
+    t.on_app_send(env(0, 1, payload=7, date=1))  # re-execution re-send
     seq = t.logical_send_sequences()[0]
     assert [r.date for r in seq] == [1, 2]
 
 
 def test_logical_sequences_detect_content_divergence():
     t = Tracer(2)
-    t.on_app_send(env(0, 1, payload=7, date=1), 0.0)
-    t.on_app_send(env(0, 1, payload=999, date=1), 0.0)  # same date, new content
+    t.on_app_send(env(0, 1, payload=7, date=1))
+    t.on_app_send(env(0, 1, payload=999, date=1))  # same date, new content
     with pytest.raises(SendDeterminismError):
         t.logical_send_sequences()
 
 
 def test_logical_sequences_without_dates_pass_through():
     t = Tracer(1)
-    t.on_app_send(env(0, 0, payload=1), 0.0)
-    t.on_app_send(env(0, 0, payload=1), 0.0)
+    t.on_app_send(env(0, 0, payload=1))
+    t.on_app_send(env(0, 0, payload=1))
     assert len(t.logical_send_sequences()[0]) == 2
 
 
 def test_deliver_sequences():
     t = Tracer(2)
-    t.on_app_deliver(env(0, 1, payload=b"abc", tag=4), 1.0)
+    t.on_app_deliver(env(0, 1, payload=b"abc", tag=4))
     assert t.deliver_sequences()[1] == [(0, 4, 3)]
 
 
-def test_event_recording_toggle():
-    t = Tracer(2, record_events=True)
-    t.on_app_send(env(0, 1), 0.5)
+def test_marks_are_always_kept():
+    t = Tracer(2)
+    t.on_app_send(env(0, 1))
     t.on_mark("checkpoint", 0, 0.6, (2,))
-    kinds = [e.kind for e in t.events]
-    assert kinds == ["send", "checkpoint"]
-    t2 = Tracer(2, record_events=False)
-    t2.on_app_send(env(0, 1), 0.5)
-    assert t2.events == []
+    t.on_mark("failure", 1, 0.7)
+    assert t.marks == [("checkpoint", 0.6, 0, (2,)), ("failure", 0.7, 1, ())]

@@ -123,8 +123,7 @@ def test_obs_counters_track_completions():
     counter = obs.counter("sweep.tasks_completed", ("status",))
     assert counter.get(labels=("ok",)) == 2
     assert counter.get(labels=("error",)) == 2
-    done = [e for e in obs.events if e.kind == "sweep.task_done"]
-    assert len(done) == 4
+    assert counter.total == 4
 
 
 def test_empty_sweep():
@@ -246,7 +245,7 @@ def obs_then_fail(params):
     obs = params["obs"]
     n = params["x"]
     obs.counter("t.runs", ("n",)).inc(labels=(n,))
-    obs.event("t.seen", n=n)
+    obs.flight.record(0, "send", uid=n)
     if n % 2:
         raise ValueError(f"odd input {n}")
     return n
@@ -259,13 +258,13 @@ def _merged_export(workers):
     results = run_sweep(obs_then_fail, _tasks(4), workers=workers,
                         obs=parent, collect_obs=True)
     assert [r.status for r in results] == ["ok", "error", "ok", "error"]
-    order = [e.fields["n"] for e in parent.events if e.kind == "t.seen"]
+    order = [rec[4] for rec in parent.flight.records(rank=0)]
     return dump_metrics(parent, "jsonl"), order
 
 
 def test_error_result_obs_snapshots_merge_in_task_order():
     """Failing tasks still ship their partial obs snapshot, and the merge
-    happens in task order for any worker count — error events from task 1
+    happens in task order for any worker count — error records from task 1
     land before task 2's even when a pool finished them out of order."""
     seq_export, seq_order = _merged_export(workers=1)
     par_export, par_order = _merged_export(workers=2)

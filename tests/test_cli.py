@@ -137,10 +137,28 @@ def test_obs_text_format(capsys):
 
 
 def test_obs_timeseries_out_requires_flag(tmp_path, capsys):
-    path = tmp_path / "ts.jsonl"
+    # rejected before the run: no other output is written either
+    path, metrics = tmp_path / "ts.jsonl", tmp_path / "m.jsonl"
     assert main(["obs", "--ranks", "4", "--clusters", "2",
-                 "--timeseries-out", str(path)]) == 2
-    capsys.readouterr()
+                 "--out", str(metrics), "--timeseries-out", str(path)]) == 2
+    assert "--timeseries-out needs --timeseries" in capsys.readouterr().err
+    assert not metrics.exists() and not path.exists()
+
+
+def test_obs_trace_out_is_perfetto_whatever_the_suffix(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "t.json"                  # no ``.trace.json`` suffix
+    assert main(["obs", "--ranks", "4", "--clusters", "2",
+                 "--out", str(tmp_path / "m.jsonl"),
+                 "--trace-out", str(path)]) == 0
+    assert "perfetto trace" in capsys.readouterr().out
+    events = json.loads(path.read_text())["traceEvents"]
+    assert events
+    for e in events:
+        assert e["ph"] in {"X", "i", "s", "f"}
+        assert e["pid"] == e["tid"] and e["ts"] >= 0 and e["name"]
+    assert {"checkpoint", "failure"} <= {e["name"] for e in events}
 
 
 def test_report_command(tmp_path, capsys):
