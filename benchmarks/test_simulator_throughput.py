@@ -20,11 +20,11 @@ from conftest import (emit, emit_json, format_table, median, paired_factor,
                       seed_baseline, timed, timed_interleaved)
 
 BURST_EVENTS = 10_000
-#: batched-dispatch burst: total logical events and members per run entry.
-#: The width matches what the network's burst coalescing produces for the
-#: recovery-line control broadcast and SPMD-symmetric sends at scale.
-RUN_EVENTS = 200_000
-RUN_WIDTH = 32
+#: same-instant burst: total events and events per instant.  SPMD ranks
+#: move in lockstep, so at scale an instant holds tens of events (19 on the
+#: 256-rank MG cell, 38 on the 1024-rank CG cell).
+INSTANT_EVENTS = 200_000
+INSTANT_WIDTH = 32
 
 
 def _engine_burst() -> int:
@@ -35,24 +35,20 @@ def _engine_burst() -> int:
     return eng.events_dispatched
 
 
-def _engine_run_burst() -> int:
-    """Dispatch ``RUN_EVENTS`` logical events as coalesced run entries.
-
-    The callback walks its members exactly the way the network's
-    ``_deliver_burst`` does (skip holes, touch each item), so the measured
-    rate is what batched delivery actually achieves — one heap pop
-    amortised over ``RUN_WIDTH`` events — not an empty-loop upper bound.
-    """
+def _engine_instant_burst() -> int:
+    """Schedule and dispatch ``INSTANT_EVENTS`` events, ``INSTANT_WIDTH``
+    to the instant, through the engine's one primitive: per event a
+    ``dict.get`` and two appends in, an index step and a call out — the
+    heap is touched once per instant."""
     eng = Engine()
-    payload = list(range(RUN_WIDTH))
 
-    def deliver(items: list) -> None:
-        for item in items:
-            if item is None:
-                continue
+    def deliver(item: int) -> None:
+        pass
 
-    for i in range(RUN_EVENTS // RUN_WIDTH):
-        eng.schedule_run_at(i * 1e-9, deliver, list(payload))
+    for i in range(INSTANT_EVENTS // INSTANT_WIDTH):
+        time = i * 1e-9
+        for item in range(INSTANT_WIDTH):
+            eng.post_at(time, deliver, item)
     eng.run()
     return eng.events_dispatched
 
@@ -195,25 +191,24 @@ def test_timeseries_overhead_factor(benchmark):
 
 
 def test_engine_event_dispatch_rate(benchmark):
-    """Singleton and batched dispatch rates.
+    """Schedule-and-dispatch rates, one event to the instant and many.
 
-    ``engine_singleton_events_per_s`` is the per-heap-entry rate (one pop,
-    one callback per event) — the floor every non-coalescible event pays.
-    ``engine_events_per_s`` is the batched rate: same-instant deliveries
-    coalesced into run entries of ``RUN_WIDTH`` members (the 4K-rank
-    scaling headline; the Table I sweep's control broadcasts and the
-    sends SPMD ranks emit at the same instant ride this path).
+    ``engine_singleton_events_per_s`` is the rate when every event has an
+    instant of its own (one heap push and pop, one ``EventHandle`` each) —
+    the floor a run off lockstep pays.  ``engine_events_per_s`` is the
+    rate at ``INSTANT_WIDTH`` events to the instant, where the heap is
+    touched once per instant (what the Table I cells ride at scale).
     """
     wall_single = timed(_engine_burst)
-    wall_runs = timed(_engine_run_burst, rounds=5)
+    wall_instants = timed(_engine_instant_burst, rounds=5)
     emit_json("BENCH_throughput.json", {
         "engine_burst_s": round(wall_single, 6),
         "engine_singleton_events_per_s": round(BURST_EVENTS / wall_single),
-        "engine_run_burst_s": round(wall_runs, 6),
-        "engine_run_width": RUN_WIDTH,
-        "engine_events_per_s": round(RUN_EVENTS / wall_runs),
+        "engine_instant_burst_s": round(wall_instants, 6),
+        "engine_instant_width": INSTANT_WIDTH,
+        "engine_events_per_s": round(INSTANT_EVENTS / wall_instants),
     })
-    assert benchmark(_engine_run_burst) == RUN_EVENTS
+    assert benchmark(_engine_instant_burst) == INSTANT_EVENTS
 
 
 def test_pt2pt_message_rate(benchmark):

@@ -262,8 +262,7 @@ def _run_chaos(schedule: TrialSchedule, ref_world: Any, horizon: float,
             budget = 100_000 + 60 * ref_world.engine.events_dispatched
             try:
                 world.engine.run(max_events=budget)
-                if (not world.all_done
-                        and world.engine._peek_time() != float("inf")):
+                if not world.all_done and world.engine.pending:
                     raise ProtocolError(
                         f"chaos run still busy after {budget} events "
                         f"(reference needed "

@@ -29,8 +29,8 @@ correctness argument rests on:
     checkpoint it was restored from).
 ``engine_pending_audit``
     The engine's O(1) pending-event counter agrees with the queue's
-    actual live-entry count (amortised: every ``AUDIT_INTERVAL``
-    dispatches).
+    actual live-entry count, and its heap of instants with its buckets
+    (amortised: every ``AUDIT_INTERVAL`` dispatches).
 ``send_witness``
     Send-determinism, checked live (paper Section II-A): the first
     emission of each send date registers its witness ``(dst, tag, size,
@@ -284,11 +284,16 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Engine-layer check (amortised per AUDIT_INTERVAL dispatches)
     # ------------------------------------------------------------------
-    def engine_pending_audit(self, live: int, pending: int) -> None:
+    def engine_pending_audit(self, live: int, pending: int,
+                             in_step: bool = True) -> None:
         """Compare the engine's O(1) pending counter with an actual count
-        of live queue entries."""
+        of live queue entries; ``in_step`` is whether its heap of instants
+        and its buckets hold the same instants, each once."""
         self._tick("engine_pending_audit")
         if live != pending:
             self._fail("engine_pending_audit",
                        f"engine pending counter drifted: counter={pending}, "
                        f"queue holds {live} live entries")
+        if not in_step:
+            self._fail("engine_pending_audit",
+                       "engine heap and buckets hold different instants")

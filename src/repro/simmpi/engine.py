@@ -1,25 +1,32 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is a classic calendar queue: events are ``[time, seq, state,
-callback]`` records ordered by time with a monotonically increasing
-sequence number as a tie-breaker, which makes every run bit-reproducible —
-a property the correctness tests rely on to compare failure-free and
-post-failure executions message by message.
+The queue is a calendar of *instants*: a min-heap of the distinct pending
+virtual times plus ``dict[time] -> bucket``, a bucket being the flat list
+``[time, holes, fn, arg, fn, arg, ...]`` of that instant's events in the
+order they were scheduled.  Dispatch is by instant, then FIFO within the
+instant — exactly the ``(time, sequence number)`` order of a heap of
+single events, because there is one bucket per instant and append order
+*is* sequence order — which makes every run bit-reproducible, a property
+the correctness tests rely on to compare failure-free and post-failure
+executions message by message.
 
 The engine knows nothing about MPI, processes or fault tolerance; it only
 dispatches callbacks at virtual times.
 
 Hot-path layout
 ---------------
-Queue entries are plain lists, not objects: heap sift comparisons stay in
-C (list-vs-list lexicographic compare never reaches the callback slot
-because sequence numbers are unique), and the dispatch loop in
-:meth:`Engine.run` pops each entry exactly once instead of the classic
-peek-then-pop double heap traversal.  Cancellation flips the entry's state
-slot in place; cancelled entries are dropped lazily when they surface at
-the head, and a compaction pass rebuilds the heap whenever cancelled
-garbage exceeds half the queue (heavy cancellers — failure purges — would
-otherwise accumulate dead entries in the middle of the heap forever).
+SPMD ranks move in lockstep, so a run has an order of magnitude fewer
+instants than events.  Scheduling is a ``dict.get`` and two appends; only
+the first event of an instant pays a ``heappush``.  :meth:`Engine.run`
+does its horizon, time-series and clock work once per instant and then
+walks the bucket by index, so an event scheduled *for the current
+instant* from inside a callback joins the bucket being walked and never
+touches the heap.  Cancellation leaves a hole (``None``) in the bucket;
+an instant whose every event was cancelled maps to ``None`` and is
+dropped when it surfaces at the head of the heap, and a compaction pass
+rebuilds heap and dict whenever such dead instants exceed half the heap
+(heavy cancellers — ack flush timers — would otherwise strand them in the
+middle of the heap forever).
 
 Observability: pass a :class:`repro.obs.MetricsRegistry` to count events
 dispatched per callback class and sample queue depth.  With the default
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import sys
 from typing import Any, Callable
 
 from ..errors import SimulationError
@@ -39,15 +47,14 @@ from ..obs.registry import DEPTH_BUCKETS
 
 __all__ = ["Engine", "EventHandle"]
 
-# Queue-entry slots: [time, seq, state, callback] for singleton events;
-# run entries carry two extra slots, [..., items, live] (see
-# Engine.schedule_run_at).
-_TIME, _SEQ, _STATE, _CALLBACK = 0, 1, 2, 3
-_ITEMS, _LIVE = 4, 5
-# Entry states.
-_PENDING, _CANCELLED, _DISPATCHED = 0, 1, 2
+# Bucket layout: [time, holes, fn, arg, fn, arg, ...] — ``holes`` counts the
+# members cancelled out of the bucket, members start at index _FIRST.
+_TIME, _HOLES, _FIRST = 0, 1, 2
 
-#: never compact below this queue size (rebuild cost would dominate)
+#: the ``arg`` of an event whose callback takes none
+_NO_ARG: Any = object()
+
+#: never compact below this many dead instants (rebuild cost would dominate)
 _COMPACT_MIN = 64
 
 #: dispatch-count mask between sanitizer pending-counter audits
@@ -57,31 +64,19 @@ _AUDIT_MASK = AUDIT_INTERVAL - 1
 class EventHandle:
     """Opaque handle returned by :meth:`Engine.schedule`; allows cancellation."""
 
-    __slots__ = ("_entry", "_engine")
+    __slots__ = ("_engine", "_bucket", "_idx", "cancelled")
 
-    def __init__(self, entry: list, engine: "Engine"):
-        self._entry = entry
+    def __init__(self, engine: "Engine", bucket: list):
         self._engine = engine
-
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_STATE] == _CANCELLED
+        self._bucket = bucket
+        self._idx = len(bucket) - 2  # the member just appended
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it; cancelling twice (or after
         the event already ran) is a no-op."""
-        entry = self._entry
-        if entry[_STATE] != _PENDING:
-            return
-        entry[_STATE] = _CANCELLED
-        engine = self._engine
-        engine._pending -= 1
-        engine._cancelled += 1
-        engine._maybe_compact()
+        if self._engine.cancel(self._bucket, self._idx):
+            self.cancelled = True
 
 
 class Engine:
@@ -98,10 +93,16 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0, obs: Any = None):
         self.now: float = float(start_time)
-        self._queue: list[list] = []
-        self._seq = 0
+        # the calendar: distinct pending instants, and each one's bucket
+        # (None once every member was cancelled); same keys, each once
+        self._heap: list[float] = []
+        self._buckets: dict[float, list | None] = {}
+        # where the walk of the head bucket resumes: past _FIRST only
+        # between a run() that ``max_events`` (or a raising callback)
+        # stopped mid-instant and the run() that finishes the instant
+        self._cursor = _FIRST
         self._pending = 0
-        self._cancelled = 0
+        self._garbage = 0
         self._events_dispatched = 0
         self._compactions = 0
         self._running = False
@@ -118,8 +119,9 @@ class Engine:
                 "engine.events_dispatched", ("callback",)
             )
             self._disp_cells: dict[Any, Any] = {}
-            # queue depth is sampled 1-in-hist_sample (countdown inlined in
-            # the dispatch loop); the "current" gauge rides the same ticks
+            # queue depth (live pending events) is sampled at 1 event in
+            # hist_sample (countdown inlined in the dispatch loop); the
+            # "current" gauge rides the same ticks
             self._depth_hist = self.obs.histogram(
                 "engine.queue_depth", DEPTH_BUCKETS
             )
@@ -127,9 +129,9 @@ class Engine:
             self._depth_cd = 1
             self._depth_gauge = self.obs.gauge("engine.queue_depth.current")
         # virtual-time series recorder: sampled by a boundary hook in the
-        # dispatch loop (no queue entries, no sequence numbers — arming it
-        # cannot perturb event order; see obs/timeseries.py).  bind_engine
-        # is first-wins, so a second world on the same registry stays out.
+        # dispatch loop (no queue entries — arming it cannot perturb event
+        # order; see obs/timeseries.py).  bind_engine is first-wins, so a
+        # second world on the same registry stays out.
         self._ts = None
         if self.obs is not None:
             ts = self.obs.timeseries
@@ -141,22 +143,24 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now.
+    def post(self, delay: float, fn: Callable[..., None],
+             arg: Any = _NO_ARG) -> list:
+        """Schedule ``fn(arg)`` — ``fn()`` without ``arg`` — ``delay``
+        seconds from now, after every event already scheduled for that
+        instant (FIFO within a timestamp).  ``delay`` must be non-negative.
 
-        ``delay`` must be non-negative; a zero delay runs after all events
-        already scheduled for the current instant (FIFO within a timestamp).
+        This is the allocation-free primitive: it returns the instant's
+        bucket, which the event joined as its last member.  A caller that
+        may cancel keeps ``(bucket, len(bucket) - 2)`` for :meth:`cancel`;
+        :meth:`schedule` wraps the pair in an :class:`EventHandle`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        seq = self._seq = self._seq + 1
-        entry = [self.now + delay, seq, _PENDING, callback]
-        self._pending += 1
-        heapq.heappush(self._queue, entry)
-        return EventHandle(entry, self)
+        return self.post_at(self.now + delay, fn, arg)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute virtual time ``time``.
+    def post_at(self, time: float, fn: Callable[..., None],
+                arg: Any = _NO_ARG) -> list:
+        """:meth:`post` at absolute virtual time ``time`` (a float).
 
         Times in the past are clamped to the current instant.  The event is
         stored at exactly ``time`` (no ``now + (time - now)`` float round
@@ -164,104 +168,78 @@ class Engine:
         network's per-channel FIFO tie-break — keep their invariants even
         at large virtual times where one ulp matters.
         """
-        time = float(time)
-        now = self.now
-        if time < now:
-            time = now
-        seq = self._seq = self._seq + 1
-        entry = [time, seq, _PENDING, callback]
+        if time < self.now:
+            time = self.now
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._open(time)
+        bucket.append(fn)
+        bucket.append(arg)
         self._pending += 1
-        heapq.heappush(self._queue, entry)
-        return EventHandle(entry, self)
+        return bucket
+
+    def _open(self, time: float) -> list:
+        """A fresh bucket for an instant that has no live event."""
+        buckets = self._buckets
+        if time in buckets:
+            # a dead instant comes back to life: it is in the heap already
+            self._garbage -= 1
+        else:
+            heapq.heappush(self._heap, time)
+        bucket = buckets[time] = [time, 0]
+        return bucket
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+        """Schedule ``callback`` to run ``delay`` seconds from now."""
+        return EventHandle(self, self.post(delay, callback))
+
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
+        """Schedule ``callback`` at absolute virtual time ``time``."""
+        return EventHandle(self, self.post_at(float(time), callback))
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current instant (after queued peers)."""
-        return self.schedule(0.0, callback)
+        return EventHandle(self, self.post(0.0, callback))
 
-    def schedule_run_at(
-        self, time: float, callback: Callable[[list], None], items: list
-    ) -> list:
-        """Schedule a *run*: a batch of logical events sharing one timestamp.
-
-        The whole batch occupies a single queue entry, ``[time, seq, state,
-        callback, items, live]`` — the heap is popped once and
-        ``callback(items)`` dispatches every member, so a burst of ``n``
-        same-instant events costs one sift instead of ``n``.  ``items`` may
-        contain ``None`` holes where members were cancelled; the callback
-        must skip them.  ``live`` counts the non-hole members and is what
-        the engine's event accounting (``pending``, ``events_dispatched``,
-        obs dispatch counters) is kept in terms of, so a run of ``n``
-        members is indistinguishable from ``n`` singleton events in every
-        counter.
-
-        Returns the entry, an opaque token for :meth:`run_append` and
-        :meth:`cancel_run_member` — there is no per-member handle object,
-        the caller keeps ``(entry, index)``.
-        """
-        time = float(time)
-        now = self.now
-        if time < now:
-            time = now
-        seq = self._seq = self._seq + 1
-        entry = [time, seq, _PENDING, callback, items, len(items)]
-        self._pending += len(items)
-        heapq.heappush(self._queue, entry)
-        return entry
-
-    def run_append(self, entry: list, time: float, item: Any) -> int:
-        """Add ``item``, due at ``time``, to a run that is still *open* at
-        exactly that time; returns its member index, or -1 when it is not
-        (the caller schedules a new run).
-
-        A run is open while it has not been dispatched or cancelled and *no
-        other event has been scheduled since* (its sequence number is still
-        the engine's latest).  The second condition is what makes appending
-        order-safe — the member dispatches exactly where a fresh singleton
-        would have (same time, next sequence slot, nothing in between).
-        """
-        if (entry[_TIME] != time or entry[_STATE] != _PENDING
-                or self._seq != entry[_SEQ]):
-            return -1
-        items = entry[_ITEMS]
-        items.append(item)
-        entry[_LIVE] += 1
-        self._pending += 1
-        return len(items) - 1
-
-    def cancel_run_member(self, entry: list, idx: int) -> None:
-        """Cancel one logical event inside a run entry (leaves a ``None``
-        hole); a no-op once the run dispatched or the member is gone."""
-        items = entry[_ITEMS]
-        if entry[_STATE] != _PENDING or items[idx] is None:
-            return
-        items[idx] = None
-        entry[_LIVE] -= 1
+    def cancel(self, bucket: list, idx: int) -> bool:
+        """Cancel the event at ``bucket[idx]`` (see :meth:`post`), leaving a
+        hole the dispatch walk skips — also when the bucket is the one being
+        walked.  Returns ``False``, and does nothing, when the event already
+        ran or was cancelled."""
+        if idx >= len(bucket) or bucket[idx] is None:
+            return False
+        bucket[idx] = bucket[idx + 1] = None
         self._pending -= 1
-        if entry[_LIVE] == 0:
-            # last member gone: the entry itself is garbage now
-            entry[_STATE] = _CANCELLED
-            self._cancelled += 1
+        holes = bucket[_HOLES] = bucket[_HOLES] + 1
+        if 2 * holes == len(bucket) - _FIRST:
+            # its last member gone, the instant is garbage.  Never the
+            # bucket being walked: an event that ran left no hole behind.
+            self._buckets[bucket[_TIME]] = None
+            self._garbage += 1
             self._maybe_compact()
+        return True
 
     # ------------------------------------------------------------------
-    # Cancelled-entry compaction
+    # Dead-instant compaction
     # ------------------------------------------------------------------
     def _maybe_compact(self) -> None:
-        """Rebuild the heap when cancelled garbage exceeds half the queue.
+        """Rebuild the calendar when dead instants exceed half the heap.
 
-        :meth:`run`'s lazy skip only drops cancelled entries that reach the
-        *head*; workloads that cancel heavily (network purges on failure)
-        strand garbage in the middle of the heap, so without this bound the
-        queue grows without limit while ``pending`` stays small.
+        :meth:`run` only drops a dead instant that reaches the *head*;
+        workloads that cancel heavily (an ack flush timer per piggyback)
+        strand them in the middle of the heap, so without this bound heap
+        and dict grow without limit while ``pending`` stays small.
         """
-        if self._cancelled < _COMPACT_MIN or self._cancelled * 2 < len(self._queue):
+        if self._garbage < _COMPACT_MIN or self._garbage * 2 < len(self._heap):
             return
-        queue = self._queue
-        # in place: run() caches a reference to the queue list, so the
-        # compacted heap must keep the same identity
-        queue[:] = [e for e in queue if e[_STATE] == _PENDING]
-        heapq.heapify(queue)
-        self._cancelled = 0
+        buckets = self._buckets
+        live = {t: b for t, b in buckets.items() if b is not None}
+        # in place: run() caches references to both containers
+        buckets.clear()
+        buckets.update(live)
+        self._heap[:] = live
+        heapq.heapify(self._heap)
+        self._garbage = 0
         self._compactions += 1
 
     # ------------------------------------------------------------------
@@ -279,8 +257,8 @@ class Engine:
 
     @property
     def queue_garbage(self) -> int:
-        """Cancelled entries still physically present in the heap."""
-        return self._cancelled
+        """Instants still in the heap whose every event was cancelled."""
+        return self._garbage
 
     @property
     def compactions(self) -> int:
@@ -288,13 +266,18 @@ class Engine:
         return self._compactions
 
     def _audit_pending(self) -> None:
-        """Sanitizer: recount live queue entries against the O(1) counter."""
-        live = sum(
-            (e[_LIVE] if len(e) > _ITEMS else 1)
-            for e in self._queue
-            if e[_STATE] == _PENDING
-        )
-        self._san.engine_pending_audit(live, self._pending)
+        """Sanitizer: recount the live members over the buckets against
+        the O(1) counter, and check that heap instants and bucket keys are
+        the same set, each once."""
+        buckets = self._buckets
+        live = dead = 0
+        for bucket in buckets.values():
+            if bucket is None:
+                dead += 1
+            else:
+                live += sum(fn is not None for fn in bucket[_FIRST::2])
+        in_step = sorted(self._heap) == sorted(buckets) and dead == self._garbage
+        self._san.engine_pending_audit(live, self._pending, in_step)
 
     def _resolve_disp_cell(self, cb: Any, key: Any) -> Any:
         """Slow path: first dispatch of a callback site — derive the label
@@ -306,20 +289,22 @@ class Engine:
         return cell
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events``.
+        """Run until the queue drains, ``until`` is reached, or ``max_events``
+        events were dispatched.
 
         ``until`` is an absolute virtual time; events scheduled exactly at
         ``until`` are executed.  When ``until`` is given, the clock lands on
         ``until`` whether the horizon cut the queue short *or* the queue
         drained early — ``engine.now`` never lags the requested horizon.
+        ``max_events`` is exact: a stop that falls inside an instant leaves
+        the rest of its bucket pending, and the next ``run()`` resumes it.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
-        dispatched = 0
-        queue = self._queue
+        heap = self._heap
+        buckets = self._buckets
         heappop = heapq.heappop
-        unbounded = until is None and max_events is None
         # hoist the instrumentation handles: the inlined recording below
         # touches only locals and bare cells, so the fully-enabled loop
         # stays free of per-event registry lookups
@@ -332,10 +317,13 @@ class Engine:
             depth_cd = self._depth_cd
         san = self._san
         # ts_next is +inf when no recorder is armed, so the recorder-off
-        # path pays one float compare per event
+        # path pays one float compare per instant
         ts = self._ts
         ts_next = ts.next_time if ts is not None else float("inf")
         events_dispatched = self._events_dispatched
+        stop_at = (sys.maxsize if max_events is None
+                   else events_dispatched + max_events)
+        i = self._cursor
         # A run allocates no cyclic garbage (tests/integration pins it), so
         # the hundreds of young-generation passes its container churn would
         # schedule find nothing: pause the collector for the dispatch loop.
@@ -344,13 +332,7 @@ class Engine:
         gc.disable()
         try:
             while True:
-                # drop cancelled garbage that surfaced at the head, then
-                # peek the head entry once — the same entry is popped below,
-                # so each live event costs exactly one sift-down
-                while queue and queue[0][_STATE] == _CANCELLED:
-                    heappop(queue)
-                    self._cancelled -= 1
-                if not queue:
+                if not heap:
                     # queue drained before the horizon: still advance the
                     # clock so back-to-back run(until=...) calls see time
                     # move monotonically to each horizon
@@ -361,70 +343,96 @@ class Engine:
                         # still due (the state can no longer change)
                         ts_next = ts.sample_through(self.now)
                     break
-                time = queue[0][_TIME]
-                if not unbounded:
-                    if until is not None and time > until:
-                        if until >= ts_next:
-                            ts_next = ts.sample_through(until)
+                time = heap[0]
+                bucket = buckets[time]
+                if bucket is None:
+                    # a dead instant surfaced: drop it, clock untouched
+                    heappop(heap)
+                    del buckets[time]
+                    self._garbage -= 1
+                    continue
+                if until is not None and time > until:
+                    if until >= ts_next:
+                        ts_next = ts.sample_through(until)
+                    # never backwards: a half-walked instant is found again
+                    # as the heap's head because nothing can be scheduled
+                    # before it
+                    if until > self.now:
                         self.now = until
-                        break
-                    if max_events is not None and dispatched >= max_events:
-                        break
+                    break
+                if events_dispatched >= stop_at:
+                    break
                 # time-series boundary hook: sample every grid point the
-                # head event has reached *before* dispatching it, so each
+                # head instant has reached *before* dispatching it, so each
                 # sample reads the state as of the boundary instant
                 if time >= ts_next:
                     ts_next = ts.sample_through(time)
-                entry = heappop(queue)
                 if time < self.now:
                     raise SimulationError(
                         "event queue corrupted: time went backwards"
                     )
                 self.now = time
-                entry[_STATE] = _DISPATCHED
-                callback = entry[_CALLBACK]
-                # run entries ([time, seq, state, callback, items, live])
-                # dispatch a whole same-instant batch from one heap pop
-                batch = len(entry) > _ITEMS
-                live = entry[_LIVE] if batch else 1
-                self._pending -= live
-                events_dispatched += live
-                dispatched += live
-                if obs_on:
-                    # attribute the dispatch to the callback's qualified
-                    # name.  The label cell is cached keyed by the callback's
-                    # *code object*: bound methods of one method and every
-                    # lambda from one call site share it, so the cache stays
-                    # as small as the label cardinality while the per-event
-                    # key is two C-slot loads — no qualname string fetch.  A
-                    # run entry attributes all ``live`` members in one update.
-                    try:
-                        key = callback.__code__
-                    except AttributeError:
-                        key = type(callback)
-                    cell = disp_get(key)
-                    if cell is None:
-                        cell = self._resolve_disp_cell(callback, key)
-                    cell.n += live
-                    depth_cd -= live
-                    if depth_cd <= 0:
-                        depth_cd = depth_interval
-                        depth = len(queue)
-                        depth_hist_observe(depth)
-                        depth_gauge.value = depth
-                        if depth > depth_gauge.high_water:
-                            depth_gauge.high_water = depth
-                if san is not None and (events_dispatched & _AUDIT_MASK) < live:
-                    self._events_dispatched = events_dispatched
-                    self._audit_pending()
-                if batch:
-                    callback(entry[_ITEMS])
+                # walk by index and re-read the length: callbacks append to
+                # this very bucket (call_soon, zero delays, clamped times)
+                while i < len(bucket):
+                    fn = bucket[i]
+                    if fn is None:
+                        i += 2
+                        continue
+                    if events_dispatched >= stop_at:
+                        break
+                    arg = bucket[i + 1]
+                    # a None slot is "ran or cancelled" to Engine.cancel
+                    bucket[i] = None
+                    i += 2
+                    self._pending -= 1
+                    events_dispatched += 1
+                    if obs_on:
+                        # attribute the dispatch to the callback's qualified
+                        # name.  The label cell is cached keyed by the
+                        # callback's *code object*: bound methods of one
+                        # method and every lambda from one call site share
+                        # it, so the cache stays as small as the label
+                        # cardinality while the per-event key is two C-slot
+                        # loads — no qualname string fetch.
+                        try:
+                            key = fn.__code__
+                        except AttributeError:
+                            key = type(fn)
+                        cell = disp_get(key)
+                        if cell is None:
+                            cell = self._resolve_disp_cell(fn, key)
+                        cell.n += 1
+                        depth_cd -= 1
+                        if not depth_cd:
+                            depth_cd = depth_interval
+                            depth = self._pending
+                            depth_hist_observe(depth)
+                            depth_gauge.value = depth
+                            if depth > depth_gauge.high_water:
+                                depth_gauge.high_water = depth
+                    if san is not None and not events_dispatched & _AUDIT_MASK:
+                        self._events_dispatched = events_dispatched
+                        self._audit_pending()
+                    if arg is _NO_ARG:
+                        fn()
+                    else:
+                        fn(arg)
                 else:
-                    callback()
+                    # instant finished.  Every later instant is strictly
+                    # later, so it is still the heap's head; emptying the
+                    # bucket bounds what a kept EventHandle can pin.
+                    heappop(heap)
+                    del buckets[time]
+                    bucket.clear()
+                    i = _FIRST
+                    continue
+                break  # max_events fell inside the instant
         finally:
             if gc_was_enabled:
                 gc.enable()
             self._running = False
+            self._cursor = i
             self._events_dispatched = events_dispatched
             if obs_on:
                 self._depth_cd = depth_cd
@@ -433,14 +441,8 @@ class Engine:
         """Drop every event still queued (an aborted or horizon-bounded run
         leaves some, and their callbacks reference whoever scheduled them);
         the clock and the dispatch counters stay readable."""
-        self._queue.clear()
+        self._heap.clear()
+        self._buckets.clear()
+        self._cursor = _FIRST
         self._pending = 0
-        self._cancelled = 0
-
-    def _peek_time(self) -> float:
-        while self._queue and self._queue[0][_STATE] == _CANCELLED:
-            heapq.heappop(self._queue)
-            self._cancelled -= 1
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][_TIME]
+        self._garbage = 0

@@ -99,15 +99,9 @@ class Network:
         self._last_arrival: dict[tuple[int, int], float] = {}
         # in-flight events per destination (one dict per attached rank,
         # created by attach), keyed by envelope uid so a delivery removes
-        # its own entry in O(1); each value is (run entry, member index,
-        # envelope) — what Engine.cancel_run_member needs, no handle object
-        self._in_flight: dict[int, dict[int, tuple[list, int, Envelope]]] = {}
-        # the latest delivery run: transmits that land at the same arrival
-        # instant with no other event scheduled in between
-        # (Engine.run_append) join it instead of paying their own heap
-        # entry — control broadcasts and the sends SPMD ranks emit at the
-        # same instant become one pop at scale
-        self._open_burst: list | None = None
+        # its own entry in O(1); each value is the delivery event's
+        # (bucket, index) — what Engine.cancel needs, no handle object
+        self._in_flight: dict[int, dict[int, tuple[list, int]]] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -161,7 +155,6 @@ class Network:
         reference the processes behind them (see ``World.close``)."""
         self._receivers.clear()
         self._in_flight.clear()
-        self._open_burst = None
 
     def transmit(self, env: Envelope) -> float:
         """Put ``env`` on the wire; returns the sender-side CPU time consumed.
@@ -195,22 +188,11 @@ class Network:
             # float rounding once virtual time grows past ~1e4 s, which
             # would silently collapse a channel's arrivals onto one
             # instant; nextafter always yields the next representable
-            # (strictly later) time, and schedule_at stores it exactly.
+            # (strictly later) time, and post_at stores it exactly.
             arrival = math.nextafter(prev, math.inf)
         self._last_arrival[chan] = arrival
-        # coalesce into the open delivery run when this transmit lands at
-        # the exact same instant and nothing else was scheduled since the
-        # run entry was created: the appended member dispatches precisely
-        # where its own singleton entry would have (see Engine.run_append),
-        # so burst and non-burst executions are event-for-event identical
-        burst = self._open_burst
-        idx = -1 if burst is None else engine.run_append(burst, arrival, env)
-        if idx < 0:
-            burst = self._open_burst = engine.schedule_run_at(
-                arrival, self._deliver_burst, [env]
-            )
-            idx = 0
-        pending[env.uid] = (burst, idx, env)
+        bucket = engine.post_at(arrival, self._deliver, env)
+        pending[env.uid] = (bucket, len(bucket) - 2)
         self.messages_sent += 1
         self.bytes_sent += size
         if self.obs is not None:
@@ -241,37 +223,26 @@ class Network:
                 self._depth_hist.observe(depth)
         return cpu
 
-    def _deliver_burst(self, items: list) -> None:
-        """Deliver every member of a coalesced run (usually length 1).
-
-        Holes (``None``) are members cancelled before dispatch.  A member
-        can also be purged *mid-run*: delivering an earlier member may kill
-        a rank (chaos send-count failure taps), and the purge then removes
-        later members of this very run from the in-flight map while the
-        entry is already marked dispatched — so a member whose uid is no
-        longer in flight is skipped exactly as its cancelled singleton
-        would have been (the purge already counted it as dropped).
-        """
-        in_flight = self._in_flight
-        for env in items:
-            if env is None:
-                continue
-            if in_flight[env.dst].pop(env.uid, None) is None:
-                continue
-            self.messages_delivered += 1
-            if self.obs is not None:
-                self._delivered_cell.n += 1
-                cd = self._rx_cd - 1
-                if cd:
-                    self._rx_cd = cd
-                else:
-                    self._rx_cd = self._hist_interval
-                    self._in_flight_gauge.value = (
-                        self.messages_sent - self.messages_delivered
-                        - self.messages_dropped
-                    )
-                    self._transit_hist.observe(self.engine.now - env.send_time)
-            self._receivers[env.dst](env)
+    def _deliver(self, env: Envelope) -> None:
+        """The delivery event of one envelope.  One that a purge dropped
+        never gets here: its event is cancelled, also when the purge comes
+        from an earlier delivery of the same instant (a chaos send-count
+        tap killing the destination)."""
+        del self._in_flight[env.dst][env.uid]
+        self.messages_delivered += 1
+        if self.obs is not None:
+            self._delivered_cell.n += 1
+            cd = self._rx_cd - 1
+            if cd:
+                self._rx_cd = cd
+            else:
+                self._rx_cd = self._hist_interval
+                self._in_flight_gauge.value = (
+                    self.messages_sent - self.messages_delivered
+                    - self.messages_dropped
+                )
+                self._transit_hist.observe(self.engine.now - env.send_time)
+        self._receivers[env.dst](env)
 
     # ------------------------------------------------------------------
     # Fail-stop support
@@ -285,9 +256,9 @@ class Network:
         pending = self._in_flight.get(rank)
         if not pending:
             return 0
-        cancel = self.engine.cancel_run_member
-        for entry, idx, _env in pending.values():
-            cancel(entry, idx)
+        cancel = self.engine.cancel
+        for bucket, idx in pending.values():
+            cancel(bucket, idx)
         dropped = len(pending)
         pending.clear()
         self.messages_dropped += dropped

@@ -259,14 +259,16 @@ class Proc:
     # ------------------------------------------------------------------
     # Generator driving
     # ------------------------------------------------------------------
-    def _resume_if_current(self, incarnation: int, value: Any) -> None:
+    def _resume_if_current(self, resume: tuple[int, Any]) -> None:
+        """The resume event: ``(incarnation that asked for it, value)``."""
+        incarnation, value = resume
         if incarnation != self.incarnation or not self.alive:
             return
         self._advance(value)
 
     def _schedule_resume(self, delay: float, value: Any) -> None:
-        inc = self.incarnation
-        self.world.engine.schedule(delay, lambda: self._resume_if_current(inc, value))
+        self.world.engine.post(
+            delay, self._resume_if_current, (self.incarnation, value))
 
     def _resume_soon(self, value: Any) -> None:
         """Resume the program with ``value`` at the current instant, or
@@ -274,8 +276,7 @@ class Proc:
         if self.paused:
             self._pending_resume = (value,)
         else:
-            inc = self.incarnation
-            self.world.engine.call_soon(lambda: self._resume_if_current(inc, value))
+            self._schedule_resume(0.0, value)
 
     def _advance(self, value: Any, first: bool = False) -> None:
         """Run the generator until it blocks, pauses, or finishes."""

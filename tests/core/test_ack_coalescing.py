@@ -12,6 +12,7 @@ import pytest
 from repro.apps import Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.clustering import block_clusters
+from repro.simmpi.network import TimingModel
 
 
 def _config(batch, **kw):
@@ -25,9 +26,10 @@ def _config(batch, **kw):
     )
 
 
-def _run(batch, niters=40, fail_at=None, fail_rank=7):
+def _run(batch, niters=40, fail_at=None, fail_rank=7, **world_kwargs):
     world, ctl = build_ft_world(
-        8, lambda r, s: Stencil2D(r, s, niters=niters, block=3), _config(batch)
+        8, lambda r, s: Stencil2D(r, s, niters=niters, block=3), _config(batch),
+        **world_kwargs
     )
     if fail_at is not None:
         ctl.inject_failure(fail_at, fail_rank)
@@ -134,8 +136,11 @@ def test_timeout_flushes_idle_channel():
 
 def test_ack_batch_exercises_engine_compaction():
     """Heavy timer cancellation (every piggyback cancels a timer) drives
-    the engine's lazy compaction; the run must stay correct through it."""
-    world, ctl = _run(batch=4, niters=60)
+    the engine's lazy compaction; the run must stay correct through it.
+    Jitter takes the ranks off lockstep: timers armed at one instant share
+    a bucket, and only an instant whose every timer is cancelled is garbage
+    (without it this run never holds more than 45 dead instants)."""
+    world, ctl = _run(batch=4, niters=60, timing=TimingModel(jitter=0.05))
     assert world.engine.compactions >= 1
     assert world.engine.queue_garbage == 0
     assert world.all_done

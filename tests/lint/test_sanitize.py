@@ -124,6 +124,8 @@ def test_engine_pending_audit_violation():
     san.engine_pending_audit(4, 4)
     with _raises("engine_pending_audit"):
         san.engine_pending_audit(5, 6)
+    with _raises("engine_pending_audit"):
+        san.engine_pending_audit(4, 4, in_step=False)
 
 
 def test_rollback_closure_violation():

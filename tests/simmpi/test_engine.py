@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.lint.sanitize import AUDIT_INTERVAL, ENV_VAR
+from repro.obs import MetricsRegistry
 from repro.simmpi.engine import Engine
 
 
@@ -111,6 +113,23 @@ def test_run_max_events():
     assert fired == [0, 1]
 
 
+def test_max_events_is_exact_inside_an_instant():
+    """A budget that runs out mid-instant leaves the rest of the instant
+    pending, and the next run() resumes it where it stopped."""
+    eng = Engine()
+    fired = []
+    for i in range(5):
+        eng.schedule(1e-6, lambda i=i: fired.append(i))
+    eng.run(max_events=2)
+    assert fired == [0, 1]
+    assert eng.pending == 3 and eng.now == 1e-6
+    # scheduled between the two runs at the half-dispatched instant: last
+    eng.call_soon(lambda: fired.append("soon"))
+    eng.run()
+    assert fired == [0, 1, 2, 3, 4, "soon"]
+    assert eng.pending == 0 and eng.events_dispatched == 6
+
+
 def test_pending_counts_non_cancelled():
     eng = Engine()
     h1 = eng.schedule(1e-6, lambda: None)
@@ -177,6 +196,20 @@ def test_run_until_on_empty_queue_advances_clock():
     assert eng.now == 3e-6
     eng.run(until=2e-6)  # an earlier horizon never moves the clock back
     assert eng.now == 3e-6
+
+
+def test_run_until_in_the_past_keeps_the_clock_and_the_instant_in_progress():
+    eng = Engine()
+    fired = []
+    for i in range(3):
+        eng.schedule(2e-6, lambda i=i: fired.append(i))
+    eng.run(max_events=1)  # the instant at 2e-6 is half dispatched
+    eng.run(until=1e-6)    # an earlier horizon: nothing runs, no step back
+    assert eng.now == 2e-6 and fired == [0]
+    eng.schedule_at(1.5e-6, lambda: fired.append("clamped"))  # joins it
+    eng.run()
+    assert fired == [0, 1, 2, "clamped"]
+    assert eng.now == 2e-6
 
 
 def test_periodic_sampling_across_drained_queue():
@@ -250,18 +283,24 @@ def test_queue_garbage_tracks_cancellations():
 
 
 def test_mass_cancellation_triggers_compaction():
-    """Cancelling most of a large queue rebuilds the heap instead of
-    letting dead entries accumulate (the unbounded-growth fix)."""
+    """Cancelling most of a large queue rebuilds the calendar instead of
+    letting dead instants accumulate (the unbounded-growth fix): they never
+    outnumber both the compaction minimum and the live events."""
     eng = Engine()
-    keep = eng.schedule(1.0, lambda: None)
-    doomed = [eng.schedule(2.0 + i * 1e-6, lambda: None) for i in range(200)]
+    fired = []
+    keep = eng.schedule(1.0, lambda: fired.append("keep"))
+    doomed = [eng.schedule(2.0 + i * 1e-6, lambda: fired.append("doomed"))
+              for i in range(200)]
     for h in doomed:
         h.cancel()
+        assert eng.queue_garbage < max(64, eng.pending)
     assert eng.compactions >= 1
-    # physical queue shrank to (close to) the live entries
-    assert len(eng._queue) <= eng.pending + eng.queue_garbage
     assert eng.pending == 1
-    keep.cancel()
+    eng.run()
+    assert fired == ["keep"]
+    assert eng.now == 1.0  # a dead instant never moves the clock
+    assert eng.queue_garbage == 0
+    keep.cancel()  # already ran
     assert eng.pending == 0
 
 
@@ -313,3 +352,36 @@ def test_cancelled_events_do_not_dispatch_after_compaction():
         h.cancel()
     eng.run()
     assert fired == list(range(1, 150, 2))
+
+
+def test_compaction_from_a_callback_spares_the_instant_being_dispatched(
+        monkeypatch):
+    """A callback cancels a later member of its own instant and enough far
+    timers to compact; the instant goes on — hole skipped, call_soon joins
+    it — and the sanitizer's audit (members recounted over the buckets,
+    heap and buckets holding the same instants) passes on what is left."""
+    monkeypatch.setenv(ENV_VAR, "1")
+    obs = MetricsRegistry()
+    eng = Engine(obs=obs)
+    order = []
+    doomed = []
+
+    def purge():
+        order.append("purge")
+        for h in doomed:
+            h.cancel()
+        eng.call_soon(lambda: order.append("soon"))
+
+    eng.schedule(1e-6, purge)
+    doomed.append(eng.schedule(1e-6, lambda: order.append("cancelled")))
+    eng.schedule(1e-6, lambda: order.append("last"))
+    doomed.extend(eng.schedule(5.0 + i * 1e-6, lambda: order.append("far"))
+                  for i in range(300))
+    for _ in range(AUDIT_INTERVAL):
+        eng.schedule(2e-6, lambda: None)
+    eng.run()
+    assert order == ["purge", "last", "soon"]
+    assert eng.compactions >= 1
+    assert eng.pending == 0 and eng.queue_garbage == 0
+    audits = obs.counter("sanitize.checks", ("invariant",))
+    assert audits.get(("engine_pending_audit",)) >= 1

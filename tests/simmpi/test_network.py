@@ -161,14 +161,14 @@ def test_purge_after_partial_delivery():
 
 
 def test_purge_cancels_exactly_the_members_in_flight():
-    # members of one coalesced run, bound for different ranks: purging one
+    # deliveries of one instant, bound for different ranks: purging one
     # destination leaves holes for its members only
     eng, net, inboxes = make_net(ranks=(0, 1, 2, 3))
     sent = [env(0, 1, tag=1), env(0, 2, tag=2), env(3, 1, tag=3),
             env(0, 3, tag=4)]
     for e in sent:
         net.transmit(e)
-    assert len(eng._queue) == 1 and eng.pending == 4   # one run entry
+    assert eng.pending == 4
     assert net.purge_inbound(1) == 2
     assert eng.pending == 2
     assert net.purge_inbound(1) == 0                   # nothing left to drop
@@ -181,31 +181,32 @@ def test_purge_cancels_exactly_the_members_in_flight():
 
 
 def test_kill_during_burst_skips_later_member_of_the_same_run():
-    # the case _deliver_burst's docstring describes: delivering an earlier
-    # member kills the destination of a LATER member of the run that is
-    # being dispatched (the entry is already marked dispatched, so the
-    # purge cannot cancel the member — the delivery loop must skip it)
+    # delivering an earlier member kills the destination of a LATER member
+    # of the instant that is being dispatched: the purge cancels it in the
+    # bucket under the dispatch walk, which must skip the hole
     eng = Engine()
     net = Network(eng)
     inboxes = {1: [], 2: []}
 
     def kills_rank_2(e):
         inboxes[1].append(e)
-        net.purge_inbound(2)
+        assert net.purge_inbound(2) == 1
+        assert eng.pending == 0
 
     net.attach(1, kills_rank_2)
     net.attach(2, inboxes[2].append)
     first, doomed = env(0, 1, tag=1), env(0, 2, tag=2)
     net.transmit(first)
     net.transmit(doomed)
-    assert len(eng._queue) == 1 and eng.pending == 2   # one run, two members
+    assert eng.pending == 2
     eng.run()
     assert [e.tag for e in inboxes[1]] == [1]
     assert inboxes[2] == []
     assert net.messages_delivered == 1
     assert net.messages_dropped == 1                   # counted once
-    assert eng.events_dispatched == 2
+    assert eng.events_dispatched == 1                  # a hole is no event
     assert eng.pending == 0 and net.in_flight_count() == 0
+    assert eng.queue_garbage == 0
 
 
 # ----------------------------------------------------------------------
