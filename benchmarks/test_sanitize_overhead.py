@@ -17,7 +17,7 @@ from repro.lint.sanitize import ENV_VAR
 from conftest import emit, emit_json, format_table, timed
 
 
-def _protocol_world(obs=None, sanitize=False):
+def _protocol_world(obs=None, sanitize=False, record_sequences=False):
     prior = os.environ.pop(ENV_VAR, None)
     if sanitize:
         os.environ[ENV_VAR] = "1"
@@ -26,7 +26,7 @@ def _protocol_world(obs=None, sanitize=False):
             8, lambda r, s: Stencil2D(r, s, niters=30, block=3),
             ProtocolConfig(checkpoint_interval=3e-5, lightweight=True,
                            retain_payloads=False),
-            copy_payloads=False, obs=obs,
+            copy_payloads=False, obs=obs, record_sequences=record_sequences,
         )
         world.launch()
         world.run()
@@ -73,8 +73,8 @@ def test_sanitizer_off_run_unperturbed():
     """Off must mean *off*: the default run's execution signature is
     bit-identical whether the sanitizer machinery exists or not — the
     components hold literal ``None`` and dispatch the same events."""
-    a = _protocol_world()
-    b = _protocol_world(sanitize=False)
+    a = _protocol_world(record_sequences=True)
+    b = _protocol_world(sanitize=False, record_sequences=True)
     assert a.engine.events_dispatched == b.engine.events_dispatched
     assert a.engine.now == b.engine.now
     assert (a.tracer.send_sequences(dedup=False)

@@ -26,7 +26,10 @@ def main() -> None:
     )
 
     # --- failure-free reference ---------------------------------------
-    ref_world, ref_ctl = build_ft_world(8, factory, config)
+    # record_sequences=True: both worlds keep their per-message send log,
+    # because the validity check at the end compares the two
+    ref_world, ref_ctl = build_ft_world(8, factory, config,
+                                        record_sequences=True)
     ref_world.launch()
     ref_world.run()
     reference = [p.result().copy() for p in ref_world.programs]
@@ -39,7 +42,8 @@ def main() -> None:
     print(f"  checkpoints      : {ref_ctl.store.checkpoints_taken}")
 
     # --- now the same run with a fail-stop failure of rank 6 ------------
-    world, controller = build_ft_world(8, factory, config)
+    world, controller = build_ft_world(8, factory, config,
+                                       record_sequences=True)
     controller.inject_failure(9e-5, rank=6)
     controller.arm()
     world.launch()

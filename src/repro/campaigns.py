@@ -112,7 +112,8 @@ def table1_tasks(kernels: Sequence[str], ranks: Sequence[int],
 # ----------------------------------------------------------------------
 def stencil_scenario(nprocs: int, nclusters: int, niters: int = 40,
                      fail_rank: int | None = None,
-                     fail_frac: float | None = 0.5, obs: Any = None):
+                     fail_frac: float | None = 0.5, obs: Any = None,
+                     record_sequences: bool = False):
     """The Stencil2D failure scenario behind ``repro sweep --scenario
     failures`` and the CLI's ``demo`` / ``explain`` / ``obs`` / ``report``:
     block clusters, and ``fail_rank`` (default: the last rank) killed at
@@ -121,20 +122,22 @@ def stencil_scenario(nprocs: int, nclusters: int, niters: int = 40,
     Returns ``(ref, world, controller, fail_rank, fail_time)`` with
     ``world`` — the one ``obs`` instruments — run to completion.  Both
     worlds come back closed: results, reports and statistics stay
-    readable."""
+    readable; a caller that compares them arms ``record_sequences``."""
     config = ProtocolConfig(checkpoint_interval=3e-5,
                             cluster_of=block_clusters(nprocs, nclusters),
                             cluster_stagger=5e-6, rank_stagger=1e-6)
     factory = lambda r, s: Stencil2D(r, s, niters=niters, block=3)
     ref = fail_time = None
     if fail_frac is not None:
-        ref, ref_controller = build_ft_world(nprocs, factory, config)
+        ref, ref_controller = build_ft_world(
+            nprocs, factory, config, record_sequences=record_sequences)
         with closing(ref_controller):
             ref.launch()
             ref.run()
         fail_rank = nprocs - 1 if fail_rank is None else fail_rank
         fail_time = fail_frac * ref.engine.now
-    world, controller = build_ft_world(nprocs, factory, config, obs=obs)
+    world, controller = build_ft_world(
+        nprocs, factory, config, obs=obs, record_sequences=record_sequences)
     with closing(controller):
         if fail_frac is not None:
             controller.inject_failure(fail_time, fail_rank)
@@ -157,7 +160,7 @@ def failure_scenario(params: dict) -> dict:
     fail_rank = rng.randrange(nprocs)
     ref, world, controller, _, fail_time = stencil_scenario(
         nprocs, params["clusters"], params["niters"], fail_rank,
-        rng.uniform(0.2, 0.8), obs=params.get("obs"))
+        rng.uniform(0.2, 0.8), obs=params.get("obs"), record_sequences=True)
     report = controller.recovery_reports[0]
     stats = controller.logging_stats()
     return {

@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..analysis.validity import compare_executions
-from ..simmpi.trace import send_witness_chains
+from ..errors import SendDeterminismError
+from ..simmpi.trace import payload_digest, send_witness_chains
 
 __all__ = ["ORACLES", "OracleResult", "TrialResult", "oracle_validity",
            "oracle_witness", "run_digest", "oracle_determinism"]
@@ -118,7 +117,7 @@ def oracle_witness(ref_world: Any, world: Any) -> OracleResult:
     try:
         ref_chains = send_witness_chains(ref_world.tracer)
         chains = send_witness_chains(world.tracer)
-    except Exception as exc:  # SendDeterminismError from dedup-by-date
+    except SendDeterminismError as exc:  # from dedup-by-date
         return OracleResult("witness", False, f"chain unavailable: {exc}")
     if ref_chains == chains:
         return OracleResult(
@@ -130,31 +129,18 @@ def oracle_witness(ref_world: Any, world: Any) -> OracleResult:
         f"witness chain diverged from reference on rank(s) {bad}")
 
 
-def _digest_value(value: Any) -> Any:
-    """Hashable, bit-exact digest of an application result."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _digest_value(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_digest_value(v) for v in value)
-    if isinstance(value, np.ndarray):
-        return (value.shape, value.dtype.str, value.tobytes())
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def run_digest(world: Any, controller: Any) -> dict[str, Any]:
     """Bit-exact summary of one recovered execution, for the determinism
     oracle.  Everything here must be identical between two runs of the
     same (seed, schedule) — virtual times included."""
     try:
         sequences = world.tracer.logical_send_sequences()
-    except Exception as exc:  # SendDeterminismError — validity reports it
+    except SendDeterminismError as exc:  # validity reports it
         sequences = f"<unavailable: {exc}>"
     return {
         "final_time": world.engine.now,
         "sequences": sequences,
-        "results": [_digest_value(p.result()) for p in world.programs],
+        "results": [payload_digest(p.result()) for p in world.programs],
         "rounds": [
             (r.round_no, tuple(r.failed), tuple(sorted(r.rolled_back)))
             for r in controller.recovery_reports
@@ -172,9 +158,7 @@ def oracle_determinism(first: dict[str, Any],
         a, b = first.get(key), second.get(key)
         if a != b:
             detail = f"re-run diverged in {key!r}"
-            if key in ("final_time", "messages_sent"):
-                detail += f": {a!r} vs {b!r}"
-            elif key == "rounds":
+            if key in ("final_time", "messages_sent", "rounds"):
                 detail += f": {a!r} vs {b!r}"
             return OracleResult("determinism", False, detail)
     return OracleResult("determinism", True,

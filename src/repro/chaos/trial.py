@@ -180,7 +180,8 @@ def _run_reference(schedule: TrialSchedule, sanitize: bool):
     oracles and the failure placement read stays readable)."""
     with _sanitize_env(sanitize):
         world, controller = build_ft_world(
-            schedule.nprocs, schedule.factory(), _config(schedule)
+            schedule.nprocs, schedule.factory(), _config(schedule),
+            record_sequences=True,
         )
         with contextlib.closing(controller):
             world.launch()
@@ -242,7 +243,8 @@ def _run_chaos(schedule: TrialSchedule, ref_world: Any, horizon: float,
     placements), the pair closed."""
     with _sanitize_env(sanitize):
         world, controller = build_ft_world(
-            schedule.nprocs, schedule.factory(), _config(schedule), obs=obs
+            schedule.nprocs, schedule.factory(), _config(schedule), obs=obs,
+            record_sequences=True,
         )
         exc: BaseException | None = None
         with contextlib.closing(controller):
@@ -352,10 +354,9 @@ def run_trial_schedule(
         )
         result.oracles["witness"] = oracle_witness(ref_world, world)
     else:
-        result.oracles["validity"] = OracleResult(
-            "validity", False, "not evaluated: run did not settle")
-        result.oracles["witness"] = OracleResult(
-            "witness", False, "not evaluated: run did not settle")
+        for name in ("validity", "witness"):
+            result.oracles[name] = OracleResult(
+                name, False, "not evaluated: run did not settle")
 
     # Oracle 4: bit-identical re-run.
     if check_determinism and exc is None:

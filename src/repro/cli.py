@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_demo(args: argparse.Namespace) -> int:
     nprocs = args.ranks
     ref, world, controller, fail_rank, fail_time = campaigns.stencil_scenario(
-        nprocs, args.clusters, fail_rank=args.fail_rank)
+        nprocs, args.clusters, fail_rank=args.fail_rank, record_sequences=True)
     report = controller.recovery_reports[0]
     stats = controller.logging_stats()
     print(f"failure of rank {fail_rank} at t={fail_time * 1e3:.3f} ms")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigError
@@ -89,6 +88,8 @@ def modularity_clusters(matrix: np.ndarray, nclusters: int) -> list[int]:
     heavy intra-cluster traffic (locality) and light inter-cluster traffic
     (isolation).  Communities are then balanced into ``nclusters``.
     """
+    import networkx as nx  # the one user: a third of a cold start
+
     nprocs = matrix.shape[0]
     _validate(nprocs, nclusters)
     sym = matrix + matrix.T

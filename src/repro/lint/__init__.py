@@ -22,19 +22,8 @@ See ``docs/static-analysis.md`` for the rule catalog and the mapping of
 sanitizer invariants to the paper's lemmas.
 """
 
-from .checker import DeterminismChecker, lint_source
-from .noqa import parse_suppressions
-from .rules import PARSE_ERROR_CODE, RULES, RULE_CODES, LintFinding, Rule, module_parts
-from .runner import (
-    JSON_SCHEMA_VERSION,
-    LintReport,
-    iter_python_files,
-    lint_paths,
-    list_rules_text,
-    render_json,
-    render_text,
-)
-from .sendet import VERDICTS, KernelReport, analyze_paths, analyze_sources
+import importlib
+
 from .sanitize import (
     AUDIT_INTERVAL,
     ENV_VAR,
@@ -43,6 +32,27 @@ from .sanitize import (
     sanitize_enabled,
     sanitizer_for,
 )
+
+# The engine imports the sanitizer on every cold start; the static half
+# loads on first use (PEP 562).
+_LAZY = {
+    "checker": "DeterminismChecker lint_source",
+    "noqa": "parse_suppressions",
+    "rules": "PARSE_ERROR_CODE RULES RULE_CODES LintFinding Rule module_parts",
+    "runner": "JSON_SCHEMA_VERSION LintReport iter_python_files lint_paths "
+              "list_rules_text render_json render_text",
+    "sendet": "VERDICTS KernelReport analyze_paths analyze_sources",
+}
+
+
+def __getattr__(name: str) -> object:
+    for module, names in _LAZY.items():
+        if name in names.split():
+            value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AUDIT_INTERVAL",

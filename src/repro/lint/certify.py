@@ -199,7 +199,8 @@ def dynamic_verify(
     for s in range(max(2, schedules)):
         timing = TimingModel(jitter=0.0 if s == 0 else jitter)
         world, controller = build_ft_world(
-            run.nprocs, run.factory, timing=timing, network_seed=base_seed + s
+            run.nprocs, run.factory, timing=timing, network_seed=base_seed + s,
+            record_sequences=True,
         )
         with closing(controller):
             world.launch()

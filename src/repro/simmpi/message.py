@@ -21,6 +21,8 @@ import copy as _copy
 import itertools
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
@@ -141,6 +143,16 @@ def retention_copy(payload: Any, memo: dict[int, Any] | None = None) -> Any:
     """
     if is_immutable_payload(payload):
         return payload
+    if type(payload) is np.ndarray and not payload.dtype.hasobject:
+        # deepcopy's result for a plain array without the generic walk,
+        # under its memo contract (copy keyed by id, original kept alive)
+        if memo is None:
+            return payload.copy(order="K")
+        dup = memo.get(id(payload))
+        if dup is None:
+            dup = memo[id(payload)] = payload.copy(order="K")
+            memo.setdefault(id(memo), []).append(payload)
+        return dup
     return _copy.deepcopy(payload, memo)
 
 

@@ -53,6 +53,11 @@ class World:
         Optional :class:`repro.obs.MetricsRegistry`; threaded into the
         engine and network.  ``None`` (the default) keeps the hot paths
         uninstrumented.
+    record_sequences:
+        Keep the tracer's per-message send / deliver log (a digest and two
+        records per application message).  Whoever reads it after the run
+        — :func:`repro.analysis.compare_executions`, the chaos oracles,
+        ``certify --dynamic`` — arms it here; reading an unarmed log raises.
     """
 
     def __init__(
@@ -64,6 +69,7 @@ class World:
         copy_payloads: bool = False,
         network_seed: int = 0,
         obs: Any = None,
+        record_sequences: bool = False,
     ):
         if nprocs < 1:
             raise SimulationError("need at least one rank")
@@ -71,7 +77,7 @@ class World:
         self.obs = obs
         self.engine = Engine(obs=obs)
         self.network = Network(self.engine, timing, seed=network_seed, obs=obs)
-        self.tracer = Tracer(nprocs)
+        self.tracer = Tracer(nprocs, record_sequences)
         self.copy_payloads = copy_payloads
         self.programs = [program_factory(rank, nprocs) for rank in range(nprocs)]
         self.apis = [MpiApi(rank, nprocs) for rank in range(nprocs)]

@@ -4,7 +4,8 @@ The tracer is the measurement substrate for the paper's evaluation:
 
 * per-rank *send sequences* let the property tests check the paper's
   validity criterion (Definition 1: every process emits its valid sequence
-  of messages even across failures);
+  of messages even across failures) — an oracle's evidence, recorded only
+  for a tracer whose reader armed ``record_sequences``;
 * the *communication matrix* (messages / bytes per ordered rank pair)
   feeds the clustering of Section V-E-3 and reproduces Fig. 8;
 * the checkpoint / failure / restore *marks* place each rank's lifecycle
@@ -18,6 +19,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from ..errors import SendDeterminismError, SimulationError
 from .message import Envelope
 
 __all__ = ["SendRecord", "Tracer", "send_witness_chains"]
@@ -43,18 +45,14 @@ class SendRecord(NamedTuple):
 
     @staticmethod
     def of(env: Envelope) -> "SendRecord":
-        return SendRecord(
+        # the tuple constructor the generated __new__ calls: one per send
+        return _new_tuple(SendRecord, (
             env.dst, env.tag, env.size, payload_digest(env.payload),
             env.meta.get("date"),
-        )
+        ))
 
     def same_message(self, other: "SendRecord") -> bool:
-        return (
-            self.dst == other.dst
-            and self.tag == other.tag
-            and self.size == other.size
-            and self.digest == other.digest
-        )
+        return self[:4] == other[:4]  # everything but the date
 
 
 _new_tuple = tuple.__new__
@@ -108,40 +106,40 @@ def send_witness_chains(tracer: "Tracer") -> list[str]:
 
 
 class Tracer:
-    """Accumulates events during a simulated run."""
+    """Accumulates events during a simulated run: marks and the pair
+    matrix always, the per-message send / deliver log only when its reader
+    armed ``record_sequences`` (at construction, so a log is never partial;
+    reading an unarmed one raises)."""
 
-    def __init__(self, nprocs: int):
+    def __init__(self, nprocs: int, record_sequences: bool = False):
         self.nprocs = nprocs
+        self.record_sequences = record_sequences
         #: ``(kind, time, rank, detail)`` per checkpoint / failure / restore
         self.marks: list[tuple[str, float, int, tuple]] = []
+        rows = nprocs if record_sequences else 0
         #: rank -> ordered list of application SendRecords (includes re-sends
         #: suppressed later as duplicates — filtered by `send_sequences`)
-        self._sends: list[list[SendRecord]] = [[] for _ in range(nprocs)]
+        self._sends: list[list[SendRecord]] = [[] for _ in range(rows)]
         #: rank -> ordered list of (src, tag, size) deliveries to the app
-        self._delivers: list[list[tuple[int, int, int]]] = [[] for _ in range(nprocs)]
+        self._delivers: list[list[tuple[int, int, int]]] = [[] for _ in range(rows)]
+        #: sends marked as duplicates re-emitted during recovery, per rank:
+        #: indices into the send list (so sequences can be de-duplicated)
+        self._dup_send_idx: list[set[int]] = [set() for _ in range(rows)]
         #: src -> {dst: [messages, bytes]} — sparse rows: a rank talks to a
         #: handful of peers, and dense n x n tables were half the heap at
         #: 4096 ranks (the :attr:`msg_count` / :attr:`msg_bytes` properties
         #: build the familiar dense ndarray view on demand)
         self._pairs: list[dict[int, list[int]]] = [{} for _ in range(nprocs)]
-        #: sends marked as duplicates re-emitted during recovery, per rank:
-        #: indices into the send list (so sequences can be de-duplicated)
-        self._dup_send_idx: list[set[int]] = [set() for _ in range(nprocs)]
 
     # ------------------------------------------------------------------
     def on_app_send(self, env: Envelope, is_replay_dup: bool = False) -> None:
-        rank = env.src
-        sends = self._sends[rank]
-        # SendRecord.of(env), inlined down to the tuple constructor (what
-        # the generated __new__ calls): this runs once per application send
-        sends.append(_new_tuple(SendRecord, (
-            env.dst, env.tag, env.size, payload_digest(env.payload),
-            env.meta.get("date"),
-        )))
-        if is_replay_dup:
-            self._dup_send_idx[rank].add(len(sends) - 1)
-        else:
-            row = self._pairs[rank]
+        if self.record_sequences:
+            sends = self._sends[env.src]
+            sends.append(SendRecord.of(env))
+            if is_replay_dup:
+                self._dup_send_idx[env.src].add(len(sends) - 1)
+        if not is_replay_dup:
+            row = self._pairs[env.src]
             try:
                 cell = row[env.dst]
             except KeyError:  # first message of the pair
@@ -151,12 +149,18 @@ class Tracer:
                 cell[1] += env.size
 
     def on_app_deliver(self, env: Envelope) -> None:
-        self._delivers[env.dst].append((env.src, env.tag, env.size))
+        if self.record_sequences:
+            self._delivers[env.dst].append((env.src, env.tag, env.size))
 
     def on_mark(self, kind: str, rank: int, time: float, detail: tuple = ()) -> None:
         self.marks.append((kind, time, rank, detail))
 
     # ------------------------------------------------------------------
+    def _require_sequences(self) -> None:
+        if not self.record_sequences:  # never an empty log that reads "equal"
+            raise SimulationError("this world kept no send / deliver log: its "
+                                  "reader arms record_sequences at construction")
+
     def send_sequences(self, dedup: bool = True) -> list[list[SendRecord]]:
         """Per-rank application send sequences.
 
@@ -164,13 +168,9 @@ class Tracer:
         during recovery are collapsed, yielding the *logical* send sequence
         that the paper's validity criterion talks about.
         """
-        if not dedup:
-            return [list(s) for s in self._sends]
-        out: list[list[SendRecord]] = []
-        for rank in range(self.nprocs):
-            dups = self._dup_send_idx[rank]
-            out.append([r for i, r in enumerate(self._sends[rank]) if i not in dups])
-        return out
+        self._require_sequences()
+        return [[r for i, r in enumerate(sends) if not dedup or i not in dups]
+                for sends, dups in zip(self._sends, self._dup_send_idx)]
 
     def logical_send_sequences(self) -> list[list[SendRecord]]:
         """Per-rank send sequences with recovery re-sends collapsed by date.
@@ -182,19 +182,14 @@ class Tracer:
         criterion.  Re-sends with contents differing from the original are
         a send-determinism violation and raise.
         """
-        from ..errors import SendDeterminismError
-
+        self._require_sequences()
         out: list[list[SendRecord]] = []
         for rank in range(self.nprocs):
             seen: dict[int, SendRecord] = {}
             seq: list[SendRecord] = []
             for rec in self._sends[rank]:
-                if rec.date is None:
-                    seq.append(rec)
-                    continue
-                first = seen.get(rec.date)
-                if first is None:
-                    seen[rec.date] = rec
+                first = rec if rec.date is None else seen.setdefault(rec.date, rec)
+                if first is rec:  # undated, or the first send of its date
                     seq.append(rec)
                 elif not first.same_message(rec):
                     raise SendDeterminismError(
@@ -205,32 +200,24 @@ class Tracer:
         return out
 
     def deliver_sequences(self) -> list[list[tuple[int, int, int]]]:
+        self._require_sequences()
         return [list(d) for d in self._delivers]
 
     def total_app_messages(self) -> int:
         return sum(cell[0] for row in self._pairs for cell in row.values())
 
-    def _dense(self, slot: int) -> np.ndarray:
+    def comm_matrix(self, weight: str = "count") -> np.ndarray:
+        """Dense (src, dst) matrix of application messages sent (``"count"``)
+        or their ``"bytes"``, replay dups excluded: Fig. 8's input.  Each
+        call builds a fresh array from the sparse rows."""
+        if weight not in ("count", "bytes"):
+            raise ValueError(f"unknown weight {weight!r}")
+        slot = 0 if weight == "count" else 1
         out = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
         for src, row in enumerate(self._pairs):
             for dst, cell in row.items():
                 out[src, dst] = cell[slot]
         return out
 
-    @property
-    def msg_count(self) -> np.ndarray:
-        """(src, dst) application message counts (excludes replay dups)."""
-        return self._dense(0)
-
-    @property
-    def msg_bytes(self) -> np.ndarray:
-        """(src, dst) application bytes sent (excludes replay dups)."""
-        return self._dense(1)
-
-    def comm_matrix(self, weight: str = "count") -> np.ndarray:
-        """Communication density matrix (Fig. 8 input)."""
-        if weight == "count":
-            return self.msg_count
-        if weight == "bytes":
-            return self.msg_bytes
-        raise ValueError(f"unknown weight {weight!r}")
+    msg_count = property(comm_matrix)
+    msg_bytes = property(lambda self: self.comm_matrix("bytes"))

@@ -16,7 +16,7 @@ def cfg():
 
 
 def run(failure=None):
-    world, ctl = build_ft_world(6, factory, cfg())
+    world, ctl = build_ft_world(6, factory, cfg(), record_sequences=True)
     if failure:
         ctl.inject_failure(*failure)
         ctl.arm()
@@ -36,7 +36,8 @@ def test_recovered_run_reports_valid():
 def test_different_configuration_reports_invalid():
     ref = run()
     world, _ = build_ft_world(
-        6, lambda r, s: Stencil1D(r, s, niters=22, cells=4), cfg()
+        6, lambda r, s: Stencil1D(r, s, niters=22, cells=4), cfg(),
+        record_sequences=True,
     )
     world.launch()
     world.run()
@@ -61,8 +62,8 @@ def test_dict_results_compared():
     def ft_factory(r, s):
         return FTKernel(r, s, niters=4, slab=2)
 
-    a, _ = build_ft_world(4, ft_factory, cfg())
+    a, _ = build_ft_world(4, ft_factory, cfg(), record_sequences=True)
     a.launch(); a.run()
-    b, _ = build_ft_world(4, ft_factory, cfg())
+    b, _ = build_ft_world(4, ft_factory, cfg(), record_sequences=True)
     b.launch(); b.run()
     assert compare_executions(a, b).valid

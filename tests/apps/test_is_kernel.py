@@ -43,7 +43,7 @@ def test_is_send_deterministic_under_jitter():
     def seqs(seed):
         world = World(8, factory,
                       timing=TimingModel(latency=2e-6, bandwidth=1e9, jitter=0.7),
-                      network_seed=seed)
+                      network_seed=seed, record_sequences=True)
         world.launch()
         world.run()
         return world.tracer.send_sequences()

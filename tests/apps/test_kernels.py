@@ -33,7 +33,7 @@ IDS = [k[0] for k in KERNELS]
 
 
 def run_world(cls, nprocs, kw):
-    world = World(nprocs, lambda r, s: cls(r, s, **kw))
+    world = World(nprocs, lambda r, s: cls(r, s, **kw), record_sequences=True)
     world.launch()
     world.run()
     return world

@@ -34,7 +34,7 @@ def test_reception_order_varies_but_sends_do_not():
     def run(seed):
         world = World(8, factory,
                       timing=TimingModel(latency=2e-6, bandwidth=1e9, jitter=0.9),
-                      network_seed=seed)
+                      network_seed=seed, record_sequences=True)
         world.launch()
         world.run()
         return world.tracer.send_sequences(), world.tracer.deliver_sequences()

@@ -40,6 +40,7 @@ def sequences(cls, nprocs, kw, seed):
         lambda r, s: cls(r, s, **kw),
         timing=TimingModel(latency=2e-6, bandwidth=1e9, jitter=0.8),
         network_seed=seed,
+        record_sequences=True,
     )
     world.launch()
     world.run()
@@ -62,6 +63,7 @@ def test_jitter_actually_changes_delivery_order():
             lambda r, s: Stencil2D(r, s, niters=4, block=3),
             timing=TimingModel(latency=2e-6, bandwidth=1e9, jitter=0.8),
             network_seed=seed,
+            record_sequences=True,
         )
         world.launch()
         world.run()

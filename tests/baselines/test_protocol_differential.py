@@ -52,7 +52,8 @@ CONTROLLERS = {
 
 def run(protocol, kernel, fail_at=None):
     nprocs, factory = KERNELS[kernel]
-    world, ctl = build_world(CONTROLLERS[protocol](nprocs), factory)
+    world, ctl = build_world(CONTROLLERS[protocol](nprocs), factory,
+                            record_sequences=True)
     if fail_at is not None:
         ctl.inject_failure(fail_at, FAIL_RANK)
         ctl.arm()
@@ -114,7 +115,7 @@ def test_cic_failure_free_valid_witnessed_and_reproducible(kernel):
     schedule; neither may perturb what the application sends — the
     reference is the same kernel with no protocol attached at all."""
     nprocs, factory = KERNELS[kernel]
-    ref_world = World(nprocs, factory)
+    ref_world = World(nprocs, factory, record_sequences=True)
     ref_world.launch()
     ref_world.run()
     world, ctl = run("cic", kernel)

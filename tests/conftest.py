@@ -12,7 +12,11 @@ from repro.simmpi import World
 
 
 def run_failure_free(nprocs, factory, config=None, **kw):
-    """Run under the paper's protocol without failures; return (world, ctl)."""
+    """Run under the paper's protocol without failures; return (world, ctl).
+
+    Worlds built here keep their send / deliver sequence log (the tests
+    read it); pass ``record_sequences=False`` for the campaign default."""
+    kw.setdefault("record_sequences", True)
     world, controller = build_ft_world(nprocs, factory, config, **kw)
     world.launch()
     world.run()
@@ -21,6 +25,7 @@ def run_failure_free(nprocs, factory, config=None, **kw):
 
 def run_with_failures(nprocs, factory, failures, config=None, **kw):
     """Run with failures (list of (time, rank)); return (world, controller)."""
+    kw.setdefault("record_sequences", True)
     world, controller = build_ft_world(nprocs, factory, config, **kw)
     for time, rank in failures:
         controller.inject_failure(time, rank)

@@ -29,7 +29,7 @@ def _config(batch, **kw):
 def _run(batch, niters=40, fail_at=None, fail_rank=7, **world_kwargs):
     world, ctl = build_ft_world(
         8, lambda r, s: Stencil2D(r, s, niters=niters, block=3), _config(batch),
-        **world_kwargs
+        record_sequences=True, **world_kwargs
     )
     if fail_at is not None:
         ctl.inject_failure(fail_at, fail_rank)

@@ -37,7 +37,8 @@ def config():
 
 @pytest.fixture(scope="module")
 def reference():
-    world, _ = build_ft_world(NPROCS, factory, config())
+    world, _ = build_ft_world(NPROCS, factory, config(),
+                              record_sequences=True)
     world.launch()
     duration = world.run()
     return {
@@ -50,7 +51,8 @@ def reference():
 @pytest.mark.parametrize("seed", range(8))
 def test_poisson_failure_cascade(reference, seed):
     rng = random.Random(seed)
-    world, ctl = build_ft_world(NPROCS, factory, config())
+    world, ctl = build_ft_world(NPROCS, factory, config(),
+                                record_sequences=True)
     t = 0.0
     for _ in range(rng.randrange(2, 9)):
         t += rng.expovariate(1.0 / 1.2e-4)
@@ -68,7 +70,8 @@ def test_poisson_failure_cascade(reference, seed):
 
 def test_rapid_fire_same_rank(reference):
     """The same rank dying repeatedly in quick succession."""
-    world, ctl = build_ft_world(NPROCS, factory, config())
+    world, ctl = build_ft_world(NPROCS, factory, config(),
+                                record_sequences=True)
     for i in range(5):
         ctl.inject_failure(5e-5 + i * 6e-5, 6)
     ctl.arm()
@@ -85,7 +88,8 @@ def test_rapid_fire_same_rank(reference):
 def test_alternating_cluster_failures(reference):
     """Failures ping-ponging between the lowest- and highest-epoch
     clusters (worst case for cross-branch epoch skew)."""
-    world, ctl = build_ft_world(NPROCS, factory, config())
+    world, ctl = build_ft_world(NPROCS, factory, config(),
+                                record_sequences=True)
     for i, rank in enumerate([0, 7, 1, 6, 2]):
         ctl.inject_failure(6e-5 + i * 7e-5, rank)
     ctl.arm()
@@ -101,7 +105,8 @@ def test_replay_purged_in_flight_regression(reference):
     while the previous round's replays are still in flight purges them;
     the re-entered NonAck coverage of the following round must re-send
     them (found by fuzzing: two failures ~5 us apart)."""
-    world, ctl = build_ft_world(NPROCS, factory, config())
+    world, ctl = build_ft_world(NPROCS, factory, config(),
+                                record_sequences=True)
     ctl.inject_failure(1.70e-4, 6)
     ctl.inject_failure(1.75e-4, 7)
     ctl.inject_failure(2.37e-4, 4)
@@ -128,14 +133,16 @@ def test_cascade_with_anonymous_receives():
                          cluster_stagger=5e-6, rank_stagger=5e-7,
                          stall_timeout=1e-4)
     ref, _ctl = None, None
-    world0, _ = build_ft_world(NPROCS, rt_factory, cfg)
+    world0, _ = build_ft_world(NPROCS, rt_factory, cfg,
+                               record_sequences=True)
     world0.launch()
     world0.run()
     ref_totals = [p.result() for p in world0.programs]
     ref_seqs = world0.tracer.logical_send_sequences()
     for seed in range(4):
         rng = random.Random(100 + seed)
-        world, ctl = build_ft_world(NPROCS, rt_factory, cfg)
+        world, ctl = build_ft_world(NPROCS, rt_factory, cfg,
+                                    record_sequences=True)
         t = 0.0
         for _ in range(rng.randrange(2, 6)):
             t += rng.expovariate(1.0 / 1.5e-4)

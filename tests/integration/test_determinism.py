@@ -44,7 +44,7 @@ def _signature(world):
 def _run_protocol(obs=None, timing=None, network_seed=0, fail_at=None):
     world, ctl = build_ft_world(
         8, _factory, _config(), obs=obs, timing=timing,
-        network_seed=network_seed,
+        network_seed=network_seed, record_sequences=True,
     )
     if fail_at is not None:
         ctl.inject_failure(fail_at, 7)

@@ -88,7 +88,8 @@ def test_witness_chains_are_per_rank_and_reproducible():
     run = KERNEL_RUNS["Stencil1D"]
 
     def chains():
-        world, _ = build_ft_world(run.nprocs, run.factory, network_seed=11)
+        world, _ = build_ft_world(run.nprocs, run.factory, network_seed=11,
+                                  record_sequences=True)
         world.launch()
         world.run()
         return send_witness_chains(world.tracer)

@@ -189,7 +189,8 @@ def _build(obs=None, fail_at=None):
         rank_stagger=1e-6,
     )
     world, ctl = build_ft_world(
-        8, lambda r, s: Stencil2D(r, s, niters=30, block=3), cfg, obs=obs
+        8, lambda r, s: Stencil2D(r, s, niters=30, block=3), cfg, obs=obs,
+        record_sequences=True,
     )
     if fail_at is not None:
         ctl.inject_failure(fail_at, 7)

@@ -27,7 +27,8 @@ def config():
 
 def run_instrumented(with_failure=True, **registry_kwargs):
     obs = MetricsRegistry(**registry_kwargs)
-    world, controller = build_ft_world(6, factory, config(), obs=obs)
+    world, controller = build_ft_world(6, factory, config(), obs=obs,
+                                       record_sequences=True)
     if with_failure:
         controller.inject_failure(4e-5, 3)
         controller.arm()
@@ -156,7 +157,8 @@ def test_flight_capacity_zero_is_null_and_bit_identical():
     _, _, flight_on = run_instrumented()
     assert flight_on.flight.total_records > 0
     assert dump_metrics(obs, "jsonl") == dump_metrics(flight_on, "jsonl")
-    ref_world, ref_controller = build_ft_world(6, factory, config())
+    ref_world, ref_controller = build_ft_world(6, factory, config(),
+                                               record_sequences=True)
     ref_controller.inject_failure(4e-5, 3)
     ref_controller.arm()
     ref_world.launch()

@@ -24,7 +24,7 @@ def config():
 
 
 def reference():
-    world, _ = build_ft_world(NPROCS, factory, config())
+    world, _ = build_ft_world(NPROCS, factory, config(), record_sequences=True)
     world.launch()
     world.run()
     return world
@@ -50,7 +50,8 @@ def test_validity_under_random_single_failure(rank, frac):
     sequences and results."""
     ref_world = ref()
     t = frac * ref_world.engine.now
-    world, ctl = build_ft_world(NPROCS, factory, config())
+    world, ctl = build_ft_world(NPROCS, factory, config(),
+                                record_sequences=True)
     ctl.inject_failure(t, rank)
     ctl.arm()
     world.launch()
@@ -72,7 +73,8 @@ def test_validity_under_random_single_failure(rank, frac):
 def test_validity_under_concurrent_failures(ranks, frac):
     ref_world = ref()
     t = frac * ref_world.engine.now
-    world, ctl = build_ft_world(NPROCS, factory, config())
+    world, ctl = build_ft_world(NPROCS, factory, config(),
+                                record_sequences=True)
     for r in ranks:
         ctl.inject_failure(t, r)
     ctl.arm()

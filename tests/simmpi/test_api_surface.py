@@ -144,7 +144,8 @@ class Script(RankProgram):
 
 def test_proc_literal_trace():
     Gate.closed = {2}
-    world = World(3, Script, hook_factory=lambda rank: Gate())
+    world = World(3, Script, hook_factory=lambda rank: Gate(),
+                  record_sequences=True)
     world.launch()
     world.run(until=1.5e-4)
     assert [p.describe_block() for p in world.procs] == [

@@ -92,6 +92,57 @@ def test_retention_copy_memo_keeps_one_object_one_copy():
     assert retention_copy(frozen, memo) is frozen    # immutable: shared
 
 
+def test_retention_copy_copies_a_plain_array_as_an_array():
+    for arr in (np.arange(12.0).reshape(3, 4),
+                np.asfortranarray(np.arange(6, dtype=np.int32).reshape(2, 3)),
+                np.arange(10.0)[::2]):
+        dup, ref = retention_copy(arr), copy.deepcopy(arr)
+        assert type(dup) is np.ndarray
+        assert (dup.dtype, dup.shape, dup.strides) == (ref.dtype, ref.shape,
+                                                      ref.strides)
+        assert dup.tobytes() == arr.tobytes()
+        assert not np.shares_memory(dup, arr)
+        dup[...] = 0                                   # independent buffer
+        assert arr.any()
+
+
+def test_retention_copy_array_path_honours_the_deepcopy_memo():
+    # one memo across a structure (ProtocolState.checkpoint_copy): an array
+    # referenced by a non_ack and a logs record is one object in the copy,
+    # also when one reference sits inside a container deepcopy walks
+    arr = np.arange(5.0)
+    memo = {}
+    direct = retention_copy(arr, memo)
+    nested = retention_copy([arr, {"again": arr}], memo)
+    assert nested[0] is direct and nested[1]["again"] is direct
+    assert memo[id(arr)] is direct
+    assert any(kept is arr for kept in memo[id(memo)])  # original kept alive
+    # and the other way round: deepcopy saw it first
+    memo2 = {}
+    nested2 = retention_copy([arr], memo2)
+    assert retention_copy(arr, memo2) is nested2[0]
+
+
+def test_retention_copy_leaves_object_arrays_and_subclasses_to_deepcopy():
+    inner = [1, 2]
+    boxed = np.empty(2, dtype=object)
+    boxed[0] = boxed[1] = inner
+    dup = retention_copy(boxed)
+    assert dup[0] == inner and dup[0] is not inner     # elements copied too
+    assert dup[0] is dup[1]
+
+    class Tagged(np.ndarray):
+        def __deepcopy__(self, memo):
+            out = np.ndarray.__deepcopy__(self, memo).view(Tagged)
+            out.went_through_deepcopy = True
+            return out
+
+    sub = np.arange(3.0).view(Tagged)
+    dup = retention_copy(sub)
+    assert type(dup) is Tagged and dup.went_through_deepcopy
+    assert dup.tolist() == [0.0, 1.0, 2.0]
+
+
 def test_stored_copy_matches_deepcopy_and_shares_nothing_mutable():
     env = Envelope(src=3, dst=1, tag=9, payload=[1, np.arange(4.0)], size=77,
                    meta={"date": 5, "acks": [{"date": 2, "epoch_recv": 1}]},

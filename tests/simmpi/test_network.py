@@ -209,6 +209,41 @@ def test_kill_during_burst_skips_later_member_of_the_same_run():
     assert eng.queue_garbage == 0
 
 
+def test_total_in_flight_is_the_counters_difference():
+    # the total is O(1) (sent - delivered - dropped); it must equal the
+    # per-rank sum before, during and after a purge that lands inside an
+    # instant (an earlier delivery of the instant kills a later member's
+    # destination)
+    eng = Engine()
+    net = Network(eng)
+    ranks = (1, 2, 3)
+    seen = []
+
+    def check():
+        total = net.in_flight_count()
+        assert total == sum(net.in_flight_count(r) for r in ranks)
+        seen.append(total)
+
+    def kills_rank_2(e):
+        check()                                        # during the instant
+        assert net.purge_inbound(2) == 2
+        check()                                        # right after the purge
+
+    net.attach(1, kills_rank_2)
+    net.attach(2, lambda e: check())
+    net.attach(3, lambda e: check())
+    check()                                            # nothing sent yet
+    for e in (env(0, 1, tag=1), env(0, 2, tag=2), env(0, 3, tag=3),
+              env(1, 2, tag=4)):
+        net.transmit(e)
+    check()
+    eng.run()
+    check()
+    assert seen == [0, 4, 3, 1, 0, 0]
+    assert (net.messages_sent, net.messages_delivered,
+            net.messages_dropped) == (4, 2, 2)
+
+
 # ----------------------------------------------------------------------
 # Regression: FIFO tie-break at large virtual times
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_comm_matrix_unknown_weight():
 
 
 def test_replay_dup_not_counted_in_matrix():
-    t = Tracer(2)
+    t = Tracer(2, record_sequences=True)
     e = env(0, 1, date=1)
     e.meta["replayed"] = True
     t.on_app_send(e, is_replay_dup=True)
@@ -105,7 +105,7 @@ def test_replay_dup_not_counted_in_matrix():
 
 
 def test_logical_sequences_collapse_by_date():
-    t = Tracer(2)
+    t = Tracer(2, record_sequences=True)
     t.on_app_send(env(0, 1, payload=7, date=1))
     t.on_app_send(env(0, 1, payload=8, date=2))
     t.on_app_send(env(0, 1, payload=7, date=1))  # re-execution re-send
@@ -114,7 +114,7 @@ def test_logical_sequences_collapse_by_date():
 
 
 def test_logical_sequences_detect_content_divergence():
-    t = Tracer(2)
+    t = Tracer(2, record_sequences=True)
     t.on_app_send(env(0, 1, payload=7, date=1))
     t.on_app_send(env(0, 1, payload=999, date=1))  # same date, new content
     with pytest.raises(SendDeterminismError):
@@ -122,14 +122,14 @@ def test_logical_sequences_detect_content_divergence():
 
 
 def test_logical_sequences_without_dates_pass_through():
-    t = Tracer(1)
+    t = Tracer(1, record_sequences=True)
     t.on_app_send(env(0, 0, payload=1))
     t.on_app_send(env(0, 0, payload=1))
     assert len(t.logical_send_sequences()[0]) == 2
 
 
 def test_deliver_sequences():
-    t = Tracer(2)
+    t = Tracer(2, record_sequences=True)
     t.on_app_deliver(env(0, 1, payload=b"abc", tag=4))
     assert t.deliver_sequences()[1] == [(0, 4, 3)]
 
