@@ -24,7 +24,6 @@ __all__ = ["collect_matrix", "render_matrix", "matrix_stats"]
 def collect_matrix(
     nprocs: int,
     program_factory: Callable[[int, int], Any],
-    weight: str = "count",
     **world_kwargs: Any,
 ) -> np.ndarray:
     """Run ``program_factory`` failure-free and return the comm matrix."""
@@ -32,7 +31,7 @@ def collect_matrix(
     with closing(world):
         world.launch()
         world.run()
-    return world.tracer.comm_matrix(weight)
+    return world.tracer.comm_matrix()
 
 
 _SHADES = " .:-=+*#%@"

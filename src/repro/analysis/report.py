@@ -12,15 +12,14 @@ from typing import Any, Iterable, Sequence
 __all__ = ["format_table", "Table1Cell", "format_table1"]
 
 
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
-                 widths: Sequence[int] | None = None) -> str:
+def format_table(headers: Sequence[str],
+                 rows: Iterable[Sequence[Any]]) -> str:
     """Render a fixed-width table with a separator under the header."""
     rows = [list(r) for r in rows]
-    if widths is None:
-        widths = [
-            max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-            for i, h in enumerate(headers)
-        ]
+    widths = [
+        max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
+        for i, h in enumerate(headers)
+    ]
 
     def line(cells: Sequence[Any]) -> str:
         return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))

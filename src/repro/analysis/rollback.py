@@ -53,16 +53,14 @@ class SpeSnapshot:
 class SpeSampler:
     """Periodically snapshots the SPE tables of a running world."""
 
-    def __init__(self, controller: FTController, interval: float,
-                 first_at: float | None = None):
+    def __init__(self, controller: FTController, interval: float):
         self.controller = controller
         self.interval = interval
         self.snapshots: list[SpeSnapshot] = []
-        self._first_at = interval if first_at is None else first_at
 
     def arm(self) -> None:
         assert self.controller.world is not None
-        self.controller.world.engine.schedule_at(self._first_at, self._tick)
+        self.controller.world.engine.schedule_at(self.interval, self._tick)
 
     def _tick(self) -> None:
         assert self.controller.world is not None

@@ -54,23 +54,26 @@ class ValidityReport:
         return "INVALID — " + "; ".join(parts)
 
 
-def _results_equal(a: Any, b: Any, rtol: float, atol: float) -> bool:
+#: relative tolerance of the final-result comparison (absolute: none)
+RESULT_RTOL = 1e-9
+
+
+def _results_equal(a: Any, b: Any) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return set(a) == set(b) and all(
-            _results_equal(a[k], b[k], rtol, atol) for k in a
+            _results_equal(a[k], b[k]) for k in a
         )
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(
-            _results_equal(x, y, rtol, atol) for x, y in zip(a, b)
+            _results_equal(x, y) for x, y in zip(a, b)
         )
     try:
-        return bool(np.allclose(a, b, rtol=rtol, atol=atol))
+        return bool(np.allclose(a, b, rtol=RESULT_RTOL, atol=0.0))
     except (TypeError, ValueError):
         return a == b
 
 
 def compare_executions(reference: World, world: World,
-                       rtol: float = 1e-9, atol: float = 0.0,
                        check_results: bool = True) -> ValidityReport:
     """Check ``world`` (typically a failed-and-recovered run) against
     ``reference`` (the failure-free run of the same configuration).
@@ -95,7 +98,7 @@ def compare_executions(reference: World, world: World,
     if check_results:
         for rank, (p_ref, p) in enumerate(
                 zip(reference.programs, world.programs)):
-            if not _results_equal(p_ref.result(), p.result(), rtol, atol):
+            if not _results_equal(p_ref.result(), p.result()):
                 report.result_mismatches.append(rank)
     report.valid = not (
         report.sequence_mismatches

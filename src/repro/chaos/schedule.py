@@ -20,7 +20,7 @@ re-run them through :func:`repro.chaos.trial.run_trial_schedule`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable
 
 from .. import campaigns
@@ -60,6 +60,19 @@ _WINDOWS = {
 }
 
 
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _from_json(cls: type, data: dict[str, Any], **rest: Any) -> Any:
+    """``cls`` from its ``to_json`` dict: every scalar field present is
+    coerced to its declared type, a missing one keeps the dataclass
+    default — the fields and defaults are stated once, on the class."""
+    return cls(**rest, **{
+        f.name: _SCALARS[f.type](data[f.name])
+        for f in fields(cls) if f.type in _SCALARS and f.name in data
+    })
+
+
 @dataclass(frozen=True)
 class FailureSpec:
     """One scheduled fail-stop failure inside a trial.
@@ -77,17 +90,7 @@ class FailureSpec:
     nsends: int = 0
 
     def to_json(self) -> dict[str, Any]:
-        return {"rank": self.rank, "kind": self.kind, "frac": self.frac,
-                "delta": self.delta, "nsends": self.nsends}
-
-    @staticmethod
-    def from_json(data: dict[str, Any]) -> "FailureSpec":
-        return FailureSpec(
-            rank=int(data["rank"]), kind=str(data.get("kind", "at")),
-            frac=float(data.get("frac", 0.5)),
-            delta=float(data.get("delta", 0.0)),
-            nsends=int(data.get("nsends", 0)),
-        )
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -206,47 +209,14 @@ class TrialSchedule:
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed, "kernel": self.kernel, "nprocs": self.nprocs,
-            "niters": self.niters, "clusters": self.clusters,
-            "ack_batch": self.ack_batch,
-            "checkpoint_interval": self.checkpoint_interval,
-            "checkpoint_jitter": self.checkpoint_jitter,
-            "checkpoint_seed": self.checkpoint_seed,
-            "log_cross_epoch": self.log_cross_epoch,
-            "cluster_stagger": self.cluster_stagger,
-            "rank_stagger": self.rank_stagger,
-            "gc_frac": self.gc_frac,
-            "failures": [s.to_json() for s in self.failures],
-            "bug": self.bug,
-        }
-
-    @staticmethod
-    def from_json(data: dict[str, Any]) -> "TrialSchedule":
-        return schedule_from_json(data)
+        return {**asdict(self),
+                "failures": [s.to_json() for s in self.failures]}
 
 
 def schedule_from_json(data: dict[str, Any]) -> TrialSchedule:
     """Rebuild a schedule from :meth:`TrialSchedule.to_json` output."""
-    sched = TrialSchedule(
-        seed=int(data["seed"]),
-        kernel=str(data.get("kernel", "stencil")),
-        nprocs=int(data.get("nprocs", 6)),
-        niters=int(data.get("niters", 24)),
-        clusters=int(data.get("clusters", 1)),
-        ack_batch=int(data.get("ack_batch", 1)),
-        checkpoint_interval=float(data.get("checkpoint_interval", 2e-5)),
-        checkpoint_jitter=float(data.get("checkpoint_jitter", 0.0)),
-        checkpoint_seed=int(data.get("checkpoint_seed", 0)),
-        log_cross_epoch=bool(data.get("log_cross_epoch", True)),
-        cluster_stagger=float(data.get("cluster_stagger", 0.0)),
-        rank_stagger=float(data.get("rank_stagger", 2e-6)),
-        gc_frac=float(data.get("gc_frac", 0.0)),
-        failures=tuple(
-            FailureSpec.from_json(s) for s in data.get("failures", ())
-        ),
-        bug=str(data.get("bug", "")),
-    )
+    sched = _from_json(TrialSchedule, data, failures=tuple(
+        _from_json(FailureSpec, s) for s in data.get("failures", ())))
     sched.validate()
     return sched
 

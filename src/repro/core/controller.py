@@ -89,15 +89,11 @@ class ProtocolConfig:
     #: acknowledgement coalescing (Fig. 5 spirit): batch up to this many
     #: pending acks per (receiver, sender) channel, flushing piggybacked on
     #: the next application message to that sender, when the batch fills,
-    #: or after ``ack_flush_timeout`` virtual seconds.  1 (the default)
+    #: or after ``protocol.ACK_FLUSH_TIMEOUT`` virtual seconds.  1 (the default)
     #: reproduces the paper's one-ack-per-message protocol byte for byte.
     #: Reception epochs are latched at delivery time, so the epoch-crossing
     #: logging decision is identical under any batch size.
     ack_batch: int = 1
-    #: virtual-time bound on how long a batched ack may wait; always armed
-    #: while a batch is non-empty so every ack eventually flushes even if
-    #: the receiver never talks back to the sender
-    ack_flush_timeout: float = 5e-5
     #: disable the epoch-crossing logging rule entirely.  This degrades the
     #: protocol to *plain uncoordinated checkpointing*: every message goes
     #: into SPE, so the recovery-line fix-point cascades freely — the

@@ -77,6 +77,10 @@ class CTL:
 _ACK_RECORD_NBYTES = payload_nbytes(
     {"date": 0, "epoch_send": 0, "epoch_recv": 0, "dup": False}
 )
+#: virtual-time bound on how long a batched ack may wait; always armed
+#: while a batch is non-empty so every ack eventually flushes even if
+#: the receiver never talks back to the sender
+ACK_FLUSH_TIMEOUT = 5e-5
 
 
 class Status(enum.Enum):
@@ -100,7 +104,6 @@ class SDProtocol(ProtocolHook):
         self.schedule = controller.make_schedule(rank)
         # --- ack coalescing (cfg.ack_batch > 1) -------------------------
         self._ack_batch = max(1, cfg.ack_batch)
-        self._ack_timeout = cfg.ack_flush_timeout
         #: peer -> pending ack records awaiting a piggyback or a flush.
         #: Each record latches the reception epoch AT DELIVERY TIME, so the
         #: sender's epoch-crossing logging decision is identical whether the
@@ -314,7 +317,7 @@ class SDProtocol(ProtocolHook):
         batch.append(record)
         if len(batch) >= self._ack_batch:
             self._flush_ack_channel(env.src)
-        elif len(batch) == 1 and self._ack_timeout:
+        elif len(batch) == 1:
             self._arm_ack_timer(env.src)
 
     # ------------------------------------------------------------------
@@ -322,7 +325,7 @@ class SDProtocol(ProtocolHook):
     # ------------------------------------------------------------------
     def _arm_ack_timer(self, dst: int) -> None:
         handle = self.world.engine.schedule(
-            self._ack_timeout, lambda: self._ack_timer_fired(dst)
+            ACK_FLUSH_TIMEOUT, lambda: self._ack_timer_fired(dst)
         )
         self._ack_timers[dst] = handle
 

@@ -22,11 +22,18 @@ heuristic below errs toward precision.
 from __future__ import annotations
 
 import ast
-from typing import Iterable
 
 from .noqa import parse_suppressions
 from .rules import PARSE_ERROR_CODE, RULE_CODES, LintFinding
-from .sources import ImportMap, classify_call, classify_ref
+from .sources import (
+    ImportMap,
+    classify_call,
+    classify_ref,
+    is_set_annotation,
+    is_set_expr,
+    materialised_set,
+    terminal_name,
+)
 
 __all__ = ["DeterminismChecker", "lint_source"]
 
@@ -39,12 +46,6 @@ _SOURCE_RULES = {
     "time": ("RPD002", "wall-clock read {}"),
     "entropy": ("RPD002", "{} reads OS entropy"),
 }
-#: builtins that materialise their argument in iteration order
-_ORDER_MATERIALISERS = frozenset({"list", "tuple", "iter", "enumerate"})
-#: set methods that return another set
-_SET_RETURNING_METHODS = frozenset({
-    "union", "intersection", "difference", "symmetric_difference", "copy",
-})
 #: callables whose result as a default argument is shared across calls
 _MUTABLE_FACTORIES = frozenset({
     "list", "dict", "set", "bytearray", "defaultdict", "deque",
@@ -57,15 +58,6 @@ _CLOCKISH_NAMES = frozenset({
     "now", "elapsed", "duration", "deadline", "timestamp", "t0", "t1",
 })
 _CLOCKISH_SUFFIXES = ("_time", "_at", "_seconds", "_ts")
-
-
-def _terminal_name(node: ast.expr) -> str | None:
-    """The last identifier of a Name/Attribute chain (``a.b.c`` -> ``c``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 class DeterminismChecker(ast.NodeVisitor):
@@ -113,17 +105,14 @@ class DeterminismChecker(ast.NodeVisitor):
             and node.func.id in _MUTABLE_FACTORIES
         )
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                          ) -> None:
         self._check_defaults(node)
         self._set_vars.append(set())
         self.generic_visit(node)
         self._set_vars.pop()
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._set_vars.append(set())
-        self.generic_visit(node)
-        self._set_vars.pop()
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node)
@@ -135,35 +124,15 @@ class DeterminismChecker(ast.NodeVisitor):
         self._set_vars.pop()
 
     # ------------------------------------------------------------------
-    # RPD003 helpers: which expressions are known to be sets?
+    # RPD003: the set model is `sources.is_set_expr`; the checker's own
+    # memory is which local names it saw bound to one
     # ------------------------------------------------------------------
-    def _is_set_expr(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return any(node.id in scope for scope in self._set_vars)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-                return True
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in _SET_RETURNING_METHODS):
-                return self._is_set_expr(func.value)
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
-        ):
-            return self._is_set_expr(node.left) or self._is_set_expr(node.right)
-        return False
-
-    @staticmethod
-    def _is_set_annotation(node: ast.expr) -> bool:
-        base = node.value if isinstance(node, ast.Subscript) else node
-        name = _terminal_name(base)
-        return name in ("set", "frozenset", "Set", "FrozenSet", "AbstractSet")
+    def _known_set(self, node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and any(
+            node.id in scope for scope in self._set_vars)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        is_set = self._is_set_expr(node.value)
+        is_set = is_set_expr(node.value, self._known_set)
         for target in node.targets:
             if isinstance(target, ast.Name):
                 scope = self._set_vars[-1]
@@ -174,47 +143,21 @@ class DeterminismChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name) and self._is_set_annotation(
+        if isinstance(node.target, ast.Name) and is_set_annotation(
             node.annotation
         ):
             self._set_vars[-1].add(node.target.id)
         self.generic_visit(node)
 
-    def _check_iteration(self, iter_node: ast.expr) -> None:
-        if self._is_set_expr(iter_node):
-            self._emit(iter_node, "RPD003",
+    def visit_For(self, node: ast.For | ast.AsyncFor | ast.comprehension
+                  ) -> None:
+        if is_set_expr(node.iter, self._known_set):
+            self._emit(node.iter, "RPD003",
                        "iteration over a set has no deterministic order; "
                        "wrap in sorted(...) or keep an ordered container")
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iteration(node.iter)
         self.generic_visit(node)
 
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_iteration(node.iter)
-        self.generic_visit(node)
-
-    def _visit_comprehension_generators(
-        self, generators: Iterable[ast.comprehension]
-    ) -> None:
-        for gen in generators:
-            self._check_iteration(gen.iter)
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self._visit_comprehension_generators(node.generators)
-        self.generic_visit(node)
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        self._visit_comprehension_generators(node.generators)
-        self.generic_visit(node)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        self._visit_comprehension_generators(node.generators)
-        self.generic_visit(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        self._visit_comprehension_generators(node.generators)
-        self.generic_visit(node)
+    visit_AsyncFor = visit_comprehension = visit_For
 
     # ------------------------------------------------------------------
     # Calls: RPD001, RPD002, RPD003 (materialisers/popitem), RPD004
@@ -226,18 +169,17 @@ class DeterminismChecker(ast.NodeVisitor):
             code, message = _SOURCE_RULES[source.kind]
             self._emit(node, code, message.format(source.label))
         # list(set(...)) and friends materialise in iteration order
-        if (isinstance(func, ast.Name)
-                and func.id in _ORDER_MATERIALISERS
-                and node.args and self._is_set_expr(node.args[0])):
+        materialiser = materialised_set(node, self._known_set)
+        if materialiser is not None:
             self._emit(node, "RPD003",
-                       f"{func.id}() over a set materialises a "
+                       f"{materialiser}() over a set materialises a "
                        "nondeterministic order; use sorted(...)")
         if isinstance(func, ast.Attribute) and func.attr == "popitem":
             self._emit(node, "RPD003",
                        "dict.popitem() removes an arbitrary end of the "
                        "insertion order; pop an explicit key instead")
         # sorted/min/max/.sort with key=id
-        target = _terminal_name(func)
+        target = terminal_name(func)
         if target in ("sorted", "min", "max", "sort"):
             for kw in node.keywords:
                 if kw.arg == "key" and self._kind(kw.value) == "addr":
@@ -262,8 +204,8 @@ class DeterminismChecker(ast.NodeVisitor):
         if isinstance(node, ast.Call):
             # a host clock read, or anything's .now() (api.now(), engine.now())
             return (self._kind(node) == "time"
-                    or _terminal_name(node.func) == "now")
-        name = _terminal_name(node)
+                    or terminal_name(node.func) == "now")
+        name = terminal_name(node)
         if name is None:
             return False
         low = name.lower()

@@ -24,7 +24,10 @@ that deliver non-causally-related messages in different orders:
   seeded generator is as clean as its seed expression;
 * the *virtual* clock ``api.now()``, whose value moves with delivery
   timing — kind ``time``;
-* iteration over ``set`` / ``frozenset`` (unordered) — kind ``iter``.
+* iteration over (or ``list()`` / ``tuple()`` / ``iter()`` /
+  ``enumerate()`` of) an unordered set, as the same module's
+  ``is_set_expr`` — the model RPD003 reports from — recognises one —
+  kind ``iter``.
 
 **Sinks** — any argument of ``send`` or a collective (destination,
 payload, tag, size), and any branch or loop condition that dominates a
@@ -77,10 +80,18 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .noqa import Suppressions, parse_suppressions
 from .rules import LintFinding
-from .sources import ImportMap, classify_call
+from .sources import (
+    ImportMap,
+    classify_call,
+    is_set_annotation,
+    is_set_expr,
+    materialised_set,
+    terminal_name,
+)
 
 __all__ = [
     "VERDICTS",
@@ -127,7 +138,14 @@ _NEUTRAL_OPS = frozenset({"compute", "checkpoint", "maybe_checkpoint"})
 #: builtins whose result is a pure function of the argument *multiset* —
 #: they neutralize order/iter taint.  ``sum`` is intentionally absent:
 #: float addition is non-associative.
-_ORDER_NEUTRALIZERS = frozenset({"sorted", "min", "max", "len"})
+_ORDER_NEUTRALIZERS = frozenset({"sorted", "min", "max", "len", "numpy.sort"})
+#: methods through which an argument's taint enters the receiver
+_MUTATORS = frozenset({"append", "extend", "add", "insert", "update",
+                       "setdefault"})
+#: api.send's positional parameters
+_SEND_PARAMS = ("dst", "payload", "tag", "size")
+#: nodes that hold a block of statements under a compound statement
+_BLOCK = (ast.stmt, ast.ExceptHandler, ast.match_case)
 
 _MAX_STEPS = 10
 _MAX_CALL_DEPTH = 12
@@ -184,6 +202,10 @@ def _via(taints: frozenset[Taint], line: int, what: str) -> frozenset[Taint]:
     return frozenset(t.via(line, what) for t in taints)
 
 
+def _union(parts: Iterable[frozenset[Taint]]) -> frozenset[Taint]:
+    return _EMPTY.union(*parts)
+
+
 def _strip(taints: frozenset[Taint], kinds: frozenset[str]) -> frozenset[Taint]:
     return frozenset(t for t in taints if t.kind not in kinds)
 
@@ -232,56 +254,41 @@ class ModuleIndex:
         self.imports[path] = ImportMap(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                bases = []
-                for b in node.bases:
-                    if isinstance(b, ast.Name):
-                        bases.append(b.id)
-                    elif isinstance(b, ast.Attribute):
-                        bases.append(b.attr)
-                info = _ClassInfo(node.name, path, node, source, tuple(bases))
+                bases = tuple(filter(None, map(terminal_name, node.bases)))
+                info = _ClassInfo(node.name, path, node, source, bases)
                 # first definition wins (stable across sorted file order)
                 self.classes.setdefault(node.name, info)
 
     # ------------------------------------------------------------------
+    def _ancestry(self, name: str) -> tuple[list[_ClassInfo], set[str]]:
+        """Breadth-first over base *names*: the indexed classes in
+        linearized order, and the names the index does not hold."""
+        chain: list[_ClassInfo] = []
+        missing: set[str] = set()
+        queue = [name]
+        while queue:
+            cur = queue.pop(0)
+            info = self.classes.get(cur)
+            if info is None:
+                missing.add(cur)
+            elif info not in chain:
+                chain.append(info)
+                queue.extend(info.bases)
+        return chain, missing
+
     def mro(self, name: str) -> tuple[list[_ClassInfo], bool]:
         """Linearized ancestry by name; ``(chain, resolved)`` where
         ``resolved`` is False when a non-``RankProgram`` base is missing
         from the index."""
-        chain: list[_ClassInfo] = []
-        seen: set[str] = set()
-        resolved = True
-        queue = [name]
-        while queue:
-            cur = queue.pop(0)
-            if cur in seen:
-                continue
-            seen.add(cur)
-            info = self.classes.get(cur)
-            if info is None:
-                if cur not in ("RankProgram", "ABC", "object", "Generic"):
-                    resolved = False
-                continue
-            chain.append(info)
-            queue.extend(info.bases)
-        return chain, resolved
+        chain, missing = self._ancestry(name)
+        return chain, missing <= {"RankProgram", "ABC", "object", "Generic"}
 
     def is_rank_program(self, name: str) -> bool:
         """Does ``name``'s ancestry (by name) reach ``RankProgram``?"""
-        seen: set[str] = set()
-        queue = [name]
-        while queue:
-            cur = queue.pop(0)
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if cur == "RankProgram" and cur != name:
-                return True
-            info = self.classes.get(cur)
-            if info is not None:
-                queue.extend(info.bases)
-            elif cur == "RankProgram":
-                return True
-        return False
+        chain, missing = self._ancestry(name)
+        return name != "RankProgram" and (
+            "RankProgram" in missing
+            or any(c.name == "RankProgram" for c in chain))
 
     def find_method(self, cls: str, method: str) -> tuple[_ClassInfo, ast.FunctionDef] | None:
         chain, _ = self.mro(cls)
@@ -309,6 +316,13 @@ def kernel_code_digest(index: ModuleIndex, name: str) -> str:
 # ----------------------------------------------------------------------
 # Per-kernel analysis state
 # ----------------------------------------------------------------------
+#: a storage place the analysis tracks: ``("local", name)`` in the method
+#: frame; ``("self", attr)`` and ``("state", key)`` on the kernel object
+_Place = tuple[str, str]
+#: ``self.state`` as a whole, and any key that is not a constant
+_ANY_STATE: _Place = ("state", "*")
+
+
 class _KernelContext:
     """Shared mutable state while analyzing one kernel class."""
 
@@ -317,54 +331,40 @@ class _KernelContext:
         self.index = index
         self.info = info
         self.imports = imports
-        #: self.state key (or "*") -> taints; flow-insensitive fixpoint
-        self.state_taints: dict[str, frozenset[Taint]] = {}
-        #: self.<attr> -> taints
-        self.attr_taints: dict[str, frozenset[Taint]] = {}
-        #: self.state keys (or "*") known to hold unordered sets
-        self.state_set_keys: set[str] = set()
-        #: self.<attr> names known to hold unordered sets
-        self.attr_sets: set[str] = set()
+        #: ``self.state`` keys and ``self.<attr>`` -> taints;
+        #: flow-insensitive fixpoint
+        self.fields: dict[_Place, frozenset[Taint]] = {}
+        #: the fields known to hold unordered sets
+        self.set_fields: set[_Place] = set()
         self.assumptions: list[tuple[int, str]] = []
-        self.findings: list[tuple[LintFinding, Taint]] = []
+        self.findings: list[LintFinding] = []
         self.reporting = False
         self._finding_keys: set[tuple] = set()
-        self._assumed: set[tuple[int, str]] = set()
         self.call_depth = 0
 
     # ------------------------------------------------------------------
     def assume(self, line: int, text: str) -> None:
-        key = (line, text)
-        if key not in self._assumed:
-            self._assumed.add(key)
-            self.assumptions.append(key)
+        if (line, text) not in self.assumptions:
+            self.assumptions.append((line, text))
 
-    def state_get(self, key: str) -> frozenset[Taint]:
-        if key == "*":
-            out: frozenset[Taint] = frozenset()
-            for t in self.state_taints.values():
-                out |= t
-            return out
-        return self.state_taints.get(key, _EMPTY) | self.state_taints.get("*", _EMPTY)
+    def get(self, place: _Place) -> frozenset[Taint]:
+        if place == _ANY_STATE:
+            return _union(taints for field_, taints in self.fields.items()
+                          if field_[0] == "state")
+        out = self.fields.get(place, _EMPTY)
+        if place[0] == "state":
+            out |= self.fields.get(_ANY_STATE, _EMPTY)
+        return out
 
-    def state_put(self, key: str, taints: frozenset[Taint], line: int) -> None:
+    def put(self, place: _Place, taints: frozenset[Taint], line: int) -> None:
         if not taints:
             return
-        taints = _via(taints, line, f"state[{key!r}]")
-        cur = self.state_taints.get(key, _EMPTY)
+        kind, key = place
+        taints = _via(taints, line,
+                      f"state[{key!r}]" if kind == "state" else f"self.{key}")
+        cur = self.fields.get(place, _EMPTY)
         if not taints <= cur:
-            self.state_taints[key] = cur | taints
-
-    def attr_get(self, name: str) -> frozenset[Taint]:
-        return self.attr_taints.get(name, _EMPTY)
-
-    def attr_put(self, name: str, taints: frozenset[Taint], line: int) -> None:
-        if not taints:
-            return
-        taints = _via(taints, line, f"self.{name}")
-        cur = self.attr_taints.get(name, _EMPTY)
-        if not taints <= cur:
-            self.attr_taints[name] = cur | taints
+            self.fields[place] = cur | taints
 
     # ------------------------------------------------------------------
     def sink(self, node: ast.AST, taints: frozenset[Taint], what: str,
@@ -386,8 +386,7 @@ class _KernelContext:
             msg = (f"{reach} {label}: "
                    f"{t.via(line, what).path()}")
             self.findings.append(
-                (LintFinding(self.info.path, line, col, code, msg), t)
-            )
+                LintFinding(self.info.path, line, col, code, msg))
 
 
 class _MethodFrame:
@@ -397,7 +396,8 @@ class _MethodFrame:
         self.env: dict[str, frozenset[Taint]] = {}
         self.api_names: set[str] = set()
         self.state_aliases: set[str] = set()
-        self.set_vars: set[str] = set()
+        #: the locals known to hold unordered sets
+        self.set_vars: set[_Place] = set()
         self.returns: frozenset[Taint] = frozenset()
 
 
@@ -405,7 +405,17 @@ class _MethodFrame:
 # The analyzer
 # ----------------------------------------------------------------------
 class _Analyzer:
-    """Abstract interpreter for one method body."""
+    """Abstract interpreter for one method body.
+
+    One rule decides what gets a handler: a node has one only where it
+    means *more* than the union of its children — it is a source, sink or
+    neutralizer (``Call``), reads or binds a place (names, attributes,
+    subscripts, assignment / loop / ``with`` / comprehension targets,
+    ``del``), returns, or opens a scope that is not executed in place.
+    Everything else takes :meth:`ev` / :meth:`stmt`'s default, which
+    visits *every* child — so no expression form can launder taint and no
+    block can hide a send by being forgotten in a hand-written traversal.
+    """
 
     def __init__(self, ctx: _KernelContext, frame: _MethodFrame,
                  guards: list[tuple[int, frozenset[Taint]]]):
@@ -415,10 +425,7 @@ class _Analyzer:
 
     # -- helpers -------------------------------------------------------
     def _guard_taints(self) -> frozenset[Taint]:
-        out: frozenset[Taint] = frozenset()
-        for _line, t in self.guards:
-            out |= t
-        return out
+        return _union(taints for _line, taints in self.guards)
 
     def _is_api(self, node: ast.AST) -> bool:
         return isinstance(node, ast.Name) and node.id in self.frame.api_names
@@ -426,191 +433,148 @@ class _Analyzer:
     def _is_self(self, node: ast.AST) -> bool:
         return isinstance(node, ast.Name) and node.id == "self"
 
-    def _is_self_state(self, node: ast.AST) -> bool:
+    def _is_state(self, node: ast.AST) -> bool:
+        """``self.state`` itself, or a local alias (``st = self.state``)."""
+        if isinstance(node, ast.Name):
+            return node.id in self.frame.state_aliases
         return (isinstance(node, ast.Attribute) and node.attr == "state"
                 and self._is_self(node.value))
 
-    def _is_state_alias(self, node: ast.AST) -> bool:
-        if self._is_self_state(node):
-            return True
-        return (isinstance(node, ast.Name)
-                and node.id in self.frame.state_aliases)
-
-    def _is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id in ("set", "frozenset")
+    def _place(self, node: ast.AST) -> _Place | None:
+        """The tracked storage a name / ``self.attr`` / ``state[key]``
+        expression denotes."""
+        if self._is_state(node):
+            return _ANY_STATE
         if isinstance(node, ast.Name):
-            return node.id in self.frame.set_vars
-        if isinstance(node, ast.Subscript) and self._is_state_alias(node.value):
-            key = self._const_key(node.slice)
-            keys = self.ctx.state_set_keys
-            return key in keys or "*" in keys
+            return ("local", node.id)
         if isinstance(node, ast.Attribute) and self._is_self(node.value):
-            return node.attr in self.ctx.attr_sets
-        return False
+            return ("self", node.attr)
+        if isinstance(node, ast.Subscript) and self._is_state(node.value):
+            key = node.slice
+            if isinstance(key, ast.Constant) and isinstance(key.value,
+                                                            (str, int)):
+                return ("state", str(key.value))
+            return _ANY_STATE
+        return None
 
-    @staticmethod
-    def _const_key(node: ast.AST) -> str:
-        if isinstance(node, ast.Constant) and isinstance(node.value, (str, int)):
-            return repr(node.value) if not isinstance(node.value, str) else node.value
-        return "*"
+    def _load(self, place: _Place) -> frozenset[Taint]:
+        if place[0] == "local":
+            return self.frame.env.get(place[1], _EMPTY)
+        return self.ctx.get(place)
+
+    def _store(self, place: _Place, taints: frozenset[Taint],
+               line: int) -> None:
+        """Weak update: the place keeps what it held."""
+        if place[0] != "local":
+            self.ctx.put(place, taints, line)
+        elif taints:
+            name = place[1]
+            self.frame.env[name] = (self.frame.env.get(name, _EMPTY)
+                                    | _via(taints, line, name))
+
+    def _set_places(self, place: _Place) -> set[_Place]:
+        return (self.frame.set_vars if place[0] == "local"
+                else self.ctx.set_fields)
+
+    def _known_set(self, node: ast.AST) -> bool:
+        """The analyzer's memory for :func:`~.sources.is_set_expr`: has
+        this place (or, for a state key, *some* key) been bound to one?"""
+        place = self._place(node)
+        return place is not None and (
+            place in self._set_places(place)
+            or place[0] == "state" and _ANY_STATE in self.ctx.set_fields)
+
+    def _mark_set(self, target: ast.AST) -> None:
+        place = self._place(target)
+        if place is not None:
+            self._set_places(place).add(place)
+
+    def _actuals(self, node: ast.Call
+                 ) -> list[tuple[str | None, ast.expr, frozenset[Taint]]]:
+        """Every argument of a call: (keyword or None, expression, taint)."""
+        args = [(None, a) for a in node.args] + [
+            (kw.arg, kw.value) for kw in node.keywords]
+        return [(kw, expr, self.ev(expr)) for kw, expr in args]
+
+    def _iterated(self, node: ast.expr) -> frozenset[Taint]:
+        """Taint of the elements ``for ... in node`` yields."""
+        taints = self.ev(node)
+        if is_set_expr(node, self._known_set):
+            taints |= _source("iter", node.lineno,
+                              "iteration over unordered set")
+        return taints
 
     @staticmethod
     def _is_any_source(node: ast.AST | None) -> bool:
         if node is None:
             return True  # api.recv() defaults to ANY_SOURCE
-        if isinstance(node, ast.Name) and node.id == "ANY_SOURCE":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "ANY_SOURCE":
-            return True
-        if isinstance(node, ast.Constant) and node.value == -1:
-            return True
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            v = node.operand
-            return isinstance(v, ast.Constant) and v.value == 1
-        return False
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return terminal_name(node) == "ANY_SOURCE"
+        try:
+            return ast.literal_eval(node) == -1
+        except (ValueError, TypeError):
+            return False
 
     # -- expressions ---------------------------------------------------
     def ev(self, node: ast.AST | None) -> frozenset[Taint]:
+        """Taint of an expression — or of the expressions under a helper
+        node (``keyword``, ``arguments``, ``match_case`` patterns...)."""
         if node is None:
             return _EMPTY
         method = getattr(self, f"_ev_{type(node).__name__}", None)
         if method is not None:
             return method(node)
-        # default: union over child expressions
-        out: frozenset[Taint] = frozenset()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                out |= self.ev(child)
-        return out
-
-    def _ev_Constant(self, node: ast.Constant) -> frozenset[Taint]:
-        return _EMPTY
+        # default: union over *all* children
+        return _union(self.ev(child) for child in ast.iter_child_nodes(node))
 
     def _ev_Name(self, node: ast.Name) -> frozenset[Taint]:
-        return self.frame.env.get(node.id, _EMPTY)
+        return self._load(_ANY_STATE if self._is_state(node)
+                          else ("local", node.id))
 
     def _ev_Attribute(self, node: ast.Attribute) -> frozenset[Taint]:
-        if self._is_self(node.value):
-            if node.attr == "state":
-                return self.ctx.state_get("*")
-            return self.ctx.attr_get(node.attr)
-        base = self.ev(node.value)
+        place = self._place(node)
+        if place is not None:
+            return self._load(place)
         # any attribute of a tainted value is tainted
-        return _via(base, node.lineno, f".{node.attr}")
+        return _via(self.ev(node.value), node.lineno, f".{node.attr}")
 
     def _ev_Subscript(self, node: ast.Subscript) -> frozenset[Taint]:
-        idx = self.ev(node.slice)
-        if self._is_state_alias(node.value):
-            return self.ctx.state_get(self._const_key(node.slice)) | idx
-        return self.ev(node.value) | idx
-
-    def _ev_BinOp(self, node: ast.BinOp) -> frozenset[Taint]:
-        return self.ev(node.left) | self.ev(node.right)
-
-    def _ev_BoolOp(self, node: ast.BoolOp) -> frozenset[Taint]:
-        out: frozenset[Taint] = frozenset()
-        for v in node.values:
-            out |= self.ev(v)
-        return out
-
-    def _ev_UnaryOp(self, node: ast.UnaryOp) -> frozenset[Taint]:
-        return self.ev(node.operand)
-
-    def _ev_Compare(self, node: ast.Compare) -> frozenset[Taint]:
-        out = self.ev(node.left)
-        for c in node.comparators:
-            out |= self.ev(c)
-        return out
-
-    def _ev_IfExp(self, node: ast.IfExp) -> frozenset[Taint]:
-        return self.ev(node.test) | self.ev(node.body) | self.ev(node.orelse)
-
-    def _ev_Tuple(self, node: ast.Tuple) -> frozenset[Taint]:
-        out: frozenset[Taint] = frozenset()
-        for e in node.elts:
-            out |= self.ev(e)
-        return out
-
-    _ev_List = _ev_Tuple
-    _ev_Set = _ev_Tuple
-
-    def _ev_Dict(self, node: ast.Dict) -> frozenset[Taint]:
-        out: frozenset[Taint] = frozenset()
-        for k in node.keys:
-            out |= self.ev(k)
-        for v in node.values:
-            out |= self.ev(v)
-        return out
-
-    def _ev_Starred(self, node: ast.Starred) -> frozenset[Taint]:
-        return self.ev(node.value)
-
-    def _ev_JoinedStr(self, node: ast.JoinedStr) -> frozenset[Taint]:
-        out: frozenset[Taint] = frozenset()
-        for v in node.values:
-            out |= self.ev(v)
-        return out
-
-    def _ev_FormattedValue(self, node: ast.FormattedValue) -> frozenset[Taint]:
-        return self.ev(node.value)
-
-    def _ev_Yield(self, node: ast.Yield) -> frozenset[Taint]:
-        return self.ev(node.value)
-
-    def _ev_YieldFrom(self, node: ast.YieldFrom) -> frozenset[Taint]:
-        return self.ev(node.value)
-
-    def _ev_Await(self, node: ast.Await) -> frozenset[Taint]:
-        return self.ev(node.value)
+        place = self._place(node)
+        base = self._load(place) if place else self.ev(node.value)
+        return base | self.ev(node.slice)
 
     def _ev_NamedExpr(self, node: ast.NamedExpr) -> frozenset[Taint]:
         taints = self.ev(node.value)
-        if isinstance(node.target, ast.Name):
-            self._bind_name(node.target.id, taints, node.lineno)
+        self._bind_target(node.target, taints, node.lineno)
         return taints
 
-    def _ev_Lambda(self, node: ast.Lambda) -> frozenset[Taint]:
-        return _EMPTY
+    def _ev_comprehension(self, node: ast.comprehension) -> frozenset[Taint]:
+        taints = self._iterated(node.iter)
+        self._bind_target(node.target, taints, node.iter.lineno)
+        for cond in node.ifs:
+            taints |= self.ev(cond)
+        return taints
 
-    def _comp(self, node, elts: list[ast.expr]) -> frozenset[Taint]:
-        for gen in node.generators:
-            taints = self.ev(gen.iter)
-            if self._is_set_expr(gen.iter):
-                taints = taints | _source(
-                    "iter", node.lineno,
-                    "iteration over unordered set")
-            self._bind_target(gen.target, taints, node.lineno)
-            for cond in gen.ifs:
-                self.ev(cond)
-        out: frozenset[Taint] = frozenset()
-        for e in elts:
-            out |= self.ev(e)
-        return out
+    def _ev_ListComp(self, node: ast.ListComp | ast.SetComp | ast.DictComp
+                     | ast.GeneratorExp) -> frozenset[Taint]:
+        # generators first: they bind what the element reads
+        out = _union([self.ev(gen) for gen in node.generators])
+        return out | _union(self.ev(child)
+                            for child in ast.iter_child_nodes(node)
+                            if not isinstance(child, ast.comprehension))
 
-    def _ev_ListComp(self, node: ast.ListComp) -> frozenset[Taint]:
-        return self._comp(node, [node.elt])
-
-    def _ev_GeneratorExp(self, node: ast.GeneratorExp) -> frozenset[Taint]:
-        return self._comp(node, [node.elt])
-
-    def _ev_SetComp(self, node: ast.SetComp) -> frozenset[Taint]:
-        return self._comp(node, [node.elt])
-
-    def _ev_DictComp(self, node: ast.DictComp) -> frozenset[Taint]:
-        return self._comp(node, [node.key, node.value])
+    _ev_SetComp = _ev_DictComp = _ev_GeneratorExp = _ev_ListComp
 
     # -- calls ---------------------------------------------------------
     def _ev_Call(self, node: ast.Call) -> frozenset[Taint]:
         func = node.func
-        arg_taints = self._all_arg_taints(node)
-
         # api operations -------------------------------------------------
         if isinstance(func, ast.Attribute) and self._is_api(func.value):
             return self._api_call(node, func.attr)
-
+        # self-method call: interprocedural
+        if isinstance(func, ast.Attribute) and self._is_self(func.value):
+            return self._self_call(node, func.attr)
+        taints = self.ev(func) | _union(t for *_, t in self._actuals(node))
         # catalogued nondeterminism sources (clocks, RNG, id()); an
         # explicitly seeded generator is as clean as its seed and falls
         # through to the argument pass-through below
@@ -618,110 +582,63 @@ class _Analyzer:
         if source is not None:
             return _source(_SOURCE_TAINT[source.kind], node.lineno,
                            source.label)
-
-        # builtins -------------------------------------------------------
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in _ORDER_NEUTRALIZERS:
-                return _via(_strip(arg_taints, frozenset({"order", "iter"})),
-                            node.lineno, f"{name}(...)")
-            if name in ("set", "frozenset", "list", "tuple", "dict", "print",
-                        "enumerate", "zip", "range", "abs", "float", "int",
-                        "str", "repr", "round", "sum", "any", "all", "map",
-                        "filter", "reversed", "isinstance", "getattr",
-                        "hasattr", "max", "min"):
-                return arg_taints
-
-        if isinstance(func, ast.Attribute):
-            # self-method call: interprocedural
-            if self._is_self(func.value):
-                return self._self_call(node, func.attr)
-            # np.sort etc. on a numpy alias neutralizes like sorted()
-            if self.ctx.imports.resolve(func) == "numpy.sort":
-                return _via(_strip(arg_taints, frozenset({"order", "iter"})),
-                            node.lineno, "np.sort(...)")
-            # mutating method on a local: taint flows into the receiver
-            if (isinstance(func.value, ast.Name)
-                    and func.attr in ("append", "extend", "add", "insert",
-                                      "update", "setdefault")):
-                self._bind_name(func.value.id, arg_taints, node.lineno)
-            # mutating method on a state field: taint flows into the field
-            if (isinstance(func.value, ast.Subscript)
-                    and self._is_state_alias(func.value.value)
-                    and func.attr in ("append", "extend", "add", "insert",
-                                      "update", "setdefault")):
-                self.ctx.state_put(self._const_key(func.value.slice),
-                                   arg_taints, node.lineno)
-            # method call on a tainted object (unseeded rng.random(), a
-            # tainted list's .pop(), ...) carries the object's taint
-            return self.ev(func.value) | arg_taints
-
-        # unknown callable: conservative pass-through
-        return arg_taints | self.ev(func)
-
-    def _all_arg_taints(self, node: ast.Call) -> frozenset[Taint]:
-        out: frozenset[Taint] = frozenset()
-        for a in node.args:
-            out |= self.ev(a)
-        for kw in node.keywords:
-            out |= self.ev(kw.value)
-        return out
+        materialiser = materialised_set(node, self._known_set)
+        if materialiser is not None:
+            taints |= _source("iter", node.lineno,
+                              f"{materialiser}() over unordered set")
+        # mutating method: taint flows into the receiver
+        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+            self._bind_target(func.value, taints, node.lineno)
+        # sorted / min / max / len / np.sort erase order; every other
+        # callable — a method of a tainted object (unseeded rng.random(),
+        # a tainted list's .pop()) included — passes through what it is
+        # and what it is given
+        name = self.ctx.imports.resolve(func) or (
+            func.id if isinstance(func, ast.Name) else None)
+        if name in _ORDER_NEUTRALIZERS:
+            return _via(_strip(taints, frozenset({"order", "iter"})),
+                        node.lineno, f"{name}(...)")
+        return taints
 
     def _api_call(self, node: ast.Call, op: str) -> frozenset[Taint]:
         """Simulator ops: sends/collectives are sinks, receives sources."""
         line = node.lineno
-        args = list(node.args)
-        kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
-        guard = self._guard_taints()
-
-        def sink_args(label: str, positional: list[tuple[str, ast.expr | None]]):
-            for argname, expr in positional:
-                if expr is None:
-                    continue
-                taints = self.ev(expr)
-                self.ctx.sink(node, taints, f"{label} {argname}", control=False)
-            if guard:
-                self.ctx.sink(node, guard, f"{label}", control=True)
-
-        if op == "send":
-            sink_args("api.send", [
-                ("destination", args[0] if args else kwargs.get("dst")),
-                ("payload", args[1] if len(args) > 1 else kwargs.get("payload")),
-                ("tag", args[2] if len(args) > 2 else kwargs.get("tag")),
-                ("size", args[3] if len(args) > 3 else kwargs.get("size")),
-            ])
-            return _EMPTY
-        if op in _COLLECTIVE_OPS:
-            # inputs are sinks (the collective sends them); results are
-            # clean by the inductive hypothesis (fixed binomial trees,
+        actuals = self._actuals(node)
+        if op == "send" or op in _COLLECTIVE_OPS:
+            # every argument is a sink; a collective's result is clean by
+            # the inductive hypothesis (fixed binomial trees,
             # explicit-source receives, deterministic combine order)
-            sink_args(f"api.{op}", [
-                ("value", a) for a in args
-            ] + [(kw.arg or "value", kw.value) for kw in node.keywords])
+            for i, (kw, _expr, taints) in enumerate(actuals):
+                name = kw or (_SEND_PARAMS[i] if op == "send"
+                              and i < len(_SEND_PARAMS) else "value")
+                what = "destination" if name == "dst" else name
+                self.ctx.sink(node, taints, f"api.{op} {what}", control=False)
+            self.ctx.sink(node, self._guard_taints(), f"api.{op}",
+                          control=True)
             return _EMPTY
-        if op == "recv":
-            src = args[0] if args else kwargs.get("src")
-            if self._is_any_source(src):
-                return _source("order", line, "recv(ANY_SOURCE) result")
-            # receiving from an order/taint-chosen peer taints the
-            # result with whatever chose the peer
-            return _via(self.ev(src), line, "recv(src) result")
         if op == "now":
             return _source("time", line, "api.now() (virtual clock)")
         if op in _NEUTRAL_OPS:
             return _EMPTY
-        # unknown api op: conservative
-        return self._all_arg_taints(node)
+        # recv from a taint-chosen peer or tag (and any op this model
+        # does not know) carries whatever chose its arguments
+        out = _union(taints for *_, taints in actuals)
+        if op == "recv":
+            out = _via(out, line, "recv(src) result")
+            src = next((e for kw, e, _t in actuals if kw == "src"),
+                       node.args[0] if node.args else None)
+            if self._is_any_source(src):
+                out |= _source("order", line, "recv(ANY_SOURCE) result")
+        return out
 
     def _self_call(self, node: ast.Call, method: str) -> frozenset[Taint]:
         """Interprocedural: analyze ``self.<method>(...)`` in context."""
         ctx = self.ctx
         found = ctx.index.find_method(ctx.info.name, method)
-        arg_taints = [self.ev(a) for a in node.args]
-        kw_taints = {kw.arg: self.ev(kw.value) for kw in node.keywords if kw.arg}
+        actuals = self._actuals(node)
         if found is None:
             if method in ("snapshot", "restore", "result"):
-                return ctx.state_get("*")
+                return ctx.get(_ANY_STATE)
             ctx.assume(node.lineno,
                        f"call to unresolvable helper self.{method}() "
                        f"assumed taint-free")
@@ -731,210 +648,165 @@ class _Analyzer:
                        f"recursion depth cap reached at self.{method}(); "
                        f"summary assumed taint-free")
             return _EMPTY
-        owner, fn = found
+        fn = found[1]
+        spec = fn.args
+        params = [a.arg for a in spec.posonlyargs + spec.args][1:]  # not self
+        named = set(params) | {a.arg for a in spec.kwonlyargs}
+        everyone = sorted(
+            named | {a.arg for a in (spec.vararg, spec.kwarg) if a})
         frame = _MethodFrame()
-        params = [a.arg for a in fn.args.args]
-        values: list[frozenset[Taint] | None] = []
-        api_args: set[str] = set()
-        # bind positional parameters (skip self)
-        for i, pname in enumerate(params[1:]):
-            if i < len(node.args):
-                if self._is_api(node.args[i]):
-                    api_args.add(pname)
-                    values.append(None)
-                else:
-                    values.append(arg_taints[i])
-            elif pname in kw_taints:
-                values.append(kw_taints[pname])
+        exact = True  # until a *starred argument hides the positions
+        for i, (kw, expr, taints) in enumerate(actuals):
+            exact = exact and not isinstance(expr, ast.Starred)
+            if kw in named:
+                pname = kw
+            elif exact and i < min(len(node.args), len(params)):
+                pname = params[i]
             else:
-                values.append(None)
-        for pname, value in zip(params[1:], values):
-            if value:
-                frame.env[pname] = _via(value, fn.lineno,
-                                        f"param {pname} of {method}()")
-        frame.api_names = api_args or {"api"}
+                pname = None
+            if pname is not None and self._is_api(expr):
+                frame.api_names.add(pname)
+                continue
+            # an argument the signature cannot place (``*a``, ``**kw``, a
+            # surplus positional) reaches every parameter
+            taints = _via(taints, fn.lineno,
+                          f"param {pname or '*'} of {method}()")
+            for target in [pname] if pname is not None else everyone:
+                frame.env[target] = frame.env.get(target, _EMPTY) | taints
+        frame.api_names = frame.api_names or {"api"}
         ctx.call_depth += 1
         try:
-            sub = _Analyzer(ctx, frame, self.guards)
-            sub.run_body(fn.body)
+            _Analyzer(ctx, frame, self.guards).run_body(fn.body)
         finally:
             ctx.call_depth -= 1
-        if frame.returns:
-            return _via(frame.returns, node.lineno, f"return of {method}()")
-        return _EMPTY
+        return _via(frame.returns, node.lineno, f"return of {method}()")
 
     # -- binding -------------------------------------------------------
-    def _bind_name(self, name: str, taints: frozenset[Taint],
-                   line: int) -> None:
-        if not taints:
-            return
-        taints = _via(taints, line, name)
-        self.frame.env[name] = self.frame.env.get(name, _EMPTY) | taints
-
     def _bind_target(self, target: ast.AST, taints: frozenset[Taint],
                      line: int, *, strong: bool = False) -> None:
-        if isinstance(target, ast.Name):
-            if strong:
-                self.frame.env[target.id] = _via(taints, line, target.id)
-                self.frame.set_vars.discard(target.id)
-            else:
-                self._bind_name(target.id, taints, line)
-        elif isinstance(target, (ast.Tuple, ast.List)):
+        if isinstance(target, (ast.Tuple, ast.List)):
             for e in target.elts:
                 self._bind_target(e, taints, line, strong=strong)
         elif isinstance(target, ast.Starred):
             self._bind_target(target.value, taints, line, strong=strong)
-        elif isinstance(target, ast.Subscript):
-            if self._is_state_alias(target.value):
-                self.ctx.state_put(self._const_key(target.slice), taints, line)
-            elif isinstance(target.value, ast.Name):
-                self._bind_name(target.value.id, taints, line)
-            elif isinstance(target.value, ast.Attribute) and self._is_self(
-                    target.value.value):
-                self.ctx.attr_put(target.value.attr, taints, line)
-            elif (isinstance(target.value, ast.Subscript)
-                  and self._is_state_alias(target.value.value)):
-                # nested store: state["k"][i] = v
-                self.ctx.state_put(self._const_key(target.value.slice),
-                                   taints, line)
-        elif isinstance(target, ast.Attribute):
-            if self._is_self(target.value):
-                if target.attr == "state":
-                    self.ctx.state_put("*", taints, line)
-                else:
-                    self.ctx.attr_put(target.attr, taints, line)
+        elif isinstance(target, ast.Name) and strong:
+            self.frame.env[target.id] = _via(taints, line, target.id)
+            self.frame.set_vars.discard(("local", target.id))
+        else:
+            # a store *into* an object (``d[k] = v``, ``a.b = v``,
+            # ``state["k"][i] = v``) taints the outermost container the
+            # analysis tracks — with the value and with every index
+            while True:
+                if isinstance(target, ast.Subscript):
+                    taints |= self.ev(target.slice)
+                place = self._place(target)
+                if place is not None:
+                    self._store(place, taints, line)
+                if place is not None or not isinstance(
+                        target, (ast.Subscript, ast.Attribute)):
+                    return
+                target = target.value
+
+    def _assign(self, target: ast.expr, value: ast.expr, line: int) -> None:
+        self._bind_target(target, self.ev(value), line,
+                          strong=isinstance(target, ast.Name))
+        if is_set_expr(value, self._known_set):
+            self._mark_set(target)
 
     # -- statements ----------------------------------------------------
     def run_body(self, body: list[ast.stmt]) -> None:
         for stmt in body:
             self.stmt(stmt)
 
-    def stmt(self, node: ast.stmt) -> None:
+    def stmt(self, node: ast.AST) -> None:
         method = getattr(self, f"_st_{type(node).__name__}", None)
         if method is not None:
             method(node)
-            return
-        # default: evaluate expressions, recurse into bodies
-        for name in ("body", "orelse", "finalbody"):
-            sub = getattr(node, name, None)
-            if sub:
-                self.run_body(sub)
-        handlers = getattr(node, "handlers", None)
-        if handlers:
-            for h in handlers:
-                self.run_body(h.body)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                self.ev(child)
+        else:
+            self._blocks(node, self._header(node))
 
-    def _st_Expr(self, node: ast.Expr) -> None:
-        self.ev(node.value)
+    def _header(self, node: ast.AST) -> frozenset[Taint]:
+        """Default, part 1: union over every child that is not a block."""
+        return _union(self.ev(child) for child in ast.iter_child_nodes(node)
+                      if not isinstance(child, _BLOCK))
+
+    def _blocks(self, node: ast.AST, header: frozenset[Taint]) -> None:
+        """Default, part 2: the header guards *every* nested block —
+        whatever field holds it (``body`` / ``orelse`` / ``finalbody`` /
+        ``handlers`` / ``cases`` / one not invented yet)."""
+        self.guards.append((getattr(node, "lineno", 0), header))
+        try:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, _BLOCK):
+                    self.stmt(child)
+        finally:
+            self.guards.pop()
 
     def _st_Assign(self, node: ast.Assign) -> None:
         value = node.value
         # aliasing forms first: st = self.state / my_api = api
-        if self._is_self_state(value):
+        if self._is_state(value):
+            aliases = self.frame.state_aliases
+        elif self._is_api(value):
+            aliases = self.frame.api_names
+        else:
             for t in node.targets:
-                if isinstance(t, ast.Name):
-                    self.frame.state_aliases.add(t.id)
+                self._assign(t, value, node.lineno)
             return
-        if self._is_api(value):
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    self.frame.api_names.add(t.id)
-            return
-        taints = self.ev(value)
-        is_set = self._is_set_expr(value)
-        for t in node.targets:
-            single_name = isinstance(t, ast.Name)
-            self._bind_target(t, taints, node.lineno, strong=single_name)
-            if single_name:
-                if is_set:
-                    self.frame.set_vars.add(t.id)
-            elif is_set and isinstance(t, ast.Subscript) \
-                    and self._is_state_alias(t.value):
-                self.ctx.state_set_keys.add(self._const_key(t.slice))
-            elif is_set and isinstance(t, ast.Attribute) \
-                    and self._is_self(t.value) and t.attr != "state":
-                self.ctx.attr_sets.add(t.attr)
+        aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
 
     def _st_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is None:
-            return
-        taints = self.ev(node.value)
-        self._bind_target(node.target, taints, node.lineno,
-                          strong=isinstance(node.target, ast.Name))
+        if node.value is not None:
+            self._assign(node.target, node.value, node.lineno)
+        if is_set_annotation(node.annotation):
+            self._mark_set(node.target)
 
     def _st_AugAssign(self, node: ast.AugAssign) -> None:
         taints = self.ev(node.value) | self.ev(node.target)
         self._bind_target(node.target, taints, node.lineno)
 
-    def _st_If(self, node: ast.If) -> None:
-        cond = self.ev(node.test)
-        self.guards.append((node.lineno, cond))
-        try:
-            self.run_body(node.body)
-            self.run_body(node.orelse)
-        finally:
-            self.guards.pop()
-
-    def _st_While(self, node: ast.While) -> None:
-        cond = self.ev(node.test)
-        self.guards.append((node.lineno, cond))
-        try:
-            self.run_body(node.body)
-            self.run_body(node.orelse)
-        finally:
-            self.guards.pop()
-
-    def _st_For(self, node: ast.For) -> None:
-        iter_taints = self.ev(node.iter)
-        target_taints = iter_taints
-        if self._is_set_expr(node.iter):
-            target_taints = target_taints | _source(
-                "iter", node.lineno, "iteration over unordered set")
-        self._bind_target(node.target, target_taints, node.lineno)
+    def _st_For(self, node: ast.For | ast.AsyncFor) -> None:
         # the loop trip count / element order dominates sends in the body
-        self.guards.append((node.lineno, target_taints))
-        try:
-            self.run_body(node.body)
-            self.run_body(node.orelse)
-        finally:
-            self.guards.pop()
+        taints = self._iterated(node.iter)
+        self._bind_target(node.target, taints, node.lineno)
+        self._blocks(node, taints)
 
-    def _st_Return(self, node: ast.Return) -> None:
-        self.frame.returns |= self.ev(node.value)
+    _st_AsyncFor = _st_For
 
-    def _st_With(self, node: ast.With) -> None:
+    def _st_With(self, node: ast.With | ast.AsyncWith) -> None:
+        header: frozenset[Taint] = frozenset()
         for item in node.items:
             taints = self.ev(item.context_expr)
             if item.optional_vars is not None:
                 self._bind_target(item.optional_vars, taints, node.lineno)
-        self.run_body(node.body)
+            header |= taints
+        self._blocks(node, header)
 
-    def _st_Try(self, node: ast.Try) -> None:
-        self.run_body(node.body)
-        for h in node.handlers:
-            self.run_body(h.body)
-        self.run_body(node.orelse)
-        self.run_body(node.finalbody)
+    _st_AsyncWith = _st_With
 
-    def _st_Assert(self, node: ast.Assert) -> None:
-        self.ev(node.test)
+    def _st_Match(self, node: ast.Match) -> None:
+        # capture patterns (``case x``, ``case [*rest]``, ``case {**rest}``)
+        # bind names to parts of the subject
+        subject = self.ev(node.subject)
+        for case in node.cases:
+            for sub in ast.walk(case.pattern):
+                name = getattr(sub, "name", None) or getattr(sub, "rest", None)
+                if name is not None:
+                    self._store(("local", name), subject, case.pattern.lineno)
+        self._blocks(node, subject)
 
-    def _st_Raise(self, node: ast.Raise) -> None:
-        if node.exc is not None:
-            self.ev(node.exc)
+    def _st_Return(self, node: ast.Return) -> None:
+        self.frame.returns |= self.ev(node.value)
 
-    def _st_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # nested function definitions are not executed here; calls to them
-        # fall back to conservative argument pass-through
-        return
+    def _st_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                        | ast.ClassDef) -> None:
+        # a nested scope is not executed here, and a call to it passes
+        # its arguments through without entering the body
+        self.ctx.assume(node.lineno,
+                        f"nested {type(node).__name__} {node.name} assumed "
+                        f"to send nothing and capture no taint")
 
-    _st_AsyncFunctionDef = _st_FunctionDef
-
-    def _st_ClassDef(self, node: ast.ClassDef) -> None:
-        return
+    _st_AsyncFunctionDef = _st_ClassDef = _st_FunctionDef
 
     def _st_Delete(self, node: ast.Delete) -> None:
         for t in node.targets:
@@ -1013,19 +885,21 @@ def _analyze_kernel(index: ModuleIndex, info: _ClassInfo,
                        f"like the default deep copy")
 
     init = index.find_method(info.name, "__init__")
+    run_params = [a.arg for a in run_fn.args.args]
 
     def one_pass() -> None:
         if init is not None:
-            _run_method(ctx, init[1], api_param=None)
-        _run_method(ctx, run_fn, api_param="auto")
+            _run_method(ctx, init[1], api_names=set())
+        _run_method(ctx, run_fn, api_names={
+            run_params[1] if len(run_params) > 1 else "api"})
 
     # fixpoint over self.state / attribute taint (snapshot()/restore()
     # round-trips are the identity on this map, so a restored program is
     # analyzed exactly like a live one)
     for _ in range(_MAX_PASSES):
-        before = (dict(ctx.state_taints), dict(ctx.attr_taints))
+        before = (dict(ctx.fields), set(ctx.set_fields))
         one_pass()
-        if (ctx.state_taints, ctx.attr_taints) == before:
+        if (ctx.fields, ctx.set_fields) == before:
             break
     ctx.reporting = True
     one_pass()
@@ -1033,7 +907,7 @@ def _analyze_kernel(index: ModuleIndex, info: _ClassInfo,
     # apply SD noqa suppressions (justification required) ----------------
     supp = suppressions.get(info.path)
     kept: list[LintFinding] = []
-    for finding, _taint in ctx.findings:
+    for finding in ctx.findings:
         reason = supp.justification(finding.line, finding.code) if supp else None
         if reason:
             report.suppressed.append((finding.code, finding.line, reason))
@@ -1055,13 +929,10 @@ def _analyze_kernel(index: ModuleIndex, info: _ClassInfo,
 
 
 def _run_method(ctx: _KernelContext, fn: ast.FunctionDef,
-                api_param: str | None) -> None:
+                api_names: set[str]) -> None:
     frame = _MethodFrame()
-    if api_param == "auto":
-        params = [a.arg for a in fn.args.args]
-        frame.api_names = {params[1]} if len(params) > 1 else {"api"}
-    analyzer = _Analyzer(ctx, frame, guards=[])
-    analyzer.run_body(fn.body)
+    frame.api_names = api_names
+    _Analyzer(ctx, frame, guards=[]).run_body(fn.body)
 
 
 # ----------------------------------------------------------------------

@@ -5,19 +5,23 @@ What counts as a host-dependent callable — a value that can differ
 between two correct executions of the same configuration — is decided
 here and nowhere else: :data:`CATALOGUE` lists the callables by kind,
 :class:`ImportMap` resolves every spelling a module can reach them by,
-and :func:`classify_call` answers for one call site.  The RPD checker
-(:mod:`repro.lint.checker`) maps the answer to rule codes, the
-send-determinism certifier (:mod:`repro.lint.sendet`) to taint kinds.
+and :func:`classify_call` answers for one call site.  Which expressions
+are unordered sets is decided here too (:func:`is_set_expr`,
+:func:`is_set_annotation`, :func:`materialised_set`); each analysis
+brings only its own memory of which names it has seen bound to one.  The
+RPD checker (:mod:`repro.lint.checker`) maps the answers to rule codes,
+the send-determinism certifier (:mod:`repro.lint.sendet`) to taint kinds.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 __all__ = ["CATALOGUE", "SEEDED_CTORS", "ImportMap", "Source",
-           "classify_call", "classify_ref"]
+           "classify_call", "classify_ref", "is_set_annotation",
+           "is_set_expr", "materialised_set", "terminal_name"]
 
 _CLOCK_READS = frozenset({"now", "utcnow", "today"})
 _ADDR_BUILTINS = frozenset({"id"})
@@ -65,6 +69,13 @@ class Source:
     @property
     def label(self) -> str:
         return f"{self.name}()"
+
+
+def terminal_name(node: ast.expr) -> str | None:
+    """The last identifier of a Name/Attribute chain (``a.b.c`` -> ``c``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
 
 
 class ImportMap:
@@ -143,3 +154,52 @@ def classify_call(call: ast.Call, imports: ImportMap) -> Source | None:
             and (call.args or call.keywords)):
         return None
     return source
+
+
+# ----------------------------------------------------------------------
+# Unordered sets (RPD003 / SD104)
+# ----------------------------------------------------------------------
+_SET_CTORS = frozenset({"set", "frozenset"})
+_SET_ANNOTATIONS = _SET_CTORS | {"Set", "FrozenSet", "AbstractSet"}
+#: set methods that return another set
+_SET_RETURNING_METHODS = frozenset({
+    "union", "intersection", "difference", "symmetric_difference", "copy",
+})
+#: builtins that materialise their argument in iteration order
+_ORDER_MATERIALISERS = frozenset({"list", "tuple", "iter", "enumerate"})
+
+
+def is_set_annotation(node: ast.expr) -> bool:
+    """``set`` / ``frozenset[int]`` / ``typing.AbstractSet[str]`` ..."""
+    base = node.value if isinstance(node, ast.Subscript) else node
+    return terminal_name(base) in _SET_ANNOTATIONS
+
+
+def is_set_expr(node: ast.expr, known: Callable[[ast.expr], bool]) -> bool:
+    """Does ``node`` evaluate to a ``set`` / ``frozenset``?  ``known`` is
+    the caller's memory: is this name / attribute / subscript bound to a
+    set (by an assignment or annotation it has seen)?"""
+    if isinstance(node, (ast.Set, ast.SetComp)) or known(node):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in _SET_CTORS
+        return (isinstance(func, ast.Attribute)
+                and func.attr in _SET_RETURNING_METHODS
+                and is_set_expr(func.value, known))
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)):
+        return is_set_expr(node.left, known) or is_set_expr(node.right, known)
+    return False
+
+
+def materialised_set(node: ast.expr,
+                     known: Callable[[ast.expr], bool]) -> str | None:
+    """The builtin (``list`` / ``tuple`` / ``iter`` / ``enumerate``) by
+    which ``node`` freezes a set's iteration order into a sequence."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _ORDER_MATERIALISERS
+            and node.args and is_set_expr(node.args[0], known)):
+        return node.func.id
+    return None

@@ -81,8 +81,7 @@ class Job:
 class CampaignService:
     """The resident orchestrator behind ``repro serve``."""
 
-    def __init__(self, workers: int = 2, cache: ResultCache | None = None,
-                 mp_method: str | None = None, keep_results: int = KEEP_RESULTS):
+    def __init__(self, workers: int = 2, cache: ResultCache | None = None):
         from ..obs import MetricsRegistry
 
         self.workers = max(1, int(workers))
@@ -91,9 +90,7 @@ class CampaignService:
         #: stealing, job tallies) — separate from per-job simulation obs
         self.registry = MetricsRegistry()
         self.scheduler = WorkStealingScheduler(
-            self.workers, mp_method=mp_method or _service_mp_method(),
-            obs=self.registry)
-        self.keep_results = keep_results
+            self.workers, mp_method=_service_mp_method(), obs=self.registry)
         self.jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._queue: asyncio.Queue[Job] = asyncio.Queue()
@@ -109,7 +106,7 @@ class CampaignService:
         job = Job(f"job-{self._next_id:06d}", spec)
         self.jobs[job.id] = job
         self._order.append(job.id)
-        while len(self._order) > max(self.keep_results, 1):
+        while len(self._order) > KEEP_RESULTS:
             old = self._order.pop(0)
             stale = self.jobs.get(old)
             if stale is not None and stale.done.is_set():
@@ -323,12 +320,10 @@ class CampaignService:
 
 def serve(socket_path: str | None = None, host: str = "127.0.0.1",
           port: int = 7723, workers: int = 2,
-          cache_dir: str | None = None, no_cache: bool = False,
-          mp_method: str | None = None) -> int:
+          cache_dir: str | None = None, no_cache: bool = False) -> int:
     """Blocking entry point for ``repro serve``."""
     cache = None if no_cache else ResultCache(cache_dir)
-    service = CampaignService(workers=workers, cache=cache,
-                              mp_method=mp_method)
+    service = CampaignService(workers=workers, cache=cache)
     try:
         asyncio.run(service.serve(socket_path=socket_path, host=host,
                                   port=port))

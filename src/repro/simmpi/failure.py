@@ -41,7 +41,7 @@ class FailureEvent:
 class FailureInjector:
     """Schedules fail-stop failures and dispatches them to a handler.
 
-    Concurrent failures: multiple events within ``time_quantum`` of each
+    Concurrent failures: multiple events within ``TIME_QUANTUM`` of each
     other are delivered to the handler as a single batch (list of ranks),
     matching the paper's "multiple concurrent failures" scenario where the
     recovery line must account for every failed process at once.  Exact
@@ -49,11 +49,9 @@ class FailureInjector:
     come from arithmetic (``t + dt``) land a few ulps apart.
     """
 
-    def __init__(self, world: "World", handler: Callable[[list[int]], None],
-                 time_quantum: float = TIME_QUANTUM):
+    def __init__(self, world: "World", handler: Callable[[list[int]], None]):
         self.world = world
         self.handler = handler
-        self.time_quantum = time_quantum
         self._scheduled: list[FailureEvent] = []
         self.fired: list[FailureEvent] = []
         #: active ``after_sends`` taps: {"rank", "nsends", "fired"}
@@ -158,13 +156,13 @@ class FailureInjector:
         """Install the scheduled failures into the engine.
 
         Events are grouped into concurrent rounds within
-        ``self.time_quantum`` of each group's earliest time (not exact
+        ``TIME_QUANTUM`` of each group's earliest time (not exact
         float equality), and each group fires at that earliest time.
         """
         events = sorted(self._scheduled, key=lambda ev: (ev.time, ev.rank))
         groups: list[tuple[float, list[int]]] = []
         for ev in events:
-            if groups and ev.time - groups[-1][0] <= self.time_quantum:
+            if groups and ev.time - groups[-1][0] <= TIME_QUANTUM:
                 groups[-1][1].append(ev.rank)
             else:
                 groups.append((ev.time, [ev.rank]))

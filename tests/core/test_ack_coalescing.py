@@ -124,8 +124,7 @@ def test_timeout_flushes_idle_channel():
         def result(self):
             return np.zeros(1)
 
-    cfg = ProtocolConfig(checkpoint_interval=1e-2, ack_batch=64,
-                         ack_flush_timeout=5e-6)
+    cfg = ProtocolConfig(checkpoint_interval=1e-2, ack_batch=64)
     world, ctl = build_ft_world(2, lambda r, s: OneWay(r, s), cfg)
     world.launch()
     world.run()

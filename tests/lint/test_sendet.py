@@ -3,6 +3,7 @@ with a source->sink evidence path, deterministic shapes are proven, and
 the shipped kernels certify clean."""
 
 import os
+import re
 import textwrap
 
 import pytest
@@ -404,3 +405,279 @@ def test_digest_tracks_kernel_source():
     assert a.digest != b.digest
     again = analyze(base.format(payload="1.0"))
     assert a.digest == again.digest
+
+
+# ----------------------------------------------------------------------
+# No node launders, no block hides: the walker visits every child of
+# every node, so routing an arrival-ordered value through ANY expression
+# form reaches the send (SD101) and a send nested in ANY block of a
+# compound statement is found under its header (SD102)
+# ----------------------------------------------------------------------
+LAUNDERING = os.path.join(REPO, "tests", "lint", "fixtures",
+                          "laundering_kernels.py")
+
+#: expression form -> an expression over ``w = recv(ANY_SOURCE)``
+EXPRESSION_FORMS = {
+    "BinOp": "1 + w",
+    "BoolOp": "0 or w",
+    "UnaryOp": "-w",
+    "Compare": "1 < 2 < w",
+    "IfExp test": "1 if w else 2",
+    "IfExp branch": "1 if self.rank else w",
+    "tuple display": "(1, w)",
+    "list display": "[1, w]",
+    "set display": "{1, w}",
+    "dict key": "{w: 1}",
+    "dict value": "{1: w}",
+    "dict **": "{1: 2, **w}",
+    "Starred": "[1, *w]",
+    "f-string value": 'f"{w}"',
+    "f-string spec": 'f"{1:{w}}"',
+    "index": '"abc"[w]',
+    "slice bound": '"abc"[1:w]',
+    "slice step": '"abc"[::w]',
+    "attribute": "w.real",
+    "call positional": "abs(w)",
+    "call keyword": "dict(k=w)",
+    "call *args": "print(*w)",
+    "call **kwargs": "dict(**w)",
+    "call func": "w()",
+    "method receiver": "w.bit_length()",
+    "comprehension element": "[w for _ in range(2)]",
+    "comprehension iterable": "[1 for _ in w]",
+    "comprehension condition": "[1 for _ in range(4) if w > 2]",
+    "nested generator": "[1 for _ in range(2) for _ in range(w)]",
+    "set comprehension": "{w for _ in range(2)}",
+    "dict comprehension key": "{w: 1 for _ in range(2)}",
+    "dict comprehension value": "{1: w for _ in range(2)}",
+    "generator expression": "sum(w for _ in range(2))",
+    "lambda capture": "(lambda: w)()",
+    "lambda default": "(lambda x=w: x)()",
+    "walrus": "(v := w)",
+    "walrus read back": "[(v := w), v][1]",
+    "helper positional": "self.helper(w)",
+    "helper keyword": "self.helper(x=w)",
+    "helper keyword-only": "self.helper(k=w)",
+    "helper *args": "self.helper(*w)",
+    "helper **kwargs": "self.helper(**w)",
+}
+
+
+@pytest.mark.parametrize("expr", EXPRESSION_FORMS.values(),
+                         ids=EXPRESSION_FORMS.keys())
+def test_no_expression_form_launders_arrival_order(expr):
+    report = analyze(f"""\
+        class Launders(RankProgram):
+            def helper(self, x=0, *rest, k=0, **more):
+                return [x, rest, k, more]
+
+            def run(self, api):
+                w = yield api.recv()
+                yield api.send(1, {expr})
+        """)
+    assert report.verdict == "VIOLATION", expr
+    assert codes(report) == ["SD101"], expr
+    assert report.findings[0].line == 9
+
+
+#: compound statement -> a body whose one send sits in the named block,
+#: under a header that read ``w = recv(ANY_SOURCE)``
+SEND = "yield api.send(1, 1.0)"
+STATEMENT_FORMS = {
+    "if body": f"if w:\n    {SEND}",
+    "if else": f"if w:\n    pass\nelse:\n    {SEND}",
+    "elif": f"if self.rank:\n    pass\nelif w:\n    {SEND}",
+    "while body": f"while w:\n    {SEND}",
+    "while else": f"while w:\n    pass\nelse:\n    {SEND}",
+    "for body": f"for _ in range(w):\n    {SEND}",
+    "for else": f"for _ in range(w):\n    pass\nelse:\n    {SEND}",
+    "with body": f"with open(w):\n    {SEND}",
+    "with as": f"with open(w) as fh:\n    {SEND}",
+    "try body": f"if w:\n    try:\n        {SEND}\n    finally:\n        pass",
+    "try handler": ("if w:\n    try:\n        pass\n"
+                    f"    except ValueError:\n        {SEND}"),
+    "try else": ("if w:\n    try:\n        pass\n    except ValueError:\n"
+                 f"        pass\n    else:\n        {SEND}"),
+    "try finally": f"if w:\n    try:\n        pass\n    finally:\n        {SEND}",
+    "except type": f"try:\n    pass\nexcept w:\n    {SEND}",
+    "match subject": f"match w:\n    case 1:\n        {SEND}",
+    "match default": (f"match w:\n    case 1:\n        pass\n"
+                      f"    case _:\n        {SEND}"),
+    "match guard": f"match self.rank:\n    case r if r > w:\n        {SEND}",
+    "match value": f"match self.rank:\n    case w.real:\n        {SEND}",
+}
+
+
+@pytest.mark.parametrize("body", STATEMENT_FORMS.values(),
+                         ids=STATEMENT_FORMS.keys())
+def test_no_block_hides_a_send_from_its_header(body):
+    src = HEADER + ("class Hides(RankProgram):\n"
+                    "    def run(self, api):\n"
+                    "        w = yield api.recv()\n"
+                    + textwrap.indent(body, " " * 8) + "\n")
+    report = analyze_sources({"fixture.py": src}).reports[0]
+    assert report.verdict == "VIOLATION", body
+    assert codes(report) == ["SD102"], body
+    send_line = 1 + src.splitlines().index(
+        next(ln for ln in src.splitlines() if SEND in ln))
+    assert [f.line for f in report.findings] == [send_line]
+
+
+def test_match_capture_binds_the_subject():
+    report = analyze("""\
+        class Captures(RankProgram):
+            def run(self, api):
+                w = yield api.recv()
+                match w:
+                    case [first, *rest]:
+                        pass
+                yield api.send(1, first)
+                yield api.send(2, rest)
+        """)
+    assert codes(report) == ["SD101"]
+    assert [f.line for f in report.findings] == [9, 10]
+
+
+def test_store_into_an_object_taints_the_container_it_hangs_off():
+    # the value AND every index on the way: d[w] = 1 makes d's key set
+    # arrival-ordered
+    for store in ("d[w] = 1", "d[0] = w", "d[0][w] = 1", "d.field = w",
+                  "d.append(w)", "d[0].add(w)"):
+        report = analyze(f"""\
+            class Stores(RankProgram):
+                def run(self, api):
+                    w = yield api.recv()
+                    d = [set()]
+                    {store}
+                    yield api.send(1, d)
+            """)
+        assert codes(report) == ["SD101"], store
+    for store in ('self.state["k"][w] = 1', "self.seen[w] = 1",
+                  "self.seen.append(w)", "st = self.state; st[w] = 1"):
+        report = analyze(f"""\
+            class Stores(RankProgram):
+                def run(self, api):
+                    w = yield api.recv()
+                    {store}
+                    yield api.send(1, [self.state["k"], self.seen])
+            """)
+        assert codes(report) == ["SD101"], store
+
+
+def test_scope_the_walker_does_not_enter_is_an_assumption():
+    # a nested def is not executed in place: what it captures and sends
+    # is assumed, in writing, instead of passing silently as PROVEN_SD
+    report = analyze("""\
+        class Nested(RankProgram):
+            def run(self, api):
+                w = yield api.recv()
+
+                def relay():
+                    yield api.send(1, w)
+
+                yield from relay()
+        """)
+    assert report.verdict == "CONDITIONAL"
+    assert len(report.assumptions) == 1
+    assert "nested FunctionDef relay" in report.assumptions[0]
+
+
+def test_laundering_fixtures_are_all_violations():
+    result = analyze_paths([LAUNDERING])
+    assert not result.errors
+    assert sorted(r.name for r in result.reports) == [
+        "CompIf", "FSpec", "KeyStore", "LambdaCapture", "MatchStmt",
+        "SetAnn", "SetListed", "SetMethod", "SetUnion"]
+    by_name = {r.name: r for r in result.reports}
+    for name, report in by_name.items():
+        assert report.verdict == "VIOLATION", name
+    for name in ("FSpec", "CompIf", "LambdaCapture", "KeyStore"):
+        assert codes(by_name[name]) == ["SD101"], name
+    assert codes(by_name["MatchStmt"]) == ["SD102"]
+    for name in ("SetUnion", "SetMethod", "SetAnn", "SetListed"):
+        assert codes(by_name[name]) == ["SD104"], name
+
+
+# ----------------------------------------------------------------------
+# One set model: every line the linter flags as RPD003 (unordered
+# iteration) is the source of an SD104 finding when the iterated value
+# reaches a send
+# ----------------------------------------------------------------------
+#: ``(setup statements, iterable)`` for ``for x in <iterable>: send(x)``
+SET_FORMS = [
+    ("", "{1, 2, 3}"),
+    ("", "{n for n in range(3)}"),
+    ("", "set(range(3))"),
+    ("", "frozenset(range(3))"),
+    ("a = {1, 2}", "a"),
+    ("a = {1, 2}", "a | {3}"),
+    ("a = {1, 2}", "a & {1}"),
+    ("a = {1, 2}", "a ^ {1}"),
+    ("a = {1, 2}", "a - {1}"),
+    ("a = {1, 2}", "{0} | a"),
+    ("a = {1, 2}", "a.union({3})"),
+    ("a = {1, 2}", "a.intersection({1})"),
+    ("a = {1, 2}", "a.difference({1})"),
+    ("a = {1, 2}", "a.symmetric_difference({1})"),
+    ("a = {1, 2}", "a.copy()"),
+    ("a = {1, 2}", "a.copy().union({3})"),
+    ("a: set[int] = set(); a.add(1)", "a"),
+    ("a: frozenset = frozenset((1, 2))", "a"),
+    ("import typing; a: typing.AbstractSet[int] = {1}", "a"),
+    ("a = {1, 2}", "list(a)"),
+    ("a = {1, 2}", "tuple(a)"),
+    ("a = {1, 2}", "iter(a)"),
+    ("a = {1, 2}", "enumerate(a)"),
+    ("a = {1, 2}; b = a", "b"),
+    ("a = {1, 2}", "[n for n in a]"),
+    ("a = {1, 2}", "(n for n in a | {3})"),
+]
+
+
+def set_kernel(setup, iterable):
+    return HEADER + ("class Iterates(RankProgram):\n"
+                     "    def run(self, api):\n"
+                     f"        {setup or 'pass'}\n"
+                     f"        for x in {iterable}:\n"
+                     "            yield api.send(1, x)\n")
+
+
+def sd104_source_lines(report):
+    """The line each SD104 evidence path starts at."""
+    return {int(re.search(r"\(line (\d+)\)", f.message).group(1))
+            for f in report.findings if f.code == "SD104"}
+
+
+@pytest.mark.parametrize("setup,iterable", SET_FORMS,
+                         ids=[f"{s}; {i}" if s else i for s, i in SET_FORMS])
+def test_every_rpd003_line_is_an_sd104_source(setup, iterable):
+    src = set_kernel(setup, iterable)
+    flagged = {f.line for f in lint_source(src, path="fixture.py")
+               if f.code == "RPD003"}
+    assert flagged == {6}, "the linter must flag the iteration line"
+    report = analyze_sources({"fixture.py": src}).reports[0]
+    assert report.verdict == "VIOLATION"
+    assert codes(report) == ["SD104"]
+    assert flagged <= sd104_source_lines(report)
+
+
+def test_rpd003_and_sd104_agree_on_the_laundering_fixtures():
+    with open(LAUNDERING, encoding="utf-8") as fh:
+        src = fh.read()
+    flagged = {f.line for f in lint_source(src, path=LAUNDERING)
+               if f.code == "RPD003"}
+    assert len(flagged) == 4
+    sources = set()
+    for report in analyze_sources({LAUNDERING: src}).reports:
+        sources |= sd104_source_lines(report)
+    assert flagged == sources
+
+
+@pytest.mark.parametrize("iterable", ["sorted(a)", "sorted(a | {3})",
+                                      "range(len(a))", "[1, 2]",
+                                      "list((1, 2))", "d", "d | d"])
+def test_ordered_iteration_is_clean_under_both_analyses(iterable):
+    src = set_kernel("a = {1, 2}; d = {1: 2}", iterable)
+    assert lint_source(src, path="fixture.py") == []
+    report = analyze_sources({"fixture.py": src}).reports[0]
+    assert report.verdict == "PROVEN_SD", [f.message for f in report.findings]
