@@ -317,11 +317,11 @@ def run_campaign(
 
     ``cache`` / ``scheduler`` / ``service_obs`` / ``collect_obs`` pass
     straight through to :func:`repro.sweep.run_sweep`.  ``obs`` replaces
-    the fresh merge registry the run otherwise creates.  ``stream`` — a
-    :class:`repro.obs.ProgressStream`, or the path to open one at — gets ``campaign_begin``, one ``task_done``
-    per task and ``campaign_end``; the runner closes it, whatever
-    happens, so ``campaign_end`` is the last event of a stream that has
-    one.
+    the fresh merge registry (no flight stream) the run otherwise
+    creates.  ``stream`` — a :class:`repro.obs.ProgressStream`, or the
+    path to open one at — gets ``campaign_begin``, one ``task_done`` per
+    task and ``campaign_end``; the runner closes it, whatever happens,
+    so ``campaign_end`` is the last event of a stream that has one.
     """
     if isinstance(stream, str):
         stream = ProgressStream.open(stream)
@@ -329,7 +329,7 @@ def run_campaign(
         spec = validate_spec(spec)
         kind = spec["kind"]
         fn, tasks, base_seed, _ = plan(spec)
-        registry = obs if obs is not None else MetricsRegistry()
+        registry = obs if obs is not None else MetricsRegistry(flight_capacity=0)
         before = cache.stats() if cache is not None else None
         if stream is not None:
             begin = {"trials" if kind == "chaos" else "tasks": len(tasks),

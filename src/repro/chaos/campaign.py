@@ -190,8 +190,8 @@ def run_campaign(
     observability registry are in task order either way.  ``shrink``
     bounds how many failing trials get the delta-debugging treatment
     (0 disables); ``bug`` plants a synthetic defect in *every* trial
-    (harness self-test).  Flight-recorder dumps ride on each failing
-    trial's record via the sweep's per-task registries.  ``stream`` (a
+    (harness self-test).  A failing trial's record carries the flight
+    dump the trial took of its own chaos run, in its worker.  ``stream`` (a
     :class:`repro.obs.stream.ProgressStream`) emits a live JSONL event
     per trial plus campaign begin/end markers, and is closed at the end.
     ``cache`` / ``scheduler`` / ``service_obs`` pass straight through to

@@ -286,12 +286,17 @@ def run_trial_schedule(
     """Execute one schedule and evaluate the five oracles.
 
     ``obs`` (a :class:`repro.obs.MetricsRegistry`) instruments the chaos
-    run; its flight-record stream is attached to the result when an
-    oracle fails.  ``sanitize=False`` drops oracle 3 (useful inside the
-    shrinker where speed matters more than invariant coverage);
-    ``check_determinism=False`` drops the re-run (oracle 4).
+    run, given a flight recorder if it has none (the executor's has not);
+    the stream is attached to the result when an oracle fails.
+    ``sanitize=False`` drops oracle 3 (useful inside the shrinker where
+    speed matters more than invariant coverage); ``check_determinism=False``
+    drops the re-run (oracle 4).
     """
     schedule.validate()
+    if obs is not None and obs.flight is None:
+        from ..obs.flight import FlightRecorder
+
+        obs.flight = FlightRecorder()
     result = TrialResult(schedule=schedule)
     try:
         ref_world = _run_reference(schedule, sanitize)

@@ -438,9 +438,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def _obs_summary(registry) -> str:
     """Deterministic one-line digest of a merged registry.
 
-    Counter totals and flight-record tallies only — no wall-clock numbers —
-    so the line is byte-identical for any worker count (the parallel
-    byte-identity test covers it).
+    Counter totals only — no wall-clock numbers — so the line is
+    byte-identical for any worker count (the parallel byte-identity test
+    covers it).
     """
     from .obs import Counter
 
@@ -454,10 +454,8 @@ def _obs_summary(registry) -> str:
         "protocol.messages_replayed", "protocol.messages_suppressed",
         "checkpoint.stored", "recovery.rollbacks",
     )
-    parts = [f"{k.rsplit('.', 1)[1]}={totals.get(k, 0):.0f}" for k in keys]
-    parts.append(f"flight_records={registry.flight.total_records}")
-    parts.append(f"flight_dropped={registry.flight.total_dropped}")
-    return "obs: " + " ".join(parts)
+    return "obs: " + " ".join(
+        f"{k.rsplit('.', 1)[1]}={totals.get(k, 0):.0f}" for k in keys)
 
 
 def _ts_digest(registry) -> str:

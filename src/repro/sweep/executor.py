@@ -217,7 +217,10 @@ def _execute(fn: Callable[[dict[str, Any]], Any], task: SweepTask,
     ``params["obs"]`` and its plain-data snapshot rides back on the result —
     the same path inline and across the pool, so merged observability is
     shape-identical regardless of worker count.  ``timeseries`` arms the
-    task registry's virtual-time series recorder at that interval.
+    task registry's virtual-time series recorder at that interval.  The
+    registry records no flight stream, and the shipped snapshot carries
+    none whatever the task turned on: a reader of its own stream (a
+    failing chaos trial's dump) reads it before returning.
     """
     params = dict(task.params)
     params["seed"] = seed
@@ -225,38 +228,29 @@ def _execute(fn: Callable[[dict[str, Any]], Any], task: SweepTask,
     if collect_obs:
         from ..obs import MetricsRegistry
 
-        registry = MetricsRegistry(timeseries_interval=timeseries)
+        registry = MetricsRegistry(flight_capacity=0,
+                                   timeseries_interval=timeseries)
         params["obs"] = registry
-    snap = None
     # host wall-clock is allowed here: SweepResult.duration is documented
     # as informational-only and never feeds a determinism-sensitive path
     t0 = time.perf_counter()  # repro: noqa[RPD002]
     try:
-        value = fn(params)
+        result = SweepResult(index=index, name=task.name, status="ok",
+                             value=fn(params), seed=seed, params=task.params)
     except Exception as exc:  # noqa: BLE001 — isolation is the point
-        if registry is not None:
-            snap = registry.snapshot()
-        return SweepResult(
+        result = SweepResult(
             index=index, name=task.name, status="error",
             error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(),
-            duration=time.perf_counter() - t0,  # repro: noqa[RPD002]
-            seed=seed, params=task.params,
-            obs=snap,
-        )
+            traceback=traceback.format_exc(), seed=seed, params=task.params)
     if registry is not None:
-        snap = registry.snapshot()
-    return SweepResult(
-        index=index, name=task.name, status="ok", value=value,
-        duration=time.perf_counter() - t0,  # repro: noqa[RPD002]
-        seed=seed, params=task.params,
-        obs=snap,
-    )
+        registry.flight = None  # the stream stays with its reader
+        result.obs = registry.snapshot()
+    result.duration = time.perf_counter() - t0  # repro: noqa[RPD002]
+    return result
 
 
 def _worker(payload: tuple) -> SweepResult:
-    fn, task, index, seed, collect_obs, timeseries = payload
-    return _execute(fn, task, index, seed, collect_obs, timeseries)
+    return _execute(*payload)
 
 
 def run_sweep(
@@ -293,7 +287,8 @@ def run_sweep(
         order, which under parallel execution is not task order).
     collect_obs:
         Give every task a private registry via ``params["obs"]`` and ship
-        its snapshot back on the result.  When ``obs`` is also given, the
+        its metrics snapshot back on the result (never a flight stream:
+        see :func:`_execute`).  When ``obs`` is also given, the
         snapshots are merged into it **in task order** after the sweep, so
         the merged registry is identical for any worker count.
     timeseries:
@@ -331,12 +326,9 @@ def run_sweep(
 
     def _merge_worker_obs(results: list[SweepResult]) -> None:
         # task order, not completion order: merge order is part of the
-        # determinism contract (float sums add, flight and time-series
-        # streams concatenate)
-        if obs is None or not collect_obs:
-            return
+        # determinism contract (float sums add, time series concatenate)
         for result in results:
-            if result.obs:
+            if obs is not None and result.obs:
                 obs.merge(result.obs)
 
     results_by_index: list[SweepResult | None] = [None] * len(tasks)

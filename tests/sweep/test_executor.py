@@ -10,6 +10,8 @@ from repro.obs import MetricsRegistry
 from repro.sweep import SweepResult, SweepTask, run_sweep, save_results, task_seed
 from repro.sweep.executor import _jsonable
 
+from .conftest import sample_point, sampled_points
+
 
 # Task functions must live at module level so they pickle into workers.
 
@@ -245,7 +247,7 @@ def obs_then_fail(params):
     obs = params["obs"]
     n = params["x"]
     obs.counter("t.runs", ("n",)).inc(labels=(n,))
-    obs.flight.record(0, "send", uid=n)
+    sample_point(obs, n)
     if n % 2:
         raise ValueError(f"odd input {n}")
     return n
@@ -256,16 +258,16 @@ def _merged_export(workers):
 
     parent = MetricsRegistry()
     results = run_sweep(obs_then_fail, _tasks(4), workers=workers,
-                        obs=parent, collect_obs=True)
+                        obs=parent, collect_obs=True, timeseries=1.0)
     assert [r.status for r in results] == ["ok", "error", "ok", "error"]
-    order = [rec[4] for rec in parent.flight.records(rank=0)]
-    return dump_metrics(parent, "jsonl"), order
+    return dump_metrics(parent, "jsonl"), sampled_points(parent)
 
 
 def test_error_result_obs_snapshots_merge_in_task_order():
     """Failing tasks still ship their partial obs snapshot, and the merge
-    happens in task order for any worker count — error records from task 1
-    land before task 2's even when a pool finished them out of order."""
+    happens in task order for any worker count — the time-series point of
+    failed task 1 lands before task 2's even when a pool finished them out
+    of order."""
     seq_export, seq_order = _merged_export(workers=1)
     par_export, par_order = _merged_export(workers=2)
     assert seq_order == [0, 1, 2, 3]

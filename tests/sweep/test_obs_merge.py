@@ -5,6 +5,8 @@ count (inline vs. pool)."""
 from repro.obs import MetricsRegistry
 from repro.sweep import SweepTask, run_sweep
 
+from .conftest import sample_point, sampled_points
+
 
 def obs_task(params):
     """Module-level (picklable) task exercising every instrument type."""
@@ -15,7 +17,7 @@ def obs_task(params):
     g = obs.gauge("task.depth")
     g.inc(n)
     obs.histogram("task.size", (1.0, 10.0)).observe(float(n))
-    obs.flight.record(0, "send", uid=n)
+    sample_point(obs, n)
     return {"n": n}
 
 
@@ -26,7 +28,7 @@ def tasks(count=4):
 def run(workers):
     parent = MetricsRegistry()
     results = run_sweep(obs_task, tasks(), workers=workers,
-                        obs=parent, collect_obs=True)
+                        obs=parent, collect_obs=True, timeseries=1.0)
     assert all(r.ok for r in results)
     return parent, results
 
@@ -43,7 +45,7 @@ def test_merged_obs_identical_inline_vs_pool():
 
 def slot_task(params):
     """Task instrumented the slot-resolved way (the hot-path idiom):
-    cells bound once, bare ``.n`` bumps, a per-rank flight sink."""
+    cells bound once, bare ``.n`` bumps."""
     obs = params["obs"]
     n = params["n"]
     runs = obs.counter_slot("slot.runs")
@@ -52,9 +54,7 @@ def slot_task(params):
         runs.n += 1
         sized.n += 8
     obs.histogram("slot.size", (1.0, 10.0)).observe(float(n))
-    sink = obs.flight.sink(0)
-    sink.n += 1
-    sink.append((sink.time.now, "send", 0, -1, n, 0, 0, 0, 0, None))
+    sample_point(obs, n)
     return {"n": n}
 
 
@@ -62,29 +62,29 @@ def test_merged_export_byte_identical_workers_1_vs_4():
     """The PR 3 guarantee under the slot API: every exported artefact of
     the merged parent registry is byte-for-byte identical whether the
     sweep ran inline or on four workers."""
-    from repro.obs.export import dump_flight, dump_metrics
+    from repro.obs.export import dump_metrics, dump_timeseries
 
     dumps = {}
     for workers in (1, 4):
         parent = MetricsRegistry()
         results = run_sweep(slot_task, tasks(), workers=workers,
-                            obs=parent, collect_obs=True)
+                            obs=parent, collect_obs=True, timeseries=1.0)
         assert all(r.ok for r in results)
         dumps[workers] = (
             dump_metrics(parent, fmt="jsonl"),
             dump_metrics(parent, fmt="csv"),
-            dump_flight(parent, fmt="jsonl"),
+            dump_timeseries(parent, fmt="jsonl"),
         )
     assert dumps[1] == dumps[4]
     # sanity: the comparison is not vacuous
     assert "slot.runs" in dumps[1][0]
-    assert dumps[1][2].count('"send"') == 4
+    assert '"v": [1.0, 2.0, 3.0, 4.0]' in dumps[1][2]
 
 
 def test_merge_happens_in_task_order():
     parent, _results = run(workers=3)
-    # flight records concatenate in task order: uid sequence 1..4
-    assert [rec[4] for rec in parent.flight.records(rank=0)] == [1, 2, 3, 4]
+    # time series concatenate in task order: one point per task, 1..4
+    assert sampled_points(parent) == [1.0, 2.0, 3.0, 4.0]
     assert parent.counter("task.runs").total == 4
     assert parent.gauge("task.depth").value == 1 + 2 + 3 + 4
 
@@ -97,7 +97,8 @@ def test_result_obs_excluded_from_json():
 
 
 def test_collect_obs_without_parent_registry_still_ships_snapshots():
-    results = run_sweep(obs_task, tasks(2), workers=1, collect_obs=True)
+    results = run_sweep(obs_task, tasks(2), workers=1, collect_obs=True,
+                        timeseries=1.0)
     assert all(r.obs["instruments"] for r in results)
 
 

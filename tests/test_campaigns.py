@@ -154,13 +154,45 @@ def test_runner_closes_the_stream_when_the_sweep_raises(tmp_path,
 # The simulation registry holds virtual-time data only
 # ----------------------------------------------------------------------
 def test_cold_runs_of_one_spec_fill_equal_registries():
-    """No host wall-clock datum reaches the simulation registry: two cold
-    runs of one spec differ in nothing but flight, set aside here (its
-    records carry ``Envelope`` uids from a process-global counter — the
-    worker-count-invariance gap ROADMAP's first item records)."""
+    """No host wall-clock datum reaches the simulation registry, and no
+    uid-bearing flight record either: two cold runs of one spec fill equal
+    registries, whole snapshot compared."""
     spec = {"kind": "table1", "kernels": ["CG"], "ranks": [8],
             "clusters": [2], "niters": 4}
     first, second = (campaigns.run_campaign(spec).registry.snapshot()
                      for _ in range(2))
-    first.pop("flight"), second.pop("flight")
     assert first == second and first["instruments"]
+
+
+# ----------------------------------------------------------------------
+# A sweep task ships its metrics, not its flight stream
+# ----------------------------------------------------------------------
+#: seed 0 fails four of these eight trials (the planted ack defect)
+ACK_DROP = {"kind": "chaos", "trials": 8, "seed": 0, "bug": "ack_drop",
+            "shrink": 0}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", [DOORS["table1"][0], ACK_DROP],
+                         ids=["table1", "chaos"])
+def test_no_flight_stream_is_shipped(spec, workers):
+    run = campaigns.run_campaign(spec, workers=workers)
+    assert run.results and all(r.obs["flight"] is None for r in run.results)
+    assert run.registry.flight is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_chaos_trials_keep_their_flight_dump(workers):
+    """A chaos trial records its own stream and dumps it when an oracle
+    fails, before anything crosses the process boundary."""
+    trials = [r.value for r in campaigns.run_campaign(ACK_DROP,
+                                                      workers=workers).results]
+    failing = [t for t in trials if not t["passed"]]
+    assert failing
+    for trial in failing:
+        assert trial["flight_jsonl"]
+        records = [json.loads(line)
+                   for line in trial["flight_jsonl"].splitlines()]
+        rank, time = trial["stats"]["fired"][0]
+        assert any(rec["kind"] == "failure" and rec["rank"] == rank
+                   and rec["time"] == time for rec in records)
