@@ -294,8 +294,8 @@ class FTController(Controller):
         ts.probe("recovery.line_size",
                  lambda: len(recovery._rl)
                  if recovery.active and recovery._rl_sent else 0)
-        ts.track_counter("checkpoint.stored",
-                         self.obs.counter("checkpoint.stored", ("rank",)))
+        stored = self.obs.counter("checkpoint.stored", ("rank",))
+        ts.probe("checkpoint.stored", lambda: stored.total, kind="counter")
 
     @property
     def now(self) -> float:

@@ -90,11 +90,12 @@ class SenderChannel:
             self._logged_counter = o.counter("logstore.messages_logged", ("epoch",))
             self._log_bytes_counter = o.counter("logstore.log_bytes", ("epoch",))
             self._log_cells: dict[int, tuple[Any, Any]] = {}
-            self._size_hist = o.sampled_histogram("logstore.logged_size", SIZE_BUCKETS)
-            self._c_confirmed = o.counter_slot("logstore.messages_confirmed")
-            self._c_ack_requests = o.counter_slot("logstore.ack_requests")
-            self._c_explicit_acks = o.counter_slot("logstore.explicit_acks")
-            self._c_piggybacks = o.counter_slot("logstore.piggybacks_applied")
+            self._size_hist = o.histogram("logstore.logged_size", SIZE_BUCKETS)
+            self._hist_every = o.hist_sample  # sampled: log entries 1, 1 + N, ...
+            self._c_confirmed = o.counter("logstore.messages_confirmed").slot()
+            self._c_ack_requests = o.counter("logstore.ack_requests").slot()
+            self._c_explicit_acks = o.counter("logstore.explicit_acks").slot()
+            self._c_piggybacks = o.counter("logstore.piggybacks_applied").slot()
         self.epoch = 1
         self._ssn = 0
         #: default copies awaiting confirmation, in ssn order
@@ -124,7 +125,8 @@ class SenderChannel:
                 )
             cells[0].n += 1
             cells[1].n += size
-            self._size_hist.observe(size)
+            if (len(self.log) - 1) % self._hist_every == 0:
+                self._size_hist.observe(size)
 
     def _confirm_entry(self, ssn: int, epoch_send: int, epoch_recv: int) -> None:
         self.confirmed.append((ssn, epoch_send, epoch_recv))

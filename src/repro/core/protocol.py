@@ -143,26 +143,27 @@ class SDProtocol(ProtocolHook):
         self.messages_logged = 0
         self.bytes_logged = 0
         self.messages_suppressed = 0
+        self.messages_confirmed = 0
         self.messages_replayed = 0
         self.acks_sent = 0
         self.acks_piggybacked = 0
         self.ack_flushes = 0
         obs = self.obs = controller.obs
         if obs is not None:
-            # slot-resolve every per-event series once; the receive/ack hot
-            # paths then increment bare cells (epoch-labelled series are
-            # cached lazily, keyed by epoch — small, bounded cardinality)
-            self._c_suppressed = obs.counter_slot("protocol.messages_suppressed")
-            acks = obs.counter("protocol.acks_sent", ("dup",))
-            self._c_ack_fresh = acks.slot((False,))
-            self._c_ack_dup = acks.slot((True,))
-            self._c_ack_flushes = obs.counter_slot("protocol.ack_flushes")
-            self._c_acks_batched = obs.counter_slot("protocol.acks_batched")
+            # per-event series read the statistics above (each duplicate
+            # ack answers one suppression); cold paths bump cells
+            obs.derive(self, "protocol.messages_suppressed",
+                       lambda: [((), self.messages_suppressed)])
+            obs.derive(self, "protocol.acks_sent", lambda: [
+                ((False,), self.acks_sent - self.messages_suppressed),
+                ((True,), self.messages_suppressed)], ("dup",))
+            obs.derive(self, "protocol.ack_flushes", lambda: [((), self.ack_flushes)])
+            self._c_acks_batched = obs.counter("protocol.acks_batched").slot()
             self._logged_counter = obs.counter("protocol.messages_logged", ("epoch",))
             self._log_bytes_counter = obs.counter("protocol.log_bytes", ("epoch",))
             self._log_cells: dict[int, tuple[Any, Any]] = {}
-            self._c_confirmed = obs.counter_slot("protocol.messages_confirmed")
-            self._c_replayed = obs.counter_slot("protocol.messages_replayed")
+            obs.derive(self, "protocol.messages_confirmed", lambda: [((), self.messages_confirmed)])
+            obs.derive(self, "protocol.messages_replayed", lambda: [((), self.messages_replayed)])
         # flight recorder cached separately: disabled path is one identity
         # comparison even when metrics are on but the recorder is not
         self.flight = obs.flight if obs is not None else None
@@ -249,8 +250,6 @@ class SDProtocol(ProtocolHook):
             # holds the effects of.  Check whether it is the last expected
             # orphan of one of our phases (lines 29-32).
             self.messages_suppressed += 1
-            if self.obs is not None:
-                self._c_suppressed.n += 1
             sink = self._flight_sink
             if sink is not None:
                 sink.n += 1
@@ -290,8 +289,6 @@ class SDProtocol(ProtocolHook):
 
     def _send_ack(self, env: Envelope, duplicate: bool) -> None:
         self.acks_sent += 1
-        if self.obs is not None:
-            (self._c_ack_dup if duplicate else self._c_ack_fresh).n += 1
         meta = env.meta
         record = {
             "date": meta["date"],
@@ -346,7 +343,6 @@ class SDProtocol(ProtocolHook):
             return 0
         self.ack_flushes += 1
         if self.obs is not None:
-            self._c_ack_flushes.n += 1
             self._c_acks_batched.n += len(batch)
         self._ctl(dst, CTL.ACK, {"batch": batch})
         return len(batch)
@@ -385,6 +381,8 @@ class SDProtocol(ProtocolHook):
         # a run that was aborted can leave flush timers armed; their queue
         # entries call back into this object
         self._ack_timers.clear()
+        if self.obs is not None:
+            self.obs.settle(self)
 
     def _orphan_countdown(self, src: int, date: int) -> None:
         # One NoOrphan notification per drained (phase, sender) pair: the
@@ -494,8 +492,7 @@ class SDProtocol(ProtocolHook):
                     self.controller.config.log_cross_epoch,
                 )
             st.record_spe(entry.dst, entry.epoch_send, epoch_recv)
-            if self.obs is not None:
-                self._c_confirmed.n += 1
+            self.messages_confirmed += 1
             sink = self._flight_sink
             if sink is not None:
                 # the ack resolved without logging — this is a NON-LOGGED
@@ -761,8 +758,6 @@ class SDProtocol(ProtocolHook):
                            phase_send=m.phase_send, uid=m.uid)
             )
         self.messages_replayed += 1
-        if self.obs is not None:
-            self._c_replayed.n += 1
         if self.flight is not None:
             # uid is the fresh emission; cause_uid links back to the
             # original send this replay re-executes

@@ -22,7 +22,6 @@ from .registry import (
     CounterCell,
     Gauge,
     Histogram,
-    HistogramSampler,
     MetricsRegistry,
     DURATION_BUCKETS,
     DEPTH_BUCKETS,
@@ -68,7 +67,6 @@ __all__ = [
     "CounterCell",
     "Gauge",
     "Histogram",
-    "HistogramSampler",
     "MetricsRegistry",
     "DURATION_BUCKETS",
     "DEPTH_BUCKETS",

@@ -17,31 +17,30 @@ Instruments are created lazily and idempotently by name; asking twice for
 the same name returns the same object, asking for the same name with a
 different type or label set raises.
 
-Slot resolution (the hot-path contract)
----------------------------------------
-Per-event instrumentation must never pay the name lookup, the label-tuple
-allocation, or the labels-dict probe.  Components therefore resolve their
+The hot-path contract
+---------------------
+An instrumented world counts each thing once.  Components resolve their
 instruments **once at construction**:
 
-* :meth:`Counter.slot` returns a :class:`CounterCell` — one mutable float
-  per ``(counter, label tuple)`` series.  The hot path does
-  ``cell.n += amount``: an attribute load, an add, a store.  Label arity
-  is validated at slot-resolution time, so a mislabeled call site fails
-  at registration, not by silently creating a phantom series.
-* Histograms support **1-in-N sampling**
-  (``MetricsRegistry(hist_sample=N)`` or an explicit
-  interval via :meth:`MetricsRegistry.sampled_histogram`): a deterministic
-  stride countdown records every Nth observation, so sampled output is
-  still bit-reproducible and merge-stable across worker counts.
+* A count the component keeps anyway — messages per channel, deliveries,
+  acks — is *read*, not counted again (:meth:`MetricsRegistry.derive`,
+  frozen by :meth:`MetricsRegistry.settle` when the owner closes).
+* Anything else gets a :class:`CounterCell` from :meth:`Counter.slot`,
+  bumped as ``cell.n += amount``.  Label arity is validated at
+  slot-resolution time, so a mislabeled call site fails at registration,
+  not by silently creating a phantom series.
+* Per-event histograms sample **1 in N** (``MetricsRegistry(hist_sample=N)``)
+  on strides of a count the component keeps: deterministic, so sampled
+  output is still bit-reproducible and merge-stable across worker counts.
 
-The legacy ``counter(name).inc(labels=...)`` path still works (it
-resolves a slot per call) but is reserved for cold paths.
+The ``counter(name).inc(labels=...)`` path resolves a slot per call and
+is for cold paths.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import SimulationError
 from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
@@ -52,7 +51,6 @@ __all__ = [
     "CounterCell",
     "Gauge",
     "Histogram",
-    "HistogramSampler",
     "MetricsRegistry",
     "DURATION_BUCKETS",
     "DEPTH_BUCKETS",
@@ -72,10 +70,10 @@ SIZE_BUCKETS: tuple[float, ...] = tuple(float(1 << k) for k in range(0, 25, 2))
 class CounterCell:
     """One ``(counter, label tuple)`` series, resolved to a bare float slot.
 
-    The hot path increments ``cell.n`` directly (or calls :meth:`inc`);
-    there is no name lookup, no tuple allocation and no dict probe per
-    event.  Cells are shared: every :meth:`Counter.slot` call with the
-    same labels returns the same cell.
+    The hot path increments ``cell.n`` directly; there is no name lookup,
+    no tuple allocation and no dict probe per event.  Cells are shared:
+    every :meth:`Counter.slot` call with the same labels returns the same
+    cell.
     """
 
     __slots__ = ("n",)
@@ -83,19 +81,25 @@ class CounterCell:
     def __init__(self) -> None:
         self.n = 0  # int until a float amount lands (small-int fast path)
 
-    def inc(self, amount: float = 1) -> None:
-        self.n += amount
+
+#: an owner's share of a derived counter: ``(labels, count)`` pairs
+_Read = Callable[[], Iterable[tuple[tuple, int]]]
 
 
 class Counter:
-    """Monotonically increasing value, optionally split by a label tuple."""
+    """Monotonically increasing value, optionally split by a label tuple.
 
-    __slots__ = ("name", "label_names", "_cells")
+    A series is counted in cells, read from counts an owner keeps
+    (:meth:`MetricsRegistry.derive`), or both; every read adds them up,
+    labels with a cell first, then each read's in its order."""
+
+    __slots__ = ("name", "label_names", "_cells", "reads")
 
     def __init__(self, name: str, label_names: tuple[str, ...] = ()):
         self.name = name
         self.label_names = label_names
         self._cells: dict[tuple, CounterCell] = {}
+        self.reads: list[_Read] = []
 
     def slot(self, labels: tuple = ()) -> CounterCell:
         """Resolve (and validate) one label series to its mutable cell.
@@ -123,15 +127,22 @@ class Counter:
     @property
     def values(self) -> dict[tuple, float]:
         """Read-only view: label tuple -> accumulated value."""
-        return {labels: cell.n for labels, cell in self._cells.items()}
+        values: dict[tuple, float] = {
+            labels: cell.n for labels, cell in self._cells.items()}
+        for read in self.reads:
+            if values:
+                for labels, n in read():
+                    values[labels] = values.get(labels, 0) + n
+            else:
+                values.update(read())
+        return values
 
     @property
     def total(self) -> float:
-        return sum(cell.n for cell in self._cells.values())
+        return sum(self.values.values())
 
     def get(self, labels: tuple = ()) -> float:
-        cell = self._cells.get(tuple(labels))
-        return cell.n if cell is not None else 0.0
+        return self.values.get(tuple(labels), 0.0)
 
 
 class Gauge:
@@ -160,13 +171,17 @@ class Histogram:
     one implicit overflow bucket catches everything above the last edge.
     """
 
-    __slots__ = ("name", "bounds", "counts", "sum", "count", "min", "max")
+    __slots__ = ("name", "bounds", "counts", "sum", "count", "min", "max",
+                 "_keys")
 
     def __init__(self, name: str, bounds: tuple[float, ...] = DURATION_BUCKETS):
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise SimulationError(f"histogram {name}: bounds must be strictly increasing")
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
+        # the bounds as observe bisects them: ints where integral, so an
+        # int value (a depth, a size) compares int to int, twice as fast
+        self._keys = tuple(int(b) if b.is_integer() else b for b in self.bounds)
         self.counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
@@ -175,7 +190,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         # first bucket whose upper edge >= value; bisect stays in C
-        self.counts[bisect_left(self.bounds, value)] += 1
+        self.counts[bisect_left(self._keys, value)] += 1
         self.sum += value
         self.count += 1
         if value < self.min:
@@ -188,36 +203,6 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-class HistogramSampler:
-    """1-in-N front end for a histogram (deterministic stride sampling).
-
-    Records the first observation, then every ``interval``-th one.  The
-    countdown is plain per-sampler state driven only by the (virtual,
-    deterministic) observation stream, so sampled histograms keep the
-    byte-identical merge guarantee across ``--workers N``.  Skipped
-    observations cost one integer decrement.
-    """
-
-    __slots__ = ("hist", "interval", "_countdown")
-
-    def __init__(self, hist: Histogram, interval: int):
-        if interval < 1:
-            raise SimulationError(
-                f"histogram {hist.name}: sample interval must be >= 1"
-            )
-        self.hist = hist
-        self.interval = interval
-        self._countdown = 1  # record the first value, then every Nth
-
-    def observe(self, value: float) -> None:
-        cd = self._countdown - 1
-        if cd:
-            self._countdown = cd
-            return
-        self._countdown = self.interval
-        self.hist.observe(value)
-
-
 class MetricsRegistry:
     """Names → instruments, plus the protocol flight recorder
     (``flight_capacity=0``: ``flight`` is ``None``) and the optional
@@ -226,10 +211,10 @@ class MetricsRegistry:
     ``hist_sample`` sets the default 1-in-N sampling interval that
     instrumented components apply to their *per-event* histograms (engine
     queue depth, network size/depth/transit, logged sizes).  It defaults
-    to 8 — that is what keeps fully-enabled collection within the ≤1.25×
-    budget; pass ``hist_sample=1`` to record every observation.  Counters,
-    gauge values and cold-path histograms (e.g. recovery round durations)
-    are always exact regardless of the knob.
+    to 8: those histograms are what a registry costs an instrumented world
+    (≤1.10× on a campaign's cells); pass ``hist_sample=1`` to record every
+    observation.  Counters, gauge values and cold-path histograms (e.g.
+    recovery round durations) are always exact regardless of the knob.
     """
 
     def __init__(self, flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
@@ -239,6 +224,8 @@ class MetricsRegistry:
         if hist_sample < 1:
             raise SimulationError("sample intervals must be >= 1")
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        #: owner -> (reads list, index) of each read it derives, until settled
+        self._derived: dict[Any, list[tuple[list[_Read], int]]] = {}
         self.hist_sample = hist_sample
         self.flight = (
             FlightRecorder(flight_capacity) if flight_capacity > 0 else None
@@ -281,11 +268,24 @@ class MetricsRegistry:
             )
         return c
 
-    def counter_slot(self, name: str, label_names: tuple[str, ...] = (),
-                     labels: tuple = ()) -> CounterCell:
-        """Register ``name`` and resolve one label series in one step —
-        the construction-time registration idiom for hot paths."""
-        return self.counter(name, label_names).slot(labels)
+    def derive(self, owner: Any, name: str, read: _Read,
+               label_names: tuple[str, ...] = ()) -> None:
+        """Read ``owner``'s share of counter ``name`` — ``read()`` yields
+        ``(labels, count)`` pairs from counts it keeps anyway — at every
+        read of the counter, mid-run and after, until :meth:`settle`
+        (``owner=None``: never).  To place a label early, resolve its slot."""
+        reads = self.counter(name, label_names).reads
+        reads.append(read)
+        if owner is not None:
+            self._derived.setdefault(owner, []).append((reads, len(reads) - 1))
+
+    def settle(self, owner: Any) -> None:
+        """``owner`` is closing: keep its final counts in place of its
+        reads and let go of it — a read closes over its owner, which
+        references this registry, and a closed world must not live on."""
+        for reads, i in self._derived.pop(owner, ()):
+            final = list(reads[i]())
+            reads[i] = lambda final=final: final
 
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge, lambda: Gauge(name))
@@ -297,17 +297,6 @@ class MetricsRegistry:
                 f"histogram {name!r} bounds mismatch: {h.bounds} vs {bounds}"
             )
         return h
-
-    def sampled_histogram(
-        self, name: str, bounds: tuple[float, ...] = DURATION_BUCKETS,
-        interval: int | None = None,
-    ) -> "Histogram | HistogramSampler":
-        """A histogram behind the registry's (or an explicit) 1-in-N
-        sampling stride; interval 1 returns the bare histogram, so the
-        exact path pays nothing for the option."""
-        h = self.histogram(name, bounds)
-        n = self.hist_sample if interval is None else interval
-        return h if n <= 1 else HistogramSampler(h, n)
 
     # ------------------------------------------------------------------
     # Introspection

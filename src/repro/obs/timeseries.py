@@ -16,12 +16,13 @@ value read when the boundary is crossed *is* the state at the boundary.
 
 Scheduling sampler callbacks as queue events would be simpler but is
 observable: each event consumes a sequence number (closing the network's
-same-instant burst windows), advances the 1-in-N depth-sampling countdown,
-and keeps the queue non-empty (upsetting drain/deadlock detection).  The
-boundary hook consumes no sequence numbers and adds no queue entries, so
-arming the recorder — or changing its interval — provably cannot perturb
-event order: the final registry of an instrumented run is byte-identical
-with the recorder on or off (asserted by tests/obs/test_timeseries.py).
+same-instant burst windows), moves the dispatch count the 1-in-N depth
+samples stride on, and keeps the queue non-empty (upsetting drain/deadlock
+detection).  The boundary hook consumes no sequence numbers and adds no
+queue entries, so arming the recorder — or changing its interval —
+provably cannot perturb event order: the final registry of an
+instrumented run is byte-identical with the recorder on or off (asserted
+by tests/obs/test_timeseries.py).
 Like the rest of the registry, everything is driven by the virtual clock,
 never wall time, so RPD002 stays clean and runs stay bit-reproducible.
 
@@ -171,11 +172,6 @@ class TimeSeriesRecorder:
             self._counters.append((s, fn))
         else:
             self._gauges.append((s, fn))
-
-    def track_counter(self, name: str, counter: Any) -> None:
-        """Track a registry :class:`~repro.obs.registry.Counter`'s total."""
-        s = self._new_series(name, "counter")
-        self._counters.append((s, lambda: counter.total))
 
     # ------------------------------------------------------------------
     # Sampling (called from the engine dispatch loop)

@@ -28,10 +28,12 @@ rebuilds heap and dict whenever such dead instants exceed half the heap
 (heavy cancellers — ack flush timers — would otherwise strand them in the
 middle of the heap forever).
 
-Observability: pass a :class:`repro.obs.MetricsRegistry` to count events
-dispatched per callback class and sample queue depth.  With the default
-``obs=None`` the dispatch loop pays a single identity comparison per
-event.
+Observability: under a :class:`repro.obs.MetricsRegistry` the loop still
+attributes no event.  What ``schedule`` / ``schedule_at`` / ``call_soon``
+post counts itself when it runs; the raw posts — a delivery per message, a
+resume per program step — are read from counts their owners keep (see
+``World``).  Queue depth is sampled at dispatch 1, 1 + N, ...: one int
+compare per event, with a registry or without.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ _COMPACT_MIN = 64
 
 #: dispatch-count mask between sanitizer pending-counter audits
 _AUDIT_MASK = AUDIT_INTERVAL - 1
+
+
+def _label(callback: Callable[..., None]) -> str:
+    """``callback``'s ``engine.events_dispatched`` label: its qualname."""
+    func = getattr(callback, "__func__", callback)
+    return getattr(func, "__qualname__", None) or type(callback).__name__
 
 
 class EventHandle:
@@ -101,32 +109,31 @@ class Engine:
         # between a run() that ``max_events`` (or a raising callback)
         # stopped mid-instant and the run() that finishes the instant
         self._cursor = _FIRST
-        self._pending = 0
-        self._garbage = 0
+        # pending = posted - dispatched - removed (cancelled or dropped):
+        # one count moves per event, each current mid-run
+        self._posted = 0
+        self._removed = 0
         self._events_dispatched = 0
+        self.events_counted = 0  # handle-API dispatches (registry only)
+        self._garbage = 0
         self._compactions = 0
         self._running = False
         self.obs = obs
-        # REPRO_SANITIZE: None when off — the dispatch loop pays a single
-        # identity comparison, mirroring the cached-instrument pattern
-        self._san = sanitizer_for(obs)
+        self._san = sanitizer_for(obs)  # REPRO_SANITIZE: None when off
+        # depth-sample stride (0: no registry); next dispatch count with work
+        self._depth_every = obs.hist_sample if obs is not None else 0
+        self._due = (1 if obs is not None
+                     else AUDIT_INTERVAL if self._san is not None
+                     else sys.maxsize)
         if obs is not None:
             obs.bind_time_source(self)
-            # slot-resolve the instruments once: dispatch recording runs
-            # per event, so it works against bare cells (callback label ->
-            # CounterCell, cached below) rather than registry lookups
             self._disp_counter = self.obs.counter(
                 "engine.events_dispatched", ("callback",)
             )
-            self._disp_cells: dict[Any, Any] = {}
-            # queue depth (live pending events) is sampled at 1 event in
-            # hist_sample (countdown inlined in the dispatch loop); the
-            # "current" gauge rides the same ticks
+            self._disp_cells: dict[str, Any] = {}  # label -> its cell
             self._depth_hist = self.obs.histogram(
                 "engine.queue_depth", DEPTH_BUCKETS
             )
-            self._depth_interval = self.obs.hist_sample
-            self._depth_cd = 1
             self._depth_gauge = self.obs.gauge("engine.queue_depth.current")
         # virtual-time series recorder: sampled by a boundary hook in the
         # dispatch loop (no queue entries — arming it cannot perturb event
@@ -137,8 +144,9 @@ class Engine:
             ts = self.obs.timeseries
             if ts is not None and ts.bind_engine(self):
                 self._ts = ts
-                ts.track_counter("engine.events_dispatched", self._disp_counter)
-                ts.probe("engine.pending", lambda: self._pending)
+                ts.probe("engine.events_dispatched",
+                         lambda: self._events_dispatched, kind="counter")
+                ts.probe("engine.pending", lambda: self.pending)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -175,7 +183,7 @@ class Engine:
             bucket = self._open(time)
         bucket.append(fn)
         bucket.append(arg)
-        self._pending += 1
+        self._posted += 1
         return bucket
 
     def _open(self, time: float) -> list:
@@ -191,15 +199,39 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
+        if self.obs is not None:
+            callback = self._counted_callback(callback)
         return EventHandle(self, self.post(delay, callback))
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute virtual time ``time``."""
+        if self.obs is not None:
+            callback = self._counted_callback(callback)
         return EventHandle(self, self.post_at(float(time), callback))
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current instant (after queued peers)."""
-        return EventHandle(self, self.post(0.0, callback))
+        return self.schedule(0.0, callback)
+
+    def _counted_callback(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """``callback``, counting its dispatch (the first places its label)."""
+        label, cells = _label(callback), self._disp_cells
+
+        def counted() -> None:
+            self.events_counted += 1
+            (cells.get(label) or self._disp_cell(label)).n += 1
+            callback()
+
+        return counted
+
+    def _disp_cell(self, label: str) -> Any:
+        """Resolve ``label``'s dispatch cell (once per label), placing it."""
+        cell = self._disp_cells[label] = self._disp_counter.slot((label,))
+        return cell
+
+    def place_label(self, callback: Callable[..., None]) -> None:
+        """First dispatch of a raw-posted ``callback``: place its label."""
+        self._disp_cell(_label(callback))
 
     def cancel(self, bucket: list, idx: int) -> bool:
         """Cancel the event at ``bucket[idx]`` (see :meth:`post`), leaving a
@@ -209,7 +241,7 @@ class Engine:
         if idx >= len(bucket) or bucket[idx] is None:
             return False
         bucket[idx] = bucket[idx + 1] = None
-        self._pending -= 1
+        self._removed += 1
         holes = bucket[_HOLES] = bucket[_HOLES] + 1
         if 2 * holes == len(bucket) - _FIRST:
             # its last member gone, the instant is garbage.  Never the
@@ -247,12 +279,13 @@ class Engine:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of scheduled, non-cancelled events (O(1): maintained as a
-        live counter on schedule/cancel/dispatch rather than scanned)."""
-        return self._pending
+        """Number of scheduled, non-cancelled events (O(1): derived from
+        the live post / dispatch / cancel counts rather than scanned)."""
+        return self._posted - self._events_dispatched - self._removed
 
     @property
     def events_dispatched(self) -> int:
+        """Events dispatched so far — current mid-run too."""
         return self._events_dispatched
 
     @property
@@ -277,16 +310,24 @@ class Engine:
             else:
                 live += sum(fn is not None for fn in bucket[_FIRST::2])
         in_step = sorted(self._heap) == sorted(buckets) and dead == self._garbage
-        self._san.engine_pending_audit(live, self._pending, in_step)
+        self._san.engine_pending_audit(live, self.pending, in_step)
 
-    def _resolve_disp_cell(self, cb: Any, key: Any) -> Any:
-        """Slow path: first dispatch of a callback site — derive the label
-        and bind its counter cell into the code-object cache."""
-        func = getattr(cb, "__func__", cb)
-        label = getattr(func, "__qualname__", None) or type(cb).__name__
-        cell = self._disp_counter.slot((label,))
-        self._disp_cells[key] = cell
-        return cell
+    def _sample(self, count: int) -> int:
+        """Dispatch ``count`` (popped, not yet run) fell due: take the depth
+        sample and / or sanitizer audit due; returns the next due count."""
+        due = sys.maxsize
+        every = self._depth_every
+        if every:
+            if (count - 1) % every == 0:
+                depth = self._posted - count - self._removed  # self.pending
+                self._depth_hist.observe(depth)
+                self._depth_gauge.set(depth)
+            due = count + 1 + (-count) % every
+        if self._san is not None:
+            if not count & _AUDIT_MASK:
+                self._audit_pending()
+            due = min(due, (count | _AUDIT_MASK) + 1)
+        return due
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``
@@ -305,17 +346,6 @@ class Engine:
         heap = self._heap
         buckets = self._buckets
         heappop = heapq.heappop
-        # hoist the instrumentation handles: the inlined recording below
-        # touches only locals and bare cells, so the fully-enabled loop
-        # stays free of per-event registry lookups
-        obs_on = self.obs is not None
-        if obs_on:
-            disp_get = self._disp_cells.get
-            depth_interval = self._depth_interval
-            depth_hist_observe = self._depth_hist.observe
-            depth_gauge = self._depth_gauge
-            depth_cd = self._depth_cd
-        san = self._san
         # ts_next is +inf when no recorder is armed, so the recorder-off
         # path pays one float compare per instant
         ts = self._ts
@@ -323,6 +353,7 @@ class Engine:
         events_dispatched = self._events_dispatched
         stop_at = (sys.maxsize if max_events is None
                    else events_dispatched + max_events)
+        due = self._due  # the next dispatch count _sample has work at
         i = self._cursor
         # A run allocates no cyclic garbage (tests/integration pins it), so
         # the hundreds of young-generation passes its container churn would
@@ -385,35 +416,10 @@ class Engine:
                     # a None slot is "ran or cancelled" to Engine.cancel
                     bucket[i] = None
                     i += 2
-                    self._pending -= 1
                     events_dispatched += 1
-                    if obs_on:
-                        # attribute the dispatch to the callback's qualified
-                        # name.  The label cell is cached keyed by the
-                        # callback's *code object*: bound methods of one
-                        # method and every lambda from one call site share
-                        # it, so the cache stays as small as the label
-                        # cardinality while the per-event key is two C-slot
-                        # loads — no qualname string fetch.
-                        try:
-                            key = fn.__code__
-                        except AttributeError:
-                            key = type(fn)
-                        cell = disp_get(key)
-                        if cell is None:
-                            cell = self._resolve_disp_cell(fn, key)
-                        cell.n += 1
-                        depth_cd -= 1
-                        if not depth_cd:
-                            depth_cd = depth_interval
-                            depth = self._pending
-                            depth_hist_observe(depth)
-                            depth_gauge.value = depth
-                            if depth > depth_gauge.high_water:
-                                depth_gauge.high_water = depth
-                    if san is not None and not events_dispatched & _AUDIT_MASK:
-                        self._events_dispatched = events_dispatched
-                        self._audit_pending()
+                    self._events_dispatched = events_dispatched
+                    if events_dispatched >= due:
+                        due = self._sample(events_dispatched)
                     if arg is _NO_ARG:
                         fn()
                     else:
@@ -433,9 +439,7 @@ class Engine:
                 gc.enable()
             self._running = False
             self._cursor = i
-            self._events_dispatched = events_dispatched
-            if obs_on:
-                self._depth_cd = depth_cd
+            self._due = due
 
     def close(self) -> None:
         """Drop every event still queued (an aborted or horizon-bounded run
@@ -444,5 +448,5 @@ class Engine:
         self._heap.clear()
         self._buckets.clear()
         self._cursor = _FIRST
-        self._pending = 0
+        self._removed += self.pending
         self._garbage = 0

@@ -95,8 +95,9 @@ class Network:
         self._rng = random.Random(seed)
         # rank -> callable(Envelope)
         self._receivers: dict[int, Callable[[Envelope], None]] = {}
-        # (src, dst) -> virtual time the last envelope on this channel arrives
-        self._last_arrival: dict[tuple[int, int], float] = {}
+        # (src, dst) -> [arrival of the channel's last envelope, messages,
+        # bytes]: the FIFO clamp's record and the network.channel.* series
+        self._channels: dict[tuple[int, int], list] = {}
         # in-flight events per destination (one dict per attached rank,
         # created by attach), keyed by envelope uid so a delivery removes
         # its own entry in O(1); each value is the delivery event's
@@ -106,31 +107,31 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
+        # the delivery callback, bound once (see _first_deliver)
+        self._on_deliver = self._deliver if obs is None else self._first_deliver
+        # send / delivery counts of the next sampled tick (0: never)
+        self._tx_due = self._rx_due = 0
         self.obs = obs
         if obs is not None:
-            # per-transmit/deliver instruments, slot-resolved once; channel
-            # cardinality is rank-pair count, so each (src, dst) series is
-            # resolved to its CounterCell pair on first use and cached
-            self._msg_counter = obs.counter(
-                "network.channel.messages", ("src", "dst")
-            )
-            self._bytes_counter = obs.counter(
-                "network.channel.bytes", ("src", "dst")
-            )
-            self._chan_cells: dict[tuple[int, int], tuple[Any, Any]] = {}
-            # histograms sample 1-in-hist_sample with countdowns inlined in
-            # the transmit/deliver hot paths (size and depth share the
-            # transmit tick, exactly as their individual samplers would)
+            # the counters read what the network counts anyway; the
+            # histograms and gauge sample send / delivery 1, 1 + N, ...
+            channels = self._channels
+            obs.derive(self, "network.channel.messages", lambda: [
+                (chan, rec[1]) for chan, rec in channels.items()],
+                ("src", "dst"))
+            obs.derive(self, "network.channel.bytes", lambda: [
+                (chan, rec[2]) for chan, rec in channels.items()],
+                ("src", "dst"))
             self._size_hist = obs.histogram("network.message_size", SIZE_BUCKETS)
             self._in_flight_gauge = obs.gauge("network.in_flight")
             self._depth_hist = obs.histogram(
                 "network.in_flight_depth", DEPTH_BUCKETS
             )
-            self._delivered_cell = obs.counter_slot("network.messages_delivered")
+            obs.derive(self, "network.messages_delivered",
+                       lambda: [((), self.messages_delivered)])
             self._transit_hist = obs.histogram("network.transit_time_s")
             self._hist_interval = obs.hist_sample
-            self._tx_cd = 1
-            self._rx_cd = 1
+            self._tx_due = self._rx_due = 1
             # virtual-time series probes (sampled at grid boundaries only,
             # so plain-attribute readers cost nothing per event); gated on
             # the recorder being bound to *this* world's engine
@@ -155,6 +156,9 @@ class Network:
         reference the processes behind them (see ``World.close``)."""
         self._receivers.clear()
         self._in_flight.clear()
+        self._on_deliver = None
+        if self.obs is not None:
+            self.obs.settle(self)
 
     def transmit(self, env: Envelope) -> float:
         """Put ``env`` on the wire; returns the sender-side CPU time consumed.
@@ -181,45 +185,33 @@ class Network:
         cpu = self._send_overhead + size * self._per_byte
         arrival = now + cpu + transit
         chan = (env.src, dst)
-        prev = self._last_arrival.get(chan, -1.0)
-        if arrival <= prev:
+        rec = self._channels.get(chan)
+        if rec is None:
+            rec = self._channels[chan] = [-1.0, 0, 0]
+        if arrival <= rec[0]:
             # Enforce FIFO: never overtake the previous message on the
             # channel.  A fixed epsilon (`prev + 1e-12`) is absorbed by
             # float rounding once virtual time grows past ~1e4 s, which
             # would silently collapse a channel's arrivals onto one
             # instant; nextafter always yields the next representable
             # (strictly later) time, and post_at stores it exactly.
-            arrival = math.nextafter(prev, math.inf)
-        self._last_arrival[chan] = arrival
-        bucket = engine.post_at(arrival, self._deliver, env)
+            arrival = math.nextafter(rec[0], math.inf)
+        rec[0] = arrival
+        rec[1] += 1
+        rec[2] += size
+        bucket = engine.post_at(arrival, self._on_deliver, env)
         pending[env.uid] = (bucket, len(bucket) - 2)
-        self.messages_sent += 1
+        sent = self.messages_sent = self.messages_sent + 1
         self.bytes_sent += size
-        if self.obs is not None:
-            # inlined per-transmit recording: bare cells and plain
-            # arithmetic only, no registry lookups and no method call.
-            # The in-flight gauge rides the sampled ticks — its value is
-            # derived exactly from the legacy counters (sent - delivered -
-            # dropped), so skipping events costs no accuracy at the tick
-            cells = self._chan_cells.get(chan)
-            if cells is None:
-                cells = self._chan_cells[chan] = (
-                    self._msg_counter.slot(chan), self._bytes_counter.slot(chan)
-                )
-            cells[0].n += 1
-            cells[1].n += size
-            cd = self._tx_cd - 1
-            if cd:
-                self._tx_cd = cd
-            else:
-                self._tx_cd = self._hist_interval
-                depth = self.in_flight_count()
-                gauge = self._in_flight_gauge
-                gauge.value = depth
-                if depth > gauge.high_water:
-                    gauge.high_water = depth
-                self._size_hist.observe(size)
-                self._depth_hist.observe(depth)
+        if sent == self._tx_due:
+            # a sampled tick.  The in-flight gauge rides it too: its value
+            # is derived exactly from the counts (sent - delivered -
+            # dropped), so skipping sends costs no accuracy at the tick
+            self._tx_due = sent + self._hist_interval
+            depth = self.in_flight_count()
+            self._in_flight_gauge.set(depth)
+            self._size_hist.observe(size)
+            self._depth_hist.observe(depth)
         return cpu
 
     def _deliver(self, env: Envelope) -> None:
@@ -228,17 +220,18 @@ class Network:
         from an earlier delivery of the same instant (a chaos send-count
         tap killing the destination)."""
         del self._in_flight[env.dst][env.uid]
-        self.messages_delivered += 1
-        if self.obs is not None:
-            self._delivered_cell.n += 1
-            cd = self._rx_cd - 1
-            if cd:
-                self._rx_cd = cd
-            else:
-                self._rx_cd = self._hist_interval
-                self._in_flight_gauge.value = self.in_flight_count()
-                self._transit_hist.observe(self.engine.now - env.send_time)
+        delivered = self.messages_delivered = self.messages_delivered + 1
+        if delivered == self._rx_due:
+            self._rx_due = delivered + self._hist_interval
+            self._in_flight_gauge.value = self.in_flight_count()
+            self._transit_hist.observe(self.engine.now - env.send_time)
         self._receivers[env.dst](env)
+
+    def _first_deliver(self, env: Envelope) -> None:
+        """:meth:`_deliver`, placing its dispatch label first."""
+        self.engine.place_label(self._deliver)
+        self._on_deliver = self._deliver
+        self._deliver(env)
 
     # ------------------------------------------------------------------
     # Fail-stop support

@@ -51,8 +51,8 @@ class World:
         Enable only for programs that recycle send buffers in place.
     obs:
         Optional :class:`repro.obs.MetricsRegistry`; threaded into the
-        engine and network.  ``None`` (the default) keeps the hot paths
-        uninstrumented.
+        engine, network and processes, whose counters it reads.  ``None``
+        (the default) keeps the sampled histograms off too.
     record_sequences:
         Keep the tracer's per-message send / deliver log (a digest and two
         records per application message).  Whoever reads it after the run
@@ -87,6 +87,19 @@ class World:
             proc = Proc(rank, self, hook)
             self.procs.append(proc)
             self.network.attach(rank, self._make_receiver(rank))
+        if obs is not None:
+            # engine.events_dispatched of the two callbacks posted raw, from
+            # counts kept anyway: a delivery is a Network._deliver, and any
+            # other dispatch the handle APIs did not count is a
+            # Proc._resume_if_current, the one other raw post
+            engine, network = self.engine, self.network
+            deliver = (Network._deliver.__qualname__,)
+            resume = (Proc._resume_if_current.__qualname__,)
+            obs.derive(self, "engine.events_dispatched", lambda: [
+                (label, n) for label, n in (
+                    (deliver, network.messages_delivered),
+                    (resume, engine.events_dispatched - engine.events_counted
+                     - network.messages_delivered)) if n], ("callback",))
 
     # ------------------------------------------------------------------
     def launch(self) -> None:
@@ -167,3 +180,5 @@ class World:
         self.network.close()
         for proc in self.procs:
             proc.close()
+        if self.obs is not None:
+            self.obs.settle(self)

@@ -232,3 +232,27 @@ def test_run_trial_leaves_no_world_behind(collector_off, make_schedule):
                          "sanitize": True, "check_determinism": True})
     assert verdict["passed"]
     assert _live_worlds() == []
+
+
+def test_closed_instrumented_world_dies_while_its_registry_lives(collector_off):
+    # the registry reads its counters from the world's own counts; closing
+    # settles them, so the registry keeps the numbers, not the world
+    from repro.obs import MetricsRegistry, dump_metrics
+
+    obs = MetricsRegistry(flight_capacity=0)
+    config = ProtocolConfig(checkpoint_interval=INTERVAL, rank_stagger=STAGGER)
+    world, controller = build_ft_world(6, stencil1d, config, obs=obs)
+    controller.inject_failure(4e-5, 1)
+    controller.arm()
+    world.launch()
+    world.run()
+    metrics = dump_metrics(obs)
+    world_ref, proc_ref = weakref.ref(world), weakref.ref(world.procs[0])
+    network_ref = weakref.ref(world.network)
+    controller.close()
+    del world, controller
+    assert world_ref() is None
+    assert proc_ref() is None
+    assert network_ref() is None
+    assert dump_metrics(obs) == metrics
+    assert obs.get_counter_total("network.channel.messages") > 0

@@ -128,12 +128,12 @@ def test_counter_slot_resolution():
     cell = c.slot(("x",))
     assert c.slot(("x",)) is cell  # idempotent: one cell per series
     cell.n += 2.0
-    cell.inc(0.5)
+    cell.n += 0.5
     assert c.get(("x",)) == 2.5
     assert c.total == 2.5
     assert c.values == {("x",): 2.5}
-    # registry one-step registration resolves the same cell
-    assert reg.counter_slot("hot", ("k",), ("x",)) is cell
+    # resolving again through the registry finds the same cell
+    assert reg.counter("hot", ("k",)).slot(("x",)) is cell
 
 
 def test_counter_label_arity_rejected():
@@ -204,16 +204,19 @@ def test_empty_histogram_exports_none_min_max_after_merge():
 
 
 def test_histogram_sampling_records_every_nth():
-    reg = MetricsRegistry(hist_sample=3)
-    s = reg.sampled_histogram("h", (10.0, 100.0))
-    for v in range(1, 10):  # 1..9: samples land on 1, 4, 7
-        s.observe(float(v))
-    h = reg.histogram("h", (10.0, 100.0))
-    assert h.count == 3
-    assert h.sum == pytest.approx(1.0 + 4.0 + 7.0)
-    # interval 1 hands back the bare histogram — the exact path is free
-    exact = reg.sampled_histogram("h2", (10.0, 100.0), interval=1)
-    assert exact is reg.histogram("h2", (10.0, 100.0))
+    # a per-event histogram strides on a count its component keeps: the
+    # log store's logged-size samples land on log entries 1, 1 + N, ...
+    from repro.core.logstore import SenderChannel
+    from repro.obs import SIZE_BUCKETS
+
+    for every, expected in ((3, [1, 4, 7]), (1, list(range(1, 10)))):
+        reg = MetricsRegistry(hist_sample=every)
+        sender = SenderChannel(obs=reg)
+        for size in range(1, 10):  # sent and logged in one go, entry = size
+            sender._log_entry(size, 1, 2, None, size)
+        h = reg.histogram("logstore.logged_size", SIZE_BUCKETS)
+        assert h.count == len(expected) and h.sum == sum(expected)
+        assert reg.get_counter_total("logstore.messages_logged") == 9
     with pytest.raises(SimulationError):
         MetricsRegistry(hist_sample=0)
 
@@ -226,3 +229,48 @@ def test_merge_rejects_histogram_bounds_clash():
     b_snap = b.snapshot()
     with pytest.raises(SimulationError):
         a.merge(b_snap)
+
+
+class _Owner:
+    """A component keeping its own count (weak-referenceable)."""
+
+    def __init__(self):
+        self.n = 0
+
+
+def test_derived_counter_reads_its_owner_mid_run_and_after():
+    reg = MetricsRegistry()
+    owner = _Owner()
+    reg.derive(owner, "d", lambda: [((0,), owner.n), ((1,), 2 * owner.n)],
+               ("k",))
+    c = reg.counter("d", ("k",))
+    c.inc(labels=(1,))  # a cell and the owner's count add up
+    owner.n = 3
+    # labels with a cell come first, then the owner's in its order
+    assert list(c.values.items()) == [((1,), 7), ((0,), 3)]
+    assert c.total == 10 == reg.get_counter_total("d")
+    assert c.get((0,)) == 3
+    owner.n = 4  # every read sees the owner's current count
+    assert reg.snapshot()["instruments"]["d"]["values"] == [((1,), 9), ((0,), 4)]
+    merged = MetricsRegistry()
+    merged.merge(reg.snapshot())
+    assert merged.counter("d", ("k",)).values == c.values
+
+
+def test_settle_keeps_the_final_counts_and_lets_the_owner_go():
+    import gc
+    import weakref
+
+    reg = MetricsRegistry()
+    owner = _Owner()
+    reg.derive(owner, "d", lambda: [((), owner.n)])
+    owner.n = 5
+    before = reg.snapshot()
+    reg.settle(owner)
+    owner.n = 99  # no longer read
+    assert reg.snapshot() == before
+    ref = weakref.ref(owner)
+    del owner
+    gc.collect()
+    assert ref() is None
+    reg.settle(object())  # an owner that derived nothing: a no-op

@@ -385,3 +385,29 @@ def test_compaction_from_a_callback_spares_the_instant_being_dispatched(
     assert eng.pending == 0 and eng.queue_garbage == 0
     audits = obs.counter("sanitize.checks", ("invariant",))
     assert audits.get(("engine_pending_audit",)) >= 1
+
+
+def test_handle_api_callbacks_count_their_own_dispatches():
+    """Under a registry, what schedule / schedule_at / call_soon run is
+    counted when it runs, under its qualified name, in first-dispatch
+    order; a raw post is its owner's to count (World derives those)."""
+    obs = MetricsRegistry()
+    eng = Engine(obs=obs)
+
+    class Timer:
+        def fire(self):
+            pass
+
+    def tick():
+        pass
+
+    eng.schedule(1e-6, tick)
+    eng.schedule_at(2e-6, tick)
+    eng.schedule(3e-6, tick).cancel()  # never runs, never counted
+    eng.call_soon(Timer().fire)
+    eng.post(0.0, lambda _arg: None, 1)
+    eng.run()
+    values = obs.counter("engine.events_dispatched", ("callback",)).values
+    assert list(values.items()) == [((Timer.fire.__qualname__,), 1),
+                                    ((tick.__qualname__,), 2)]
+    assert eng.events_dispatched == 4 and eng.events_counted == 3

@@ -48,7 +48,7 @@ def slot_task(params):
     cells bound once, bare ``.n`` bumps."""
     obs = params["obs"]
     n = params["n"]
-    runs = obs.counter_slot("slot.runs")
+    runs = obs.counter("slot.runs").slot()
     sized = obs.counter("slot.bytes", ("src",)).slot((n,))
     for _ in range(n):
         runs.n += 1
