@@ -61,7 +61,6 @@ _FK_CONFIRM = FlightKind.CONFIRM
 class CTL:
     """Control-plane tags (all below :data:`CONTROL_TAG_BASE`)."""
 
-    ACK = CONTROL_TAG_BASE - 1
     ROLLBACK = CONTROL_TAG_BASE - 2
     SPE_UPLOAD = CONTROL_TAG_BASE - 3
     RECOVERY_LINE = CONTROL_TAG_BASE - 4
@@ -236,13 +235,9 @@ class SDProtocol(ProtocolHook):
     def on_message(self, env: Envelope) -> bool:
         st = self.state
         meta = env.meta
-        if self._ack_batch > 1:
+        if self._ack_batch > 1 and "acks" in meta:
             # acks the peer coalesced onto this message precede it causally
-            acks = meta.get("acks")
-            if acks is not None:
-                src = env.src
-                for rec in acks:
-                    self._on_ack(src, rec)
+            self.on_ack(env.src, meta["acks"])
         date = meta["date"]
         # inlined ProtocolState.is_duplicate: runs once per delivery
         if date <= st.last_date_from.get(env.src, 0):
@@ -307,8 +302,7 @@ class SDProtocol(ProtocolHook):
         # resolves promptly.  With the default ack_batch=1 this method is
         # byte-for-byte the paper's one-ack-per-message protocol.
         if self._ack_batch <= 1 or duplicate:
-            self.world.transmit_control(Envelope(
-                self.rank, env.src, CTL.ACK, record, _ACK_RECORD_NBYTES))
+            self.world.network.transmit_ack(self.rank, env.src, record, _ACK_RECORD_NBYTES)
             return
         batch = self._pending_acks.setdefault(env.src, [])
         batch.append(record)
@@ -322,7 +316,7 @@ class SDProtocol(ProtocolHook):
     # ------------------------------------------------------------------
     def _arm_ack_timer(self, dst: int) -> None:
         handle = self.world.engine.schedule(
-            ACK_FLUSH_TIMEOUT, lambda: self._ack_timer_fired(dst)
+            ACK_FLUSH_TIMEOUT, lambda: self._flush_ack_channel(dst)
         )
         self._ack_timers[dst] = handle
 
@@ -330,10 +324,6 @@ class SDProtocol(ProtocolHook):
         handle = self._ack_timers.pop(dst, None)
         if handle is not None:
             handle.cancel()
-
-    def _ack_timer_fired(self, dst: int) -> None:
-        self._ack_timers.pop(dst, None)
-        self._flush_ack_channel(dst)
 
     def _flush_ack_channel(self, dst: int) -> int:
         """Send every pending ack record for ``dst`` as one control message."""
@@ -344,7 +334,7 @@ class SDProtocol(ProtocolHook):
         self.ack_flushes += 1
         if self.obs is not None:
             self._c_acks_batched.n += len(batch)
-        self._ctl(dst, CTL.ACK, {"batch": batch})
+        self.world.network.transmit_ack(self.rank, dst, batch, payload_nbytes({"batch": batch}))
         return len(batch)
 
     def flush_acks(self) -> int:
@@ -373,8 +363,7 @@ class SDProtocol(ProtocolHook):
         self._pending_acks.clear()
 
     def on_program_done(self) -> None:
-        if self._ack_batch > 1:
-            self.flush_acks()
+        self.flush_acks()
 
     def detach(self) -> None:
         super().detach()
@@ -413,11 +402,19 @@ class SDProtocol(ProtocolHook):
     # ------------------------------------------------------------------
     # Acknowledgement handling → logging decision (Fig. 3 lines 34-39)
     # ------------------------------------------------------------------
+    def on_ack(self, src: int, record: Any) -> None:
+        if type(record) is not list:  # a list is a flushed or piggybacked batch
+            return self._on_ack(src, record)
+        for rec in record:
+            self._on_ack(src, rec)
+
     def _on_ack(self, src: int, payload: dict[str, Any]) -> None:
         st = self.state
         date = payload["date"]
         epoch_recv = payload["epoch_recv"]
-        obs = self._ack_obs.setdefault(src, {})
+        obs = self._ack_obs.get(src)
+        if obs is None:
+            obs = self._ack_obs[src] = {}
         if epoch_recv > obs.get(date, 0):
             obs[date] = epoch_recv
         entry = st.na_pop(src, date)
@@ -527,14 +524,7 @@ class SDProtocol(ProtocolHook):
     # ------------------------------------------------------------------
     def on_control(self, env: Envelope) -> None:
         tag, payload = env.tag, env.payload
-        if tag == CTL.ACK:
-            batch = payload.get("batch")
-            if batch is not None:
-                for rec in batch:
-                    self._on_ack(env.src, rec)
-            else:
-                self._on_ack(env.src, payload)
-        elif tag == CTL.ROLLBACK:
+        if tag == CTL.ROLLBACK:
             self._on_rollback_notice(payload)
         elif tag == CTL.RECOVERY_LINE:
             self._on_recovery_line(payload)

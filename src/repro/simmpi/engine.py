@@ -21,12 +21,13 @@ the first event of an instant pays a ``heappush``.  :meth:`Engine.run`
 does its horizon, time-series and clock work once per instant and then
 walks the bucket by index, so an event scheduled *for the current
 instant* from inside a callback joins the bucket being walked and never
-touches the heap.  Cancellation leaves a hole (``None``) in the bucket;
-an instant whose every event was cancelled maps to ``None`` and is
-dropped when it surfaces at the head of the heap, and a compaction pass
-rebuilds heap and dict whenever such dead instants exceed half the heap
-(heavy cancellers — ack flush timers — would otherwise strand them in the
-middle of the heap forever).
+touches the heap.  No event is indexed by owner: a rare reader (a purge)
+finds its events with :meth:`Engine.queued`, one scan of the calendar.
+Cancellation leaves a hole (``None``) in the bucket; an instant whose
+every event was cancelled maps to ``None`` and is dropped when it surfaces
+at the head of the heap, and a compaction pass rebuilds heap and dict
+whenever such dead instants exceed half the heap (heavy cancellers — ack
+flush timers — would otherwise strand them in the middle of the heap).
 
 Observability: under a :class:`repro.obs.MetricsRegistry` the loop still
 attributes no event.  What ``schedule`` / ``schedule_at`` / ``call_soon``
@@ -232,6 +233,13 @@ class Engine:
     def place_label(self, callback: Callable[..., None]) -> None:
         """First dispatch of a raw-posted ``callback``: place its label."""
         self._disp_cell(_label(callback))
+
+    def queued(self, fn: Callable, pred: Callable[[Any], bool]) -> list[tuple[list, int]]:
+        """The ``(bucket, index)`` of each queued ``fn(arg)`` that ``pred(arg)`` accepts (``fn``
+        by identity, the walked bucket included); a cancel may compact, so collect first."""
+        return [(bucket, i) for bucket in self._buckets.values() if bucket
+                for i in range(_FIRST, len(bucket), 2)
+                if bucket[i] is fn and pred(bucket[i + 1])]
 
     def cancel(self, bucket: list, idx: int) -> bool:
         """Cancel the event at ``bucket[idx]`` (see :meth:`post`), leaving a

@@ -12,7 +12,7 @@ Application tags are non-negative integers.  Negative tags are reserved:
 * ``-1000 - k`` — collective operation instance ``k`` (see
   :mod:`repro.simmpi.collectives`),
 * tags below :data:`CONTROL_TAG_BASE` — protocol control messages
-  (acknowledgements, rollback notifications, recovery-line distribution...).
+  (rollback notifications, recovery-line distribution...).
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def payload_nbytes(payload: Any) -> int:
     probe costs more than the whole sizing of a small control dict.
     """
     t = type(payload)
+    if t is np.ndarray:
+        return payload.nbytes
     if t is int or t is float or t is bool or payload is None:
         return 8
     if t is bytes or t is bytearray:
@@ -233,11 +235,3 @@ class Envelope:
     @property
     def is_control(self) -> bool:
         return self.tag <= CONTROL_TAG_BASE
-
-    @property
-    def is_collective(self) -> bool:
-        return COLLECTIVE_TAG_BASE >= self.tag > CONTROL_TAG_BASE
-
-    def describe(self) -> str:
-        kind = "ctl" if self.is_control else ("coll" if self.is_collective else "app")
-        return f"<{kind} msg #{self.uid} {self.src}->{self.dst} tag={self.tag} size={self.size}>"

@@ -13,10 +13,14 @@ implements exactly that:
 * an optional deterministic jitter (seeded) perturbs delays so tests can
   explore many interleavings reproducibly.
 
-Fail-stop support: the :class:`Network` drops in-flight envelopes addressed
-to a rank that dies before they arrive (messages are lost with the process,
-as on a real cluster), while envelopes already emitted *by* the dying rank
-stay on the wire.
+Acknowledgements travel as records, not envelopes, through the same
+transmit core (:meth:`Network.transmit_ack`) to the destination's ack sink.
+
+Fail-stop support: the :class:`Network` drops in-flight traffic addressed
+to a rank that dies before it arrives (messages are lost with the process,
+as on a real cluster); what the dying rank already emitted stays on the
+wire.  The purge finds the dead rank's queued deliveries, envelopes and
+acks alike, in the engine's calendar: no per-message in-flight index.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Any, Callable
 from ..errors import SimulationError
 from ..obs.registry import DEPTH_BUCKETS, SIZE_BUCKETS
 from .engine import Engine
-from .message import Envelope
+from .message import Envelope, _uid_counter
 
 __all__ = ["TimingModel", "Network"]
 
@@ -93,22 +97,19 @@ class Network:
         self._per_byte = self.timing.per_byte_overhead
         self._jitter = self.timing.jitter
         self._rng = random.Random(seed)
-        # rank -> callable(Envelope)
+        # rank -> callable(Envelope), and rank -> its ack sink(src, record)
         self._receivers: dict[int, Callable[[Envelope], None]] = {}
+        self._ack_sinks: dict[int, Any] = {}
         # (src, dst) -> [arrival of the channel's last envelope, messages,
         # bytes]: the FIFO clamp's record and the network.channel.* series
         self._channels: dict[tuple[int, int], list] = {}
-        # in-flight events per destination (one dict per attached rank,
-        # created by attach), keyed by envelope uid so a delivery removes
-        # its own entry in O(1); each value is the delivery event's
-        # (bucket, index) — what Engine.cancel needs, no handle object
-        self._in_flight: dict[int, dict[int, tuple[list, int]]] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
-        # the delivery callback, bound once (see _first_deliver)
-        self._on_deliver = self._deliver if obs is None else self._first_deliver
+        # delivery callbacks, bound once: a purge matches them by identity
+        self._on_deliver = self._deliver
+        self._on_ack = self._deliver_ack
         # send / delivery counts of the next sampled tick (0: never)
         self._tx_due = self._rx_due = 0
         self.obs = obs
@@ -146,17 +147,19 @@ class Network:
                          lambda: self.bytes_sent, kind="counter")
 
     # ------------------------------------------------------------------
-    def attach(self, rank: int, receiver: Callable[[Envelope], None]) -> None:
-        """Register the delivery callback for ``rank`` (its inbound NIC)."""
+    def attach(self, rank: int, receiver: Callable[[Envelope], None],
+               ack_sink: Callable[[int, Any], None] | None = None) -> None:
+        """Register ``rank``'s inbound NIC: ``receiver(env)`` takes its
+        envelopes, ``ack_sink(src, record)`` its acknowledgements."""
         self._receivers[rank] = receiver
-        self._in_flight.setdefault(rank, {})
+        self._ack_sinks[rank] = ack_sink
 
     def close(self) -> None:
-        """Forget the receivers and whatever is still in flight: both
-        reference the processes behind them (see ``World.close``)."""
+        """Forget the receivers and sinks: they reference the processes
+        behind them (see ``World.close``)."""
         self._receivers.clear()
-        self._in_flight.clear()
-        self._on_deliver = None
+        self._ack_sinks.clear()
+        self._on_deliver = self._on_ack = None
         if self.obs is not None:
             self.obs.settle(self)
 
@@ -167,14 +170,21 @@ class Network:
         FIFO.  The returned CPU time lets the caller advance the sending
         process's virtual clock (the engine does not do it implicitly).
         """
-        dst = env.dst
-        pending = self._in_flight.get(dst)
-        if pending is None:
-            raise SimulationError(f"transmit to unknown rank {dst}: {env.describe()}")
+        env.send_time = self.engine.now
+        return self._transmit(env.src, env.dst, env.size, self._on_deliver, env)
+
+    def transmit_ack(self, src: int, dst: int, record: Any, size: int) -> None:
+        """Put ack ``record`` on the wire like a ``size``-byte envelope;
+        it draws a uid, so later envelopes number as if it were one."""
+        next(_uid_counter)
+        self._transmit(src, dst, size, self._on_ack, (src, dst, record, self.engine.now))
+
+    def _transmit(self, src: int, dst: int, size: int, fn: Callable, arg: Any) -> float:
+        """The wire: post delivery ``fn(arg)``, count; returns sender CPU."""
+        if dst not in self._receivers:
+            raise SimulationError(f"transmit to unknown rank {dst} from {src}")
         engine = self.engine
         now = engine.now
-        size = env.size
-        env.send_time = now
         # inlined TimingModel.transit_time / sender_cpu_time with the same
         # expressions (bit-identical floats; reproducibility depends on it)
         transit = self._latency + size / self._bandwidth
@@ -184,7 +194,7 @@ class Network:
         # wire: the NIC only sees the buffer once it is prepared
         cpu = self._send_overhead + size * self._per_byte
         arrival = now + cpu + transit
-        chan = (env.src, dst)
+        chan = (src, dst)
         rec = self._channels.get(chan)
         if rec is None:
             rec = self._channels[chan] = [-1.0, 0, 0]
@@ -199,8 +209,7 @@ class Network:
         rec[0] = arrival
         rec[1] += 1
         rec[2] += size
-        bucket = engine.post_at(arrival, self._on_deliver, env)
-        pending[env.uid] = (bucket, len(bucket) - 2)
+        engine.post_at(arrival, fn, arg)
         sent = self.messages_sent = self.messages_sent + 1
         self.bytes_sent += size
         if sent == self._tx_due:
@@ -219,37 +228,48 @@ class Network:
         never gets here: its event is cancelled, also when the purge comes
         from an earlier delivery of the same instant (a chaos send-count
         tap killing the destination)."""
-        del self._in_flight[env.dst][env.uid]
         delivered = self.messages_delivered = self.messages_delivered + 1
         if delivered == self._rx_due:
-            self._rx_due = delivered + self._hist_interval
-            self._in_flight_gauge.value = self.in_flight_count()
-            self._transit_hist.observe(self.engine.now - env.send_time)
+            self._rx_tick(delivered, env.send_time)
         self._receivers[env.dst](env)
 
-    def _first_deliver(self, env: Envelope) -> None:
-        """:meth:`_deliver`, placing its dispatch label first."""
-        self.engine.place_label(self._deliver)
-        self._on_deliver = self._deliver
-        self._deliver(env)
+    def _deliver_ack(self, ack: tuple[int, int, Any, float]) -> None:
+        """:meth:`_deliver` of a ``(src, dst, record, send_time)`` ack."""
+        src, dst, record, send_time = ack
+        delivered = self.messages_delivered = self.messages_delivered + 1
+        if delivered == self._rx_due:
+            self._rx_tick(delivered, send_time)
+        self._ack_sinks[dst](src, record)
+
+    def _rx_tick(self, delivered: int, send_time: float) -> None:
+        """Sampled delivery 1, 1 + N, ...; the first places the label."""
+        if delivered == 1:
+            self.engine.place_label(self._deliver)
+        self._rx_due = delivered + self._hist_interval
+        self._in_flight_gauge.value = self.in_flight_count()
+        self._transit_hist.observe(self.engine.now - send_time)
 
     # ------------------------------------------------------------------
     # Fail-stop support
     # ------------------------------------------------------------------
+    def _inbound(self, rank: int) -> list[tuple[list, int]]:
+        """The queued deliveries to ``rank``, envelopes and acks alike."""
+        queued = self.engine.queued
+        return (queued(self._on_deliver, lambda env: env.dst == rank)
+                + queued(self._on_ack, lambda ack: ack[1] == rank))
+
     def purge_inbound(self, rank: int) -> int:
-        """Drop all in-flight envelopes addressed to ``rank``.
+        """Drop all in-flight messages addressed to ``rank``.
 
         Called when ``rank`` fails: messages that had not yet arrived are
-        lost with the process.  Returns the number of dropped envelopes.
+        lost with the process.  Returns the number of dropped messages.
         """
-        pending = self._in_flight.get(rank)
-        if not pending:
+        doomed = self._inbound(rank)
+        if not doomed:
             return 0
-        cancel = self.engine.cancel
-        for bucket, idx in pending.values():
-            cancel(bucket, idx)
-        dropped = len(pending)
-        pending.clear()
+        for bucket, idx in doomed:
+            self.engine.cancel(bucket, idx)
+        dropped = len(doomed)
         self.messages_dropped += dropped
         if self.obs is not None:
             self.obs.counter("network.messages_dropped", ("dst",)).inc(
@@ -261,16 +281,13 @@ class Network:
         return dropped
 
     def purge_all(self) -> int:
-        """Drop every in-flight envelope (global restart support)."""
-        dropped = 0
-        for rank in self._in_flight:
-            dropped += self.purge_inbound(rank)
-        return dropped
+        """Drop every in-flight message (global restart support)."""
+        return sum(self.purge_inbound(rank) for rank in self._receivers)
 
     def in_flight_count(self, rank: int | None = None) -> int:
-        """Number of in-flight envelopes (to ``rank``, or total — O(1),
-        a drain polls it every virtual microsecond)."""
+        """Number of in-flight messages: to ``rank`` (a scan), or in total
+        (O(1) — a drain polls it every virtual microsecond)."""
         if rank is not None:
-            return len(self._in_flight.get(rank, {}))
+            return len(self._inbound(rank))
         return (self.messages_sent - self.messages_delivered
                 - self.messages_dropped)

@@ -51,7 +51,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Operations yielded by rank programs
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class SendOp:
     """Blocking buffered send: completes once the message is on the wire."""
 
@@ -61,7 +61,7 @@ class SendOp:
     size: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvOp:
     """Blocking receive; resumes the program with the matched payload."""
 
@@ -69,14 +69,14 @@ class RecvOp:
     tag: int = ANY_TAG
 
 
-@dataclass
+@dataclass(slots=True)
 class ComputeOp:
     """Spend ``seconds`` of virtual CPU time."""
 
     seconds: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckpointOp:
     """Offer the protocol layer a checkpoint opportunity.
 
@@ -87,7 +87,7 @@ class CheckpointOp:
     force: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class NowOp:
     """Resumes immediately with the current virtual time."""
 
@@ -132,6 +132,9 @@ class ProtocolHook:
         suppress (duplicate messages during recovery).
         """
         return True
+
+    def on_ack(self, src: int, record: Any) -> None:
+        """Called on every acknowledgement record from ``src``."""
 
     def on_control(self, env: Envelope) -> None:
         """Called on inbound control-plane envelopes (never seen by apps)."""
@@ -355,10 +358,8 @@ class Proc:
             raise SimulationError(
                 f"tag {op.tag} is reserved for the protocol control plane"
             )
-        env = Envelope(
-            src=self.rank, dst=op.dst, tag=op.tag, payload=op.payload,
-            size=op.size, src_incarnation=self.incarnation,
-        )
+        env = Envelope(self.rank, op.dst, op.tag, op.payload, op.size,
+                       None, None, 0.0, self.incarnation)
         self.hook.on_app_send(env)
         cpu = self.world.transmit_app(env)
         self.app_messages_sent += 1
@@ -381,16 +382,18 @@ class Proc:
         return None
 
     # ------------------------------------------------------------------
-    # Inbound delivery (called by World)
+    # Inbound delivery (the rank's two network sinks)
     # ------------------------------------------------------------------
-    def deliver(self, env: Envelope) -> None:
-        """Accept an inbound application envelope.
-
-        The protocol hook sees it first and may suppress it (duplicates);
-        otherwise it goes to the application.
-        """
-        if self.alive and self.hook.on_message(env):
-            self.deliver_to_app(env)
+    def receive(self, env: Envelope) -> None:
+        """Accept an inbound envelope: a control one goes to the hook, an
+        application one is traced, then to the application unless the hook
+        suppresses it (a duplicate)."""
+        if env.tag > CONTROL_TAG_BASE:
+            self.world.tracer.on_app_deliver(env)
+            if self.alive and self.hook.on_message(env):
+                self.deliver_to_app(env)
+        elif self.alive:
+            self.hook.on_control(env)
 
     def deliver_to_app(self, env: Envelope) -> None:
         """Deliver an envelope to the application, bypassing the hook: it
@@ -410,10 +413,10 @@ class Proc:
         else:
             self.unexpected.append(env)
 
-    def deliver_control(self, env: Envelope) -> None:
-        if not self.alive:
-            return
-        self.hook.on_control(env)
+    def deliver_ack(self, src: int, record: Any) -> None:
+        """The ack sink; the hook's method is looked up per ack."""
+        if self.alive:
+            self.hook.on_ack(src, record)
 
     # ------------------------------------------------------------------
     # Checkpointing

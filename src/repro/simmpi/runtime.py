@@ -15,7 +15,7 @@ from typing import Any, Callable
 from ..errors import DeadlockError, SimulationError
 from .api import MpiApi
 from .engine import Engine
-from .message import CONTROL_TAG_BASE, Envelope, retention_copy
+from .message import Envelope, retention_copy
 from .network import Network, TimingModel
 from .process import NullHook, Proc, ProtocolHook
 from .trace import Tracer
@@ -86,12 +86,12 @@ class World:
             hook = hook_factory(rank) if hook_factory is not None else NullHook()
             proc = Proc(rank, self, hook)
             self.procs.append(proc)
-            self.network.attach(rank, self._make_receiver(rank))
+            self.network.attach(rank, proc.receive, proc.deliver_ack)
         if obs is not None:
             # engine.events_dispatched of the two callbacks posted raw, from
-            # counts kept anyway: a delivery is a Network._deliver, and any
-            # other dispatch the handle APIs did not count is a
-            # Proc._resume_if_current, the one other raw post
+            # counts kept anyway: a delivery, an envelope's or an ack's, is a
+            # Network._deliver, and any other dispatch the handle APIs did
+            # not count is a Proc._resume_if_current, the one other raw post
             engine, network = self.engine, self.network
             deliver = (Network._deliver.__qualname__,)
             resume = (Proc._resume_if_current.__qualname__,)
@@ -106,20 +106,6 @@ class World:
         """Create and schedule every rank program's generator."""
         for rank, proc in enumerate(self.procs):
             proc.start(self.programs[rank].run(self.apis[rank]))
-
-    def _make_receiver(self, rank: int) -> Callable[[Envelope], None]:
-        proc = self.procs[rank]
-        tracer = self.tracer
-
-        def receive(env: Envelope) -> None:
-            # env.is_control inlined: this runs once per delivered message
-            if env.tag <= CONTROL_TAG_BASE:
-                proc.deliver_control(env)
-            else:
-                tracer.on_app_deliver(env)
-                proc.deliver(env)
-
-        return receive
 
     # ------------------------------------------------------------------
     # Transmission entry points

@@ -191,27 +191,25 @@ def test_ack_record_size_constant_equals_the_sizer(dup, value):
 
 
 def test_every_ack_on_the_wire_has_the_size_the_sizer_gives():
-    # fresh and duplicate acks of a run with a recovery: the envelope is
-    # built with the constant, and arrival times depend on the size
+    # fresh and duplicate acks of a run with a recovery: the ack lane is
+    # handed the constant, and arrival times depend on the size
     from repro.apps import Stencil2D
-    from repro.core.protocol import CTL
     from repro.simmpi.message import payload_nbytes
 
     config = ProtocolConfig(checkpoint_interval=3e-5, rank_stagger=1e-6)
     world, ctl = build_ft_world(
         4, lambda r, s: Stencil2D(r, s, niters=20, block=3), config)
     acks = []
-    transmit = world.network.transmit
+    transmit_ack = world.network.transmit_ack
 
-    def spy(env):
-        if env.tag == CTL.ACK:
-            acks.append(env)
-        return transmit(env)
+    def spy(src, dst, record, size):
+        acks.append((record, size))
+        return transmit_ack(src, dst, record, size)
 
-    world.network.transmit = spy
+    world.network.transmit_ack = spy
     ctl.inject_failure(1e-4, 3)
     ctl.arm()
     world.launch()
     world.run()
-    assert {env.payload["dup"] for env in acks} == {False, True}
-    assert all(env.size == payload_nbytes(env.payload) for env in acks)
+    assert {record["dup"] for record, _ in acks} == {False, True}
+    assert all(size == payload_nbytes(record) for record, size in acks)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.protocol import CTL
 from repro.core.recovery import RecoveryProcess
 from repro.errors import ProtocolError
-from repro.simmpi.message import Envelope
+from repro.simmpi.message import CONTROL_TAG_BASE, Envelope
 
 
 class StubController:
@@ -156,7 +156,7 @@ def test_unknown_tag_rejected():
     stub, rp = make_recovery()
     start_round(rp)
     with pytest.raises(ProtocolError):
-        rp.receive(ctl_env(0, CTL.ACK, {"round": 1}))
+        rp.receive(ctl_env(0, CONTROL_TAG_BASE - 1, {"round": 1}))
 
 
 def test_report_records_line_and_phases():

@@ -173,7 +173,7 @@ def test_raw_posts_are_only_the_two_the_world_derives():
     # pinned (the handle APIs count what they post themselves)
     assert _raw_post_sites() == {
         "Engine.post", "Engine.schedule", "Engine.schedule_at",
-        "Network.transmit", "Proc._schedule_resume",
+        "Network._transmit", "Proc._schedule_resume",
     }
 
 

@@ -1,5 +1,10 @@
 """Unit tests for the FIFO network and timing model."""
 
+import itertools
+import math
+import random
+from collections import Counter
+
 import pytest
 
 from repro.errors import SimulationError
@@ -131,20 +136,108 @@ def test_zero_latency_model_works():
 
 
 # ----------------------------------------------------------------------
-# Regressions: uid-indexed in-flight tracking
+# Purges against a reference in-flight index
 # ----------------------------------------------------------------------
-def test_in_flight_indexed_by_uid():
-    # in-flight envelopes are a uid-keyed dict so a delivery removes its
-    # own entry in O(1) instead of rebuilding the destination's list
-    eng, net, _ = make_net()
-    e1, e2 = env(0, 1), env(0, 1)
-    net.transmit(e1)
-    net.transmit(e2)
-    assert set(net._in_flight[1]) == {e1.uid, e2.uid}
-    eng.run(max_events=1)
-    assert set(net._in_flight[1]) == {e2.uid}
+# The network keeps no in-flight index: a purge finds a dead rank's queued
+# deliveries, envelopes and ack records alike, in the engine's calendar.
+# The index lives here instead, in the test, and seeded random programs
+# send and purge against both: same dropped sets and counts, the reference
+# dispatch order, same per-rank in-flight counts and engine.pending.
+
+_RANKS = range(4)
+#: transit = 1 + size / 4 and no sender CPU: binary fractions, so arrivals
+#: tie exactly and the reference computes them bit for bit
+_GRID = TimingModel(latency=1.0, bandwidth=4.0, send_overhead=0.0)
+
+
+def _run_against_reference(seed):
+    """Run random program ``seed``; returns its coverage counts."""
+    eng = Engine()
+    net = Network(eng, _GRID)
+    ref = {}     # key -> (arrival, key, dst, is_ack): the reference index
+    last = {}    # channel -> arrival of its last message (the FIFO clamp)
+    keys = itertools.count()
+    seen = Counter()
+
+    def send(rng):
+        src, dst, size = rng.choice(_RANKS), rng.choice(_RANKS), rng.choice((0, 0, 1, 2))
+        key, is_ack = next(keys), rng.random() < 0.5
+        arrival = eng.now + 1.0 + size / 4.0
+        if arrival <= last.get((src, dst), -1.0):
+            arrival = math.nextafter(last[(src, dst)], math.inf)
+        last[(src, dst)] = arrival
+        ref[key] = (arrival, key, dst, is_ack)
+        if is_ack:
+            net.transmit_ack(src, dst, key, size)
+        else:
+            net.transmit(Envelope(src, dst, key, b"", size))
+
+    def purge(rng, inside):
+        rank = rng.choice(_RANKS)
+        doomed = [entry for entry in ref.values() if entry[2] == rank]
+        assert net.purge_inbound(rank) == len(doomed)
+        for arrival, key, _, is_ack in doomed:
+            del ref[key]
+            seen["acks_dropped"] += is_ack
+            seen["same_instant_dropped"] += inside and arrival == eng.now
+        seen["dropped"] += len(doomed)
+
+    def check():
+        for rank in _RANKS:
+            assert net.in_flight_count(rank) \
+                == sum(entry[2] == rank for entry in ref.values())
+        assert net.in_flight_count() == len(ref) == eng.pending
+        assert net.messages_dropped == seen["dropped"]
+
+    def act(rng, inside):
+        if rng.randrange(5) == 0:
+            purge(rng, inside)
+        else:
+            send(rng)
+        check()
+
+    def arrive(key, dst):
+        assert key in ref, f"message {key} was purged, yet delivered"
+        arrival, _, want_dst, _ = entry = ref.pop(key)
+        assert (eng.now, dst) == (arrival, want_dst)
+        # the reference dispatch order: by arrival, then by send
+        assert all(entry < other for other in ref.values())
+        rng = random.Random(seed * 1_000_003 + key)
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            act(rng, inside=True)
+
+    for rank in _RANKS:
+        net.attach(rank, lambda env, r=rank: arrive(env.tag, r),
+                   lambda src, key, r=rank: arrive(key, r))
+    outside = random.Random(seed)
+    for _ in range(30):
+        act(outside, inside=False)
+    for _ in range(40):
+        # stops on and between instants, and inside one
+        if outside.randrange(2):
+            eng.run(until=eng.now + outside.choice((0.0, 0.25, 0.5, 1.0)))
+        else:
+            eng.run(max_events=outside.randrange(6))
+        check()
+        for _ in range(outside.randrange(4)):
+            act(outside, inside=False)
     eng.run()
-    assert net._in_flight[1] == {}
+    check()
+    assert not ref and net.messages_delivered + seen["dropped"] == net.messages_sent
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_purges_match_a_reference_in_flight_index(seed):
+    _run_against_reference(seed)
+
+
+def test_the_purge_programs_reach_acks_and_the_walked_instant():
+    """The programs are only evidence if purges drop ack records and later
+    members of the instant a delivery is dispatching."""
+    seen = sum((_run_against_reference(seed) for seed in range(20)), Counter())
+    assert seen["acks_dropped"] > 100
+    assert seen["same_instant_dropped"] > 20
 
 
 def test_purge_after_partial_delivery():
