@@ -2,9 +2,9 @@
 
 A :class:`TrialSchedule` is the complete, JSON-able description of one
 chaos trial: which app kernel runs, at what scale, under which protocol
-configuration axes (clustering, ack batching, checkpoint jitter,
-epoch-crossing logging), and which fail-stop failures hit it — varied in
-rank, multiplicity, placement in virtual time *and* logical placement
+configuration axes (clustering, checkpoint jitter, epoch-crossing
+logging), and which fail-stop failures hit it — varied in rank,
+multiplicity, placement in virtual time *and* logical placement
 (``after_sends``, during the post-failure network drain, during an
 in-flight recovery round, immediately after a restore).
 
@@ -66,7 +66,12 @@ _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
 def _from_json(cls: type, data: dict[str, Any], **rest: Any) -> Any:
     """``cls`` from its ``to_json`` dict: every scalar field present is
     coerced to its declared type, a missing one keeps the dataclass
-    default — the fields and defaults are stated once, on the class."""
+    default — the fields and defaults are stated once, on the class.  A
+    key that names no field is refused: a typo, or a dump from a version
+    with other axes, would otherwise replay a different trial."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     return cls(**rest, **{
         f.name: _SCALARS[f.type](data[f.name])
         for f in fields(cls) if f.type in _SCALARS and f.name in data
@@ -152,7 +157,6 @@ class TrialSchedule:
     nprocs: int = 6
     niters: int = 24
     clusters: int = 1
-    ack_batch: int = 1
     checkpoint_interval: float = 2e-5
     checkpoint_jitter: float = 0.0
     checkpoint_seed: int = 0
@@ -193,8 +197,8 @@ class TrialSchedule:
     def describe(self) -> str:
         axes = (
             f"{self.kernel}/{self.nprocs}r it={self.niters} "
-            f"cl={self.clusters} ack={self.ack_batch} "
-            f"jit={self.checkpoint_jitter:g} log={int(self.log_cross_epoch)}"
+            f"cl={self.clusters} jit={self.checkpoint_jitter:g} "
+            f"log={int(self.log_cross_epoch)}"
         )
         evs = ", ".join(
             f"{s.kind}:{s.rank}"
@@ -258,7 +262,9 @@ def generate_schedule(
     divisors = [d for d in (2, 3, 4) if nprocs % d == 0]
     clusters = rng.choice([1, 1] + divisors + [nprocs // 2]
                           if nprocs % 2 == 0 else [1, 1] + divisors)
-    ack_batch = rng.choice([1, 1, 2, 4])
+    # the retired ack-batch axis: drawn and discarded, so every later draw
+    # (and every committed campaign seed and trial) stays where it was
+    rng.choice([1, 1, 2, 4])
     interval = rng.choice([1.5e-5, 2e-5, 3e-5])
     jitter = rng.choice([0.0, 0.0, 0.15, 0.3])
     log_cross_epoch = not (allow_no_log and rng.random() < 0.08)
@@ -311,7 +317,7 @@ def generate_schedule(
 
     sched = TrialSchedule(
         seed=seed, kernel=kernel, nprocs=nprocs, niters=niters,
-        clusters=clusters, ack_batch=ack_batch,
+        clusters=clusters,
         checkpoint_interval=interval, checkpoint_jitter=jitter,
         checkpoint_seed=seed & 0xFFFF, log_cross_epoch=log_cross_epoch,
         cluster_stagger=cluster_stagger, rank_stagger=rank_stagger,

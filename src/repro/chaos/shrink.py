@@ -7,8 +7,8 @@ searches for a *smaller* schedule that still fails the same way:
    minimizing delta debugging on the event list (drop complements, then
    halves, then singletons);
 2. **axis simplification** — knock every config axis back to its neutral
-   value (one cluster, ``ack_batch=1``, no jitter, no stagger, no
-   periodic GC, epoch-crossing logging on) whenever the failure survives;
+   value (one cluster, no jitter, no stagger, no periodic GC,
+   epoch-crossing logging on) whenever the failure survives;
 3. **scale reduction** — fewer ranks (within the kernel's legal sizes)
    and fewer iterations;
 4. **event simplification** — round ``at`` fractions to two decimals,
@@ -133,7 +133,6 @@ def _ddmin_events(sched: TrialSchedule, searcher: _Searcher,
 _NEUTRAL_AXES: tuple[tuple[str, Any], ...] = (
     ("gc_frac", 0.0),
     ("checkpoint_jitter", 0.0),
-    ("ack_batch", 1),
     ("cluster_stagger", 0.0),
     ("rank_stagger", 0.0),
     ("clusters", 1),

@@ -87,7 +87,6 @@ def _config(schedule: TrialSchedule) -> ProtocolConfig:
         cluster_of=cluster_of,
         cluster_stagger=schedule.cluster_stagger,
         rank_stagger=schedule.rank_stagger,
-        ack_batch=schedule.ack_batch,
         log_cross_epoch=schedule.log_cross_epoch,
     )
 
@@ -114,7 +113,7 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
         for proto in controller.protocols:
             counter = {"n": 0}
 
-            def overclearing(src, payload, _orig=proto._on_ack, _p=proto,
+            def overclearing(src, payload, _orig=proto.on_ack, _p=proto,
                              _c=counter):
                 _c["n"] += 1
                 _orig(src, payload)
@@ -123,15 +122,15 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
                     for key in [k for k in non_ack if k[0] == src]:
                         del non_ack[key]
 
-            proto._on_ack = overclearing
+            proto.on_ack = overclearing
     elif bug == "log_drop":
-        # Planted at the logging decision (the way ack_drop wraps _on_ack),
+        # Planted at the logging decision (the way ack_drop wraps on_ack),
         # not in the ``logs`` container: the defect then means the same
         # thing however checkpoints copy the state, and survives a restore.
         for proto in controller.protocols:
             counter = {"n": 0}
 
-            def lossy_logging(src, payload, _orig=proto._on_ack, _p=proto,
+            def lossy_logging(src, payload, _orig=proto.on_ack, _p=proto,
                               _c=counter):
                 before = len(_p.state.logs)
                 _orig(src, payload)
@@ -141,7 +140,7 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
                     if _c["n"] % 2 == 0:
                         logs.popitem()  # logged message silently lost
 
-            proto._on_ack = lossy_logging
+            proto.on_ack = lossy_logging
     elif bug == "restore_corrupt":
         orig = controller._install_checkpoint
 

@@ -86,14 +86,6 @@ class ProtocolConfig:
     #: keep message payloads in NonAck/Logs (needed for replay); analysis
     #: runs that never recover can disable it to save time and memory
     retain_payloads: bool = True
-    #: acknowledgement coalescing (Fig. 5 spirit): batch up to this many
-    #: pending acks per (receiver, sender) channel, flushing piggybacked on
-    #: the next application message to that sender, when the batch fills,
-    #: or after ``protocol.ACK_FLUSH_TIMEOUT`` virtual seconds.  1 (the default)
-    #: reproduces the paper's one-ack-per-message protocol byte for byte.
-    #: Reception epochs are latched at delivery time, so the epoch-crossing
-    #: logging decision is identical under any batch size.
-    ack_batch: int = 1
     #: disable the epoch-crossing logging rule entirely.  This degrades the
     #: protocol to *plain uncoordinated checkpointing*: every message goes
     #: into SPE, so the recovery-line fix-point cascades freely — the
@@ -157,16 +149,15 @@ class Controller:
         raise ProtocolError(f"{type(self).__name__} implements no recovery")
 
     def when_drained(self, then: Callable[[], None], polls: int = 0) -> None:
-        """Run ``then`` once no message is in flight and
-        :meth:`_drain_settled` agrees, polling every virtual microsecond.
-        One drain at a time; clearing ``_draining`` abandons it."""
+        """Run ``then`` once no message is in flight, polling every virtual
+        microsecond.  One drain at a time; clearing ``_draining`` abandons
+        it."""
         assert self.world is not None
         if polls == 0:
             self._draining = True
         elif not self._draining:
             return
-        if (self.world.network.in_flight_count() == 0
-                and self._drain_settled()):
+        if self.world.network.in_flight_count() == 0:
             self._draining = False
             then()
             return
@@ -174,10 +165,6 @@ class Controller:
             raise SimulationError("network failed to drain")
         self.world.engine.schedule(
             1e-6, lambda: self.when_drained(then, polls + 1))
-
-    def _drain_settled(self) -> bool:
-        """Hook: with the network empty, is the drain really over?"""
-        return True
 
     def inject_failure(self, time: float, rank: int) -> None:
         assert self.injector is not None
@@ -395,9 +382,6 @@ class FTController(Controller):
                                   phase=self.protocols[r].state.phase,
                                   extra=self.round)
         for r in ranks:
-            # a dead process must not speak: cancel its armed ack-flush
-            # timers and discard its batched acks with the process image
-            self.protocols[r]._drop_pending_acks()
             world.procs[r].kill()
         # Pause survivors (perfect failure detection) and drain the network
         # so SPE/NonAck are quiescently consistent before recovery starts.
@@ -405,19 +389,6 @@ class FTController(Controller):
             if rank not in ranks:
                 world.procs[rank].pause()
         self.when_drained(lambda: self._begin_recovery(ranks))
-
-    def _drain_settled(self) -> bool:
-        # With ack coalescing, batched acks are invisible to the network:
-        # force them out so the drained state satisfies the sequential
-        # invariant (every delivered message acknowledged) before SPE
-        # collection.  Flushed acks re-enter the network, so the drain is
-        # over only when a pass flushes nothing.
-        assert self.world is not None
-        return sum(
-            p.flush_acks()
-            for p in self.protocols
-            if self.world.procs[p.rank].alive
-        ) == 0
 
     def _begin_recovery(self, failed: list[int]) -> None:
         assert self.world is not None

@@ -76,10 +76,6 @@ class CTL:
 _ACK_RECORD_NBYTES = payload_nbytes(
     {"date": 0, "epoch_send": 0, "epoch_recv": 0, "dup": False}
 )
-#: virtual-time bound on how long a batched ack may wait; always armed
-#: while a batch is non-empty so every ack eventually flushes even if
-#: the receiver never talks back to the sender
-ACK_FLUSH_TIMEOUT = 5e-5
 
 
 class Status(enum.Enum):
@@ -97,19 +93,9 @@ class SDProtocol(ProtocolHook):
     def __init__(self, rank: int, controller: "FTController"):
         self.rank = rank
         self.controller = controller
-        cfg = controller.config
         self.state = ProtocolState.initial(controller.initial_epoch(rank))
         self.status = Status.RUNNING
         self.schedule = controller.make_schedule(rank)
-        # --- ack coalescing (cfg.ack_batch > 1) -------------------------
-        self._ack_batch = max(1, cfg.ack_batch)
-        #: peer -> pending ack records awaiting a piggyback or a flush.
-        #: Each record latches the reception epoch AT DELIVERY TIME, so the
-        #: sender's epoch-crossing logging decision is identical whether the
-        #: record travels immediately or batched (see docs/performance.md).
-        self._pending_acks: dict[int, list[dict[str, Any]]] = {}
-        #: peer -> engine handle of the armed flush timer
-        self._ack_timers: dict[int, Any] = {}
         # --- recovery-round scratch state ------------------------------
         self.round = 0
         self._spe_uploaded_round = 0
@@ -145,8 +131,6 @@ class SDProtocol(ProtocolHook):
         self.messages_confirmed = 0
         self.messages_replayed = 0
         self.acks_sent = 0
-        self.acks_piggybacked = 0
-        self.ack_flushes = 0
         obs = self.obs = controller.obs
         if obs is not None:
             # per-event series read the statistics above (each duplicate
@@ -156,8 +140,6 @@ class SDProtocol(ProtocolHook):
             obs.derive(self, "protocol.acks_sent", lambda: [
                 ((False,), self.acks_sent - self.messages_suppressed),
                 ((True,), self.messages_suppressed)], ("dup",))
-            obs.derive(self, "protocol.ack_flushes", lambda: [((), self.ack_flushes)])
-            self._c_acks_batched = obs.counter("protocol.acks_batched").slot()
             self._logged_counter = obs.counter("protocol.messages_logged", ("epoch",))
             self._log_bytes_counter = obs.counter("protocol.log_bytes", ("epoch",))
             self._log_cells: dict[int, tuple[Any, Any]] = {}
@@ -206,13 +188,6 @@ class SDProtocol(ProtocolHook):
             # must reproduce the original (dst, tag, size, payload)
             self.san.send_witness(self.rank, date, env.dst, env.tag,
                                   env.size, payload_digest(env.payload))
-        if self._ack_batch > 1 and self._pending_acks:
-            # piggyback every ack we owe this peer on the outgoing message
-            batch = self._pending_acks.pop(env.dst, None)
-            if batch:
-                meta["acks"] = batch
-                self.acks_piggybacked += len(batch)
-                self._cancel_ack_timer(env.dst)
         # copy-on-log: the NonAck entry is the staging area of the
         # sender-based log, so this is where a mutable payload gets its one
         # retention copy (immutable payloads are shared — zero-copy)
@@ -235,9 +210,6 @@ class SDProtocol(ProtocolHook):
     def on_message(self, env: Envelope) -> bool:
         st = self.state
         meta = env.meta
-        if self._ack_batch > 1 and "acks" in meta:
-            # acks the peer coalesced onto this message precede it causally
-            self.on_ack(env.src, meta["acks"])
         date = meta["date"]
         # inlined ProtocolState.is_duplicate: runs once per delivery
         if date <= st.last_date_from.get(env.src, 0):
@@ -297,79 +269,10 @@ class SDProtocol(ProtocolHook):
             sink.append((sink.time.now, _FK_ACK, self.rank, env.src,
                          env.uid, meta["epoch"], self.state.epoch, 0, 0,
                          ("dup" if duplicate else None)))
-        # Coalescing: fresh acks join the per-peer batch; duplicate acks
-        # (recovery traffic) always travel eagerly so replay bookkeeping
-        # resolves promptly.  With the default ack_batch=1 this method is
-        # byte-for-byte the paper's one-ack-per-message protocol.
-        if self._ack_batch <= 1 or duplicate:
-            self.world.network.transmit_ack(self.rank, env.src, record, _ACK_RECORD_NBYTES)
-            return
-        batch = self._pending_acks.setdefault(env.src, [])
-        batch.append(record)
-        if len(batch) >= self._ack_batch:
-            self._flush_ack_channel(env.src)
-        elif len(batch) == 1:
-            self._arm_ack_timer(env.src)
-
-    # ------------------------------------------------------------------
-    # Ack-coalescing plumbing (active only when config.ack_batch > 1)
-    # ------------------------------------------------------------------
-    def _arm_ack_timer(self, dst: int) -> None:
-        handle = self.world.engine.schedule(
-            ACK_FLUSH_TIMEOUT, lambda: self._flush_ack_channel(dst)
-        )
-        self._ack_timers[dst] = handle
-
-    def _cancel_ack_timer(self, dst: int) -> None:
-        handle = self._ack_timers.pop(dst, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _flush_ack_channel(self, dst: int) -> int:
-        """Send every pending ack record for ``dst`` as one control message."""
-        self._cancel_ack_timer(dst)
-        batch = self._pending_acks.pop(dst, None)
-        if not batch:
-            return 0
-        self.ack_flushes += 1
-        if self.obs is not None:
-            self._c_acks_batched.n += len(batch)
-        self.world.network.transmit_ack(self.rank, dst, batch, payload_nbytes({"batch": batch}))
-        return len(batch)
-
-    def flush_acks(self) -> int:
-        """Flush every pending ack batch; returns the record count flushed.
-
-        Called at program completion and by the controller's post-failure
-        drain loop, which restores the sequential invariant that every
-        delivered message has been acknowledged before recovery bookkeeping
-        (SPE upload, recovery-line fix-point) starts.
-        """
-        if not self._pending_acks:
-            return 0
-        return sum(
-            self._flush_ack_channel(dst) for dst in sorted(self._pending_acks)
-        )
-
-    def _drop_pending_acks(self) -> None:
-        """Discard batched acks (rollback: their deliveries are rolled away).
-
-        Safe by the monotone-knowledge argument of DESIGN.md §7.2: an
-        unacknowledged NonAck entry is replayed on the next recovery round
-        and resolved by the receiver's duplicate (or fresh) acknowledgement.
-        """
-        for dst in list(self._ack_timers):
-            self._cancel_ack_timer(dst)
-        self._pending_acks.clear()
-
-    def on_program_done(self) -> None:
-        self.flush_acks()
+        self.world.network.transmit_ack(self.rank, env.src, record, _ACK_RECORD_NBYTES)
 
     def detach(self) -> None:
         super().detach()
-        # a run that was aborted can leave flush timers armed; their queue
-        # entries call back into this object
-        self._ack_timers.clear()
         if self.obs is not None:
             self.obs.settle(self)
 
@@ -402,13 +305,7 @@ class SDProtocol(ProtocolHook):
     # ------------------------------------------------------------------
     # Acknowledgement handling → logging decision (Fig. 3 lines 34-39)
     # ------------------------------------------------------------------
-    def on_ack(self, src: int, record: Any) -> None:
-        if type(record) is not list:  # a list is a flushed or piggybacked batch
-            return self._on_ack(src, record)
-        for rec in record:
-            self._on_ack(src, rec)
-
-    def _on_ack(self, src: int, payload: dict[str, Any]) -> None:
+    def on_ack(self, src: int, payload: dict[str, Any]) -> None:
         st = self.state
         date = payload["date"]
         epoch_recv = payload["epoch_recv"]
@@ -766,8 +663,6 @@ class SDProtocol(ProtocolHook):
         an earlier recovery) may have landed in later epochs.  Lift them
         with the monotone observation table so the next recovery's replay
         filter and fix-point see current knowledge (DESIGN.md §7.2)."""
-        # batched acks refer to deliveries of the branch being abandoned
-        self._drop_pending_acks()
         for lm in state.logs.values():
             observed = self._ack_obs.get(lm.dst, {}).get(lm.date, 0)
             if observed > lm.epoch_recv:

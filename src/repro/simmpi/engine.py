@@ -25,9 +25,9 @@ touches the heap.  No event is indexed by owner: a rare reader (a purge)
 finds its events with :meth:`Engine.queued`, one scan of the calendar.
 Cancellation leaves a hole (``None``) in the bucket; an instant whose
 every event was cancelled maps to ``None`` and is dropped when it surfaces
-at the head of the heap, and a compaction pass rebuilds heap and dict
-whenever such dead instants exceed half the heap (heavy cancellers — ack
-flush timers — would otherwise strand them in the middle of the heap).
+at the head of the heap.  Cancels are rare — failure purges and the
+recovery watchdog — so dead instants stay few and are never compacted
+out of the middle of the heap (docs/performance.md, "Cancel census").
 
 Observability: under a :class:`repro.obs.MetricsRegistry` the loop still
 attributes no event.  What ``schedule`` / ``schedule_at`` / ``call_soon``
@@ -56,9 +56,6 @@ _TIME, _HOLES, _FIRST = 0, 1, 2
 
 #: the ``arg`` of an event whose callback takes none
 _NO_ARG: Any = object()
-
-#: never compact below this many dead instants (rebuild cost would dominate)
-_COMPACT_MIN = 64
 
 #: dispatch-count mask between sanitizer pending-counter audits
 _AUDIT_MASK = AUDIT_INTERVAL - 1
@@ -117,7 +114,6 @@ class Engine:
         self._events_dispatched = 0
         self.events_counted = 0  # handle-API dispatches (registry only)
         self._garbage = 0
-        self._compactions = 0
         self._running = False
         self.obs = obs
         self._san = sanitizer_for(obs)  # REPRO_SANITIZE: None when off
@@ -235,8 +231,8 @@ class Engine:
         self._disp_cell(_label(callback))
 
     def queued(self, fn: Callable, pred: Callable[[Any], bool]) -> list[tuple[list, int]]:
-        """The ``(bucket, index)`` of each queued ``fn(arg)`` that ``pred(arg)`` accepts (``fn``
-        by identity, the walked bucket included); a cancel may compact, so collect first."""
+        """The ``(bucket, index)`` of each queued ``fn(arg)`` that ``pred(arg)`` accepts:
+        ``fn`` by identity, the bucket being walked included."""
         return [(bucket, i) for bucket in self._buckets.values() if bucket
                 for i in range(_FIRST, len(bucket), 2)
                 if bucket[i] is fn and pred(bucket[i + 1])]
@@ -256,31 +252,7 @@ class Engine:
             # bucket being walked: an event that ran left no hole behind.
             self._buckets[bucket[_TIME]] = None
             self._garbage += 1
-            self._maybe_compact()
         return True
-
-    # ------------------------------------------------------------------
-    # Dead-instant compaction
-    # ------------------------------------------------------------------
-    def _maybe_compact(self) -> None:
-        """Rebuild the calendar when dead instants exceed half the heap.
-
-        :meth:`run` only drops a dead instant that reaches the *head*;
-        workloads that cancel heavily (an ack flush timer per piggyback)
-        strand them in the middle of the heap, so without this bound heap
-        and dict grow without limit while ``pending`` stays small.
-        """
-        if self._garbage < _COMPACT_MIN or self._garbage * 2 < len(self._heap):
-            return
-        buckets = self._buckets
-        live = {t: b for t, b in buckets.items() if b is not None}
-        # in place: run() caches references to both containers
-        buckets.clear()
-        buckets.update(live)
-        self._heap[:] = live
-        heapq.heapify(self._heap)
-        self._garbage = 0
-        self._compactions += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -300,11 +272,6 @@ class Engine:
     def queue_garbage(self) -> int:
         """Instants still in the heap whose every event was cancelled."""
         return self._garbage
-
-    @property
-    def compactions(self) -> int:
-        """Number of lazy compaction passes performed so far."""
-        return self._compactions
 
     def _audit_pending(self) -> None:
         """Sanitizer: recount the live members over the buckets against

@@ -21,3 +21,26 @@ def test_reduce_send_witness_campaign_seed_38_trial_4():
     verdict = replay_trial(38, 4)
     assert verdict["schedule"]["kernel"] == "reduce"
     assert verdict["passed"], verdict["oracles"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the reduce send-witness defect of campaign seed 38 trial 4, in a "
+    "4-rank schedule whose rank 1 fails again inside its own recovery "
+    "round"))
+def test_reduce_send_witness_campaign_seed_45_trial_14():
+    """``python -m repro chaos --replay 14 --seed 45``."""
+    verdict = replay_trial(45, 14)
+    assert verdict["schedule"]["kernel"] == "reduce"
+    assert verdict["passed"], verdict["oracles"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the reduce send-witness defect of campaign seed 38 trial 4.  This "
+    "trial was drawn with four acks to a batch when acks could still be "
+    "batched, and it fails with every ack eager too: ack batching is not "
+    "the cause"))
+def test_reduce_send_witness_campaign_seed_116_trial_25():
+    """``python -m repro chaos --replay 25 --seed 116``."""
+    verdict = replay_trial(116, 25)
+    assert verdict["schedule"]["kernel"] == "reduce"
+    assert verdict["passed"], verdict["oracles"]

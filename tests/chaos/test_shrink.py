@@ -40,7 +40,6 @@ def test_shrinker_neutralizes_irrelevant_axes():
     # the ack-drop defect needs none of these axes; the shrinker must
     # have knocked them back to neutral
     assert m.clusters == 1
-    assert m.ack_batch == 1
     assert m.gc_frac == 0.0
     # history records each accepted reduction
     assert shrunk.history

@@ -267,7 +267,7 @@ def test_pending_through_interleaved_cancel_and_dispatch():
 
 
 # ----------------------------------------------------------------------
-# Cancelled-entry compaction (queue garbage must stay bounded)
+# Cancellation: holes, dead instants and the bucket being walked
 # ----------------------------------------------------------------------
 
 def test_queue_garbage_tracks_cancellations():
@@ -282,44 +282,11 @@ def test_queue_garbage_tracks_cancellations():
     assert eng.pending == 0
 
 
-def test_mass_cancellation_triggers_compaction():
-    """Cancelling most of a large queue rebuilds the calendar instead of
-    letting dead instants accumulate (the unbounded-growth fix): they never
-    outnumber both the compaction minimum and the live events."""
-    eng = Engine()
-    fired = []
-    keep = eng.schedule(1.0, lambda: fired.append("keep"))
-    doomed = [eng.schedule(2.0 + i * 1e-6, lambda: fired.append("doomed"))
-              for i in range(200)]
-    for h in doomed:
-        h.cancel()
-        assert eng.queue_garbage < max(64, eng.pending)
-    assert eng.compactions >= 1
-    assert eng.pending == 1
-    eng.run()
-    assert fired == ["keep"]
-    assert eng.now == 1.0  # a dead instant never moves the clock
-    assert eng.queue_garbage == 0
-    keep.cancel()  # already ran
-    assert eng.pending == 0
-
-
-def test_no_compaction_below_minimum():
-    """Tiny queues never pay a rebuild (cost would dominate)."""
-    eng = Engine()
-    handles = [eng.schedule((i + 1) * 1e-6, lambda: None) for i in range(10)]
-    for h in handles:
-        h.cancel()
-    assert eng.compactions == 0
-    eng.run()
-    assert eng.pending == 0
-
-
-def test_compaction_during_run_keeps_queue_identity():
-    """Regression: run() caches the queue list, so a compaction fired from
-    inside a callback must rebuild it in place — rebinding the attribute
-    silently detached the loop from future events and corrupted the
-    pending/cancelled counters."""
+def test_dead_instant_revives_when_posted_to_later():
+    """A callback cancels every far event, leaving their instants dead in
+    the middle of the heap, then posts to one of them: the instant comes
+    back to life in its place, and what the running loop was given after
+    the cancels is still seen."""
     eng = Engine()
     order = []
     doomed = []
@@ -328,38 +295,44 @@ def test_compaction_during_run_keeps_queue_identity():
         order.append("purge")
         for h in doomed:
             h.cancel()
-        # scheduled AFTER the compaction the cancellations just triggered:
-        # it must still be seen by the already-running dispatch loop
+        assert eng.queue_garbage == 300
+        eng.schedule_at(5.0 + 7 * 1e-6, lambda: order.append("revived"))
+        assert eng.queue_garbage == 299
         eng.schedule(1e-6, lambda: order.append("after"))
 
     eng.schedule(1e-6, purge_and_continue)
     doomed.extend(eng.schedule(5.0 + i * 1e-6, lambda: None) for i in range(300))
     eng.run()
-    assert order == ["purge", "after"]
-    assert eng.compactions >= 1
+    assert order == ["purge", "after", "revived"]
+    assert eng.now == 5.0 + 7 * 1e-6  # dead instants never move the clock
     assert eng.pending == 0
     assert eng.queue_garbage == 0
 
 
-def test_cancelled_events_do_not_dispatch_after_compaction():
+def test_cancelled_events_never_dispatch():
     eng = Engine()
     fired = []
     handles = [
         eng.schedule((i + 1) * 1e-6, (lambda i=i: fired.append(i)))
         for i in range(150)
     ]
-    for h in handles[::2]:
+    for h in handles[::2] + handles[-1:]:
         h.cancel()
     eng.run()
-    assert fired == list(range(1, 150, 2))
+    assert fired == list(range(1, 149, 2))
+    assert eng.now == 148 * 1e-6  # the dead last instant never ran
+    handles[0].cancel()  # already cancelled
+    handles[1].cancel()  # already ran
+    assert eng.pending == 0
 
 
-def test_compaction_from_a_callback_spares_the_instant_being_dispatched(
+def test_cancel_from_a_callback_skips_the_hole_in_the_walked_bucket(
         monkeypatch):
-    """A callback cancels a later member of its own instant and enough far
-    timers to compact; the instant goes on — hole skipped, call_soon joins
-    it — and the sanitizer's audit (members recounted over the buckets,
-    heap and buckets holding the same instants) passes on what is left."""
+    """A callback cancels a later member of its own instant and many far
+    timers; the instant goes on — hole skipped, call_soon joins it — and
+    the sanitizer's audit (members recounted over the buckets, heap and
+    buckets holding the same instants, dead ones counted) passes on what
+    is left."""
     monkeypatch.setenv(ENV_VAR, "1")
     obs = MetricsRegistry()
     eng = Engine(obs=obs)
@@ -381,7 +354,6 @@ def test_compaction_from_a_callback_spares_the_instant_being_dispatched(
         eng.schedule(2e-6, lambda: None)
     eng.run()
     assert order == ["purge", "last", "soon"]
-    assert eng.compactions >= 1
     assert eng.pending == 0 and eng.queue_garbage == 0
     audits = obs.counter("sanitize.checks", ("invariant",))
     assert audits.get(("engine_pending_audit",)) >= 1
