@@ -77,5 +77,4 @@ def test_sanitizer_off_run_unperturbed():
     b = _protocol_world(sanitize=False, record_sequences=True)
     assert a.engine.events_dispatched == b.engine.events_dispatched
     assert a.engine.now == b.engine.now
-    assert (a.tracer.send_sequences(dedup=False)
-            == b.tracer.send_sequences(dedup=False))
+    assert a.tracer.send_sequences() == b.tracer.send_sequences()

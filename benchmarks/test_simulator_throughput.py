@@ -199,7 +199,7 @@ def test_engine_event_dispatch_rate(benchmark):
     """Schedule-and-dispatch rates, one event to the instant and many.
 
     ``engine_singleton_events_per_s`` is the rate when every event has an
-    instant of its own (one heap push and pop, one ``EventHandle`` each) —
+    instant of its own (one heap push and pop, one bucket each) —
     the floor a run off lockstep pays.  ``engine_events_per_s`` is the
     rate at ``INSTANT_WIDTH`` events to the instant, where the heap is
     touched once per instant (what the Table I cells ride at scale).

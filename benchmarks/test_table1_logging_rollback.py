@@ -26,7 +26,6 @@ Shape assertions (the paper's findings):
 import pytest
 
 from repro.analysis import SpeSampler, expected_rollback_fraction, rollback_analysis
-from repro.analysis.logstats import collect_log_stats
 from repro.apps import TABLE1_KERNELS
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.clustering import block_clusters
@@ -75,9 +74,8 @@ def run_case(name: str, nprocs: int, nclusters: int):
     world.run()
     if not sampler.snapshots:
         sampler.take()
-    log = collect_log_stats(controller)
     rb = rollback_analysis(sampler.snapshots, nprocs)
-    return log.percent, rb.percent
+    return 100 * controller.logging_stats()["log_fraction"], rb.percent
 
 
 def sweep_cell(params: dict) -> tuple:

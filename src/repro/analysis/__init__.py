@@ -6,7 +6,6 @@ statistics (``%log``), communication matrices (Fig. 8) and the analytic
 """
 
 from .commmatrix import collect_matrix, matrix_stats, render_matrix
-from .logstats import LogStats, collect_log_stats
 from .rollback import RollbackStats, SpeSampler, SpeSnapshot, rollback_analysis
 from .timeline import Timeline, render_timeline
 from .validity import ValidityReport, compare_executions
@@ -19,7 +18,6 @@ from .theory import (
 
 __all__ = [
     "collect_matrix", "matrix_stats", "render_matrix",
-    "LogStats", "collect_log_stats",
     "RollbackStats", "SpeSampler", "SpeSnapshot", "rollback_analysis",
     "expected_rollback_fraction", "expected_rolled_back_clusters",
     "monte_carlo_rollback_fraction", "rollback_fraction_given_position",

@@ -105,15 +105,16 @@ def _cache_summary(cache) -> str:
 
 
 def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
-    """Shared campaign telemetry flags (table1 / sweep)."""
+    """Shared time-series flags (table1 / sweep / obs); ``main`` refuses
+    ``--timeseries-out`` without ``--timeseries``."""
     p.add_argument("--timeseries", nargs="?", type=float, default=None,
                    const=DEFAULT_TIMESERIES_INTERVAL, metavar="INTERVAL",
-                   help="sample virtual-time metric series in every task at "
-                        "INTERVAL virtual seconds and merge them in task "
-                        "order — byte-identical for any --workers N "
-                        f"(default {DEFAULT_TIMESERIES_INTERVAL:g})")
+                   help="sample virtual-time metric series at INTERVAL "
+                        "virtual seconds; a campaign merges its tasks' "
+                        "series in task order — byte-identical for any "
+                        f"--workers N (default {DEFAULT_TIMESERIES_INTERVAL:g})")
     p.add_argument("--timeseries-out", default=None, metavar="PATH",
-                   help="write the merged time-series dump (JSONL) here")
+                   help="write the time-series dump (JSONL) here")
 
 
 def _defaults(*fields: tuple[str, str]) -> str:
@@ -218,13 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "estimates per histogram")
     obs.add_argument("--out", default=None,
                      help="write the metrics dump here (default: stdout)")
-    obs.add_argument("--timeseries", nargs="?", type=float, default=None,
-                     const=DEFAULT_TIMESERIES_INTERVAL, metavar="INTERVAL",
-                     help="sample virtual-time metric series every INTERVAL "
-                          f"virtual seconds (default "
-                          f"{DEFAULT_TIMESERIES_INTERVAL:g})")
-    obs.add_argument("--timeseries-out", default=None, metavar="PATH",
-                     help="write the time-series dump (JSONL) here")
+    _add_telemetry_args(obs)
     obs.add_argument("--trace-out", default=None,
                      help="also write the run as Perfetto/Chrome "
                           "trace-event JSON to this path")
@@ -670,9 +665,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry, dump_flight, dump_metrics, dump_text
     from .obs.perfetto import dump_perfetto
 
-    if args.timeseries_out and args.timeseries is None:
-        print("--timeseries-out needs --timeseries", file=sys.stderr)
-        return 2
     registry = MetricsRegistry(timeseries_interval=args.timeseries)
     _, world, controller, _, _ = campaigns.stencil_scenario(
         args.ranks, args.clusters, fail_rank=args.fail_rank, obs=registry,
@@ -1046,6 +1038,9 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "timeseries_out", None) and args.timeseries is None:
+        print("--timeseries-out needs --timeseries", file=sys.stderr)
+        return 2
     if args.arm_sanitizer:
         # must land in the environment before any world is built: every
         # component snapshots sanitizer state at construction time

@@ -223,10 +223,8 @@ class CheckpointSchedule:
     offset: float = 0.0
     jitter: float = 0.0
     seed: int = 0
-    max_checkpoints: int | None = None
     _next_due: float = field(init=False)
     _rng: random.Random = field(init=False, repr=False)
-    _taken: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.interval is None:  # no periodic checkpoints configured
@@ -240,15 +238,7 @@ class CheckpointSchedule:
         return self.interval
 
     def due(self, now: float) -> bool:
-        if self.max_checkpoints is not None and self._taken >= self.max_checkpoints:
-            return False
         return now >= self._next_due
 
     def mark_taken(self, now: float) -> None:
-        self._taken += 1
         self._next_due = now + self._period()
-
-    @staticmethod
-    def never() -> "CheckpointSchedule":
-        """A schedule that never fires (forced checkpoints still work)."""
-        return CheckpointSchedule(interval=None)

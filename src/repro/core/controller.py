@@ -170,10 +170,6 @@ class Controller:
         assert self.injector is not None
         self.injector.at(time, rank)
 
-    def inject_concurrent_failures(self, time: float, ranks: list[int]) -> None:
-        assert self.injector is not None
-        self.injector.concurrent(time, ranks)
-
     def arm(self) -> None:
         assert self.injector is not None
         self.injector.arm()
@@ -218,7 +214,7 @@ class FTController(Controller):
         self._round_in_progress = False
         self._stall_sig: tuple = ()
         self._stall_flushed_round = -1
-        self._watchdog_handle = None
+        self._watchdog: tuple[list, int] | None = None  # (bucket, index)
         self.stall_flushes = 0
         self.stall_releases = 0
         self.recovery_reports: list[RecoveryReport] = []
@@ -253,7 +249,7 @@ class FTController(Controller):
     def close(self) -> None:
         super().close()
         self.recovery.controller = None
-        self._watchdog_handle = None
+        self._watchdog = None
 
     def _register_timeseries(self, ts: Any) -> None:
         """Protocol/recovery curves for the virtual-time series recorder.
@@ -412,9 +408,10 @@ class FTController(Controller):
         assert self.world is not None
         self._stall_sig = self._progress_signature()
         round_no = self.round
-        self._watchdog_handle = self.world.engine.schedule(
+        bucket = self.world.engine.schedule(
             self.config.stall_timeout, lambda: self._check_stall(round_no)
         )
+        self._watchdog = (bucket, len(bucket) - 2)
 
     def _check_stall(self, round_no: int) -> None:
         assert self.world is not None
@@ -527,11 +524,11 @@ class FTController(Controller):
             self.world.engine.schedule(1e-6, self._poll_settled)
             return
         self._round_in_progress = False
-        if self._watchdog_handle is not None:
+        if self._watchdog is not None:
             # the round settled: a pending watchdog tick would only keep the
             # event queue alive (and inflate measured durations)
-            self._watchdog_handle.cancel()
-            self._watchdog_handle = None
+            self.world.engine.cancel(*self._watchdog)
+            self._watchdog = None
         # a queued batch may be all-dead by now (its ranks failed again in
         # a later batch that already recovered them, then died for good);
         # skipping it must not strand the batches queued behind it

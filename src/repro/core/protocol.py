@@ -211,7 +211,7 @@ class SDProtocol(ProtocolHook):
         st = self.state
         meta = env.meta
         date = meta["date"]
-        # inlined ProtocolState.is_duplicate: runs once per delivery
+        # a date at or below the channel's watermark is a duplicate
         if date <= st.last_date_from.get(env.src, 0):
             # A re-emission during recovery of a message this process still
             # holds the effects of.  Check whether it is the last expected

@@ -259,9 +259,6 @@ class ProtocolState:
             delivered_count=self.delivered_count,
         )
 
-    def is_duplicate(self, src: int, date: int) -> bool:
-        return date <= self.last_date_from.get(src, 0)
-
     # ------------------------------------------------------------------
     # Introspection helpers (analysis & tests)
     # ------------------------------------------------------------------

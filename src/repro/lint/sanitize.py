@@ -96,18 +96,16 @@ INVARIANTS: tuple[str, ...] = (
 )
 
 
-def sanitize_enabled(override: bool | None = None) -> bool:
-    """Is the sanitizer on?  ``override`` beats the environment."""
-    if override is not None:
-        return bool(override)
+def sanitize_enabled() -> bool:
+    """Is the sanitizer on?  Read from the environment at every call."""
     return os.environ.get(ENV_VAR, "").strip().lower() not in _FALSY
 
 
-def sanitizer_for(obs: Any = None, override: bool | None = None) -> "Sanitizer | None":
+def sanitizer_for(obs: Any = None) -> "Sanitizer | None":
     """The component-side constructor: a :class:`Sanitizer` when enabled,
     else ``None`` — callers cache the result and guard every check with
     one ``is not None`` comparison (the cached-instrument pattern)."""
-    return Sanitizer(obs) if sanitize_enabled(override) else None
+    return Sanitizer(obs) if sanitize_enabled() else None
 
 
 class Sanitizer:

@@ -8,7 +8,7 @@ restarts at epoch ``Es`` because it sent a non-logged message from ``Es``
 that rank ``j`` received at epoch ``Er`` at or above ``j``'s restart
 point" — plus the causal chain of such steps back to a failed process.
 
-When a flight-record snapshot (:mod:`repro.obs.flight`) is available, each
+When the run's flight recorder (:mod:`repro.obs.flight`) is available, each
 forcing edge is resolved to a *concrete* message: the ``confirm`` record
 (an acknowledgement that resolved without logging, i.e. a non-logged
 message) matching ``(sender, receiver, epoch_send)`` with a reception
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .flight import FlightKind, FlightRecorder
+from .flight import FlightKind
 
 __all__ = [
     "ForcingEdge",
@@ -111,20 +111,11 @@ class RecoveryExplanation:
 
 def _confirm_index(flight: Any) -> dict[tuple[int, int, int], list[tuple[int, int]]]:
     """Index flight ``confirm`` records: (sender, receiver, epoch_send) ->
-    [(epoch_recv, uid)], accepting a recorder or a snapshot mapping."""
+    [(epoch_recv, uid)]."""
     index: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     if flight is None:
         return index
-    if isinstance(flight, FlightRecorder) or hasattr(flight, "records"):
-        records: Any = flight.records(kind=FlightKind.CONFIRM)
-    else:  # snapshot dict from FlightRecorder.snapshot()
-        records = (
-            rec
-            for bucket in flight.get("records", {}).values()
-            for rec in bucket
-            if rec[1] == FlightKind.CONFIRM
-        )
-    for rec in records:
+    for rec in flight.records(kind=FlightKind.CONFIRM):
         _time, _kind, rank, peer, uid, epoch_send, epoch_recv, *_rest = rec
         index.setdefault((rank, peer, epoch_send), []).append((epoch_recv, uid))
     return index
@@ -155,8 +146,8 @@ def explain_recovery_line(
     """Replay the fix-point with cause tracking and build the explanation.
 
     Parameters mirror :func:`repro.core.recovery.compute_recovery_line`;
-    ``flight`` optionally supplies concrete message uids (a
-    :class:`~repro.obs.flight.FlightRecorder` or one of its snapshots).
+    ``flight`` optionally supplies concrete message uids (the run's
+    :class:`~repro.obs.flight.FlightRecorder`).
     """
     # imported lazily: core.recovery itself imports repro.obs.registry, and
     # this module is re-exported from the repro.obs package

@@ -11,10 +11,11 @@ rollback, replayed re-emission) lands as one fixed-shape record
 
 in a bounded per-rank ring buffer (oldest records are dropped first, with
 per-rank drop accounting).  The record stream is what the recovery
-explainer (:mod:`repro.obs.explain`) and the Perfetto exporter
-(:mod:`repro.obs.perfetto`) consume, and it crosses process boundaries
-through :meth:`FlightRecorder.snapshot` / :meth:`FlightRecorder.merge`
-(used by the sweep executor to ship worker buffers to the parent).
+explainer (:mod:`repro.obs.explain`), the Perfetto exporter
+(:mod:`repro.obs.perfetto`) and the flight dumps (``repro obs
+--flight-out``, a failing chaos trial's ``flight_jsonl``) consume, always
+in the process that recorded it: a registry's snapshot carries metrics
+and time series only, so the stream never crosses a process boundary.
 
 Zero-cost-when-disabled contract: a registry built with
 ``flight_capacity=0`` has ``flight is None``; components cache
@@ -115,14 +116,12 @@ class _RankSink:
 class FlightRecorder:
     """Per-rank bounded record streams with drop accounting."""
 
-    __slots__ = ("capacity", "_buffers", "_sinks", "_carried", "_time_src")
+    __slots__ = ("capacity", "_buffers", "_sinks", "_time_src")
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY):
         self.capacity = capacity
         self._buffers: dict[int, deque[tuple]] = {}
         self._sinks: dict[int, _RankSink] = {}
-        #: drops carried in from merged snapshots (per rank)
-        self._carried: dict[int, int] = {}
         self._time_src: Any = _ZERO_TIME
 
     def bind_time_source(self, src: Any) -> None:
@@ -140,13 +139,12 @@ class FlightRecorder:
         """The pre-resolved per-rank append handle (see :class:`_RankSink`).
 
         Components that record for one fixed rank resolve their sink once
-        at construction; handles are invalidated by :meth:`clear`.
+        at construction; a handle lives as long as the recorder.
         """
         sink = self._sinks.get(rank)
         if sink is None:
             buf = self._buffers[rank] = deque(maxlen=self.capacity)
             sink = self._sinks[rank] = _RankSink(buf, self._time_src)
-            self._carried.setdefault(rank, 0)
         return sink
 
     def record(self, rank: int, kind: str, peer: int = -1, uid: int = 0,
@@ -163,10 +161,10 @@ class FlightRecorder:
     @property
     def dropped(self) -> dict[int, int]:
         """Per-rank count of records evicted by the ring bound (derived:
-        appends ever made minus records still held, plus merged-in drops)."""
+        appends ever made minus records still held)."""
         buffers = self._buffers
         return {
-            rank: self._carried.get(rank, 0) + sink.n - len(buffers[rank])
+            rank: sink.n - len(buffers[rank])
             for rank, sink in self._sinks.items()
         }
 
@@ -199,38 +197,6 @@ class FlightRecorder:
     @property
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
-
-    # ------------------------------------------------------------------
-    # Serialization: snapshot / merge / clear
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-data copy (picklable, JSON-able via :func:`record_to_dict`)."""
-        return {
-            "capacity": self.capacity,
-            "dropped": self.dropped,
-            "records": {r: list(b) for r, b in self._buffers.items()},
-        }
-
-    def merge(self, snap: dict[str, Any]) -> None:
-        """Fold another recorder's snapshot in, keeping drop accounting.
-
-        Per-rank streams are concatenated (records keep their original
-        timestamps); ring-buffer bounds still apply, so merging more than
-        ``capacity`` records into one rank's buffer drops the oldest and
-        counts them (derived drop accounting: every merged record bumps the
-        sink's append count, eviction is the ring's).
-        """
-        if not snap:
-            return
-        for rank_key, dropped in snap.get("dropped", {}).items():
-            rank = int(rank_key)
-            self.sink(rank)
-            self._carried[rank] = self._carried.get(rank, 0) + dropped
-        for rank_key, records in snap.get("records", {}).items():
-            rank = int(rank_key)
-            sink = self.sink(rank)
-            sink.n += len(records)
-            self._buffers[rank].extend(tuple(rec) for rec in records)
 
 
 def record_to_dict(rec: tuple) -> dict[str, Any]:

@@ -1,8 +1,8 @@
 """Chrome trace-event / Perfetto export of flight records.
 
-Renders one run's flight-record stream (:mod:`repro.obs.flight`) as a
-Chrome trace-event JSON object loadable in ``ui.perfetto.dev`` or
-``chrome://tracing``:
+Renders one run's flight-record stream (:mod:`repro.obs.flight`), read
+from the recorder that captured it, as a Chrome trace-event JSON object
+loadable in ``ui.perfetto.dev`` or ``chrome://tracing``:
 
 * one ``pid``/``tid`` lane per rank,
 * ``X`` (complete) spans for compute and recovery intervals, derived from
@@ -39,35 +39,17 @@ INSTANT_KINDS = {
 _US = 1_000_000.0  # virtual seconds -> trace microseconds
 
 
-def _flight_of(source: Any):
-    """Accept a MetricsRegistry, a FlightRecorder, or a snapshot dict."""
-    flight = getattr(source, "flight", source)
-    if isinstance(flight, dict):  # snapshot: rehydrate into a recorder
-        from .flight import FlightRecorder
-
-        # size the ring to hold every record present: a snapshot missing
-        # its "capacity" key must not have its streams evicted (and the
-        # evictions counted as drops) by the rehydrating merge
-        records = flight.get("records", {})
-        capacity = flight.get("capacity", 0) or max(
-            (len(r) for r in records.values()), default=1) or 1
-        recorder = FlightRecorder(capacity=capacity)
-        recorder.merge(flight)
-        return recorder
-    return flight
-
-
 def perfetto_trace(source: Any) -> dict[str, Any]:
     """Build the ``{"traceEvents": [...]}`` object for one run.
 
-    ``source`` is a :class:`~repro.obs.registry.MetricsRegistry`, a
-    :class:`~repro.obs.flight.FlightRecorder`, or a flight snapshot.
+    ``source`` is a :class:`~repro.obs.registry.MetricsRegistry` or a
+    :class:`~repro.obs.flight.FlightRecorder`.
     Ranks that never recorded are *not* materialised: a fabricated
     full-length lane per silent rank turns a sparse failure trace into
     O(p) filler at 4K ranks (Perfetto numbers the lanes it does see by
     pid, so ordering stays stable).
     """
-    flight = _flight_of(source)
+    flight = getattr(source, "flight", source)
     events: list[dict[str, Any]] = []
     per_rank = [
         (rank, recs)

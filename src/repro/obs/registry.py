@@ -313,9 +313,10 @@ class MetricsRegistry:
     # Cross-process snapshot / merge
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Plain-data copy of every instrument, the flight buffers and the
-        time series — picklable, so sweep workers can ship it to the
-        parent process for :meth:`merge`."""
+        """Plain-data copy of every instrument and the time series —
+        picklable, so sweep workers can ship it to the parent process for
+        :meth:`merge`.  The flight stream stays behind: its readers dump
+        it in the process that recorded it."""
         instruments: dict[str, dict[str, Any]] = {}
         for name, inst in self._instruments.items():
             if isinstance(inst, Counter):
@@ -342,8 +343,6 @@ class MetricsRegistry:
                 }
         return {
             "instruments": instruments,
-            "flight": (self.flight.snapshot()
-                       if self.flight is not None else None),
             "timeseries": (
                 self.timeseries.snapshot()
                 if self.timeseries is not None else None
@@ -356,8 +355,7 @@ class MetricsRegistry:
         Counters and histograms add; gauges sum their values and keep a
         high-water mark that is never below the merged aggregate (after
         merging, ``value`` is an aggregate, no longer an instantaneous
-        reading, and ``high_water >= value`` stays invariant).  Flight
-        buffers concatenate per rank with drop accounting.  Merging is
+        reading, and ``high_water >= value`` stays invariant).  Merging is
         associative and, per instrument, commutative — a parent merging N
         worker snapshots in task order gets the same totals as one
         sequential run.
@@ -389,9 +387,6 @@ class MetricsRegistry:
                 h.max = max(h.max, data["max"])
             else:
                 raise SimulationError(f"cannot merge instrument type {kind!r}")
-        flight_snap = snap.get("flight")
-        if flight_snap and self.flight is not None:
-            self.flight.merge(flight_snap)
         ts_snap = snap.get("timeseries")
         if ts_snap:
             if self.timeseries is None:

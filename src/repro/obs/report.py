@@ -101,14 +101,13 @@ def svg_line_chart(
     x_label: str = "virtual time (ms)",
     y_label: str = "",
     area: bool = False,
-    note: str = "",
 ) -> str:
     """One line/area chart: 2px series lines over a hairline grid, legend
     chips + direct labels for multi-series, a crosshair/tooltip hover
     layer (data embedded as JSON) and a collapsible data table.
 
-    ``series`` items: ``{"name": str, "y": [..], "slot": 1-based palette
-    slot}``.  ``x`` may contain restarts (merged multi-task series); each
+    ``series`` items: ``{"name": str, "y": [..], "slot": palette slot 1 or
+    2}``.  ``x`` may contain restarts (merged multi-task series); each
     monotone run is drawn as its own segment.
     """
     series = [s for s in series if s.get("y")]
@@ -254,8 +253,6 @@ def svg_line_chart(
         f"<th>{_esc(x_label)}</th>{head}</tr></thead>"
         f"<tbody>{body}</tbody></table></details>"
     )
-    if note:
-        parts.append(f'<p class="muted">{_esc(note)}</p>')
     parts.append("</figure>")
     return "".join(parts)
 
@@ -265,11 +262,10 @@ def svg_bar_chart(
     title: str,
     items: Sequence[tuple[str, float, str]],
     *,
-    value_fmt: str = "",
     note: str = "",
 ) -> str:
     """Horizontal bars: ``items`` are ``(label, value, role)`` where role
-    is a palette class (``s1``.. for series, ``status-*`` for status —
+    is a palette class (``s1`` for series, ``status-critical`` for status —
     status rows carry their icon in the label, never color alone)."""
     if not items:
         return (f'<figure class="fig empty"><figcaption>{_esc(title)}'
@@ -296,10 +292,10 @@ def svg_bar_chart(
             f"{_esc(disp)}</text>"
             f'<rect class="bar {role}" x="{label_w}" y="{y}" '
             f'width="{bw:.1f}" height="{bar_h}" rx="3">'
-            f"<title>{_esc(label)}: {_esc(value_fmt or _si(value))}</title>"
+            f"<title>{_esc(label)}: {_si(value)}</title>"
             f"</rect>"
             f'<text class="bvalue" x="{label_w + bw + 6:.1f}" '
-            f'y="{y + bar_h - 4}">{_esc(value_fmt or _si(value))}</text>'
+            f'y="{y + bar_h - 4}">{_si(value)}</text>'
         )
     parts.append("</svg>")
     if note:
@@ -390,8 +386,6 @@ def _sweep_section(doc: dict[str, Any]) -> str:
         tiles += _tile(f"{hits}/{hits + misses}", "cache hits",
                        "✓:good:fully cached"
                        if hits and not misses else "")
-    if "steals" in service:
-        tiles += _tile(str(int(service["steals"])), "work steals")
     shown = results[:40]
     items = [
         (
@@ -447,8 +441,7 @@ def _chaos_section(doc: dict[str, Any]) -> str:
             if count
         ]
         parts.append(
-            svg_bar_chart("chaos-oracles", "Failures per oracle", items,
-                          value_fmt="")
+            svg_bar_chart("chaos-oracles", "Failures per oracle", items)
         )
     failures = doc.get("failures") or []
     if failures:
@@ -527,30 +520,18 @@ _CSS = """
   --ink1: #0b0b0b; --ink2: #52514e; --muted: #898781;
   --grid: #e1e0d9; --axis: #c3c2b7;
   --border: rgba(11,11,11,0.10);
-  --s1: #2a78d6; --s2: #eb6834; --s3: #1baf7a; --s4: #eda100;
-  --s5: #e87ba4; --s6: #008300; --s7: #4a3aa7; --s8: #e34948;
-  --good: #0ca30c; --warning: #fab219;
-  --serious: #ec835a; --critical: #d03b3b;
+  --s1: #2a78d6; --s2: #eb6834;
+  --good: #0ca30c; --critical: #d03b3b;
 }
 @media (prefers-color-scheme: dark) {
-  :root:where(:not([data-theme="light"])) .viz-root {
+  :root .viz-root {
     color-scheme: dark;
     --surface: #1a1a19; --page: #0d0d0d;
     --ink1: #ffffff; --ink2: #c3c2b7; --muted: #898781;
     --grid: #2c2c2a; --axis: #383835;
     --border: rgba(255,255,255,0.10);
-    --s1: #3987e5; --s2: #d95926; --s3: #199e70; --s4: #c98500;
-    --s5: #d55181; --s7: #9085e9; --s8: #e66767;
+    --s1: #3987e5; --s2: #d95926;
   }
-}
-:root[data-theme="dark"] .viz-root {
-  color-scheme: dark;
-  --surface: #1a1a19; --page: #0d0d0d;
-  --ink1: #ffffff; --ink2: #c3c2b7; --muted: #898781;
-  --grid: #2c2c2a; --axis: #383835;
-  --border: rgba(255,255,255,0.10);
-  --s1: #3987e5; --s2: #d95926; --s3: #199e70; --s4: #c98500;
-  --s5: #d55181; --s7: #9085e9; --s8: #e66767;
 }
 .viz-root {
   margin: 0; background: var(--page); color: var(--ink1);
@@ -560,7 +541,6 @@ _CSS = """
 main { max-width: 1240px; margin: 0 auto; padding: 20px; }
 h1 { font-size: 20px; margin: 4px 0 2px; }
 h2 { font-size: 15px; margin: 26px 0 10px; color: var(--ink1); }
-.sub { color: var(--ink2); margin: 0 0 14px; }
 .muted { color: var(--muted); font-size: 12px; margin: 6px 0 0; }
 .grid { display: grid; grid-template-columns: repeat(auto-fill, minmax(480px, 1fr)); gap: 14px; }
 .tiles { display: flex; flex-wrap: wrap; gap: 12px; margin: 10px 0; }
@@ -584,9 +564,6 @@ figcaption { font-size: 13px; color: var(--ink1); margin-bottom: 4px; }
 .key { color: var(--ink2); font-size: 12px; display: inline-flex; align-items: center; gap: 5px; }
 .chip { width: 9px; height: 9px; border-radius: 2px; display: inline-block; }
 .chip.s1 { background: var(--s1); } .chip.s2 { background: var(--s2); }
-.chip.s3 { background: var(--s3); } .chip.s4 { background: var(--s4); }
-.chip.s5 { background: var(--s5); } .chip.s6 { background: var(--s6); }
-.chip.s7 { background: var(--s7); } .chip.s8 { background: var(--s8); }
 .grid-line, .grid { stroke: var(--grid); stroke-width: 1; }
 .axis { stroke: var(--axis); stroke-width: 1; }
 .tick { fill: var(--muted); font-size: 10px; }
@@ -595,17 +572,11 @@ figcaption { font-size: 13px; color: var(--ink1); margin-bottom: 4px; }
 .bvalue { fill: var(--ink1); font-size: 11px; }
 .line { fill: none; stroke-width: 2; stroke-linejoin: round; }
 .line.s1 { stroke: var(--s1); } .line.s2 { stroke: var(--s2); }
-.line.s3 { stroke: var(--s3); } .line.s4 { stroke: var(--s4); }
-.line.s5 { stroke: var(--s5); } .line.s6 { stroke: var(--s6); }
-.line.s7 { stroke: var(--s7); } .line.s8 { stroke: var(--s8); }
 .area { opacity: 0.12; }
 .area.s1 { fill: var(--s1); } .area.s2 { fill: var(--s2); }
-.area.s3 { fill: var(--s3); } .area.s4 { fill: var(--s4); }
 .dot.s1 { fill: var(--s1); } .dot.s2 { fill: var(--s2); }
-.dot.s3 { fill: var(--s3); } .dot.s4 { fill: var(--s4); }
-.bar.s1 { fill: var(--s1); } .bar.s2 { fill: var(--s2); }
+.bar.s1 { fill: var(--s1); }
 .bar.status-critical { fill: var(--critical); }
-.bar.status-serious { fill: var(--serious); }
 .cross { stroke: var(--axis); stroke-width: 1; stroke-dasharray: 3 3; pointer-events: none; }
 .tip {
   position: absolute; display: none; pointer-events: none;
@@ -690,7 +661,6 @@ def render_report(
     chaos: dict[str, Any] | None = None,
     bench: dict[str, dict[str, Any]] | None = None,
     title: str = "repro dashboard",
-    subtitle: str = "",
 ) -> tuple[str, int]:
     """Assemble the dashboard; returns ``(html, time-series chart count)``.
 
@@ -714,14 +684,13 @@ def render_report(
         '<p class="muted">nothing to render: pass --timeseries, --sweep, '
         "--chaos or --bench</p>"
     )
-    sub = f'<p class="sub">{_esc(subtitle)}</p>' if subtitle else ""
     html = (
         "<!DOCTYPE html>\n"
         '<html lang="en"><head><meta charset="utf-8">'
         '<meta name="viewport" content="width=device-width, initial-scale=1">'
         f"<title>{_esc(title)}</title>"
         f"<style>{_CSS}</style></head>"
-        f'<body class="viz-root"><main><header><h1>{_esc(title)}</h1>{sub}'
+        f'<body class="viz-root"><main><header><h1>{_esc(title)}</h1>'
         f"</header>{body}</main>"
         f"<script>{_JS}</script></body></html>\n"
     )

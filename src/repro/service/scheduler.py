@@ -45,6 +45,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..sweep.executor import MP_START_METHOD, mp_context
+
 __all__ = ["SchedulerOutcome", "WorkStealingScheduler"]
 
 #: attempts per task before it is declared lost (1 initial + 1 retry)
@@ -76,23 +78,16 @@ class WorkStealingScheduler:
 
     def __init__(self, workers: int, mp_method: str | None = None,
                  obs: Any = None):
-        from ..sweep.executor import MP_START_METHOD
-
         self.workers = max(1, int(workers))
         self.mp_method = mp_method or MP_START_METHOD
         self.obs = obs
         self._executor: ProcessPoolExecutor | None = None
 
     # -- pool lifecycle -------------------------------------------------
-    def _context(self):
-        import multiprocessing
-
-        return multiprocessing.get_context(self.mp_method)
-
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._context()
+                max_workers=self.workers, mp_context=mp_context(self.mp_method)
             )
         return self._executor
 

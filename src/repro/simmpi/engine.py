@@ -48,7 +48,7 @@ from ..errors import SimulationError
 from ..lint.sanitize import AUDIT_INTERVAL, sanitizer_for
 from ..obs.registry import DEPTH_BUCKETS
 
-__all__ = ["Engine", "EventHandle"]
+__all__ = ["Engine"]
 
 # Bucket layout: [time, holes, fn, arg, fn, arg, ...] — ``holes`` counts the
 # members cancelled out of the bucket, members start at index _FIRST.
@@ -65,24 +65,6 @@ def _label(callback: Callable[..., None]) -> str:
     """``callback``'s ``engine.events_dispatched`` label: its qualname."""
     func = getattr(callback, "__func__", callback)
     return getattr(func, "__qualname__", None) or type(callback).__name__
-
-
-class EventHandle:
-    """Opaque handle returned by :meth:`Engine.schedule`; allows cancellation."""
-
-    __slots__ = ("_engine", "_bucket", "_idx", "cancelled")
-
-    def __init__(self, engine: "Engine", bucket: list):
-        self._engine = engine
-        self._bucket = bucket
-        self._idx = len(bucket) - 2  # the member just appended
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it; cancelling twice (or after
-        the event already ran) is a no-op."""
-        if self._engine.cancel(self._bucket, self._idx):
-            self.cancelled = True
 
 
 class Engine:
@@ -112,7 +94,7 @@ class Engine:
         self._posted = 0
         self._removed = 0
         self._events_dispatched = 0
-        self.events_counted = 0  # handle-API dispatches (registry only)
+        self.events_counted = 0  # schedule/schedule_at/call_soon runs (registry only)
         self._garbage = 0
         self._running = False
         self.obs = obs
@@ -156,8 +138,7 @@ class Engine:
 
         This is the allocation-free primitive: it returns the instant's
         bucket, which the event joined as its last member.  A caller that
-        may cancel keeps ``(bucket, len(bucket) - 2)`` for :meth:`cancel`;
-        :meth:`schedule` wraps the pair in an :class:`EventHandle`.
+        may cancel keeps ``(bucket, len(bucket) - 2)`` for :meth:`cancel`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -194,19 +175,20 @@ class Engine:
         bucket = buckets[time] = [time, 0]
         return bucket
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def schedule(self, delay: float, callback: Callable[[], None]) -> list:
+        """Schedule ``callback`` to run ``delay`` seconds from now; returns
+        the bucket, as :meth:`post` does."""
         if self.obs is not None:
             callback = self._counted_callback(callback)
-        return EventHandle(self, self.post(delay, callback))
+        return self.post(delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> list:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         if self.obs is not None:
             callback = self._counted_callback(callback)
-        return EventHandle(self, self.post_at(float(time), callback))
+        return self.post_at(float(time), callback)
 
-    def call_soon(self, callback: Callable[[], None]) -> EventHandle:
+    def call_soon(self, callback: Callable[[], None]) -> list:
         """Schedule ``callback`` at the current instant (after queued peers)."""
         return self.schedule(0.0, callback)
 
@@ -402,7 +384,7 @@ class Engine:
                 else:
                     # instant finished.  Every later instant is strictly
                     # later, so it is still the heap's head; emptying the
-                    # bucket bounds what a kept EventHandle can pin.
+                    # bucket bounds what a kept (bucket, index) can pin.
                     heappop(heap)
                     del buckets[time]
                     bucket.clear()

@@ -11,7 +11,7 @@ in-flight inbound traffic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from ..errors import ConfigError
@@ -64,11 +64,6 @@ class FailureInjector:
         if not 0 <= rank < self.world.nprocs:
             raise ConfigError(f"rank {rank} out of range")
         self._scheduled.append(FailureEvent(rank, time))
-
-    def concurrent(self, time: float, ranks: list[int]) -> None:
-        """Kill several ranks at the same instant."""
-        for rank in ranks:
-            self.at(time, rank)
 
     # ------------------------------------------------------------------
     # Logical placement: kill after the Nth application send

@@ -117,27 +117,21 @@ class Tracer:
         #: ``(kind, time, rank, detail)`` per checkpoint / failure / restore
         self.marks: list[tuple[str, float, int, tuple]] = []
         rows = nprocs if record_sequences else 0
-        #: rank -> ordered list of application SendRecords (includes re-sends
-        #: suppressed later as duplicates — filtered by `send_sequences`)
+        #: rank -> ordered list of application SendRecords, recovery
+        #: re-sends included (`logical_send_sequences` collapses them)
         self._sends: list[list[SendRecord]] = [[] for _ in range(rows)]
         #: rank -> ordered list of (src, tag, size) deliveries to the app
         self._delivers: list[list[tuple[int, int, int]]] = [[] for _ in range(rows)]
-        #: sends marked as duplicates re-emitted during recovery, per rank:
-        #: indices into the send list (so sequences can be de-duplicated)
-        self._dup_send_idx: list[set[int]] = [set() for _ in range(rows)]
         #: src -> {dst: [messages, bytes]} — sparse rows: a rank talks to a
         #: handful of peers, and dense n x n tables were half the heap at
-        #: 4096 ranks (the :attr:`msg_count` / :attr:`msg_bytes` properties
-        #: build the familiar dense ndarray view on demand)
+        #: 4096 ranks (:meth:`comm_matrix` builds the dense ndarray view on
+        #: demand)
         self._pairs: list[dict[int, list[int]]] = [{} for _ in range(nprocs)]
 
     # ------------------------------------------------------------------
     def on_app_send(self, env: Envelope, is_replay_dup: bool = False) -> None:
         if self.record_sequences:
-            sends = self._sends[env.src]
-            sends.append(SendRecord.of(env))
-            if is_replay_dup:
-                self._dup_send_idx[env.src].add(len(sends) - 1)
+            self._sends[env.src].append(SendRecord.of(env))
         if not is_replay_dup:
             row = self._pairs[env.src]
             try:
@@ -161,16 +155,11 @@ class Tracer:
             raise SimulationError("this world kept no send / deliver log: its "
                                   "reader arms record_sequences at construction")
 
-    def send_sequences(self, dedup: bool = True) -> list[list[SendRecord]]:
-        """Per-rank application send sequences.
-
-        With ``dedup`` (the default) sends that were duplicate re-emissions
-        during recovery are collapsed, yielding the *logical* send sequence
-        that the paper's validity criterion talks about.
-        """
+    def send_sequences(self) -> list[list[SendRecord]]:
+        """Per-rank application send sequences as emitted, recovery
+        re-sends included (:meth:`logical_send_sequences` collapses them)."""
         self._require_sequences()
-        return [[r for i, r in enumerate(sends) if not dedup or i not in dups]
-                for sends, dups in zip(self._sends, self._dup_send_idx)]
+        return [list(sends) for sends in self._sends]
 
     def logical_send_sequences(self) -> list[list[SendRecord]]:
         """Per-rank send sequences with recovery re-sends collapsed by date.
@@ -218,6 +207,3 @@ class Tracer:
             for dst, cell in row.items():
                 out[src, dst] = cell[slot]
         return out
-
-    msg_count = property(comm_matrix)
-    msg_bytes = property(lambda self: self.comm_matrix("bytes"))

@@ -218,7 +218,7 @@ def _execute(fn: Callable[[dict[str, Any]], Any], task: SweepTask,
     the same path inline and across the pool, so merged observability is
     shape-identical regardless of worker count.  ``timeseries`` arms the
     task registry's virtual-time series recorder at that interval.  The
-    registry records no flight stream, and the shipped snapshot carries
+    registry records no flight stream, and a registry snapshot carries
     none whatever the task turned on: a reader of its own stream (a
     failing chaos trial's dump) reads it before returning.
     """
@@ -243,7 +243,6 @@ def _execute(fn: Callable[[dict[str, Any]], Any], task: SweepTask,
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback.format_exc(), seed=seed, params=task.params)
     if registry is not None:
-        registry.flight = None  # the stream stays with its reader
         result.obs = registry.snapshot()
     result.duration = time.perf_counter() - t0  # repro: noqa[RPD002]
     return result

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    LogStats,
     SpeSampler,
-    collect_log_stats,
     collect_matrix,
     expected_rollback_fraction,
     expected_rolled_back_clusters,
@@ -121,24 +119,12 @@ def test_rollback_analysis_reordered_subset_of_ranks():
 
 
 # ----------------------------------------------------------------------
-# Logging stats
+# Logging stats (Table I's %log is 100 * logging_stats()["log_fraction"])
 # ----------------------------------------------------------------------
-def test_collect_log_stats():
-    cfg = ProtocolConfig(checkpoint_interval=2e-5,
-                         cluster_of=[0, 0, 0, 1, 1, 1], cluster_stagger=4e-6)
-    world, ctl = build_ft_world(6, factory, cfg)
-    world.launch()
-    world.run()
-    stats = collect_log_stats(ctl)
-    assert stats.messages_total > 0
-    assert 0 < stats.messages_logged < stats.messages_total
-    assert stats.percent == pytest.approx(100 * stats.fraction)
-    assert 0 <= stats.bytes_logged <= stats.bytes_total
-
-
 def test_log_stats_zero_safe():
-    stats = LogStats(0, 0, 0, 0)
-    assert stats.fraction == 0.0 and stats.percent == 0.0
+    _world, ctl = build_ft_world(2, factory)  # not launched: nothing sent
+    stats = ctl.logging_stats()
+    assert stats["messages_total"] == 0 and stats["log_fraction"] == 0.0
 
 
 # ----------------------------------------------------------------------

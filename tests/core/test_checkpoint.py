@@ -206,16 +206,16 @@ def test_schedule_jitter_deterministic_and_bounded():
 
 
 def test_schedule_max_checkpoints():
-    s = CheckpointSchedule(interval=1.0, max_checkpoints=2)
-    assert s.due(1.0)
-    s.mark_taken(1.0)
-    assert s.due(2.0)
-    s.mark_taken(2.0)
-    assert not s.due(100.0)
+    # there is no cap: a periodic schedule fires after every checkpoint
+    s = CheckpointSchedule(interval=1.0)
+    for k in range(1, 101):
+        assert not s.due(k - 0.5) and s.due(float(k))
+        s.mark_taken(float(k))
 
 
 def test_schedule_never():
-    s = CheckpointSchedule.never()
+    # no interval: never due (forced checkpoints still work)
+    s = CheckpointSchedule(interval=None)
     assert not s.due(1e12)
 
 

@@ -34,7 +34,7 @@ def _factory(r, s):
 def _signature(world):
     """Everything an execution 'said': sends, deliveries, clock, events."""
     return (
-        world.tracer.send_sequences(dedup=False),
+        world.tracer.send_sequences(),
         world.tracer.deliver_sequences(),
         world.engine.now,
         world.engine.events_dispatched,

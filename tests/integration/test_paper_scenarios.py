@@ -218,7 +218,8 @@ def test_inflight_message_survives_double_failure():
     after rank 0's checkpoint... here it happens *after*, so re-execution
     covers it; the stronger case (send before checkpoint) follows."""
     world, ctl = build_ft_world(2, InFlightLoss, ProtocolConfig())
-    ctl.inject_concurrent_failures(1e-5, [0, 1])
+    ctl.inject_failure(1e-5, 0)
+    ctl.inject_failure(1e-5, 1)
     ctl.arm()
     world.launch()
     world.run()

@@ -44,11 +44,15 @@ def test_unset_env_means_disabled(monkeypatch):
 
 
 def test_override_beats_environment(monkeypatch):
+    """The environment is the one switch, read at every call: a value set
+    mid-process overrides the one the process started with."""
     monkeypatch.setenv(ENV_VAR, "0")
-    assert sanitize_enabled(override=True) is True
-    assert isinstance(sanitizer_for(override=True), Sanitizer)
+    assert sanitizer_for() is None
     monkeypatch.setenv(ENV_VAR, "1")
-    assert sanitizer_for(override=False) is None
+    assert sanitize_enabled() is True
+    assert isinstance(sanitizer_for(), Sanitizer)
+    monkeypatch.setenv(ENV_VAR, "0")
+    assert sanitizer_for() is None
 
 
 def test_components_cache_none_when_disabled(monkeypatch):
@@ -222,7 +226,7 @@ def test_sanitized_run_is_execution_transparent(monkeypatch):
     """The sanitizer observes; it must not perturb the execution."""
     def signature(world):
         return (
-            world.tracer.send_sequences(dedup=False),
+            world.tracer.send_sequences(),
             world.engine.now,
             world.engine.events_dispatched,
         )

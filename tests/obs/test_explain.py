@@ -69,9 +69,6 @@ def test_uid_resolution_from_flight_confirms():
     fr.record(0, FlightKind.CONFIRM, peer=1, uid=42, epoch_send=1, epoch_recv=2)
     ex = explain_recovery_line(tables, {1: 2}, flight=fr)
     assert ex.ranks[0].edge.uid == 42
-    # snapshot form resolves identically
-    ex2 = explain_recovery_line(tables, {1: 2}, flight=fr.snapshot())
-    assert ex2.ranks[0].edge.uid == 42
 
 
 def test_no_flight_leaves_uid_unresolved():

@@ -80,9 +80,7 @@ def test_dump_perfetto_writes_loadable_json(tmp_path):
     assert len(doc["traceEvents"]) == n > 0
 
 
-def test_exporter_accepts_snapshot_and_empty_sources():
+def test_exporter_accepts_recorder_and_empty_sources():
     _controller, obs = run_failure()
-    from_reg = perfetto_trace(obs)["traceEvents"]
-    from_snap = perfetto_trace(obs.flight.snapshot())["traceEvents"]
-    assert len(from_reg) == len(from_snap)
+    assert perfetto_trace(obs) == perfetto_trace(obs.flight)
     assert perfetto_trace(MetricsRegistry())["traceEvents"] == []

@@ -2,7 +2,7 @@
 renderers for sweep/chaos/benchmark documents."""
 
 from repro.obs import MetricsRegistry, render_report, timeseries_rows, write_report
-from repro.obs.report import svg_bar_chart, svg_line_chart
+from repro.obs.report import _si, svg_bar_chart, svg_line_chart
 
 
 def _instrumented_rows():
@@ -80,7 +80,7 @@ def test_report_is_self_contained():
 def test_report_sections():
     html, _ = render_report(
         timeseries=_instrumented_rows(), sweep=SWEEP_DOC,
-        chaos=CHAOS_DOC, bench=BENCH, title="t", subtitle="s",
+        chaos=CHAOS_DOC, bench=BENCH, title="t",
     )
     assert "Sweep" in html and "Chaos campaign" in html
     assert "Benchmarks" in html
@@ -117,8 +117,9 @@ def test_line_chart_handles_empty_and_restarts():
 
 def test_bar_chart_escapes_labels():
     chart = svg_bar_chart(
-        "b1", "Bars", [("<script>", 2.0, None), ("ok", 1.0, "critical")],
-        value_fmt=lambda v: f"{v:.0f}",
+        "b1", "Bars", [("<script>", 2.0, None), ("ok", 1500.0, "critical")],
     )
     assert "<script>" not in chart
     assert "&lt;script&gt;" in chart
+    # a bar's value text is _si(value): the same inputs, the same bytes
+    assert f'>{_si(1500.0)}</text>' in chart and ">1.5k</text>" in chart

@@ -8,6 +8,11 @@ from repro.obs import MetricsRegistry
 from repro.simmpi.engine import Engine
 
 
+def kept(bucket):
+    """What a canceller keeps of the event just scheduled into ``bucket``."""
+    return bucket, len(bucket) - 2
+
+
 def test_initial_clock_zero():
     assert Engine().now == 0.0
 
@@ -48,18 +53,18 @@ def test_negative_delay_rejected():
 def test_cancelled_event_skipped():
     eng = Engine()
     fired = []
-    handle = eng.schedule(1e-6, lambda: fired.append("x"))
-    handle.cancel()
+    event = kept(eng.schedule(1e-6, lambda: fired.append("x")))
+    assert eng.cancel(*event)
     eng.run()
     assert fired == []
-    assert handle.cancelled
 
 
 def test_cancel_twice_is_noop():
     eng = Engine()
-    handle = eng.schedule(1e-6, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    event = kept(eng.schedule(1e-6, lambda: None))
+    assert eng.cancel(*event)
+    assert not eng.cancel(*event)
+    assert eng.pending == 0
     eng.run()
 
 
@@ -132,10 +137,10 @@ def test_max_events_is_exact_inside_an_instant():
 
 def test_pending_counts_non_cancelled():
     eng = Engine()
-    h1 = eng.schedule(1e-6, lambda: None)
+    first = kept(eng.schedule(1e-6, lambda: None))
     eng.schedule(2e-6, lambda: None)
     assert eng.pending == 2
-    h1.cancel()
+    eng.cancel(*first)
     assert eng.pending == 1
 
 
@@ -227,11 +232,11 @@ def test_periodic_sampling_across_drained_queue():
 # ----------------------------------------------------------------------
 def test_cancel_after_dispatch_keeps_pending_consistent():
     eng = Engine()
-    handle = eng.schedule(1e-6, lambda: None)
+    event = kept(eng.schedule(1e-6, lambda: None))
     eng.schedule(2e-6, lambda: None)
     eng.run(max_events=1)
     assert eng.pending == 1
-    handle.cancel()  # already ran: must not decrement a second time
+    assert not eng.cancel(*event)  # already ran: must not decrement again
     assert eng.pending == 1
     eng.run()
     assert eng.pending == 0
@@ -253,14 +258,14 @@ def test_pending_counts_schedule_at_in_past():
 
 def test_pending_through_interleaved_cancel_and_dispatch():
     eng = Engine()
-    handles = [eng.schedule(i * 1e-6, lambda: None) for i in range(1, 7)]
+    events = [kept(eng.schedule(i * 1e-6, lambda: None)) for i in range(1, 7)]
     assert eng.pending == 6
-    handles[0].cancel()
-    handles[3].cancel()
+    eng.cancel(*events[0])
+    eng.cancel(*events[3])
     assert eng.pending == 4
     eng.run(max_events=2)
     assert eng.pending == 2
-    handles[3].cancel()  # cancelling twice stays a no-op
+    eng.cancel(*events[3])  # cancelling twice stays a no-op
     assert eng.pending == 2
     eng.run()
     assert eng.pending == 0
@@ -272,9 +277,10 @@ def test_pending_through_interleaved_cancel_and_dispatch():
 
 def test_queue_garbage_tracks_cancellations():
     eng = Engine()
-    handles = [eng.schedule((i + 1) * 1e-6, lambda: None) for i in range(10)]
-    for h in handles[:4]:
-        h.cancel()
+    events = [kept(eng.schedule((i + 1) * 1e-6, lambda: None))
+              for i in range(10)]
+    for event in events[:4]:
+        eng.cancel(*event)
     assert eng.queue_garbage == 4
     assert eng.pending == 6
     eng.run()
@@ -293,15 +299,16 @@ def test_dead_instant_revives_when_posted_to_later():
 
     def purge_and_continue():
         order.append("purge")
-        for h in doomed:
-            h.cancel()
+        for event in doomed:
+            eng.cancel(*event)
         assert eng.queue_garbage == 300
         eng.schedule_at(5.0 + 7 * 1e-6, lambda: order.append("revived"))
         assert eng.queue_garbage == 299
         eng.schedule(1e-6, lambda: order.append("after"))
 
     eng.schedule(1e-6, purge_and_continue)
-    doomed.extend(eng.schedule(5.0 + i * 1e-6, lambda: None) for i in range(300))
+    doomed.extend(kept(eng.schedule(5.0 + i * 1e-6, lambda: None))
+                  for i in range(300))
     eng.run()
     assert order == ["purge", "after", "revived"]
     assert eng.now == 5.0 + 7 * 1e-6  # dead instants never move the clock
@@ -312,17 +319,17 @@ def test_dead_instant_revives_when_posted_to_later():
 def test_cancelled_events_never_dispatch():
     eng = Engine()
     fired = []
-    handles = [
-        eng.schedule((i + 1) * 1e-6, (lambda i=i: fired.append(i)))
+    events = [
+        kept(eng.schedule((i + 1) * 1e-6, (lambda i=i: fired.append(i))))
         for i in range(150)
     ]
-    for h in handles[::2] + handles[-1:]:
-        h.cancel()
+    for event in events[::2] + events[-1:]:
+        eng.cancel(*event)
     eng.run()
     assert fired == list(range(1, 149, 2))
     assert eng.now == 148 * 1e-6  # the dead last instant never ran
-    handles[0].cancel()  # already cancelled
-    handles[1].cancel()  # already ran
+    assert not eng.cancel(*events[0])  # already cancelled
+    assert not eng.cancel(*events[1])  # already ran
     assert eng.pending == 0
 
 
@@ -341,14 +348,14 @@ def test_cancel_from_a_callback_skips_the_hole_in_the_walked_bucket(
 
     def purge():
         order.append("purge")
-        for h in doomed:
-            h.cancel()
+        for event in doomed:
+            eng.cancel(*event)
         eng.call_soon(lambda: order.append("soon"))
 
     eng.schedule(1e-6, purge)
-    doomed.append(eng.schedule(1e-6, lambda: order.append("cancelled")))
+    doomed.append(kept(eng.schedule(1e-6, lambda: order.append("cancelled"))))
     eng.schedule(1e-6, lambda: order.append("last"))
-    doomed.extend(eng.schedule(5.0 + i * 1e-6, lambda: order.append("far"))
+    doomed.extend(kept(eng.schedule(5.0 + i * 1e-6, lambda: order.append("far")))
                   for i in range(300))
     for _ in range(AUDIT_INTERVAL):
         eng.schedule(2e-6, lambda: None)
@@ -375,7 +382,7 @@ def test_handle_api_callbacks_count_their_own_dispatches():
 
     eng.schedule(1e-6, tick)
     eng.schedule_at(2e-6, tick)
-    eng.schedule(3e-6, tick).cancel()  # never runs, never counted
+    eng.cancel(*kept(eng.schedule(3e-6, tick)))  # never runs, never counted
     eng.call_soon(Timer().fire)
     eng.post(0.0, lambda _arg: None, 1)
     eng.run()

@@ -16,18 +16,10 @@ import pytest
 from repro.simmpi.engine import Engine
 
 
-class _RefHandle:
-    def __init__(self, ref, entry):
-        self.ref, self.entry = ref, entry
-
-    def cancel(self):
-        if self.entry[2] == "pending":
-            self.entry[2] = "cancelled"
-            self.ref.pending -= 1
-
-
 class ReferenceScheduler:
-    """Heap of ``[time, seq, state, callback]``; ties break by ``seq``."""
+    """Heap of ``[time, seq, state, callback]``; ties break by ``seq``.
+    Scheduling returns the entry and :meth:`cancel` takes it back, the
+    shape of the engine's ``(bucket, index)``."""
 
     def __init__(self):
         self.now, self.heap, self.seq = 0.0, [], 0
@@ -38,13 +30,18 @@ class ReferenceScheduler:
         entry = [max(float(time), self.now), self.seq, "pending", callback]
         heapq.heappush(self.heap, entry)
         self.pending += 1
-        return _RefHandle(self, entry)
+        return entry
 
     def schedule(self, delay, callback):
         return self.schedule_at(self.now + delay, callback)
 
     def call_soon(self, callback):
         return self.schedule_at(self.now, callback)
+
+    def cancel(self, entry, _index):
+        if entry[2] == "pending":
+            entry[2] = "cancelled"
+            self.pending -= 1
 
     def run(self, until=None, max_events=None):
         heap, dispatched = self.heap, 0
@@ -75,28 +72,28 @@ def _drive(sched, seed):
     observer can see.  What an event does when it fires depends on its
     label alone, never on when it fires, so the two schedulers are handed
     the same program whatever order they dispatch it in."""
-    log, checkpoints, handles = [], [], []
+    log, checkpoints, events = [], [], []
 
     def act(rng):
         """One scheduling or cancelling action, from wherever it is called."""
         kind = rng.randrange(6)
-        if kind == 5 or len(handles) >= _MAX_EVENTS:
-            if handles:
+        if kind == 5 or len(events) >= _MAX_EVENTS:
+            if events:
                 # any event ever made: one that ran, one cancelled before,
                 # a later member of the instant being dispatched, ...
-                handles[rng.randrange(len(handles))].cancel()
+                sched.cancel(*events[rng.randrange(len(events))])
             return
-        label = len(handles)
+        label = len(events)
         callback = lambda: fire(label)  # noqa: E731
         if kind == 0:
-            handle = sched.call_soon(callback)
+            bucket = sched.call_soon(callback)
         elif kind == 1:
             # absolute, a quarter of them in the past (clamped to now)
-            handle = sched.schedule_at(
+            bucket = sched.schedule_at(
                 sched.now + rng.choice((-1.0, 0.0, 0.25, 1.5)), callback)
         else:
-            handle = sched.schedule(rng.choice(_DELAYS), callback)
-        handles.append(handle)
+            bucket = sched.schedule(rng.choice(_DELAYS), callback)
+        events.append((bucket, len(bucket) - 2))
 
     def fire(label):
         log.append((sched.now, label))

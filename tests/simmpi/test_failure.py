@@ -34,7 +34,8 @@ def test_concurrent_failures_batched():
     world = make_world()
     seen = []
     inj = FailureInjector(world, lambda ranks: seen.append(list(ranks)))
-    inj.concurrent(0.5, [3, 1])
+    inj.at(0.5, 3)
+    inj.at(0.5, 1)
     inj.arm()
     world.engine.run(until=2.0)
     assert seen == [[1, 3]]  # sorted, single batch

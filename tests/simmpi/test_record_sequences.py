@@ -53,7 +53,6 @@ def test_off_by_default_on_every_builder():
 
 READERS = {
     "send_sequences": lambda ref, w: w.tracer.send_sequences(),
-    "send_sequences_raw": lambda ref, w: w.tracer.send_sequences(dedup=False),
     "logical_send_sequences": lambda ref, w: w.tracer.logical_send_sequences(),
     "deliver_sequences": lambda ref, w: w.tracer.deliver_sequences(),
     "send_witness_chains": lambda ref, w: send_witness_chains(w.tracer),
@@ -164,13 +163,12 @@ def test_unarmed_world_retains_nothing_per_message(mg_cells):
     (_, armed, _, _), (_, unarmed, _, _) = mg_cells
     a, u = armed.tracer, unarmed.tracer
     assert not any(u._sends) and not any(u._delivers)
-    assert not any(u._dup_send_idx)
     total = u.total_app_messages()
     assert total > 1000 and total == a.total_app_messages()
     assert sum(len(s) for s in a._sends) == total
     assert sum(len(d) for d in a._delivers) == total
-    assert np.array_equal(u.msg_count, a.msg_count)
-    assert np.array_equal(u.msg_bytes, a.msg_bytes)
+    assert np.array_equal(u.comm_matrix(), a.comm_matrix())
+    assert np.array_equal(u.comm_matrix("bytes"), a.comm_matrix("bytes"))
     assert u.marks == a.marks and len(u.marks) >= 64
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the tracer: sequences, digests, matrices, dedup."""
+"""Unit tests for the tracer: sequences, digests, matrices, dedup by date."""
 
 import numpy as np
 import pytest
@@ -64,8 +64,8 @@ def test_comm_matrix_counts_and_bytes():
 
 
 def test_dense_views_of_a_three_rank_exchange():
-    # the per-pair counters are sparse rows now; the ndarray views the
-    # analyses read (logstats, commmatrix) keep their values and dtype
+    # the per-pair counters are sparse rows now; the ndarray view the
+    # analyses read (commmatrix) keeps its values and dtype
     t = Tracer(3)
     t.on_app_send(env(0, 1, payload=np.zeros(10)))
     t.on_app_send(env(0, 1, payload=np.zeros(10)))
@@ -77,16 +77,15 @@ def test_dense_views_of_a_three_rank_exchange():
     t.on_app_send(dup, is_replay_dup=True)        # must not count
     counts = [[0, 2, 0], [0, 0, 1], [1, 0, 1]]
     nbytes = [[0, 160, 0], [0, 0, 3], [40, 0, 8]]
-    for view, want in ((t.msg_count, counts), (t.msg_bytes, nbytes),
-                       (t.comm_matrix(), counts),
+    for view, want in ((t.comm_matrix(), counts),
                        (t.comm_matrix("bytes"), nbytes)):
         assert view.dtype == np.int64 and view.shape == (3, 3)
         assert view.tolist() == want
     assert t.total_app_messages() == 5
-    assert int(t.msg_bytes.sum()) == 211
+    assert int(t.comm_matrix("bytes").sum()) == 211
     # each view is a fresh array: callers may scale it in place
-    t.msg_count[0, 1] = 99
-    assert t.msg_count[0, 1] == 2
+    t.comm_matrix()[0, 1] = 99
+    assert t.comm_matrix()[0, 1] == 2
 
 
 def test_comm_matrix_unknown_weight():
@@ -100,8 +99,6 @@ def test_replay_dup_not_counted_in_matrix():
     e.meta["replayed"] = True
     t.on_app_send(e, is_replay_dup=True)
     assert t.comm_matrix().sum() == 0
-    assert len(t.send_sequences(dedup=False)[0]) == 1
-    assert len(t.send_sequences(dedup=True)[0]) == 0
 
 
 def test_logical_sequences_collapse_by_date():

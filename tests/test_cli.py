@@ -145,6 +145,17 @@ def test_obs_timeseries_out_requires_flag(tmp_path, capsys):
     assert not metrics.exists() and not path.exists()
 
 
+def test_table1_timeseries_out_requires_flag(tmp_path, capsys):
+    # one declaration, one check: table1 refuses what obs refuses
+    path = tmp_path / "ts.jsonl"
+    assert main(["table1", "--kernels", "CG", "--ranks", "16",
+                 "--clusters", "4", "--niters", "2",
+                 "--timeseries-out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "--timeseries-out needs --timeseries" in captured.err
+    assert not captured.out and not path.exists()
+
+
 def test_obs_trace_out_is_perfetto_whatever_the_suffix(tmp_path, capsys):
     import json
 
