@@ -29,7 +29,7 @@ from contextlib import closing
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .analysis import SpeSampler, compare_executions, rollback_analysis
-from .apps import TABLE1_KERNELS, Stencil2D
+from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS, Stencil2D
 from .core import ProtocolConfig, build_ft_world
 from .core.clustering import block_clusters
 from .errors import ConfigError
@@ -218,8 +218,9 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 
 
 def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """Check a campaign spec's shape; returns a copy with every field of
-    its kind present (absent or ``None`` fields take the default)."""
+    """Check a campaign spec's shape and kernel names; returns a copy with
+    every field of its kind present (absent or ``None`` fields take the
+    default)."""
     if not isinstance(spec, dict):
         raise ConfigError("campaign spec must be a JSON object")
     kind = spec.get("kind")
@@ -231,7 +232,13 @@ def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
         raise ConfigError(
             f"unknown spec field(s) for kind {kind!r}: {', '.join(unknown)}")
     given = {k: v for k, v in spec.items() if v is not None}
-    return {**DEFAULTS[kind], **given}
+    spec = {**DEFAULTS[kind], **given}
+    known = list(TABLE1_KERNELS) if kind == "table1" else list(KERNELS)
+    unknown = sorted(set(spec.get("kernels") or ()) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {kind} kernel(s) {', '.join(unknown)} "
+                          f"(have {', '.join(known)})")
+    return spec
 
 
 def _many(value: Any) -> list[int]:
@@ -248,9 +255,7 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
     spec = validate_spec(spec)
     kind = spec["kind"]
     if kind == "chaos":
-        from .chaos.schedule import KERNELS as CHAOS_KERNELS
         from .chaos.trial import run_trial
-        from .lint.certify import chaos_pool_classes
 
         # run_trial's params: the schedule generator's options and which
         # oracles to run
@@ -261,7 +266,7 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
         tasks = [SweepTask(name=f"trial-{i}", params=dict(params))
                  for i in range(int(spec["trials"]))]
         return (run_trial, tasks, int(spec["seed"]),
-                chaos_pool_classes(pool or sorted(CHAOS_KERNELS)))
+                [KERNELS[k].cls for k in pool or CHAOS_POOL])
     base_seed = int(spec["base_seed"])
     if kind == "selftest":
         return selftest_cell, selftest_tasks(int(spec["tasks"])), base_seed, []
@@ -282,10 +287,8 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
         names = sorted(TABLE1_KERNELS)
         grid = ([int(spec["ranks"])], [int(spec["clusters"])],
                 max(2, int(spec["niters"]) // 5))
-    # an unknown kernel name is left to fail in its own cells, as a task
-    # error
     return (table1_cell, table1_tasks(names, *grid), base_seed,
-            [TABLE1_KERNELS[k] for k in names if k in TABLE1_KERNELS])
+            [TABLE1_KERNELS[k] for k in names])
 
 
 class CampaignRun(NamedTuple):

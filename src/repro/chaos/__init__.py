@@ -23,7 +23,6 @@ from .campaign import (
 )
 from .oracles import ORACLES, OracleResult, TrialResult
 from .schedule import (
-    KERNELS,
     PLACEMENT_KINDS,
     FailureSpec,
     TrialSchedule,
@@ -37,7 +36,6 @@ from .trial import SYNTHETIC_BUGS, run_trial, run_trial_schedule
 __all__ = [
     "ORACLES",
     "PLACEMENT_KINDS",
-    "KERNELS",
     "SYNTHETIC_BUGS",
     "FailureSpec",
     "TrialSchedule",

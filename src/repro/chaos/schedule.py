@@ -24,20 +24,12 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable
 
 from .. import campaigns
-from ..apps import (
-    CGKernel,
-    LUKernel,
-    PingPong,
-    ReduceTreeKernel,
-    Stencil1D,
-    Stencil2D,
-)
+from ..apps import CHAOS_POOL, KERNELS
 from ..errors import ConfigError
 
 __all__ = [
     "FailureSpec",
     "TrialSchedule",
-    "KERNELS",
     "PLACEMENT_KINDS",
     "generate_schedule",
     "schedule_from_json",
@@ -99,56 +91,6 @@ class FailureSpec:
 
 
 @dataclass(frozen=True)
-class _KernelInfo:
-    """How to instantiate one app kernel at campaign scale."""
-
-    #: the rank-program class ``make`` instantiates (what the
-    #: ``--strict-sd`` certification gate checks)
-    cls: type
-    nprocs_choices: tuple[int, ...]
-    make: Callable[[int], Callable[[int, int], Any]]  # niters -> factory
-    #: ``result()`` reports virtual-time measurements (latency), which
-    #: legitimately change once a recovery stretches the clock — the
-    #: validity oracle then checks send sequences/contents only
-    timing_result: bool = False
-
-
-#: the campaign's kernel pool.  Payloads are kept small — chaos trials buy
-#: coverage with many runs, not big runs.
-KERNELS: dict[str, _KernelInfo] = {
-    "stencil": _KernelInfo(
-        Stencil1D, (4, 5, 6, 8),
-        lambda niters: lambda r, s: Stencil1D(r, s, niters=niters, cells=4),
-    ),
-    "stencil2d": _KernelInfo(
-        Stencil2D, (4, 6, 8),
-        lambda niters: lambda r, s: Stencil2D(r, s, niters=niters, block=3),
-    ),
-    "cg": _KernelInfo(
-        CGKernel, (4, 8),
-        lambda niters: lambda r, s: CGKernel(r, s, niters=niters, block=4),
-    ),
-    "lu": _KernelInfo(
-        LUKernel, (4, 6),
-        lambda niters: lambda r, s: LUKernel(
-            r, s, niters=max(2, niters // 4), nblocks=3, block=4
-        ),
-    ),
-    "reduce": _KernelInfo(
-        ReduceTreeKernel, (4, 6, 8),
-        lambda niters: lambda r, s: ReduceTreeKernel(r, s, niters=niters),
-    ),
-    "pingpong": _KernelInfo(
-        PingPong, (2, 4),
-        lambda niters: lambda r, s: PingPong(
-            r, s, sizes=[64, 1024, 8192], reps=max(2, niters // 8)
-        ),
-        timing_result=True,
-    ),
-}
-
-
-@dataclass(frozen=True)
 class TrialSchedule:
     """Everything one chaos trial needs, as plain data."""
 
@@ -172,8 +114,7 @@ class TrialSchedule:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        info = KERNELS.get(self.kernel)
-        if info is None:
+        if self.kernel not in KERNELS:
             raise ConfigError(f"unknown chaos kernel {self.kernel!r}")
         if self.nprocs < 2:
             raise ConfigError("chaos trials need at least 2 ranks")
@@ -248,13 +189,12 @@ def generate_schedule(
     degradation axis (``log_cross_epoch=False``).
     """
     rng = random.Random(seed)
-    pool = tuple(kernels) if kernels else tuple(sorted(KERNELS))
+    pool = tuple(kernels) if kernels else CHAOS_POOL
     for name in pool:
         if name not in KERNELS:
             raise ConfigError(f"unknown chaos kernel {name!r}")
     kernel = rng.choice(pool)
-    info = KERNELS[kernel]
-    nprocs = rng.choice(info.nprocs_choices)
+    nprocs = rng.choice(KERNELS[kernel].ranks)
     niters = rng.randrange(16, 40)
 
     # --- config axes -------------------------------------------------

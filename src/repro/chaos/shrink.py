@@ -30,8 +30,9 @@ import pprint
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from ..apps import KERNELS
 from .oracles import ORACLES, TrialResult
-from .schedule import KERNELS, FailureSpec, TrialSchedule, with_failures
+from .schedule import FailureSpec, TrialSchedule, with_failures
 from .trial import run_trial_schedule
 
 __all__ = ["ShrinkResult", "shrink_schedule", "reproducer_source"]
@@ -157,7 +158,7 @@ def _shrink_scale(sched: TrialSchedule, searcher: _Searcher,
                   note: Callable[[str], None]) -> TrialSchedule:
     # fewer ranks (stay within the kernel's legal sizes; every failure
     # rank must remain valid)
-    for n in sorted(KERNELS[sched.kernel].nprocs_choices):
+    for n in sorted(KERNELS[sched.kernel].ranks):
         if n >= sched.nprocs or searcher.exhausted():
             break
         if any(f.rank >= n for f in sched.failures):

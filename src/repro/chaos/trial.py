@@ -25,6 +25,7 @@ import os
 import traceback as _traceback
 from typing import Any, Iterator
 
+from ..apps import KERNELS
 from ..core import ProtocolConfig, build_ft_world
 from ..core.clustering import block_clusters
 from ..errors import InvariantViolation, ProtocolError
@@ -37,12 +38,7 @@ from .oracles import (
     oracle_witness,
     run_digest,
 )
-from .schedule import (
-    KERNELS,
-    TrialSchedule,
-    generate_schedule,
-    schedule_from_json,
-)
+from .schedule import TrialSchedule, generate_schedule, schedule_from_json
 
 __all__ = ["run_trial", "run_trial_schedule", "trial_schedule",
            "SYNTHETIC_BUGS"]

@@ -56,7 +56,7 @@ from .analysis import (
     render_matrix,
 )
 from .analysis.report import Table1Cell, format_table, format_table1
-from .apps import TABLE1_KERNELS, Stencil2D
+from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS, Stencil2D
 from .baselines import run_domino_analysis
 from .chaos.oracles import ORACLES
 from .core.clustering import Clustering, block_clusters
@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan trials across N worker processes "
                             "(1 = inline, verdicts identical either way)")
     chaos.add_argument("--kernels", nargs="+", default=None,
-                       help="restrict the kernel pool (default: all)")
+                       help=f"kernel pool, any of {' '.join(KERNELS)} "
+                            f"(default: {' '.join(CHAOS_POOL)})")
     chaos.add_argument("--max-failures", type=int,
                        default=defaults["max_failures"],
                        help="max failure events per trial schedule")
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--kernels", nargs="+",
                      help="table1 cells / chaos kernel pool "
                           + _defaults(("table1", "kernels"))
-                          + " (chaos: all)")
+                          + f" (chaos: {' '.join(CHAOS_POOL)})")
     sbm.add_argument("--ranks", type=int,
                      help=_defaults(("sweep", "ranks"), ("table1", "ranks")))
     sbm.add_argument("--clusters", type=int,
@@ -474,25 +475,6 @@ def _write_timeseries(registry, path: str) -> None:
         fh.write(dump_timeseries(registry, "jsonl"))
 
 
-def _sd_gate(kernels, strict: bool) -> int:
-    """Campaign-start certification check; 0 to proceed, 2 to refuse.
-
-    ``kernels``: classes and/or class names about to run.  Uncertified,
-    stale or VIOLATION kernels warn on stderr — or, under ``--strict-sd``,
-    abort the campaign before any world is built."""
-    from .errors import ConfigError
-    from .lint.certify import check_campaign_certification
-
-    try:
-        warnings = check_campaign_certification(kernels, strict=strict)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return 0
-
-
 def _campaign_spec(kind: str, args: argparse.Namespace,
                    **flag_of: str) -> dict:
     """The campaign spec a parsed command line describes: every field of
@@ -504,6 +486,26 @@ def _campaign_spec(kind: str, args: argparse.Namespace,
         value = getattr(args, flag_of.get(field, field), None)
         if value is not None:
             spec[field] = value
+    return spec
+
+
+def _gated_spec(kind: str, args: argparse.Namespace) -> dict | None:
+    """A one-shot command's campaign spec, validated and past the
+    campaign-start certification check; ``None`` (exit 2) once the refusal
+    is on stderr.  Uncertified, stale or VIOLATION kernels only warn unless
+    ``--strict-sd``."""
+    from .errors import ConfigError
+    from .lint.certify import check_campaign_certification
+
+    try:
+        spec = campaigns.validate_spec(_campaign_spec(kind, args))
+        warnings = check_campaign_certification(campaigns.plan(spec)[3],
+                                                strict=args.strict_sd)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return spec
 
 
@@ -521,11 +523,9 @@ def _print_telemetry(registry, cache, args: argparse.Namespace,
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    spec = campaigns.validate_spec(_campaign_spec("table1", args))
-    *_, kernels = campaigns.plan(spec)
-    gate = _sd_gate(kernels, args.strict_sd)
-    if gate:
-        return gate
+    spec = _gated_spec("table1", args)
+    if spec is None:
+        return 2
     cache = _open_cache(args)
     run = campaigns.run_campaign(spec, workers=args.workers, cache=cache,
                                  stream=args.stream)
@@ -550,12 +550,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import save_results
 
-    spec = campaigns.validate_spec(_campaign_spec("sweep", args))
-    _, tasks, _, kernels = campaigns.plan(spec)
-    gate = _sd_gate(kernels, args.strict_sd)
-    if gate:
-        return gate
-
+    spec = _gated_spec("sweep", args)
+    if spec is None:
+        return 2
+    tasks = campaigns.plan(spec)[1]
     done = {"n": 0}
 
     def progress(result):
@@ -712,11 +710,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"unknown synthetic bug {args.bug!r} "
               f"(have {sorted(SYNTHETIC_BUGS)})", file=sys.stderr)
         return 2
-    spec = campaigns.validate_spec(_campaign_spec("chaos", args))
-    *_, kernels = campaigns.plan(spec)
-    gate = _sd_gate(kernels, args.strict_sd)
-    if gate:
-        return gate
+    spec = _gated_spec("chaos", args)
+    if spec is None:
+        return 2
 
     if args.replay is not None:
         verdict = replay_trial(
@@ -955,6 +951,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from .errors import ConfigError
     from .service import ServiceClient
 
+    if args.op == "submit":
+        try:
+            campaigns.validate_spec(_submit_spec(args))
+        except ConfigError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     try:
         client = ServiceClient(args.connect)
     except (OSError, ConfigError) as exc:

@@ -394,7 +394,7 @@ class FTController(Controller):
         self._arm_stall_watchdog()
 
     # ------------------------------------------------------------------
-    # Stall watchdog (cross-branch phase-skew rescue — DESIGN.md §5)
+    # Stall watchdog (cross-branch phase-skew rescue — DESIGN.md §7.3)
     # ------------------------------------------------------------------
     def _progress_signature(self) -> tuple:
         assert self.world is not None

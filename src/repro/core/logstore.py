@@ -21,12 +21,16 @@ implementation avoids that on each FIFO channel:
 * **large messages** cannot afford the default copy, so they are always
   acknowledged explicitly — except when already marked logged.
 
-This module implements both channel endpoints of that state machine.  The
-simulated protocol (:mod:`repro.core.protocol`) keeps per-message explicit
-acknowledgements for state-machine clarity; this component reproduces the
-*implementation's* behaviour — message counts, copy counts, log contents —
-and is what the Fig. 6 latency accounting and the ack-traffic ablation
-build on.  Both produce identical logging decisions (tested).
+This module implements both channel endpoints of that state machine, on
+its own: the simulated protocol (:mod:`repro.core.protocol`) acknowledges
+every delivery explicitly, and nothing else in :mod:`repro` imports this
+module — its readers are its tests and the ack-traffic ablation benchmark.
+Against the per-message rule the tests check that every message the rule
+logs is logged here too, and none is both logged and confirmed, for any
+interleaving of sends, checkpoints and piggybacks (a hypothesis
+property).  The logged set may be larger: a piggyback that finds the
+receiver's epoch advanced logs conservatively.  It is equal on a script
+that piggybacks after every delivery.
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ProtocolError
+from ..netmodel.calibration import EAGER_THRESHOLD
 from ..obs.registry import SIZE_BUCKETS
 
 __all__ = ["ChannelMessage", "SenderChannel", "ReceiverChannel", "AckStats"]
 
-#: messages at or below this size are copied by default (bytes)
-DEFAULT_EAGER_THRESHOLD = 1024
 #: request an explicit ack when this many sends are unconfirmed
 DEFAULT_MAX_UNACKED = 64
 
@@ -80,7 +83,7 @@ class _Retained:
 class SenderChannel:
     """Sender endpoint of one FIFO channel under the Fig. 5 optimization."""
 
-    def __init__(self, eager_threshold: int = DEFAULT_EAGER_THRESHOLD,
+    def __init__(self, eager_threshold: int = EAGER_THRESHOLD,
                  max_unacked: int = DEFAULT_MAX_UNACKED, obs: Any = None):
         self.eager_threshold = eager_threshold
         self.max_unacked = max_unacked
@@ -238,7 +241,7 @@ class ReceiverChannel:
     """Receiver endpoint: decides when an explicit ack is required and
     what to piggyback on the application's reverse traffic."""
 
-    def __init__(self, eager_threshold: int = DEFAULT_EAGER_THRESHOLD, obs: Any = None):
+    def __init__(self, eager_threshold: int = EAGER_THRESHOLD, obs: Any = None):
         self.eager_threshold = eager_threshold
         self.obs = obs
         if self.obs is not None:

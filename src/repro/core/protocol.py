@@ -590,7 +590,7 @@ class SDProtocol(ProtocolHook):
     def flush_replays(self) -> int:
         """Emit every pending replay immediately, in phase order.
 
-        Stall-breaker for cross-branch phase skew (see DESIGN.md §5 and the
+        Stall-breaker for cross-branch phase skew (see DESIGN.md §7.3 and the
         controller's watchdog): after earlier recoveries, a replay can be
         registered at a phase above an orphan whose drain needs this very
         replay's receiver to make progress.  Flushing is ordering-safe: a

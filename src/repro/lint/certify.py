@@ -31,12 +31,11 @@ one interpreter invocation.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..errors import ConfigError
 from .sendet import (
@@ -52,10 +51,7 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "DEFAULT_SCHEDULES",
     "DEFAULT_JITTER",
-    "KERNEL_RUNS",
     "OK_VERDICTS",
-    "chaos_pool_classes",
-    "CertRun",
     "DynamicVerdict",
     "dynamic_verify",
     "build_registry",
@@ -82,71 +78,18 @@ DEFAULT_JITTER = 0.35
 #: seed base for the jitter streams; schedule ``s`` uses ``base + s``
 _SEED_BASE = 2026
 
-
-@dataclass(frozen=True)
-class CertRun:
-    """How to instantiate one kernel for dynamic verification.
-
-    Configurations are deliberately tiny — the verifier buys its evidence
-    from K delivery interleavings, not from scale — but every kernel must
-    actually communicate (ANY_SOURCE races need messages to race).
-    """
-
-    nprocs: int
-    factory: Callable[[int, int], Any]
+#: iterations a dynamic-verification run takes: the fewest a chaos trial
+#: draws, enough that every kernel communicates in each phase
+_NITERS = 16
 
 
-@functools.cache
-def _kernel_runs() -> dict[str, CertRun]:
-    """Kernel class name -> dynamic-verification configuration, built on
-    first use so `repro.lint` never drags the app kernels (and numpy
-    workspaces) into a pure static-analysis run.  Every caller gets the
-    same dict; module attribute ``KERNEL_RUNS`` is this mapping."""
-    from ..apps import (
-        ADIKernel,
-        BTKernel,
-        CGKernel,
-        FTKernel,
-        ISKernel,
-        LUKernel,
-        MGKernel,
-        PingPong,
-        ReduceTreeKernel,
-        SPKernel,
-        Stencil1D,
-        Stencil2D,
-    )
+def _catalogue() -> dict[str, Any]:
+    """Kernel class name -> its :data:`repro.apps.KERNELS` entry, imported
+    on use so that a static ``repro certify`` never drags the app kernels
+    (and numpy workspaces) into :mod:`repro.lint`."""
+    from ..apps import KERNELS
 
-    return {
-        "Stencil1D": CertRun(4, lambda r, s: Stencil1D(r, s, niters=6, cells=4)),
-        "Stencil2D": CertRun(4, lambda r, s: Stencil2D(r, s, niters=4, block=3)),
-        "CGKernel": CertRun(4, lambda r, s: CGKernel(r, s, niters=6, block=4)),
-        "LUKernel": CertRun(
-            4, lambda r, s: LUKernel(r, s, niters=3, nblocks=3, block=4)
-        ),
-        "FTKernel": CertRun(4, lambda r, s: FTKernel(r, s, niters=4, slab=2)),
-        "ISKernel": CertRun(
-            4,
-            lambda r, s: ISKernel(r, s, niters=3, keys_per_rank=32,
-                                  max_key=1 << 10),
-        ),
-        "MGKernel": CertRun(4, lambda r, s: MGKernel(r, s, niters=4, levels=2)),
-        "BTKernel": CertRun(4, lambda r, s: BTKernel(r, s, niters=3, block=4)),
-        "SPKernel": CertRun(4, lambda r, s: SPKernel(r, s, niters=3, block=4)),
-        "ADIKernel": CertRun(4, lambda r, s: ADIKernel(r, s, niters=3, block=4)),
-        "ReduceTreeKernel": CertRun(
-            6, lambda r, s: ReduceTreeKernel(r, s, niters=4)
-        ),
-        "PingPong": CertRun(
-            2, lambda r, s: PingPong(r, s, sizes=[64, 1024], reps=2)
-        ),
-    }
-
-
-def __getattr__(name: str) -> Any:
-    if name == "KERNEL_RUNS":
-        return _kernel_runs()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return {entry.cls.__name__: entry for entry in KERNELS.values()}
 
 
 # ----------------------------------------------------------------------
@@ -189,18 +132,18 @@ def dynamic_verify(
     from ..simmpi.network import TimingModel
     from ..simmpi.trace import send_witness_chains
 
-    run = _kernel_runs().get(kernel)
-    if run is None:
-        raise ConfigError(
-            f"no dynamic-verification config for kernel {kernel!r} "
-            f"(have {sorted(_kernel_runs())})"
-        )
+    catalogue = _catalogue()
+    entry = catalogue.get(kernel)
+    if entry is None:
+        raise ConfigError(f"kernel {kernel!r} has no catalogue entry "
+                          f"(have {sorted(catalogue)})")
+    nprocs = entry.certify_ranks or entry.ranks[0]
     ref_chains: list[str] | None = None
     for s in range(max(2, schedules)):
         timing = TimingModel(jitter=0.0 if s == 0 else jitter)
         world, controller = build_ft_world(
-            run.nprocs, run.factory, timing=timing, network_seed=base_seed + s,
-            record_sequences=True,
+            nprocs, entry.make(_NITERS), timing=timing,
+            network_seed=base_seed + s, record_sequences=True,
         )
         with closing(controller):
             world.launch()
@@ -235,11 +178,12 @@ def build_registry(
     """Certify every kernel under ``paths``; returns the registry document.
 
     ``kernels`` restricts both passes to the named kernel classes.  With
-    ``dynamic``, kernels that have a :data:`KERNEL_RUNS` configuration are
+    ``dynamic``, kernels that have a :data:`repro.apps.KERNELS` entry are
     also run through :func:`dynamic_verify`; a diverging kernel's verdict
     becomes VIOLATION regardless of what the static pass proved.
     """
     result: SendetResult = analyze_paths(paths)
+    catalogue = _catalogue() if dynamic else {}
     wanted = set(kernels) if kernels is not None else None
     entries: dict[str, Any] = {}
     for report in result.reports:
@@ -248,7 +192,7 @@ def build_registry(
         entry = report.to_json()
         entry["static"] = report.verdict
         entry["dynamic"] = None
-        if dynamic and report.name in _kernel_runs():
+        if report.name in catalogue:
             dv = dynamic_verify(report.name, schedules=schedules,
                                 jitter=jitter, base_seed=base_seed)
             entry["dynamic"] = dv.to_json()
@@ -392,15 +336,6 @@ def _entry_why(entry: dict[str, Any]) -> str:
     if isinstance(dynamic, dict) and not dynamic.get("deterministic", True):
         return dynamic.get("detail", "dynamic verification diverged")
     return "see registry entry"
-
-
-def chaos_pool_classes(names: Iterable[str]) -> list[type]:
-    """Resolve chaos-campaign pool names to the kernel classes the pool
-    itself declares (names outside the pool are skipped — the campaign
-    validates the pool)."""
-    from ..chaos.schedule import KERNELS
-
-    return [KERNELS[n].cls for n in names if n in KERNELS]
 
 
 # ----------------------------------------------------------------------

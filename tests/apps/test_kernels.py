@@ -4,6 +4,7 @@ sanity, and the communication-pattern shapes Table I / Fig. 8 depend on."""
 import numpy as np
 import pytest
 
+from repro import apps
 from repro.apps import (
     BTKernel,
     CGKernel,
@@ -19,17 +20,11 @@ from repro.apps import (
 from repro.errors import ConfigError
 from repro.simmpi import World
 
-KERNELS = [
-    ("CG", CGKernel, 16, dict(niters=8, block=4)),
-    ("MG", MGKernel, 8, dict(niters=4, levels=2, block=4)),
-    ("FT", FTKernel, 8, dict(niters=4, slab=2)),
-    ("LU", LUKernel, 8, dict(niters=4, nblocks=2, block=4)),
-    ("BT", BTKernel, 9, dict(niters=4, block=4)),
-    ("SP", SPKernel, 9, dict(niters=3, block=3)),
-    ("ST1", Stencil1D, 6, dict(niters=8, cells=4)),
-    ("ST2", Stencil2D, 8, dict(niters=6, block=3)),
-]
-IDS = [k[0] for k in KERNELS]
+#: every catalogue kernel, at the largest rank count it runs at; ids as
+#: these tests have always named them
+KERNELS = sorted(apps.KERNELS)
+IDS = [{"stencil": "ST1", "stencil2d": "ST2"}.get(k, k.upper())
+       for k in KERNELS]
 
 
 def run_world(cls, nprocs, kw):
@@ -39,9 +34,17 @@ def run_world(cls, nprocs, kw):
     return world
 
 
-@pytest.mark.parametrize("name,cls,nprocs,kw", KERNELS, ids=IDS)
-def test_kernel_completes(name, cls, nprocs, kw):
-    world = run_world(cls, nprocs, kw)
+def run_catalogued(name):
+    entry = apps.KERNELS[name]
+    world = World(max(entry.ranks), entry.make(8), record_sequences=True)
+    world.launch()
+    world.run()
+    return world
+
+
+@pytest.mark.parametrize("name", KERNELS, ids=IDS)
+def test_kernel_completes(name):
+    world = run_catalogued(name)
     assert world.all_done
     assert world.tracer.total_app_messages() > 0
 
@@ -77,26 +80,27 @@ def test_mg_neighbour_tables_equal_the_uncached_derivation(nprocs):
                 kernel, rank, 1 << level), (rank, level)
 
 
-@pytest.mark.parametrize("name,cls,nprocs,kw", KERNELS, ids=IDS)
-def test_kernel_deterministic_across_runs(name, cls, nprocs, kw):
-    a = run_world(cls, nprocs, kw)
-    b = run_world(cls, nprocs, kw)
+@pytest.mark.parametrize("name", KERNELS, ids=IDS)
+def test_kernel_deterministic_across_runs(name):
+    a = run_catalogued(name)
+    b = run_catalogued(name)
     assert a.tracer.send_sequences() == b.tracer.send_sequences()
     for pa, pb in zip(a.programs, b.programs):
         np.testing.assert_equal(pa.result(), pb.result())
 
 
-@pytest.mark.parametrize("name,cls,nprocs,kw", KERNELS, ids=IDS)
-def test_kernel_snapshot_restore_roundtrip(name, cls, nprocs, kw):
+@pytest.mark.parametrize("name", KERNELS, ids=IDS)
+def test_kernel_snapshot_restore_roundtrip(name):
     """Restartability contract: snapshot mid-run state, restore it into a
     fresh program, and re-run every rank — the outcome must match."""
-    ref = run_world(cls, nprocs, kw)
+    ref = run_catalogued(name)
+    nprocs, factory = len(ref.programs), apps.KERNELS[name].make(8)
 
     # capture snapshots partway: run a world for half the iterations by
     # snapshotting fresh programs, mutating nothing
-    programs = [cls(r, nprocs, **kw) for r in range(nprocs)]
+    programs = [factory(r, nprocs) for r in range(nprocs)]
     snaps = [p.snapshot() for p in programs]
-    restored = [cls(r, nprocs, **kw) for r in range(nprocs)]
+    restored = [factory(r, nprocs) for r in range(nprocs)]
     for p, s in zip(restored, snaps):
         p.restore(s)
     world = World(nprocs, lambda r, s: restored[r])
@@ -163,7 +167,23 @@ def test_ft_checksum_identical_on_all_ranks():
 
 
 def test_table1_kernel_registry():
-    assert set(TABLE1_KERNELS) == {"MG", "LU", "FT", "CG", "BT"}
+    assert TABLE1_KERNELS == {"MG": MGKernel, "LU": LUKernel, "FT": FTKernel,
+                              "CG": CGKernel, "BT": BTKernel}
+    assert list(TABLE1_KERNELS) == ["MG", "LU", "FT", "CG", "BT"]
+
+
+def test_every_exported_kernel_has_exactly_one_catalogue_entry():
+    """A kernel outside the catalogue would skip chaos, ``certify
+    --dynamic`` and the tests above without anyone noticing."""
+    exported = {
+        obj for obj in (getattr(apps, name) for name in apps.__all__)
+        if isinstance(obj, type) and issubclass(obj, apps.RankProgram)
+        and obj is not apps.RankProgram
+    }
+    catalogued = [entry.cls for entry in apps.KERNELS.values()]
+    assert len(catalogued) == len(set(catalogued))
+    assert set(catalogued) == exported
+    assert set(apps.CHAOS_POOL) <= set(apps.KERNELS)
 
 
 # ----------------------------------------------------------------------

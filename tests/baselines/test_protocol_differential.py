@@ -13,9 +13,8 @@ and has no recovery, so it joins failure-free.
 import numpy as np
 import pytest
 
+from repro import apps
 from repro.analysis.validity import compare_executions
-from repro.apps.cg import CGKernel
-from repro.apps.stencil import Stencil1D
 from repro.baselines import (
     CICConfig,
     CICController,
@@ -33,9 +32,12 @@ INTERVAL = 2e-5
 STAGGER = 1e-6
 FAIL_RANK = 1
 
+#: test id -> (ranks, factory) of a catalogue kernel: its largest rank
+#: count, and iterations enough that the mid-run failure lands after the
+#: first checkpoints
 KERNELS = {
-    "Stencil1D": (6, lambda rank, size: Stencil1D(rank, size, niters=25, cells=4)),
-    "CG": (8, lambda rank, size: CGKernel(rank, size, niters=8, block=4)),
+    kernel: (max(apps.KERNELS[name].ranks), apps.KERNELS[name].make(niters))
+    for kernel, name, niters in (("Stencil1D", "stencil", 25), ("CG", "cg", 8))
 }
 
 CONTROLLERS = {

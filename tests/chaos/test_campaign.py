@@ -3,6 +3,8 @@ obs counters, replay by (campaign seed, index)."""
 
 import json
 
+import pytest
+
 from repro.chaos.campaign import (
     replay_trial,
     run_campaign,
@@ -32,6 +34,16 @@ def test_clean_campaign_passes_and_counts_oracles():
         assert counter.get((oracle, True)) == 10
         assert counter.get((oracle, False)) == 0
     assert obs.counter("chaos.trials", ("outcome",)).get(("pass",)) == 10
+
+
+@pytest.mark.parametrize("kernel", ["mg", "ft", "bt"])
+def test_table1_kernels_outside_the_default_pool_face_chaos(kernel):
+    """Smoke of the Table I kernels the default pool does not draw;
+    docs/robustness.md records 200 trials of each."""
+    report = run_campaign(2, seed=0, workers=1, kernels=(kernel,), shrink=0)
+    assert report.passed == 2, report.summary()
+    assert {schedule_for_trial(0, i, kernels=(kernel,)).kernel
+            for i in range(2)} == {kernel}
 
 
 def test_buggy_campaign_fails_shrinks_and_reports(tmp_path):

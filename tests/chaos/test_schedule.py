@@ -1,10 +1,14 @@
 """Schedule generation: determinism, JSON round-trips, constraint axes."""
 
+import hashlib
+import json
+
 import pytest
 
+from perfbench.inputs import CHAOS_SEED_BANK
+from repro.apps import KERNELS
 from repro.chaos import schedule_for_trial
 from repro.chaos.schedule import (
-    KERNELS,
     PLACEMENT_KINDS,
     FailureSpec,
     TrialSchedule,
@@ -35,7 +39,7 @@ def test_generated_schedules_satisfy_invariants():
     for seed in range(60):
         sched = generate_schedule(seed)
         sched.validate()  # must not raise
-        assert sched.nprocs in KERNELS[sched.kernel].nprocs_choices
+        assert sched.nprocs in KERNELS[sched.kernel].ranks
         assert sched.nprocs % sched.clusters == 0
         assert 1 <= len(sched.failures) <= 4
         assert all(f.kind in PLACEMENT_KINDS for f in sched.failures)
@@ -94,6 +98,28 @@ def test_committed_trials_keep_their_draws(seed, trial, fields, described):
     seed bank) keep their schedules: the retired ack-batch draw still
     takes its slot in the stream, so every later draw stays put."""
     assert schedule_for_trial(seed, trial, **fields).describe() == described
+
+
+@pytest.mark.parametrize("pool, digest", [
+    (None, "1962943617740d31"),
+    ("cg", "a8cd0e346512d8e5"),
+    ("lu", "9a9d67ef41e23a77"),
+    ("pingpong", "9d74ee3d5857d0d1"),
+    ("reduce", "dd02809527e948d2"),
+    ("stencil", "2721065ae0cd269d"),
+    ("stencil2d", "8a44476ee5e112d6"),
+], ids=["default", "cg", "lu", "pingpong", "reduce", "stencil", "stencil2d"])
+def test_pools_keep_their_draws(pool, digest):
+    """Every trial 0-29 of the committed campaign seeds and the benchmark's
+    seed bank keeps its schedule, for the default pool and each of its six
+    kernels alone — the catalogue grew past the pool, the draws did not."""
+    fields = {"kernels": (pool,)} if pool else {}
+    h = hashlib.sha256()
+    for seed in (0, 38, 45, 116, *CHAOS_SEED_BANK):
+        for i in range(30):
+            h.update(json.dumps(schedule_for_trial(seed, i, **fields).to_json(),
+                                sort_keys=True).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("key", [

@@ -12,16 +12,12 @@ import pytest
 
 from repro import apps
 from repro.apps.base import RankProgram
-from repro.chaos.schedule import KERNELS as CHAOS_KERNELS
 from repro.core.controller import build_ft_world
 from repro.errors import ConfigError
 from repro.lint.certify import (
-    KERNEL_RUNS,
     OK_VERDICTS,
     REGISTRY_VERSION,
-    CertRun,
     build_registry,
-    chaos_pool_classes,
     check_campaign_certification,
     current_kernel_digest,
     dynamic_verify,
@@ -36,13 +32,14 @@ from repro.simmpi.trace import send_witness_chains
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 APPS = os.path.join(REPO, "src", "repro", "apps")
 UNSOUND = os.path.join(REPO, "tests", "lint", "fixtures", "unsound_kernel.py")
+CATALOGUED = sorted(e.cls.__name__ for e in apps.KERNELS.values())
 
 
 # ----------------------------------------------------------------------
 # Dynamic differential verification
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_RUNS))
+@pytest.mark.parametrize("kernel", CATALOGUED)
 def test_dynamic_verifier_agrees_with_static(kernel):
     """Every shipped kernel's witness chains survive adversarial delivery
     schedules — the dynamic ground truth matches the static PROVEN_SD."""
@@ -69,33 +66,31 @@ class OrderEcho(RankProgram):
             yield api.send(0, float(self.rank))
 
 
-def test_dynamic_verifier_catches_order_dependence():
-    KERNEL_RUNS["OrderEcho"] = CertRun(4, lambda r, s: OrderEcho(r, s))
-    try:
-        verdict = dynamic_verify("OrderEcho", schedules=6)
-    finally:
-        del KERNEL_RUNS["OrderEcho"]
+def test_dynamic_verifier_catches_order_dependence(monkeypatch):
+    monkeypatch.setitem(apps.KERNELS, "order-echo",
+                        apps.KernelEntry(OrderEcho, (4,), lambda n: OrderEcho))
+    verdict = dynamic_verify("OrderEcho", schedules=6)
     assert not verdict.deterministic
     assert "changed the send sequence" in verdict.detail
 
 
 def test_dynamic_verify_unknown_kernel_is_config_error():
-    with pytest.raises(ConfigError, match="no dynamic-verification config"):
+    with pytest.raises(ConfigError, match="no catalogue entry"):
         dynamic_verify("NoSuchKernel")
 
 
 def test_witness_chains_are_per_rank_and_reproducible():
-    run = KERNEL_RUNS["Stencil1D"]
+    nprocs = 4
 
     def chains():
-        world, _ = build_ft_world(run.nprocs, run.factory, network_seed=11,
-                                  record_sequences=True)
+        world, _ = build_ft_world(nprocs, apps.KERNELS["stencil"].make(6),
+                                  network_seed=11, record_sequences=True)
         world.launch()
         world.run()
         return send_witness_chains(world.tracer)
 
     first, second = chains(), chains()
-    assert len(first) == run.nprocs
+    assert len(first) == nprocs
     assert first == second  # same schedule -> bit-identical witness
 
 
@@ -112,7 +107,7 @@ def test_registry_shape_and_verdicts(registry):
     assert registry["v"] == REGISTRY_VERSION
     assert registry["errors"] == []
     assert registry["noqa_findings"] == []
-    assert set(KERNEL_RUNS) <= set(registry["kernels"])
+    assert sorted(registry["kernels"]) == CATALOGUED
     for name, entry in registry["kernels"].items():
         assert entry["verdict"] in OK_VERDICTS, (name, entry["verdict"])
         assert entry["static"] == entry["verdict"]
@@ -219,12 +214,6 @@ def test_gate_strict_raises(tmp_path):
         check_campaign_certification(
             [apps.Stencil1D], registry_path=str(tmp_path / "none.json"),
             strict=True)
-
-
-def test_chaos_pool_classes_resolve():
-    classes = chaos_pool_classes(sorted(CHAOS_KERNELS))
-    assert apps.Stencil1D in classes and apps.PingPong in classes
-    assert chaos_pool_classes(["not-a-pool"]) == []
 
 
 def test_certify_cli_goes_red_on_unsound_kernel():

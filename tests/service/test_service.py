@@ -27,6 +27,15 @@ def test_validate_spec_rejects_unknown_kind_and_fields():
     assert validate_spec({"kind": "selftest", "tasks": 3})["tasks"] == 3
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "chaos", "kernels": ["bogus"]},
+    {"kind": "table1", "kernels": ["ZZ"]},
+])
+def test_validate_spec_rejects_unknown_kernel_names(spec):
+    with pytest.raises(ConfigError, match=f"unknown {spec['kind']} kernel"):
+        validate_spec(spec)
+
+
 # ----------------------------------------------------------------------
 # job runner (no server)
 # ----------------------------------------------------------------------
@@ -140,6 +149,17 @@ def test_bad_spec_rejected_without_killing_connection(service):
         assert not reply.get("ok")
         assert "unknown campaign kind" in reply["error"]
         assert client.ping()  # connection still serviceable
+
+
+def test_unknown_kernel_refused_at_submit(service):
+    """Refused when submitted, not queued to error in every trial."""
+    with ServiceClient(service, timeout=30) as client:
+        reply = client.submit({"kind": "chaos", "trials": 2,
+                               "kernels": ["bogus"]})
+        assert not reply.get("ok")
+        assert "unknown chaos kernel(s) bogus" in reply["error"]
+        assert "job" not in reply
+        assert client.stats()["stats"]["jobs"]["submitted"] == 0
 
 
 def test_unknown_op_and_bad_json_are_protocol_errors(service):

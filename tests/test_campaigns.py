@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from repro import campaigns
+from repro import apps, campaigns
 from repro.cli import _campaign_spec, _submit_spec, build_parser, main
+from repro.errors import ConfigError
 from repro.obs import ProgressStream
 from repro.service import ResultCache, cache_key, run_campaign_job
 from repro.sweep import task_seed
@@ -105,6 +106,33 @@ def test_planner_defaults_reach_a_flagless_submit():
     assert [t.params for t in tasks] == [
         {"kernel": k, "ranks": 16, "clusters": 4, "niters": 8}
         for k in ("CG", "FT")]
+
+
+def test_plan_names_the_classes_a_campaign_runs():
+    """What the ``--strict-sd`` gate checks: the catalogue's class for
+    every kernel a pool or a Table I grid can instantiate."""
+    assert campaigns.plan({"kind": "chaos"})[3] == [
+        apps.CGKernel, apps.LUKernel, apps.PingPong, apps.ReduceTreeKernel,
+        apps.Stencil1D, apps.Stencil2D]
+    assert campaigns.plan({"kind": "chaos", "kernels": ["mg", "bt"]})[3] \
+        == [apps.MGKernel, apps.BTKernel]
+    assert campaigns.plan({"kind": "table1", "kernels": ["MG"]})[3] == \
+        [apps.MGKernel]
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "chaos", "kernels": ["stencil", "bogus"]},
+    {"kind": "chaos", "kernels": ["MG"]},       # a Table I row name
+    {"kind": "table1", "kernels": ["CG", "ZZ"]},
+    {"kind": "table1", "kernels": ["mg"]},      # a chaos name
+])
+def test_unknown_kernel_names_are_refused_before_planning(spec):
+    """An unknown name used to plan a campaign whose every trial (or
+    cell) errored, and the certification gate never saw it."""
+    with pytest.raises(ConfigError, match=f"unknown {spec['kind']} kernel"):
+        campaigns.validate_spec(spec)
+    with pytest.raises(ConfigError):
+        campaigns.plan(spec)
 
 
 # ----------------------------------------------------------------------

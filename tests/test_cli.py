@@ -207,3 +207,29 @@ def test_chaos_help_names_the_oracle_count(capsys):
         main(["--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"{len(ORACLES)} validity oracles per trial" in help_text
+
+
+@pytest.mark.parametrize("extra", [[], ["--strict-sd"]])
+def test_chaos_refuses_an_unknown_kernel_before_any_trial(extra, capsys):
+    """Every trial of such a pool used to end in a harness error, and the
+    certification gate checked an empty class list."""
+    assert main(["chaos", "--trials", "2", "--kernels", "bogus"] + extra) == 2
+    captured = capsys.readouterr()
+    assert "unknown chaos kernel(s) bogus" in captured.err
+    assert "trials" not in captured.out
+
+
+def test_submit_refuses_an_unknown_kernel_before_connecting(tmp_path,
+                                                            capsys):
+    assert main(["submit", "--connect", str(tmp_path / "none.sock"),
+                 "--kind", "chaos", "--kernels", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown chaos kernel(s) bogus" in err
+    assert "cannot reach service" not in err
+
+
+def test_chaos_help_names_the_default_pool(capsys):
+    with pytest.raises(SystemExit):
+        main(["chaos", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default: cg lu pingpong reduce stencil stencil2d)" in help_text
