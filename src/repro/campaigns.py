@@ -210,9 +210,8 @@ DEFAULTS: dict[str, dict[str, Any]] = {
                "niters": 8, "base_seed": 0, "timeseries": None},
     "sweep": {"scenario": "failures", "ranks": 8, "clusters": 2,
               "niters": 40, "runs": 8, "base_seed": 0, "timeseries": None},
-    "chaos": {"trials": 100, "seed": 0, "kernels": None, "max_failures": 4,
-              "allow_no_log": True, "bug": "", "check_determinism": True,
-              "sanitize": True, "shrink": 3, "shrink_trials": 200},
+    "chaos": {"trials": 100, "seed": 0, "kernels": None, "bug": "",
+              "shrink": 3},
     "selftest": {"tasks": 8, "base_seed": 0},
 }
 
@@ -238,6 +237,12 @@ def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
     if unknown:
         raise ConfigError(f"unknown {kind} kernel(s) {', '.join(unknown)} "
                           f"(have {', '.join(known)})")
+    if kind == "chaos" and spec["bug"]:
+        from .chaos.trial import SYNTHETIC_BUGS
+
+        if spec["bug"] not in SYNTHETIC_BUGS:
+            raise ConfigError(f"unknown synthetic bug {spec['bug']!r} "
+                              f"(have {sorted(SYNTHETIC_BUGS)})")
     return spec
 
 
@@ -257,12 +262,9 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
     if kind == "chaos":
         from .chaos.trial import run_trial
 
-        # run_trial's params: the schedule generator's options and which
-        # oracles to run
+        # run_trial's params: the schedule generator's options
         pool = list(spec["kernels"]) if spec["kernels"] else None
-        params = {"kernels": pool, **{name: spec[name] for name in (
-            "max_failures", "allow_no_log", "bug", "check_determinism",
-            "sanitize")}}
+        params = {"kernels": pool, "bug": spec["bug"]}
         tasks = [SweepTask(name=f"trial-{i}", params=dict(params))
                  for i in range(int(spec["trials"]))]
         return (run_trial, tasks, int(spec["seed"]),
@@ -366,8 +368,7 @@ def run_campaign(
         if stream is not None:
             stream.emit("campaign_end", campaign=kind, **end)
         if report is not None:
-            shrink_failures(report, int(spec["shrink"]),
-                            int(spec["shrink_trials"]))
+            shrink_failures(report, int(spec["shrink"]))
     finally:
         if stream is not None:
             stream.close()

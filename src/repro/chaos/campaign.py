@@ -149,8 +149,7 @@ def score_trials(results: list[SweepResult], seed: int, workers: int,
     return report
 
 
-def shrink_failures(report: CampaignReport, shrink: int,
-                    shrink_trials: int) -> None:
+def shrink_failures(report: CampaignReport, shrink: int) -> None:
     """Delta-debug the first ``shrink`` retained oracle failures of
     ``report`` into ``report.shrunk`` (serial, in-process)."""
     for entry in report.failures[: max(0, shrink)]:
@@ -158,7 +157,7 @@ def shrink_failures(report: CampaignReport, shrink: int,
             continue
         schedule = schedule_from_json(entry["schedule"])
         try:
-            shrunk = shrink_schedule(schedule, max_trials=shrink_trials)
+            shrunk = shrink_schedule(schedule)
         except Exception as exc:  # noqa: BLE001 — shrinking is best-effort
             report.shrunk.append(
                 {"index": entry["index"], "error": f"shrink failed: {exc!r}"})

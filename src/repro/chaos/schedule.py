@@ -176,8 +176,6 @@ _SPEC = campaigns.DEFAULTS["chaos"]
 def generate_schedule(
     seed: int,
     kernels: tuple[str, ...] | None = _SPEC["kernels"],
-    max_failures: int = _SPEC["max_failures"],
-    allow_no_log: bool = _SPEC["allow_no_log"],
     bug: str = _SPEC["bug"],
 ) -> TrialSchedule:
     """Draw one trial schedule from ``seed``.
@@ -185,8 +183,7 @@ def generate_schedule(
     Every draw comes from one seeded :class:`random.Random`, so the
     mapping seed -> schedule is a pure function (the determinism oracle
     and the shrinker both rely on it).  ``kernels`` restricts the kernel
-    pool; ``allow_no_log=False`` removes the plain-uncoordinated
-    degradation axis (``log_cross_epoch=False``).
+    pool.
     """
     rng = random.Random(seed)
     pool = tuple(kernels) if kernels else CHAOS_POOL
@@ -207,7 +204,7 @@ def generate_schedule(
     rng.choice([1, 1, 2, 4])
     interval = rng.choice([1.5e-5, 2e-5, 3e-5])
     jitter = rng.choice([0.0, 0.0, 0.15, 0.3])
-    log_cross_epoch = not (allow_no_log and rng.random() < 0.08)
+    log_cross_epoch = rng.random() >= 0.08  # else plain uncoordinated
     cluster_stagger = rng.choice([0.0, 5e-6]) if clusters > 1 else 0.0
     rank_stagger = rng.choice([0.0, 1e-6, 3e-6])
     # GC is provably unsound in plain-uncoordinated mode (unbounded
@@ -216,7 +213,7 @@ def generate_schedule(
                if log_cross_epoch else 0.0)
 
     # --- failure events ----------------------------------------------
-    nfail = rng.randrange(1, max_failures + 1)
+    nfail = rng.randrange(1, 5)
     failures: list[FailureSpec] = []
     for i in range(nfail):
         rank = rng.randrange(nprocs)

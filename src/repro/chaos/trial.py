@@ -402,27 +402,18 @@ def trial_schedule(params: dict[str, Any]) -> TrialSchedule:
     ``seed`` under the campaign's generator options."""
     if params.get("schedule") is not None:
         return schedule_from_json(params["schedule"])
-    return generate_schedule(
-        params["seed"],
-        kernels=params["kernels"],
-        max_failures=int(params["max_failures"]),
-        allow_no_log=bool(params["allow_no_log"]),
-        bug=str(params["bug"]),
-    )
+    return generate_schedule(params["seed"], kernels=params["kernels"],
+                             bug=str(params["bug"]))
 
 
 def run_trial(params: dict[str, Any]) -> dict[str, Any]:
     """One campaign trial (module-level so sweeps can pickle it).
 
     ``params`` is what :func:`repro.campaigns.plan` builds — every
-    generator option and oracle switch of the campaign spec, defaulted
-    there and nowhere else — plus the sweep-injected ``seed``, so trial
-    ``i`` is a pure function of the campaign seed.
+    generator option of the campaign spec, defaulted there and nowhere
+    else — plus the sweep-injected ``seed``, so trial ``i`` is a pure
+    function of the campaign seed.  Every campaign trial runs all five
+    oracles.
     """
-    result = run_trial_schedule(
-        trial_schedule(params),
-        obs=params.get("obs"),
-        sanitize=bool(params["sanitize"]),
-        check_determinism=bool(params["check_determinism"]),
-    )
-    return result.to_json()
+    return run_trial_schedule(trial_schedule(params),
+                              obs=params.get("obs")).to_json()

@@ -136,9 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(IPDPS 2011) — reproduction toolkit",
     )
     parser.add_argument(
-        # not the chaos spec's `sanitize` field, which _campaign_spec
-        # would otherwise read from this flag
-        "--sanitize", dest="arm_sanitizer", action="store_true",
+        "--sanitize", action="store_true",
         help="enable the runtime protocol-invariant sanitizer for this "
              "run (same as REPRO_SANITIZE=1)",
     )
@@ -200,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--clusters", type=int, default=2)
     ex.add_argument("--fail-rank", type=int, default=None,
                     help="rank to kill mid-run (default: last rank)")
-    ex.add_argument("--round", type=int, default=0,
-                    help="recovery round to explain (default: first)")
 
     obs = sub.add_parser(
         "obs", help="run an instrumented scenario, dump metrics/flight streams"
@@ -243,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--kernels", nargs="+", default=None,
                        help=f"kernel pool, any of {' '.join(KERNELS)} "
                             f"(default: {' '.join(CHAOS_POOL)})")
-    chaos.add_argument("--max-failures", type=int,
-                       default=defaults["max_failures"],
-                       help="max failure events per trial schedule")
-    chaos.add_argument("--no-domino-axis", dest="allow_no_log",
-                       action="store_false",
-                       help="drop the log_cross_epoch=False axis (plain "
-                            "uncoordinated degradation) from the generator")
     chaos.add_argument("--bug", default=defaults["bug"],
                        help="plant a synthetic protocol bug in every trial "
                             "(harness self-test; see repro.chaos."
@@ -489,21 +478,16 @@ def _campaign_spec(kind: str, args: argparse.Namespace,
     return spec
 
 
-def _gated_spec(kind: str, args: argparse.Namespace) -> dict | None:
+def _gated_spec(kind: str, args: argparse.Namespace) -> dict:
     """A one-shot command's campaign spec, validated and past the
-    campaign-start certification check; ``None`` (exit 2) once the refusal
-    is on stderr.  Uncertified, stale or VIOLATION kernels only warn unless
+    campaign-start certification check (a refusal raises ``ConfigError``).
+    Uncertified, stale or VIOLATION kernels only warn unless
     ``--strict-sd``."""
-    from .errors import ConfigError
     from .lint.certify import check_campaign_certification
 
-    try:
-        spec = campaigns.validate_spec(_campaign_spec(kind, args))
-        warnings = check_campaign_certification(campaigns.plan(spec)[3],
-                                                strict=args.strict_sd)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return None
+    spec = campaigns.validate_spec(_campaign_spec(kind, args))
+    warnings = check_campaign_certification(campaigns.plan(spec)[3],
+                                            strict=args.strict_sd)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return spec
@@ -524,8 +508,6 @@ def _print_telemetry(registry, cache, args: argparse.Namespace,
 
 def cmd_table1(args: argparse.Namespace) -> int:
     spec = _gated_spec("table1", args)
-    if spec is None:
-        return 2
     cache = _open_cache(args)
     run = campaigns.run_campaign(spec, workers=args.workers, cache=cache,
                                  stream=args.stream)
@@ -551,8 +533,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import save_results
 
     spec = _gated_spec("sweep", args)
-    if spec is None:
-        return 2
     tasks = campaigns.plan(spec)[1]
     done = {"n": 0}
 
@@ -640,11 +620,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if not controller.recovery_reports:
         print("no recovery round to explain", file=sys.stderr)
         return 1
-    if not 0 <= args.round < len(controller.recovery_reports):
-        print(f"round {args.round} out of range "
-              f"(0..{len(controller.recovery_reports) - 1})", file=sys.stderr)
-        return 1
-    report = controller.recovery_reports[args.round]
+    report = controller.recovery_reports[0]
     explanation = explain_report(report, flight=registry.flight)
     print(f"failure: rank {fail_rank} at t={fail_time * 1e3:.3f} ms "
           f"(round {report.round_no})")
@@ -704,22 +680,14 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos campaign; exit 0 when every trial passes all five oracles."""
-    from .chaos import SYNTHETIC_BUGS, replay_trial
+    from .chaos import replay_trial
 
-    if args.bug and args.bug not in SYNTHETIC_BUGS:
-        print(f"unknown synthetic bug {args.bug!r} "
-              f"(have {sorted(SYNTHETIC_BUGS)})", file=sys.stderr)
-        return 2
     spec = _gated_spec("chaos", args)
-    if spec is None:
-        return 2
-
     if args.replay is not None:
         verdict = replay_trial(
             spec["seed"], args.replay,
             kernels=tuple(spec["kernels"]) if spec["kernels"] else None,
-            max_failures=spec["max_failures"],
-            allow_no_log=spec["allow_no_log"], bug=spec["bug"],
+            bug=spec["bug"],
         )
         print(json.dumps(verdict, indent=2))
         return 0 if verdict.get("passed") else 1
@@ -952,11 +920,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from .service import ServiceClient
 
     if args.op == "submit":
-        try:
-            campaigns.validate_spec(_submit_spec(args))
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        campaigns.validate_spec(_submit_spec(args))
     try:
         client = ServiceClient(args.connect)
     except (OSError, ConfigError) as exc:
@@ -1039,15 +1003,23 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; a :class:`~repro.errors.ConfigError` anywhere in it
+    is a usage error: its message on stderr, exit 2."""
+    from .errors import ConfigError
+
     args = build_parser().parse_args(argv)
     if getattr(args, "timeseries_out", None) and args.timeseries is None:
         print("--timeseries-out needs --timeseries", file=sys.stderr)
         return 2
-    if args.arm_sanitizer:
+    if args.sanitize:
         # must land in the environment before any world is built: every
         # component snapshots sanitizer state at construction time
         os.environ[SANITIZE_ENV_VAR] = "1"
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

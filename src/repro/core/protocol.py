@@ -235,9 +235,6 @@ class SDProtocol(ProtocolHook):
             st.phase = max(st.phase, msg_phase + 1)
         else:
             st.phase = max(st.phase, msg_phase)
-        if self.san is not None:
-            self.san.phase_lamport(self.rank, old_phase, st.phase, msg_phase,
-                                   crossed=meta["epoch"] < st.epoch)
         st.record_rpp(env.src, date)
         st.delivered_count += 1
         sink = self._flight_sink
@@ -330,11 +327,6 @@ class SDProtocol(ProtocolHook):
             if epoch_send is not None and not (
                 self.controller.config.log_cross_epoch and epoch_send < epoch_recv
             ):
-                if self.san is not None:
-                    self.san.spe_non_logged(
-                        self.rank, src, epoch_send, epoch_recv,
-                        self.controller.config.log_cross_epoch,
-                    )
                 st.record_spe(src, epoch_send, epoch_recv)
             return
         if self.controller.config.log_cross_epoch and entry.epoch_send < epoch_recv:
@@ -343,11 +335,6 @@ class SDProtocol(ProtocolHook):
                 # replayed NonAck entry re-acked: refresh, don't duplicate
                 lm.epoch_recv = max(lm.epoch_recv, epoch_recv)
                 return
-            if self.san is not None:
-                self.san.logged_cross_epoch(
-                    self.rank, entry.epoch_send, epoch_recv,
-                    self.controller.config.log_cross_epoch,
-                )
             st.lg_append(
                 LoggedMessage(
                     dst=entry.dst,
@@ -380,11 +367,6 @@ class SDProtocol(ProtocolHook):
                              entry.uid, entry.epoch_send, epoch_recv,
                              entry.phase_send, 0, None))
         else:
-            if self.san is not None:
-                self.san.spe_non_logged(
-                    self.rank, entry.dst, entry.epoch_send, epoch_recv,
-                    self.controller.config.log_cross_epoch,
-                )
             st.record_spe(entry.dst, entry.epoch_send, epoch_recv)
             self.messages_confirmed += 1
             sink = self._flight_sink

@@ -155,11 +155,6 @@ class ProtocolState:
             self._rpp_row = row
             self._rpp_phase = phase
         row[src] = date
-        prev = self.last_date_from.get(src, 0)
-        if date <= prev:
-            raise AssertionError(
-                f"per-channel date monotonicity violated: {date} <= {prev} from {src}"
-            )
         self.last_date_from[src] = date
 
     def record_spe(self, dst: int, epoch_send: int, epoch_recv: int) -> None:

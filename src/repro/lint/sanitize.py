@@ -5,17 +5,6 @@ enabled it attaches cheap per-event assertions to the protocol, recovery
 and engine layers, checking live the invariants the paper's Section IV
 correctness argument rests on:
 
-``logged_cross_epoch``
-    A message enters the sender-based log iff it crossed epochs upward
-    (``epoch_send < epoch_recv`` — Lemma 1's "logged iff past-to-future").
-``spe_non_logged``
-    Every SPE cell records a *non*-logged message, so ``epoch_recv <=
-    epoch_send`` whenever epoch-crossing logging is on (the GC bound
-    "nobody rolls below the smallest current epoch" depends on it).
-``phase_lamport``
-    Phases propagate as a Lamport max: on delivery the receiver's phase
-    becomes ``max(own, sender's + crossed)`` and never decreases within
-    an execution branch.
 ``spe_table_ordered``
     An uploaded SPE table is internally consistent with the delivered
     messages that built it: epoch order is start-date order, and every
@@ -84,9 +73,6 @@ AUDIT_INTERVAL = 1024
 
 #: every invariant the sanitizer can certify, in documentation order
 INVARIANTS: tuple[str, ...] = (
-    "logged_cross_epoch",
-    "spe_non_logged",
-    "phase_lamport",
     "spe_table_ordered",
     "rl_fixpoint_stable",
     "rl_monotone",
@@ -135,48 +121,6 @@ class Sanitizer:
     @staticmethod
     def _fail(name: str, detail: str) -> None:
         raise InvariantViolation(f"sanitizer[{name}]: {detail}")
-
-    # ------------------------------------------------------------------
-    # Protocol-layer checks (per logging decision / per delivery)
-    # ------------------------------------------------------------------
-    def logged_cross_epoch(self, rank: int, epoch_send: int, epoch_recv: int,
-                           log_enabled: bool) -> None:
-        """Called when a message is appended to the sender-based log."""
-        self._tick("logged_cross_epoch")
-        if not log_enabled:
-            self._fail("logged_cross_epoch",
-                       f"rank {rank} logged a message while epoch-crossing "
-                       "logging is disabled")
-        if epoch_send >= epoch_recv:
-            self._fail("logged_cross_epoch",
-                       f"rank {rank} logged a non-crossing message "
-                       f"(epoch_send={epoch_send} >= epoch_recv={epoch_recv})")
-
-    def spe_non_logged(self, rank: int, dst: int, epoch_send: int,
-                       epoch_recv: int, log_enabled: bool) -> None:
-        """Called when an acknowledged message lands in SPE instead of
-        the log."""
-        self._tick("spe_non_logged")
-        if log_enabled and epoch_send < epoch_recv:
-            self._fail("spe_non_logged",
-                       f"rank {rank} recorded a crossing message to {dst} in "
-                       f"SPE (epoch_send={epoch_send} < "
-                       f"epoch_recv={epoch_recv}); it should have been logged")
-
-    def phase_lamport(self, rank: int, old_phase: int, new_phase: int,
-                      msg_phase: int, crossed: bool) -> None:
-        """Called after a fresh delivery updated the receiver's phase."""
-        self._tick("phase_lamport")
-        expected = max(old_phase, msg_phase + 1 if crossed else msg_phase)
-        if new_phase != expected:
-            self._fail("phase_lamport",
-                       f"rank {rank} phase {old_phase} -> {new_phase} on "
-                       f"delivery of msg_phase={msg_phase} crossed={crossed}; "
-                       f"Lamport max requires {expected}")
-        if new_phase < old_phase:
-            self._fail("phase_lamport",
-                       f"rank {rank} phase moved backwards "
-                       f"({old_phase} -> {new_phase})")
 
     # ------------------------------------------------------------------
     # Recovery-layer checks (per SPE upload / per recovery round)

@@ -273,7 +273,7 @@ class MetricsRegistry:
         """Read ``owner``'s share of counter ``name`` — ``read()`` yields
         ``(labels, count)`` pairs from counts it keeps anyway — at every
         read of the counter, mid-run and after, until :meth:`settle`
-        (``owner=None``: never).  To place a label early, resolve its slot."""
+        (``owner=None``: never)."""
         reads = self.counter(name, label_names).reads
         reads.append(read)
         if owner is not None:

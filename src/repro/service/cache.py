@@ -239,18 +239,22 @@ class ResultCache:
         fname = self._file_for(key)
         if fname is None:
             return
-        os.makedirs(os.path.dirname(fname), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(fname),
-                                   suffix=".tmp")
+        # a failed disk write (full disk, lost permissions) costs the entry
+        # its persistence, never the campaign: the memory copy still serves
+        tmp = None
         try:
+            os.makedirs(os.path.dirname(fname), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(fname),
+                                       suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
             os.replace(tmp, fname)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     # -- reporting -----------------------------------------------------
     def stats(self) -> dict[str, int]:

@@ -186,7 +186,14 @@ class CampaignService:
 
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # a line past the stream limit: what follows it on the
+                    # connection cannot be framed, so answer and hang up
+                    await send({"ok": False, "done": True,
+                                "error": f"request line too long: {exc}"})
+                    break
                 if not line:
                     break
                 try:

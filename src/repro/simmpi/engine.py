@@ -193,24 +193,17 @@ class Engine:
         return self.schedule(0.0, callback)
 
     def _counted_callback(self, callback: Callable[[], None]) -> Callable[[], None]:
-        """``callback``, counting its dispatch (the first places its label)."""
+        """``callback``, counting its dispatch (the first resolves the cell
+        of its label)."""
         label, cells = _label(callback), self._disp_cells
+        slot = self._disp_counter.slot
 
         def counted() -> None:
             self.events_counted += 1
-            (cells.get(label) or self._disp_cell(label)).n += 1
+            (cells.get(label) or cells.setdefault(label, slot((label,)))).n += 1
             callback()
 
         return counted
-
-    def _disp_cell(self, label: str) -> Any:
-        """Resolve ``label``'s dispatch cell (once per label), placing it."""
-        cell = self._disp_cells[label] = self._disp_counter.slot((label,))
-        return cell
-
-    def place_label(self, callback: Callable[..., None]) -> None:
-        """First dispatch of a raw-posted ``callback``: place its label."""
-        self._disp_cell(_label(callback))
 
     def queued(self, fn: Callable, pred: Callable[[Any], bool]) -> list[tuple[list, int]]:
         """The ``(bucket, index)`` of each queued ``fn(arg)`` that ``pred(arg)`` accepts:

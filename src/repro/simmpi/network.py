@@ -242,9 +242,7 @@ class Network:
         self._ack_sinks[dst](src, record)
 
     def _rx_tick(self, delivered: int, send_time: float) -> None:
-        """Sampled delivery 1, 1 + N, ...; the first places the label."""
-        if delivered == 1:
-            self.engine.place_label(self._deliver)
+        """Sampled delivery 1, 1 + N, ...."""
         self._rx_due = delivered + self._hist_interval
         self._in_flight_gauge.value = self.in_flight_count()
         self._transit_hist.observe(self.engine.now - send_time)

@@ -188,9 +188,6 @@ class Proc:
         self.unexpected: collections.deque[Envelope] = collections.deque()
         self.app_messages_sent = 0
         self.app_messages_received = 0
-        # the resume event's callback, bound once (see _first_resume)
-        self._on_resume = (self._resume_if_current if world.obs is None
-                           else self._first_resume)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -272,14 +269,8 @@ class Proc:
             return
         self._advance(value)
 
-    def _first_resume(self, resume: tuple[int, Any]) -> None:
-        """:meth:`_resume_if_current`, placing its dispatch label first."""
-        self.world.engine.place_label(self._resume_if_current)
-        self._on_resume = self._resume_if_current
-        self._resume_if_current(resume)
-
     def _schedule_resume(self, delay: float, value: Any) -> None:
-        self.world.engine.post(delay, self._on_resume,
+        self.world.engine.post(delay, self._resume_if_current,
                                (self.incarnation, value))
 
     def _resume_soon(self, value: Any) -> None:
@@ -451,6 +442,5 @@ class Proc:
         self._waiting = None
         self._gated_send = None
         self._pending_resume = None
-        self._on_resume = None
         self.hook.detach()
         self.world = None

@@ -10,6 +10,7 @@ from repro.chaos.campaign import (
     run_campaign,
     schedule_for_trial,
 )
+from repro.errors import ConfigError
 from repro.obs import MetricsRegistry
 
 
@@ -47,9 +48,7 @@ def test_table1_kernels_outside_the_default_pool_face_chaos(kernel):
 
 
 def test_buggy_campaign_fails_shrinks_and_reports(tmp_path):
-    report = run_campaign(6, seed=0, workers=1, bug="log_drop",
-                          shrink=1, shrink_trials=60,
-                          check_determinism=False)
+    report = run_campaign(6, seed=0, workers=1, bug="log_drop", shrink=1)
     assert not report.ok
     assert report.failed >= 1
     assert report.oracle_failures  # per-oracle tallies populated
@@ -64,6 +63,12 @@ def test_buggy_campaign_fails_shrinks_and_reports(tmp_path):
     loaded = json.loads(out.read_text())
     assert loaded["failed"] == report.failed
     assert loaded["shrunk"][0]["index"] == shrunk["index"]
+
+
+def test_unknown_bug_refused_before_any_trial():
+    """Every trial of such a campaign used to end in a harness error."""
+    with pytest.raises(ConfigError, match="unknown synthetic bug 'bogus'"):
+        run_campaign(2, bug="bogus")
 
 
 def test_replay_trial_matches_campaign_schedule():

@@ -69,11 +69,6 @@ def test_validate_rejects_bad_schedules():
                       gc_frac=0.3).validate()
 
 
-def test_allow_no_log_off_removes_domino_axis():
-    assert all(generate_schedule(s, allow_no_log=False).log_cross_epoch
-               for s in range(80))
-
-
 def test_bug_field_threaded_through():
     sched = generate_schedule(3, bug="ack_drop")
     assert sched.bug == "ack_drop"

@@ -72,8 +72,7 @@ def test_timing_result_kernel_passes_validity():
 def test_run_trial_entry_point_returns_plain_json():
     # the planner fills every field a trial reads; run_trial has no
     # defaults of its own
-    _, (task,), _, _ = campaigns.plan(
-        {"kind": "chaos", "trials": 1, "check_determinism": False})
+    _, (task,), _, _ = campaigns.plan({"kind": "chaos", "trials": 1})
     out = run_trial({**task.params, "seed": 17})
     assert isinstance(out, dict)
     assert set(out["oracles"]) >= {"settles", "validity"}

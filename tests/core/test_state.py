@@ -44,13 +44,6 @@ def test_record_rpp_tracks_watermark():
     assert st.last_date_from[3] == 5  # dates <= 5 from rank 3 are duplicates
 
 
-def test_record_rpp_rejects_non_monotonic():
-    st = ProtocolState.initial()
-    st.record_rpp(src=3, date=5)
-    with pytest.raises(AssertionError):
-        st.record_rpp(src=3, date=5)
-
-
 def test_record_rpp_per_phase_buckets():
     st = ProtocolState.initial()
     st.record_rpp(src=2, date=1)

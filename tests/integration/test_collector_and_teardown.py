@@ -228,8 +228,7 @@ def test_table1_cell_leaves_no_world_behind(collector_off):
 @pytest.mark.parametrize("make_schedule", [_gc_schedule, _tap_schedule])
 def test_run_trial_leaves_no_world_behind(collector_off, make_schedule):
     # three worlds per trial: reference, chaos run, re-run
-    verdict = run_trial({"schedule": make_schedule().to_json(),
-                         "sanitize": True, "check_determinism": True})
+    verdict = run_trial({"schedule": make_schedule().to_json()})
     assert verdict["passed"]
     assert _live_worlds() == []
 

@@ -71,33 +71,6 @@ def _raises(invariant):
     return pytest.raises(InvariantViolation, match=rf"sanitizer\[{invariant}\]")
 
 
-def test_logged_cross_epoch_violations():
-    san = Sanitizer()
-    san.logged_cross_epoch(0, 1, 2, True)  # genuine crossing: fine
-    with _raises("logged_cross_epoch"):
-        san.logged_cross_epoch(0, 2, 2, True)  # not a crossing
-    with _raises("logged_cross_epoch"):
-        san.logged_cross_epoch(0, 1, 2, False)  # logging disabled
-
-
-def test_spe_non_logged_violation():
-    san = Sanitizer()
-    san.spe_non_logged(0, 1, 2, 2, True)  # same-epoch: belongs in SPE
-    san.spe_non_logged(0, 1, 1, 2, False)  # crossing but logging off: ok
-    with _raises("spe_non_logged"):
-        san.spe_non_logged(0, 1, 1, 2, True)  # crossing escaped the log
-
-
-def test_phase_lamport_violation():
-    san = Sanitizer()
-    san.phase_lamport(0, 1, 2, 2, False)  # max(1, 2) = 2
-    san.phase_lamport(0, 1, 3, 2, True)   # max(1, 2+1) = 3
-    with _raises("phase_lamport"):
-        san.phase_lamport(0, 1, 5, 2, False)  # overshoot
-    with _raises("phase_lamport"):
-        san.phase_lamport(0, 3, 2, 1, False)  # moved backwards
-
-
 def test_spe_table_ordered_violations():
     san = Sanitizer()
     san.spe_table_ordered(0, {1: (0, {1: 1}), 2: (7, {2: 3})})

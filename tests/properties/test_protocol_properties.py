@@ -6,7 +6,7 @@ IV proof leans on (Prop. 1 phase monotonicity, the logging rule, recovery
 -line sanity)."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.stencil import Stencil1D
 from repro.core import ProtocolConfig, build_ft_world
@@ -127,19 +127,43 @@ def test_recovery_line_sanity_on_random_spe(data):
         assert rl[rank][0] <= epoch
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16))
-def test_phase_monotone_along_deliveries(seed):
-    """Prop. 1 observable: a receiver's phase after any delivery is at
-    least the message's phase (checked over a whole run via piggybacked
-    metadata)."""
-    from repro.core.protocol import SDProtocol
-
+def _jittered_world(seed, jitter, failure):
+    """A run under jittered checkpoints; ``failure`` is ``None`` (failure
+    free) or ``(rank, frac)``: a fail-stop of ``rank`` at ``frac`` of the
+    reference horizon, recovered before the run ends."""
     world, ctl = build_ft_world(NPROCS, factory,
                                 ProtocolConfig(checkpoint_interval=2e-5,
-                                               checkpoint_jitter=0.5,
+                                               checkpoint_jitter=jitter,
                                                checkpoint_seed=seed,
                                                rank_stagger=1e-6))
+    if failure is not None:
+        rank, frac = failure
+        ctl.inject_failure(frac * ref().engine.now, rank)
+        ctl.arm()
+    return world, ctl
+
+
+def _assert_recovered(ctl, failure):
+    """The run had the recovery round its failure asked for."""
+    if failure is not None:
+        assert len(ctl.recovery_reports) == 1
+        assert ctl.recovery_reports[0].rolled_back
+
+
+#: no failure, or one fail-stop whose recovery completes within the run
+FAILURES = st.none() | st.tuples(
+    st.integers(min_value=0, max_value=NPROCS - 1),
+    st.floats(min_value=0.1, max_value=0.7))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16), failure=FAILURES)
+@example(seed=0, failure=(NPROCS - 1, 0.5))
+def test_phase_monotone_along_deliveries(seed, failure):
+    """Prop. 1 observable: a receiver's phase after any delivery is at
+    least the message's phase (checked over a whole run via piggybacked
+    metadata) — re-executions and replays of a recovery included."""
+    world, ctl = _jittered_world(seed, 0.5, failure)
     violations = []
     for proto in ctl.protocols:
         orig = proto.on_message
@@ -153,20 +177,20 @@ def test_phase_monotone_along_deliveries(seed):
         proto.on_message = wrapped
     world.launch()
     world.run()
+    _assert_recovered(ctl, failure)
     assert violations == []
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16))
-def test_logging_rule_iff_epoch_crossing(seed):
-    """Every logged message crossed epochs upward; every SPE entry did not."""
-    world, ctl = build_ft_world(NPROCS, factory,
-                                ProtocolConfig(checkpoint_interval=2e-5,
-                                               checkpoint_jitter=0.4,
-                                               checkpoint_seed=seed,
-                                               rank_stagger=1e-6))
+@given(seed=st.integers(min_value=0, max_value=2**16), failure=FAILURES)
+@example(seed=0, failure=(NPROCS - 1, 0.5))
+def test_logging_rule_iff_epoch_crossing(seed, failure):
+    """Every logged message crossed epochs upward; every SPE entry did not
+    — also on the state a recovery restored and rebuilt."""
+    world, ctl = _jittered_world(seed, 0.4, failure)
     world.launch()
     world.run()
+    _assert_recovered(ctl, failure)
     for proto in ctl.protocols:
         for lm in proto.state.logs.values():
             assert lm.epoch_send < lm.epoch_recv

@@ -197,6 +197,28 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     assert cache.stats()["misses"] == 1
 
 
+def test_failed_disk_write_keeps_the_campaign_going(tmp_path, monkeypatch):
+    """A full disk costs an entry its persistence, not the campaign: the
+    memory copy still serves, and nothing half-written is left behind."""
+    import errno
+    import tempfile
+
+    from repro.service import run_campaign_job
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "mkstemp", no_space)
+    cache = ResultCache(str(tmp_path / "cache"))
+    cold = run_campaign_job({"kind": "selftest", "tasks": 3}, workers=1,
+                            cache=cache)
+    assert cold["summary"]["ok"] == 3 and cold["summary"]["errors"] == 0
+    warm = run_campaign_job({"kind": "selftest", "tasks": 3}, workers=1,
+                            cache=cache)
+    assert warm["summary"]["cache"]["hits"] == 3
+    assert not [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+
+
 def test_unkeyable_tasks_bypass_cache():
     cache = ResultCache()
     key = cache.key_for(selftest_cell, {"x": object()}, seed=0)

@@ -1,6 +1,7 @@
 """Campaign service end-to-end: job queue, wire protocol, cache reuse."""
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -34,6 +35,13 @@ def test_validate_spec_rejects_unknown_kind_and_fields():
 def test_validate_spec_rejects_unknown_kernel_names(spec):
     with pytest.raises(ConfigError, match=f"unknown {spec['kind']} kernel"):
         validate_spec(spec)
+
+
+def test_validate_spec_rejects_unknown_synthetic_bug():
+    with pytest.raises(ConfigError, match="unknown synthetic bug 'bogus'"):
+        validate_spec({"kind": "chaos", "bug": "bogus"})
+    assert validate_spec({"kind": "chaos", "bug": "ack_drop"})["bug"] == \
+        "ack_drop"
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +168,30 @@ def test_unknown_kernel_refused_at_submit(service):
         assert "unknown chaos kernel(s) bogus" in reply["error"]
         assert "job" not in reply
         assert client.stats()["stats"]["jobs"]["submitted"] == 0
+
+
+def test_unknown_bug_refused_at_submit(service):
+    with ServiceClient(service, timeout=30) as client:
+        reply = client.submit({"kind": "chaos", "trials": 2, "bug": "bogus"})
+        assert not reply.get("ok")
+        assert "unknown synthetic bug 'bogus'" in reply["error"]
+        assert "job" not in reply
+        assert client.stats()["stats"]["jobs"]["submitted"] == 0
+
+
+def test_oversized_request_line_is_answered(service):
+    """A line past the stream limit gets an error reply (and the
+    connection, whose framing it broke, is closed); the service serves
+    the next client."""
+    with ServiceClient(service, timeout=30) as client:
+        client._fh.write(b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n')
+        client._fh.flush()
+        reply = json.loads(client._fh.readline())
+        assert reply["ok"] is False and reply["done"] is True
+        assert "request line too long" in reply["error"]
+        assert client._fh.readline() == b""  # hung up
+    with ServiceClient(service, timeout=30) as client:
+        assert client.ping()
 
 
 def test_unknown_op_and_bad_json_are_protocol_errors(service):

@@ -228,6 +228,18 @@ def test_submit_refuses_an_unknown_kernel_before_connecting(tmp_path,
     assert "cannot reach service" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["demo", "--fail-rank", "99"], "99"),
+    (["chaos", "--trials", "2", "--bug", "bogus"], "unknown synthetic bug"),
+])
+def test_a_config_error_is_a_usage_error(argv, message, capsys):
+    """Whichever command raises it, a ConfigError is one line on stderr
+    and exit 2, never a traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_chaos_help_names_the_default_pool(capsys):
     with pytest.raises(SystemExit):
         main(["chaos", "--help"])
