@@ -205,5 +205,6 @@ class PMLController(Controller):
                     env = Envelope(src=peer_rank, dst=rank, tag=tag,
                                    payload=retention_copy(payload), size=size,
                                    meta={"seq": seq, "date": date,
-                                         "replayed": True})
+                                         "replayed": True},
+                                   uid=world.next_uid())
                     world.transmit_app(env)

@@ -346,7 +346,8 @@ class FTController(Controller):
         assert self.world is not None
         for rank in range(self.nprocs):
             env = Envelope(src=self.recovery_rank, dst=rank, tag=tag,
-                           payload=retention_copy(payload))
+                           payload=retention_copy(payload),
+                           uid=self.world.next_uid())
             self.world.transmit_control(env)
 
     # ------------------------------------------------------------------

@@ -350,7 +350,7 @@ class Proc:
                 f"tag {op.tag} is reserved for the protocol control plane"
             )
         env = Envelope(self.rank, op.dst, op.tag, op.payload, op.size,
-                       None, None, 0.0, self.incarnation)
+                       None, self.world.next_uid(), 0.0, self.incarnation)
         self.hook.on_app_send(env)
         cpu = self.world.transmit_app(env)
         self.app_messages_sent += 1

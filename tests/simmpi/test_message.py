@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 
+from repro.apps.base import RankProgram
+from repro.simmpi import World
 from repro.simmpi.message import (
     ANY_SOURCE,
     ANY_TAG,
@@ -101,9 +103,29 @@ def test_envelope_explicit_size_kept():
 
 
 def test_envelope_uids_unique_and_increasing():
-    a = Envelope(src=0, dst=1, tag=0, payload=1)
-    b = Envelope(src=0, dst=1, tag=0, payload=1)
-    assert b.uid > a.uid
+    # uids come from the world that emits the envelope: unique and
+    # increasing in emission order, and a second world numbers alike
+    class Ring(RankProgram):
+        def run(self, api):
+            for _ in range(3):
+                yield api.send((self.rank + 1) % self.size, 1.0)
+                yield api.recv()
+
+    def emitted_uids():
+        world = World(3, Ring)
+        seen = []
+        transmit = world.network.transmit
+        world.network.transmit = lambda env: (seen.append(env.uid),
+                                              transmit(env))[1]
+        world.launch()
+        world.run()
+        world.close()
+        return seen
+
+    first = emitted_uids()
+    assert len(first) == 9 and first == sorted(set(first)) and first[0] >= 1
+    assert emitted_uids() == first
+    assert Envelope(src=0, dst=1, tag=0, payload=1).uid == 0  # unnumbered
 
 
 def test_tag_classification():
