@@ -20,11 +20,11 @@ only from seeded generators stored in their state.
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from typing import Any, Generator
 
 from ..simmpi.api import MpiApi
+from ..simmpi.message import retention_copy
 
 __all__ = ["RankProgram"]
 
@@ -47,12 +47,13 @@ class RankProgram(ABC):
         """The program body; must resume from ``self.state``."""
 
     def snapshot(self) -> Any:
-        """Deep copy of the program state (application-level checkpoint)."""
-        return copy.deepcopy(self.state)
+        """Deep copy of the program state (application-level checkpoint),
+        :func:`~repro.simmpi.message.retention_copy`'s typed walk of it."""
+        return retention_copy(self.state)
 
     def restore(self, state: Any) -> None:
         """Reinstate a snapshot taken by :meth:`snapshot`."""
-        self.state = copy.deepcopy(state)
+        self.state = retention_copy(state)
 
     # Convenience for result collection in tests/benchmarks -------------
     def result(self) -> Any:

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import SendDeterminismError, SimulationError
 from .message import Envelope
 
-__all__ = ["SendRecord", "Tracer", "send_witness_chains"]
+__all__ = ["SendRecord", "Tracer", "envelope_digest", "send_witness_chains"]
 
 
 class SendRecord(NamedTuple):
@@ -47,7 +47,7 @@ class SendRecord(NamedTuple):
     def of(env: Envelope) -> "SendRecord":
         # the tuple constructor the generated __new__ calls: one per send
         return _new_tuple(SendRecord, (
-            env.dst, env.tag, env.size, payload_digest(env.payload),
+            env.dst, env.tag, env.size, envelope_digest(env),
             env.meta.get("date"),
         ))
 
@@ -76,6 +76,15 @@ def payload_digest(payload: Any) -> int:
         return hash(payload) & (2**63 - 1)
     except TypeError:
         return hash(repr(payload)) & (2**63 - 1)
+
+
+def envelope_digest(env: Envelope) -> int:
+    """``payload_digest(env.payload)``, computed once per envelope: the
+    sanitizer's send witness and the send log both read it."""
+    digest = env.digest
+    if digest is None:
+        digest = env.digest = payload_digest(env.payload)
+    return digest
 
 
 def send_witness_chains(tracer: "Tracer") -> list[str]:

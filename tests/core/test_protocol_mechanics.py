@@ -1,11 +1,13 @@
 """Protocol mechanics observed through small simulated worlds: epoch
 bookkeeping, the logging rule, phase propagation, acknowledgements."""
 
+import numpy as np
 import pytest
 
 from repro.apps.base import RankProgram
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.protocol import Status
+from repro.core.state import LoggedMessage
 
 
 class TwoPhase(RankProgram):
@@ -36,6 +38,24 @@ def run_two_phase(receiver_ckpt):
     world.launch()
     world.run()
     return world, ctl
+
+
+def test_replay_puts_a_copy_of_the_retained_payload_on_the_wire():
+    # the receiver owns a delivered buffer and may write into it, so a
+    # replay must not hand it the sender's log entry
+    world, ctl = run_two_phase(receiver_ckpt=False)
+    proto = ctl.protocols[0]
+    logged = LoggedMessage(dst=1, tag=1, payload=np.arange(4.0), size=32,
+                           date=99, epoch_send=1, phase_send=1, epoch_recv=2)
+    sent = []
+    world.transmit_app = sent.append
+    proto._replay(logged)
+    (env,) = sent
+    assert env.payload is not logged.payload
+    env.payload[0] = 123.0                      # the receiver's write
+    assert logged.payload.tolist() == [0.0, 1.0, 2.0, 3.0]
+    # the NonAck entry keeps the retained object: one copy per replay
+    assert proto.state.non_ack[(1, 99)].payload is logged.payload
 
 
 def test_message_to_higher_epoch_is_logged():
