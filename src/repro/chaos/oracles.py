@@ -13,11 +13,11 @@ form of the paper's guarantees:
     a failure-free reference execution
     (:func:`repro.analysis.validity.compare_executions`).
 ``sanitize``
-    The run stayed clean under ``REPRO_SANITIZE=1``: none of the live
-    protocol invariants of :data:`repro.lint.sanitize.INVARIANTS`
-    (logged-iff-cross-epoch, SPE consistency, phase Lamport monotonicity,
-    recovery-line fix-point stability, ...) raised
-    :class:`~repro.errors.InvariantViolation`.
+    The run stayed clean under ``REPRO_SANITIZE=1``: none of the six
+    live invariants of :data:`repro.lint.sanitize.INVARIANTS`
+    (``spe_table_ordered``, ``rl_fixpoint_stable``, ``rl_monotone``,
+    ``engine_pending_audit``, ``send_witness``, ``rollback_closure``)
+    raised :class:`~repro.errors.InvariantViolation`.
 ``determinism``
     A bit-identical re-run of the same (seed, schedule) produces the
     same recovered execution: identical send sequences, final virtual
