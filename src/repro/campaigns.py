@@ -3,8 +3,9 @@
 A *campaign spec* is a plain JSON mapping — ``{"kind": "table1", ...}`` —
 and the only description of a campaign there is: the one-shot commands
 (``repro table1``, ``repro sweep``, ``repro chaos``) build one from their
-flags, ``repro submit`` sends one over the wire and the campaign service
-queues it.  This module decides what a spec means:
+flags, ``repro submit ... KIND`` builds one from the same flags and sends
+it over the wire, and the campaign service queues it.  This module
+decides what a spec means:
 
 * :data:`DEFAULTS` — per kind, every accepted field and its default
   (flags left unset on either door fall through to these);
@@ -114,8 +115,8 @@ def stencil_scenario(nprocs: int, nclusters: int, niters: int = 40,
                      fail_rank: int | None = None,
                      fail_frac: float | None = 0.5, obs: Any = None,
                      record_sequences: bool = False):
-    """The Stencil2D failure scenario behind ``repro sweep --scenario
-    failures`` and the CLI's ``demo`` / ``explain`` / ``obs`` / ``report``:
+    """The Stencil2D failure scenario behind ``repro sweep`` and the
+    CLI's ``demo`` / ``explain`` / ``obs`` / ``report``:
     block clusters, and ``fail_rank`` (default: the last rank) killed at
     ``fail_frac`` of the horizon a failure-free reference run measures
     first.  ``fail_frac=None`` runs without a failure (and a reference).
@@ -208,8 +209,8 @@ CAMPAIGN_KINDS = ("sweep", "table1", "chaos", "selftest")
 DEFAULTS: dict[str, dict[str, Any]] = {
     "table1": {"kernels": ("CG", "FT"), "ranks": (16,), "clusters": (4,),
                "niters": 8, "base_seed": 0, "timeseries": None},
-    "sweep": {"scenario": "failures", "ranks": 8, "clusters": 2,
-              "niters": 40, "runs": 8, "base_seed": 0, "timeseries": None},
+    "sweep": {"ranks": 8, "clusters": 2, "niters": 40, "runs": 8,
+              "base_seed": 0, "timeseries": None},
     "chaos": {"trials": 100, "seed": 0, "kernels": None, "bug": "",
               "shrink": 3},
     "selftest": {"tasks": 8, "base_seed": 0},
@@ -247,7 +248,7 @@ def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
 
 
 def _many(value: Any) -> list[int]:
-    """A grid axis: ``repro submit`` sends one number, table1 a list."""
+    """A grid axis: the CLI sends a list; a JSON spec may give one number."""
     return [int(v) for v in value] if isinstance(value, (list, tuple)) \
         else [int(value)]
 
@@ -272,25 +273,14 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
     base_seed = int(spec["base_seed"])
     if kind == "selftest":
         return selftest_cell, selftest_tasks(int(spec["tasks"])), base_seed, []
-    scenario = spec.get("scenario", "table1")  # kind table1 has none
-    if scenario == "failures":
+    if kind == "sweep":
         tasks = failure_tasks(int(spec["runs"]), int(spec["ranks"]),
                               int(spec["clusters"]), int(spec["niters"]))
         return failure_scenario, tasks, base_seed, [Stencil2D]
-    if scenario != "table1":
-        raise ConfigError(f"unknown sweep scenario {scenario!r}")
-    if kind == "table1":
-        names = list(spec["kernels"])
-        grid = (_many(spec["ranks"]), _many(spec["clusters"]),
-                int(spec["niters"]))
-    else:
-        # the whole suite on one (ranks, clusters) point, at a fifth of
-        # the failures scenario's iteration count
-        names = sorted(TABLE1_KERNELS)
-        grid = ([int(spec["ranks"])], [int(spec["clusters"])],
-                max(2, int(spec["niters"]) // 5))
-    return (table1_cell, table1_tasks(names, *grid), base_seed,
-            [TABLE1_KERNELS[k] for k in names])
+    names = list(spec["kernels"])
+    tasks = table1_tasks(names, _many(spec["ranks"]), _many(spec["clusters"]),
+                         int(spec["niters"]))
+    return table1_cell, tasks, base_seed, [TABLE1_KERNELS[k] for k in names]
 
 
 class CampaignRun(NamedTuple):
@@ -341,9 +331,7 @@ def run_campaign(
                      "workers": workers}
             if kind in ("sweep", "chaos"):
                 begin["seed"] = base_seed
-            if kind == "sweep":
-                begin["scenario"] = spec["scenario"]
-            elif kind != "selftest":
+            if kind in ("table1", "chaos"):
                 pool = spec["kernels"]
                 begin["kernels"] = list(pool) if pool else None
             stream.emit("campaign_begin", campaign=kind, **begin)

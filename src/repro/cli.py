@@ -4,12 +4,18 @@ Thin front-end over the library for the common workflows.  The campaign
 commands (``table1``, ``sweep``, ``chaos``, ``submit``) only translate
 flags into a campaign spec and format what comes back: what a spec
 computes, its defaults and how it runs live in :mod:`repro.campaigns`.
+Each kind's spec flags are declared once (:data:`CAMPAIGN_FLAGS`) and
+serve both doors: ``repro KIND [flags]`` runs the campaign here,
+``repro submit --connect ADDR KIND [flags]`` sends the same spec to a
+service.
 
 * ``demo`` — run a clustered workload, inject a failure, report recovery;
 * ``table1`` — regenerate Table I for chosen kernels/sizes/clusters
-  (``--workers N`` fans the cells across processes, same output);
-* ``sweep`` — fan independent scenario runs (randomized failures or the
-  Table I grid) across worker processes, with JSON results (``--out``);
+  (``--workers N`` fans the cells across processes, same output;
+  ``--out`` writes the JSON results document);
+* ``sweep`` — randomized failure runs, each recovery validated against
+  its failure-free reference, fanned across worker processes, with JSON
+  results (``--out``);
 * ``fig6`` — print the ping-pong latency/bandwidth table;
 * ``pattern`` — print a kernel's communication matrix with clustering;
 * ``domino`` — quantify the domino effect vs the protocol;
@@ -28,7 +34,7 @@ computes, its defaults and how it runs live in :mod:`repro.campaigns`.
 * ``serve`` / ``submit`` — the resident campaign service: an async job
   queue over a persistent work-stealing worker pool with a
   content-addressed result cache, and the thin client that submits
-  sweep/table1/chaos campaigns to it (see ``docs/service.md``).
+  table1/sweep/chaos/selftest campaigns to it (see ``docs/service.md``).
   The one-shot campaign commands accept ``--cache DIR`` to reuse the
   same content-addressed cache without a resident service.
 
@@ -74,7 +80,11 @@ __all__ = ["main", "build_parser"]
 
 def _add_campaign_args(p: argparse.ArgumentParser, unit: str) -> None:
     """The flags every one-shot campaign command shares (table1 / sweep /
-    chaos): progress stream, certification gate, result cache."""
+    chaos): worker count, progress stream, certification gate, result
+    cache."""
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"fan {unit}s across N worker processes (1 = "
+                        "inline, output identical either way)")
     p.add_argument("--stream", default=None, metavar="PATH",
                    help=f"live JSONL progress stream: one event per {unit} "
                         "plus campaign begin/end ('-' = stderr)")
@@ -91,7 +101,7 @@ def _add_campaign_args(p: argparse.ArgumentParser, unit: str) -> None:
 
 
 def _open_cache(args: argparse.Namespace):
-    if not getattr(args, "cache", None):
+    if not args.cache:
         return None
     from .service import ResultCache
 
@@ -104,29 +114,83 @@ def _cache_summary(cache) -> str:
             f"stores={s['stores']} unkeyable={s['unkeyable']}")
 
 
-def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
-    """Shared time-series flags (table1 / sweep / obs); ``main`` refuses
-    ``--timeseries-out`` without ``--timeseries``."""
-    p.add_argument("--timeseries", nargs="?", type=float, default=None,
-                   const=DEFAULT_TIMESERIES_INTERVAL, metavar="INTERVAL",
-                   help="sample virtual-time metric series at INTERVAL "
-                        "virtual seconds; a campaign merges its tasks' "
-                        "series in task order — byte-identical for any "
-                        f"--workers N (default {DEFAULT_TIMESERIES_INTERVAL:g})")
-    p.add_argument("--timeseries-out", default=None, metavar="PATH",
+def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+    """Size and victim of the Stencil2D failure scenario (demo / explain /
+    obs)."""
+    p.add_argument("--ranks", type=int, default=8)
+    p.add_argument("--clusters", type=int, default=2)
+    p.add_argument("--fail-rank", type=int, default=None,
+                   help="rank to kill mid-run (default: last rank)")
+
+
+#: ``--timeseries``, a spec field of table1 / sweep and an option of obs
+TIMESERIES_FLAG: dict = {
+    "nargs": "?", "type": float, "const": DEFAULT_TIMESERIES_INTERVAL,
+    "metavar": "INTERVAL",
+    "help": "sample virtual-time metric series at INTERVAL virtual seconds; "
+            "a campaign merges its tasks' series in task order — byte-"
+            "identical for any --workers N (default "
+            f"{DEFAULT_TIMESERIES_INTERVAL:g})"}
+
+
+def _add_timeseries_out(p: argparse.ArgumentParser) -> None:
+    """``main`` refuses ``--timeseries-out`` without ``--timeseries``."""
+    p.add_argument("--timeseries-out", metavar="PATH",
                    help="write the time-series dump (JSONL) here")
 
 
-def _defaults(*fields: tuple[str, str]) -> str:
-    """Help suffix quoting the planner's default per ``(kind, field)``:
-    `repro submit` flags are unset by default and fall through to it."""
-    def show(kind: str, field: str) -> str:
-        value = campaigns.DEFAULTS[kind][field]
-        return " ".join(map(str, value)) if isinstance(value, tuple) \
-            else str(value)
+_INT: dict = {"type": int}
+_INTS: dict = {"nargs": "+", "type": int}
 
-    return "(default " + ", ".join(
-        f"{kind}: {show(kind, field)}" for kind, field in fields) + ")"
+#: per campaign kind: its help line and one flag per field of
+#: ``campaigns.DEFAULTS[kind]`` (field ``base_seed`` is ``--base-seed``).
+#: Both doors build their parsers from this table: ``repro KIND`` and
+#: ``repro submit ... KIND``.
+CAMPAIGN_FLAGS: dict[str, tuple[str, dict[str, dict]]] = {
+    "table1": ("regenerate Table I cells", {
+        "kernels": {"nargs": "+", "choices": sorted(TABLE1_KERNELS)},
+        "ranks": _INTS, "clusters": _INTS, "niters": _INT,
+        "base_seed": _INT, "timeseries": TIMESERIES_FLAG}),
+    "sweep": ("randomized failure runs, each recovery checked against its "
+              "failure-free reference", {
+        "ranks": _INT, "clusters": _INT, "niters": _INT,
+        "runs": {"type": int, "help": "number of failure runs"},
+        "base_seed": _INT, "timeseries": TIMESERIES_FLAG}),
+    "chaos": ("seeded failure-schedule fuzzing: random kernels, config axes "
+              f"and failure placements, {len(ORACLES)} validity oracles per "
+              "trial, delta-debugging shrinker for failures", {
+        "trials": _INT,
+        "seed": {"type": int,
+                 "help": "campaign seed; trial i is a pure function of "
+                         "(seed, i) for any worker count"},
+        "kernels": {"nargs": "+",
+                    "help": f"kernel pool, any of {' '.join(KERNELS)} "
+                            f"(default: {' '.join(CHAOS_POOL)})"},
+        "bug": {"help": "plant a synthetic protocol bug in every trial "
+                        "(harness self-test; see repro.chaos.SYNTHETIC_BUGS)"},
+        "shrink": {"type": int,
+                   "help": "delta-debug at most N failing trials down to "
+                           "minimal reproducers (0 disables)"}}),
+    "selftest": ("trivial tasks that exercise the service's queue, pool and "
+                 "cache", {"tasks": _INT, "base_seed": _INT}),
+}
+
+
+def _campaign_parser(sub, kind: str) -> argparse.ArgumentParser:
+    """``kind``'s parser with its spec flags.  Each defaults to None: an
+    unset flag stays out of the spec, so the planner's default applies on
+    either door (the help quotes it)."""
+    help_text, flags = CAMPAIGN_FLAGS[kind]
+    p = sub.add_parser(kind, help=help_text)
+    for field, options in flags.items():
+        default = campaigns.DEFAULTS[kind][field]
+        if default not in (None, ""):
+            shown = " ".join(map(str, default)) \
+                if isinstance(default, tuple) else default
+            options = {**options, "help": f"{options.get('help', '')} "
+                                          f"(default {shown})".lstrip()}
+        p.add_argument("--" + field.replace("_", "-"), **options)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,42 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="clustered recovery demo")
-    demo.add_argument("--ranks", type=int, default=8)
-    demo.add_argument("--clusters", type=int, default=2)
-    demo.add_argument("--fail-rank", type=int, default=None)
+    _add_scenario_args(demo)
 
-    # the one-shot campaign flags default to the planner's defaults
-    t1 = sub.add_parser("table1", help="regenerate Table I cells")
-    defaults = campaigns.DEFAULTS["table1"]
-    t1.add_argument("--kernels", nargs="+", default=defaults["kernels"],
-                    choices=sorted(TABLE1_KERNELS))
-    t1.add_argument("--ranks", nargs="+", type=int, default=defaults["ranks"])
-    t1.add_argument("--clusters", nargs="+", type=int,
-                    default=defaults["clusters"])
-    t1.add_argument("--niters", type=int, default=defaults["niters"])
-    t1.add_argument("--workers", type=int, default=1,
-                    help="fan cells across N worker processes (1 = inline, "
-                         "output identical either way)")
-    _add_telemetry_args(t1)
-    _add_campaign_args(t1, "task")
-
-    sw = sub.add_parser(
-        "sweep", help="fan independent scenario runs across worker processes"
-    )
-    defaults = campaigns.DEFAULTS["sweep"]
-    sw.add_argument("--scenario", choices=["failures", "table1"],
-                    default=defaults["scenario"])
-    sw.add_argument("--ranks", type=int, default=defaults["ranks"])
-    sw.add_argument("--clusters", type=int, default=defaults["clusters"])
-    sw.add_argument("--niters", type=int, default=defaults["niters"])
-    sw.add_argument("--runs", type=int, default=defaults["runs"],
-                    help="number of runs (failures scenario)")
-    sw.add_argument("--workers", type=int, default=1)
-    sw.add_argument("--base-seed", type=int, default=defaults["base_seed"])
-    sw.add_argument("--out", default=None,
-                    help="write structured JSON results here")
-    _add_telemetry_args(sw)
-    _add_campaign_args(sw, "task")
+    for kind in ("table1", "sweep"):
+        grid = _campaign_parser(sub, kind)
+        grid.add_argument("--out", help="write structured JSON results here")
+        _add_timeseries_out(grid)
+        _add_campaign_args(grid, "task")
 
     sub.add_parser("fig6", help="ping-pong latency/bandwidth table")
 
@@ -194,18 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="run a failure scenario and explain why each rank rolled back",
     )
-    ex.add_argument("--ranks", type=int, default=8)
-    ex.add_argument("--clusters", type=int, default=2)
-    ex.add_argument("--fail-rank", type=int, default=None,
-                    help="rank to kill mid-run (default: last rank)")
+    _add_scenario_args(ex)
 
     obs = sub.add_parser(
         "obs", help="run an instrumented scenario, dump metrics/flight streams"
     )
-    obs.add_argument("--ranks", type=int, default=8)
-    obs.add_argument("--clusters", type=int, default=2)
-    obs.add_argument("--fail-rank", type=int, default=None,
-                     help="rank to kill mid-run (default: last rank)")
+    _add_scenario_args(obs)
     obs.add_argument("--no-failure", action="store_true",
                      help="measure a failure-free execution")
     obs.add_argument("--format", choices=["jsonl", "csv", "text"],
@@ -215,37 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "estimates per histogram")
     obs.add_argument("--out", default=None,
                      help="write the metrics dump here (default: stdout)")
-    _add_telemetry_args(obs)
+    obs.add_argument("--timeseries", **TIMESERIES_FLAG)
+    _add_timeseries_out(obs)
     obs.add_argument("--trace-out", default=None,
                      help="also write the run as Perfetto/Chrome "
                           "trace-event JSON to this path")
     obs.add_argument("--flight-out", default=None,
                      help="write the flight-record stream (JSONL/CSV) here")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="seeded failure-schedule fuzzing: random kernels, config axes "
-             f"and failure placements, {len(ORACLES)} validity oracles per "
-             "trial, delta-debugging shrinker for failures",
-    )
-    defaults = campaigns.DEFAULTS["chaos"]
-    chaos.add_argument("--trials", type=int, default=defaults["trials"])
-    chaos.add_argument("--seed", type=int, default=defaults["seed"],
-                       help="campaign seed; trial i is a pure function of "
-                            "(seed, i) for any worker count")
-    chaos.add_argument("--workers", type=int, default=1,
-                       help="fan trials across N worker processes "
-                            "(1 = inline, verdicts identical either way)")
-    chaos.add_argument("--kernels", nargs="+", default=None,
-                       help=f"kernel pool, any of {' '.join(KERNELS)} "
-                            f"(default: {' '.join(CHAOS_POOL)})")
-    chaos.add_argument("--bug", default=defaults["bug"],
-                       help="plant a synthetic protocol bug in every trial "
-                            "(harness self-test; see repro.chaos."
-                            "SYNTHETIC_BUGS)")
-    chaos.add_argument("--shrink", type=int, default=defaults["shrink"],
-                       help="delta-debug at most N failing trials down to "
-                            "minimal reproducers (0 disables)")
+    chaos = _campaign_parser(sub, "chaos")
     chaos.add_argument("--replay", type=int, default=None, metavar="INDEX",
                        help="re-run exactly one campaign trial by index and "
                             "print its verdicts as JSON")
@@ -343,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument("--socket", default=None, metavar="PATH",
                      help="listen on this Unix socket path")
-    srv.add_argument("--host", default=None,
-                     help="listen on TCP host (with --port)")
-    srv.add_argument("--port", type=int, default=None,
-                     help="listen on TCP port (default host 127.0.0.1)")
+    srv.add_argument("--host", default="127.0.0.1",
+                     help="listen on TCP host (with --port; default "
+                          "127.0.0.1)")
+    srv.add_argument("--port", type=int, help="listen on TCP port")
     srv.add_argument("--workers", type=int, default=2,
                      help="worker processes in the persistent pool")
     srv.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -367,37 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
                      default="submit")
     sbm.add_argument("--job", default=None,
                      help="job id for --op status")
-    sbm.add_argument("--kind", choices=["sweep", "table1", "chaos",
-                                        "selftest"],
-                     default="sweep", help="campaign kind to submit")
-    sbm.add_argument("--scenario", choices=["failures", "table1"],
-                     help="sweep scenario "
-                          + _defaults(("sweep", "scenario")))
-    sbm.add_argument("--kernels", nargs="+",
-                     help="table1 cells / chaos kernel pool "
-                          + _defaults(("table1", "kernels"))
-                          + f" (chaos: {' '.join(CHAOS_POOL)})")
-    sbm.add_argument("--ranks", type=int,
-                     help=_defaults(("sweep", "ranks"), ("table1", "ranks")))
-    sbm.add_argument("--clusters", type=int,
-                     help=_defaults(("sweep", "clusters"),
-                                   ("table1", "clusters")))
-    sbm.add_argument("--niters", type=int,
-                     help=_defaults(("sweep", "niters"),
-                                   ("table1", "niters")))
-    sbm.add_argument("--runs", type=int,
-                     help="runs (sweep failures) / trials (chaos) / "
-                          "tasks (selftest) "
-                          + _defaults(("sweep", "runs"), ("chaos", "trials"),
-                                     ("selftest", "tasks")))
-    sbm.add_argument("--base-seed", type=int,
-                     help=_defaults(("sweep", "base_seed"), ("chaos", "seed")))
     sbm.add_argument("--no-wait", action="store_true",
                      help="enqueue and print the job id without waiting")
     sbm.add_argument("--out", default=None,
                      help="write the job's result document (JSON) here")
     sbm.add_argument("--stats-out", default=None, metavar="PATH",
                      help="write service cache/scheduler stats JSON here")
+    kinds = sbm.add_subparsers(
+        dest="kind", metavar="KIND",
+        help="the campaign to submit, with its own flags (`repro submit "
+             "--connect ADDR KIND --help`); --op submit needs one")
+    for kind in CAMPAIGN_FLAGS:
+        _campaign_parser(kinds, kind)
     return parser
 
 
@@ -427,20 +415,14 @@ def _obs_summary(registry) -> str:
     byte-identical for any worker count (the parallel byte-identity test
     covers it).
     """
-    from .obs import Counter
-
-    totals = {
-        inst.name: sum(inst.values.values())
-        for inst in registry.instruments()
-        if isinstance(inst, Counter)
-    }
     keys = (
         "protocol.messages_logged", "protocol.messages_confirmed",
         "protocol.messages_replayed", "protocol.messages_suppressed",
         "checkpoint.stored", "recovery.rollbacks",
     )
     return "obs: " + " ".join(
-        f"{k.rsplit('.', 1)[1]}={totals.get(k, 0):.0f}" for k in keys)
+        f"{k.rsplit('.', 1)[1]}={registry.get_counter_total(k):.0f}"
+        for k in keys)
 
 
 def _ts_digest(registry) -> str:
@@ -464,15 +446,14 @@ def _write_timeseries(registry, path: str) -> None:
         fh.write(dump_timeseries(registry, "jsonl"))
 
 
-def _campaign_spec(kind: str, args: argparse.Namespace,
-                   **flag_of: str) -> dict:
+def _campaign_spec(kind: str, args: argparse.Namespace) -> dict:
     """The campaign spec a parsed command line describes: every field of
-    ``kind`` that has a flag (``flag_of`` renames) the user set.  Unset
-    flags stay out, so the planner's defaults apply — the same through
-    the one-shot commands and through ``repro submit``."""
+    ``kind`` whose flag the user set.  Unset flags stay out, so the
+    planner's defaults apply — the same through the one-shot commands and
+    through ``repro submit``."""
     spec = {"kind": kind}
     for field in campaigns.DEFAULTS[kind]:
-        value = getattr(args, flag_of.get(field, field), None)
+        value = getattr(args, field)
         if value is not None:
             spec[field] = value
     return spec
@@ -491,6 +472,19 @@ def _gated_spec(kind: str, args: argparse.Namespace) -> dict:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return spec
+
+
+def _save_results(args: argparse.Namespace, spec: dict, results, cache,
+                  name: str) -> None:
+    """``--out`` of table1 and sweep: the structured results document."""
+    from .sweep import save_results
+
+    extra = {"ranks": spec["ranks"], "clusters": spec["clusters"],
+             "workers": args.workers, "base_seed": spec["base_seed"]}
+    if cache is not None:
+        extra["service"] = {"cache": cache.stats()}
+    save_results(args.out, results, sweep_name=name, extra=extra)
+    print(f"results -> {args.out}")
 
 
 def _print_telemetry(registry, cache, args: argparse.Namespace,
@@ -526,20 +520,19 @@ def cmd_table1(args: argparse.Namespace) -> int:
     )
     print(f"theoretical %rl ((p+1)/2p): {theory}")
     _print_telemetry(run.registry, cache, args, sys.stdout)
+    if args.out:
+        _save_results(args, spec, run.results, cache, "table1")
     return 1 if failed else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import save_results
-
     spec = _gated_spec("sweep", args)
-    tasks = campaigns.plan(spec)[1]
     done = {"n": 0}
 
     def progress(result):
         done["n"] += 1
         status = "ok" if result.ok else "ERROR"
-        print(f"[{done['n']:3d}/{len(tasks)}] {result.name}: {status} "
+        print(f"[{done['n']:3d}/{spec['runs']}] {result.name}: {status} "
               f"({result.duration:.2f}s)", file=sys.stderr)
 
     cache = _open_cache(args)
@@ -551,20 +544,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     failed = [r for r in results if not r.ok]
     for r in failed:
         print(f"{r.name} failed: {r.error}", file=sys.stderr)
-    invalid = []
-    if spec["scenario"] == "failures" and ok:
-        invalid = [r.name for r in ok if not r.value["valid"]]
+    invalid = [r.name for r in ok if not r.value["valid"]]
+    if ok:
         mean_rb = sum(r.value["pct_rolled_back"] for r in ok) / len(ok)
         print(f"{len(ok)}/{len(results)} runs ok, mean rolled back "
               f"{mean_rb:.1f}%, validity violations: {invalid or 'none'}")
     if args.out:
-        extra = {"ranks": spec["ranks"], "clusters": spec["clusters"],
-                 "workers": args.workers, "base_seed": spec["base_seed"]}
-        if cache is not None:
-            extra["service"] = {"cache": cache.stats()}
-        save_results(args.out, results, sweep_name=spec["scenario"],
-                     extra=extra)
-        print(f"results -> {args.out}")
+        _save_results(args, spec, results, cache, "failures")
     return 1 if failed or invalid else 0
 
 
@@ -684,11 +670,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     spec = _gated_spec("chaos", args)
     if args.replay is not None:
-        verdict = replay_trial(
-            spec["seed"], args.replay,
-            kernels=tuple(spec["kernels"]) if spec["kernels"] else None,
-            bug=spec["bug"],
-        )
+        verdict = replay_trial(spec["seed"], args.replay,
+                               kernels=spec["kernels"], bug=spec["bug"])
         print(json.dumps(verdict, indent=2))
         return 0 if verdict.get("passed") else 1
 
@@ -891,20 +874,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not args.socket and args.port is None:
         print("serve: need --socket PATH or --port N", file=sys.stderr)
         return 2
-    return serve(
-        socket_path=args.socket,
-        host=args.host or "127.0.0.1",
-        port=args.port if args.port is not None else 7723,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-    )
-
-
-def _submit_spec(args: argparse.Namespace) -> dict:
-    """Build the campaign spec `repro submit` sends over the wire."""
-    return _campaign_spec(args.kind, args, trials="runs", tasks="runs",
-                          seed="base_seed")
+    return serve(socket_path=args.socket, host=args.host, port=args.port,
+                 workers=args.workers, cache_dir=args.cache_dir,
+                 no_cache=args.no_cache)
 
 
 def _write_json(path: str, doc, what: str) -> None:
@@ -920,7 +892,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from .service import ServiceClient
 
     if args.op == "submit":
-        campaigns.validate_spec(_submit_spec(args))
+        if args.kind is None:
+            raise ConfigError("submit: name the campaign KIND to submit "
+                              f"({', '.join(CAMPAIGN_FLAGS)})")
+        spec = _campaign_spec(args.kind, args)
+        campaigns.validate_spec(spec)
     try:
         client = ServiceClient(args.connect)
     except (OSError, ConfigError) as exc:
@@ -947,16 +923,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
                   f"shutdown failed: {reply.get('error')}")
             return 0 if reply.get("ok") else 1
 
-        spec = _submit_spec(args)
-        done = {"n": 0}
-
         def on_event(event: dict) -> None:
-            if event.get("kind") != "task_done":
+            if event["kind"] != "task_done":
                 return
-            done["n"] += 1
-            status = "cached" if event.get("cached") else event.get(
-                "status", "?")
-            print(f"  [{done['n']:3d}] {event.get('name')}: {status}",
+            status = "cached" if event.get("cached") else event["status"]
+            print(f"  [{event['done']:3d}] {event['name']}: {status}",
                   file=sys.stderr)
 
         reply = client.submit(

@@ -443,13 +443,12 @@ def _chaos_section(doc: dict[str, Any]) -> str:
         parts.append(
             svg_bar_chart("chaos-oracles", "Failures per oracle", items)
         )
-    failures = doc.get("failures") or []
+    failures = doc.get("failure_index") or []
     if failures:
         rows = "".join(
-            f"<tr><td>{_esc(f.get('trial', '?'))}</td>"
-            f"<td>{_esc(f.get('name', ''))}</td>"
-            f"<td>{_esc(', '.join(f.get('oracles_failed', [])) or f.get('error', ''))}"
-            f"</td></tr>"
+            f"<tr><td>{_esc(f['index'])}</td><td>{_esc(f['seed'])}</td>"
+            f"<td>{_esc(', '.join(f['oracles']))}</td>"
+            f"<td>{_esc(f.get('error', ''))}</td></tr>"
             for f in failures[:20]
         )
         more = (
@@ -458,9 +457,9 @@ def _chaos_section(doc: dict[str, Any]) -> str:
         )
         parts.append(
             "<details open><summary>failing trials</summary>"
-            "<table><thead><tr><th>trial</th><th>schedule</th>"
-            f"<th>failed oracles</th></tr></thead><tbody>{rows}</tbody>"
-            f"</table></details>{more}"
+            "<table><thead><tr><th>trial</th><th>seed</th>"
+            "<th>failed oracles</th><th>error</th></tr></thead>"
+            f"<tbody>{rows}</tbody></table></details>{more}"
         )
     parts.append("</section>")
     return "".join(parts)

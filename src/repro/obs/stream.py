@@ -3,7 +3,9 @@
 Long campaigns were silent until the final report; ``--stream out.jsonl``
 (or ``--stream -`` for stderr) gives them a heartbeat: the parent process
 emits one compact JSON object per line as worker results arrive over the
-existing executor queue — no extra IPC, no change to worker code.
+existing executor queue — no extra IPC, no change to worker code.  The
+campaign service sends the same events over its wire: a stream built on
+a callable hands each one to it instead of writing a line.
 
 Event schema (one object per line, keys sorted)::
 
@@ -57,10 +59,12 @@ SUMMARY_COUNTERS: tuple[str, ...] = (
 
 class ProgressStream:
     """Writes one JSON object per line to a file or stderr, flushing each
-    line so ``tail -f`` (or a pipeline) sees events as they happen."""
+    line so ``tail -f`` (or a pipeline) sees events as they happen — or,
+    when ``fh`` is a callable, calls it with each event's dict."""
 
-    def __init__(self, fh: IO[str], close: bool = False):
-        self._fh = fh
+    def __init__(self, fh: IO[str] | Callable[[dict[str, Any]], None],
+                 close: bool = False):
+        self._fh: Any = fh
         self._close = close
         self._seq = 0
         self._t0 = time.monotonic()
@@ -81,6 +85,9 @@ class ProgressStream:
             "kind": kind,
         }
         rec.update(fields)
+        if callable(self._fh):
+            self._fh(rec)
+            return
         self._fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
         self._fh.flush()
 

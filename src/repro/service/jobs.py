@@ -48,23 +48,26 @@ def run_campaign_job(
     Runs synchronously (the asyncio server offloads it to a thread).
     ``scheduler`` is the resident work-stealing pool to reuse;
     ``service_obs`` the service-lifetime accounting registry.
+    ``on_event`` gets the ``--stream`` progress events as dicts
+    (:mod:`repro.obs.stream`), ``campaign_begin`` and ``campaign_end``
+    included.
     """
-    from ..obs import dump_metrics
+    from ..obs import ProgressStream, dump_metrics
     from ..sweep import results_document
 
-    def on_progress(result: Any) -> None:
-        if on_event is not None:
-            on_event({
-                "kind": "task_done", "index": result.index,
-                "name": result.name, "status": result.status,
-                "cached": bool(result.cached),
-                "duration_s": round(result.duration, 6),
-            })
+    stream = None
+    if on_event is not None:
+        def forward(event: dict[str, Any]) -> None:
+            # the wire's task_done always says whether the cache served it
+            if event["kind"] == "task_done":
+                event.setdefault("cached", False)
+            on_event(event)
+
+        stream = ProgressStream(forward)
 
     run = run_campaign(
         spec, workers=workers, cache=cache, scheduler=scheduler,
-        service_obs=service_obs, on_progress=on_progress,
-        collect_obs=collect_obs,
+        service_obs=service_obs, collect_obs=collect_obs, stream=stream,
     )
     kind = spec["kind"]
     report = run.report

@@ -123,3 +123,28 @@ def test_bar_chart_escapes_labels():
     assert "&lt;script&gt;" in chart
     # a bar's value text is _si(value): the same inputs, the same bytes
     assert f'>{_si(1500.0)}</text>' in chart and ">1.5k</text>" in chart
+
+
+def test_chaos_table_lists_every_failing_trial(tmp_path, capsys):
+    """The failing-trials table reads the report's ``failure_index``: one
+    row per failing trial with its index, seed and failed oracles (it used
+    to read keys no campaign report has and render rows of ``?``)."""
+    import json
+    import re
+
+    from repro.cli import main
+
+    report, html_path = tmp_path / "r.json", tmp_path / "r.html"
+    assert main(["chaos", "--trials", "8", "--seed", "0", "--bug",
+                 "ack_drop", "--shrink", "0", "--out", str(report)]) == 1
+    assert main(["report", "--chaos", str(report), "--no-scenario",
+                 "--out", str(html_path)]) == 0
+    capsys.readouterr()
+    failing = json.loads(report.read_text())["failure_index"]
+    assert failing
+    table = html_path.read_text().split("<summary>failing trials</summary>")[1]
+    rows = re.findall(r"<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td>",
+                      table.split("</table>")[0])
+    assert rows == [(str(f["index"]), str(f["seed"]), ", ".join(f["oracles"]))
+                    for f in failing]
+    assert all(f["oracles"] for f in failing)

@@ -57,21 +57,47 @@ def test_run_campaign_job_selftest_summary_and_digests():
     assert cold["summary"]["ok"] == 4 and cold["summary"]["errors"] == 0
     assert cold["summary"]["cache"] == {"hits": 0, "misses": 4,
                                         "stores": 4, "unkeyable": 0}
-    assert [e["index"] for e in events] == [0, 1, 2, 3]
-    assert not any(e["cached"] for e in events)
+    done = [e for e in events if e["kind"] == "task_done"]
+    assert [e["index"] for e in done] == [0, 1, 2, 3]
+    assert not any(e["cached"] for e in done)
 
     events.clear()
     warm = run_campaign_job({"kind": "selftest", "tasks": 4}, workers=1,
                             cache=cache, on_event=events.append)
     assert warm["summary"]["cache"] == {"hits": 4, "misses": 0,
                                         "stores": 0, "unkeyable": 0}
-    assert all(e["cached"] for e in events)
+    assert all(e["cached"] for e in events if e["kind"] == "task_done")
     # byte-identity, asserted through the content digests and documents
     assert warm["summary"]["results_digest"] == \
         cold["summary"]["results_digest"]
     assert warm["summary"]["obs_digest"] == cold["summary"]["obs_digest"]
     assert warm["results"] == cold["results"]
     assert warm["obs"] == cold["obs"]
+
+
+def test_the_wire_carries_the_stream_events(tmp_path):
+    """A job's events are the ``--stream`` records of the same campaign,
+    begin and end included; a wire ``task_done`` always says ``cached``."""
+    from repro.campaigns import run_campaign
+
+    spec = {"kind": "table1", "kernels": ["CG"], "ranks": [8],
+            "clusters": [2], "niters": 2}
+    path = tmp_path / "stream.jsonl"
+    run_campaign(spec, stream=str(path))
+    wire = []
+    run_campaign_job(spec, on_event=wire.append)
+
+    def timeless(event):
+        return {k: v for k, v in event.items()
+                if k not in ("elapsed_s", "duration_s")}
+
+    streamed = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [e["kind"] for e in wire] == [
+        "campaign_begin", "task_done", "campaign_end"]
+    assert wire[1]["cached"] is False and "cached" not in streamed[1]
+    streamed[1]["cached"] = False
+    assert [timeless(e) for e in wire] == [timeless(e) for e in streamed]
+    assert {"done", "total", "metrics", "duration_s"} <= set(wire[1])
 
 
 # ----------------------------------------------------------------------

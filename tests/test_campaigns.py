@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro import apps, campaigns
-from repro.cli import _campaign_spec, _submit_spec, build_parser, main
+from repro.cli import _campaign_spec, build_parser, main
 from repro.errors import ConfigError
 from repro.obs import ProgressStream
 from repro.service import ResultCache, cache_key, run_campaign_job
@@ -21,17 +21,17 @@ DOORS = {
         ["table1", "--kernels", "CG", "--ranks", "8", "--clusters", "2",
          "--niters", "3"],
     ),
-    "sweep/failures": (
-        {"kind": "sweep", "scenario": "failures", "runs": 2, "ranks": 6,
-         "clusters": 2, "niters": 10, "base_seed": 3},
-        ["sweep", "--scenario", "failures", "--runs", "2", "--ranks", "6",
-         "--clusters", "2", "--niters", "10", "--base-seed", "3"],
+    "table1/suite": (
+        {"kind": "table1", "kernels": ["BT", "CG", "FT", "LU", "MG"],
+         "ranks": [8], "clusters": [2], "niters": 2},
+        ["table1", "--kernels", "BT", "CG", "FT", "LU", "MG", "--ranks", "8",
+         "--clusters", "2", "--niters", "2"],
     ),
-    "sweep/table1": (
-        {"kind": "sweep", "scenario": "table1", "ranks": 8, "clusters": 2,
-         "niters": 10},
-        ["sweep", "--scenario", "table1", "--ranks", "8", "--clusters", "2",
-         "--niters", "10"],
+    "sweep/failures": (
+        {"kind": "sweep", "runs": 2, "ranks": 6, "clusters": 2, "niters": 10,
+         "base_seed": 3},
+        ["sweep", "--runs", "2", "--ranks", "6", "--clusters", "2",
+         "--niters", "10", "--base-seed", "3"],
     ),
     "chaos": (
         {"kind": "chaos", "trials": 3, "seed": 5, "kernels": ["stencil"]},
@@ -69,43 +69,104 @@ def test_two_doors_one_campaign(door, tmp_path, capsys):
     assert warm["summary"]["obs_digest"] == cold["summary"]["obs_digest"]
 
 
-@pytest.mark.parametrize("kind, one_shot, submit", [
-    ("table1", ["table1"], ["--kind", "table1"]),
-    ("sweep", ["sweep"], ["--kind", "sweep"]),
-    ("sweep", ["sweep", "--scenario", "table1"],
-     ["--kind", "sweep", "--scenario", "table1"]),
-    ("chaos", ["chaos"], ["--kind", "chaos"]),
-])
-def test_unset_flags_plan_the_same_campaign_on_both_doors(kind, one_shot,
-                                                          submit):
-    """`repro submit --kind K` and `repro K`, no other flag given, plan
-    equal functions, task lists, seeds and cache keys — the defaults are
-    the planner's, not each parser's."""
+# ----------------------------------------------------------------------
+# The doors cannot drift: every spec field has one flag, on both
+# ----------------------------------------------------------------------
+#: the kinds with a one-shot command (selftest is submit-only)
+ONE_SHOT = {"table1", "sweep", "chaos"}
+
+#: a non-default value for each field whose default does not suggest one
+OTHER_VALUE = {
+    ("table1", "kernels"): ["MG", "LU"],
+    ("chaos", "kernels"): ["mg", "stencil"],
+    ("chaos", "bug"): "ack_drop",
+    "timeseries": 0.5,
+}
+
+
+def _other_value(kind, field):
+    default = campaigns.DEFAULTS[kind][field]
+    if isinstance(default, tuple) and all(isinstance(v, int)
+                                          for v in default):
+        return [default[0] + 1, default[0] + 2]   # a grid of two sizes
+    if isinstance(default, int):
+        return default + 1
+    return OTHER_VALUE.get((kind, field), OTHER_VALUE.get(field))
+
+
+def _argv(field, value):
+    flag = "--" + field.replace("_", "-")
+    values = value if isinstance(value, list) else [value]
+    return [flag] + [str(v) for v in values]
+
+
+def _doors(kind, argv):
+    """The spec each door builds from ``argv``: ``repro KIND`` (where the
+    kind has a command) and ``repro submit --connect x KIND``."""
     parser = build_parser()
-    cli = campaigns.plan(_campaign_spec(kind, parser.parse_args(one_shot)))
-    wire = campaigns.plan(_submit_spec(
-        parser.parse_args(["submit", "--connect", "unused"] + submit)))
-    assert cli[:3] == wire[:3]
-    assert cli[1], "an empty plan proves nothing"
+    doors = [parser.parse_args(["submit", "--connect", "x", kind] + argv)]
+    if kind in ONE_SHOT:
+        doors.append(parser.parse_args([kind] + argv))
+    return [_campaign_spec(kind, args) for args in doors]
 
-    def keys(planned):
-        fn, tasks, base_seed, _ = planned
-        return [cache_key(fn, t.params, task_seed(base_seed, i, t.name),
-                          collect_obs=True) for i, t in enumerate(tasks)]
 
-    assert keys(cli) == keys(wire)
+def _planned(spec):
+    """Function, tasks, seeds and cache keys of a spec's plan."""
+    fn, tasks, base_seed, kernels = campaigns.plan(spec)
+    timeseries = campaigns.validate_spec(spec).get("timeseries")
+    seeds = [task_seed(base_seed, i, t.name) for i, t in enumerate(tasks)]
+    keys = [cache_key(fn, t.params, seed, collect_obs=True,
+                      timeseries=timeseries)
+            for t, seed in zip(tasks, seeds)]
+    return fn, [(t.name, t.params) for t in tasks], seeds, keys, kernels
+
+
+FIELDS = [(kind, field) for kind in campaigns.CAMPAIGN_KINDS
+          for field in campaigns.DEFAULTS[kind]]
+
+
+@pytest.mark.parametrize("kind, field", FIELDS,
+                         ids=[f"{k}-{f}" for k, f in FIELDS])
+def test_every_spec_field_has_one_flag_on_both_doors(kind, field):
+    """A non-default value for ``field``, given through either door,
+    reaches the spec, and both doors plan the same campaign from it."""
+    value = _other_value(kind, field)
+    assert value is not None, f"no test value for {kind}.{field}"
+    assert value != campaigns.DEFAULTS[kind][field]
+    specs = _doors(kind, _argv(field, value))
+    for spec in specs:
+        assert spec == {"kind": kind, field: value}
+    plans = [_planned(spec) for spec in specs]
+    assert plans[0][1], "an empty plan proves nothing"
+    assert all(planned == plans[0] for planned in plans)
+
+
+@pytest.mark.parametrize("kind", campaigns.CAMPAIGN_KINDS)
+def test_unset_flags_plan_the_same_campaign_on_both_doors(kind):
+    """`repro submit ... K` and `repro K`, no other flag given, plan the
+    planner's default campaign — the defaults are the planner's, not each
+    parser's."""
+    assert all(spec == {"kind": kind} for spec in _doors(kind, []))
+    assert campaigns.plan({"kind": kind})[1], "an empty plan proves nothing"
 
 
 def test_planner_defaults_reach_a_flagless_submit():
     """`repro submit --kind table1` used to forward the sweep-flavoured
     argparse defaults (ranks 8 / clusters 2 / niters 40)."""
-    args = build_parser().parse_args(
-        ["submit", "--connect", "unused", "--kind", "table1"])
-    assert _submit_spec(args) == {"kind": "table1"}
-    _, tasks, _, _ = campaigns.plan(_submit_spec(args))
+    args = build_parser().parse_args(["submit", "--connect", "unused",
+                                      "table1"])
+    assert _campaign_spec("table1", args) == {"kind": "table1"}
+    _, tasks, _, _ = campaigns.plan(_campaign_spec("table1", args))
     assert [t.params for t in tasks] == [
         {"kernel": k, "ranks": 16, "clusters": 4, "niters": 8}
         for k in ("CG", "FT")]
+
+
+def test_a_sweep_spec_with_a_scenario_is_refused():
+    """``sweep`` means randomized failure runs; Table I cells are
+    ``table1``'s."""
+    with pytest.raises(ConfigError, match="unknown spec field.*scenario"):
+        campaigns.validate_spec({"kind": "sweep", "scenario": "table1"})
 
 
 def test_plan_names_the_classes_a_campaign_runs():
@@ -152,7 +213,7 @@ def test_sweep_validity_violation_keeps_results_and_ends_stream(
     monkeypatch.setattr(campaigns, "failure_scenario",
                         _invalid_failure_scenario)
     out, stream = tmp_path / "sweep.json", tmp_path / "stream.jsonl"
-    assert main(["sweep", "--scenario", "failures", "--runs", "2",
+    assert main(["sweep", "--runs", "2",
                  "--ranks", "6", "--niters", "10", "--out", str(out),
                  "--stream", str(stream)]) == 1
     assert "validity violations: ['failure-000', 'failure-001']" \

@@ -44,7 +44,7 @@ def test_sweep_command_failures(tmp_path, capsys):
     import json
 
     out = tmp_path / "sweep.json"
-    assert main(["sweep", "--scenario", "failures", "--ranks", "8",
+    assert main(["sweep", "--ranks", "8",
                  "--clusters", "2", "--niters", "20", "--runs", "3",
                  "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -64,7 +64,7 @@ def test_sweep_command_seed_reproducible(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        assert main(["sweep", "--scenario", "failures", "--runs", "2",
+        assert main(["sweep", "--runs", "2",
                      "--niters", "20", "--base-seed", "9",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -73,6 +73,20 @@ def test_sweep_command_seed_reproducible(tmp_path):
             res.pop("duration_s")
         outs.append(doc)
     assert outs[0] == outs[1]
+
+
+def test_table1_out_writes_the_results_document(tmp_path, capsys):
+    import json
+
+    out = tmp_path / "cells.json"
+    assert main(["table1", "--kernels", "CG", "MG", "--ranks", "8",
+                 "--clusters", "2", "--niters", "2", "--out", str(out)]) == 0
+    assert f"results -> {out}" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["sweep"] == "table1" and doc["ok"] == 2
+    assert [r["name"] for r in doc["results"]] == ["CG/8r/2cl", "MG/8r/2cl"]
+    assert doc["extra"] == {"ranks": [8], "clusters": [2], "workers": 1,
+                            "base_seed": 0}
 
 
 def test_fig6_command(capsys):
@@ -222,7 +236,7 @@ def test_chaos_refuses_an_unknown_kernel_before_any_trial(extra, capsys):
 def test_submit_refuses_an_unknown_kernel_before_connecting(tmp_path,
                                                             capsys):
     assert main(["submit", "--connect", str(tmp_path / "none.sock"),
-                 "--kind", "chaos", "--kernels", "bogus"]) == 2
+                 "chaos", "--kernels", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "unknown chaos kernel(s) bogus" in err
     assert "cannot reach service" not in err
@@ -245,3 +259,9 @@ def test_chaos_help_names_the_default_pool(capsys):
         main(["chaos", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "(default: cg lu pingpong reduce stencil stencil2d)" in help_text
+
+
+def test_submit_without_a_kind_is_a_usage_error(tmp_path, capsys):
+    assert main(["submit", "--connect", str(tmp_path / "none.sock")]) == 2
+    err = capsys.readouterr().err
+    assert "KIND" in err and "cannot reach service" not in err
