@@ -24,6 +24,8 @@ service.
 * ``obs`` — run an instrumented scenario and dump the metrics/trace/
   flight streams as JSON-lines or CSV, or a Perfetto trace
   (see ``docs/observability.md``);
+* ``report`` — render the HTML dashboard of files the other commands
+  wrote; it runs nothing;
 * ``lint`` — static determinism linter (RPD rules, ``# repro: noqa``
   suppressions, text/JSON output; see ``docs/static-analysis.md``);
 * ``certify`` — send-determinism certifier: static taint analysis over
@@ -52,7 +54,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import campaigns
 from .analysis import (
@@ -266,34 +268,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser(
         "report",
-        help="render a self-contained HTML dashboard: virtual-time metric "
-             "series, sweep/chaos campaign views and benchmark trends "
-             "(inline SVG, no external assets)",
+        help="render a self-contained HTML dashboard (inline SVG, no "
+             "external assets) from files other commands wrote; it runs "
+             "nothing, and an input it cannot read is a usage error",
     )
     rep.add_argument("--out", default="report.html",
                      help="output HTML path (default: report.html)")
     rep.add_argument("--timeseries", default=None, metavar="PATH",
-                     help="time-series JSONL dump (from --timeseries-out); "
-                          "default: run the built-in instrumented failure "
-                          "scenario to collect fresh series")
-    rep.add_argument("--no-scenario", action="store_true",
-                     help="skip the built-in scenario when no --timeseries "
-                          "dump is given (report carries no series charts)")
+                     help="time-series JSONL dump (from repro obs "
+                          "--timeseries --timeseries-out)")
     rep.add_argument("--sweep", default=None, metavar="PATH",
-                     help="sweep results JSON (from repro sweep --out)")
+                     help="results JSON (from repro table1 --out or repro "
+                          "sweep --out)")
     rep.add_argument("--chaos", default=None, metavar="PATH",
                      help="chaos campaign report JSON (from repro chaos "
                           "--out)")
     rep.add_argument("--bench", nargs="*", default=None, metavar="PATH",
                      help="BENCH_*.json artefacts, or a directory to scan "
                           "(no value: ./results)")
-    rep.add_argument("--ranks", type=int, default=8,
-                     help="built-in scenario size")
-    rep.add_argument("--clusters", type=int, default=2)
-    rep.add_argument("--interval", type=float,
-                     default=DEFAULT_TIMESERIES_INTERVAL,
-                     help="built-in scenario sampling interval (virtual s)")
-    rep.add_argument("--title", default="repro dashboard")
 
     lint = sub.add_parser(
         "lint",
@@ -731,69 +723,83 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _report_timeseries_rows(args: argparse.Namespace) -> list[dict]:
-    """Time-series rows for the dashboard: a JSONL dump if given, else a
-    fresh run of the built-in instrumented failure scenario."""
-    if args.timeseries:
-        rows = []
-        with open(args.timeseries) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        return rows
-    if args.no_scenario:
-        return []
-    from .obs import MetricsRegistry, timeseries_rows
+class _ReportDoc(dict):
+    """A JSON object read by ``repro report``: a key its page reads that
+    the file lacks is a usage error naming the file and the key."""
 
-    registry = MetricsRegistry(timeseries_interval=args.interval)
-    campaigns.stencil_scenario(args.ranks, args.clusters, obs=registry)
-    return timeseries_rows(registry)
+    def __init__(self, obj: dict, path: str):
+        super().__init__(obj)
+        self.path = path
+
+    def __missing__(self, key: str) -> NoReturn:
+        from .errors import ConfigError
+
+        raise ConfigError(f"report: {self.path} has no key {key!r}")
 
 
-def _load_json(path: str, what: str) -> dict | None:
+def _read_report_input(path: str, jsonl: bool = False) -> Any:
+    """Parse one ``repro report`` input, every JSON object in it a
+    :class:`_ReportDoc`; a file that cannot be opened or parsed, or a JSON
+    document that is not an object, is a usage error naming the file."""
+    from .errors import ConfigError
+
+    def strict(obj: dict) -> _ReportDoc:
+        return _ReportDoc(obj, path)
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            if jsonl:
+                return [json.loads(line, object_hook=strict)
+                        for line in fh if line.strip()]
+            doc = json.load(fh, object_hook=strict)
     except (OSError, ValueError) as exc:
-        print(f"skipping {what} ({path}): {exc}", file=sys.stderr)
-        return None
+        raise ConfigError(f"report: cannot read {path}: {exc}") from None
+    if not isinstance(doc, _ReportDoc):
+        raise ConfigError(f"report: {path} is not a JSON object")
+    return doc
 
 
-def _load_bench(paths: list[str]) -> dict[str, dict]:
+def _read_bench(paths: list[str]) -> dict[str, Any]:
     """Map BENCH_<name>.json stem -> parsed document; directories scan."""
     import glob as globmod
+
+    from .errors import ConfigError
 
     files: list[str] = []
     for p in (paths or ["results"]):
         if os.path.isdir(p):
-            files.extend(sorted(globmod.glob(os.path.join(p, "BENCH_*.json"))))
+            found = sorted(globmod.glob(os.path.join(p, "BENCH_*.json")))
+            if not found:
+                raise ConfigError(f"report: {p} holds no BENCH_*.json")
+            files.extend(found)
         else:
             files.append(p)
-    out: dict[str, dict] = {}
-    for path in files:
-        doc = _load_json(path, "benchmark artefact")
-        if doc is not None:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            out[stem] = doc
-    return out
+    return {os.path.splitext(os.path.basename(path))[0]:
+            _read_report_input(path) for path in files}
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Render the self-contained HTML dashboard (inline SVG, no assets)."""
-    from .obs import render_report, write_report
+    """Render the self-contained HTML dashboard (inline SVG, no assets)
+    from files other commands wrote; it runs nothing."""
+    from .errors import ConfigError
+    from .obs import render_report
 
-    ts_rows = _report_timeseries_rows(args)
-    sweep_doc = _load_json(args.sweep, "sweep results") if args.sweep else None
-    chaos_doc = _load_json(args.chaos, "chaos report") if args.chaos else None
-    bench = _load_bench(args.bench) if args.bench is not None else {}
+    if (args.timeseries is None and args.sweep is None and args.chaos is None
+            and args.bench is None):
+        raise ConfigError("report: nothing to render: pass --timeseries, "
+                          "--sweep, --chaos or --bench")
+    bench = None if args.bench is None else _read_bench(args.bench)
     html, n_charts = render_report(
-        timeseries=ts_rows, sweep=sweep_doc, chaos=chaos_doc, bench=bench,
-        title=args.title,
+        timeseries=(None if args.timeseries is None
+                    else _read_report_input(args.timeseries, jsonl=True)),
+        sweep=None if args.sweep is None else _read_report_input(args.sweep),
+        chaos=None if args.chaos is None else _read_report_input(args.chaos),
+        bench=bench,
     )
-    write_report(args.out, html)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(html)
     print(f"report -> {args.out} ({n_charts} time-series charts, "
-          f"{len(bench)} benchmark artefact(s))")
+          f"{len(bench or ())} benchmark artefact(s))")
     return 0
 
 

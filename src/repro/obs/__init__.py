@@ -45,7 +45,7 @@ from .timeseries import (
     TimeSeriesRecorder,
 )
 from .stream import ProgressStream, stream_progress
-from .report import render_report, write_report
+from .report import render_report
 from .flight import (
     DEFAULT_FLIGHT_CAPACITY,
     FlightKind,
@@ -87,7 +87,6 @@ __all__ = [
     "ProgressStream",
     "stream_progress",
     "render_report",
-    "write_report",
     "DEFAULT_FLIGHT_CAPACITY",
     "FlightKind",
     "FlightRecorder",

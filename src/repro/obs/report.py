@@ -7,9 +7,13 @@ from one validated palette), and a small inline script for the
 crosshair-and-tooltip hover layer.  No external fonts, scripts, styles or
 images — the file can be archived as a CI artifact and opened anywhere.
 
-Everything here is pure rendering over already-collected data; nothing
-reads a clock (the output is a deterministic function of its inputs), so
-regenerating a report from the same inputs is byte-identical.
+Everything here is pure rendering over already-collected data: the
+documents ``repro obs --timeseries-out``, ``repro table1|sweep --out``,
+``repro chaos --out`` and the benchmarks write.  A section indexes the
+keys its writer always writes, so a document that lacks one fails to
+render instead of drawing a blank cell.  Nothing reads a clock (the
+output is a deterministic function of its inputs), so regenerating a
+report from the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Any, Sequence
 
 __all__ = [
     "render_report",
-    "write_report",
     "svg_line_chart",
     "svg_bar_chart",
     "TIMESERIES_CHARTS",
@@ -63,8 +66,6 @@ def _esc(s: Any) -> str:
 
 def _si(v: float) -> str:
     """Compact magnitude formatting for labels and tooltips."""
-    if v is None:
-        return "-"
     av = abs(v)
     for div, suf in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
         if av >= div:
@@ -327,11 +328,9 @@ def _timeseries_section(rows: list[dict[str, Any]]) -> tuple[str, int]:
         for name, field in sources:
             slot += 1
             row = by_name.get(name)
-            if not row or not row.get("t"):
+            if not row or not row["t"]:
                 continue
-            y = row.get("d") if field == "d" else row.get("v")
-            if not y:
-                continue
+            y = row[field]  # parallel to t
             if len(row["t"]) > len(x):
                 x = [t * 1e3 for t in row["t"]]  # virtual ms
             label = name + (" (rate)" if field == "d" else "")
@@ -346,7 +345,7 @@ def _timeseries_section(rows: list[dict[str, Any]]) -> tuple[str, int]:
         )
     if not charts:
         return "", 0
-    dropped = sum(r.get("dropped", 0) for r in rows)
+    dropped = sum(r["dropped"] for r in rows)
     notes: list[str] = []
     if skipped:
         notes.append("not collected in this run: " + ", ".join(skipped))
@@ -365,35 +364,33 @@ def _timeseries_section(rows: list[dict[str, Any]]) -> tuple[str, int]:
 
 
 def _sweep_section(doc: dict[str, Any]) -> str:
-    results = doc.get("results", [])
+    results = doc["results"]
     if not results:
         return ""
-    ok = doc.get("ok", sum(1 for r in results if r.get("status") == "ok"))
-    errors = doc.get("errors", len(results) - ok)
+    ok, errors = doc["ok"], doc["errors"]
     tiles = (
-        _tile(str(len(results)), "tasks")
+        _tile(str(doc["tasks"]), "tasks")
         + _tile(str(ok), "ok",
                 "✓:good:all passed" if not errors else "")
         + _tile(str(errors), "errors",
                 "✕:critical:failing tasks" if errors else "")
     )
-    # campaigns run against the content-addressed result cache attach
-    # service stats under extra.service (see docs/service.md)
-    service = (doc.get("extra") or {}).get("service") or {}
-    cache = service.get("cache") or {}
-    if cache:
-        hits, misses = int(cache.get("hits", 0)), int(cache.get("misses", 0))
+    # a campaign run with --cache attaches the cache's stats under
+    # extra.service (see docs/service.md)
+    service = doc.get("extra", {}).get("service")
+    if service:
+        hits, misses = service["cache"]["hits"], service["cache"]["misses"]
         tiles += _tile(f"{hits}/{hits + misses}", "cache hits",
                        "✓:good:fully cached"
                        if hits and not misses else "")
     shown = results[:40]
     items = [
         (
-            ("✕ " if r.get("status") != "ok" else "") + str(r.get("name", i)),
-            float(r.get("duration_s", 0.0)),
-            "status-critical" if r.get("status") != "ok" else "s1",
+            ("✕ " if r["status"] != "ok" else "") + r["name"],
+            float(r["duration_s"]),
+            "status-critical" if r["status"] != "ok" else "s1",
         )
-        for i, r in enumerate(shown)
+        for r in shown
     ]
     note = (
         f"showing first {len(shown)} of {len(results)} tasks"
@@ -405,45 +402,38 @@ def _sweep_section(doc: dict[str, Any]) -> str:
         items,
         note=note,
     )
-    name = doc.get("sweep", "sweep")
     return (
-        f"<section><h2>Sweep · {_esc(name)}</h2>"
+        f"<section><h2>Sweep · {_esc(doc['sweep'])}</h2>"
         f'<div class="tiles">{tiles}</div>{chart}</section>'
     )
 
 
 def _chaos_section(doc: dict[str, Any]) -> str:
-    if not doc:
-        return ""
-    trials = doc.get("trials", 0)
-    passed = doc.get("passed", 0)
-    failed = doc.get("failed", 0)
-    errors = doc.get("errors", 0)
-    ok = doc.get("ok", failed == 0 and errors == 0)
+    failed, errors = doc["failed"], doc["errors"]
     tiles = (
-        _tile(str(trials), "trials")
-        + _tile(str(passed), "passed",
-                "✓:good:campaign clean" if ok else "")
+        _tile(str(doc["trials"]), "trials")
+        + _tile(str(doc["passed"]), "passed",
+                "✓:good:campaign clean" if doc["ok"] else "")
         + _tile(str(failed), "oracle failures",
                 "✕:critical:oracle failures" if failed else "")
         + _tile(str(errors), "crashed trials",
                 "✕:critical:crashes" if errors else "")
     )
     parts = [
-        f"<section><h2>Chaos campaign · seed {_esc(doc.get('seed', '?'))}"
+        f"<section><h2>Chaos campaign · seed {_esc(doc['seed'])}"
         f'</h2><div class="tiles">{tiles}</div>'
     ]
-    oracle = doc.get("oracle_failures") or {}
-    if any(oracle.values()):
+    # the writer keeps only oracles that failed, sorted by name
+    oracle = doc["oracle_failures"]
+    if oracle:
         items = [
             (f"✕ {name}", float(count), "status-critical")
-            for name, count in sorted(oracle.items())
-            if count
+            for name, count in oracle.items()
         ]
         parts.append(
             svg_bar_chart("chaos-oracles", "Failures per oracle", items)
         )
-    failures = doc.get("failure_index") or []
+    failures = doc["failure_index"]
     if failures:
         rows = "".join(
             f"<tr><td>{_esc(f['index'])}</td><td>{_esc(f['seed'])}</td>"
@@ -476,38 +466,31 @@ _BENCH_TILES: tuple[tuple[str, str], ...] = (
 
 
 def _bench_section(bench: dict[str, dict[str, Any]]) -> str:
-    if not bench:
-        return ""
     parts = ["<section><h2>Benchmarks</h2>"]
     through = bench.get("BENCH_throughput")
     if through:
         tiles = "".join(
             _tile(_si(float(through[key])), label)
             for key, label in _BENCH_TILES
-            if isinstance(through.get(key), (int, float))
         )
-        if tiles:
-            parts.append(f'<div class="tiles">{tiles}</div>')
+        parts.append(f'<div class="tiles">{tiles}</div>')
     scale = bench.get("BENCH_scale")
-    sizes = (scale or {}).get("sizes") or {}
-    points = sorted(
-        (int(k), v) for k, v in sizes.items() if isinstance(v, dict)
-    )
+    points = (sorted((int(k), v) for k, v in scale["sizes"].items())
+              if scale else [])
     if len(points) >= 2:
         ranks = [float(r) for r, _ in points]
         for key, title, y_label in (
             ("events_per_s", "Throughput vs scale", "events / s"),
             ("wall_s", "Wall time vs scale", "seconds"),
         ):
-            ys = [float(v.get(key, 0.0)) for _, v in points]
-            if any(ys):
-                parts.append(
-                    svg_line_chart(
-                        f"bench-{key}", title, ranks,
-                        [{"name": key, "y": ys, "slot": 1}],
-                        x_label="ranks", y_label=y_label,
-                    )
+            parts.append(
+                svg_line_chart(
+                    f"bench-{key}", title, ranks,
+                    [{"name": key, "y": [float(v[key]) for _, v in points],
+                      "slot": 1}],
+                    x_label="ranks", y_label=y_label,
                 )
+            )
     parts.append("</section>")
     return "".join(parts) if len(parts) > 2 else ""
 
@@ -659,43 +642,33 @@ def render_report(
     sweep: dict[str, Any] | None = None,
     chaos: dict[str, Any] | None = None,
     bench: dict[str, dict[str, Any]] | None = None,
-    title: str = "repro dashboard",
 ) -> tuple[str, int]:
     """Assemble the dashboard; returns ``(html, time-series chart count)``.
 
     ``timeseries`` takes :func:`repro.obs.export.timeseries_rows` rows,
-    ``sweep``/``chaos`` take the JSON documents written by ``repro sweep
-    --out`` / ``repro chaos --out``, and ``bench`` maps artefact stem
-    (e.g. ``"BENCH_throughput"``) to its parsed JSON.
+    ``sweep`` the results document ``repro table1|sweep --out`` writes,
+    ``chaos`` the report ``repro chaos --out`` writes, and ``bench`` maps
+    artefact stem (e.g. ``"BENCH_throughput"``) to its parsed JSON.
     """
     sections: list[str] = []
     n_ts = 0
-    if timeseries:
+    if timeseries is not None:
         ts_html, n_ts = _timeseries_section(timeseries)
         sections.append(ts_html)
-    if sweep:
+    if sweep is not None:
         sections.append(_sweep_section(sweep))
-    if chaos:
+    if chaos is not None:
         sections.append(_chaos_section(chaos))
-    if bench:
+    if bench is not None:
         sections.append(_bench_section(bench))
-    body = "".join(s for s in sections if s) or (
-        '<p class="muted">nothing to render: pass --timeseries, --sweep, '
-        "--chaos or --bench</p>"
-    )
     html = (
         "<!DOCTYPE html>\n"
         '<html lang="en"><head><meta charset="utf-8">'
         '<meta name="viewport" content="width=device-width, initial-scale=1">'
-        f"<title>{_esc(title)}</title>"
+        "<title>repro dashboard</title>"
         f"<style>{_CSS}</style></head>"
-        f'<body class="viz-root"><main><header><h1>{_esc(title)}</h1>'
-        f"</header>{body}</main>"
+        '<body class="viz-root"><main><header><h1>repro dashboard</h1>'
+        f"</header>{''.join(sections)}</main>"
         f"<script>{_JS}</script></body></html>\n"
     )
     return html, n_ts
-
-
-def write_report(path: str, html: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(html)

@@ -97,6 +97,8 @@ class CampaignService:
         self._next_id = 0
         self._runner: asyncio.Task | None = None
         self._stopping = asyncio.Event()
+        #: open connections: handler task -> its writer
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- job lifecycle -------------------------------------------------
     def submit(self, spec: dict[str, Any]) -> Job:
@@ -184,6 +186,9 @@ class CampaignService:
             writer.write(json.dumps(obj, sort_keys=True).encode() + b"\n")
             await writer.drain()
 
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -213,6 +218,7 @@ class CampaignService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -273,14 +279,13 @@ class CampaignService:
         events: asyncio.Queue = asyncio.Queue()
         job.subscribers.add(events)
         try:
-            if request.get("stream", True):
-                while not job.done.is_set():
-                    event = await events.get()
-                    if event is None:
-                        break
+            # None: the job is over, or the service is hanging up
+            while not job.done.is_set():
+                event = await events.get()
+                if event is None:
+                    break
+                if request.get("stream", True):
                     await send({"event": event})
-            else:
-                await job.done.wait()
         finally:
             job.subscribers.discard(events)
         reply: dict[str, Any] = {"ok": job.state == "done", "done": True,
@@ -291,6 +296,18 @@ class CampaignService:
         await send(reply)
 
     # -- lifecycle -----------------------------------------------------
+    async def _hang_up(self) -> None:
+        """Close every open connection and wait for its handler to end, so
+        the server closes without waiting on its clients: an idle handler
+        reads end-of-file, one waiting on a job is woken and finds its
+        connection gone."""
+        for writer in self._connections.values():
+            writer.close()
+        for job in self.jobs.values():
+            self._publish(job, None)
+        # a handler's own error is logged by its stream protocol
+        await asyncio.gather(*self._connections, return_exceptions=True)
+
     async def serve(self, socket_path: str | None = None,
                     host: str = "127.0.0.1", port: int = 7723,
                     ready: Any = None) -> None:
@@ -314,6 +331,8 @@ class CampaignService:
         try:
             async with server:
                 await self._stopping.wait()
+                server.close()  # accept no new client while hanging up
+                await self._hang_up()
         finally:
             self._stopping.set()
             if self._runner is not None:

@@ -17,6 +17,7 @@ from typing import Callable, TYPE_CHECKING
 from ..errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .process import Proc
     from .runtime import World
 
 __all__ = ["FailureEvent", "FailureInjector", "TIME_QUANTUM"]
@@ -54,10 +55,8 @@ class FailureInjector:
         self.handler = handler
         self._scheduled: list[FailureEvent] = []
         self.fired: list[FailureEvent] = []
-        #: active ``after_sends`` taps: {"rank", "nsends", "fired"}
-        self._taps: list[dict] = []
-        self._tap_wrapper: Callable | None = None
-        self._orig_transmit: Callable | None = None
+        #: pending ``after_sends`` taps, ``(rank, nsends)``, dropped as they fire
+        self._taps: list[tuple[int, int]] = []
 
     def at(self, time: float, rank: int) -> None:
         """Kill ``rank`` at virtual ``time``."""
@@ -73,75 +72,34 @@ class FailureInjector:
         send — deterministic logical placement, independent of the timing
         model (useful for reproducible protocol corner cases).
 
-        Multiple taps compose: each registered ``(rank, nsends)`` fires
-        independently through one shared ``transmit_app`` wrapper, and the
-        wrapper is uninstalled once every tap has fired, so steady-state
-        sends never keep paying for an exhausted tap.
+        ``Proc._emit`` counts application sends and calls the rank's
+        ``send_tap`` right after each one, so a protocol replay (which
+        reaches the wire without ``_emit``) never counts.  Taps compose:
+        each registered ``(rank, nsends)`` fires once, and a rank with no
+        pending tap left stops calling back.
         """
         if not 0 <= rank < self.world.nprocs:
             raise ConfigError(f"rank {rank} out of range")
         if nsends < 1:
             raise ConfigError("nsends must be positive")
-        self._taps.append({"rank": rank, "nsends": nsends, "fired": False})
-        self._install_tap()
+        self._taps.append((rank, nsends))
+        self.world.procs[rank].send_tap = self._on_send
 
-    def _install_tap(self) -> None:
-        if self._tap_wrapper is not None:
-            return
-        # None: no instance-level wrapper was there before ours
-        self._orig_transmit = vars(self.world).get("transmit_app")
-        original = self.world.transmit_app
-
-        def tapped(env, _original=original):
-            cpu = _original(env)
-            if self._taps:
-                # the send counter increments after transmit returns, so
-                # +1 makes this the count *including* the in-flight send:
-                # the kill lands right after the nsends-th send, not one
-                # message later
-                sent = self.world.procs[env.src].app_messages_sent + 1
-                exhausted = True
-                for tap in self._taps:
-                    if (not tap["fired"] and tap["rank"] == env.src
-                            and sent >= tap["nsends"]):
-                        tap["fired"] = True
-                        self.world.engine.call_soon(
-                            lambda r=env.src: self._fire(
-                                [r], self.world.engine.now
-                            )
-                        )
-                    exhausted = exhausted and tap["fired"]
-                if exhausted:
-                    self._taps.clear()
-                    self._uninstall_tap()
-            return cpu
-
-        self._tap_wrapper = tapped
-        self.world.transmit_app = tapped
-
-    def _uninstall_tap(self) -> None:
-        """Restore the original ``transmit_app`` hook once every tap fired.
-
-        If someone wrapped ``transmit_app`` *after* us, restoring the
-        original would silently drop their wrapper — in that case ours
-        stays in the chain as a cheap pass-through (empty tap list)."""
-        if self._tap_wrapper is None:
-            return
-        if self.world.transmit_app is self._tap_wrapper:
-            if self._orig_transmit is None:
-                # the class's own method: putting a bound method back as
-                # an instance attribute would tie the world to itself
-                del self.world.transmit_app
-            else:
-                self.world.transmit_app = self._orig_transmit
-        self._tap_wrapper = None
-        self._orig_transmit = None
+    def _on_send(self, proc: "Proc") -> None:
+        """Fire each pending tap on ``proc``'s rank that its application
+        send count has reached."""
+        rank, sent = proc.rank, proc.app_messages_sent
+        for tap in [t for t in self._taps if t[0] == rank and sent >= t[1]]:
+            self._taps.remove(tap)
+            self.world.engine.call_soon(
+                lambda: self._fire([rank], self.world.engine.now))
+        if all(r != rank for r, _ in self._taps):
+            proc.send_tap = None
 
     def close(self) -> None:
-        """Uninstall a tap that never fired and let go of the handler (see
+        """Drop the taps that never fired and let go of the handler (see
         ``Controller.close``); :attr:`fired` stays readable."""
         self._taps.clear()
-        self._uninstall_tap()
         self.handler = None
 
     # ------------------------------------------------------------------

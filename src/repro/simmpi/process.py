@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
-from typing import Any, Generator, TYPE_CHECKING
+from typing import Any, Callable, Generator, TYPE_CHECKING
 
 from ..errors import SimulationError
 from .message import ANY_SOURCE, ANY_TAG, CONTROL_TAG_BASE, Envelope
@@ -188,6 +188,9 @@ class Proc:
         self.unexpected: collections.deque[Envelope] = collections.deque()
         self.app_messages_sent = 0
         self.app_messages_received = 0
+        #: called with this rank after each application send while a
+        #: ``FailureInjector.after_sends`` tap on it is pending
+        self.send_tap: Callable[[Proc], None] | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -354,6 +357,8 @@ class Proc:
         self.hook.on_app_send(env)
         cpu = self.world.transmit_app(env)
         self.app_messages_sent += 1
+        if self.send_tap is not None:
+            self.send_tap(self)
         return cpu
 
     # ------------------------------------------------------------------
@@ -442,5 +447,6 @@ class Proc:
         self._waiting = None
         self._gated_send = None
         self._pending_resume = None
+        self.send_tap = None
         self.hook.detach()
         self.world = None

@@ -107,7 +107,7 @@ def _gc_schedule():
 
 def _tap_schedule():
     """The first generated schedule with a send-count failure tap (the
-    injector wraps ``world.transmit_app`` for those)."""
+    injector gives the tapped rank's ``Proc.send_tap`` a callback)."""
     return _first_schedule(
         lambda s: any(f.kind == "after_sends" for f in s.failures))
 

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -261,3 +262,68 @@ def test_service_pool_job_with_two_workers(tmp_path):
             client.shutdown()
         thread.join(timeout=30)
         assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# lifecycle: other clients connected at shutdown, a client that leaves
+# ----------------------------------------------------------------------
+
+def _start_service(sock, logged):
+    """Serve on ``sock`` from a daemon thread; every message the event
+    loop's exception handler receives is appended to ``logged``."""
+    ready = threading.Event()
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: logged.append(context["message"]))
+        service = CampaignService(workers=1, cache=ResultCache())
+        await service.serve(socket_path=sock, ready=ready)
+
+    thread = threading.Thread(target=asyncio.run, args=(main(),),
+                              daemon=True)
+    thread.start()
+    assert ready.wait(15), "service did not come up"
+    return thread
+
+
+def test_shutdown_hangs_up_on_an_idle_client(tmp_path):
+    """Shutdown while another client sits idle on its connection: the
+    service closes that connection and returns, and the loop logs
+    nothing (it used to leave the connection open, which one Python
+    version waits on forever and another reports as a cancelled task)."""
+    sock, logged = str(tmp_path / "svc.sock"), []
+    thread = _start_service(sock, logged)
+    with ServiceClient(sock, timeout=30) as idle:
+        assert idle.ping()
+        with ServiceClient(sock, timeout=30) as client:
+            assert client.shutdown()["stopping"]
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert idle._fh.readline() == b""  # hung up on
+    assert logged == []
+
+
+def test_client_that_disconnects_mid_job(tmp_path):
+    """A client leaves after its job's first streamed event: the job still
+    completes, the next submit is served, and shutdown is clean."""
+    sock, logged = str(tmp_path / "svc.sock"), []
+    thread = _start_service(sock, logged)
+    with ServiceClient(sock, timeout=60) as client:
+        client._fh.write(json.dumps(
+            {"op": "submit", "campaign": {"kind": "chaos", "trials": 6}}
+        ).encode() + b"\n")
+        client._fh.flush()
+        assert "event" in json.loads(client._fh.readline())
+    with ServiceClient(sock, timeout=60) as client:
+        for _ in range(600):
+            if client.status("job-000001")["state"] != "running":
+                break
+            time.sleep(0.05)
+        brief = client.status("job-000001")
+        assert brief["state"] == "done"
+        assert brief["summary"]["tasks"] == 6
+        assert client.submit({"kind": "selftest", "tasks": 2})["ok"]
+        assert client.shutdown()["stopping"]
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert logged == []

@@ -173,9 +173,9 @@ def test_concurrent_recovery_line_accounts_for_both_ranks():
     assert world.all_done
 
 
-def test_after_sends_tap_restored_after_firing():
-    """The transmit_app wrapper must be uninstalled once every tap fired
-    (the old implementation leaked it for the rest of the run)."""
+def test_after_sends_tap_fires_once():
+    """A tap fires once; the rank then stops calling back, so its later
+    sends (the restarted rank re-sends past the threshold) kill nothing."""
     from repro.apps.stencil import Stencil1D
     from repro.core import ProtocolConfig, build_ft_world
 
@@ -184,19 +184,16 @@ def test_after_sends_tap_restored_after_firing():
         ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=2e-6),
     )
     assert ctl.injector is not None
-    original = world.transmit_app
     ctl.injector.after_sends(2, 5)
-    assert world.transmit_app != original  # tap installed
+    assert world.procs[2].send_tap is not None  # tap installed
     world.launch()
     world.run()
-    # bound-method access creates a fresh object per read: compare ==
-    assert world.transmit_app == original  # tap removed after firing
+    assert world.procs[2].send_tap is None  # fired -> no more callbacks
     assert [e.rank for e in ctl.injector.fired] == [2]
 
 
 def test_multiple_after_sends_taps_compose():
-    """Several (rank, nsends) taps ride one shared wrapper and each fires
-    independently."""
+    """Several (rank, nsends) taps each fire independently."""
     from repro.apps.stencil import Stencil1D
     from repro.core import ProtocolConfig, build_ft_world
 
@@ -205,13 +202,11 @@ def test_multiple_after_sends_taps_compose():
         ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=2e-6),
     )
     assert ctl.injector is not None
-    original = world.transmit_app
     ctl.injector.after_sends(1, 4)
     ctl.injector.after_sends(2, 9)
     world.launch()
     world.run()
     assert sorted(e.rank for e in ctl.injector.fired) == [1, 2]
-    assert world.transmit_app == original  # both fired -> uninstalled
     assert world.all_done
 
 
@@ -246,3 +241,35 @@ def test_after_sends_fires_at_exact_send_count():
     world2.launch()
     world2.run()
     assert fired_counts == [6]
+
+
+class SendAfterPause(RankProgram):
+    """Rank 0 computes, then sends rank 1 one message."""
+
+    def run(self, api):
+        yield api.compute(1e-3)
+        if self.rank == 0:
+            yield api.send(1, b"app", tag=5)
+        else:
+            yield api.recv(0, 5)
+
+
+def test_after_sends_does_not_count_a_replay():
+    """A protocol replay reaches the wire without ``Proc._emit``, so it is
+    not an application send: it must not fire a kill placed after rank 0's
+    first send (the tap used to count it, landing one send early)."""
+    from repro.simmpi.message import Envelope
+
+    world = World(2, SendAfterPause)
+    kills = []
+    injector = FailureInjector(world, lambda ranks: kills.append(
+        (ranks, world.engine.now, world.procs[0].app_messages_sent)))
+    injector.after_sends(0, 1)
+    world.launch()
+    # a replay of rank 0, put on the wire the way the protocols do
+    replay = Envelope(0, 1, 5, b"replay", uid=world.next_uid())
+    replay.meta["replayed"] = True
+    world.transmit_app(replay)
+    world.run()
+    assert [(ranks, sent) for ranks, _, sent in kills] == [([0], 1)]
+    assert kills[0][1] >= 1e-3  # after the application send, not the replay

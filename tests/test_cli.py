@@ -186,14 +186,22 @@ def test_obs_trace_out_is_perfetto_whatever_the_suffix(tmp_path, capsys):
     assert {"checkpoint", "failure"} <= {e["name"] for e in events}
 
 
-def test_report_command(tmp_path, capsys):
-    import json
+def _dump_obs_series(tmp_path) -> str:
+    ts = tmp_path / "ts.jsonl"
+    assert main(["obs", "--ranks", "4", "--clusters", "2",
+                 "--timeseries", "--timeseries-out", str(ts),
+                 "--out", str(tmp_path / "m.jsonl")]) == 0
+    return str(ts)
 
+
+def test_report_command(tmp_path, capsys):
+    """``repro report`` writes one self-contained file: inline SVG, no
+    external assets."""
+    ts = _dump_obs_series(tmp_path)
+    capsys.readouterr()
     out = tmp_path / "dash.html"
-    assert main(["report", "--out", str(out), "--ranks", "4",
-                 "--clusters", "2"]) == 0
-    stdout = capsys.readouterr().out
-    assert "report ->" in stdout
+    assert main(["report", "--out", str(out), "--timeseries", ts]) == 0
+    assert "report ->" in capsys.readouterr().out
     html = out.read_text(encoding="utf-8")
     assert html.count("<svg") >= 4
     for needle in ("<script src=", "<link ", "@import", "url("):
@@ -201,13 +209,10 @@ def test_report_command(tmp_path, capsys):
 
 
 def test_report_from_timeseries_dump(tmp_path, capsys):
-    ts = tmp_path / "ts.jsonl"
-    assert main(["obs", "--ranks", "4", "--clusters", "2",
-                 "--timeseries", "--timeseries-out", str(ts),
-                 "--out", str(tmp_path / "m.jsonl")]) == 0
+    """``repro report`` charts the series ``repro obs`` dumped."""
+    ts = _dump_obs_series(tmp_path)
     out = tmp_path / "dash.html"
-    assert main(["report", "--out", str(out),
-                 "--timeseries", str(ts)]) == 0
+    assert main(["report", "--out", str(out), "--timeseries", ts]) == 0
     capsys.readouterr()
     html = out.read_text(encoding="utf-8")
     assert html.count("<svg") >= 4
