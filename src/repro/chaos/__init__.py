@@ -15,42 +15,35 @@ Entry points: ``repro chaos`` on the CLI, :func:`run_campaign` in code,
 :func:`shrink_schedule` for minimization.  See ``docs/robustness.md``.
 """
 
-from .campaign import (
-    CampaignReport,
-    replay_trial,
-    run_campaign,
-    schedule_for_trial,
-)
-from .oracles import ORACLES, OracleResult, TrialResult
-from .schedule import (
-    PLACEMENT_KINDS,
-    FailureSpec,
-    TrialSchedule,
-    generate_schedule,
-    schedule_from_json,
-    with_failures,
-)
-from .shrink import ShrinkResult, reproducer_source, shrink_schedule
-from .trial import SYNTHETIC_BUGS, run_trial, run_trial_schedule
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ORACLES",
-    "PLACEMENT_KINDS",
-    "SYNTHETIC_BUGS",
-    "FailureSpec",
-    "TrialSchedule",
-    "OracleResult",
-    "TrialResult",
-    "CampaignReport",
-    "ShrinkResult",
-    "generate_schedule",
-    "schedule_from_json",
-    "with_failures",
-    "run_trial",
-    "run_trial_schedule",
-    "run_campaign",
-    "replay_trial",
-    "schedule_for_trial",
-    "shrink_schedule",
-    "reproducer_source",
-]
+from .. import lazy_facade
+
+if TYPE_CHECKING:
+    from .campaign import (
+        CampaignReport,
+        replay_trial,
+        run_campaign,
+        schedule_for_trial,
+    )
+    from .oracles import ORACLES, OracleResult, TrialResult
+    from .schedule import (
+        PLACEMENT_KINDS,
+        FailureSpec,
+        TrialSchedule,
+        generate_schedule,
+        schedule_from_json,
+        with_failures,
+    )
+    from .shrink import ShrinkResult, reproducer_source, shrink_schedule
+    from .trial import SYNTHETIC_BUGS, run_trial, run_trial_schedule
+else:
+    __getattr__, __dir__, __all__ = lazy_facade(globals(), {
+        "campaign": "CampaignReport replay_trial run_campaign "
+                    "schedule_for_trial",
+        "oracles": "ORACLES OracleResult TrialResult",
+        "schedule": "PLACEMENT_KINDS FailureSpec TrialSchedule "
+                    "generate_schedule schedule_from_json with_failures",
+        "shrink": "ShrinkResult reproducer_source shrink_schedule",
+        "trial": "SYNTHETIC_BUGS run_trial run_trial_schedule",
+    })

@@ -23,7 +23,6 @@ from .. import campaigns
 from ..sweep import SweepResult, task_seed
 from .oracles import ORACLES
 from .schedule import schedule_from_json
-from .shrink import shrink_schedule
 from .trial import run_trial, trial_schedule
 
 __all__ = ["CampaignReport", "run_campaign", "replay_trial",
@@ -155,6 +154,8 @@ def shrink_failures(report: CampaignReport, shrink: int) -> None:
     for entry in report.failures[: max(0, shrink)]:
         if entry.get("harness_error") or "schedule" not in entry:
             continue
+        from .shrink import shrink_schedule
+
         schedule = schedule_from_json(entry["schedule"])
         try:
             shrunk = shrink_schedule(schedule)

@@ -56,25 +56,17 @@ import os
 import sys
 from typing import Any, NoReturn, Sequence
 
+# what the parser and several commands share; a command imports what it
+# alone runs
 from . import campaigns
-from .analysis import (
-    collect_matrix,
-    compare_executions,
-    expected_rollback_fraction,
-    render_matrix,
-)
-from .analysis.report import Table1Cell, format_table, format_table1
-from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS, Stencil2D
-from .baselines import run_domino_analysis
+from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS
 from .chaos.oracles import ORACLES
-from .core.clustering import Clustering, block_clusters
 from .lint.certify import (
     DEFAULT_JITTER,
     DEFAULT_REGISTRY,
     DEFAULT_SCHEDULES,
 )
 from .lint.sanitize import ENV_VAR as SANITIZE_ENV_VAR
-from .netmodel import MODES, PerfModel
 from .obs.timeseries import DEFAULT_TIMESERIES_INTERVAL
 
 __all__ = ["main", "build_parser"]
@@ -383,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .analysis import compare_executions
+
     nprocs = args.ranks
     ref, world, controller, fail_rank, fail_time = campaigns.stencil_scenario(
         nprocs, args.clusters, fail_rank=args.fail_rank, record_sequences=True)
@@ -493,6 +487,9 @@ def _print_telemetry(registry, cache, args: argparse.Namespace,
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from .analysis import expected_rollback_fraction
+    from .analysis.report import Table1Cell, format_table1
+
     spec = _gated_spec("table1", args)
     cache = _open_cache(args)
     run = campaigns.run_campaign(spec, workers=args.workers, cache=cache,
@@ -547,6 +544,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fig6(_args: argparse.Namespace) -> int:
+    from .analysis.report import format_table
+    from .netmodel import MODES, PerfModel
+
     model = PerfModel()
     sizes = [1 << k for k in range(0, 24, 2)]
     rows = [
@@ -562,6 +562,9 @@ def cmd_fig6(_args: argparse.Namespace) -> int:
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
+    from .analysis import collect_matrix, render_matrix
+    from .core.clustering import Clustering, block_clusters
+
     cls = TABLE1_KERNELS[args.kernel]
     matrix = collect_matrix(args.ranks, lambda r, s: cls(r, s),
                             copy_payloads=False)
@@ -576,6 +579,9 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 
 def cmd_domino(args: argparse.Namespace) -> int:
+    from .apps import Stencil2D
+    from .baselines import run_domino_analysis
+
     factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
     stats = run_domino_analysis(args.ranks, factory, checkpoint_interval=2e-5,
                                 sample_interval=4e-5, jitter=0.15,

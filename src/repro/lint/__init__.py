@@ -22,58 +22,47 @@ See ``docs/static-analysis.md`` for the rule catalog and the mapping of
 sanitizer invariants to the paper's lemmas.
 """
 
-import importlib
+from typing import TYPE_CHECKING
 
-from .sanitize import (
-    AUDIT_INTERVAL,
-    ENV_VAR,
-    INVARIANTS,
-    Sanitizer,
-    sanitize_enabled,
-    sanitizer_for,
-)
+from .. import lazy_facade
 
-# The engine imports the sanitizer on every cold start; the static half
-# loads on first use (PEP 562).
-_LAZY = {
-    "checker": "DeterminismChecker lint_source",
-    "noqa": "parse_suppressions",
-    "rules": "PARSE_ERROR_CODE RULES RULE_CODES LintFinding Rule module_parts",
-    "runner": "JSON_SCHEMA_VERSION LintReport iter_python_files lint_paths "
-              "list_rules_text render_json render_text",
-    "sendet": "VERDICTS KernelReport analyze_paths analyze_sources",
-}
-
-
-def __getattr__(name: str) -> object:
-    for module, names in _LAZY.items():
-        if name in names.split():
-            value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-            globals()[name] = value
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "AUDIT_INTERVAL",
-    "DeterminismChecker",
-    "ENV_VAR",
-    "INVARIANTS",
-    "LintFinding",
-    "LintReport",
-    "PARSE_ERROR_CODE",
-    "RULES",
-    "RULE_CODES",
-    "Rule",
-    "Sanitizer",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
-    "list_rules_text",
-    "module_parts",
-    "parse_suppressions",
-    "render_json",
-    "render_text",
-    "sanitize_enabled",
-    "sanitizer_for",
-]
+if TYPE_CHECKING:
+    from .checker import DeterminismChecker, lint_source
+    from .noqa import parse_suppressions
+    from .rules import (
+        PARSE_ERROR_CODE,
+        RULE_CODES,
+        RULES,
+        LintFinding,
+        Rule,
+        module_parts,
+    )
+    from .runner import (
+        JSON_SCHEMA_VERSION,
+        LintReport,
+        iter_python_files,
+        lint_paths,
+        list_rules_text,
+        render_json,
+        render_text,
+    )
+    from .sanitize import (
+        AUDIT_INTERVAL,
+        ENV_VAR,
+        INVARIANTS,
+        Sanitizer,
+        sanitize_enabled,
+        sanitizer_for,
+    )
+    from .sendet import VERDICTS, KernelReport, analyze_paths, analyze_sources
+else:
+    __getattr__, __dir__, __all__ = lazy_facade(globals(), {
+        "checker": "DeterminismChecker lint_source",
+        "noqa": "parse_suppressions",
+        "rules": "PARSE_ERROR_CODE RULES RULE_CODES LintFinding Rule module_parts",
+        "runner": "JSON_SCHEMA_VERSION LintReport iter_python_files lint_paths "
+                  "list_rules_text render_json render_text",
+        "sanitize": "AUDIT_INTERVAL ENV_VAR INVARIANTS Sanitizer "
+                    "sanitize_enabled sanitizer_for",
+        "sendet": "VERDICTS KernelReport analyze_paths analyze_sources",
+    })

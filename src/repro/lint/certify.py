@@ -38,13 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..errors import ConfigError
-from .sendet import (
-    KernelReport,
-    ModuleIndex,
-    SendetResult,
-    analyze_paths,
-    kernel_code_digest,
-)
 
 __all__ = [
     "REGISTRY_VERSION",
@@ -182,7 +175,9 @@ def build_registry(
     also run through :func:`dynamic_verify`; a diverging kernel's verdict
     becomes VIOLATION regardless of what the static pass proved.
     """
-    result: SendetResult = analyze_paths(paths)
+    from .sendet import analyze_paths  # the taint pass: ``repro certify`` only
+
+    result = analyze_paths(paths)
     catalogue = _catalogue() if dynamic else {}
     wanted = set(kernels) if kernels is not None else None
     entries: dict[str, Any] = {}
@@ -245,6 +240,8 @@ def current_kernel_digest(cls: type) -> str | None:
     classes, frozen apps) — callers treat that as "cannot check".
     """
     import inspect
+
+    from .sendet import ModuleIndex, kernel_code_digest
 
     index = ModuleIndex()
     seen: set[str] = set()

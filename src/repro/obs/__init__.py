@@ -17,86 +17,69 @@ Quick start::
 or from the command line: ``python -m repro obs --format csv``.
 """
 
-from .registry import (
-    Counter,
-    CounterCell,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    DURATION_BUCKETS,
-    DEPTH_BUCKETS,
-    SIZE_BUCKETS,
-)
-from .export import (
-    dump_flight,
-    dump_metrics,
-    dump_text,
-    dump_timeseries,
-    flight_rows,
-    histogram_quantile,
-    metric_rows,
-    timeseries_rows,
-    to_csv,
-    to_jsonl,
-)
-from .timeseries import (
-    DEFAULT_TIMESERIES_CAPACITY,
-    DEFAULT_TIMESERIES_INTERVAL,
-    TimeSeriesRecorder,
-)
-from .stream import ProgressStream, stream_progress
-from .report import render_report
-from .flight import (
-    DEFAULT_FLIGHT_CAPACITY,
-    FlightKind,
-    FlightRecorder,
-    RECORD_FIELDS,
-    record_to_dict,
-)
-from .explain import (
-    ForcingEdge,
-    RankExplanation,
-    RecoveryExplanation,
-    explain_recovery_line,
-    explain_report,
-)
-from .perfetto import dump_perfetto, perfetto_trace
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Counter",
-    "CounterCell",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DURATION_BUCKETS",
-    "DEPTH_BUCKETS",
-    "SIZE_BUCKETS",
-    "dump_flight",
-    "dump_metrics",
-    "dump_text",
-    "dump_timeseries",
-    "flight_rows",
-    "histogram_quantile",
-    "metric_rows",
-    "timeseries_rows",
-    "to_csv",
-    "to_jsonl",
-    "DEFAULT_TIMESERIES_CAPACITY",
-    "DEFAULT_TIMESERIES_INTERVAL",
-    "TimeSeriesRecorder",
-    "ProgressStream",
-    "stream_progress",
-    "render_report",
-    "DEFAULT_FLIGHT_CAPACITY",
-    "FlightKind",
-    "FlightRecorder",
-    "RECORD_FIELDS",
-    "record_to_dict",
-    "ForcingEdge",
-    "RankExplanation",
-    "RecoveryExplanation",
-    "explain_recovery_line",
-    "explain_report",
-    "dump_perfetto",
-    "perfetto_trace",
-]
+from .. import lazy_facade
+
+if TYPE_CHECKING:
+    from .explain import (
+        ForcingEdge,
+        RankExplanation,
+        RecoveryExplanation,
+        explain_recovery_line,
+        explain_report,
+    )
+    from .export import (
+        dump_flight,
+        dump_metrics,
+        dump_text,
+        dump_timeseries,
+        flight_rows,
+        histogram_quantile,
+        metric_rows,
+        timeseries_rows,
+        to_csv,
+        to_jsonl,
+    )
+    from .flight import (
+        DEFAULT_FLIGHT_CAPACITY,
+        RECORD_FIELDS,
+        FlightKind,
+        FlightRecorder,
+        record_to_dict,
+    )
+    from .perfetto import dump_perfetto, perfetto_trace
+    from .registry import (
+        DEPTH_BUCKETS,
+        DURATION_BUCKETS,
+        SIZE_BUCKETS,
+        Counter,
+        CounterCell,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+    )
+    from .report import render_report
+    from .stream import ProgressStream, stream_progress
+    from .timeseries import (
+        DEFAULT_TIMESERIES_CAPACITY,
+        DEFAULT_TIMESERIES_INTERVAL,
+        TimeSeriesRecorder,
+    )
+else:
+    __getattr__, __dir__, __all__ = lazy_facade(globals(), {
+        "explain": "ForcingEdge RankExplanation RecoveryExplanation "
+                   "explain_recovery_line explain_report",
+        "export": "dump_flight dump_metrics dump_text dump_timeseries "
+                  "flight_rows histogram_quantile metric_rows "
+                  "timeseries_rows to_csv to_jsonl",
+        "flight": "DEFAULT_FLIGHT_CAPACITY RECORD_FIELDS FlightKind "
+                  "FlightRecorder record_to_dict",
+        "perfetto": "dump_perfetto perfetto_trace",
+        "registry": "DEPTH_BUCKETS DURATION_BUCKETS SIZE_BUCKETS Counter "
+                    "CounterCell Gauge Histogram MetricsRegistry",
+        "report": "render_report",
+        "stream": "ProgressStream stream_progress",
+        "timeseries": "DEFAULT_TIMESERIES_CAPACITY "
+                      "DEFAULT_TIMESERIES_INTERVAL TimeSeriesRecorder",
+    })

@@ -17,7 +17,6 @@ any CSV reader.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from typing import Any, TYPE_CHECKING
@@ -158,6 +157,8 @@ def to_jsonl(rows: list[dict[str, Any]]) -> str:
 
 def to_csv(rows: list[dict[str, Any]]) -> str:
     """CSV with the union of all row keys as header (stable order)."""
+    import csv  # the one CSV user: most processes export JSON lines only
+
     if not rows:
         return ""
     header: list[str] = []

@@ -17,30 +17,28 @@ The one-shot sweep executor grown into a resident orchestration layer:
 See ``docs/service.md`` for queue/lease/cache semantics.
 """
 
-from .cache import (
-    CacheUnkeyable,
-    ResultCache,
-    cache_key,
-    canonical_params,
-    code_digest,
-)
-from .client import ServiceClient
-from .jobs import CAMPAIGN_KINDS, run_campaign_job, validate_spec
-from .scheduler import SchedulerOutcome, WorkStealingScheduler
-from .server import CampaignService, serve
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CAMPAIGN_KINDS",
-    "CacheUnkeyable",
-    "CampaignService",
-    "ResultCache",
-    "SchedulerOutcome",
-    "ServiceClient",
-    "WorkStealingScheduler",
-    "cache_key",
-    "canonical_params",
-    "code_digest",
-    "run_campaign_job",
-    "serve",
-    "validate_spec",
-]
+from .. import lazy_facade
+
+if TYPE_CHECKING:
+    from .cache import (
+        CacheUnkeyable,
+        ResultCache,
+        cache_key,
+        canonical_params,
+        code_digest,
+    )
+    from .client import ServiceClient
+    from .jobs import CAMPAIGN_KINDS, run_campaign_job, validate_spec
+    from .scheduler import SchedulerOutcome, WorkStealingScheduler
+    from .server import CampaignService, serve
+else:
+    __getattr__, __dir__, __all__ = lazy_facade(globals(), {
+        "cache": "CacheUnkeyable ResultCache cache_key canonical_params "
+                 "code_digest",
+        "client": "ServiceClient",
+        "jobs": "CAMPAIGN_KINDS run_campaign_job validate_spec",
+        "scheduler": "SchedulerOutcome WorkStealingScheduler",
+        "server": "CampaignService serve",
+    })

@@ -45,7 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..sweep.executor import MP_START_METHOD, mp_context
+from ..sweep.executor import _pinned_start_method, mp_context
 
 __all__ = ["SchedulerOutcome", "WorkStealingScheduler"]
 
@@ -79,7 +79,7 @@ class WorkStealingScheduler:
     def __init__(self, workers: int, mp_method: str | None = None,
                  obs: Any = None):
         self.workers = max(1, int(workers))
-        self.mp_method = mp_method or MP_START_METHOD
+        self.mp_method = mp_method or _pinned_start_method()
         self.obs = obs
         self._executor: ProcessPoolExecutor | None = None
 

@@ -13,24 +13,23 @@ that never imported this module, which is what lets the CLI bolt
 ``--workers`` onto existing commands without re-validating their output.
 """
 
-from .executor import (
-    MP_START_METHOD,
-    SweepResult,
-    SweepTask,
-    mp_context,
-    results_document,
-    run_sweep,
-    save_results,
-    task_seed,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "MP_START_METHOD",
-    "SweepResult",
-    "SweepTask",
-    "mp_context",
-    "results_document",
-    "run_sweep",
-    "save_results",
-    "task_seed",
-]
+from .. import lazy_facade
+
+if TYPE_CHECKING:
+    from .executor import (
+        MP_START_METHOD,
+        SweepResult,
+        SweepTask,
+        mp_context,
+        results_document,
+        run_sweep,
+        save_results,
+        task_seed,
+    )
+else:
+    __getattr__, __dir__, __all__ = lazy_facade(globals(), {
+        "executor": "MP_START_METHOD SweepResult SweepTask mp_context "
+                    "results_document run_sweep save_results task_seed",
+    })

@@ -41,14 +41,16 @@ and the merged registry/exports are indistinguishable from a cold run.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+
+from ..errors import ConfigError
 
 __all__ = [
     "MP_START_METHOD",
@@ -62,6 +64,7 @@ __all__ = [
 ]
 
 
+@functools.cache
 def _pinned_start_method() -> str:
     """Explicit multiprocessing start method for every pool in the repo.
 
@@ -69,22 +72,37 @@ def _pinned_start_method() -> str:
     ``spawn`` otherwise — chosen *here*, once, rather than inherited from
     ``multiprocessing``'s platform default, so a Python upgrade flipping
     the default cannot silently change worker-global state semantics.
-    ``REPRO_MP_START_METHOD`` overrides (e.g. the campaign service passes
-    ``forkserver``/``spawn``, which are safe to use from threads).
+    ``REPRO_MP_START_METHOD`` overrides; a value this platform does not
+    offer is a :class:`~repro.errors.ConfigError`.  Resolved on first use:
+    only a pool needs :mod:`multiprocessing`.
     """
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
     override = os.environ.get("REPRO_MP_START_METHOD")
-    if override:
-        return override
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() \
-        else "spawn"
+    if not override:
+        return "fork" if "fork" in methods else "spawn"
+    if override not in methods:
+        raise ConfigError(f"REPRO_MP_START_METHOD={override!r} is not a start "
+                          f"method of this platform (have {', '.join(methods)})")
+    return override
 
 
-MP_START_METHOD: str = _pinned_start_method()
+if TYPE_CHECKING:
+    MP_START_METHOD: str
+else:
+    def __getattr__(name: str) -> str:
+        """``MP_START_METHOD``, resolved by :func:`_pinned_start_method`."""
+        if name == "MP_START_METHOD":
+            return _pinned_start_method()
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def mp_context(method: str | None = None):
     """The pinned multiprocessing context (never the platform default)."""
-    return multiprocessing.get_context(method or MP_START_METHOD)
+    import multiprocessing
+
+    return multiprocessing.get_context(method or _pinned_start_method())
 
 
 def task_seed(base_seed: int, index: int, name: str) -> int:

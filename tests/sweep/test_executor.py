@@ -315,3 +315,57 @@ def test_cache_round_trip_byte_identity():
 def test_cached_flag_not_serialized():
     res = SweepResult(index=0, name="t", status="ok", value=1, cached=True)
     assert "cached" not in res.to_json()
+
+
+# ----------------------------------------------------------------------
+# the pinned start method
+# ----------------------------------------------------------------------
+
+def process_name(params):
+    import multiprocessing
+
+    return multiprocessing.current_process().name
+
+
+@pytest.fixture
+def start_method_env(monkeypatch):
+    """Set ``REPRO_MP_START_METHOD`` for one test; the pin resolves afresh
+    on both sides of it."""
+    from repro.sweep import executor
+
+    def set_method(value):
+        monkeypatch.setenv("REPRO_MP_START_METHOD", value)
+        executor._pinned_start_method.cache_clear()
+
+    yield set_method
+    executor._pinned_start_method.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--kernels", "CG", "MG", "--ranks", "8", "--clusters", "2",
+     "--niters", "2", "--workers", "2"],
+    ["chaos", "--trials", "2", "--workers", "2"],
+])
+def test_unknown_start_method_is_a_usage_error(argv, start_method_env,
+                                               capsys):
+    import multiprocessing
+
+    from repro.cli import main
+
+    start_method_env("bogus")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "REPRO_MP_START_METHOD='bogus'" in err
+    assert all(m in err for m in multiprocessing.get_all_start_methods())
+    assert "Traceback" not in err
+
+
+def test_start_method_override_reaches_the_pool(start_method_env):
+    from repro.service.scheduler import WorkStealingScheduler
+    from repro.sweep import executor
+
+    start_method_env("spawn")
+    assert executor.MP_START_METHOD == "spawn"
+    assert WorkStealingScheduler(2).mp_method == "spawn"
+    names = [r.value for r in run_sweep(process_name, _tasks(2), workers=2)]
+    assert all(name.startswith("SpawnProcess") for name in names), names
