@@ -169,17 +169,3 @@ def seed_baseline() -> dict:
 def bench_scale() -> str:
     return SCALE
 
-
-def format_table(headers: list[str], rows: list[list], widths=None) -> str:
-    """Minimal fixed-width table renderer (no external deps)."""
-    if widths is None:
-        widths = [
-            max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-            for i, h in enumerate(headers)
-        ]
-    def line(cells):
-        return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
-
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in rows)
-    return "\n".join(out) + "\n"

@@ -14,9 +14,10 @@ optimization makes.
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.core.logstore import ReceiverChannel, SenderChannel
 
-from conftest import emit, format_table
+from conftest import emit
 
 
 def drive(n_messages, size, ckpt_every=0, reverse_every=5):

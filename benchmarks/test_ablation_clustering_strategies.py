@@ -16,9 +16,11 @@ the two Table-I metrics on live protocol runs.
 
 import pytest
 
-from repro.analysis import SpeSampler, collect_matrix, rollback_analysis
+from repro.analysis import collect_matrix
+from repro.analysis.report import format_table
+from repro.analysis.rollback import measure_rollback
 from repro.apps import CGKernel, LUKernel, MGKernel
-from repro.core import ProtocolConfig, build_ft_world
+from repro.core import ProtocolConfig
 from repro.core.clustering import (
     Clustering,
     block_clusters,
@@ -26,7 +28,7 @@ from repro.core.clustering import (
     spectral_clusters,
 )
 
-from conftest import emit, format_table
+from conftest import emit
 
 NPROCS = 16
 NCLUSTERS = 4
@@ -48,17 +50,9 @@ def evaluate(factory, cluster_of, cluster_epochs):
         lightweight=True,
         retain_payloads=False,
     )
-    world, controller = build_ft_world(NPROCS, factory, config,
-                                       copy_payloads=False)
-    sampler = SpeSampler(controller, interval=6e-5)
-    sampler.arm()
-    world.launch()
-    world.run()
-    if not sampler.snapshots:
-        sampler.take()
-    log = 100 * controller.logging_stats()["log_fraction"]
-    rl = rollback_analysis(sampler.snapshots, NPROCS).percent
-    return log, rl
+    log, _, rb = measure_rollback(NPROCS, factory, config, 6e-5,
+                                  copy_payloads=False)
+    return 100 * log["log_fraction"], rb.percent
 
 
 @pytest.fixture(scope="module")

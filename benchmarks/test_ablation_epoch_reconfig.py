@@ -13,11 +13,12 @@ on the cluster matrix and live in the protocol.
 import numpy as np
 import pytest
 
+from repro.analysis.report import format_table
 from repro.apps.base import RankProgram
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.clustering import Clustering, block_clusters
 
-from conftest import emit, format_table
+from conftest import emit
 
 NPROCS = 12
 NCLUSTERS = 3

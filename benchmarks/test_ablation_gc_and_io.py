@@ -16,12 +16,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis.report import format_table
 from repro.apps import Stencil2D
 from repro.baselines import CLConfig, CLController
 from repro.core import ProtocolConfig, build_ft_world, build_world
 from repro.core.clustering import block_clusters
 
-from conftest import emit, format_table
+from conftest import emit
 
 NPROCS = 16
 

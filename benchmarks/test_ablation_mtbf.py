@@ -18,12 +18,13 @@ import random
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.apps import Stencil2D
 from repro.baselines import CLConfig, CLController
 from repro.core import ProtocolConfig, build_ft_world, build_world
 from repro.core.clustering import block_clusters
 
-from conftest import emit, format_table
+from conftest import emit
 
 NPROCS = 8
 MTBFS = [4e-4, 2e-4, 1e-4]

@@ -17,13 +17,14 @@ Reproduced three ways on the same workload:
 
 import pytest
 
-from repro.analysis import SpeSampler, rollback_analysis
+from repro.analysis.report import format_table
+from repro.analysis.rollback import measure_rollback
 from repro.apps import Stencil2D
 from repro.baselines import run_domino_analysis
-from repro.core import ProtocolConfig, build_ft_world
+from repro.core import ProtocolConfig
 from repro.core.clustering import block_clusters
 
-from conftest import emit, format_table, is_paper_scale
+from conftest import emit, is_paper_scale
 
 NPROCS = 32 if is_paper_scale() else 16
 
@@ -33,17 +34,9 @@ def factory(rank, size):
 
 
 def measure(config):
-    world, controller = build_ft_world(NPROCS, factory, config,
-                                       copy_payloads=False)
-    sampler = SpeSampler(controller, interval=4e-5)
-    sampler.arm()
-    world.launch()
-    world.run()
-    if not sampler.snapshots:
-        sampler.take()
-    stats = rollback_analysis(sampler.snapshots, NPROCS)
-    logs = controller.logging_stats()
-    return 100 * logs["log_fraction"], stats.percent
+    log, _, rb = measure_rollback(NPROCS, factory, config, 4e-5,
+                                  copy_payloads=False)
+    return 100 * log["log_fraction"], rb.percent
 
 
 @pytest.fixture(scope="module")

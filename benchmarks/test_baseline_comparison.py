@@ -16,7 +16,7 @@ plain uncoordinated.
 import numpy as np
 import pytest
 
-from repro.analysis import SpeSampler, rollback_analysis
+from repro.analysis.report import format_table
 from repro.apps import Stencil2D
 from repro.baselines import (
     CLConfig,
@@ -28,7 +28,7 @@ from repro.baselines import (
 from repro.core import ProtocolConfig, build_ft_world, build_world
 from repro.core.clustering import block_clusters
 
-from conftest import emit, format_table
+from conftest import emit
 
 NPROCS = 16
 FAIL_AT = 9e-5

@@ -19,11 +19,12 @@ Shape assertions (the paper's findings):
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.apps.pingpong import PingPong
 from repro.netmodel import MODES, PerfModel, timing_model_for
 from repro.simmpi import World
 
-from conftest import emit, format_table
+from conftest import emit
 
 SIZES = [1 << k for k in range(0, 24)]
 

@@ -14,12 +14,13 @@ positive but small (< 8 % with our compute/communication balance).
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.apps import BTKernel, CGKernel, MGKernel
 from repro.core import ProtocolConfig, build_ft_world
 from repro.netmodel import timing_model_for
 from repro.simmpi import World
 
-from conftest import emit, format_table, is_paper_scale
+from conftest import emit, is_paper_scale
 
 NPROCS = 64 if is_paper_scale() else 16
 #: per-iteration virtual compute: class-D NAS problems are compute-heavy,

@@ -13,11 +13,12 @@ import random
 import numpy as np
 import pytest
 
+from repro.analysis.report import format_table
 from repro.apps import Stencil1D
 from repro.core import LoggedMessage, PendingAck, ProtocolConfig, build_ft_world
 from repro.core.recovery import RecoveryLineSolver, compute_recovery_line
 
-from conftest import emit, format_table, is_paper_scale, timed
+from conftest import emit, is_paper_scale, timed
 
 
 def synthetic_spe(nprocs: int, epochs: int = 6, degree: int = 8, seed: int = 1):

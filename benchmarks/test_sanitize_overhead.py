@@ -10,11 +10,12 @@ in ``results/sanitize_overhead.txt`` and ``results/BENCH_throughput.json``.
 
 import os
 
+from repro.analysis.report import format_table
 from repro.apps import Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 from repro.lint.sanitize import ENV_VAR
 
-from conftest import emit, emit_json, format_table, timed
+from conftest import emit, emit_json, timed
 
 
 def _protocol_world(obs=None, sanitize=False, record_sequences=False):

@@ -2,7 +2,9 @@
 16384 ranks.
 
 Each size runs one *quick* Table I cell (CG, 4 clusters, 4 iterations —
-the same cell the CI large-scale smoke drives) in a fresh subprocess, so
+the same cell the CI large-scale smoke drives, as
+:func:`repro.campaigns.table1_setup` defines it, timing the simulation
+and the analysis apart) in a fresh subprocess, so
 the recorded peak RSS is that size's own footprint rather than the
 monotone maximum across the sweep.  The artefact ``results/BENCH_scale.json``
 records, per size: wall seconds, engine events dispatched, events/s,
@@ -49,24 +51,17 @@ CLUSTERS = 4
 
 _RUNNER = r"""
 import json, resource, sys, time
-from repro.apps.cg import CGKernel
-from repro.core import ProtocolConfig, build_ft_world
-from repro.core.clustering import block_clusters
+from repro.campaigns import table1_setup
+from repro.core import build_ft_world
 from repro.analysis.rollback import SpeSampler, rollback_analysis
 
 nprocs = int(sys.argv[1])
-niters = int(sys.argv[2])
-nclusters = int(sys.argv[3])
-factory = lambda r, s: CGKernel(r, s, niters=niters, compute_time=1e-5)
-config = ProtocolConfig(
-    checkpoint_interval=6e-5,
-    cluster_of=block_clusters(nprocs, nclusters),
-    cluster_stagger=8e-6, rank_stagger=2e-7,
-    lightweight=True, retain_payloads=False,
-)
+cell = table1_setup({"kernel": "CG", "ranks": nprocs, "niters": int(sys.argv[2]),
+                     "clusters": int(sys.argv[3])})
+period = cell.pop("period")
 t0 = time.perf_counter()
-world, controller = build_ft_world(nprocs, factory, config, copy_payloads=False)
-sampler = SpeSampler(controller, interval=7e-5)
+world, controller = build_ft_world(**cell)
+sampler = SpeSampler(controller, period)
 sampler.arm()
 world.launch()
 world.run()

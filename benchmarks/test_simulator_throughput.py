@@ -13,13 +13,14 @@ factors, and the speedup against the committed seed-commit baseline
 
 import statistics
 
+from repro.analysis.report import format_table
 from repro.apps import FTKernel, Stencil2D
 from repro.campaigns import table1_cell
 from repro.core import ProtocolConfig, build_ft_world
 from repro.simmpi import World
 from repro.simmpi.engine import Engine
 
-from conftest import (emit, emit_json, format_table, median, paired_factor,
+from conftest import (emit, emit_json, median, paired_factor,
                       seed_baseline, timed, timed_interleaved)
 
 BURST_EVENTS = 10_000

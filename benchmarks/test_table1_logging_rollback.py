@@ -10,10 +10,13 @@ Methodology exactly as in Section V-E-1:
   fix-point and count the rolled-back processes;
 * %log is the measured fraction of messages the epoch rule logged.
 
-Scale: quick mode sweeps {16, 64} ranks x {4, 8} clusters; set
-``REPRO_BENCH_SCALE=paper`` for the paper's {64, 128, 256} x {4, 8, 16}
-(minutes of runtime; failures are exhaustively enumerated as in the
-paper).
+A cell is :func:`repro.campaigns.table1_cell`, the grid is the
+``repro table1`` campaign, and the table is what that command prints.
+Scale: quick mode sweeps {16, 64} ranks x {4, 8} clusters into
+``results/table1_logging_rollback.txt``; ``REPRO_BENCH_SCALE=paper`` runs
+the paper's {64, 128, 256} x {4, 8, 16} into
+``results/table1_paper_scale.txt`` (failures are exhaustively enumerated
+as in the paper).
 
 Shape assertions (the paper's findings):
 * %rl stays close to the ``(p+1)/2p`` model (62.5 / 56.25 / 53.125 % for
@@ -25,119 +28,56 @@ Shape assertions (the paper's findings):
 
 import pytest
 
-from repro.analysis import SpeSampler, expected_rollback_fraction, rollback_analysis
+from repro import campaigns
+from repro.analysis import expected_rollback_fraction
+from repro.analysis.report import format_table1
 from repro.apps import TABLE1_KERNELS
-from repro.core import ProtocolConfig, build_ft_world
-from repro.core.clustering import block_clusters
 
-from repro.sweep import SweepTask, run_sweep
-
-from conftest import WORKERS, emit, format_table, is_paper_scale
+from conftest import WORKERS, emit, is_paper_scale
 
 if is_paper_scale():
     SIZES = [64, 128, 256]
     CLUSTERS = [4, 8, 16]
-    NITERS = 8
+    RESULT = "table1_paper_scale.txt"
 else:
     SIZES = [16, 64]
     CLUSTERS = [4, 8]
-    NITERS = 8
-
-KERNEL_KW = {
-    "MG": dict(levels=3, block=8),
-    "LU": dict(nblocks=3, block=6),
-    "FT": dict(slab=2),
-    "CG": dict(block=4),
-    "BT": dict(block=6),
-}
-
-
-def run_case(name: str, nprocs: int, nclusters: int):
-    cls = TABLE1_KERNELS[name]
-    kw = dict(KERNEL_KW[name])
-    kw["niters"] = NITERS
-    kw["compute_time"] = 1e-5
-    factory = lambda r, s: cls(r, s, **kw)
-    config = ProtocolConfig(
-        checkpoint_interval=6e-5,
-        cluster_of=block_clusters(nprocs, nclusters),
-        cluster_stagger=8e-6,
-        rank_stagger=2e-7,
-        lightweight=True,
-        retain_payloads=False,
-    )
-    world, controller = build_ft_world(nprocs, factory, config,
-                                       copy_payloads=False)
-    sampler = SpeSampler(controller, interval=7e-5)
-    sampler.arm()
-    world.launch()
-    world.run()
-    if not sampler.snapshots:
-        sampler.take()
-    rb = rollback_analysis(sampler.snapshots, nprocs)
-    return 100 * controller.logging_stats()["log_fraction"], rb.percent
-
-
-def sweep_cell(params: dict) -> tuple:
-    """Sweep adapter around :func:`run_case` (module-level: picklable)."""
-    return run_case(params["kernel"], params["ranks"], params["clusters"])
+    RESULT = "table1_logging_rollback.txt"
+SPEC = {"kind": "table1", "kernels": list(TABLE1_KERNELS), "ranks": SIZES,
+        "clusters": CLUSTERS, "niters": 8}
 
 
 @pytest.fixture(scope="module")
-def table1():
-    """All Table I cells, computed through the sweep executor.
-
-    ``REPRO_BENCH_WORKERS=N`` fans the grid across N processes (each cell
-    is an independent deterministic simulation); the default of 1 runs the
-    exact sequential loop this fixture always was.
-    """
-    keys = [
-        (name, nprocs, nclusters)
-        for name in TABLE1_KERNELS
-        for nprocs in SIZES
-        for nclusters in CLUSTERS
-        if nclusters <= nprocs
-    ]
-    tasks = [
-        SweepTask(name=f"{k[0]}/{k[1]}r/{k[2]}cl",
-                  params={"kernel": k[0], "ranks": k[1], "clusters": k[2]})
-        for k in keys
-    ]
-    results = run_sweep(sweep_cell, tasks, workers=WORKERS)
-    out = {}
-    for key, res in zip(keys, results):
+def rows():
+    """Every Table I cell's :func:`repro.campaigns.table1_cell` row, run as
+    the ``repro table1`` campaign of this grid; ``REPRO_BENCH_WORKERS=N``
+    fans it across N processes (the cells are deterministic)."""
+    results = campaigns.run_campaign(SPEC, workers=WORKERS).results
+    for res in results:
         if not res.ok:
             raise RuntimeError(
                 f"table1 cell {res.name} failed: {res.error}\n{res.traceback}"
             )
-        out[key] = tuple(res.value)
-    return out
+    return [res.value for res in results]
 
 
-def test_table1(table1, benchmark):
-    headers = ["kernel"]
-    for nprocs in SIZES:
-        for ncl in CLUSTERS:
-            headers += [f"{nprocs}/{ncl}cl %log", "%rl"]
-    rows = []
-    for name in TABLE1_KERNELS:
-        row = [name]
-        for nprocs in SIZES:
-            for ncl in CLUSTERS:
-                log, rl = table1[(name, nprocs, ncl)]
-                row += [f"{log:.1f}", f"{rl:.1f}"]
-        rows.append(row)
-    theory = "  ".join(
-        f"{p}cl:{100 * expected_rollback_fraction(p):.1f}%" for p in CLUSTERS
-    )
-    table = format_table(headers, rows)
-    table += f"\ntheoretical %rl ((p+1)/2p): {theory}\n"
+@pytest.fixture(scope="module")
+def table1(rows):
+    """``{(kernel, ranks, clusters): (%log, %rl)}``."""
+    return {(r["kernel"], r["ranks"], r["clusters"]):
+            (r["pct_log"], r["pct_rollback"]) for r in rows}
+
+
+def test_table1(rows, benchmark):
+    # what ``repro table1`` prints for SPEC, then the paper's figures
+    table = format_table1(rows, CLUSTERS)
     table += ("paper (class D, 64-256 ranks): CG logs 2.9-4.4 %, FT 37-47 %; "
               "%rl ~62.5/56.3/53.1 for 4/8/16 clusters\n")
-    emit("table1_logging_rollback.txt", table)
-    benchmark.pedantic(
-        lambda: run_case("CG", SIZES[0], CLUSTERS[0]), rounds=1, iterations=1
-    )
+    emit(RESULT, table)
+    cell = {"kernel": "CG", "ranks": SIZES[0], "clusters": CLUSTERS[0],
+            "niters": SPEC["niters"]}
+    benchmark.pedantic(lambda: campaigns.table1_cell(cell), rounds=1,
+                       iterations=1)
 
 
 def test_table1_rollback_near_theory(table1, benchmark):

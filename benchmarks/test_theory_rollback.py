@@ -16,11 +16,12 @@ from repro.analysis import (
     expected_rolled_back_clusters,
     monte_carlo_rollback_fraction,
 )
+from repro.analysis.report import format_table
 from repro.apps import Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.clustering import block_clusters
 
-from conftest import emit, format_table
+from conftest import emit
 
 NPROCS = 16
 NCLUSTERS = 4

@@ -9,14 +9,13 @@ scale).
 import sys
 
 from repro.analysis import (
-    SpeSampler,
     collect_matrix,
     expected_rollback_fraction,
     render_matrix,
-    rollback_analysis,
 )
+from repro.analysis.rollback import measure_rollback
 from repro.apps import TABLE1_KERNELS
-from repro.core import ProtocolConfig, build_ft_world
+from repro.core import ProtocolConfig
 from repro.core.clustering import Clustering, block_clusters
 
 
@@ -40,7 +39,7 @@ def main() -> None:
           f"predicted inter-cluster log "
           f"{100 * clustering.predicted_log_fraction():.1f} %")
 
-    # 2. run under the protocol with that clustering
+    # 2. run under the protocol with that clustering, sampling SPE tables
     config = ProtocolConfig(
         checkpoint_interval=5e-5,
         cluster_of=clusters,
@@ -50,18 +49,10 @@ def main() -> None:
         lightweight=True,
         retain_payloads=False,
     )
-    world, controller = build_ft_world(nprocs, factory, config,
-                                       copy_payloads=False)
-    sampler = SpeSampler(controller, interval=8e-5)
-    sampler.arm()
-    world.launch()
-    world.run()
-    if not sampler.snapshots:
-        sampler.take()
+    logs, _, rb = measure_rollback(nprocs, factory, config, 8e-5,
+                                   copy_payloads=False)
 
     # 3. the two Table I columns
-    logs = controller.logging_stats()
-    rb = rollback_analysis(sampler.snapshots, nprocs)
     print(f"\nTable-I style result for {kernel_name}.{nprocs}, "
           f"{nclusters} clusters:")
     print(f"  %log = {100 * logs['log_fraction']:5.1f}   "

@@ -10,10 +10,10 @@ paper's protocol with clustering rolls back about half the machine.
     python examples/domino_effect.py
 """
 
-from repro.analysis import SpeSampler, rollback_analysis
+from repro.analysis.rollback import measure_rollback
 from repro.apps import Stencil1D
 from repro.baselines import run_domino_analysis
-from repro.core import ProtocolConfig, build_ft_world
+from repro.core import ProtocolConfig
 
 
 def factory(rank, size):
@@ -45,13 +45,7 @@ def main() -> None:
         rank_stagger=1e-6,
         lightweight=True,
     )
-    world, controller = build_ft_world(NPROCS, factory, config)
-    sampler = SpeSampler(controller, interval=4e-5)
-    sampler.arm()
-    world.launch()
-    world.run()
-    stats = rollback_analysis(sampler.snapshots, NPROCS)
-    logs = controller.logging_stats()
+    logs, _, stats = measure_rollback(NPROCS, factory, config, 4e-5)
     print("\nsend-deterministic protocol, 4 clusters with staggered epochs:")
     print(f"  mean processes rolled back : {stats.percent:.1f} % "
           f"(theory for 4 clusters: 62.5 %)")

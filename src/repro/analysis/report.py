@@ -6,10 +6,11 @@ third-party dependency) and Table-I layout helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "Table1Cell", "format_table1"]
+from .theory import expected_rollback_fraction
+
+__all__ = ["format_table", "format_table1"]
 
 
 def format_table(headers: Sequence[str],
@@ -29,35 +30,23 @@ def format_table(headers: Sequence[str],
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class Table1Cell:
-    """One (kernel, size, clusters) cell of Table I."""
-
-    kernel: str
-    nprocs: int
-    nclusters: int
-    log_percent: float
-    rollback_percent: float
-
-
-def format_table1(cells: Iterable[Table1Cell]) -> str:
-    """Lay out Table I the way the paper prints it: kernels as rows,
-    (size, clusters) pairs as %log/%rl column pairs."""
-    cells = list(cells)
-    kernels = sorted({c.kernel for c in cells}, key=lambda k: k)
-    configs = sorted({(c.nprocs, c.nclusters) for c in cells})
-    index = {(c.kernel, c.nprocs, c.nclusters): c for c in cells}
-    headers = ["kernel"]
-    for nprocs, ncl in configs:
-        headers += [f"{nprocs}/{ncl}cl %log", "%rl"]
-    rows = []
-    for kernel in kernels:
-        row: list[Any] = [kernel]
-        for nprocs, ncl in configs:
-            cell = index.get((kernel, nprocs, ncl))
-            if cell is None:
-                row += ["-", "-"]
-            else:
-                row += [f"{cell.log_percent:.1f}", f"{cell.rollback_percent:.1f}"]
-        rows.append(row)
-    return format_table(headers, rows)
+def format_table1(rows: Iterable[dict[str, Any]], clusters: Iterable[int] = ()) -> str:
+    """Table I as the paper prints it — kernels as rows, (size, clusters)
+    pairs as %log/%rl column pairs — from :func:`repro.campaigns.table1_cell`
+    rows, then the ``(p+1)/2p`` model line of ``clusters``, if any."""
+    index = {(r["kernel"], r["ranks"], r["clusters"]): r for r in rows}
+    configs = sorted({(p, c) for _, p, c in index})
+    headers = ["kernel"] + [h for p, c in configs for h in (f"{p}/{c}cl %log", "%rl")]
+    table = []
+    for kernel in sorted({k for k, _, _ in index}):
+        row = [kernel]
+        for p, c in configs:
+            cell = index.get((kernel, p, c))
+            row += [f"{cell['pct_log']:.1f}", f"{cell['pct_rollback']:.1f}"] if cell else ["-", "-"]
+        table.append(row)
+    out = format_table(headers, table)
+    if clusters:
+        model = "  ".join(f"{p}cl:{100 * expected_rollback_fraction(p):.1f}%"
+                          for p in sorted(set(clusters)))
+        out += f"\ntheoretical %rl ((p+1)/2p): {model}\n"
+    return out

@@ -10,7 +10,8 @@
 :class:`SpeSampler` attaches to a live controller and snapshots every
 rank's SPE table at a fixed virtual period; :func:`rollback_analysis`
 computes, per snapshot, the size of the recovery line of every failed rank
-and aggregates the statistics the paper reports (``%rl``).
+and aggregates the statistics the paper reports (``%rl``);
+:func:`measure_rollback` is the whole method in one call.
 
 The p fix-points of one snapshot are one reachability problem.  Take nodes
 ``(j, b)`` = "rank j restarts at an epoch <= b", one per distinct sending
@@ -29,16 +30,17 @@ from __future__ import annotations
 
 import gc
 from collections import defaultdict
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..core.controller import FTController
+from ..core.controller import FTController, ProtocolConfig, build_ft_world
 from ..core.recovery import RecoveryLineSolver
 from ..lint.sanitize import sanitizer_for
 
-__all__ = ["SpeSnapshot", "SpeSampler", "RollbackStats", "rollback_analysis"]
+__all__ = ["SpeSnapshot", "SpeSampler", "RollbackStats", "rollback_analysis", "measure_rollback"]
 
 
 @dataclass
@@ -228,3 +230,24 @@ def rollback_analysis(
              if snapshots else np.zeros(len(ranks)))
     stats.per_rank_mean = dict(zip(ranks, means.tolist()))
     return stats
+
+
+def measure_rollback(
+    nprocs: int, program_factory: Callable[[int, int], Any], config: ProtocolConfig,
+    period: float, **world_kwargs: Any,
+) -> tuple[dict[str, float], list[SpeSnapshot], RollbackStats]:
+    """Sec. V-E-1 end to end: run ``program_factory`` failure-free under
+    ``config`` (``world_kwargs`` go to :func:`build_ft_world`), snapshot every
+    SPE table each ``period`` of virtual time (once at the end if the run is
+    shorter) and fail every rank in every snapshot.  Returns the run's
+    ``logging_stats()`` (``%log``), the snapshots and their ``%rl`` statistics."""
+    world, controller = build_ft_world(nprocs, program_factory, config, **world_kwargs)
+    with closing(controller):
+        sampler = SpeSampler(controller, period)
+        sampler.arm()
+        world.launch()
+        world.run()
+        if not sampler.snapshots:
+            sampler.take()
+    return (controller.logging_stats(), sampler.snapshots,
+            rollback_analysis(sampler.snapshots, nprocs))

@@ -14,14 +14,13 @@ analysis then reports how many processes roll back and how deep.
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from ..analysis.rollback import SpeSampler, rollback_analysis
-from ..core.controller import ProtocolConfig, build_ft_world
+from ..analysis.rollback import measure_rollback
+from ..core.controller import ProtocolConfig
 from ..core.recovery import RecoveryLineSolver
 
 __all__ = ["DominoStats", "run_domino_analysis", "plain_uncoordinated_config"]
@@ -67,19 +66,12 @@ def run_domino_analysis(
     """Run a kernel under plain uncoordinated checkpointing and measure the
     domino effect with the paper's offline methodology."""
     cfg = plain_uncoordinated_config(checkpoint_interval, jitter, seed)
-    world, controller = build_ft_world(nprocs, program_factory, cfg, **world_kwargs)
-    with closing(controller):
-        sampler = SpeSampler(controller, sample_interval)
-        sampler.arm()
-        world.launch()
-        world.run()
-        if not sampler.snapshots:
-            sampler.take()
-    stats = rollback_analysis(sampler.snapshots, nprocs)
+    _, snapshots, stats = measure_rollback(nprocs, program_factory, cfg,
+                                           sample_interval, **world_kwargs)
     depths: list[float] = []
     hit_beginning = 0
     trials = 0
-    for snap in sampler.snapshots:
+    for snap in snapshots:
         # one solver per snapshot: the inbound-edge index is shared across
         # all nprocs failure trials instead of being rebuilt per trial
         solver = RecoveryLineSolver(snap.spe_tables)

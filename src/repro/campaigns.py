@@ -29,7 +29,8 @@ import random
 from contextlib import closing
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .analysis import SpeSampler, compare_executions, rollback_analysis
+from .analysis import compare_executions
+from .analysis.rollback import measure_rollback
 from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS, Stencil2D
 from .core import ProtocolConfig, build_ft_world
 from .core.clustering import block_clusters
@@ -49,6 +50,7 @@ __all__ = [
     "selftest_tasks",
     "stencil_scenario",
     "table1_cell",
+    "table1_setup",
     "table1_tasks",
     "validate_spec",
 ]
@@ -57,16 +59,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Table I grid
 # ----------------------------------------------------------------------
-def table1_cell(params: dict) -> dict:
-    """Compute one Table I cell; module-level so sweeps can pickle it.
-
-    The simulation is fully deterministic — the sweep-injected ``seed``
-    entry is deliberately unused, so a cell's numbers never depend on
-    worker count or scheduling.
-    """
-    name, nprocs, ncl = params["kernel"], params["ranks"], params["clusters"]
-    niters = params["niters"]
-    cls = TABLE1_KERNELS[name]
+def table1_setup(params: dict) -> dict[str, Any]:
+    """One Table I cell — ``kernel`` at ``ranks`` in ``clusters`` blocks,
+    ``niters`` iterations — as :func:`~repro.analysis.rollback.measure_rollback`
+    arguments; the only statement of a cell."""
+    nprocs, ncl, niters = params["ranks"], params["clusters"], params["niters"]
+    cls = TABLE1_KERNELS[params["kernel"]]
     factory = lambda r, s: cls(r, s, niters=niters, compute_time=1e-5)
     config = ProtocolConfig(
         checkpoint_interval=6e-5,
@@ -74,22 +72,21 @@ def table1_cell(params: dict) -> dict:
         cluster_stagger=8e-6, rank_stagger=2e-7,
         lightweight=True, retain_payloads=False,
     )
-    world, controller = build_ft_world(nprocs, factory, config,
-                                       copy_payloads=False,
-                                       obs=params.get("obs"))
-    with closing(controller):
-        sampler = SpeSampler(controller, interval=7e-5)
-        sampler.arm()
-        world.launch()
-        world.run()
-        if not sampler.snapshots:
-            sampler.take()
-    log = controller.logging_stats()
-    rb = rollback_analysis(sampler.snapshots, nprocs)
-    return {
-        "kernel": name, "ranks": nprocs, "clusters": ncl,
-        "pct_log": 100 * log["log_fraction"], "pct_rollback": rb.percent,
-    }
+    return {"nprocs": nprocs, "program_factory": factory, "config": config,
+            "period": 7e-5, "copy_payloads": False}
+
+
+def table1_cell(params: dict) -> dict:
+    """Compute one Table I cell; module-level so sweeps can pickle it.
+
+    The simulation is fully deterministic — the sweep-injected ``seed``
+    entry is deliberately unused, so a cell's numbers never depend on
+    worker count or scheduling.
+    """
+    log, _, rb = measure_rollback(**table1_setup(params), obs=params.get("obs"))
+    return {"kernel": params["kernel"], "ranks": params["ranks"],
+            "clusters": params["clusters"],
+            "pct_log": 100 * log["log_fraction"], "pct_rollback": rb.percent}
 
 
 def table1_tasks(kernels: Sequence[str], ranks: Sequence[int],
@@ -218,9 +215,9 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 
 
 def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """Check a campaign spec's shape and kernel names; returns a copy with
-    every field of its kind present (absent or ``None`` fields take the
-    default)."""
+    """Check a campaign spec's shape, kernel names and (ranks, clusters)
+    cells; returns a copy with every field of its kind present (absent or
+    ``None`` fields take the default)."""
     if not isinstance(spec, dict):
         raise ConfigError("campaign spec must be a JSON object")
     kind = spec.get("kind")
@@ -238,6 +235,14 @@ def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
     if unknown:
         raise ConfigError(f"unknown {kind} kernel(s) {', '.join(unknown)} "
                           f"(have {', '.join(known)})")
+    cells = [(int(spec["ranks"]), int(spec["clusters"]))] if kind == "sweep" else []
+    if kind == "table1":
+        cells = [(t.params["ranks"], t.params["clusters"]) for t in table1_tasks(
+            spec["kernels"], _many(spec["ranks"]), _many(spec["clusters"]), 0)]
+        if not cells:
+            raise ConfigError("table1 grid keeps no cell (each needs clusters <= ranks)")
+    for nprocs, ncl in cells:
+        block_clusters(nprocs, ncl)  # raises ConfigError on a cell it cannot build
     if kind == "chaos" and spec["bug"]:
         from .chaos.trial import SYNTHETIC_BUGS
 

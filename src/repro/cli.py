@@ -487,8 +487,7 @@ def _print_telemetry(registry, cache, args: argparse.Namespace,
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    from .analysis import expected_rollback_fraction
-    from .analysis.report import Table1Cell, format_table1
+    from .analysis.report import format_table1
 
     spec = _gated_spec("table1", args)
     cache = _open_cache(args)
@@ -497,17 +496,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     failed = [r for r in run.results if not r.ok]
     for r in failed:
         print(f"cell {r.name} failed: {r.error}", file=sys.stderr)
-    cells = [
-        Table1Cell(v["kernel"], v["ranks"], v["clusters"],
-                   v["pct_log"], v["pct_rollback"])
-        for v in (r.value for r in run.results if r.ok)
-    ]
-    print(format_table1(cells))
-    theory = "  ".join(
-        f"{p}cl:{100 * expected_rollback_fraction(p):.1f}%"
-        for p in sorted(set(spec["clusters"]))
-    )
-    print(f"theoretical %rl ((p+1)/2p): {theory}")
+    print(format_table1((r.value for r in run.results if r.ok),
+                        spec["clusters"]), end="")
     _print_telemetry(run.registry, cache, args, sys.stdout)
     if args.out:
         _save_results(args, spec, run.results, cache, "table1")

@@ -14,7 +14,7 @@ from repro.analysis import (
     rollback_analysis,
     rollback_fraction_given_position,
 )
-from repro.analysis.rollback import SpeSnapshot
+from repro.analysis.rollback import SpeSnapshot, measure_rollback
 from repro.apps.stencil import Stencil1D, Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 
@@ -68,6 +68,23 @@ def test_sampler_takes_periodic_snapshots():
     times = [s.time for s in sampler.snapshots]
     assert times == sorted(times)
     assert all(len(s.spe_tables) == 6 for s in sampler.snapshots)
+
+
+def test_measurement_of_a_short_run_snapshots_its_end():
+    """A run shorter than one sample period still gets one snapshot: the
+    state the run ended in."""
+    cfg = ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=2e-6,
+                         lightweight=True)
+    world, ctl = build_ft_world(6, factory, cfg)
+    world.launch()
+    end = world.run()
+    period = 10 * end
+    logs, snapshots, stats = measure_rollback(6, factory, cfg, period)
+    [snap] = snapshots
+    final = SpeSampler(ctl, period).take()
+    assert snap.time >= end
+    assert (snap.spe_tables, snap.epochs) == (final.spe_tables, final.epochs)
+    assert stats.trials == 6 and logs == ctl.logging_stats()
 
 
 def test_rollback_analysis_counts():

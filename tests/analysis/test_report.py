@@ -1,10 +1,12 @@
 """Tests for the paper-style report formatting."""
 
-from repro.analysis.report import (
-    Table1Cell,
-    format_table,
-    format_table1,
-)
+from repro.analysis.report import format_table, format_table1
+
+
+def row(kernel, ranks, clusters, pct_log, pct_rollback):
+    """One :func:`repro.campaigns.table1_cell` result row."""
+    return {"kernel": kernel, "ranks": ranks, "clusters": clusters,
+            "pct_log": pct_log, "pct_rollback": pct_rollback}
 
 
 def test_format_table_alignment():
@@ -20,12 +22,12 @@ def test_format_table_empty_rows():
 
 
 def test_format_table1_layout():
-    cells = [
-        Table1Cell("CG", 64, 4, 3.8, 62.5),
-        Table1Cell("CG", 64, 8, 4.4, 56.3),
-        Table1Cell("FT", 64, 4, 37.2, 62.4),
+    rows = [
+        row("CG", 64, 4, 3.8, 62.5),
+        row("CG", 64, 8, 4.4, 56.3),
+        row("FT", 64, 4, 37.2, 62.4),
     ]
-    out = format_table1(cells)
+    out = format_table1(rows)
     assert "64/4cl %log" in out and "64/8cl %log" in out
     assert "3.8" in out and "37.2" in out
     # missing cell rendered as '-'
@@ -33,10 +35,10 @@ def test_format_table1_layout():
 
 
 def test_format_table1_sorted_configs():
-    cells = [
-        Table1Cell("CG", 128, 4, 1, 2),
-        Table1Cell("CG", 64, 4, 3, 4),
+    rows = [
+        row("CG", 128, 4, 1, 2),
+        row("CG", 64, 4, 3, 4),
     ]
-    out = format_table1(cells)
+    out = format_table1(rows)
     header = out.splitlines()[0]
     assert header.index("64/4cl") < header.index("128/4cl")

@@ -151,18 +151,13 @@ def test_domino_vs_protocol_with_logging():
     """The protocol's whole point: with the epoch-logging rule enabled and
     clustering, strictly fewer processes roll back than plain
     uncoordinated checkpointing on the same workload."""
-    from repro.analysis.rollback import SpeSampler, rollback_analysis
-    from repro.core import ProtocolConfig, build_ft_world
+    from repro.analysis.rollback import measure_rollback
+    from repro.core import ProtocolConfig
 
     cfg = ProtocolConfig(checkpoint_interval=2e-5, cluster_of=[0, 0, 0, 1, 1, 1],
                          cluster_stagger=4e-6, rank_stagger=1e-6,
                          lightweight=True)
-    world, ctl = build_ft_world(6, factory, cfg)
-    sampler = SpeSampler(ctl, 3e-5)
-    sampler.arm()
-    world.launch()
-    world.run()
-    protocol_stats = rollback_analysis(sampler.snapshots, 6)
+    _, _, protocol_stats = measure_rollback(6, factory, cfg, 3e-5)
 
     domino = run_domino_analysis(6, factory, checkpoint_interval=2e-5,
                                  sample_interval=3e-5, jitter=0.5)

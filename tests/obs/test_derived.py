@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro import campaigns
+from repro.analysis import rollback
 from repro.chaos import schedule_for_trial
 from repro.chaos import trial as chaos_trial
 from repro.core import build_ft_world
@@ -115,7 +116,7 @@ def check_after(seen):
 
 
 def test_table1_cell(watch):
-    seen = watch(campaigns, every=4e-5)
+    seen = watch(rollback, every=4e-5)  # the cell's world is the measurement's
     obs = MetricsRegistry(timeseries_interval=DEFAULT_TIMESERIES_INTERVAL)
     campaigns.table1_cell({"kernel": "MG", "ranks": 64, "clusters": 4,
                            "niters": 3, "obs": obs})

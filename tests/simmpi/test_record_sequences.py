@@ -14,6 +14,7 @@ import pytest
 
 from repro import campaigns
 from repro.analysis import compare_executions
+from repro.analysis import rollback as rollback_mod
 from repro.apps import TABLE1_KERNELS
 from repro.apps.stencil import Stencil1D
 from repro.chaos.oracles import oracle_validity, oracle_witness, run_digest
@@ -120,6 +121,7 @@ def test_every_reader_in_src_arms_its_worlds(monkeypatch):
 
     # ... and the builders that read nothing stay unarmed
     del built[:]
+    monkeypatch.setattr(rollback_mod, "build_ft_world", spy)
     campaigns.table1_cell(
         {"kernel": "MG", "ranks": 16, "clusters": 4, "niters": 2})
     campaigns.stencil_scenario(6, 2, niters=10)
@@ -140,14 +142,14 @@ def _mg_cell(record_sequences, monkeypatch):
             *args, record_sequences=record_sequences, **kw)
         return seen["world"], seen["controller"]
 
-    class Sampler(campaigns.SpeSampler):
+    class Sampler(rollback_mod.SpeSampler):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             seen["sampler"] = self
 
     with monkeypatch.context() as patch:
-        patch.setattr(campaigns, "build_ft_world", build)
-        patch.setattr(campaigns, "SpeSampler", Sampler)
+        patch.setattr(rollback_mod, "build_ft_world", build)
+        patch.setattr(rollback_mod, "SpeSampler", Sampler)
         row = campaigns.table1_cell(
             {"kernel": "MG", "ranks": 64, "clusters": 4, "niters": 4})
     return row, seen["world"], seen["controller"], seen["sampler"]

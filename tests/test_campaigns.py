@@ -80,6 +80,9 @@ OTHER_VALUE = {
     ("table1", "kernels"): ["MG", "LU"],
     ("chaos", "kernels"): ["mg", "stencil"],
     ("chaos", "bug"): "ack_drop",
+    # block clustering needs clusters | ranks (8 ranks, 2 clusters by default)
+    ("sweep", "ranks"): 16,
+    ("sweep", "clusters"): 4,
     "timeseries": 0.5,
 }
 
@@ -88,8 +91,9 @@ def _other_value(kind, field):
     default = campaigns.DEFAULTS[kind][field]
     if isinstance(default, tuple) and all(isinstance(v, int)
                                           for v in default):
-        return [default[0] + 1, default[0] + 2]   # a grid of two sizes
-    if isinstance(default, int):
+        # a grid of two sizes that block clustering realises
+        return [2 * default[0], 4 * default[0]]
+    if isinstance(default, int) and (kind, field) not in OTHER_VALUE:
         return default + 1
     return OTHER_VALUE.get((kind, field), OTHER_VALUE.get(field))
 
@@ -194,6 +198,44 @@ def test_unknown_kernel_names_are_refused_before_planning(spec):
         campaigns.validate_spec(spec)
     with pytest.raises(ConfigError):
         campaigns.plan(spec)
+
+
+#: (one-shot command line, what the refusal says): grids block
+#: clustering cannot realise, which used to fail inside every task
+UNREALISABLE = {
+    "table1/no-cell": (["table1", "--ranks", "4", "--clusters", "8"],
+                       "keeps no cell"),
+    "table1/zero-clusters": (["table1", "--ranks", "8", "--clusters", "0"],
+                             "invalid cluster count 0"),
+    "table1/uneven-blocks": (["table1", "--ranks", "8", "--clusters", "3"],
+                             r"nclusters \| nprocs"),
+    "sweep/no-ranks": (["sweep", "--ranks", "0", "--runs", "1"],
+                       "invalid cluster count 2 for 0 ranks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREALISABLE))
+def test_an_unrealisable_grid_is_a_usage_error_on_both_doors(case, tmp_path,
+                                                             capsys):
+    argv, says = UNREALISABLE[case]
+    assert main(argv) == 2
+    assert re.search(says, capsys.readouterr().err)
+    spec = _campaign_spec(argv[0], build_parser().parse_args(argv))
+    with pytest.raises(ConfigError, match=says):
+        campaigns.validate_spec(spec)
+    # submit refuses it before connecting
+    assert main(["submit", "--connect", str(tmp_path / "none.sock")]
+                + argv) == 2
+    assert re.search(says, capsys.readouterr().err)
+
+
+def test_table1_cell_pins_its_numbers():
+    """The one definition of a Table I cell reproduces the cell it always
+    computed (CG, 16 ranks, 4 clusters, 8 iterations)."""
+    assert campaigns.table1_cell(
+        {"kernel": "CG", "ranks": 16, "clusters": 4, "niters": 8}) == {
+        "kernel": "CG", "ranks": 16, "clusters": 4,
+        "pct_log": 11.194029850746269, "pct_rollback": 59.765625}
 
 
 # ----------------------------------------------------------------------
