@@ -45,7 +45,8 @@ __all__ = ["SpeSnapshot", "SpeSampler", "RollbackStats", "rollback_analysis", "m
 
 @dataclass
 class SpeSnapshot:
-    """All ranks' SPE tables + current epochs at one instant."""
+    """All ranks' SPE tables + current epochs at one instant.  Read-only:
+    consecutive snapshots share the epoch entries that did not change."""
 
     time: float
     spe_tables: dict[int, dict]  # rank -> spe export
@@ -74,9 +75,11 @@ class SpeSampler:
     def take(self) -> SpeSnapshot:
         """Record one snapshot immediately."""
         ctl = self.controller
+        prev = self.snapshots[-1].spe_tables if self.snapshots else {}
         snap = SpeSnapshot(
             time=ctl.now,
-            spe_tables={r: p.state.spe_export() for r, p in enumerate(ctl.protocols)},
+            spe_tables={r: p.state.spe_export(prev.get(r))
+                        for r, p in enumerate(ctl.protocols)},
             epochs={r: p.state.epoch for r, p in enumerate(ctl.protocols)},
         )
         self.snapshots.append(snap)

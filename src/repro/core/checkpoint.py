@@ -203,7 +203,7 @@ class StorageDevice:
         return end
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckpointSchedule:
     """Decides when a rank takes its next (uncoordinated) checkpoint.
 
@@ -212,7 +212,7 @@ class CheckpointSchedule:
     ``offset`` staggers ranks/clusters (the paper schedules clusters at
     different times to smooth I/O bursts); ``jitter`` (for the random
     policy of Section V-E-2) perturbs each period by a uniform factor in
-    ``[1 - jitter, 1 + jitter]`` from a seeded RNG.
+    ``[1 - jitter, 1 + jitter]`` from a seeded RNG, built only then.
 
     The schedule is *not* part of the checkpointed state: a restored
     process does not immediately re-checkpoint (BLCR-restored processes
@@ -224,16 +224,16 @@ class CheckpointSchedule:
     jitter: float = 0.0
     seed: int = 0
     _next_due: float = field(init=False)
-    _rng: random.Random = field(init=False, repr=False)
+    _rng: random.Random | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.interval is None:  # no periodic checkpoints configured
             self.interval = float("inf")
-        self._rng = random.Random(self.seed)
+        self._rng = random.Random(self.seed) if self.jitter else None
         self._next_due = self.offset + self._period()
 
     def _period(self) -> float:
-        if self.jitter:
+        if self._rng is not None:
             return self.interval * (1.0 + self.jitter * (2 * self._rng.random() - 1.0))
         return self.interval
 

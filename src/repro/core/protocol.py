@@ -90,6 +90,22 @@ class SDProtocol(ProtocolHook):
     """Per-rank protocol engine for send-deterministic uncoordinated
     checkpointing with partial message logging."""
 
+    # --- recovery-round containers: these empty class-level defaults are
+    # only read; a recovery line assigns each instance its own ----------
+    #: phase -> {src: date of the last orphan expected from src}
+    orph_expected: dict[int, dict[int, int]] = {}
+    #: inverted orphan index: (src, date) -> FIFO bucket of phases
+    #: expecting that message as their last orphan — makes the
+    #: per-suppressed-duplicate countdown O(1) instead of a scan over
+    #: every phase bucket (rebuilt with orph_expected each round)
+    _orph_lookup: dict[tuple[int, int], list[int]] = {}
+    #: phase -> outstanding orphan-sender count (paper's OrphCount)
+    orph_count: dict[int, int] = {}
+    #: phase -> logged messages to replay when the phase becomes ready
+    replay_logged: dict[int, list[LoggedMessage]] = {}
+    #: phase -> unacknowledged messages to replay (in-flight loss cover)
+    replay_nonack: dict[int, list[PendingAck]] = {}
+
     def __init__(self, rank: int, controller: "FTController"):
         self.rank = rank
         self.controller = controller
@@ -99,19 +115,6 @@ class SDProtocol(ProtocolHook):
         # --- recovery-round scratch state ------------------------------
         self.round = 0
         self._spe_uploaded_round = 0
-        #: phase -> {src: date of the last orphan expected from src}
-        self.orph_expected: dict[int, dict[int, int]] = {}
-        #: inverted orphan index: (src, date) -> FIFO bucket of phases
-        #: expecting that message as their last orphan — makes the
-        #: per-suppressed-duplicate countdown O(1) instead of a scan over
-        #: every phase bucket (rebuilt with orph_expected each round)
-        self._orph_lookup: dict[tuple[int, int], list[int]] = {}
-        #: phase -> outstanding orphan-sender count (paper's OrphCount)
-        self.orph_count: dict[int, int] = {}
-        #: phase -> logged messages to replay when the phase becomes ready
-        self.replay_logged: dict[int, list[LoggedMessage]] = {}
-        #: phase -> unacknowledged messages to replay (in-flight loss cover)
-        self.replay_nonack: dict[int, list[PendingAck]] = {}
         #: phase this process was registered under in the current recovery
         #: round (None outside recovery) — see :meth:`_on_ready_phase`
         self._reported_phase: int | None = None
@@ -419,17 +422,11 @@ class SDProtocol(ProtocolHook):
         (Fig. 3 lines 47-52)."""
         self.round = round_no
         self.status = Status.ROLLED_BACK
+        notice = {"epoch": self.state.epoch, "date": self.state.date, "round": round_no}
         for peer in range(self.controller.nprocs):
             if peer != self.rank:
-                self._ctl(
-                    peer,
-                    CTL.ROLLBACK,
-                    {"epoch": self.state.epoch, "date": self.state.date, "round": round_no},
-                )
-        self._ctl_to_recovery(
-            CTL.ROLLBACK,
-            {"epoch": self.state.epoch, "date": self.state.date, "round": round_no},
-        )
+                self._ctl(peer, CTL.ROLLBACK, dict(notice))
+        self._ctl_to_recovery(CTL.ROLLBACK, notice)
         self._upload_spe(round_no)
 
     def _on_rollback_notice(self, payload: dict[str, Any]) -> None:
@@ -650,34 +647,25 @@ class SDProtocol(ProtocolHook):
         an earlier recovery) may have landed in later epochs.  Lift them
         with the monotone observation table so the next recovery's replay
         filter and fix-point see current knowledge (DESIGN.md §7.2)."""
+        obs = self._ack_obs
         for lm in state.logs.values():
-            observed = self._ack_obs.get(lm.dst, {}).get(lm.date, 0)
-            if observed > lm.epoch_recv:
-                lm.epoch_recv = observed
+            lm.epoch_recv = max(lm.epoch_recv, obs.get(lm.dst, {}).get(lm.date, 0))
         # SPE cells have no dates; map observations onto the restored
         # branch's epoch date spans (sends of epoch e carry dates in
-        # (start_date(e), start_date(next e)]).
+        # (start_date(e), start_date(next e)]), capped at the sending
+        # epoch: SPE must keep the non-logged invariant Es >= Er (the
+        # garbage-collection bound "nobody rolls below the smallest current
+        # epoch" depends on it); re-receptions beyond it are the
+        # log/NonAck's business
         ordered = sorted(state.spe)
-        for i, epoch in enumerate(ordered):
-            lo = state.spe[epoch].start_date
-            hi = (
-                state.spe[ordered[i + 1]].start_date
-                if i + 1 < len(ordered)
-                else float("inf")
-            )
-            cells = state.spe[epoch].recv_epoch
+        for epoch, nxt in zip(ordered, ordered[1:] + [None]):
+            rec = state.spe[epoch]
+            lo = rec.start_date
+            hi = float("inf") if nxt is None else state.spe[nxt].start_date
+            cells = rec.recv_epoch
             for dst in cells:
-                obs = self._ack_obs.get(dst)
-                if not obs:
-                    continue
-                best = max(
-                    (er for d, er in obs.items() if lo < d <= hi), default=0
-                )
-                # cap at the sending epoch: SPE must keep the non-logged
-                # invariant Es >= Er (the garbage-collection bound "nobody
-                # rolls below the smallest current epoch" depends on it);
-                # re-receptions beyond it are the log/NonAck's business
-                best = min(best, epoch)
+                best = min(max((er for d, er in obs.get(dst, {}).items()
+                                if lo < d <= hi), default=0), epoch)
                 if best > cells[dst]:
                     cells[dst] = best
         self.state = state

@@ -30,6 +30,7 @@ from ..lint.sanitize import sanitizer_for
 from ..obs.flight import FlightKind
 from ..simmpi.message import Envelope
 from .protocol import CTL
+from .state import SPEExport
 
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import FTController
@@ -39,9 +40,6 @@ __all__ = [
     "RecoveryProcess",
     "RecoveryReport",
 ]
-
-
-SPEExport = dict[int, tuple[int, dict[int, int]]]  # epoch -> (start_date, {peer: Er})
 
 
 class RecoveryLineSolver:
@@ -259,11 +257,9 @@ class RecoveryProcess:
         assert self.report is not None
         self.report.recovery_line = dict(self._rl)
         self.report.rolled_back = sorted(self._rl)
-        self.report.failed_restarts = dict(failed_restarts)
-        self.report.spe_tables = {
-            r: {e: (d, dict(pp)) for e, (d, pp) in spe.items()}
-            for r, spe in self._spe_tables.items()
-        }
+        self.report.failed_restarts = failed_restarts
+        # every upload is a fresh export and a round gets a new table
+        self.report.spe_tables = self._spe_tables
         if flight is not None:
             flight.record(self.controller.recovery_rank, FlightKind.RL_FIXED,
                           extra=sorted(self._rl))

@@ -42,6 +42,8 @@ __all__ = [
     "ProtocolState",
 ]
 
+SPEExport = dict[int, tuple[int, dict[int, int]]]  # epoch -> (start_date, {peer: Er})
+
 
 @dataclass(slots=True)
 class PendingAck:
@@ -257,11 +259,17 @@ class ProtocolState:
     # ------------------------------------------------------------------
     # Introspection helpers (analysis & tests)
     # ------------------------------------------------------------------
-    def spe_export(self) -> dict[int, tuple[int, dict[int, int]]]:
-        """Plain-data view of SPE: ``epoch -> (start_date, {peer: recv_epoch})``."""
-        return {
-            e: (rec.start_date, dict(rec.recv_epoch)) for e, rec in self.spe.items()
-        }
+    def spe_export(self, prev: SPEExport | None = None) -> SPEExport:
+        """Plain-data view of SPE: ``epoch -> (start_date, {peer: recv_epoch})``,
+        sharing every entry equal to ``prev``'s (an earlier export, which
+        makes both read-only); without ``prev`` every entry is a copy."""
+        prev = prev or {}
+        out = {}
+        for e, rec in self.spe.items():
+            entry = prev.get(e)
+            out[e] = (entry if entry == (rec.start_date, rec.recv_epoch)
+                      else (rec.start_date, dict(rec.recv_epoch)))
+        return out
 
     def logged_bytes(self) -> int:
         return sum(m.size for m in self.logs.values())

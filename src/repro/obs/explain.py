@@ -22,7 +22,7 @@ construction — asserted in ``tests/obs/test_explain.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .flight import FlightKind
@@ -153,27 +153,17 @@ def explain_recovery_line(
     # this module is re-exported from the repro.obs package
     from ..core.recovery import RecoveryLineSolver
 
-    raw_steps: list[tuple[int, int, int, int, int]] = []
-    solver = RecoveryLineSolver(spe_tables)
-    rl = solver.solve(
+    steps: list[ForcingEdge] = []
+    rl = RecoveryLineSolver(spe_tables).solve(
         failed_restarts,
-        on_step=lambda k, es, j, er, bound: raw_steps.append((k, es, j, er, bound)),
+        on_step=lambda k, es, j, er, bound: steps.append(ForcingEdge(
+            sender=k, receiver=j, epoch_send=es, epoch_recv=er,
+            receiver_bound=bound)),
     )
     uid_index = _confirm_index(flight)
-    steps = [
-        ForcingEdge(sender=k, receiver=j, epoch_send=es, epoch_recv=er,
-                    receiver_bound=bound)
-        for k, es, j, er, bound in raw_steps
-    ]
-    steps = [
-        edge if uid_index == {} else ForcingEdge(
-            sender=edge.sender, receiver=edge.receiver,
-            epoch_send=edge.epoch_send, epoch_recv=edge.epoch_recv,
-            receiver_bound=edge.receiver_bound,
-            uid=_resolve_uid(uid_index, edge),
-        )
-        for edge in steps
-    ]
+    if uid_index:
+        steps = [replace(edge, uid=_resolve_uid(uid_index, edge))
+                 for edge in steps]
     # The solver only reports a step when it lowers the sender's bound, so
     # the LAST recorded step per sender is the one that fixed its final
     # restart epoch.

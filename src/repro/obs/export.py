@@ -151,8 +151,9 @@ def flight_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
 
 
 def to_jsonl(rows: list[dict[str, Any]]) -> str:
-    """One compact JSON object per line."""
-    return "".join(json.dumps(row, sort_keys=True, default=str) + "\n" for row in rows)
+    """One compact JSON object per line (one encoder for all of them)."""
+    encode = json.JSONEncoder(sort_keys=True, default=str).encode
+    return "".join(encode(row) + "\n" for row in rows)
 
 
 def to_csv(rows: list[dict[str, Any]]) -> str:

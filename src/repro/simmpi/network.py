@@ -104,9 +104,10 @@ class Network:
         # rank -> callable(Envelope), and rank -> its ack sink(src, record)
         self._receivers: dict[int, Callable[[Envelope], None]] = {}
         self._ack_sinks: dict[int, Any] = {}
-        # (src, dst) -> [arrival of the channel's last envelope, messages,
-        # bytes]: the FIFO clamp's record and the network.channel.* series
-        self._channels: dict[tuple[int, int], list] = {}
+        # src << 32 | dst (no tuple per channel) -> [arrival of its last
+        # envelope, messages, bytes]: the FIFO clamp's record and the
+        # network.channel.* series
+        self._channels: dict[int, list] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -121,12 +122,14 @@ class Network:
             # the counters read what the network counts anyway; the
             # histograms and gauge sample send / delivery 1, 1 + N, ...
             channels = self._channels
-            obs.derive(self, "network.channel.messages", lambda: [
-                (chan, rec[1]) for chan, rec in channels.items()],
-                ("src", "dst"))
-            obs.derive(self, "network.channel.bytes", lambda: [
-                (chan, rec[2]) for chan, rec in channels.items()],
-                ("src", "dst"))
+            labels: dict[int, tuple[int, int]] = {}  # one per channel, both series
+
+            def per_channel(slot: int) -> list:
+                return [(labels.setdefault(chan, divmod(chan, 1 << 32)), rec[slot])
+                        for chan, rec in channels.items()]
+
+            obs.derive(self, "network.channel.messages", lambda: per_channel(1), ("src", "dst"))
+            obs.derive(self, "network.channel.bytes", lambda: per_channel(2), ("src", "dst"))
             self._size_hist = obs.histogram("network.message_size", SIZE_BUCKETS)
             self._in_flight_gauge = obs.gauge("network.in_flight")
             self._depth_hist = obs.histogram(
@@ -198,7 +201,7 @@ class Network:
         # wire: the NIC only sees the buffer once it is prepared
         cpu = self._send_overhead + size * self._per_byte
         arrival = now + cpu + transit
-        chan = (src, dst)
+        chan = src << 32 | dst
         rec = self._channels.get(chan)
         if rec is None:
             rec = self._channels[chan] = [-1.0, 0, 0]

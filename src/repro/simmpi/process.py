@@ -26,7 +26,6 @@ checkpoint has none outstanding: the image is complete.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, TYPE_CHECKING
 
@@ -102,6 +101,10 @@ class ProtocolHook:
     they need.  One hook instance is attached per process.
     """
 
+    # slots: late keys can overflow the key table CPython shares among a
+    # subclass's instance dicts, and then each instance gets its own dict
+    __slots__ = ("proc", "world")
+
     def attach(self, proc: "Proc", world: "World") -> None:
         """Called once when the process is created."""
         self.proc = proc
@@ -165,6 +168,12 @@ class NullHook(ProtocolHook):
 class Proc:
     """Drives one rank program inside the simulated world."""
 
+    __slots__ = ("rank", "world", "hook", "incarnation", "alive", "done",
+                 "paused", "blocked_on", "_gen", "_pending_resume",
+                 "_waiting", "_gated_send", "unexpected",
+                 "app_messages_sent", "app_messages_received", "send_tap",
+                 "__weakref__")  # teardown checks take weak references
+
     def __init__(self, rank: int, world: "World", hook: ProtocolHook | None = None):
         self.rank = rank
         self.world = world
@@ -185,7 +194,8 @@ class Proc:
         # message matched yet, or the send protocol gating holds back
         self._waiting: RecvOp | None = None
         self._gated_send: SendOp | None = None
-        self.unexpected: collections.deque[Envelope] = collections.deque()
+        #: appended, scanned, deleted from by index: a list is enough
+        self.unexpected: list[Envelope] = []
         self.app_messages_sent = 0
         self.app_messages_received = 0
         #: called with this rank after each application send while a

@@ -53,6 +53,19 @@ def test_jsonl_round_trip():
     assert all("metric" in row and "type" in row for row in parsed)
 
 
+def test_jsonl_is_the_per_row_encoding_byte_for_byte():
+    """One encoder per export writes what ``json.dumps`` per row wrote,
+    non-JSON values (``default=str``) and unsorted keys included."""
+    rows = metric_rows(populated_registry()) + [
+        {"z": 1, "a": {"y": (1, 2), "b": None}, "s": "\u00e9\n", "o": object},
+        {"f": 0.1, "nan": float("nan"), "big": 2**70, "set": frozenset()},
+    ]
+    want = "".join(json.dumps(row, sort_keys=True, default=str) + "\n"
+                   for row in rows)
+    assert to_jsonl(rows) == want
+    assert to_jsonl([]) == ""
+
+
 def test_csv_has_union_header_and_parses():
     text = dump_metrics(populated_registry(), "csv")
     rows = list(csv.DictReader(io.StringIO(text)))
