@@ -46,7 +46,7 @@ def test_sanitizer_overhead_factor(benchmark):
     t_off = timed(_protocol_world, rounds=7)
     t_on = timed(lambda: _protocol_world(sanitize=True), rounds=7)
     t_on_obs = timed(
-        lambda: _protocol_world(obs=MetricsRegistry(flight_capacity=0),
+        lambda: _protocol_world(obs=MetricsRegistry(flight=False),
                                 sanitize=True),
         rounds=7)
     on_factor = t_on / t_off if t_off else float("inf")

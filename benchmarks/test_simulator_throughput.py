@@ -147,7 +147,7 @@ def test_instrumentation_overhead_factor(benchmark):
     factor = _overhead(
         "instrumentation_overhead.txt", ("obs disabled (default)",
                                          "campaign registry"),
-        None, lambda: MetricsRegistry(flight_capacity=0), "instrumentation")
+        None, lambda: MetricsRegistry(flight=False), "instrumentation")
     benchmark.pedantic(_campaign_cells, rounds=1, iterations=1)
     assert factor < 1.5
 
@@ -158,13 +158,13 @@ def test_flight_recorder_overhead_factor(benchmark):
 
     The recorder is one cached identity check plus a timestamped tuple
     appended onto a pre-resolved per-rank sink per protocol transition:
-    about six records per message.
+    about four records per message.
     """
     from repro.obs import MetricsRegistry
 
     factor = _overhead(
         "flight_overhead.txt", ("metrics, flight off", "metrics + flight"),
-        lambda: MetricsRegistry(flight_capacity=0), MetricsRegistry, "flight")
+        lambda: MetricsRegistry(flight=False), MetricsRegistry, "flight")
     benchmark.pedantic(lambda: _campaign_cells(MetricsRegistry), rounds=1,
                        iterations=1)
     assert factor < 1.15
@@ -184,13 +184,13 @@ def test_timeseries_overhead_factor(benchmark):
     from repro.obs.timeseries import DEFAULT_TIMESERIES_INTERVAL
 
     def with_series():
-        return MetricsRegistry(flight_capacity=0,
+        return MetricsRegistry(flight=False,
                                timeseries_interval=DEFAULT_TIMESERIES_INTERVAL)
 
     factor = _overhead(
         "timeseries_overhead.txt", ("metrics, recorder off",
                                     "metrics + timeseries"),
-        lambda: MetricsRegistry(flight_capacity=0), with_series, "timeseries")
+        lambda: MetricsRegistry(flight=False), with_series, "timeseries")
     benchmark.pedantic(lambda: _campaign_cells(with_series), rounds=1,
                        iterations=1)
     assert factor < 1.5

@@ -329,7 +329,7 @@ def run_campaign(
         spec = validate_spec(spec)
         kind = spec["kind"]
         fn, tasks, base_seed, _ = plan(spec)
-        registry = obs if obs is not None else MetricsRegistry(flight_capacity=0)
+        registry = obs if obs is not None else MetricsRegistry(flight=False)
         before = cache.stats() if cache is not None else None
         if stream is not None:
             begin = {"trials" if kind == "chaos" else "tasks": len(tasks),

@@ -419,10 +419,9 @@ def _ts_digest(registry) -> str:
     """
     ts = registry.timeseries
     points = sum(len(s.t) for s in ts.series.values())
-    dropped = sum(s.dropped for s in ts.series.values())
     return (f"timeseries: interval={ts.interval:g}s "
             f"series={len(ts.series)} samples={ts.samples_taken} "
-            f"points={points} dropped={dropped}")
+            f"points={points}")
 
 
 def _write_timeseries(registry, path: str) -> None:
@@ -600,8 +599,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
           f"(round {report.round_no})")
     print(explanation.format())
     print(f"fix-point steps: {len(explanation.steps)}  "
-          f"flight records: {registry.flight.total_records} "
-          f"(dropped {registry.flight.total_dropped})")
+          f"flight records: {registry.flight.total_records}")
     return 0
 
 
@@ -645,8 +643,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         f"# events={world.engine.events_dispatched} "
         f"messages={world.network.messages_sent} "
         f"logged={controller.logging_stats()['messages_logged']:.0f} "
-        f"recovery_rounds={len(controller.recovery_reports)} "
-        f"flight_dropped={registry.flight.total_dropped}"
+        f"recovery_rounds={len(controller.recovery_reports)}"
     )
     print(summary, file=sys.stderr)
     return 0

@@ -152,9 +152,9 @@ class SDProtocol(ProtocolHook):
         # comparison even when metrics are on but the recorder is not
         self.flight = obs.flight if obs is not None else None
         # pre-resolved per-rank flight sink: the send/deliver/ack hot paths
-        # append record tuples in RECORD_FIELDS order straight onto the ring
-        # buffer's bound C append — no recorder call per record (cold paths
-        # keep the record() API)
+        # append record tuples in RECORD_FIELDS order straight onto the
+        # rank list's bound C append — no recorder call per record (cold
+        # paths keep the record() API)
         self._flight_sink = (
             self.flight.sink(self.rank) if self.flight is not None else None
         )
@@ -204,7 +204,6 @@ class SDProtocol(ProtocolHook):
                                 st.epoch, st.phase, env.uid))
         sink = self._flight_sink
         if sink is not None:
-            sink.n += 1
             sink.append((sink.time.now, _FK_SEND, self.rank, env.dst,
                          env.uid, st.epoch, 0, st.phase, 0, date))
 
@@ -223,7 +222,6 @@ class SDProtocol(ProtocolHook):
             self.messages_suppressed += 1
             sink = self._flight_sink
             if sink is not None:
-                sink.n += 1
                 sink.append((sink.time.now, _FK_SUPPRESS, self.rank,
                              env.src, env.uid, meta["epoch"], st.epoch, 0,
                              0, date))
@@ -244,12 +242,10 @@ class SDProtocol(ProtocolHook):
         sink = self._flight_sink
         if sink is not None:
             ts = sink.time.now
-            sink.n += 1
             sink.append((ts, _FK_DELIVER, self.rank, env.src, env.uid,
                          meta["epoch"], st.epoch, st.phase, 0, date))
             if st.phase > old_phase:
                 # message-driven phase bump: the delivered uid is the cause
-                sink.n += 1
                 sink.append((ts, _FK_PHASE, self.rank, env.src, 0,
                              st.epoch, 0, st.phase, env.uid, None))
         self._send_ack(env, duplicate=False)
@@ -266,7 +262,6 @@ class SDProtocol(ProtocolHook):
         }
         sink = self._flight_sink
         if sink is not None:
-            sink.n += 1
             sink.append((sink.time.now, _FK_ACK, self.rank, env.src,
                          env.uid, meta["epoch"], self.state.epoch, 0, 0,
                          ("dup" if duplicate else None)))
@@ -366,7 +361,6 @@ class SDProtocol(ProtocolHook):
                 cells[1].n += entry.size
             sink = self._flight_sink
             if sink is not None:
-                sink.n += 1
                 sink.append((sink.time.now, _FK_LOG, self.rank, entry.dst,
                              entry.uid, entry.epoch_send, epoch_recv,
                              entry.phase_send, 0, None))
@@ -377,7 +371,6 @@ class SDProtocol(ProtocolHook):
             if sink is not None:
                 # the ack resolved without logging — this is a NON-LOGGED
                 # message, the raw material of the recovery explainer
-                sink.n += 1
                 sink.append((sink.time.now, _FK_CONFIRM, self.rank,
                              entry.dst, entry.uid, entry.epoch_send,
                              epoch_recv, entry.phase_send, 0, None))

@@ -42,7 +42,6 @@ if TYPE_CHECKING:
         to_jsonl,
     )
     from .flight import (
-        DEFAULT_FLIGHT_CAPACITY,
         RECORD_FIELDS,
         FlightKind,
         FlightRecorder,
@@ -62,7 +61,6 @@ if TYPE_CHECKING:
     from .report import render_report
     from .stream import ProgressStream, stream_progress
     from .timeseries import (
-        DEFAULT_TIMESERIES_CAPACITY,
         DEFAULT_TIMESERIES_INTERVAL,
         TimeSeriesRecorder,
     )
@@ -73,13 +71,11 @@ else:
         "export": "dump_flight dump_metrics dump_text dump_timeseries "
                   "flight_rows histogram_quantile metric_rows "
                   "timeseries_rows to_csv to_jsonl",
-        "flight": "DEFAULT_FLIGHT_CAPACITY RECORD_FIELDS FlightKind "
-                  "FlightRecorder record_to_dict",
+        "flight": "RECORD_FIELDS FlightKind FlightRecorder record_to_dict",
         "perfetto": "dump_perfetto perfetto_trace",
         "registry": "DEPTH_BUCKETS DURATION_BUCKETS SIZE_BUCKETS Counter "
                     "CounterCell Gauge Histogram MetricsRegistry",
         "report": "render_report",
         "stream": "ProgressStream stream_progress",
-        "timeseries": "DEFAULT_TIMESERIES_CAPACITY "
-                      "DEFAULT_TIMESERIES_INTERVAL TimeSeriesRecorder",
+        "timeseries": "DEFAULT_TIMESERIES_INTERVAL TimeSeriesRecorder",
     })

@@ -72,8 +72,8 @@ def histogram_quantile(hist: Histogram, q: float) -> float | None:
     clamped to the observed ``min``/``max`` (which are tracked exactly),
     so estimates never leave the data's range even when the bucket edges
     are far apart.  Returns ``None`` for an empty histogram.  For
-    *sampled* histograms (``hist_sample=N``) the estimate derives from
-    the deterministic 1-in-N subsample.
+    *sampled* histograms (``MetricsRegistry.hist_sample``) the estimate
+    derives from the deterministic 1-in-N subsample.
     """
     count = hist.count
     if not count:
@@ -131,7 +131,7 @@ def metric_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
                 "min": inst.min if inst.count else None,
                 "max": inst.max if inst.count else None,
                 # quantile *estimates*: per-event histograms observe a
-                # deterministic 1-in-hist_sample subsample (default 8),
+                # deterministic 1-in-hist_sample subsample (8),
                 # so these derive from that subsample; min/max/count are
                 # exact for the observations the histogram received
                 "p50": histogram_quantile(inst, 0.50),
@@ -207,7 +207,6 @@ def timeseries_rows(registry: "MetricsRegistry") -> list[dict[str, Any]]:
             "series": name,
             "kind": s.kind,
             "interval": ts.interval,
-            "dropped": s.dropped,
             "t": list(s.t),
             "v": list(s.v),
         }
@@ -234,7 +233,6 @@ def _fmt_num(v: float | None) -> str:
 def dump_text(registry: "MetricsRegistry") -> str:
     """Human-readable metrics summary (``repro obs --format text``)."""
     lines: list[str] = []
-    sample = registry.hist_sample
     sampled = False
     for inst in registry.instruments():
         if isinstance(inst, Counter):
@@ -264,18 +262,17 @@ def dump_text(registry: "MetricsRegistry") -> str:
                 f"max={_fmt_num(inst.max if inst.count else None)}"
             )
             sampled = True
-    if sampled and sample > 1:
+    if sampled:
         lines.append(
             f"# histogram quantiles are interpolated estimates; per-event "
-            f"histograms observe a deterministic 1-in-{sample} subsample "
-            f"(count/min/max are exact for the recorded observations)"
+            f"histograms observe a deterministic 1-in-{registry.hist_sample} "
+            f"subsample (count/min/max are exact for the recorded observations)"
         )
     ts = registry.timeseries
     if ts is not None:
         held = sum(len(s.t) for s in ts.series.values())
-        dropped = sum(s.dropped for s in ts.series.values())
         lines.append(
             f"timeseries interval={ts.interval:g}s series={len(ts.series)} "
-            f"samples={ts.samples_taken} points={held} dropped={dropped}"
+            f"samples={ts.samples_taken} points={held}"
         )
     return "\n".join(lines) + "\n" if lines else ""

@@ -1,4 +1,4 @@
-"""Protocol flight recorder: per-rank ring buffers of typed transitions.
+"""Protocol flight recorder: per-rank lists of typed transitions.
 
 The metrics registry answers "how many" — the flight recorder answers
 "which and why".  Every protocol-relevant transition (application send,
@@ -9,31 +9,26 @@ rollback, replayed re-emission) lands as one fixed-shape record
     ``(time, kind, rank, peer, uid, epoch_send, epoch_recv, phase,
        cause_uid, extra)``
 
-in a bounded per-rank ring buffer (oldest records are dropped first, with
-per-rank drop accounting).  The record stream is what the recovery
-explainer (:mod:`repro.obs.explain`), the Perfetto exporter
+in a per-rank list that keeps every record.  The record stream is what
+the recovery explainer (:mod:`repro.obs.explain`), the Perfetto exporter
 (:mod:`repro.obs.perfetto`) and the flight dumps (``repro obs
 --flight-out``, a failing chaos trial's ``flight_jsonl``) consume, always
 in the process that recorded it: a registry's snapshot carries metrics
 and time series only, so the stream never crosses a process boundary.
 
 Zero-cost-when-disabled contract: a registry built with
-``flight_capacity=0`` has ``flight is None``; components cache
+``flight=False`` has ``flight is None``; components cache
 ``obs.flight if obs is not None else None`` at construction, so the
 disabled path is one identity comparison.  Records
 are plain tuples.  Components that record for one fixed rank resolve a
 :meth:`FlightRecorder.sink` handle once at construction and append
-directly onto the ring buffer's bound C ``append`` (one timestamp
-attribute load, one counter bump, one tuple build — no recorder call);
-the :meth:`FlightRecorder.record` API remains for cold paths.  Drop
-accounting is *derived* — appends ever made minus records still held —
-so the hot path pays no capacity check (the ring's ``maxlen`` eviction
-does the bounding; see ``benchmarks/test_simulator_throughput.py``).
+directly onto the list's bound C ``append`` (one timestamp attribute
+load, one tuple build — no recorder call); the
+:meth:`FlightRecorder.record` API remains for cold paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Iterator
 
 __all__ = [
@@ -41,11 +36,7 @@ __all__ = [
     "FlightRecorder",
     "RECORD_FIELDS",
     "record_to_dict",
-    "DEFAULT_FLIGHT_CAPACITY",
 ]
-
-#: per-rank ring-buffer capacity when none is given
-DEFAULT_FLIGHT_CAPACITY = 16_384
 
 #: positional layout of one flight record tuple
 RECORD_FIELDS = (
@@ -90,37 +81,31 @@ _ZERO_TIME = _ZeroTime()
 
 
 class _RankSink:
-    """Hot-path append handle for one rank's ring buffer.
+    """Hot-path append handle for one rank's record list.
 
-    ``append`` is the deque's *bound C method* and ``time`` the current
+    ``append`` is the list's *bound C method* and ``time`` the current
     time source (``time.now`` is the timestamp), so an instrumented
     component records with::
 
-        sink.n += 1
         sink.append((sink.time.now, kind, rank, ...))
 
-    — no Python-level call into the recorder at all.  ``n`` counts every
-    record ever appended through this sink; drop accounting is derived
-    (``n`` minus records still held), so the hot path pays no capacity
-    check — the ring's ``maxlen`` eviction does the bounding.
+    — no Python-level call into the recorder at all.
     """
 
-    __slots__ = ("append", "time", "n")
+    __slots__ = ("append", "time")
 
-    def __init__(self, buf: deque, time: Any):
+    def __init__(self, buf: list, time: Any):
         self.append = buf.append
         self.time = time
-        self.n = 0
 
 
 class FlightRecorder:
-    """Per-rank bounded record streams with drop accounting."""
+    """Per-rank record streams that keep every record."""
 
-    __slots__ = ("capacity", "_buffers", "_sinks", "_time_src")
+    __slots__ = ("_buffers", "_sinks", "_time_src")
 
-    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY):
-        self.capacity = capacity
-        self._buffers: dict[int, deque[tuple]] = {}
+    def __init__(self) -> None:
+        self._buffers: dict[int, list[tuple]] = {}
         self._sinks: dict[int, _RankSink] = {}
         self._time_src: Any = _ZERO_TIME
 
@@ -143,7 +128,7 @@ class FlightRecorder:
         """
         sink = self._sinks.get(rank)
         if sink is None:
-            buf = self._buffers[rank] = deque(maxlen=self.capacity)
+            buf = self._buffers[rank] = []
             sink = self._sinks[rank] = _RankSink(buf, self._time_src)
         return sink
 
@@ -154,19 +139,8 @@ class FlightRecorder:
             sink = self._sinks[rank]
         except KeyError:
             sink = self.sink(rank)
-        sink.n += 1
         sink.append((sink.time.now, kind, rank, peer, uid, epoch_send,
                      epoch_recv, phase, cause_uid, extra))
-
-    @property
-    def dropped(self) -> dict[int, int]:
-        """Per-rank count of records evicted by the ring bound (derived:
-        appends ever made minus records still held)."""
-        buffers = self._buffers
-        return {
-            rank: sink.n - len(buffers[rank])
-            for rank, sink in self._sinks.items()
-        }
 
     # ------------------------------------------------------------------
     # Reading
@@ -193,10 +167,6 @@ class FlightRecorder:
     @property
     def total_records(self) -> int:
         return sum(len(b) for b in self._buffers.values())
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(self.dropped.values())
 
 
 def record_to_dict(rec: tuple) -> dict[str, Any]:

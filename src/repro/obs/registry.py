@@ -29,9 +29,10 @@ instruments **once at construction**:
   bumped as ``cell.n += amount``.  Label arity is validated at
   slot-resolution time, so a mislabeled call site fails at registration,
   not by silently creating a phantom series.
-* Per-event histograms sample **1 in N** (``MetricsRegistry(hist_sample=N)``)
-  on strides of a count the component keeps: deterministic, so sampled
-  output is still bit-reproducible and merge-stable across worker counts.
+* Per-event histograms sample **1 in** ``MetricsRegistry.hist_sample``
+  (8) on strides of a count the component keeps: deterministic, so
+  sampled output is still bit-reproducible and merge-stable across
+  worker counts.
 
 The ``counter(name).inc(labels=...)`` path resolves a slot per call and
 is for cold paths.
@@ -43,8 +44,8 @@ from bisect import bisect_left
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import SimulationError
-from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
-from .timeseries import DEFAULT_TIMESERIES_CAPACITY, TimeSeriesRecorder
+from .flight import FlightRecorder
+from .timeseries import TimeSeriesRecorder
 
 __all__ = [
     "Counter",
@@ -205,35 +206,27 @@ class Histogram:
 
 class MetricsRegistry:
     """Names → instruments, plus the protocol flight recorder
-    (``flight_capacity=0``: ``flight`` is ``None``) and the optional
-    virtual-time series.
-
-    ``hist_sample`` sets the default 1-in-N sampling interval that
-    instrumented components apply to their *per-event* histograms (engine
-    queue depth, network size/depth/transit, logged sizes).  It defaults
-    to 8: those histograms are what a registry costs an instrumented world
-    (≤1.10× on a campaign's cells); pass ``hist_sample=1`` to record every
-    observation.  Counters, gauge values and cold-path histograms (e.g.
-    recovery round durations) are always exact regardless of the knob.
+    (``flight=False``: ``flight`` is ``None``) and the optional
+    virtual-time series (``timeseries_interval``).
     """
 
-    def __init__(self, flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
-                 hist_sample: int = 8,
-                 timeseries_interval: float | None = None,
-                 timeseries_capacity: int | None = DEFAULT_TIMESERIES_CAPACITY):
-        if hist_sample < 1:
-            raise SimulationError("sample intervals must be >= 1")
+    #: per-event histograms (engine queue depth, network size/depth/transit,
+    #: logged sizes) record events 1, 1 + N, ... of a count their component
+    #: keeps: they are what a registry costs an instrumented world (≤1.10×
+    #: on a campaign's cells).  Counters, gauge values and cold-path
+    #: histograms (recovery round durations) are always exact.
+    hist_sample = 8
+
+    def __init__(self, flight: bool = True,
+                 timeseries_interval: float | None = None):
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         #: owner -> (reads list, index) of each read it derives, until settled
         self._derived: dict[Any, list[tuple[list[_Read], int]]] = {}
-        self.hist_sample = hist_sample
-        self.flight = (
-            FlightRecorder(flight_capacity) if flight_capacity > 0 else None
-        )
+        self.flight = FlightRecorder() if flight else None
         # virtual-time metric series: None (the default) keeps the engine
         # dispatch loop on the recorder-free path entirely
         self.timeseries = (
-            TimeSeriesRecorder(timeseries_interval, timeseries_capacity)
+            TimeSeriesRecorder(timeseries_interval)
             if timeseries_interval is not None else None
         )
 
@@ -391,9 +384,5 @@ class MetricsRegistry:
         if ts_snap:
             if self.timeseries is None:
                 # a merge sink (the sweep parent): adopt the workers' grid
-                # and concatenate unbounded so campaign dashboards keep
-                # every task's curve
-                self.timeseries = TimeSeriesRecorder(
-                    ts_snap["interval"], capacity=None
-                )
+                self.timeseries = TimeSeriesRecorder(ts_snap["interval"])
             self.timeseries.merge(ts_snap)

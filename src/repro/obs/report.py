@@ -345,17 +345,8 @@ def _timeseries_section(rows: list[dict[str, Any]]) -> tuple[str, int]:
         )
     if not charts:
         return "", 0
-    dropped = sum(r["dropped"] for r in rows)
-    notes: list[str] = []
-    if skipped:
-        notes.append("not collected in this run: " + ", ".join(skipped))
-    if dropped:
-        notes.append(
-            f"{dropped} oldest samples evicted by per-series ring capacity"
-        )
-    foot = (
-        f'<p class="muted">{_esc("; ".join(notes))}</p>' if notes else ""
-    )
+    note = "not collected in this run: " + ", ".join(skipped)
+    foot = f'<p class="muted">{_esc(note)}</p>' if skipped else ""
     html = (
         "<section><h2>Virtual-time series</h2>"
         '<div class="grid">' + "".join(charts) + "</div>" + foot + "</section>"

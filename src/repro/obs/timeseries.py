@@ -41,7 +41,6 @@ N`` output is byte-identical for any worker count.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable
 
 from ..errors import SimulationError
@@ -49,42 +48,28 @@ from ..errors import SimulationError
 __all__ = [
     "TimeSeriesRecorder",
     "DEFAULT_TIMESERIES_INTERVAL",
-    "DEFAULT_TIMESERIES_CAPACITY",
 ]
 
 #: default sampling interval, in virtual seconds (~30-60 points for the
 #: bundled kernels at Table I scale; cheap enough for the <=1.05x budget)
 DEFAULT_TIMESERIES_INTERVAL = 1e-5
 
-#: default per-series ring capacity (oldest samples evict, with the drop
-#: counted — the flight-recorder accounting idiom)
-DEFAULT_TIMESERIES_CAPACITY = 4096
-
 
 class _Series:
-    """One named curve: parallel time/value rings plus drop accounting.
+    """One named curve: parallel time/value lists that keep every sample.
 
-    ``appended`` counts samples ever taken; ``appended - len(t)`` is the
-    number evicted by the ring (derived, never maintained per append).
-    Counter-kind series carry a third ring ``d`` of per-window deltas.
+    Counter-kind series carry a third list ``d`` of per-window deltas.
     """
 
-    __slots__ = ("name", "kind", "t", "v", "d", "appended", "prev")
+    __slots__ = ("name", "kind", "t", "v", "d", "prev")
 
-    def __init__(self, name: str, kind: str, capacity: int | None):
+    def __init__(self, name: str, kind: str):
         self.name = name
         self.kind = kind
-        self.t: deque[float] = deque(maxlen=capacity)
-        self.v: deque[float] = deque(maxlen=capacity)
-        self.d: deque[float] | None = (
-            deque(maxlen=capacity) if kind == "counter" else None
-        )
-        self.appended = 0
+        self.t: list[float] = []
+        self.v: list[float] = []
+        self.d: list[float] | None = [] if kind == "counter" else None
         self.prev = 0.0  # last raw counter reading, for window deltas
-
-    @property
-    def dropped(self) -> int:
-        return self.appended - len(self.t)
 
 
 class TimeSeriesRecorder:
@@ -93,13 +78,11 @@ class TimeSeriesRecorder:
     Created by ``MetricsRegistry(timeseries_interval=...)``; bound to the
     first engine constructed against that registry (``bind_engine`` is
     first-wins, so a reference re-run sharing the registry cannot mix its
-    series into another world's curves).  ``capacity=None`` means
-    unbounded — the merge-sink configuration used by the sweep parent.
+    series into another world's curves).
     """
 
     __slots__ = (
         "interval",
-        "capacity",
         "samples_taken",
         "next_time",
         "series",
@@ -110,13 +93,12 @@ class TimeSeriesRecorder:
         "_counters",
     )
 
-    def __init__(self, interval: float, capacity: int | None = DEFAULT_TIMESERIES_CAPACITY):
+    def __init__(self, interval: float):
         if not interval > 0.0:
             raise SimulationError(
                 f"time-series interval must be > 0, got {interval!r}"
             )
         self.interval = float(interval)
-        self.capacity = capacity
         self.samples_taken = 0
         self.next_time = float("inf")  # armed by bind_engine
         self.series: dict[str, _Series] = {}
@@ -154,7 +136,7 @@ class TimeSeriesRecorder:
     def _new_series(self, name: str, kind: str) -> _Series:
         if name in self.series:
             raise SimulationError(f"time series {name!r} already registered")
-        s = _Series(name, kind, self.capacity)
+        s = _Series(name, kind)
         self.series[name] = s
         return s
 
@@ -195,14 +177,12 @@ class TimeSeriesRecorder:
             for s, fn in gauges:
                 s.t.append(nxt)
                 s.v.append(fn())
-                s.appended += 1
             for s, fn in counters:
                 cur = fn()
                 s.t.append(nxt)
                 s.v.append(cur)
                 s.d.append(cur - s.prev)
                 s.prev = cur
-                s.appended += 1
             samples += 1
             k += 1
             nxt = base + k * interval
@@ -223,7 +203,6 @@ class TimeSeriesRecorder:
                 "kind": s.kind,
                 "t": list(s.t),
                 "v": list(s.v),
-                "appended": s.appended,
             }
             if s.d is not None:
                 data["d"] = list(s.d)
@@ -238,11 +217,7 @@ class TimeSeriesRecorder:
         """Concatenate another recorder's snapshot, in call order.
 
         The sweep parent merges worker snapshots in task order, so the
-        merged curves are byte-identical for any ``--workers N``.  A
-        bounded recorder merging more than ``capacity`` points rings as
-        usual (with the evictions counted as drops); the parent-side
-        merge sink is created unbounded so campaign dashboards keep every
-        task's curve.
+        merged curves are byte-identical for any ``--workers N``.
         """
         if not snap:
             return
@@ -254,7 +229,7 @@ class TimeSeriesRecorder:
         for name, data in snap.get("series", {}).items():
             s = self.series.get(name)
             if s is None:
-                s = _Series(name, data["kind"], self.capacity)
+                s = _Series(name, data["kind"])
                 self.series[name] = s
             elif s.kind != data["kind"]:
                 raise SimulationError(
@@ -265,5 +240,4 @@ class TimeSeriesRecorder:
             s.v.extend(data["v"])
             if s.d is not None:
                 s.d.extend(data.get("d", ()))
-            s.appended += data["appended"]
         self.samples_taken += snap.get("samples", 0)

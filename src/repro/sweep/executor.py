@@ -246,7 +246,7 @@ def _execute(fn: Callable[[dict[str, Any]], Any], task: SweepTask,
     if collect_obs:
         from ..obs import MetricsRegistry
 
-        registry = MetricsRegistry(flight_capacity=0,
+        registry = MetricsRegistry(flight=False,
                                    timeseries_interval=timeseries)
         params["obs"] = registry
     # host wall-clock is allowed here: SweepResult.duration is documented

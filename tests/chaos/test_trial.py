@@ -138,7 +138,7 @@ def test_failure_dump_of_a_re_execution_is_the_first_executions():
     dumps = 0
     for index in range(8):
         schedule = schedule_for_trial(0, index, bug="ack_drop")
-        armed, unarmed = MetricsRegistry(), MetricsRegistry(flight_capacity=0)
+        armed, unarmed = MetricsRegistry(), MetricsRegistry(flight=False)
         first = run_trial_schedule(schedule, obs=armed)
         again = run_trial_schedule(schedule, obs=unarmed)
         assert first.to_json() == again.to_json()

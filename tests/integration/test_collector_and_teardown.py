@@ -238,7 +238,7 @@ def test_closed_instrumented_world_dies_while_its_registry_lives(collector_off):
     # settles them, so the registry keeps the numbers, not the world
     from repro.obs import MetricsRegistry, dump_metrics
 
-    obs = MetricsRegistry(flight_capacity=0)
+    obs = MetricsRegistry(flight=False)
     config = ProtocolConfig(checkpoint_interval=INTERVAL, rank_stagger=STAGGER)
     world, controller = build_ft_world(6, stencil1d, config, obs=obs)
     controller.inject_failure(4e-5, 1)

@@ -63,7 +63,7 @@ def test_uid_resolution_from_flight_confirms():
         0: spe({1: (0, {1: 2}), 2: (10, {})}),
         1: spe({1: (0, {}), 2: (12, {})}),
     }
-    fr = FlightRecorder(capacity=16)
+    fr = FlightRecorder()
     # two confirms on the channel; only the epoch-matching one is a witness
     fr.record(0, FlightKind.CONFIRM, peer=1, uid=41, epoch_send=1, epoch_recv=1)
     fr.record(0, FlightKind.CONFIRM, peer=1, uid=42, epoch_send=1, epoch_recv=2)

@@ -91,7 +91,7 @@ def test_empty_exports():
 def test_histogram_quantiles_known_distribution():
     from repro.obs import histogram_quantile
 
-    reg = MetricsRegistry(hist_sample=1)  # record every observation
+    reg = MetricsRegistry()
     h = reg.histogram("lat", (10.0, 20.0, 30.0))
     for v in range(1, 101):  # 1..100, uniform across 0-100
         h.observe(float(v))
@@ -115,7 +115,7 @@ def test_histogram_quantiles_known_distribution():
 def test_histogram_quantile_empty_and_single():
     from repro.obs import histogram_quantile
 
-    reg = MetricsRegistry(hist_sample=1)
+    reg = MetricsRegistry()
     empty = reg.histogram("empty", (1.0,))
     assert histogram_quantile(empty, 0.5) is None
     single = reg.histogram("single", (10.0,))

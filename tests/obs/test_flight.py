@@ -1,4 +1,4 @@
-"""Flight recorder: ring-buffer semantics, protocol wiring, the stream
+"""Flight recorder: every record kept, protocol wiring, the stream
 staying out of registry snapshots, and the zero-perturbation guarantee
 when disabled."""
 
@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.apps.pingpong import PingPong
 from repro.apps.stencil import Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 from repro.obs import (
@@ -39,22 +40,10 @@ def run_instrumented(with_failure=True, **registry_kwargs):
 
 
 # ----------------------------------------------------------------------
-# Unit: ring buffer + drop accounting
+# Unit: record streams
 # ----------------------------------------------------------------------
-def test_ring_buffer_drops_oldest_and_counts():
-    fr = FlightRecorder(capacity=4)
-    for i in range(10):
-        fr.record(0, FlightKind.SEND, uid=i)
-    recs = list(fr.records(rank=0))
-    assert len(recs) == 4
-    assert [r[4] for r in recs] == [6, 7, 8, 9]  # oldest dropped first
-    assert fr.dropped[0] == 6
-    assert fr.total_records == 4
-    assert fr.total_dropped == 6
-
-
 def test_records_filter_by_rank_and_kind_in_time_order():
-    fr = FlightRecorder(capacity=16)
+    fr = FlightRecorder()
     clock = SimpleNamespace(now=3.0)
     fr.bind_time_source(clock)
     fr.record(1, FlightKind.SEND, uid=10)
@@ -68,7 +57,7 @@ def test_records_filter_by_rank_and_kind_in_time_order():
 
 
 def test_record_to_dict_layout():
-    fr = FlightRecorder(capacity=4)
+    fr = FlightRecorder()
     fr.record(2, FlightKind.LOG, peer=5, uid=7, epoch_send=3, epoch_recv=4,
               phase=2, cause_uid=1, extra="x")
     d = record_to_dict(next(fr.records(rank=2)))
@@ -109,6 +98,25 @@ def test_send_and_deliver_share_uid():
     assert delivered <= sent  # every delivery traces back to a recorded send
 
 
+def test_a_long_run_keeps_every_record():
+    # 4,200 round trips put ~16,800 records on rank 0's lane, past the
+    # 16,384 a per-rank ring once held: the stream's start must survive
+    obs = MetricsRegistry()
+    world, controller = build_ft_world(
+        2, lambda rank, size: PingPong(rank, size, sizes=[8], reps=4200),
+        ProtocolConfig(checkpoint_interval=1e-3), obs=obs)
+    try:
+        world.launch()
+        world.run()
+    finally:
+        controller.close()
+    assert obs.flight.total_records > 2 * 16_384
+    assert len(list(obs.flight.records(rank=0))) > 16_384
+    sends = list(obs.flight.records(rank=0, kind=FlightKind.SEND))
+    assert len(sends) == world.procs[0].app_messages_sent == 4200
+    assert [rec[-1] for rec in sends] == list(range(1, 4201))  # dates
+
+
 def test_registry_snapshot_carries_no_flight():
     # the stream is read where it was recorded; a snapshot ships metrics
     # and time series only, and merging one leaves a recorder empty
@@ -122,10 +130,10 @@ def test_registry_snapshot_carries_no_flight():
     assert other.flight.total_records == 0
 
 
-def test_flight_capacity_zero_is_null_and_bit_identical():
+def test_flight_off_is_null_and_bit_identical():
     # flight off is None: same simulation results as a fully
     # uninstrumented run, same metrics as a flight-on run
-    world, controller, obs = run_instrumented(flight_capacity=0)
+    world, controller, obs = run_instrumented(flight=False)
     assert obs.flight is None
     assert controller.protocols[0].flight is None
     assert controller.recovery.flight is None

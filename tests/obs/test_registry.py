@@ -205,20 +205,18 @@ def test_empty_histogram_exports_none_min_max_after_merge():
 
 def test_histogram_sampling_records_every_nth():
     # a per-event histogram strides on a count its component keeps: the
-    # log store's logged-size samples land on log entries 1, 1 + N, ...
+    # log store's logged-size samples land on log entries 1, 1 + 8, ...
     from repro.core.logstore import SenderChannel
     from repro.obs import SIZE_BUCKETS
 
-    for every, expected in ((3, [1, 4, 7]), (1, list(range(1, 10)))):
-        reg = MetricsRegistry(hist_sample=every)
-        sender = SenderChannel(obs=reg)
-        for size in range(1, 10):  # sent and logged in one go, entry = size
-            sender._log_entry(size, 1, 2, None, size)
-        h = reg.histogram("logstore.logged_size", SIZE_BUCKETS)
-        assert h.count == len(expected) and h.sum == sum(expected)
-        assert reg.get_counter_total("logstore.messages_logged") == 9
-    with pytest.raises(SimulationError):
-        MetricsRegistry(hist_sample=0)
+    reg = MetricsRegistry()
+    assert reg.hist_sample == 8
+    sender = SenderChannel(obs=reg)
+    for size in range(1, 10):  # sent and logged in one go, entry = size
+        sender._log_entry(size, 1, 2, None, size)
+    h = reg.histogram("logstore.logged_size", SIZE_BUCKETS)
+    assert h.count == 2 and h.sum == 1 + 9  # entries 1 and 9 of 9
+    assert reg.get_counter_total("logstore.messages_logged") == 9
 
 
 def test_merge_rejects_histogram_bounds_clash():

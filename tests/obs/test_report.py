@@ -181,6 +181,15 @@ def test_report_sections(real):
     assert "Throughput vs scale" in html
 
 
+def test_a_series_dump_that_still_counts_drops_renders_unchanged(real):
+    """Series rows once carried a ``dropped`` count; the page no longer
+    reads it, so a dump written with the key renders the same page."""
+    rows = _load(real / "series.jsonl")
+    assert rows and all("dropped" not in r for r in rows)
+    old = [dict(r, dropped=0) for r in rows]
+    assert render_report(timeseries=old) == render_report(timeseries=rows)
+
+
 # ----------------------------------------------------------------------
 # the strict reader: an input it cannot render is a usage error
 # ----------------------------------------------------------------------
@@ -190,9 +199,9 @@ def _drop_key(path, out):
     the key."""
     if path.suffix == ".jsonl":
         rows = _load(path)
-        del rows[0]["dropped"]
+        del rows[0]["t"]
         out.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        return "dropped"
+        return "t"
     doc = _load(path)
     if "results" in doc:           # results document: a task's field
         del doc["results"][0]["duration_s"]

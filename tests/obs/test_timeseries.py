@@ -1,4 +1,4 @@
-"""Time-series recorder: grid sampling, ring accounting, snapshot/merge,
+"""Time-series recorder: grid sampling, every point kept, snapshot/merge,
 engine integration, and the central determinism contracts — arming the
 recorder (or changing its interval) never perturbs protocol event order,
 and merged series are byte-identical for any worker count."""
@@ -62,17 +62,19 @@ def test_grid_sampling_and_counter_deltas():
     assert list(c.v) == [10.0, 10.0, 40.0, 40.0]
     assert list(c.d) == [10.0, 0.0, 30.0, 0.0]
     assert ts.samples_taken == 4
-    assert g.dropped == 0
 
 
-def test_ring_eviction_counts_drops():
-    ts = TimeSeriesRecorder(1.0, capacity=3)
+def test_a_long_series_keeps_its_start():
+    # 5,000 grid points, past the 4,096 a per-series ring once held
+    ts = TimeSeriesRecorder(0.5)
     ts.probe("g", lambda: 7.0)
+    ts.probe("c", lambda: 1.0, kind="counter")
     ts.bind_engine(FakeEngine())
-    ts.sample_through(10.0)
-    s = ts.series["g"]
-    assert len(s.t) == 3 and s.appended == 10 and s.dropped == 7
-    assert list(s.t) == [8.0, 9.0, 10.0]
+    ts.sample_through(2500.0)
+    g, c = ts.series["g"], ts.series["c"]
+    assert len(g.t) == len(g.v) == len(c.d) == ts.samples_taken == 5000
+    assert g.t[0] == c.t[0] == 0.5 and g.t[-1] == 2500.0
+    assert c.d[:2] == [1.0, 0.0]
 
 
 def test_bind_engine_first_wins():
@@ -93,7 +95,7 @@ def test_snapshot_merge_roundtrip():
         ts.sample_through(2.0)
         return ts
 
-    sink = TimeSeriesRecorder(1.0, capacity=None)
+    sink = TimeSeriesRecorder(1.0)
     sink.merge(make(1).snapshot())
     sink.merge(make(2).snapshot())
     g = sink.series["g"]
@@ -121,8 +123,7 @@ def test_merge_kind_mismatch_raises():
 
 
 def test_registry_merge_autocreates_unbounded_sink():
-    worker = MetricsRegistry(timeseries_interval=1.0,
-                             timeseries_capacity=2)
+    worker = MetricsRegistry(timeseries_interval=1.0)
     worker.timeseries.probe("g", lambda: 1.0)
     worker.timeseries.bind_engine(FakeEngine())
     worker.timeseries.sample_through(5.0)
@@ -131,9 +132,9 @@ def test_registry_merge_autocreates_unbounded_sink():
     parent.merge(worker.snapshot())
     parent.merge(worker.snapshot())
     sink = parent.timeseries
-    assert sink is not None and sink.capacity is None
-    # worker ring kept 2 points per snapshot; the sink keeps all of them
-    assert len(sink.series["g"].t) == 4
+    assert sink is not None and sink.interval == 1.0
+    # 5 points per snapshot; the sink keeps all of them, in merge order
+    assert sink.series["g"].t == [1.0, 2.0, 3.0, 4.0, 5.0] * 2
 
 
 # ----------------------------------------------------------------------
