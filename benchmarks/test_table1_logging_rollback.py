@@ -58,7 +58,7 @@ def rows():
             raise RuntimeError(
                 f"table1 cell {res.name} failed: {res.error}\n{res.traceback}"
             )
-    return [res.value for res in results]
+    return [row for res in results for row in res.value]
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,11 @@ computes, per snapshot, the size of the recovery line of every failed rank
 and aggregates the statistics the paper reports (``%rl``);
 :func:`measure_rollback` is the whole method in one call.
 
+Without checkpoint I/O and failures the protocol decides what is logged and
+what enters SPE, never when anything happens, so one protocol-free run
+(:func:`record_trace`) fixes every policy's cell: :func:`trace_cell`
+restates Fig. 3's logging rule and SPE bookkeeping as arithmetic on it.
+
 The p fix-points of one snapshot are one reachability problem.  Take nodes
 ``(j, b)`` = "rank j restarts at an epoch <= b", one per distinct sending
 epoch of an SPE edge plus each failed rank's current epoch.  ``(j, b)``
@@ -29,6 +34,7 @@ O((nodes + edges) * p/64) word operations per snapshot for all p failures.
 from __future__ import annotations
 
 import gc
+from array import array
 from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -37,10 +43,15 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..core.controller import FTController, ProtocolConfig, build_ft_world
+from ..core.protocol import _ACK_RECORD_NBYTES
 from ..core.recovery import RecoveryLineSolver
+from ..errors import ConfigError
 from ..lint.sanitize import sanitizer_for
+from ..simmpi.process import ProtocolHook
+from ..simmpi.runtime import World
 
-__all__ = ["SpeSnapshot", "SpeSampler", "RollbackStats", "rollback_analysis", "measure_rollback"]
+__all__ = ["SpeSnapshot", "SpeSampler", "RollbackStats", "rollback_analysis",
+           "measure_rollback", "CellTrace", "record_trace", "trace_cell"]
 
 
 @dataclass
@@ -254,3 +265,161 @@ def measure_rollback(
             sampler.take()
     return (controller.logging_stats(), sampler.snapshots,
             rollback_analysis(sampler.snapshots, nprocs))
+
+
+
+@dataclass
+class CellTrace:
+    """What a failure-free run fixes for every checkpoint policy; an
+    opportunity count is how many of a rank's checkpoint opportunities
+    came before an event."""
+
+    #: per rank, per checkpoint opportunity: its time and the sends before it
+    opportunities: list[list[tuple[float, int]]]
+    #: per application message in send order, six numbers: sender,
+    #: receiver, size, the sender's opportunity count at the send, the
+    #: receiver's at the delivery, the sampler ticks fired before the ack
+    #: reached the sender
+    messages: array = field(default_factory=lambda: array("q"))
+    #: per sampler tick: its time and every rank's opportunity count
+    ticks: list[tuple[float, list[int]]] = field(default_factory=list)
+
+
+class _RecordingHook(ProtocolHook):
+    """:class:`~repro.core.protocol.SDProtocol`'s failure-free wire traffic
+    (one ack per delivery, sent before the application sees the message)
+    with every checkpoint opportunity declined, all written onto ``trace``."""
+
+    __slots__ = ("rank", "trace")
+
+    def __init__(self, rank: int, trace: CellTrace):
+        self.rank = rank
+        self.trace = trace
+
+    def on_app_send(self, env: Any) -> None:
+        t = self.trace
+        env.meta["m"] = len(t.messages)  # the message's row offset
+        t.messages.extend((self.rank, env.dst, env.size,
+                           len(t.opportunities[self.rank]), 0, 0))
+
+    def on_message(self, env: Any) -> bool:
+        m = env.meta["m"]
+        self.trace.messages[m + 4] = len(self.trace.opportunities[self.rank])
+        self.world.network.transmit_ack(self.rank, env.src, m, _ACK_RECORD_NBYTES)
+        return True
+
+    def on_ack(self, src: int, record: int) -> None:
+        self.trace.messages[record + 5] = len(self.trace.ticks)
+
+    def checkpoint_due(self) -> bool:
+        self.trace.opportunities[self.rank].append(
+            (self.world.engine.now, self.proc.app_messages_sent))
+        return False
+
+    def on_checkpoint(self) -> None:
+        raise ConfigError("record_trace: a forced checkpoint fixes an epoch "
+                          "the trace cannot leave to the policy")
+
+
+def record_trace(nprocs: int, program_factory: Callable[[int, int], Any],
+                 period: float, obs: Any = None, **world_kwargs: Any) -> CellTrace:
+    """Run ``program_factory`` failure-free, recording what :func:`trace_cell`
+    needs, with ticks as :class:`SpeSampler` takes snapshots.  ``obs`` and
+    ``world_kwargs`` go to :class:`~repro.simmpi.runtime.World`."""
+    trace = CellTrace([[] for _ in range(nprocs)])
+    world = World(nprocs, program_factory, obs=obs,
+                  hook_factory=lambda r: _RecordingHook(r, trace), **world_kwargs)
+    engine = world.engine
+
+    def tick() -> None:
+        trace.ticks.append((engine.now, [len(o) for o in trace.opportunities]))
+
+    def periodic() -> None:
+        if not world.all_done:
+            tick()
+            engine.schedule(period, periodic)
+
+    try:
+        engine.schedule_at(period, periodic)
+        world.launch()
+        world.run()
+        if not trace.ticks:
+            tick()
+    finally:
+        world.close()
+    return trace
+
+
+def trace_cell(trace: CellTrace, config: ProtocolConfig,
+               obs: Any = None) -> tuple[dict[str, float], list[SpeSnapshot]]:
+    """``config``'s ``logging_stats()`` and SPE snapshots in the run
+    ``trace`` recorded — equal to :func:`measure_rollback`'s — and, into
+    ``obs``, the protocol and checkpoint counters that run would count."""
+    if config.checkpoint_size_bytes:
+        raise ConfigError("trace_cell: checkpoint writes stall the run, so "
+                          "its timing depends on the checkpoint policy")
+    # per rank: its epoch after each opportunity count, and each begun
+    # epoch with its start date (the sends before it)
+    epochs: list[list[int]] = []
+    starts: list[list[tuple[int, int]]] = []
+    for rank, opps in enumerate(trace.opportunities):
+        schedule = config.make_schedule(rank)
+        epoch = config.initial_epoch(rank)
+        epochs.append([epoch])
+        starts.append([(epoch, 0)])
+        for time, sends in opps:
+            if schedule.due(time):
+                schedule.mark_taken(time)
+                epoch += 1
+                starts[-1].append((epoch, sends))
+            epochs[-1].append(epoch)
+    flat = np.array([e for row in epochs for e in row], dtype=np.int64)
+    base = np.cumsum([0] + [len(row) for row in epochs[:-1]], dtype=np.int64)
+    src, dst, size, send_opps, recv_opps, ack_ticks = \
+        np.asarray(trace.messages).reshape(-1, 6).T
+    e_send, e_recv = flat[base[src] + send_opps], flat[base[dst] + recv_opps]
+    logged = (e_send < e_recv) & config.log_cross_epoch
+    nlogged, total = int(logged.sum()), len(src)
+    stats = {"messages_logged": nlogged, "bytes_logged": int(size[logged].sum()),
+             "messages_total": total,
+             "log_fraction": (nlogged / total) if total else 0.0}
+    if obs is not None:
+        for e in np.unique(e_send[logged]).tolist():
+            sent = logged & (e_send == e)
+            obs.counter("protocol.messages_logged", ("epoch",)).inc(int(sent.sum()), (e,))
+            obs.counter("protocol.log_bytes", ("epoch",)).inc(int(size[sent].sum()), (e,))
+        obs.counter("protocol.messages_confirmed").inc(total - nlogged)
+        stored = obs.counter("checkpoint.stored", ("rank",))
+        for rank, begun in enumerate(starts):
+            stored.inc(len(begun), (rank,))
+    # one SpeSnapshot per tick, as SpeSampler takes it: a confirmed message
+    # enters its sender's SPE at the first tick after its ack arrived, and
+    # an entry no ack changed is shared with the snapshot before
+    order = np.flatnonzero(~logged)
+    order = order[np.argsort(ack_ticks[order], kind="stable")]
+    acks = zip(*(col[order].tolist() for col in (ack_ticks, src, dst, e_send, e_recv)))
+    spe: list[dict[int, dict[int, int]]] = [{} for _ in epochs]
+    tables: list[dict] = [{} for _ in epochs]
+    snapshots = []
+    pending = next(acks, None)
+    for tick, (time, opps) in enumerate(trace.ticks):
+        dirty: defaultdict[int, set[int]] = defaultdict(set)
+        while pending is not None and pending[0] <= tick:
+            _, k, j, es, er = pending
+            row = spe[k].setdefault(es, {})
+            if er > row.get(j, 0):
+                row[j] = er
+                dirty[k].add(es)
+            pending = next(acks, None)
+        now = {r: epochs[r][n] for r, n in enumerate(opps)}
+        for r, table in enumerate(tables):
+            begun = now[r] - starts[r][0][0] + 1
+            if r not in dirty and begun == len(table):
+                continue
+            table = tables[r] = dict(table)
+            for e, start in starts[r][len(table):begun]:
+                table[e] = (start, dict(spe[r].get(e, {})))
+            for e in dirty.get(r, ()):
+                table[e] = (table[e][0], dict(spe[r][e]))
+        snapshots.append(SpeSnapshot(time, dict(enumerate(tables)), now))
+    return stats, snapshots

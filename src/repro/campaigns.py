@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import random
 from contextlib import closing
+from itertools import groupby
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .analysis import compare_executions
-from .analysis.rollback import measure_rollback
+from .analysis.rollback import measure_rollback, record_trace, rollback_analysis, trace_cell
 from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS, Stencil2D
 from .core import ProtocolConfig, build_ft_world
 from .core.clustering import block_clusters
@@ -50,6 +51,7 @@ __all__ = [
     "selftest_tasks",
     "stencil_scenario",
     "table1_cell",
+    "table1_rows",
     "table1_setup",
     "table1_tasks",
     "validate_spec",
@@ -84,9 +86,31 @@ def table1_cell(params: dict) -> dict:
     worker count or scheduling.
     """
     log, _, rb = measure_rollback(**table1_setup(params), obs=params.get("obs"))
+    return _table1_row(params, params["clusters"], log, rb)
+
+
+def _table1_row(params: dict, clusters: int, log: dict, rb: Any) -> dict:
     return {"kernel": params["kernel"], "ranks": params["ranks"],
-            "clusters": params["clusters"],
+            "clusters": clusters,
             "pct_log": 100 * log["log_fraction"], "pct_rollback": rb.percent}
+
+
+def table1_rows(params: dict) -> list[dict]:
+    """:func:`table1_cell`'s rows of one ``(kernel, ranks)`` for each of
+    ``params["clusters"]``, derived from one recorded simulation: the
+    cells differ only in policy (:func:`~repro.analysis.rollback.trace_cell`)."""
+    obs = params.get("obs")
+    setups = [table1_setup({**params, "clusters": ncl})
+              for ncl in params["clusters"]]
+    trace = record_trace(obs=obs, **{k: v for k, v in setups[0].items()
+                                     if k != "config"})
+
+    def row(ncl: int, setup: dict) -> dict:
+        log, snapshots = trace_cell(trace, setup["config"], obs)
+        return _table1_row(params, ncl, log,
+                           rollback_analysis(snapshots, setup["nprocs"]))
+
+    return [row(ncl, setup) for ncl, setup in zip(params["clusters"], setups)]
 
 
 def table1_tasks(kernels: Sequence[str], ranks: Sequence[int],
@@ -282,10 +306,14 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
         tasks = failure_tasks(int(spec["runs"]), int(spec["ranks"]),
                               int(spec["clusters"]), int(spec["niters"]))
         return failure_scenario, tasks, base_seed, [Stencil2D]
-    names = list(spec["kernels"])
-    tasks = table1_tasks(names, _many(spec["ranks"]), _many(spec["clusters"]),
-                         int(spec["niters"]))
-    return table1_cell, tasks, base_seed, [TABLE1_KERNELS[k] for k in names]
+    names, niters = list(spec["kernels"]), int(spec["niters"])
+    cells = table1_tasks(names, _many(spec["ranks"]), _many(spec["clusters"]), niters)
+    tasks = []  # one per (kernel, ranks), for the cluster counts it keeps
+    for (name, nprocs), group in groupby(cells, lambda t: (t.params["kernel"], t.params["ranks"])):
+        counts = [t.params["clusters"] for t in group]
+        tasks.append(SweepTask(f"{name}/{nprocs}r/{','.join(map(str, counts))}cl", {
+            "kernel": name, "ranks": nprocs, "clusters": counts, "niters": niters}))
+    return table1_rows, tasks, base_seed, [TABLE1_KERNELS[k] for k in names]
 
 
 class CampaignRun(NamedTuple):

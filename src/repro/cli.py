@@ -141,7 +141,8 @@ _INTS: dict = {"nargs": "+", "type": int}
 #: Both doors build their parsers from this table: ``repro KIND`` and
 #: ``repro submit ... KIND``.
 CAMPAIGN_FLAGS: dict[str, tuple[str, dict[str, dict]]] = {
-    "table1": ("regenerate Table I cells", {
+    "table1": ("regenerate Table I: one task and one simulation per "
+               "kernel and rank count, for all its cluster counts", {
         "kernels": {"nargs": "+", "choices": sorted(TABLE1_KERNELS)},
         "ranks": _INTS, "clusters": _INTS, "niters": _INT,
         "base_seed": _INT, "timeseries": TIMESERIES_FLAG}),
@@ -494,8 +495,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
                                  stream=args.stream)
     failed = [r for r in run.results if not r.ok]
     for r in failed:
-        print(f"cell {r.name} failed: {r.error}", file=sys.stderr)
-    print(format_table1((r.value for r in run.results if r.ok),
+        print(f"task {r.name} failed: {r.error}", file=sys.stderr)
+    print(format_table1((row for r in run.results if r.ok for row in r.value),
                         spec["clusters"]), end="")
     _print_telemetry(run.registry, cache, args, sys.stdout)
     if args.out:

@@ -101,6 +101,22 @@ class ProtocolConfig:
     def cluster(self, rank: int) -> int:
         return 0 if self.cluster_of is None else self.cluster_of[rank]
 
+    def initial_epoch(self, rank: int) -> int:
+        cluster = self.cluster(rank)
+        if self.cluster_epochs is not None:
+            return self.cluster_epochs[cluster]
+        return 1 + EPOCH_SPACING * cluster
+
+    def make_schedule(self, rank: int) -> CheckpointSchedule:
+        """A fresh schedule per call: its jitter draws replay from the seed."""
+        return CheckpointSchedule(
+            interval=self.checkpoint_interval,
+            offset=self.cluster_stagger * self.cluster(rank)
+            + self.rank_stagger * rank,
+            jitter=self.checkpoint_jitter,
+            seed=self.checkpoint_seed * 7919 + rank,
+        )
+
 
 class Controller:
     """The part of a protocol's controller that is the same for all of
@@ -284,25 +300,6 @@ class FTController(Controller):
     def now(self) -> float:
         assert self.world is not None
         return self.world.engine.now
-
-    def initial_epoch(self, rank: int) -> int:
-        cluster = self.config.cluster(rank)
-        if self.config.cluster_epochs is not None:
-            return self.config.cluster_epochs[cluster]
-        return 1 + EPOCH_SPACING * cluster
-
-    def make_schedule(self, rank: int) -> CheckpointSchedule:
-        cfg = self.config
-        offset = (
-            cfg.cluster_stagger * cfg.cluster(rank)
-            + cfg.rank_stagger * rank
-        )
-        return CheckpointSchedule(
-            interval=cfg.checkpoint_interval,
-            offset=offset,
-            jitter=cfg.checkpoint_jitter,
-            seed=cfg.checkpoint_seed * 7919 + rank,
-        )
 
     # ------------------------------------------------------------------
     # Checkpointing

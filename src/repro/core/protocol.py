@@ -109,9 +109,9 @@ class SDProtocol(ProtocolHook):
     def __init__(self, rank: int, controller: "FTController"):
         self.rank = rank
         self.controller = controller
-        self.state = ProtocolState.initial(controller.initial_epoch(rank))
+        self.state = ProtocolState.initial(controller.config.initial_epoch(rank))
         self.status = Status.RUNNING
-        self.schedule = controller.make_schedule(rank)
+        self.schedule = controller.config.make_schedule(rank)
         # --- recovery-round scratch state ------------------------------
         self.round = 0
         self._spe_uploaded_round = 0

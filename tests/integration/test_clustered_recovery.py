@@ -31,8 +31,8 @@ def test_initial_epochs_separated_by_two():
     world, ctl = run_failure_free(8, factory, clustered_config())
     # epochs advanced during the run but cluster-1 stays 2 ahead modulo
     # checkpoint staggering; check the *initial* assignment instead
-    assert ctl.initial_epoch(0) == 1
-    assert ctl.initial_epoch(4) == 3
+    assert ctl.config.initial_epoch(0) == 1
+    assert ctl.config.initial_epoch(4) == 3
 
 
 def test_failure_in_high_epoch_cluster_spares_low_cluster():

@@ -162,7 +162,7 @@ def test_planner_defaults_reach_a_flagless_submit():
     assert _campaign_spec("table1", args) == {"kind": "table1"}
     _, tasks, _, _ = campaigns.plan(_campaign_spec("table1", args))
     assert [t.params for t in tasks] == [
-        {"kernel": k, "ranks": 16, "clusters": 4, "niters": 8}
+        {"kernel": k, "ranks": 16, "clusters": [4], "niters": 8}
         for k in ("CG", "FT")]
 
 
@@ -236,6 +236,31 @@ def test_table1_cell_pins_its_numbers():
         {"kernel": "CG", "ranks": 16, "clusters": 4, "niters": 8}) == {
         "kernel": "CG", "ranks": 16, "clusters": 4,
         "pct_log": 11.194029850746269, "pct_rollback": 59.765625}
+
+
+def test_a_table1_campaign_derives_what_the_live_cells_measure():
+    """One task per (kernel, ranks), each simulating once: its rows and
+    its protocol / checkpoint counter totals equal the live
+    :func:`~repro.campaigns.table1_cell` runs', cell by cell summed."""
+    from repro.obs import MetricsRegistry
+
+    spec = {"kind": "table1", "kernels": ["MG", "LU"], "ranks": [16],
+            "clusters": [2, 4], "niters": 4}
+    run = campaigns.run_campaign(spec)
+    assert [r.name for r in run.results] == ["MG/16r/2,4cl", "LU/16r/2,4cl"]
+    live, rows = MetricsRegistry(flight=False), []
+    for task in campaigns.table1_tasks(["MG", "LU"], [16], [2, 4], 4):
+        cell = MetricsRegistry(flight=False)
+        rows.append(campaigns.table1_cell(dict(task.params, obs=cell)))
+        live.merge(cell.snapshot())
+    assert [row for r in run.results for row in r.value] == rows
+    for name in ("protocol.messages_logged", "protocol.log_bytes",
+                 "protocol.messages_confirmed", "checkpoint.stored"):
+        assert run.registry.get_counter_total(name) == \
+            live.get_counter_total(name) > 0, name
+    # two simulations ran, not four, each with the live run's wire traffic
+    delivered = run.registry.get_counter_total("network.messages_delivered")
+    assert 0 < 2 * delivered == live.get_counter_total("network.messages_delivered")
 
 
 # ----------------------------------------------------------------------

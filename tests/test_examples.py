@@ -47,3 +47,12 @@ def test_recovery_timeline(capsys):
     run_example("recovery_timeline.py", ["6"])
     out = capsys.readouterr().out
     assert "rank" in out and "rolled back" in out
+
+
+def test_checkpoint_interval_table_matches_the_live_protocol():
+    """The interval table derives its cells from one trace per kernel; at
+    a small size every one equals the live protocol's measurement."""
+    example = runpy.run_path(str(EXAMPLES / "checkpoint_interval.py"))
+    lines, mismatches = example["interval_table"](16, 4, live=True)
+    assert mismatches == 0
+    assert len(lines) == 3 + 6 and lines[3].startswith("| LU 4cl |")
