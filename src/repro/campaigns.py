@@ -254,6 +254,8 @@ def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
             f"unknown spec field(s) for kind {kind!r}: {', '.join(unknown)}")
     given = {k: v for k, v in spec.items() if v is not None}
     spec = {**DEFAULTS[kind], **given}
+    if isinstance(spec.get("kernels"), str):  # a JSON spec may name one kernel
+        spec["kernels"] = [spec["kernels"]]
     known = list(TABLE1_KERNELS) if kind == "table1" else list(KERNELS)
     unknown = sorted(set(spec.get("kernels") or ()) - set(known))
     if unknown:
@@ -319,7 +321,7 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
 class CampaignRun(NamedTuple):
     """What :func:`run_campaign` hands its front-end to format: results
     in task order, the merged simulation registry (never holds cache or
-    steal accounting), this run's share of the cache's hit / miss / store
+    lease accounting), this run's share of the cache's hit / miss / store
     / unkeyable tallies, and — chaos only — the scored and shrunk
     :class:`~repro.chaos.CampaignReport`."""
 

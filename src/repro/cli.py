@@ -34,7 +34,7 @@ service.
   registry that ``table1``/``sweep``/``chaos`` consult at campaign
   start (``--strict-sd`` turns their warnings into refusals);
 * ``serve`` / ``submit`` — the resident campaign service: an async job
-  queue over a persistent work-stealing worker pool with a
+  queue over a persistent FIFO worker pool with a
   content-addressed result cache, and the thin client that submits
   table1/sweep/chaos/selftest campaigns to it (see ``docs/service.md``).
   The one-shot campaign commands accept ``--cache DIR`` to reuse the
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv = sub.add_parser(
         "serve",
         help="resident campaign service: async job queue over a "
-             "persistent work-stealing pool with a content-addressed "
+             "persistent FIFO worker pool with a content-addressed "
              "result cache (JSONL protocol; see docs/service.md)",
     )
     srv.add_argument("--socket", default=None, metavar="PATH",

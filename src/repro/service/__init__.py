@@ -1,10 +1,10 @@
 """Always-on campaign service (``repro.service``).
 
-The one-shot sweep executor grown into a resident orchestration layer:
+The one-shot sweep executor grown into a resident orchestration layer.
+The service keeps one :class:`repro.sweep.Scheduler` (the sweep's FIFO
+process pool) alive across jobs and hands it to every campaign; the pool
+itself lives in :mod:`repro.sweep`.
 
-* :mod:`~repro.service.scheduler` — work-stealing workers leasing tasks
-  from per-worker deques over a persistent process pool, with
-  hard-crash detection and retry;
 * :mod:`~repro.service.cache` — content-addressed result cache keyed by
   blake2b of (code digest, task seed, canonical params);
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     )
     from .client import ServiceClient
     from .jobs import CAMPAIGN_KINDS, run_campaign_job, validate_spec
-    from .scheduler import SchedulerOutcome, WorkStealingScheduler
     from .server import CampaignService, serve
 else:
     __getattr__, __dir__, __all__ = lazy_facade(globals(), {
@@ -39,6 +38,5 @@ else:
                  "code_digest",
         "client": "ServiceClient",
         "jobs": "CAMPAIGN_KINDS run_campaign_job validate_spec",
-        "scheduler": "SchedulerOutcome WorkStealingScheduler",
         "server": "CampaignService serve",
     })

@@ -20,7 +20,8 @@ Cache key
 * **code digest** — the task function's qualified name plus one blake2b
   over the source of the whole ``repro`` package (every ``*.py``, by
   relative path and bytes; a function defined outside the package adds
-  its own module file): whatever a task can reach — kernels, protocol,
+  its own module file, and one with no file to read — ``python -c``
+  code — is unkeyable): whatever a task can reach — kernels, protocol,
   simulator, analysis — is covered, so an edit anywhere invalidates
   every cached result rather than serving a stale one.  Hashed once per
   process.
@@ -116,11 +117,14 @@ def _source_digest(outside: str | None) -> str:
     """blake2b over the sorted ``(relative path, bytes)`` of every ``*.py``
     under the ``repro`` package, plus the file of module ``outside`` (a
     task function's home, when that is not in the package).  Read once
-    per process: a process computes keys for the code it has loaded."""
+    per process: a process computes keys for the code it has loaded.
+    An ``outside`` module with no readable file is unkeyable."""
     files = {path.relative_to(_PACKAGE_ROOT).as_posix(): path
              for path in _PACKAGE_ROOT.rglob("*.py")}
-    own = getattr(sys.modules.get(outside), "__file__", None)
-    if own:
+    if outside is not None:
+        own = getattr(sys.modules.get(outside), "__file__", None)
+        if not own or not os.path.isfile(own):  # ``python -c``, stdin
+            raise CacheUnkeyable(f"module {outside!r} has no source file")
         files[f"<{outside}>"] = Path(own)
     h = hashlib.blake2b(digest_size=16)
     for rel in sorted(files):

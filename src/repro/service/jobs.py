@@ -6,7 +6,7 @@ hands one spec to :func:`repro.campaigns.run_campaign` — the runner the
 one-shot CLI uses — synchronously (the server calls it from a worker
 thread) and returns a plain-data job document:
 
-* ``summary`` — tallies plus cache/steal accounting and two content
+* ``summary`` — tallies plus cache/lease accounting and two content
   digests (``results_digest``, ``obs_digest``) that let a client assert
   byte-identity of a warm resubmission against its cold run without
   shipping the full documents;
@@ -14,7 +14,7 @@ thread) and returns a plain-data job document:
   writes (:func:`repro.sweep.results_document`), or the chaos campaign
   report for ``kind: chaos``;
 * ``obs`` — the merged simulation registry's metrics export (JSONL).
-  Cache/steal accounting deliberately lands in the *service-level*
+  Cache/lease accounting deliberately lands in the *service-level*
   registry, never this one, so ``obs`` is byte-identical between a cold
   run and a 100%-hit re-run.
 """
@@ -46,7 +46,7 @@ def run_campaign_job(
     """Execute one campaign spec; returns the job document.
 
     Runs synchronously (the asyncio server offloads it to a thread).
-    ``scheduler`` is the resident work-stealing pool to reuse;
+    ``scheduler`` is the resident :class:`repro.sweep.Scheduler` to reuse;
     ``service_obs`` the service-lifetime accounting registry.
     ``on_event`` gets the ``--stream`` progress events as dicts
     (:mod:`repro.obs.stream`), ``campaign_begin`` and ``campaign_end``
@@ -82,9 +82,8 @@ def run_campaign_job(
         errors = tasks - ok
 
     obs_export = dump_metrics(run.registry, "jsonl")
-    steals = leases = 0
+    leases = 0
     if service_obs is not None:
-        steals = int(service_obs.counter("service.steals").get())
         leases = int(service_obs.counter("service.leases").get())
     results_json = json.dumps(results_doc, sort_keys=True,
                               separators=(",", ":"))
@@ -94,7 +93,7 @@ def run_campaign_job(
         "ok": ok,
         "errors": errors,
         "cache": run.cache_delta,
-        "steals_total": steals,
+        "steals_total": 0,  # perfbench reads it; ROADMAP item 4's bench PR drops it
         "leases_total": leases,
         "results_digest": _digest(results_json),
         "obs_digest": _digest(obs_export),

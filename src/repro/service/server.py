@@ -5,10 +5,9 @@ orchestration layer:
 
 * **job queue** — connections submit campaign specs (sweep / table1 /
   chaos / selftest); jobs run FIFO, one at a time, each fanning its
-  tasks over the shared work-stealing pool (worker slots are a
-  service-wide resource, so running jobs concurrently would only
-  interleave the same slots);
-* **persistent workers** — one :class:`WorkStealingScheduler` lives for
+  tasks over the shared pool (worker slots are a service-wide resource,
+  so running jobs concurrently would only interleave the same slots);
+* **persistent workers** — one :class:`repro.sweep.Scheduler` lives for
   the whole service lifetime; its process pool survives between jobs
   (no per-campaign pool spin-up) and is rebuilt automatically if a task
   hard-crashes it;
@@ -36,9 +35,9 @@ import json
 import multiprocessing
 from typing import Any
 
+from ..sweep import Scheduler
 from .cache import ResultCache
 from .jobs import run_campaign_job, validate_spec
-from .scheduler import WorkStealingScheduler
 
 __all__ = ["CampaignService", "serve"]
 
@@ -86,11 +85,10 @@ class CampaignService:
 
         self.workers = max(1, int(workers))
         self.cache = cache
-        #: service-lifetime accounting registry (cache hits/misses, work
-        #: stealing, job tallies) — separate from per-job simulation obs
+        #: service-lifetime accounting registry (cache hits/misses, leases,
+        #: job tallies) — separate from per-job simulation obs
         self.registry = MetricsRegistry()
-        self.scheduler = WorkStealingScheduler(
-            self.workers, mp_method=_service_mp_method(), obs=self.registry)
+        self.scheduler = Scheduler(self.workers, mp_method=_service_mp_method())
         self.jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._queue: asyncio.Queue[Job] = asyncio.Queue()
@@ -171,7 +169,6 @@ class CampaignService:
                 "failed": int(jobs_counter.get(("failed",))),
                 "queued": self._queue.qsize(),
             },
-            "steals": int(self.registry.counter("service.steals").get()),
             "leases": int(self.registry.counter("service.leases").get()),
             "tasks_lost": int(
                 self.registry.counter("service.tasks_lost").get()),

@@ -26,9 +26,9 @@ The task function runs inside a try/except *in the worker*; an exception
 produces a ``status="error"`` :class:`SweepResult` carrying the formatted
 traceback while the rest of the sweep proceeds.  A worker that dies
 *without* returning (``os._exit``, OOM kill, segfault) is detected by the
-work-stealing scheduler, retried once in a fresh pool, and — if it
-crashes again — reported by raising ``RuntimeError: sweep lost results
-for task indices [...]`` after the surviving tasks complete.
+pool (:mod:`repro.sweep.scheduler`), retried once in a fresh pool, and —
+if it crashes again — reported by raising ``RuntimeError: sweep lost
+results for task indices [...]`` after the surviving tasks complete.
 
 Result caching
 --------------
@@ -294,7 +294,7 @@ def run_sweep(
     workers:
         ``<= 1`` runs inline in this process — bit-identical to a plain
         loop, no multiprocessing machinery touched.  Higher values fan out
-        over the work-stealing scheduler (capped at the task count).
+        over a :class:`~repro.sweep.Scheduler` (capped at the task count).
     obs:
         Optional :class:`repro.obs.MetricsRegistry`; progress lands in the
         ``sweep.*`` counters and an event per completed task.
@@ -318,17 +318,17 @@ def run_sweep(
         address is already stored return the cached result (marked
         ``cached=True``); misses execute and are stored.
     scheduler:
-        Optional :class:`repro.service.WorkStealingScheduler` to reuse (a
-        resident service keeps one pool across jobs).  When given, its
-        worker count wins over ``workers``.
+        Optional :class:`repro.sweep.Scheduler` to reuse (a resident
+        service keeps one pool across jobs).  When given, its worker
+        count wins over ``workers``.
     service_obs:
         Registry for *service accounting*: ``service.cache`` hit/miss and
-        ``service.leases``/``service.steals``/``service.tasks_lost``
-        counters.  Kept separate from ``obs`` so the merged simulation
-        registry exports stay byte-identical between a cold run and a
-        cache-warm re-run (hit/miss tallies necessarily differ between
-        the two).  ``None`` disables accounting counters (cache objects
-        still tally their own :meth:`stats`).
+        ``service.leases``/``service.tasks_lost`` counters.  Kept
+        separate from ``obs`` so the merged simulation registry exports
+        stay byte-identical between a cold run and a cache-warm re-run
+        (hit/miss tallies necessarily differ between the two).  ``None``
+        disables accounting counters (cache objects still tally their own
+        :meth:`stats`).
     """
     tasks = list(tasks)
     seeds = [task_seed(base_seed, i, t.name) for i, t in enumerate(tasks)]
@@ -387,7 +387,7 @@ def run_sweep(
             _store(result)
             _note(result)
     elif pending:
-        from ..service.scheduler import WorkStealingScheduler
+        from .scheduler import Scheduler
 
         payloads = [
             (i, (fn, tasks[i], i, seeds[i], collect_obs, timeseries))
@@ -400,12 +400,11 @@ def run_sweep(
             _note(result)
 
         own = scheduler is None
-        sched = scheduler if scheduler is not None else WorkStealingScheduler(
-            min(workers, len(pending)), obs=service_obs)
-        if scheduler is not None and sched.obs is None:
-            sched.obs = service_obs
+        sched = scheduler if scheduler is not None else Scheduler(
+            min(workers, len(pending)))
         try:
-            outcome = sched.run(_worker, payloads, on_result=on_result)
+            outcome = sched.run(_worker, payloads, on_result=on_result,
+                                obs=service_obs)
         finally:
             if own:
                 sched.close()

@@ -132,6 +132,40 @@ def test_cache_key_covers_a_task_function_outside_the_package():
         outside.rpartition(":")[2]  # same module, same sources
 
 
+def test_a_task_function_without_a_source_file_bypasses_the_cache(tmp_path):
+    """``python -c`` code has no file to digest, so two bodies of ``f``
+    would share a key: both runs compute, each with one unkeyable task."""
+    import repro
+
+    code = ("from repro.service import ResultCache\n"
+            "from repro.sweep import SweepTask, run_sweep\n"
+            "def f(params): return {value}\n"
+            "cache = ResultCache({path!r})\n"
+            "result, = run_sweep(f, [SweepTask('t')], cache=cache)\n"
+            "print(result.value, result.cached, cache.stats()['unkeyable'])")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [subprocess.run(
+        [sys.executable, "-c", code.format(value=v, path=str(tmp_path))],
+        env=env, check=True, capture_output=True, text=True,
+        timeout=120).stdout.split() for v in (1, 2)]
+    assert runs == [["1", "False", "1"], ["2", "False", "1"]]
+
+
+def test_a_module_read_from_stdin_is_unkeyable(monkeypatch):
+    """``python - < f.py`` names its ``__main__`` file ``"<stdin>"``: the
+    key is refused, not a ``FileNotFoundError``."""
+    import types
+
+    module = types.ModuleType("stdin_task_module")
+    module.__file__ = "<stdin>"
+    exec("def f(params):\n    return 1\n", module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    cache = ResultCache()
+    assert cache.key_for(module.f, {}, seed=0) is None
+    assert cache.stats()["unkeyable"] == 1
+
+
 def _spawned_key(_):
     # runs in a child process: same inputs must address identically
     return cache_key(selftest_cell, {"i": 3, "w": [1, 2]}, seed=99,

@@ -361,11 +361,10 @@ def test_unknown_start_method_is_a_usage_error(argv, start_method_env,
 
 
 def test_start_method_override_reaches_the_pool(start_method_env):
-    from repro.service.scheduler import WorkStealingScheduler
-    from repro.sweep import executor
+    from repro.sweep import Scheduler, executor
 
     start_method_env("spawn")
     assert executor.MP_START_METHOD == "spawn"
-    assert WorkStealingScheduler(2).mp_method == "spawn"
+    assert Scheduler(2).mp_method == "spawn"
     names = [r.value for r in run_sweep(process_name, _tasks(2), workers=2)]
     assert all(name.startswith("SpawnProcess") for name in names), names

@@ -185,6 +185,20 @@ def test_plan_names_the_classes_a_campaign_runs():
         [apps.MGKernel]
 
 
+@pytest.mark.parametrize("kind, name, params", [
+    ("table1", "CG", {"kernel": "CG"}),
+    ("chaos", "cg", {"kernels": ["cg"]}),
+])
+def test_one_kernel_name_is_a_one_kernel_pool(kind, name, params):
+    """A JSON spec may give ``kernels`` as one string, as it may give a
+    grid axis as one number; it used to be read letter by letter."""
+    spec = {"kind": kind, "kernels": name}
+    assert campaigns.validate_spec(spec)["kernels"] == [name]
+    _, tasks, _, kernels = campaigns.plan(spec)
+    assert kernels == [apps.CGKernel]
+    assert tasks and all(params.items() <= t.params.items() for t in tasks)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "chaos", "kernels": ["stencil", "bogus"]},
     {"kind": "chaos", "kernels": ["MG"]},       # a Table I row name

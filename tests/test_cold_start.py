@@ -60,12 +60,22 @@ assert report.trials == 1
 print(" ".join(m for m in NEVER if m in sys.modules))
 """
 
-#: what a chaos campaign never calls: the service's server, client and pool,
-#: the dashboard, explainer and trace exporter, the analyses Table I does
-#: not print, the shrinker, and the stdlib only those reach
+SWEEP_PROBE = """
+import sys
+from repro.campaigns import selftest_cell, selftest_tasks
+from repro.sweep import run_sweep
+results = run_sweep(selftest_cell, selftest_tasks(4), workers=2)
+assert all(r.ok for r in results) and "repro.sweep.scheduler" in sys.modules
+print(" ".join(m for m in sys.modules if m.startswith("repro.service")))
+"""
+
+#: what a chaos campaign never calls: the service's server and client, the
+#: sweep's process pool, the dashboard, explainer and trace exporter, the
+#: analyses Table I does not print, the shrinker, and the stdlib only those
+#: reach
 NEVER = ("asyncio ssl socket html csv logging concurrent.futures "
          "multiprocessing repro.service.server repro.service.client "
-         "repro.service.scheduler repro.obs.report repro.obs.explain "
+         "repro.sweep.scheduler repro.obs.report repro.obs.explain "
          "repro.obs.perfetto repro.analysis.commmatrix "
          "repro.analysis.timeline repro.chaos.shrink").split()
 
@@ -90,6 +100,13 @@ def test_cell_imports_neither_networkx_nor_the_static_analyser():
 def test_chaos_campaign_loads_only_what_it_runs():
     loaded = _run_probe(f"NEVER = {NEVER!r}\n" + CHAOS_PROBE)
     assert loaded == "", f"a chaos campaign loaded {loaded}"
+
+
+def test_a_pooled_sweep_never_loads_the_service():
+    """The pool lives in ``repro.sweep``: the service depends on the
+    sweep, never the other way round."""
+    loaded = _run_probe(SWEEP_PROBE)
+    assert loaded == "", f"a pooled sweep loaded {loaded}"
 
 
 def _static_names(package) -> dict[str, str]:
