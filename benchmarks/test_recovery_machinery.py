@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.apps import Stencil1D
-from repro.core import LoggedMessage, PendingAck, ProtocolConfig, build_ft_world
+from repro.core import ProtocolConfig, SentMessage, build_ft_world
 from repro.core.recovery import RecoveryLineSolver, compute_recovery_line
 
 from conftest import emit, is_paper_scale, timed
@@ -155,12 +155,12 @@ def _capture_controller(logged: int, unacked: int):
     common = dict(tag=0, size=payload.nbytes, epoch_send=st.epoch,
                   phase_send=st.phase)
     for i in range(logged):
-        st.lg_append(LoggedMessage(dst=1 + i % 3, payload=payload.copy(),
-                                   date=st.next_date(),
-                                   epoch_recv=st.epoch + 1, **common))
+        st.lg_append(SentMessage(dst=1 + i % 3, payload=payload.copy(),
+                                 date=st.next_date(),
+                                 epoch_recv=st.epoch + 1, **common))
     for i in range(unacked):
-        st.na_append(PendingAck(dst=1 + i % 3, payload=payload.copy(),
-                                date=st.next_date(), **common))
+        st.na_append(SentMessage(dst=1 + i % 3, payload=payload.copy(),
+                                 date=st.next_date(), **common))
     return ctl
 
 

@@ -12,7 +12,7 @@ from .controller import (Controller, FTController, ProtocolConfig,
                          build_ft_world, build_world)
 from .protocol import SDProtocol, Status
 from .recovery import RecoveryProcess, RecoveryReport, compute_recovery_line
-from .state import EpochRecord, LoggedMessage, PendingAck, ProtocolState
+from .state import EpochRecord, ProtocolState, SentMessage
 
 __all__ = [
     "Checkpoint",
@@ -31,7 +31,6 @@ __all__ = [
     "RecoveryReport",
     "compute_recovery_line",
     "EpochRecord",
-    "LoggedMessage",
-    "PendingAck",
     "ProtocolState",
+    "SentMessage",
 ]

@@ -507,7 +507,7 @@ class FTController(Controller):
     def _poll_settled(self) -> None:
         assert self.world is not None
         settled = all(
-            p.status is Status.RUNNING and not p.replay_logged and not p.replay_nonack
+            p.status is Status.RUNNING and not p.replay
             for p in self.protocols
         )
         if not settled:

@@ -7,8 +7,8 @@ failure-free execution:
 * date/epoch/phase bookkeeping on every send, delivery and checkpoint
   (Fig. 3 lines 13-28, 41-45);
 * message acknowledgement and the epoch-crossing logging rule — a message
-  sent in epoch ``Es`` and acknowledged from epoch ``Er > Es`` is copied
-  into the sender-based log (lines 34-39);
+  sent in epoch ``Es`` and acknowledged from epoch ``Er > Es`` moves from
+  ``NonAck`` into the sender-based log (lines 34-39);
 * ``SPE``/``RPP`` dependency tracking used by recovery.
 
 And during recovery:
@@ -17,9 +17,9 @@ And during recovery:
   47-68);
 * duplicate suppression by sender date, with last-orphan-of-phase
   detection and ``NoOrphanPhase`` countdown (lines 19-20, 29-32);
-* ``ReadyPhase``-gated replay of logged and unacknowledged messages and
-  the ``Blocked``/``RolledBack`` → ``Running`` status transitions (lines
-  70-74).
+* ``ReadyPhase``-gated replay of logged and unacknowledged messages, both
+  kinds from one per-phase queue, and the ``Blocked``/``RolledBack`` →
+  ``Running`` status transitions (lines 70-74).
 
 The process-facing gating (a non-``Running`` process must not emit
 application messages, line 14) is realised by pausing the simulated
@@ -30,6 +30,7 @@ from the log by the protocol layer).
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Any, TYPE_CHECKING
 
 from ..errors import ProtocolError
@@ -39,7 +40,7 @@ from ..simmpi.message import (CONTROL_TAG_BASE, Envelope, payload_nbytes,
                               retention_copy)
 from ..simmpi.trace import envelope_digest
 from ..simmpi.process import ProtocolHook
-from .state import LoggedMessage, PendingAck, ProtocolState
+from .state import ProtocolState, SentMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import FTController
@@ -56,6 +57,11 @@ _FK_PHASE = FlightKind.PHASE
 _FK_ACK = FlightKind.ACK
 _FK_LOG = FlightKind.LOG
 _FK_CONFIRM = FlightKind.CONFIRM
+
+#: sort key of a replay entry ``(date, unacked, message)``: date order,
+#: and a message held both as a log and a NonAck entry goes out as its
+#: log entry first (``unacked=False`` sorts first)
+_replay_order = itemgetter(0, 1)
 
 
 class CTL:
@@ -92,19 +98,14 @@ class SDProtocol(ProtocolHook):
 
     # --- recovery-round containers: these empty class-level defaults are
     # only read; a recovery line assigns each instance its own ----------
-    #: phase -> {src: date of the last orphan expected from src}
-    orph_expected: dict[int, dict[int, int]] = {}
-    #: inverted orphan index: (src, date) -> FIFO bucket of phases
-    #: expecting that message as their last orphan — makes the
-    #: per-suppressed-duplicate countdown O(1) instead of a scan over
-    #: every phase bucket (rebuilt with orph_expected each round)
+    #: last expected orphans, inverted: (src, date) -> FIFO bucket of the
+    #: phases expecting that message as their last orphan from src.  The
+    #: paper's OrphCount of a phase is the number of its pairs still here.
     _orph_lookup: dict[tuple[int, int], list[int]] = {}
-    #: phase -> outstanding orphan-sender count (paper's OrphCount)
-    orph_count: dict[int, int] = {}
-    #: phase -> logged messages to replay when the phase becomes ready
-    replay_logged: dict[int, list[LoggedMessage]] = {}
-    #: phase -> unacknowledged messages to replay (in-flight loss cover)
-    replay_nonack: dict[int, list[PendingAck]] = {}
+    #: phase -> [(date, unacked, message)] to replay when the phase becomes
+    #: ready: log entries (unacked=False) and NonAck entries (unacked=True,
+    #: in-flight loss cover)
+    replay: dict[int, list[tuple[int, bool, SentMessage]]] = {}
 
     def __init__(self, rank: int, controller: "FTController"):
         self.rank = rank
@@ -200,8 +201,8 @@ class SDProtocol(ProtocolHook):
             if self.controller.config.retain_payloads
             else None
         )
-        st.na_append(PendingAck(env.dst, env.tag, payload, env.size, date,
-                                st.epoch, st.phase, env.uid))
+        st.na_append(SentMessage(env.dst, env.tag, payload, env.size, date,
+                                 st.epoch, st.phase, env.uid))
         sink = self._flight_sink
         if sink is not None:
             sink.append((sink.time.now, _FK_SEND, self.rank, env.dst,
@@ -238,7 +239,6 @@ class SDProtocol(ProtocolHook):
         else:
             st.phase = max(st.phase, msg_phase)
         st.record_rpp(env.src, date)
-        st.delivered_count += 1
         sink = self._flight_sink
         if sink is not None:
             ts = sink.time.now
@@ -276,10 +276,9 @@ class SDProtocol(ProtocolHook):
         # One NoOrphan notification per drained (phase, sender) pair: the
         # recovery process aggregates per-sender so it can remap stale
         # phase buckets recorded in an abandoned execution branch (see
-        # RecoveryProcess._aggregate_notifications).  The inverted index
-        # holds phases in orph_expected insertion order, so popping the
-        # bucket front drains pairs in exactly the order the old full
-        # scan over orph_expected would have matched them.
+        # RecoveryProcess._aggregate_notifications).  A bucket holds its
+        # phases in RPP order, so popping its front drains pairs in the
+        # order a scan over RPP would match them.
         key = (src, date)
         bucket = self._orph_lookup.get(key)
         if not bucket:
@@ -287,12 +286,6 @@ class SDProtocol(ProtocolHook):
         phase = bucket.pop(0)
         if not bucket:
             del self._orph_lookup[key]
-        del self.orph_expected[phase][src]
-        self.orph_count[phase] -= 1
-        if self.orph_count[phase] < 0:
-            raise ProtocolError(
-                f"rank {self.rank}: orphan count for phase {phase} went negative"
-            )
         self._ctl_to_recovery(
             CTL.NO_ORPHAN,
             {"phase": phase, "sender": src, "round": self.round},
@@ -322,10 +315,9 @@ class SDProtocol(ProtocolHook):
             if lm is not None:
                 lm.epoch_recv = max(lm.epoch_recv, epoch_recv)
                 return
-            epoch_send = payload.get("epoch_send")
-            if epoch_send is not None and not (
-                self.controller.config.log_cross_epoch and epoch_send < epoch_recv
-            ):
+            epoch_send = payload["epoch_send"]
+            if not (self.controller.config.log_cross_epoch
+                    and epoch_send < epoch_recv):
                 st.record_spe(src, epoch_send, epoch_recv)
             return
         if self.controller.config.log_cross_epoch and entry.epoch_send < epoch_recv:
@@ -334,19 +326,9 @@ class SDProtocol(ProtocolHook):
                 # replayed NonAck entry re-acked: refresh, don't duplicate
                 lm.epoch_recv = max(lm.epoch_recv, epoch_recv)
                 return
-            st.lg_append(
-                LoggedMessage(
-                    dst=entry.dst,
-                    tag=entry.tag,
-                    payload=entry.payload,
-                    size=entry.size,
-                    date=entry.date,
-                    epoch_send=entry.epoch_send,
-                    phase_send=entry.phase_send,
-                    epoch_recv=epoch_recv,
-                    uid=entry.uid,
-                )
-            )
+            # the NonAck record itself becomes the log entry
+            entry.epoch_recv = epoch_recv
+            st.lg_append(entry)
             self.messages_logged += 1
             self.bytes_logged += entry.size
             if self.obs is not None:
@@ -477,17 +459,11 @@ class SDProtocol(ProtocolHook):
         # Orphan expectations (lines 62-64): receptions recorded after the
         # sender's restart point are orphans; the last one per (phase,
         # sender) is identified by its date.
-        self.orph_expected = {}
-        self.orph_count = {}
+        self._orph_lookup = {}
         for phase, per_src in st.rpp.items():
             for src, date in per_src.items():
                 if src in rl and date > rl[src][1]:
-                    self.orph_expected.setdefault(phase, {})[src] = date
-        self._orph_lookup = {}
-        for phase, expected in self.orph_expected.items():
-            self.orph_count[phase] = len(expected)
-            for src, date in expected.items():
-                self._orph_lookup.setdefault((src, date), []).append(phase)
+                    self._orph_lookup.setdefault((src, date), []).append(phase)
         # Replay lists (lines 65-67): logged messages whose reception was
         # rolled back, plus unacknowledged messages to rolled-back peers
         # (covers messages lost in flight with the failed process).
@@ -499,40 +475,35 @@ class SDProtocol(ProtocolHook):
         # MUST follow date order; we lift each entry's replay phase to the
         # running maximum along its channel's date order (delaying a replay
         # is always safe; the gating only ever requires "not before").
-        per_dst: dict[int, list[tuple[int, bool, Any]]] = {}
+        per_dst: dict[int, list[tuple[int, bool, SentMessage]]] = {}
         for lm in st.logs.values():
             if lm.dst in rl and lm.epoch_recv >= rl[lm.dst][0]:
                 per_dst.setdefault(lm.dst, []).append((lm.date, False, lm))
         for pa in st.non_ack.values():
             if pa.dst in rl:
                 per_dst.setdefault(pa.dst, []).append((pa.date, True, pa))
-        self.replay_logged = {}
-        self.replay_nonack = {}
-        for dst, entries in per_dst.items():
-            entries.sort(key=lambda e: e[0])
+        self.replay = {}
+        for entries in per_dst.values():
+            entries.sort(key=_replay_order)
             running = 0
-            for _date, relog, m in entries:
-                running = max(running, m.phase_send)
-                bucket = self.replay_nonack if relog else self.replay_logged
-                bucket.setdefault(running, []).append(m)
-        log_phases = sorted(set(self.replay_logged) | set(self.replay_nonack))
+            for entry in entries:
+                running = max(running, entry[2].phase_send)
+                self.replay.setdefault(running, []).append(entry)
         # Freeze the phase we are registered under: fresh messages from
         # already-released senders may legitimately bump our phase before
         # our ReadyPhase arrives, so the release test below compares against
         # the *reported* phase, not the live one.
         self._reported_phase = st.phase
-        orph_entries = [
-            (phase, src)
-            for phase, expected in sorted(self.orph_expected.items())
-            for src in sorted(expected)
-        ]
+        orph_entries = sorted(
+            (phase, src) for (src, _date), phases in self._orph_lookup.items()
+            for phase in phases)
         self._ctl_to_recovery(
             CTL.ORPHAN_NOTIF,
             {
                 "status": self.status.value,
                 "phase": st.phase,
                 "orph_entries": orph_entries,
-                "log_phases": log_phases,
+                "log_phases": sorted(self.replay),
                 "round": round_no,
             },
         )
@@ -541,8 +512,7 @@ class SDProtocol(ProtocolHook):
         """Fig. 3 lines 70-74: replay this phase's logged/unacked messages
         and unblock if the status condition is met."""
         phase = payload["phase"]
-        self._emit_replays(self.replay_logged.pop(phase, [])
-                           + self.replay_nonack.pop(phase, []))
+        self._emit_replays(self.replay.pop(phase, []))
         reported = self._reported_phase
         if reported is None:
             return
@@ -571,21 +541,19 @@ class SDProtocol(ProtocolHook):
         messages always precede the sender's future traffic per channel,
         and within the flush phases go out in ascending order.
         """
-        msgs = [m for bucket in (self.replay_logged, self.replay_nonack)
-                for phase_msgs in bucket.values() for m in phase_msgs]
-        self.replay_logged = {}
-        self.replay_nonack = {}
-        self._emit_replays(msgs)
-        return len(msgs)
+        entries = [e for bucket in self.replay.values() for e in bucket]
+        self.replay = {}
+        self._emit_replays(entries)
+        return len(entries)
 
-    def _emit_replays(self, msgs: list[Any]) -> None:
-        """Re-emit log entries / pending acks in date order: dates are this
-        sender's send-sequence numbers, so date order IS the original
-        per-channel emission order."""
-        for m in sorted(msgs, key=lambda m: m.date):
+    def _emit_replays(self, entries: list[tuple[int, bool, SentMessage]]) -> None:
+        """Re-emit log entries / pending acks in :data:`_replay_order`:
+        dates are this sender's send-sequence numbers, so date order IS
+        the original per-channel emission order."""
+        for _date, _unacked, m in sorted(entries, key=_replay_order):
             self._replay(m)
 
-    def _replay(self, m: Any) -> None:
+    def _replay(self, m: SentMessage) -> None:
         """Emit the logged or unacknowledged message ``m`` without
         re-executing application code.
 
@@ -616,11 +584,7 @@ class SDProtocol(ProtocolHook):
                 envelope_digest(env) if m.payload is not None else None,
             )
         if not self.state.na_contains(m.dst, m.date):
-            self.state.na_append(
-                PendingAck(dst=m.dst, tag=m.tag, payload=m.payload, size=m.size,
-                           date=m.date, epoch_send=m.epoch_send,
-                           phase_send=m.phase_send, uid=m.uid)
-            )
+            self.state.na_append(m)
         self.messages_replayed += 1
         if self.flight is not None:
             # uid is the fresh emission; cause_uid links back to the

@@ -25,6 +25,9 @@ Structures
   doubles as an in-memory staging area for sender-based logging and covers
   in-flight-loss replay on recovery).
 * ``logs`` — sender-based log of messages that crossed epochs upward.
+
+Both hold :class:`SentMessage` records: logging a message moves its
+``non_ack`` record into ``logs`` with the reception epoch filled in.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from ..errors import ProtocolError
 from ..simmpi.message import retention_copy
 
 __all__ = [
-    "LoggedMessage",
-    "PendingAck",
+    "SentMessage",
     "EpochRecord",
     "ProtocolState",
 ]
@@ -46,8 +48,10 @@ SPEExport = dict[int, tuple[int, dict[int, int]]]  # epoch -> (start_date, {peer
 
 
 @dataclass(slots=True)
-class PendingAck:
-    """A sent message awaiting acknowledgement (paper's ``NonAck`` entry).
+class SentMessage:
+    """A sent message the sender keeps: a ``NonAck`` entry until its ack
+    returns, then — if the ack came from a later epoch — the same record
+    moves into ``Logs`` with ``epoch_recv`` set (Fig. 3 lines 34-39).
 
     Slotted: a 4K-rank world holds one of these per in-flight message, so
     the per-record ``__dict__`` was the single largest protocol-state
@@ -64,21 +68,8 @@ class PendingAck:
     #: envelope uid of the original emission (diagnostics only — replay
     #: creates fresh envelopes, but flight records key causality on this)
     uid: int = 0
-
-
-@dataclass(slots=True)
-class LoggedMessage:
-    """A sender-logged message (paper's ``Logs`` entry, Fig. 3 line 37)."""
-
-    dst: int
-    tag: int
-    payload: Any
-    size: int
-    date: int
-    epoch_send: int
-    phase_send: int
-    epoch_recv: int
-    uid: int = 0       # envelope uid of the original emission (diagnostics)
+    #: reception epoch of a logged message (0 while only in NonAck)
+    epoch_recv: int = 0
 
 
 @dataclass(slots=True)
@@ -121,13 +112,11 @@ class ProtocolState:
     phase: int = 1
     spe: dict[int, EpochRecord] = field(default_factory=dict)
     rpp: dict[int, dict[int, int]] = field(default_factory=dict)
-    non_ack: dict[tuple[int, int], PendingAck] = field(default_factory=dict)
-    logs: dict[tuple[int, int], LoggedMessage] = field(default_factory=dict)
+    non_ack: dict[tuple[int, int], SentMessage] = field(default_factory=dict)
+    logs: dict[tuple[int, int], SentMessage] = field(default_factory=dict)
     #: per sender: date (send-seq) of the last message delivered from them —
     #: the duplicate-suppression watermark
     last_date_from: dict[int, int] = field(default_factory=dict)
-    #: messages delivered (protocol-level receive count, for stats)
-    delivered_count: int = 0
     # --- derived row caches (see class docstring) ------------------------
     _rpp_phase: int = field(default=-1, repr=False, compare=False)
     _rpp_row: dict[int, int] | None = field(default=None, repr=False, compare=False)
@@ -181,27 +170,27 @@ class ProtocolState:
     # ------------------------------------------------------------------
     # non_ack / logs
     # ------------------------------------------------------------------
-    def na_append(self, pa: PendingAck) -> None:
-        key = (pa.dst, pa.date)
+    def na_append(self, m: SentMessage) -> None:
+        key = (m.dst, m.date)
         if key in self.non_ack:
             raise ProtocolError(f"NonAck already holds (dst, date) {key}")
-        self.non_ack[key] = pa
+        self.non_ack[key] = m
 
     def na_contains(self, dst: int, date: int) -> bool:
         return (dst, date) in self.non_ack
 
-    def na_pop(self, dst: int, date: int) -> PendingAck | None:
+    def na_pop(self, dst: int, date: int) -> SentMessage | None:
         """Remove and return the ``non_ack`` entry for ``(dst, date)``, or
         ``None``."""
         return self.non_ack.pop((dst, date), None)
 
-    def lg_append(self, lm: LoggedMessage) -> None:
-        key = (lm.dst, lm.date)
+    def lg_append(self, m: SentMessage) -> None:
+        key = (m.dst, m.date)
         if key in self.logs:
             raise ProtocolError(f"Logs already hold (dst, date) {key}")
-        self.logs[key] = lm
+        self.logs[key] = m
 
-    def lg_find(self, dst: int, date: int) -> LoggedMessage | None:
+    def lg_find(self, dst: int, date: int) -> SentMessage | None:
         return self.logs.get((dst, date))
 
     def drop_logs_below(self, min_epoch: int) -> tuple[int, int]:
@@ -223,9 +212,9 @@ class ProtocolState:
 
         The shape is known statically, so this is a typed structural copy,
         not a generic object walk: fresh ``spe`` / ``rpp`` /
-        ``last_date_from`` dicts (their leaves are ints) and fresh
-        ``non_ack`` / ``logs`` records whose payloads follow the
-        :func:`~repro.simmpi.message.retention_copy` rule — immutable
+        ``last_date_from`` dicts (their leaves are ints) and fresh records
+        per ``non_ack`` / ``logs`` entry (one record held by both becomes
+        two) whose payloads follow the ``retention_copy`` rule — immutable
         shared, mutable copied, with one memo across the whole state so a
         payload object referenced by two records is one object in the copy
         too.  Row caches are left unset."""
@@ -239,21 +228,9 @@ class ProtocolState:
                 for e, rec in self.spe.items()
             },
             rpp={phase: dict(row) for phase, row in self.rpp.items()},
-            non_ack={
-                key: PendingAck(pa.dst, pa.tag,
-                                retention_copy(pa.payload, memo), pa.size,
-                                pa.date, pa.epoch_send, pa.phase_send, pa.uid)
-                for key, pa in self.non_ack.items()
-            },
-            logs={
-                key: LoggedMessage(lm.dst, lm.tag,
-                                   retention_copy(lm.payload, memo), lm.size,
-                                   lm.date, lm.epoch_send, lm.phase_send,
-                                   lm.epoch_recv, lm.uid)
-                for key, lm in self.logs.items()
-            },
+            non_ack=_copy_records(self.non_ack, memo),
+            logs=_copy_records(self.logs, memo),
             last_date_from=dict(self.last_date_from),
-            delivered_count=self.delivered_count,
         )
 
     # ------------------------------------------------------------------
@@ -271,5 +248,13 @@ class ProtocolState:
                       else (rec.start_date, dict(rec.recv_epoch)))
         return out
 
-    def logged_bytes(self) -> int:
-        return sum(m.size for m in self.logs.values())
+
+def _copy_records(records: dict[tuple[int, int], SentMessage],
+                  memo: dict[int, Any]) -> dict[tuple[int, int], SentMessage]:
+    """Fresh records in ``records``' order, payloads copied via ``memo``."""
+    return {
+        key: SentMessage(m.dst, m.tag, retention_copy(m.payload, memo),
+                         m.size, m.date, m.epoch_send, m.phase_send, m.uid,
+                         m.epoch_recv)
+        for key, m in records.items()
+    }

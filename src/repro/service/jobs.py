@@ -65,6 +65,11 @@ def run_campaign_job(
 
         stream = ProgressStream(forward)
 
+    def leases() -> int:  # the service registry's lifetime count
+        return (int(service_obs.get_counter_total("service.leases"))
+                if service_obs is not None else 0)
+
+    leases_before = leases()  # a job reports its own, as cache_delta does
     run = run_campaign(
         spec, workers=workers, cache=cache, scheduler=scheduler,
         service_obs=service_obs, collect_obs=collect_obs, stream=stream,
@@ -82,9 +87,6 @@ def run_campaign_job(
         errors = tasks - ok
 
     obs_export = dump_metrics(run.registry, "jsonl")
-    leases = 0
-    if service_obs is not None:
-        leases = int(service_obs.counter("service.leases").get())
     results_json = json.dumps(results_doc, sort_keys=True,
                               separators=(",", ":"))
     summary = {
@@ -94,7 +96,7 @@ def run_campaign_job(
         "errors": errors,
         "cache": run.cache_delta,
         "steals_total": 0,  # perfbench reads it; ROADMAP item 4's bench PR drops it
-        "leases_total": leases,
+        "leases_total": leases() - leases_before,
         "results_digest": _digest(results_json),
         "obs_digest": _digest(obs_export),
     }

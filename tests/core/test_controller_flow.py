@@ -104,11 +104,8 @@ def test_statuses_and_queues_clean_after_recovery():
     world.run()
     for proto in ctl.protocols:
         assert proto.status is Status.RUNNING
-        assert proto.replay_logged == {}
-        assert proto.replay_nonack == {}
-        assert proto.orph_count == {} or all(
-            v == 0 for v in proto.orph_count.values()
-        )
+        assert proto.replay == {}
+        assert proto._orph_lookup == {}  # every expected orphan arrived
     assert not ctl.recovery.active
     assert world.network.in_flight_count() == 0
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.state import EpochRecord, LoggedMessage, PendingAck, ProtocolState
+from repro.core.state import EpochRecord, ProtocolState, SentMessage
 from repro.errors import ProtocolError
 
 
@@ -67,8 +67,8 @@ def test_record_spe_recreates_missing_epoch():
 
 def test_checkpoint_copy_is_deep():
     st = ProtocolState.initial()
-    st.na_append(PendingAck(dst=1, tag=0, payload=[1, 2], size=8, date=1,
-                            epoch_send=1, phase_send=1))
+    st.na_append(SentMessage(dst=1, tag=0, payload=[1, 2], size=8, date=1,
+                             epoch_send=1, phase_send=1))
     copy = st.checkpoint_copy()
     copy.non_ack[1, 1].payload.append(3)
     assert st.non_ack[1, 1].payload == [1, 2]
@@ -86,12 +86,12 @@ def test_spe_export_plain_data():
 
 def test_logged_counters():
     st = ProtocolState.initial()
-    st.lg_append(LoggedMessage(dst=1, tag=0, payload=b"abc", size=3, date=1,
-                               epoch_send=1, phase_send=1, epoch_recv=2))
-    st.lg_append(LoggedMessage(dst=2, tag=0, payload=b"x", size=1, date=2,
-                               epoch_send=1, phase_send=1, epoch_recv=3))
+    st.lg_append(SentMessage(dst=1, tag=0, payload=b"abc", size=3, date=1,
+                             epoch_send=1, phase_send=1, epoch_recv=2))
+    st.lg_append(SentMessage(dst=2, tag=0, payload=b"x", size=1, date=2,
+                             epoch_send=1, phase_send=1, epoch_recv=3))
     assert len(st.logs) == 2
-    assert st.logged_bytes() == 4
+    assert st.drop_logs_below(4) == (2, 4)
 
 
 def test_epoch_record_defaults():
@@ -129,12 +129,12 @@ def _random_state(seed):
     for step in range(rng.randrange(2, 40)):
         dst = rng.randrange(4)
         date = st.next_date()
-        pa = PendingAck(dst=dst, tag=rng.randrange(3), payload=_random_payload(rng),
-                        size=8, date=date, epoch_send=st.epoch,
-                        phase_send=st.phase, uid=step)
+        pa = SentMessage(dst=dst, tag=rng.randrange(3), payload=_random_payload(rng),
+                         size=8, date=date, epoch_send=st.epoch,
+                         phase_send=st.phase, uid=step)
         st.na_append(pa)
         if rng.random() < 0.5:
-            st.lg_append(LoggedMessage(
+            st.lg_append(SentMessage(
                 dst=dst, tag=pa.tag, payload=_random_payload(rng), size=8,
                 date=date, epoch_send=st.epoch, phase_send=st.phase,
                 epoch_recv=st.epoch + rng.randrange(1, 3), uid=step))
@@ -146,14 +146,13 @@ def _random_state(seed):
             st.begin_epoch()
         if rng.random() < 0.1:
             st.phase += 1
-        st.delivered_count += 1
     # one payload object referenced by a non_ack *and* a logs record
-    st.na_append(PendingAck(dst=0, tag=7, payload=shared, size=8,
-                            date=st.next_date(), epoch_send=st.epoch,
-                            phase_send=st.phase))
-    st.lg_append(LoggedMessage(dst=1, tag=7, payload=shared, size=8,
-                               date=st.date, epoch_send=st.epoch,
-                               phase_send=st.phase, epoch_recv=st.epoch + 2))
+    st.na_append(SentMessage(dst=0, tag=7, payload=shared, size=8,
+                             date=st.next_date(), epoch_send=st.epoch,
+                             phase_send=st.phase))
+    st.lg_append(SentMessage(dst=1, tag=7, payload=shared, size=8,
+                             date=st.date, epoch_send=st.epoch,
+                             phase_send=st.phase, epoch_recv=st.epoch + 2))
     if seed % 2:
         st.drop_logs_below(st.epoch + 1)
         for pa in [pa for pa in st.non_ack.values()
@@ -202,7 +201,7 @@ def _mutable_objects(st):
         elif isinstance(obj, tuple):
             for x in obj:
                 walk(x)
-        elif isinstance(obj, (EpochRecord, PendingAck, LoggedMessage)):
+        elif isinstance(obj, (EpochRecord, SentMessage)):
             seen[id(obj)] = obj
             walk(obj.recv_epoch if isinstance(obj, EpochRecord) else obj.payload)
 
@@ -279,11 +278,12 @@ def _scan(records, dst, date):
 @pytest.mark.parametrize("seed", range(30))
 def test_non_ack_and_logs_match_a_list_scan_model(seed):
     """Random op sequences against two plain lists scanned front to back
-    — the representation the dicts replaced."""
+    — the representation the dicts replaced.  One record type serves both,
+    and logging moves a record from one to the other."""
     rng = random.Random(seed)
     st = ProtocolState.initial()
-    na_model: list[PendingAck] = []
-    lg_model: list[LoggedMessage] = []
+    na_model: list[SentMessage] = []
+    lg_model: list[SentMessage] = []
 
     def probe():
         if rng.random() < 0.7 and (na_model or lg_model):
@@ -294,10 +294,10 @@ def test_non_ack_and_logs_match_a_list_scan_model(seed):
     for step in range(rng.randrange(20, 120)):
         op = rng.randrange(7)
         if op == 0:
-            pa = PendingAck(dst=rng.randrange(4), tag=0,
-                            payload=_random_payload(rng), size=rng.randrange(64),
-                            date=st.next_date(), epoch_send=st.epoch,
-                            phase_send=st.phase, uid=step)
+            pa = SentMessage(dst=rng.randrange(4), tag=0,
+                             payload=_random_payload(rng), size=rng.randrange(64),
+                             date=st.next_date(), epoch_send=st.epoch,
+                             phase_send=st.phase, uid=step)
             st.na_append(pa)
             na_model.append(pa)
         elif op == 1:
@@ -309,13 +309,19 @@ def test_non_ack_and_logs_match_a_list_scan_model(seed):
             dst, date = probe()
             assert st.na_contains(dst, date) == (_scan(na_model, dst, date) is not None)
         elif op == 3:
-            # a log entry takes over the (dst, date) of an acknowledged send
-            dst, date = rng.randrange(4), st.next_date()
-            lm = LoggedMessage(dst=dst, tag=0, payload=_random_payload(rng),
-                               size=rng.randrange(64), date=date,
-                               epoch_send=st.epoch, phase_send=st.phase,
-                               epoch_recv=st.epoch + rng.randrange(1, 4),
-                               uid=step)
+            # an ack from a later epoch moves the NonAck record into the
+            # log (a fresh send stands in when nothing awaits an ack)
+            if na_model:
+                lm = rng.choice(na_model)
+                assert st.na_pop(lm.dst, lm.date) is lm
+                na_model = [r for r in na_model if r is not lm]
+            else:
+                lm = SentMessage(dst=rng.randrange(4), tag=0,
+                                 payload=_random_payload(rng),
+                                 size=rng.randrange(64), date=st.next_date(),
+                                 epoch_send=st.epoch, phase_send=st.phase,
+                                 uid=step)
+            lm.epoch_recv = st.epoch + rng.randrange(1, 4)
             st.lg_append(lm)
             lg_model.append(lm)
         elif op == 4:
@@ -357,13 +363,13 @@ def test_duplicate_key_append_raises():
     st = ProtocolState.initial()
     common = dict(dst=2, tag=0, payload=None, size=0, date=5, epoch_send=1,
                   phase_send=1)
-    st.na_append(PendingAck(**common))
+    st.na_append(SentMessage(**common))
     with pytest.raises(ProtocolError):
-        st.na_append(PendingAck(**common))
-    st.lg_append(LoggedMessage(**common, epoch_recv=2))
+        st.na_append(SentMessage(**common))
+    st.lg_append(SentMessage(**common, epoch_recv=2))
     with pytest.raises(ProtocolError):
-        st.lg_append(LoggedMessage(**common, epoch_recv=3))
+        st.lg_append(SentMessage(**common, epoch_recv=3))
     # the first entries are untouched, and a popped key may come back
     assert st.logs[2, 5].epoch_recv == 2
     assert st.na_pop(2, 5) is not None
-    st.na_append(PendingAck(**common))
+    st.na_append(SentMessage(**common))

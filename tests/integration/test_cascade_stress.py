@@ -17,6 +17,8 @@ import pytest
 from repro.apps import Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.clustering import block_clusters
+from repro.obs import MetricsRegistry
+from repro.obs.flight import FlightKind
 
 NPROCS = 8
 
@@ -67,6 +69,66 @@ def test_poisson_failure_cascade(reference, seed):
         np.testing.assert_allclose(ref, prog.result())
     assert len(ctl.recovery_reports) >= 1
 
+
+#: (peer, date) of every REPLAY flight record per rank in the seed-3
+#: cascade: a change to which entries replay, or in which order, moves it
+SEED3_REPLAYS = {
+    0: [(6, 61), (6, 65), (6, 69), (6, 73), (6, 77), (6, 81), (6, 85), (6, 89),
+        (6, 93), (6, 97), (6, 101), (6, 105), (6, 109), (6, 113), (6, 117),
+        (2, 118), (6, 121), (2, 122), (6, 125), (2, 126), (6, 113), (6, 117),
+        (6, 121), (6, 125), (6, 129), (6, 113), (6, 117), (6, 121), (6, 125),
+        (6, 129), (1, 131), (1, 132)],
+    1: [(7, 61), (7, 65), (7, 69), (7, 73), (7, 77), (7, 81), (7, 85), (7, 89),
+        (7, 93), (7, 97), (7, 101), (7, 105), (7, 109), (7, 113), (7, 117),
+        (3, 118), (7, 121), (3, 122), (7, 125), (3, 126), (7, 113), (7, 117),
+        (7, 121), (7, 125), (7, 129), (7, 113), (7, 117), (7, 121), (7, 125),
+        (7, 125)],
+    2: [(4, 90), (4, 94), (4, 98), (4, 102), (4, 106), (4, 110), (4, 114),
+        (3, 115), (3, 116)],
+    3: [(5, 90), (5, 94), (5, 98), (5, 102), (5, 106), (5, 110), (5, 114),
+        (2, 115), (2, 116), (1, 113), (1, 129)],
+    4: [(6, 62), (6, 66), (6, 70), (6, 74), (6, 78), (6, 82), (2, 85), (6, 86),
+        (5, 87), (5, 88), (6, 118), (6, 122), (6, 126), (6, 130), (6, 118),
+        (6, 122), (6, 126), (6, 130)],
+    5: [(7, 62), (7, 66), (7, 70), (7, 74), (7, 78), (7, 82), (3, 85), (7, 86),
+        (4, 87), (4, 88), (7, 118), (7, 122), (7, 126), (7, 130), (7, 118),
+        (7, 122), (7, 126), (7, 130)],
+    6: [(4, 57), (7, 59), (7, 60)],
+    7: [(5, 57), (6, 59), (6, 60), (1, 58)],
+}
+
+
+def test_replay_order_when_a_message_is_both_logged_and_unacked():
+    """In the seed-3 cascade rank 1 replays one message to rank 7 both as
+    a log entry and as a NonAck entry in one round (the only such tie in
+    this suite), so it is emitted twice, back to back.  Every rank's
+    replay sequence is pinned."""
+    rng = random.Random(3)
+    obs = MetricsRegistry()
+    world, ctl = build_ft_world(NPROCS, factory, config(), obs=obs)
+    t = 0.0
+    for _ in range(rng.randrange(2, 9)):
+        t += rng.expovariate(1.0 / 1.2e-4)
+        ctl.inject_failure(t, rng.randrange(NPROCS))
+    batches = []
+    proto = ctl.protocols[1]
+
+    def spy(entries, _emit=proto._emit_replays):
+        batches.append([(date, unacked) for date, unacked, _m in entries])
+        _emit(entries)
+
+    proto._emit_replays = spy
+    ctl.arm()
+    try:
+        world.launch()
+        world.run()
+    finally:
+        world.close()
+    assert any({(125, False), (125, True)} <= set(b) for b in batches)
+    replays = {}
+    for rec in obs.flight.records(kind=FlightKind.REPLAY):
+        replays.setdefault(rec[2], []).append((rec[3], rec[9]))
+    assert replays == SEED3_REPLAYS
 
 def test_rapid_fire_same_rank(reference):
     """The same rank dying repeatedly in quick succession."""

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs import MetricsRegistry
 from repro.service import (
     CampaignService,
     ResultCache,
@@ -15,6 +16,7 @@ from repro.service import (
     run_campaign_job,
     validate_spec,
 )
+from repro.sweep import Scheduler
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +76,23 @@ def test_run_campaign_job_selftest_summary_and_digests():
     assert warm["summary"]["obs_digest"] == cold["summary"]["obs_digest"]
     assert warm["results"] == cold["results"]
     assert warm["obs"] == cold["obs"]
+
+
+def test_leases_total_counts_only_the_jobs_own_leases():
+    """Jobs that share one scheduler and one service registry each report
+    their own leases, not the registry's lifetime count."""
+    cache, registry = ResultCache(), MetricsRegistry()
+    spec = {"kind": "selftest", "tasks": 4}
+    with Scheduler(2) as sched:
+        cold = run_campaign_job(spec, workers=2, cache=cache,
+                                scheduler=sched, service_obs=registry)
+        warm = run_campaign_job(spec, workers=2, cache=cache,
+                                scheduler=sched, service_obs=registry)
+    assert cold["summary"]["leases_total"] == 4
+    # the cache serves every task of the second job: nothing is leased
+    assert warm["summary"]["cache"]["hits"] == 4
+    assert warm["summary"]["leases_total"] == 0
+    assert registry.counter("service.leases").get() == 4
 
 
 def test_the_wire_carries_the_stream_events(tmp_path):
