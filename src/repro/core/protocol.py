@@ -58,10 +58,9 @@ _FK_ACK = FlightKind.ACK
 _FK_LOG = FlightKind.LOG
 _FK_CONFIRM = FlightKind.CONFIRM
 
-#: sort key of a replay entry ``(date, unacked, message)``: date order,
-#: and a message held both as a log and a NonAck entry goes out as its
-#: log entry first (``unacked=False`` sorts first)
-_replay_order = itemgetter(0, 1)
+#: sort key of a replay entry ``(date, message)``: a date names one
+#: message, and a recovery line queues each message once
+_by_date = itemgetter(0)
 
 
 class CTL:
@@ -102,10 +101,9 @@ class SDProtocol(ProtocolHook):
     #: phases expecting that message as their last orphan from src.  The
     #: paper's OrphCount of a phase is the number of its pairs still here.
     _orph_lookup: dict[tuple[int, int], list[int]] = {}
-    #: phase -> [(date, unacked, message)] to replay when the phase becomes
-    #: ready: log entries (unacked=False) and NonAck entries (unacked=True,
-    #: in-flight loss cover)
-    replay: dict[int, list[tuple[int, bool, SentMessage]]] = {}
+    #: phase -> [(date, message)] to replay when the phase becomes ready:
+    #: log and NonAck entries (in-flight loss cover), each message once
+    replay: dict[int, list[tuple[int, SentMessage]]] = {}
 
     def __init__(self, rank: int, controller: "FTController"):
         self.rank = rank
@@ -177,9 +175,6 @@ class SDProtocol(ProtocolHook):
     # ------------------------------------------------------------------
     # Failure-free send path (Fig. 3 lines 13-17)
     # ------------------------------------------------------------------
-    def send_allowed(self) -> bool:
-        return self.status is Status.RUNNING
-
     def on_app_send(self, env: Envelope) -> None:
         st = self.state
         date = st.next_date()
@@ -466,7 +461,8 @@ class SDProtocol(ProtocolHook):
                     self._orph_lookup.setdefault((src, date), []).append(phase)
         # Replay lists (lines 65-67): logged messages whose reception was
         # rolled back, plus unacknowledged messages to rolled-back peers
-        # (covers messages lost in flight with the failed process).
+        # (covers messages lost in flight with the failed process) whose
+        # log entry is not queued already: a message goes out once.
         #
         # Phase lifting: entries toward one destination may carry phases
         # recorded in different execution branches, which can invert the
@@ -475,19 +471,21 @@ class SDProtocol(ProtocolHook):
         # MUST follow date order; we lift each entry's replay phase to the
         # running maximum along its channel's date order (delaying a replay
         # is always safe; the gating only ever requires "not before").
-        per_dst: dict[int, list[tuple[int, bool, SentMessage]]] = {}
+        per_dst: dict[int, list[tuple[int, SentMessage]]] = {}
         for lm in st.logs.values():
             if lm.dst in rl and lm.epoch_recv >= rl[lm.dst][0]:
-                per_dst.setdefault(lm.dst, []).append((lm.date, False, lm))
-        for pa in st.non_ack.values():
+                per_dst.setdefault(lm.dst, []).append((lm.date, lm))
+        for key, pa in st.non_ack.items():
             if pa.dst in rl:
-                per_dst.setdefault(pa.dst, []).append((pa.date, True, pa))
+                lm = st.logs.get(key)
+                if lm is None or lm.epoch_recv < rl[pa.dst][0]:
+                    per_dst.setdefault(pa.dst, []).append((pa.date, pa))
         self.replay = {}
         for entries in per_dst.values():
-            entries.sort(key=_replay_order)
+            entries.sort(key=_by_date)
             running = 0
             for entry in entries:
-                running = max(running, entry[2].phase_send)
+                running = max(running, entry[1].phase_send)
                 self.replay.setdefault(running, []).append(entry)
         # Freeze the phase we are registered under: fresh messages from
         # already-released senders may legitimately bump our phase before
@@ -546,11 +544,11 @@ class SDProtocol(ProtocolHook):
         self._emit_replays(entries)
         return len(entries)
 
-    def _emit_replays(self, entries: list[tuple[int, bool, SentMessage]]) -> None:
-        """Re-emit log entries / pending acks in :data:`_replay_order`:
-        dates are this sender's send-sequence numbers, so date order IS
-        the original per-channel emission order."""
-        for _date, _unacked, m in sorted(entries, key=_replay_order):
+    def _emit_replays(self, entries: list[tuple[int, SentMessage]]) -> None:
+        """Re-emit log entries / pending acks in date order: dates are this
+        sender's send-sequence numbers, so date order IS the original
+        per-channel emission order."""
+        for _date, m in sorted(entries, key=_by_date):
             self._replay(m)
 
     def _replay(self, m: SentMessage) -> None:

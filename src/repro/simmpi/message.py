@@ -199,9 +199,6 @@ class Envelope:
         matching, real networks have no such oracle.
     send_time:
         Virtual time at which the envelope entered the network.
-    src_incarnation:
-        Incarnation number of the sender at send time (used by tracing and
-        by the failure model to identify pre-failure traffic).
     digest:
         The payload's digest once :func:`repro.simmpi.trace.envelope_digest`
         computed it (``None`` before).
@@ -209,7 +206,7 @@ class Envelope:
 
     __slots__ = (
         "src", "dst", "tag", "payload", "size", "meta", "uid",
-        "send_time", "src_incarnation", "digest",
+        "send_time", "digest",
     )
 
     # hand-written __init__ (not a dataclass): one envelope is built per
@@ -225,7 +222,6 @@ class Envelope:
         meta: dict[str, Any] | None = None,
         uid: int = 0,
         send_time: float = 0.0,
-        src_incarnation: int = 0,
     ):
         self.src = src
         self.dst = dst
@@ -235,7 +231,6 @@ class Envelope:
         self.meta = {} if meta is None else meta
         self.uid = uid
         self.send_time = send_time
-        self.src_incarnation = src_incarnation
         self.digest: int | None = None
 
     def __repr__(self) -> str:
@@ -252,7 +247,7 @@ class Envelope:
             self.src, self.dst, self.tag, retention_copy(self.payload),
             self.size,
             {key: retention_copy(value) for key, value in self.meta.items()},
-            self.uid, self.send_time, self.src_incarnation,
+            self.uid, self.send_time,
         )
 
     @property

@@ -9,9 +9,9 @@ while an operation blocks.
 Fault-tolerance protocols attach to a :class:`Proc` through the
 :class:`ProtocolHook` interface.  The substrate consults the hook at every
 send, delivery and checkpoint, which is how the paper's protocol (and the
-baselines) piggyback metadata, gate sends during recovery, suppress
-duplicate deliveries and take checkpoints — without the substrate knowing
-anything about epochs or phases.
+baselines) piggyback metadata, suppress duplicate deliveries and take
+checkpoints — without the substrate knowing anything about epochs or
+phases.  A protocol holds a rank (recovery) by pausing its :class:`Proc`.
 
 Process image semantics
 -----------------------
@@ -98,7 +98,8 @@ class ProtocolHook:
     """Interception points for rollback-recovery protocols.
 
     The default implementations are pass-throughs; protocols override what
-    they need.  One hook instance is attached per process.
+    they need.  One hook instance is attached per process; a protocol that
+    must stop its rank's sends pauses the :class:`Proc`.
     """
 
     # slots: late keys can overflow the key table CPython shares among a
@@ -116,10 +117,6 @@ class ProtocolHook:
         self.world = None
 
     # --- send path ----------------------------------------------------
-    def send_allowed(self) -> bool:
-        """May the application emit a message right now? (recovery gating)"""
-        return True
-
     def on_app_send(self, env: Envelope) -> None:
         """Called just before an application envelope enters the network.
 
@@ -166,12 +163,12 @@ class NullHook(ProtocolHook):
 # The process driver
 # ----------------------------------------------------------------------
 class Proc:
-    """Drives one rank program inside the simulated world."""
+    """Drives one rank program inside the simulated world.  A blocked
+    program waits on one receive slot; a held rank is paused."""
 
     __slots__ = ("rank", "world", "hook", "incarnation", "alive", "done",
-                 "paused", "blocked_on", "_gen", "_pending_resume",
-                 "_waiting", "_gated_send", "unexpected",
-                 "app_messages_sent", "app_messages_received", "send_tap",
+                 "paused", "_gen", "_pending_resume", "_waiting",
+                 "unexpected", "app_messages_sent", "send_tap",
                  "__weakref__")  # teardown checks take weak references
 
     def __init__(self, rank: int, world: "World", hook: ProtocolHook | None = None):
@@ -183,21 +180,13 @@ class Proc:
         self.alive = True
         self.done = False
         self.paused = False
-        #: what the process is blocked on, kept raw because it is set at
-        #: every blocking op and read only by :meth:`describe_block`: the
-        #: ``RecvOp`` / ``ComputeOp`` itself, the duration of a checkpoint
-        #: write, or the string ``"send-gate"``
-        self.blocked_on: Any = None
         self._gen: Generator[Any, Any, Any] | None = None
         self._pending_resume: tuple[Any] | None = None  # boxed value
-        # a blocked program waits for one thing: the receive no delivered
-        # message matched yet, or the send protocol gating holds back
+        # the receive no delivered message matched yet
         self._waiting: RecvOp | None = None
-        self._gated_send: SendOp | None = None
         #: appended, scanned, deleted from by index: a list is enough
         self.unexpected: list[Envelope] = []
         self.app_messages_sent = 0
-        self.app_messages_received = 0
         #: called with this rank after each application send while a
         #: ``FailureInjector.after_sends`` tap on it is pending
         self.send_tap: Callable[[Proc], None] | None = None
@@ -229,8 +218,6 @@ class Proc:
         self._waiting = None
         self.unexpected.clear()
         self._pending_resume = None
-        self._gated_send = None
-        self.blocked_on = None
         self.done = False
 
     def kill(self) -> None:
@@ -240,7 +227,7 @@ class Proc:
         self.reincarnate()
 
     # ------------------------------------------------------------------
-    # Pause / resume (protocol send-gating and recovery blocking)
+    # Pause / resume (how a protocol holds a rank during recovery)
     # ------------------------------------------------------------------
     def pause(self) -> None:
         self.paused = True
@@ -254,23 +241,6 @@ class Proc:
             (value,) = self._pending_resume
             self._pending_resume = None
             self._resume_soon(value)
-        if self._gated_send is not None and self.hook.send_allowed():
-            self.retry_gated_sends()
-
-    def retry_gated_sends(self) -> None:
-        """Emit the send that was held back by protocol gating."""
-        inc = self.incarnation
-        self.world.engine.call_soon(lambda: self._drain_gated_if_current(inc))
-
-    def _drain_gated_if_current(self, incarnation: int) -> None:
-        if incarnation != self.incarnation or not self.alive:
-            return
-        op = self._gated_send
-        if op is not None and self.hook.send_allowed():
-            self._gated_send = None
-            cpu = self._emit(op)
-            self.blocked_on = None
-            self._schedule_resume(cpu, None)
 
     # ------------------------------------------------------------------
     # Generator driving
@@ -298,9 +268,6 @@ class Proc:
         """Run the generator until it blocks, pauses, or finishes."""
         if self._gen is None or self.done or not self.alive:
             return
-        if self.paused:
-            self._pending_resume = (value,)
-            return
         gen = self._gen
         while True:
             if self.paused:
@@ -310,40 +277,30 @@ class Proc:
                 op = gen.send(None if first else value)
             except StopIteration:
                 self.done = True
-                self.blocked_on = None
                 self.hook.on_program_done()
                 return
             first = False
-            self.blocked_on = None
             if isinstance(op, SendOp):
-                # always resumes via the engine (or gates)
-                if self.hook.send_allowed():
-                    self._schedule_resume(self._emit(op), None)
-                else:
-                    self._gated_send = op
-                    self.blocked_on = "send-gate"
+                # always resumes via the engine
+                self._schedule_resume(self._emit(op), None)
                 return
             elif isinstance(op, RecvOp):
                 env = self._try_match(op)
                 if env is not None:
-                    self.app_messages_received += 1
                     value = env.payload
                     continue
                 self._waiting = op
-                self.blocked_on = op
                 return
             elif isinstance(op, ComputeOp):
                 if op.seconds < 0:
                     raise SimulationError("negative compute time")
                 self._schedule_resume(op.seconds, None)
-                self.blocked_on = op
                 return
             elif isinstance(op, CheckpointOp):
                 taken, duration = self._handle_checkpoint(op)
                 if duration > 0:
                     # checkpoint writes consume process time (I/O model)
                     self._schedule_resume(duration, taken)
-                    self.blocked_on = duration
                     return
                 value = taken
                 continue
@@ -363,7 +320,7 @@ class Proc:
                 f"tag {op.tag} is reserved for the protocol control plane"
             )
         env = Envelope(self.rank, op.dst, op.tag, op.payload, op.size,
-                       None, self.world.next_uid(), 0.0, self.incarnation)
+                       None, self.world.next_uid())
         self.hook.on_app_send(env)
         cpu = self.world.transmit_app(env)
         self.app_messages_sent += 1
@@ -414,7 +371,6 @@ class Proc:
         op = self._waiting
         if op is not None and self._matches(env, op):
             self._waiting = None
-            self.app_messages_received += 1
             self._resume_soon(env.payload)
         else:
             self.unexpected.append(env)
@@ -436,26 +392,24 @@ class Proc:
 
     # ------------------------------------------------------------------
     def describe_block(self) -> str:
-        """The ``DeadlockError`` diagnostic for this rank."""
+        """The ``DeadlockError`` diagnostic for this rank (at quiescence no
+        rank is inside a compute or checkpoint write: its resume is queued)."""
         if self.done:
             return "done"
-        on = self.blocked_on
-        if on is None:
-            return "runnable"
-        if isinstance(on, RecvOp):
-            return f"recv(src={on.src}, tag={on.tag})"
-        if isinstance(on, ComputeOp):
-            return f"compute({on.seconds:g}s)"
-        if isinstance(on, float):
-            return f"checkpoint-write({on:g}s)"
-        return on
+        if not self.alive:
+            return "dead"
+        if self.paused:
+            return "paused"
+        op = self._waiting
+        if op is not None:
+            return f"recv(src={op.src}, tag={op.tag})"
+        return "runnable"
 
     def close(self) -> None:
         """Drop the execution and sever the back-references (the world is
         being closed); the counters stay readable."""
         self._gen = None
         self._waiting = None
-        self._gated_send = None
         self._pending_resume = None
         self.send_tap = None
         self.hook.detach()

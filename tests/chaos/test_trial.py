@@ -4,6 +4,7 @@ import pytest
 
 from repro import campaigns
 from repro.apps import CHAOS_POOL
+from repro.chaos import schedule_for_trial
 from repro.chaos.oracles import ORACLES
 from repro.chaos.schedule import FailureSpec, TrialSchedule, generate_schedule
 from repro.chaos.trial import SYNTHETIC_BUGS, run_trial, run_trial_schedule
@@ -168,3 +169,14 @@ def test_gc_ticker_skips_only_collections_nothing_could_change():
     Stuck.engine.schedule_at(4.5, lambda: None)
     Stuck.engine.run(max_events=10)  # ticks 1-9 and the event at 4.5
     assert calls == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_no_application_send_while_not_running(send_rule):
+    """Fig. 3 line 14 over a chaos sample: a rank the protocol holds
+    (Blocked or RolledBack) is paused, so it emits nothing until Running."""
+    for index in range(12):
+        result = run_trial_schedule(schedule_for_trial(0, index),
+                                    check_determinism=False)
+        assert result.passed, result.failed_oracles()
+    assert send_rule.violations == []
+    assert send_rule.while_held > 0

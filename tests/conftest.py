@@ -66,6 +66,32 @@ def _normalize(value):
 
 
 @pytest.fixture
+def send_rule(monkeypatch):
+    """Fig. 3 line 14 watched at the protocol's send hook, which every
+    application send passes (log replays do not: the protocol emits them
+    itself).  ``violations`` lists ``(rank, status)`` for each send made
+    while its rank was not Running; ``while_held`` counts the sends made
+    while some other rank was, so a run shows the check was live."""
+    from types import SimpleNamespace
+
+    from repro.core.protocol import SDProtocol, Status
+
+    rule = SimpleNamespace(violations=[], while_held=0)
+    on_app_send = SDProtocol.on_app_send
+
+    def checked(self, env):
+        if self.status is not Status.RUNNING:
+            rule.violations.append((self.rank, self.status))
+        elif any(p.status is not Status.RUNNING
+                 for p in self.controller.protocols):
+            rule.while_held += 1
+        on_app_send(self, env)
+
+    monkeypatch.setattr(SDProtocol, "on_app_send", checked)
+    return rule
+
+
+@pytest.fixture
 def stencil1d_factory():
     def factory(rank, size):
         return Stencil1D(rank, size, niters=30, cells=4)

@@ -9,9 +9,10 @@ Two guards on the substrate's MPI surface:
   built from, so the surface cannot regrow without a caller;
 * a literal trace of the process driver — a script through every waiting
   state of :class:`Proc` (a receive blocked on ``ANY_SOURCE``, an
-  unexpected-queue match, a gated send released by ``unpause``, a parked
-  resume, a kill and restart), pinned to the event count, virtual times
-  and delivery orders the driver produced before its queues became slots.
+  unexpected-queue match, a rank held by ``pause`` and released by
+  ``unpause``, a parked resume, a kill and restart), pinned to the event
+  count, virtual times and delivery orders the driver produced before its
+  queues became slots.
 """
 
 import ast
@@ -22,7 +23,6 @@ import repro.apps
 from repro.apps.base import RankProgram
 from repro.simmpi import ANY_SOURCE, ANY_TAG, World, collectives, process
 from repro.simmpi.api import MpiApi
-from repro.simmpi.process import ProtocolHook
 
 
 # ----------------------------------------------------------------------
@@ -96,13 +96,6 @@ def test_every_op_class_is_built_by_a_called_api_method():
 # ----------------------------------------------------------------------
 # Literal trace of the process driver
 # ----------------------------------------------------------------------
-class Gate(ProtocolHook):
-    closed = set()
-
-    def send_allowed(self):
-        return self.proc.rank not in Gate.closed
-
-
 def _p0(api, out):
     yield api.send(2, "a0", tag=1)
     yield api.send(2, "b0", tag=2)
@@ -124,7 +117,7 @@ def _p2(api, out):
     out.append((yield api.recv(0, tag=2)))            # skips two queued ones
     out.append((yield api.recv(ANY_SOURCE, ANY_TAG)))
     out.append((yield api.recv(ANY_SOURCE, ANY_TAG)))
-    yield api.send(0, "g2", tag=9)                    # gated until unpause
+    yield api.send(0, "g2", tag=9)                    # held until unpause
     yield api.send(1, "k2", tag=5)
     out.append((yield api.recv(1, tag=3)))            # completes on delivery
     out.append((yield api.recv(ANY_SOURCE, tag=1)))   # rank 1's re-sent a1
@@ -143,25 +136,23 @@ class Script(RankProgram):
 
 
 def test_proc_literal_trace():
-    Gate.closed = {2}
-    world = World(3, Script, hook_factory=lambda rank: Gate(),
-                  record_sequences=True)
+    world = World(3, Script, record_sequences=True)
     world.launch()
+    world.run(until=5e-5)
+    world.procs[2].pause()                            # held inside its compute
     world.run(until=1.5e-4)
     assert [p.describe_block() for p in world.procs] == [
-        "recv(src=2, tag=9)", "recv(src=-1, tag=5)", "send-gate"]
-    # rank 1 fails inside its receive and restarts from scratch; ranks 0
-    # and 2 are paused, as a recovery round pauses the survivors
+        "recv(src=2, tag=9)", "recv(src=-1, tag=5)", "paused"]
+    # rank 1 fails inside its receive and restarts from scratch; rank 0 is
+    # paused too, as a recovery round pauses the survivors
     proc = world.procs[1]
     proc.kill()
     proc.alive = True
     world.programs[1].restore({"out": []})
     proc.start(world.programs[1].run(world.apis[1]))
     world.procs[0].pause()
-    world.procs[2].pause()
     world.run(until=2e-4)
-    Gate.closed = set()
-    world.procs[2].unpause()                          # releases the gated send
+    world.procs[2].unpause()                          # releases the held rank
     world.run(until=3e-4)
     assert world.programs[0].state["out"] == []       # "g2" matched, parked
     world.procs[0].unpause()                          # flushes the parked value
@@ -179,6 +170,6 @@ def test_proc_literal_trace():
         [(2, 5, 2), (0, 7, 2)],
         [(0, 1, 2), (0, 2, 2), (1, 1, 2), (1, 1, 2), (1, 3, 2)],
     ]
-    assert [p.app_messages_received for p in world.procs] == [1, 2, 5]
+    assert [len(s) for s in world.tracer.deliver_sequences()] == [1, 2, 5]
     assert [p.app_messages_sent for p in world.procs] == [3, 3, 2]
     assert [p.incarnation for p in world.procs] == [0, 1, 0]

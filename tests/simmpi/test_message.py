@@ -200,7 +200,7 @@ def test_retention_copy_leaves_object_arrays_and_subclasses_to_deepcopy():
 def test_stored_copy_matches_deepcopy_and_shares_nothing_mutable():
     env = Envelope(src=3, dst=1, tag=9, payload=[1, np.arange(4.0)], size=77,
                    meta={"date": 5, "acks": [{"date": 2, "epoch_recv": 1}]},
-                   send_time=1.5e-4, src_incarnation=2)
+                   send_time=1.5e-4)
     dup, ref = env.stored_copy(), copy.deepcopy(env)
     for slot in Envelope.__slots__:
         if slot != "payload":

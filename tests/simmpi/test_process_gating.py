@@ -1,46 +1,8 @@
-"""Unit tests for the protocol gating paths in Proc: send gating,
-pause/unpause with pending resumes."""
+"""Unit tests for how Proc holds a rank: pause/unpause with pending
+resumes, and stale resumes of an earlier incarnation."""
 
 from repro.apps.base import RankProgram
 from repro.simmpi import World
-from repro.simmpi.process import ProtocolHook
-
-
-class GateHook(ProtocolHook):
-    """A hook whose send permission can be toggled from the test."""
-
-    allowed = True
-
-    def send_allowed(self) -> bool:
-        return GateHook.allowed
-
-
-class Sender(RankProgram):
-    def __init__(self, rank, size):
-        super().__init__(rank, size)
-        self.state = {"sent": 0, "got": []}
-
-    def run(self, api):
-        if api.rank == 0:
-            for i in range(3):
-                yield api.send(1, i, tag=0)
-                self.state["sent"] += 1
-        else:
-            for _ in range(3):
-                self.state["got"].append((yield api.recv(0, tag=0)))
-
-
-def test_gated_blocking_send_waits_for_permission():
-    GateHook.allowed = False
-    world = World(2, Sender, hook_factory=lambda r: GateHook())
-    world.launch()
-    world.engine.run(until=1e-3)
-    assert world.programs[0].state["sent"] == 0
-    assert world.procs[0].blocked_on == "send-gate"
-    GateHook.allowed = True
-    world.procs[0].retry_gated_sends()
-    world.run()
-    assert world.programs[1].state["got"] == [0, 1, 2]
 
 
 def test_unpause_flushes_pending_recv_value():
