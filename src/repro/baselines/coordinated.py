@@ -200,7 +200,7 @@ class CLController(Controller):
         self.global_restarts += 1
         self.rolled_back_history.append(self.nprocs)
         self.round_active = False
-        self._draining = False  # a round caught mid-drain is abandoned
+        world.network.on_drained = None  # a round caught mid-drain is abandoned
         world.network.purge_all()
         restore_round = self.completed_rounds[-1] if self.completed_rounds else 0
         for rank, hook in enumerate(self.hooks):

@@ -43,8 +43,9 @@ __all__ = [
 PLACEMENT_KINDS = ("at", "drain", "recovery", "restored", "after_sends")
 
 #: anchor offset windows (virtual seconds) for the relative placements;
-#: drain polls run every 1e-6 s and a recovery round spans ~1e-5..1e-4 s
-#: at campaign scale, so the three windows straddle the round's phases.
+#: a drain lasts until the last in-flight message lands (a few 1e-6 s) and
+#: a recovery round spans ~1e-5..1e-4 s at campaign scale, so the three
+#: windows straddle the round's phases.
 _WINDOWS = {
     "drain": (1e-7, 3e-6),
     "recovery": (3e-6, 6e-5),

@@ -16,19 +16,21 @@ On a fail-stop failure the controller
 
 1. kills the failed ranks (their execution and in-flight inbound traffic
    are lost — the substrate purges the network),
-2. pauses the survivors and lets the network *drain* — every in-flight
-   application message and acknowledgement is delivered before recovery
-   bookkeeping starts.  This models a perfect failure detector plus
-   channel flush; it guarantees the collected ``SPE`` tables and ``NonAck``
-   sets are consistent (see DESIGN.md §5.3),
+2. pauses the survivors (the paper's block on the Rollback notification)
+   and lets the network *drain* — recovery bookkeeping starts at the
+   delivery of the last in-flight message or acknowledgement.  This models
+   a perfect failure detector plus channel flush; it guarantees the
+   collected ``SPE`` tables and ``NonAck`` sets are consistent (see
+   DESIGN.md §5.3),
 3. restores each failed rank from its latest checkpoint and triggers the
    paper's message flow: Rollback broadcast → SPE upload → recovery-line
    computation → orphan notification → phase-gated replay (Figs. 3-4).
 
-Failures arriving while a recovery round is in flight are queued and
-handled as a subsequent round (the paper treats concurrent failures within
-a round; cascading failures across rounds compose because a recovered
-state is indistinguishable from a normal one).
+The round settles when the last protocol reports it is Running with an
+empty replay queue.  Failures arriving while a recovery round is in flight
+are queued and handled as a subsequent round (the paper treats concurrent
+failures within a round; cascading failures across rounds compose because
+a recovered state is indistinguishable from a normal one).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..errors import ProtocolError, SimulationError
+from ..errors import ProtocolError
 from ..obs.flight import FlightKind
 from ..simmpi.failure import FailureInjector
 from ..simmpi.message import Envelope, retention_copy
@@ -134,7 +136,6 @@ class Controller:
         self.injector: FailureInjector | None = None
         #: number of ranks rolled back by each failure recovered so far
         self.rolled_back_history: list[int] = []
-        self._draining = False
 
     def hook_for(self, rank: int) -> ProtocolHook:
         return self.hooks[rank]
@@ -164,23 +165,14 @@ class Controller:
     def on_failures(self, ranks: list[int]) -> None:
         raise ProtocolError(f"{type(self).__name__} implements no recovery")
 
-    def when_drained(self, then: Callable[[], None], polls: int = 0) -> None:
-        """Run ``then`` once no message is in flight, polling every virtual
-        microsecond.  One drain at a time; clearing ``_draining`` abandons
-        it."""
+    def when_drained(self, then: Callable[[], None]) -> None:
+        """Run ``then`` now if nothing is in flight, else from the delivery
+        that empties the network; clearing ``network.on_drained`` abandons."""
         assert self.world is not None
-        if polls == 0:
-            self._draining = True
-        elif not self._draining:
-            return
-        if self.world.network.in_flight_count() == 0:
-            self._draining = False
+        if self.world.network.in_flight_count():
+            self.world.network.on_drained = then
+        else:
             then()
-            return
-        if polls >= 1_000_000:
-            raise SimulationError("network failed to drain")
-        self.world.engine.schedule(
-            1e-6, lambda: self.when_drained(then, polls + 1))
 
     def inject_failure(self, time: float, rank: int) -> None:
         assert self.injector is not None
@@ -226,8 +218,9 @@ class FTController(Controller):
         self.recovery_rank = nprocs  # pseudo-rank on the network
         self.round = 0
         self._pending_failures: deque[list[int]] = deque()
-        self._settle_polls = 0
         self._round_in_progress = False
+        #: protocols not Running with an empty replay queue (once settling)
+        self._unsettled = 0
         self._stall_sig: tuple = ()
         self._stall_flushed_round = -1
         self._watchdog: tuple[list, int] | None = None  # (bucket, index)
@@ -351,11 +344,10 @@ class FTController(Controller):
     # Failure orchestration
     # ------------------------------------------------------------------
     def on_failures(self, ranks: list[int]) -> None:
-        # A round is "in progress" from the first kill until the settle
-        # poll confirms every process is Running again — strictly wider
-        # than ``recovery.active`` (which only covers Fig. 4's message
-        # exchange), because failures during the drain or settle windows
-        # must queue too.
+        # A round is "in progress" from the first kill until the last
+        # protocol reports it is Running again — strictly wider than
+        # ``recovery.active`` (Fig. 4's message exchange only), because
+        # failures during the drain or settle windows must queue too.
         if self._round_in_progress or self._pending_failures:
             self._pending_failures.append(ranks)
             return
@@ -483,9 +475,7 @@ class FTController(Controller):
         # paused until the recovery round releases it
         world.procs[rank].pause()
         self.store.discard_above(rank, ckpt.epoch)
-        proto = self.protocols[rank]
-        proto.adopt_state(ckpt.proto.checkpoint_copy())
-        proto.status = Status.ROLLED_BACK
+        self.protocols[rank].adopt_state(ckpt.proto.checkpoint_copy())
         world.tracer.on_mark("restore", rank, world.engine.now, (ckpt.epoch,))
         if self.obs is not None:
             self.obs.counter("recovery.restores", ("rank",)).inc(labels=(rank,))
@@ -501,26 +491,24 @@ class FTController(Controller):
         the new round's bookkeeping would race the old round's messages."""
         self.recovery_reports.append(report)
         self.rolled_back_history.append(len(report.rolled_back))
-        self._settle_polls = 0
-        self._poll_settled()
+        # the recovery process counts as one more, and it has just finished
+        self._unsettled = 1 + sum(
+            p.status is not Status.RUNNING or bool(p.replay)
+            for p in self.protocols)
+        self.protocol_settled()
 
-    def _poll_settled(self) -> None:
+    def protocol_settled(self) -> None:
+        """A protocol became Running with an empty replay queue."""
+        if self._round_in_progress and not self.recovery.active:
+            self._unsettled -= 1
+            if not self._unsettled:
+                # its own event: a notice from inside a watchdog tick must
+                # not start the next round in the middle of that tick
+                assert self.world is not None
+                self.world.engine.call_soon(self._settled)
+
+    def _settled(self) -> None:
         assert self.world is not None
-        settled = all(
-            p.status is Status.RUNNING and not p.replay
-            for p in self.protocols
-        )
-        if not settled:
-            self._settle_polls += 1
-            if self._settle_polls > 1_000_000:
-                blocked = [p.describe() for p in self.protocols
-                           if p.status is not Status.RUNNING]
-                raise ProtocolError(
-                    "recovery round never settled; stuck protocols: "
-                    + "; ".join(blocked)
-                )
-            self.world.engine.schedule(1e-6, self._poll_settled)
-            return
         self._round_in_progress = False
         if self._watchdog is not None:
             # the round settled: a pending watchdog tick would only keep the

@@ -23,8 +23,9 @@ And during recovery:
 
 The process-facing gating (a non-``Running`` process must not emit
 application messages, line 14) is realised by pausing the simulated
-process; replayed messages bypass the application entirely (they are sent
-from the log by the protocol layer).
+process (the controller pauses it, :meth:`SDProtocol.set_running`
+releases it); replayed messages bypass the application entirely (they are
+sent from the log by the protocol layer).
 """
 
 from __future__ import annotations
@@ -404,8 +405,8 @@ class SDProtocol(ProtocolHook):
         if round_no > self.round:
             self.round = round_no
         if self.status is Status.RUNNING:
+            # the controller paused us when it detected the failure
             self.status = Status.BLOCKED
-            self.proc.pause()
         self._upload_spe(round_no)
 
     def _upload_spe(self, round_no: int) -> None:
@@ -527,6 +528,8 @@ class SDProtocol(ProtocolHook):
                                epoch_send=self.state.epoch,
                                phase=self.state.phase)
         self.proc.unpause()
+        if not self.replay:
+            self.controller.protocol_settled()
 
     def flush_replays(self) -> int:
         """Emit every pending replay immediately, in phase order.
@@ -547,9 +550,11 @@ class SDProtocol(ProtocolHook):
     def _emit_replays(self, entries: list[tuple[int, SentMessage]]) -> None:
         """Re-emit log entries / pending acks in date order: dates are this
         sender's send-sequence numbers, so date order IS the original
-        per-channel emission order."""
+        per-channel emission order.  ``entries`` left the replay queue."""
         for _date, m in sorted(entries, key=_by_date):
             self._replay(m)
+        if entries and not self.replay and self.status is Status.RUNNING:
+            self.controller.protocol_settled()
 
     def _replay(self, m: SentMessage) -> None:
         """Emit the logged or unacknowledged message ``m`` without
@@ -624,10 +629,3 @@ class SDProtocol(ProtocolHook):
                 if best > cells[dst]:
                     cells[dst] = best
         self.state = state
-
-    def describe(self) -> str:
-        st = self.state
-        return (
-            f"rank {self.rank}: {self.status.value} epoch={st.epoch} "
-            f"phase={st.phase} date={st.date} logs={len(st.logs)} nonack={len(st.non_ack)}"
-        )

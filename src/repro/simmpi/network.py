@@ -115,6 +115,9 @@ class Network:
         # delivery callbacks, bound once: a purge matches them by identity
         self._on_deliver = self._deliver
         self._on_ack = self._deliver_ack
+        #: called, then cleared, by the delivery that leaves nothing in flight
+        #: after its receiver ran (a paused rank still acks); None: no waiter
+        self.on_drained: Callable[[], None] | None = None
         # send / delivery counts of the next sampled tick (0: never)
         self._tx_due = self._rx_due = 0
         self.obs = obs
@@ -166,7 +169,7 @@ class Network:
         behind them (see ``World.close``)."""
         self._receivers.clear()
         self._ack_sinks.clear()
-        self._on_deliver = self._on_ack = None
+        self._on_deliver = self._on_ack = self.on_drained = None
         if self.obs is not None:
             self.obs.settle(self)
 
@@ -239,6 +242,10 @@ class Network:
         if delivered == self._rx_due:
             self._rx_tick(delivered, env.send_time)
         self._receivers[env.dst](env)
+        then = self.on_drained
+        if then is not None and not self.in_flight_count():
+            self.on_drained = None
+            then()
 
     def _deliver_ack(self, ack: tuple[int, int, Any, float]) -> None:
         """:meth:`_deliver` of a ``(src, dst, record, send_time)`` ack."""
@@ -247,6 +254,10 @@ class Network:
         if delivered == self._rx_due:
             self._rx_tick(delivered, send_time)
         self._ack_sinks[dst](src, record)
+        then = self.on_drained
+        if then is not None and not self.in_flight_count():
+            self.on_drained = None
+            then()
 
     def _rx_tick(self, delivered: int, send_time: float) -> None:
         """Sampled delivery 1, 1 + N, ...."""
@@ -291,7 +302,7 @@ class Network:
 
     def in_flight_count(self, rank: int | None = None) -> int:
         """Number of in-flight messages: to ``rank`` (a scan), or in total
-        (O(1) — a drain polls it every virtual microsecond)."""
+        (O(1) — every delivery reads it while :attr:`on_drained` waits)."""
         if rank is not None:
             return len(self._inbound(rank))
         return (self.messages_sent - self.messages_delivered

@@ -56,12 +56,12 @@ def test_marks_list_every_checkpoint_failure_and_restore():
         ("checkpoint", 4.490756302521009e-05, 1, (3,)),
         ("checkpoint", 4.771428571428572e-05, 2, (3,)),
         ("failure", 5e-05, 2, ()),
-        ("restore", 5.399999999999999e-05, 2, (3,)),
-        ("checkpoint", 6.954873949579836e-05, 2, (4,)),
-        ("checkpoint", 7.493109243697481e-05, 0, (4,)),
-        ("checkpoint", 7.493109243697481e-05, 1, (4,)),
-        ("checkpoint", 7.493109243697481e-05, 3, (3,)),
-        ("checkpoint", 9.177142857142851e-05, 2, (5,)),
+        ("restore", 5.308403361344538e-05, 2, (3,)),
+        ("checkpoint", 6.863277310924375e-05, 2, (4,)),
+        ("checkpoint", 7.401512605042021e-05, 0, (4,)),
+        ("checkpoint", 7.401512605042021e-05, 1, (4,)),
+        ("checkpoint", 7.401512605042021e-05, 3, (3,)),
+        ("checkpoint", 9.08554621848739e-05, 2, (5,)),
     ]
 
 

@@ -195,7 +195,7 @@ def test_cic_indices_propagate():
 
 
 # ----------------------------------------------------------------------
-# The shared drain loop under a coordinated round
+# The shared drain under a coordinated round
 # ----------------------------------------------------------------------
 class Straggler(RankProgram):
     """Rank 0 sends, then reaches the boundary; rank 1 reaches its boundary
@@ -216,20 +216,47 @@ class Straggler(RankProgram):
                 self.state["got"].append((yield api.recv(0, tag=1)))
 
 
-def test_cl_round_waits_out_a_drain_of_many_polls():
-    """The round completes only once the straggler landed (172 polls of
-    1 us); times and event count are those of the commit before the drain
-    loop moved into the base controller."""
+def test_cl_round_completes_when_the_straggler_lands():
+    """The round completes at the instant the straggler lands: the
+    delivery that empties the network runs the round, nothing polls."""
     world, ctl = build_world(CLController(2, CLConfig()), Straggler)
-    completed_at = []
+    completed_at, arrivals = [], []
     complete = ctl._complete_round
     ctl._complete_round = lambda: (completed_at.append(world.engine.now),
                                    complete())
+    receive = world.network._receivers[1]
+    world.network._receivers[1] = lambda env: (
+        arrivals.append(world.engine.now), receive(env))
     ctl.trigger_snapshot()
     world.launch()
     world.run()
-    assert completed_at == [0.0001812999999999996]
+    assert completed_at == [arrivals[0]] == [0.0001805672268907563]
     assert ctl.completed_rounds == [1]
-    assert world.engine.now == 0.00037216722689075593
-    assert world.engine.events_dispatched == 189
+    assert world.engine.now == 0.0003714344537815126
+    assert world.engine.events_dispatched == 18
+    assert world.programs[1].state["got"] == [("m", 0), ("m", 1), ("m", 2)]
+
+
+def test_cl_failure_during_the_drain_abandons_the_round():
+    """Both ranks wait at the boundary for the straggler when rank 0
+    fails: the global restart drops the round, so no snapshot is taken
+    after it and no round completes."""
+    world, ctl = build_world(CLController(2, CLConfig()), Straggler)
+    captures = []
+    for hook in ctl.hooks:
+        hook.capture = lambda n, _c=hook.capture: (
+            captures.append(world.engine.now), _c(n))
+    ctl.trigger_snapshot()
+    ctl.inject_failure(1e-4, 0)
+    ctl.arm()
+    world.launch()
+    drained = []
+    world.engine.schedule_at(
+        1e-4 - 1e-9, lambda: drained.append(world.network.on_drained))
+    world.run()
+    assert drained[0] is not None  # the failure lands inside the drain
+    assert ctl.global_restarts == 1
+    assert ctl.completed_rounds == []
+    assert captures == []
+    assert world.network.on_drained is None
     assert world.programs[1].state["got"] == [("m", 0), ("m", 1), ("m", 2)]

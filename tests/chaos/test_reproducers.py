@@ -10,6 +10,7 @@ documentation of the exact virtual-time geometry of each corner.
 
 from repro.chaos.schedule import FailureSpec, TrialSchedule
 from repro.chaos.trial import run_trial_schedule
+from repro.core.recovery import RecoveryProcess
 
 
 def _assert_all_oracles(result):
@@ -18,9 +19,14 @@ def _assert_all_oracles(result):
     }
 
 
-def test_failure_during_network_drain():
+def test_failure_during_network_drain(monkeypatch):
     """A second rank dies ~1 us after the first — inside the drain the
     recovery round runs before restoring (in-flight traffic purge)."""
+    starts = []
+    begin_round = RecoveryProcess.begin_round
+    monkeypatch.setattr(
+        RecoveryProcess, "begin_round", lambda self, n, failed, now: (
+            starts.append(now), begin_round(self, n, failed, now)))
     sched = TrialSchedule(
         seed=1, kernel="stencil", nprocs=4, niters=20,
         failures=(
@@ -33,6 +39,10 @@ def test_failure_during_network_drain():
     # the drain-window failure must not merge into the first round
     assert result.stats["recovery_rounds"] == 2
     assert result.stats["failures_fired"] == 2
+    # ... and it lands while the network still drains: before round 1
+    # starts (kills at 29.35 and 30.35 us, round 1 at 33.44 us)
+    (_, first), (_, second) = result.stats["fired"]
+    assert first < second < starts[0]
 
 
 def test_failure_of_just_restored_rank():
@@ -56,7 +66,8 @@ def test_failure_of_just_restored_rank():
 def test_two_back_to_back_queued_rounds():
     """Two more failures land while round 1 is still in flight; both are
     queued and must drain as separate rounds after settle — not merge,
-    not strand (the all-dead-batch loop in ``_poll_settled``)."""
+    not strand (the all-dead-batch loop the settle runs,
+    ``FTController._settled``)."""
     sched = TrialSchedule(
         seed=3, kernel="stencil2d", nprocs=4, niters=16,
         failures=(

@@ -7,7 +7,9 @@ from repro.apps.stencil import Stencil1D
 from repro.core import ProtocolConfig, build_ft_world
 from repro.core.controller import FTController
 from repro.core.protocol import Status
+from repro.core.state import SentMessage
 from repro.errors import ProtocolError
+from repro.simmpi.network import Network
 
 
 def factory(rank, size):
@@ -108,6 +110,111 @@ def test_statuses_and_queues_clean_after_recovery():
         assert proto._orph_lookup == {}  # every expected orphan arrived
     assert not ctl.recovery.active
     assert world.network.in_flight_count() == 0
+
+
+def _record_deliveries(monkeypatch, after=None):
+    """The arrival instant of every delivery, envelopes and acks alike;
+    ``after(network)`` runs once each delivery is done."""
+    arrivals = []
+    for name in ("_deliver", "_deliver_ack"):
+        def deliver(self, item, _deliver=getattr(Network, name)):
+            arrivals.append(self.engine.now)
+            _deliver(self, item)
+            if after is not None:
+                after(self)
+        monkeypatch.setattr(Network, name, deliver)
+    return arrivals
+
+
+def test_round_starts_when_the_last_message_in_flight_lands(monkeypatch):
+    """The drain ends with the delivery that empties the network: a round
+    starts at the arrival of the last message or ack in flight after the
+    kill (acks of deliveries to paused ranks included), not later."""
+    arrivals = _record_deliveries(monkeypatch)
+    cfg = ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=3e-6)
+    world, ctl = build_ft_world(6, factory, cfg)
+    ctl.inject_failure(6e-5, 3)
+    ctl.arm()
+    world.launch()
+    world.run()
+    started = ctl.recovery_reports[0].started_at
+    drain = [t for t in arrivals if 6e-5 < t <= started]
+    assert drain, "messages were in flight at the kill"
+    assert started == max(drain)
+
+
+def test_round_settles_when_the_last_protocol_is_running(monkeypatch):
+    """A queued round starts, and each round's watchdog is cancelled, at
+    the instant the last protocol is Running with an empty replay queue."""
+    holder = []
+    settled_at = []  # per round: the first such instant after its exchange
+
+    def check(network):
+        ctl = holder[0]
+        if (ctl._round_in_progress and not ctl.recovery.active
+                and len(settled_at) < len(ctl.recovery_reports)
+                and all(p.status is Status.RUNNING and not p.replay
+                        for p in ctl.protocols)):
+            settled_at.append(network.engine.now)
+
+    _record_deliveries(monkeypatch, after=check)
+    cfg = ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=3e-6)
+    world, ctl = build_ft_world(6, factory, cfg)
+    holder.append(ctl)
+    starts, cancels = [], []
+    start_round = ctl._start_round
+    ctl._start_round = lambda ranks: (starts.append(world.engine.now),
+                                      start_round(ranks))
+    cancel = world.engine.cancel
+    world.engine.cancel = lambda *at: (
+        at == ctl._watchdog and cancels.append(world.engine.now), cancel(*at))[1]
+    ctl.inject_failure(6e-5, 3)
+    ctl.inject_failure(6.5e-5, 1)  # queued behind round 1
+    ctl.arm()
+    world.launch()
+    world.run()
+    assert len(ctl.recovery_reports) == 2
+    assert ctl.stall_flushes == ctl.stall_releases == 0
+    assert starts == [6e-5, settled_at[0]]
+    assert cancels == settled_at
+
+
+def test_a_protocol_reports_running_with_an_empty_replay_queue():
+    """Once per entry into that state, however it gets there: released
+    with nothing left to replay, or already Running when its last replay
+    goes out (a rolled-back rank is released one phase early, so a
+    replay of its registered phase can outlive the release)."""
+    world, ctl = build_ft_world(2, factory, ProtocolConfig())
+    notices = []
+    ctl.protocol_settled = lambda: notices.append(proto.rank)
+    proto = ctl.protocols[0]
+
+    def entry(date, phase):
+        return (date, SentMessage(1, 0, ("m", date), 8, date, 1, phase))
+
+    proto.status, proto._reported_phase = Status.ROLLED_BACK, 2
+    proto.replay = {2: [entry(5, 2)], 3: [entry(6, 3)]}
+    proto._on_ready_phase({"phase": 1})  # released, two replays queued
+    assert proto.status is Status.RUNNING and notices == []
+    proto._on_ready_phase({"phase": 2})  # one replay left
+    assert notices == []
+    proto._on_ready_phase({"phase": 3})  # the last one goes out
+    assert proto.replay == {} and notices == [0]
+    proto._on_ready_phase({"phase": 4})  # nothing left to empty
+    proto.flush_replays()
+    assert notices == [0]
+
+    proto.status, proto._reported_phase = Status.BLOCKED, 1
+    proto.replay = {1: [entry(7, 1)]}
+    proto.flush_replays()  # emptied while Blocked: not yet
+    assert notices == [0]
+    proto._on_ready_phase({"phase": 1})  # released with nothing queued
+    assert notices == [0, 0]
+
+    proto.replay = {4: [entry(8, 4)]}
+    proto.flush_replays()  # Running, and the watchdog flushes its queue
+    assert notices == [0, 0, 0]
+    assert world.network.messages_sent == 4
 
 
 def test_injector_requires_arming():

@@ -85,7 +85,7 @@ SEED3_REPLAYS = {
         (6, 93), (6, 97), (6, 101), (6, 105), (6, 109), (6, 113), (6, 117),
         (2, 118), (6, 121), (2, 122), (6, 125), (2, 126), (6, 113), (6, 117),
         (6, 121), (6, 125), (6, 129), (6, 113), (6, 117), (6, 121), (6, 125),
-        (6, 129), (1, 131), (1, 132)],
+        (6, 129)],
     1: [(7, 61), (7, 65), (7, 69), (7, 73), (7, 77), (7, 81), (7, 85), (7, 89),
         (7, 93), (7, 97), (7, 101), (7, 105), (7, 109), (7, 113), (7, 117),
         (3, 118), (7, 121), (3, 122), (7, 125), (3, 126), (7, 113), (7, 117),
