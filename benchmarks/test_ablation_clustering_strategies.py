@@ -11,14 +11,15 @@ over the *measured* traffic matrix:
 * recursive spectral bisection on the traffic Laplacian,
 
 each followed by the epoch reconfiguration of Section V-E-3, evaluated by
-the two Table-I metrics on live protocol runs.
+the two Table-I metrics, all three derived from one recorded run of the
+kernel (``record_trace`` + ``trace_cell``).
 """
 
 import pytest
 
 from repro.analysis import collect_matrix
 from repro.analysis.report import format_table
-from repro.analysis.rollback import measure_rollback
+from repro.analysis.rollback import record_trace, rollback_analysis, trace_cell
 from repro.apps import CGKernel, LUKernel, MGKernel
 from repro.core import ProtocolConfig
 from repro.core.clustering import (
@@ -40,7 +41,7 @@ KERNELS = {
 }
 
 
-def evaluate(factory, cluster_of, cluster_epochs):
+def evaluate(trace, cluster_of, cluster_epochs):
     config = ProtocolConfig(
         checkpoint_interval=5e-5,
         cluster_of=cluster_of,
@@ -50,9 +51,8 @@ def evaluate(factory, cluster_of, cluster_epochs):
         lightweight=True,
         retain_payloads=False,
     )
-    log, _, rb = measure_rollback(NPROCS, factory, config, 6e-5,
-                                  copy_payloads=False)
-    return 100 * log["log_fraction"], rb.percent
+    log, snapshots = trace_cell(trace, config)
+    return 100 * log["log_fraction"], rollback_analysis(snapshots, NPROCS).percent
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,7 @@ def strategy_results():
     out = {}
     for name, factory in KERNELS.items():
         matrix = collect_matrix(NPROCS, factory, copy_payloads=False)
+        trace = record_trace(NPROCS, factory, 6e-5, copy_payloads=False)
         strategies = {
             "blocks (paper)": block_clusters(NPROCS, NCLUSTERS),
             "modularity": modularity_clusters(matrix, NCLUSTERS),
@@ -67,7 +68,7 @@ def strategy_results():
         }
         for strat, cluster_of in strategies.items():
             clustering = Clustering(cluster_of, matrix).reconfigure_epochs()
-            log, rl = evaluate(factory, cluster_of, clustering.initial_epochs())
+            log, rl = evaluate(trace, cluster_of, clustering.initial_epochs())
             out[(name, strat)] = dict(
                 log=log, rl=rl, locality=100 * clustering.locality(),
             )

@@ -18,7 +18,7 @@ Reproduced three ways on the same workload:
 import pytest
 
 from repro.analysis.report import format_table
-from repro.analysis.rollback import measure_rollback
+from repro.analysis.rollback import record_trace, rollback_analysis, trace_cell
 from repro.apps import Stencil2D
 from repro.baselines import run_domino_analysis
 from repro.core import ProtocolConfig
@@ -33,14 +33,16 @@ def factory(rank, size):
     return Stencil2D(rank, size, niters=40, block=3)
 
 
-def measure(config):
-    log, _, rb = measure_rollback(NPROCS, factory, config, 4e-5,
-                                  copy_payloads=False)
-    return 100 * log["log_fraction"], rb.percent
+def measure_all():
+    """%log and %rl of each configuration, derived from one run of the
+    workload: the configurations differ only in checkpoint policy."""
+    trace = record_trace(NPROCS, factory, 4e-5, copy_payloads=False)
 
+    def measure(config):
+        log, snapshots = trace_cell(trace, config)
+        return (100 * log["log_fraction"],
+                rollback_analysis(snapshots, NPROCS).percent)
 
-@pytest.fixture(scope="module")
-def results():
     base = dict(checkpoint_interval=2e-5, checkpoint_jitter=0.15,
                 lightweight=True, retain_payloads=False)
     out = {}
@@ -61,6 +63,11 @@ def results():
     return out
 
 
+@pytest.fixture(scope="module")
+def results():
+    return measure_all()
+
+
 def test_random_ckpt_table(results, benchmark):
     rows = [
         [name, f"{log:.1f}", f"{rl:.1f}"] for name, (log, rl) in results.items()
@@ -69,9 +76,7 @@ def test_random_ckpt_table(results, benchmark):
     table += ("\n(paper V-E-2: random checkpointing logs little but rolls "
               "everyone back; clustering is required)\n")
     emit("ablation_random_ckpt.txt", table)
-    benchmark.pedantic(lambda: measure(ProtocolConfig(
-        checkpoint_interval=2e-5, checkpoint_jitter=0.15,
-        lightweight=True, retain_payloads=False)), rounds=1, iterations=1)
+    benchmark.pedantic(measure_all, rounds=1, iterations=1)
 
 
 def test_random_ckpt_rolls_nearly_everyone(results, benchmark):

@@ -6,6 +6,11 @@ the table again every time a rollback is found" and suggests parallel
 scanning.  Our worklist solver makes the scan incremental; this benchmark
 measures how the recovery-line computation and a full live recovery scale
 with the rank count, and times checkpoint capture.
+
+``results/recovery_machinery.txt`` keeps only what the code fixes (sizes,
+rolled-back counts, log lengths), so it regenerates byte for byte; the
+host wall-clock figures go to ``results/BENCH_throughput.json``
+(``recovery_line_ms`` per rank count, ``checkpoint_capture_us`` per case).
 """
 
 import random
@@ -18,7 +23,7 @@ from repro.apps import Stencil1D
 from repro.core import ProtocolConfig, SentMessage, build_ft_world
 from repro.core.recovery import RecoveryLineSolver, compute_recovery_line
 
-from conftest import emit, is_paper_scale, timed
+from conftest import emit, emit_json, is_paper_scale, timed
 
 
 def synthetic_spe(nprocs: int, epochs: int = 6, degree: int = 8, seed: int = 1):
@@ -68,16 +73,18 @@ def scaling_rows():
             rl = solver.solve({f % nprocs: max(tables[f % nprocs])})
             total_rolled += len(rl)
         dt = (time.perf_counter() - t0) / trials
-        rows.append([nprocs, f"{dt * 1e3:.3f}", f"{total_rolled / trials:.1f}"])
+        rows.append([nprocs, total_rolled / trials, dt * 1e3])
     return rows
 
 
 def test_recovery_line_scaling_table(scaling_rows, benchmark):
     table = format_table(
-        ["ranks", "recovery-line ms (worklist)", "mean rolled back"],
-        scaling_rows,
+        ["ranks", "mean rolled back"],
+        [[nprocs, f"{rolled:.1f}"] for nprocs, rolled, _ in scaling_rows],
     )
     emit_recovery_machinery("recovery line", table)
+    emit_json("BENCH_throughput.json", {"recovery_line_ms": {
+        str(nprocs): round(ms, 3) for nprocs, _, ms in scaling_rows}})
     tables = synthetic_spe(SIZES[-1])
     solver = RecoveryLineSolver(tables)
     benchmark(lambda: solver.solve({0: max(tables[0])}))
@@ -116,7 +123,7 @@ def test_recovery_line_wrapper_equivalent(benchmark):
 def test_live_recovery_latency(benchmark):
     """Wall-clock cost of a full live recovery round (kill, drain, line,
     replay, resume) on a small world — a regression canary for the
-    controller's polling machinery."""
+    controller's recovery machinery."""
     def run():
         world, ctl = build_ft_world(
             8, lambda r, s: Stencil1D(r, s, niters=20, cells=4),
@@ -165,6 +172,7 @@ def _capture_controller(logged: int, unacked: int):
 
 
 _capture_rows: dict[str, list] = {}
+_capture_us: dict[str, float] = {}
 
 
 @pytest.mark.parametrize("case", CAPTURE_CASES)
@@ -186,12 +194,12 @@ def test_checkpoint_capture_cost(case, benchmark):
     # own clock for the emitted figure, so it is there under
     # --benchmark-disable too
     per_call = timed(lambda: [capture() for _ in range(20)], rounds=5) / 20
-    _capture_rows[case] = [case, len(st.logs), len(st.non_ack),
-                           f"{per_call * 1e6:.1f}"]
+    _capture_rows[case] = [case, len(st.logs), len(st.non_ack)]
+    _capture_us[case] = round(per_call * 1e6, 1)
     emit_recovery_machinery(
         "capture",
-        format_table(["rank 0 state", "logged", "un-acked",
-                      "checkpoint_capture_us"],
+        format_table(["rank 0 state", "logged", "un-acked"],
                      list(_capture_rows.values())),
     )
+    emit_json("BENCH_throughput.json", {"checkpoint_capture_us": _capture_us})
     benchmark(capture)

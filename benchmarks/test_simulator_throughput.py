@@ -12,10 +12,11 @@ factors, and the speedup against the committed seed-commit baseline
 """
 
 import statistics
+from contextlib import closing
 
 from repro.analysis.report import format_table
 from repro.apps import FTKernel, Stencil2D
-from repro.campaigns import table1_cell
+from repro.campaigns import table1_cell, table1_setup
 from repro.core import ProtocolConfig, build_ft_world
 from repro.simmpi import World
 from repro.simmpi.engine import Engine
@@ -84,9 +85,11 @@ def _protocol_world():
 #
 # They time what a campaign pays: 64-rank Table-I cells, MG and FT, each
 # with a registry built the way the sweep executor builds one (no flight
-# recorder; chaos trials add one).  One side of a pair is both cells, over
-# a second of wall; the per-round ratios' quartiles are reported beside
-# the factor, because a shared host's noise is of the size being measured.
+# recorder; chaos trials add one).  A cell runs its program once under
+# ``record_trace``, which carries no protocol, so the flight recorder is
+# timed on the same programs run under the protocol.  One side of a pair
+# is both cells; the per-round ratios' quartiles are reported beside the
+# factor, because a shared host's noise is of the size being measured.
 
 #: the cells each side of an overhead pair runs
 OVERHEAD_CELLS = (
@@ -104,14 +107,33 @@ def _campaign_cells(make_obs=None) -> None:
         table1_cell(dict(params, obs=make_obs() if make_obs else None))
 
 
+def _protocol_cells(make_obs=None) -> None:
+    """The overhead cells' programs run under the paper's protocol, each
+    world with a fresh ``make_obs()`` registry (or none)."""
+    for params in OVERHEAD_CELLS:
+        setup = table1_setup(params)
+        world, controller = build_ft_world(
+            setup["nprocs"], setup["program_factory"], setup["config"],
+            obs=make_obs() if make_obs else None, copy_payloads=False)
+        with closing(controller):
+            world.launch()
+            world.run()
+
+
+#: what one side of an overhead pair runs, by the name its table gives it
+OVERHEAD_RUNS = {"Table-I cells": _campaign_cells,
+                 "Table-I cells' protocol worlds": _protocol_cells}
+
+
 def _overhead(name: str, labels: tuple[str, str], baseline, treatment,
-              json_prefix: str) -> float:
+              json_prefix: str, run: str = "Table-I cells") -> float:
     """Time ``baseline`` / ``treatment`` registry factories interleaved on
-    the overhead cells; emit ``results/<name>`` and the JSON keys (with the
-    quartiles of the per-round ratios), and return the paired factor."""
+    ``OVERHEAD_RUNS[run]``; emit ``results/<name>`` and the JSON keys (with
+    the quartiles of the per-round ratios), and return the paired factor."""
+    cells = OVERHEAD_RUNS[run]
     samples = timed_interleaved({
-        "baseline": lambda: _campaign_cells(baseline),
-        "treatment": lambda: _campaign_cells(treatment),
+        "baseline": lambda: cells(baseline),
+        "treatment": lambda: cells(treatment),
     }, rounds=OVERHEAD_ROUNDS)
     t_base = median(samples["baseline"])
     t_treat = median(samples["treatment"])
@@ -122,7 +144,7 @@ def _overhead(name: str, labels: tuple[str, str], baseline, treatment,
         ["configuration", "wall s", "factor", "ratio quartiles"],
         [[labels[0], f"{t_base:.3f}", "1.00", ""],
          [labels[1], f"{t_treat:.3f}", f"{factor:.3f}", f"{q1:.3f}-{q3:.3f}"]],
-    ) + f"(64-rank MG + FT Table-I cells per side, {OVERHEAD_ROUNDS} "
+    ) + f"(64-rank MG + FT {run} per side, {OVERHEAD_ROUNDS} "
         f"interleaved pairs)\n")
     emit_json("BENCH_throughput.json", {
         f"{json_prefix}_off_wall_s": round(t_base, 6),
@@ -154,7 +176,8 @@ def test_instrumentation_overhead_factor(benchmark):
 
 def test_flight_recorder_overhead_factor(benchmark):
     """Marginal cost of the protocol flight recorder — what a chaos trial
-    adds — on top of a campaign registry.
+    adds — on top of a campaign registry, on protocol worlds (a trace-
+    derived cell has no protocol transitions to record).
 
     The recorder is one cached identity check plus a timestamped tuple
     appended onto a pre-resolved per-rank sink per protocol transition:
@@ -164,8 +187,9 @@ def test_flight_recorder_overhead_factor(benchmark):
 
     factor = _overhead(
         "flight_overhead.txt", ("metrics, flight off", "metrics + flight"),
-        lambda: MetricsRegistry(flight=False), MetricsRegistry, "flight")
-    benchmark.pedantic(lambda: _campaign_cells(MetricsRegistry), rounds=1,
+        lambda: MetricsRegistry(flight=False), MetricsRegistry, "flight",
+        run="Table-I cells' protocol worlds")
+    benchmark.pedantic(lambda: _protocol_cells(MetricsRegistry), rounds=1,
                        iterations=1)
     assert factor < 1.15
 

@@ -7,16 +7,15 @@
     process.  Then, we can compute an estimation of the average number of
     processes to roll back in the event of a failure."
 
-:class:`SpeSampler` attaches to a live controller and snapshots every
-rank's SPE table at a fixed virtual period; :func:`rollback_analysis`
-computes, per snapshot, the size of the recovery line of every failed rank
-and aggregates the statistics the paper reports (``%rl``);
-:func:`measure_rollback` is the whole method in one call.
-
 Without checkpoint I/O and failures the protocol decides what is logged and
 what enters SPE, never when anything happens, so one protocol-free run
 (:func:`record_trace`) fixes every policy's cell: :func:`trace_cell`
-restates Fig. 3's logging rule and SPE bookkeeping as arithmetic on it.
+restates Fig. 3's logging rule and SPE bookkeeping as arithmetic on it and
+yields the SPE snapshots the protocol would have at a fixed virtual period.
+:func:`rollback_analysis` computes, per snapshot, the size of the recovery
+line of every failed rank and aggregates the statistics the paper reports
+(``%rl``); :func:`measure_rollback` is the whole method in one call.
+:class:`SpeSampler` snapshots a live controller's SPE tables the same way.
 
 The p fix-points of one snapshot are one reachability problem.  Take nodes
 ``(j, b)`` = "rank j restarts at an epoch <= b", one per distinct sending
@@ -36,13 +35,12 @@ from __future__ import annotations
 import gc
 from array import array
 from collections import defaultdict
-from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..core.controller import FTController, ProtocolConfig, build_ft_world
+from ..core.controller import FTController, ProtocolConfig
 from ..core.protocol import _ACK_RECORD_NBYTES
 from ..core.recovery import RecoveryLineSolver
 from ..errors import ConfigError
@@ -248,24 +246,17 @@ def rollback_analysis(
 
 def measure_rollback(
     nprocs: int, program_factory: Callable[[int, int], Any], config: ProtocolConfig,
-    period: float, **world_kwargs: Any,
+    period: float, obs: Any = None, **world_kwargs: Any,
 ) -> tuple[dict[str, float], list[SpeSnapshot], RollbackStats]:
-    """Sec. V-E-1 end to end: run ``program_factory`` failure-free under
-    ``config`` (``world_kwargs`` go to :func:`build_ft_world`), snapshot every
-    SPE table each ``period`` of virtual time (once at the end if the run is
-    shorter) and fail every rank in every snapshot.  Returns the run's
-    ``logging_stats()`` (``%log``), the snapshots and their ``%rl`` statistics."""
-    world, controller = build_ft_world(nprocs, program_factory, config, **world_kwargs)
-    with closing(controller):
-        sampler = SpeSampler(controller, period)
-        sampler.arm()
-        world.launch()
-        world.run()
-        if not sampler.snapshots:
-            sampler.take()
-    return (controller.logging_stats(), sampler.snapshots,
-            rollback_analysis(sampler.snapshots, nprocs))
-
+    """Sec. V-E-1 end to end: run ``program_factory`` failure-free once
+    (:func:`record_trace`; ``obs`` and ``world_kwargs`` go to its world),
+    derive ``config``'s SPE tables every ``period`` of virtual time (once at
+    the end if the run is shorter) with :func:`trace_cell` and fail every
+    rank in every snapshot.  Returns ``config``'s ``logging_stats()``
+    (``%log``), the snapshots and their ``%rl`` statistics."""
+    trace = record_trace(nprocs, program_factory, period, obs=obs, **world_kwargs)
+    log, snapshots = trace_cell(trace, config, obs)
+    return log, snapshots, rollback_analysis(snapshots, nprocs)
 
 
 @dataclass
@@ -347,6 +338,7 @@ def record_trace(nprocs: int, program_factory: Callable[[int, int], Any],
             tick()
     finally:
         world.close()
+        del periodic  # it holds itself, and the world with it, in a cycle
     return trace
 
 

@@ -5,11 +5,12 @@ Section V-E-2 of the paper: uncoordinated checkpoints at random times with
 the failure of any process rolls everybody back (and, with unbounded
 dependency chains, arbitrarily far — the domino effect).
 
-This baseline reuses the full protocol machinery with the epoch-crossing
+This baseline is the protocol's configuration with the epoch-crossing
 logging rule disabled (``ProtocolConfig(log_cross_epoch=False)``): every
 acknowledged message lands in ``SPE``, so the recovery-line fix-point
 cascades freely, which is precisely the domino computation.  The offline
-analysis then reports how many processes roll back and how deep.
+analysis (:func:`~repro.analysis.rollback.measure_rollback`, one recorded
+run) then reports how many processes roll back and how deep.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ from repro.analysis.rollback import SpeSnapshot, measure_rollback
 from repro.apps.stencil import Stencil1D, Stencil2D
 from repro.core import ProtocolConfig, build_ft_world
 
+from .live_cell import live_rollback
+
 
 def factory(rank, size):
     return Stencil1D(rank, size, niters=30, cells=4)
@@ -72,19 +74,21 @@ def test_sampler_takes_periodic_snapshots():
 
 def test_measurement_of_a_short_run_snapshots_its_end():
     """A run shorter than one sample period still gets one snapshot: the
-    state the run ended in."""
+    state the run ended in, live and derived from the trace alike."""
     cfg = ProtocolConfig(checkpoint_interval=2e-5, rank_stagger=2e-6,
                          lightweight=True)
     world, ctl = build_ft_world(6, factory, cfg)
     world.launch()
     end = world.run()
     period = 10 * end
-    logs, snapshots, stats = measure_rollback(6, factory, cfg, period)
-    [snap] = snapshots
     final = SpeSampler(ctl, period).take()
-    assert snap.time >= end
-    assert (snap.spe_tables, snap.epochs) == (final.spe_tables, final.epochs)
-    assert stats.trials == 6 and logs == ctl.logging_stats()
+    for measure in (live_rollback, measure_rollback):
+        logs, snapshots, stats = measure(6, factory, cfg, period)
+        [snap] = snapshots
+        assert snap.time >= end
+        assert (snap.spe_tables, snap.epochs) == (final.spe_tables,
+                                                  final.epochs)
+        assert stats.trials == 6 and logs == ctl.logging_stats()
 
 
 def test_rollback_analysis_counts():

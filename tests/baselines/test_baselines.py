@@ -150,14 +150,16 @@ def test_domino_rolls_most_processes_back():
 def test_domino_vs_protocol_with_logging():
     """The protocol's whole point: with the epoch-logging rule enabled and
     clustering, strictly fewer processes roll back than plain
-    uncoordinated checkpointing on the same workload."""
-    from repro.analysis.rollback import measure_rollback
+    uncoordinated checkpointing on the same workload (the protocol side
+    measured on the live protocol)."""
     from repro.core import ProtocolConfig
+
+    from ..analysis.live_cell import live_rollback
 
     cfg = ProtocolConfig(checkpoint_interval=2e-5, cluster_of=[0, 0, 0, 1, 1, 1],
                          cluster_stagger=4e-6, rank_stagger=1e-6,
                          lightweight=True)
-    _, _, protocol_stats = measure_rollback(6, factory, cfg, 3e-5)
+    _, _, protocol_stats = live_rollback(6, factory, cfg, 3e-5)
 
     domino = run_domino_analysis(6, factory, checkpoint_interval=2e-5,
                                  sample_interval=3e-5, jitter=0.5)

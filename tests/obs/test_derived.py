@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro import campaigns
-from repro.analysis import rollback
 from repro.chaos import schedule_for_trial
 from repro.chaos import trial as chaos_trial
 from repro.core import build_ft_world
@@ -26,6 +25,8 @@ from repro.lint.sanitize import ENV_VAR
 from repro.obs import MetricsRegistry, dump_metrics, dump_timeseries
 from repro.obs.flight import FlightKind
 from repro.obs.timeseries import DEFAULT_TIMESERIES_INTERVAL
+
+from ..analysis import live_cell
 
 
 def check_counts(world, controller, obs):
@@ -115,10 +116,10 @@ def check_after(seen):
 
 
 def test_table1_cell(watch):
-    seen = watch(rollback, every=4e-5)  # the cell's world is the measurement's
+    seen = watch(live_cell, every=4e-5)  # a Table I cell's live world
     obs = MetricsRegistry(timeseries_interval=DEFAULT_TIMESERIES_INTERVAL)
-    campaigns.table1_cell({"kernel": "MG", "ranks": 64, "clusters": 4,
-                           "niters": 3, "obs": obs})
+    live_cell.live_table1_cell({"kernel": "MG", "ranks": 64, "clusters": 4,
+                                "niters": 3, "obs": obs})
     world, _, _ = check_after(seen)
     assert world.nprocs == 64
 
@@ -203,11 +204,12 @@ def _stencil():
 
 
 def _mg32():
-    # a campaign cell, registry built the way the sweep executor builds it
+    # a Table I cell's live protocol world, registry built the way the
+    # sweep executor builds it
     obs = MetricsRegistry(flight=False,
                           timeseries_interval=DEFAULT_TIMESERIES_INTERVAL)
-    campaigns.table1_cell({"kernel": "MG", "ranks": 32, "clusters": 4,
-                           "niters": 3, "obs": obs})
+    live_cell.live_table1_cell({"kernel": "MG", "ranks": 32, "clusters": 4,
+                                "niters": 3, "obs": obs})
     return obs
 
 

@@ -24,6 +24,8 @@ from repro.errors import SimulationError
 from repro.simmpi import World
 from repro.simmpi.trace import Tracer, send_witness_chains
 
+from ..analysis import live_cell
+
 
 def _factory(rank, size):
     return Stencil1D(rank, size, niters=6, cells=4)
@@ -119,20 +121,33 @@ def test_every_reader_in_src_arms_its_worlds(monkeypatch):
     assert cli.main(["demo", "--ranks", "6", "--clusters", "2"]) == 0
     assert built == [True, True]
 
-    # ... and the builders that read nothing stay unarmed
+    # ... and the builders that read nothing stay unarmed: a Table I
+    # cell's live world, the stencil scenario's two, and the one world a
+    # trace-derived cell runs
     del built[:]
-    monkeypatch.setattr(rollback_mod, "build_ft_world", spy)
-    campaigns.table1_cell(
+    monkeypatch.setattr(live_cell, "build_ft_world", spy)
+    live_cell.live_table1_cell(
         {"kernel": "MG", "ranks": 16, "clusters": 4, "niters": 2})
     campaigns.stencil_scenario(6, 2, niters=10)
     assert built == [False, False, False]
+
+    traced = []
+
+    def world_spy(*args, **kw):
+        traced.append(World(*args, **kw))
+        return traced[-1]
+
+    monkeypatch.setattr(rollback_mod, "World", world_spy)
+    campaigns.table1_cell(
+        {"kernel": "MG", "ranks": 16, "clusters": 4, "niters": 2})
+    assert [w.tracer.record_sequences for w in traced] == [False]
 
 
 # ----------------------------------------------------------------------
 # (b) an unarmed world retains nothing per message
 # ----------------------------------------------------------------------
 def _mg_cell(record_sequences, monkeypatch):
-    """``campaigns.table1_cell("MG", 64, 4)`` with its world armed or not;
+    """The live Table I cell ("MG", 64, 4) with its world armed or not;
     returns (cell row, world, controller, sampler)."""
     seen = {}
     real = build_ft_world
@@ -142,15 +157,15 @@ def _mg_cell(record_sequences, monkeypatch):
             *args, record_sequences=record_sequences, **kw)
         return seen["world"], seen["controller"]
 
-    class Sampler(rollback_mod.SpeSampler):
+    class Sampler(live_cell.SpeSampler):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             seen["sampler"] = self
 
     with monkeypatch.context() as patch:
-        patch.setattr(rollback_mod, "build_ft_world", build)
-        patch.setattr(rollback_mod, "SpeSampler", Sampler)
-        row = campaigns.table1_cell(
+        patch.setattr(live_cell, "build_ft_world", build)
+        patch.setattr(live_cell, "SpeSampler", Sampler)
+        row = live_cell.live_table1_cell(
             {"kernel": "MG", "ranks": 64, "clusters": 4, "niters": 4})
     return row, seen["world"], seen["controller"], seen["sampler"]
 

@@ -254,9 +254,11 @@ def test_table1_cell_pins_its_numbers():
 
 def test_a_table1_campaign_derives_what_the_live_cells_measure():
     """One task per (kernel, ranks), each simulating once: its rows and
-    its protocol / checkpoint counter totals equal the live
-    :func:`~repro.campaigns.table1_cell` runs', cell by cell summed."""
+    its protocol / checkpoint counter totals equal the live protocol's
+    Table I cells', cell by cell summed."""
     from repro.obs import MetricsRegistry
+
+    from .analysis.live_cell import live_table1_cell
 
     spec = {"kind": "table1", "kernels": ["MG", "LU"], "ranks": [16],
             "clusters": [2, 4], "niters": 4}
@@ -265,7 +267,7 @@ def test_a_table1_campaign_derives_what_the_live_cells_measure():
     live, rows = MetricsRegistry(flight=False), []
     for task in campaigns.table1_tasks(["MG", "LU"], [16], [2, 4], 4):
         cell = MetricsRegistry(flight=False)
-        rows.append(campaigns.table1_cell(dict(task.params, obs=cell)))
+        rows.append(live_table1_cell(dict(task.params, obs=cell)))
         live.merge(cell.snapshot())
     assert [row for r in run.results for row in r.value] == rows
     for name in ("protocol.messages_logged", "protocol.log_bytes",
