@@ -48,10 +48,8 @@ def evaluate(trace, cluster_of, cluster_epochs):
         cluster_epochs=cluster_epochs,
         cluster_stagger=6e-6,
         rank_stagger=3e-7,
-        lightweight=True,
-        retain_payloads=False,
     )
-    log, snapshots = trace_cell(trace, config)
+    log, snapshots = trace_cell(trace, config, 6e-5)
     return 100 * log["log_fraction"], rollback_analysis(snapshots, NPROCS).percent
 
 
@@ -59,8 +57,8 @@ def evaluate(trace, cluster_of, cluster_epochs):
 def strategy_results():
     out = {}
     for name, factory in KERNELS.items():
-        matrix = collect_matrix(NPROCS, factory, copy_payloads=False)
-        trace = record_trace(NPROCS, factory, 6e-5, copy_payloads=False)
+        matrix = collect_matrix(NPROCS, factory)
+        trace = record_trace(NPROCS, factory)
         strategies = {
             "blocks (paper)": block_clusters(NPROCS, NCLUSTERS),
             "modularity": modularity_clusters(matrix, NCLUSTERS),
@@ -86,7 +84,7 @@ def test_clustering_strategies_table(strategy_results, benchmark):
     table += ("\n(extension of Sec. VII future work: automatic clustering "
               "from the measured traffic matrix)\n")
     emit("ablation_clustering_strategies.txt", table)
-    matrix = collect_matrix(NPROCS, KERNELS["CG"], copy_payloads=False)
+    matrix = collect_matrix(NPROCS, KERNELS["CG"])
     benchmark(lambda: modularity_clusters(matrix, NCLUSTERS))
 
 

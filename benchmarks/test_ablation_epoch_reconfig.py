@@ -64,8 +64,7 @@ def run_with_epochs(cluster_epochs):
         lightweight=True,
         retain_payloads=False,
     )
-    world, controller = build_ft_world(NPROCS, SkewedTraffic, config,
-                                       copy_payloads=False)
+    world, controller = build_ft_world(NPROCS, SkewedTraffic, config)
     world.launch()
     world.run()
     stats = controller.logging_stats()
@@ -76,7 +75,7 @@ def run_with_epochs(cluster_epochs):
 def traffic_matrix():
     from repro.analysis import collect_matrix
 
-    return collect_matrix(NPROCS, SkewedTraffic, copy_payloads=False)
+    return collect_matrix(NPROCS, SkewedTraffic)
 
 
 def test_reconfig_table(traffic_matrix, benchmark):

@@ -36,15 +36,14 @@ def factory(rank, size):
 def measure_all():
     """%log and %rl of each configuration, derived from one run of the
     workload: the configurations differ only in checkpoint policy."""
-    trace = record_trace(NPROCS, factory, 4e-5, copy_payloads=False)
+    trace = record_trace(NPROCS, factory)
 
     def measure(config):
-        log, snapshots = trace_cell(trace, config)
+        log, snapshots = trace_cell(trace, config, 4e-5)
         return (100 * log["log_fraction"],
                 rollback_analysis(snapshots, NPROCS).percent)
 
-    base = dict(checkpoint_interval=2e-5, checkpoint_jitter=0.15,
-                lightweight=True, retain_payloads=False)
+    base = dict(checkpoint_interval=2e-5, checkpoint_jitter=0.15)
     out = {}
     out["random, logging on"] = measure(ProtocolConfig(**base))
     out["random, logging off"] = measure(
@@ -56,8 +55,6 @@ def measure_all():
             cluster_of=block_clusters(NPROCS, 4),
             cluster_stagger=5e-6,
             rank_stagger=5e-7,
-            lightweight=True,
-            retain_payloads=False,
         )
     )
     return out
@@ -102,7 +99,7 @@ def test_domino_baseline_reaches_beginning(benchmark):
     stats = benchmark.pedantic(
         lambda: run_domino_analysis(
             NPROCS, factory, checkpoint_interval=2e-5,
-            sample_interval=4e-5, jitter=0.15, copy_payloads=False,
+            sample_interval=4e-5, jitter=0.15,
         ),
         rounds=1, iterations=1,
     )

@@ -68,8 +68,7 @@ def comparison():
 
     # plain uncoordinated (offline domino analysis)
     domino = run_domino_analysis(NPROCS, factory, checkpoint_interval=3e-5,
-                                 sample_interval=5e-5, jitter=0.5,
-                                 copy_payloads=False)
+                                 sample_interval=5e-5, jitter=0.5)
     out["plain uncoordinated"] = dict(
         log=0.0, rolled=100.0 * domino.mean_rolled_back_fraction
     )

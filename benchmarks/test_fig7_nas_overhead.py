@@ -39,12 +39,12 @@ KERNELS = {
 def run_mode(factory, mode: str) -> float:
     timing = timing_model_for(mode)
     if mode == "native":
-        world = World(NPROCS, factory, timing=timing, copy_payloads=False)
+        world = World(NPROCS, factory, timing=timing)
     else:
         world, _ = build_ft_world(
             NPROCS, factory,
             ProtocolConfig(lightweight=True, retain_payloads=False),
-            timing=timing, copy_payloads=False,
+            timing=timing,
         )
     world.launch()
     return world.run()

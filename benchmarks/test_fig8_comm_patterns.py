@@ -23,18 +23,12 @@ NCLUSTERS = 8 if is_paper_scale() else 8
 
 @pytest.fixture(scope="module")
 def cg_matrix():
-    return collect_matrix(
-        NPROCS, lambda r, s: CGKernel(r, s, niters=6, block=4),
-        copy_payloads=False,
-    )
+    return collect_matrix(NPROCS, lambda r, s: CGKernel(r, s, niters=6, block=4))
 
 
 @pytest.fixture(scope="module")
 def mg_matrix():
-    return collect_matrix(
-        NPROCS, lambda r, s: MGKernel(r, s, niters=3, levels=3, block=8),
-        copy_payloads=False,
-    )
+    return collect_matrix(NPROCS, lambda r, s: MGKernel(r, s, niters=3, levels=3, block=8))
 
 
 def test_fig8_render(cg_matrix, mg_matrix, benchmark):

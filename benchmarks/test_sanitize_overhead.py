@@ -27,7 +27,7 @@ def _protocol_world(obs=None, sanitize=False, record_sequences=False):
             8, lambda r, s: Stencil2D(r, s, niters=30, block=3),
             ProtocolConfig(checkpoint_interval=3e-5, lightweight=True,
                            retain_payloads=False),
-            copy_payloads=False, obs=obs, record_sequences=record_sequences,
+            obs=obs, record_sequences=record_sequences,
         )
         world.launch()
         world.run()

@@ -51,6 +51,7 @@ CLUSTERS = 4
 
 _RUNNER = r"""
 import json, resource, sys, time
+from dataclasses import replace
 from repro.campaigns import table1_setup
 from repro.core import build_ft_world
 from repro.analysis.rollback import SpeSampler, rollback_analysis
@@ -59,6 +60,7 @@ nprocs = int(sys.argv[1])
 cell = table1_setup({"kernel": "CG", "ranks": nprocs, "niters": int(sys.argv[2]),
                      "clusters": int(sys.argv[3])})
 period = cell.pop("period")
+cell["config"] = replace(cell["config"], lightweight=True, retain_payloads=False)
 t0 = time.perf_counter()
 world, controller = build_ft_world(**cell)
 sampler = SpeSampler(controller, period)

@@ -13,6 +13,7 @@ factors, and the speedup against the committed seed-commit baseline
 
 import statistics
 from contextlib import closing
+from dataclasses import replace
 
 from repro.analysis.report import format_table
 from repro.apps import FTKernel, Stencil2D
@@ -59,8 +60,7 @@ def _engine_instant_burst() -> int:
 
 
 def _bare_world() -> World:
-    world = World(8, lambda r, s: Stencil2D(r, s, niters=30, block=3),
-                  copy_payloads=False)
+    world = World(8, lambda r, s: Stencil2D(r, s, niters=30, block=3))
     world.launch()
     world.run()
     return world
@@ -71,7 +71,6 @@ def _protocol_world():
         8, lambda r, s: Stencil2D(r, s, niters=30, block=3),
         ProtocolConfig(checkpoint_interval=3e-5, lightweight=True,
                        retain_payloads=False),
-        copy_payloads=False,
     )
     world.launch()
     world.run()
@@ -112,9 +111,10 @@ def _protocol_cells(make_obs=None) -> None:
     world with a fresh ``make_obs()`` registry (or none)."""
     for params in OVERHEAD_CELLS:
         setup = table1_setup(params)
+        config = replace(setup["config"], lightweight=True, retain_payloads=False)
         world, controller = build_ft_world(
-            setup["nprocs"], setup["program_factory"], setup["config"],
-            obs=make_obs() if make_obs else None, copy_payloads=False)
+            setup["nprocs"], setup["program_factory"], config,
+            obs=make_obs() if make_obs else None)
         with closing(controller):
             world.launch()
             world.run()
@@ -287,8 +287,7 @@ def test_protocol_overhead_factor(benchmark):
 
 def test_alltoall_heavy_workload_rate(benchmark):
     def run():
-        world = World(32, lambda r, s: FTKernel(r, s, niters=2, slab=2),
-                      copy_payloads=False)
+        world = World(32, lambda r, s: FTKernel(r, s, niters=2, slab=2))
         world.launch()
         world.run()
         return world.tracer.total_app_messages()

@@ -34,13 +34,12 @@ def interval_table(ranks: int, niters: int) -> list[str]:
         setups = {ncl: table1_setup({"kernel": kernel, "ranks": ranks,
                                      "clusters": ncl, "niters": niters})
                   for ncl in CLUSTERS}
-        run = {k: v for k, v in setups[CLUSTERS[0]].items() if k != "config"}
-        trace = record_trace(**run)
+        trace = record_trace(ranks, setups[CLUSTERS[0]]["program_factory"])
         for ncl, setup in setups.items():
             cells = []
             for interval in INTERVALS:
                 config = replace(setup["config"], checkpoint_interval=interval)
-                log, snapshots = trace_cell(trace, config)
+                log, snapshots = trace_cell(trace, config, setup["period"])
                 rl = rollback_analysis(snapshots, ranks).percent
                 cells.append(f"{100 * log['log_fraction']:.1f} / {rl:.1f}")
             bound = 100 * expected_rollback_fraction(ncl)

@@ -27,7 +27,7 @@ def main() -> None:
     factory = lambda r, s: cls(r, s)
 
     # 1. measure the communication pattern (a failure-free run)
-    matrix = collect_matrix(nprocs, factory, copy_payloads=False)
+    matrix = collect_matrix(nprocs, factory)
     clusters = block_clusters(nprocs, nclusters)
     clustering = Clustering(clusters, matrix).reconfigure_epochs()
     print(f"{kernel_name}.{nprocs} communication pattern "
@@ -46,11 +46,8 @@ def main() -> None:
         cluster_epochs=clustering.initial_epochs(),
         cluster_stagger=6e-6,
         rank_stagger=1e-6,
-        lightweight=True,
-        retain_payloads=False,
     )
-    logs, _, rb = measure_rollback(nprocs, factory, config, 8e-5,
-                                   copy_payloads=False)
+    logs, _, rb = measure_rollback(nprocs, factory, config, 8e-5)
 
     # 3. the two Table I columns
     print(f"\nTable-I style result for {kernel_name}.{nprocs}, "

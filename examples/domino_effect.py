@@ -43,7 +43,6 @@ def main() -> None:
         cluster_of=[r // 3 for r in range(NPROCS)],  # 4 clusters of 3
         cluster_stagger=4e-6,
         rank_stagger=1e-6,
-        lightweight=True,
     )
     logs, _, stats = measure_rollback(NPROCS, factory, config, 4e-5)
     print("\nsend-deterministic protocol, 4 clusters with staggered epochs:")

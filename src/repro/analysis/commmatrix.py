@@ -24,10 +24,9 @@ __all__ = ["collect_matrix", "render_matrix", "matrix_stats"]
 def collect_matrix(
     nprocs: int,
     program_factory: Callable[[int, int], Any],
-    **world_kwargs: Any,
 ) -> np.ndarray:
     """Run ``program_factory`` failure-free and return the comm matrix."""
-    world = World(nprocs, program_factory, **world_kwargs)
+    world = World(nprocs, program_factory)
     with closing(world):
         world.launch()
         world.run()

@@ -9,9 +9,10 @@
 
 Without checkpoint I/O and failures the protocol decides what is logged and
 what enters SPE, never when anything happens, so one protocol-free run
-(:func:`record_trace`) fixes every policy's cell: :func:`trace_cell`
-restates Fig. 3's logging rule and SPE bookkeeping as arithmetic on it and
-yields the SPE snapshots the protocol would have at a fixed virtual period.
+(:func:`record_trace`) fixes every policy's cell at every period:
+:func:`trace_cell` restates Fig. 3's logging rule and SPE bookkeeping as
+arithmetic on it, yielding the protocol's SPE snapshots every ``period``,
+each tick reading the state before every event at its own instant.
 :func:`rollback_analysis` computes, per snapshot, the size of the recovery
 line of every failed rank and aggregates the statistics the paper reports
 (``%rl``); :func:`measure_rollback` is the whole method in one call.
@@ -35,7 +36,9 @@ from __future__ import annotations
 import gc
 from array import array
 from collections import defaultdict
+from contextlib import closing
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -246,34 +249,34 @@ def rollback_analysis(
 
 def measure_rollback(
     nprocs: int, program_factory: Callable[[int, int], Any], config: ProtocolConfig,
-    period: float, obs: Any = None, **world_kwargs: Any,
+    period: float, obs: Any = None,
 ) -> tuple[dict[str, float], list[SpeSnapshot], RollbackStats]:
     """Sec. V-E-1 end to end: run ``program_factory`` failure-free once
-    (:func:`record_trace`; ``obs`` and ``world_kwargs`` go to its world),
-    derive ``config``'s SPE tables every ``period`` of virtual time (once at
-    the end if the run is shorter) with :func:`trace_cell` and fail every
+    (:func:`record_trace`, under ``obs``), derive ``config``'s SPE tables
+    every ``period`` of virtual time with :func:`trace_cell` and fail every
     rank in every snapshot.  Returns ``config``'s ``logging_stats()``
     (``%log``), the snapshots and their ``%rl`` statistics."""
-    trace = record_trace(nprocs, program_factory, period, obs=obs, **world_kwargs)
-    log, snapshots = trace_cell(trace, config, obs)
+    trace = record_trace(nprocs, program_factory, obs)
+    log, snapshots = trace_cell(trace, config, period, obs)
     return log, snapshots, rollback_analysis(snapshots, nprocs)
 
 
 @dataclass
 class CellTrace:
-    """What a failure-free run fixes for every checkpoint policy; an
-    opportunity count is how many of a rank's checkpoint opportunities
-    came before an event."""
+    """What a failure-free run fixes for every checkpoint policy and period
+    (a tick at t sees what is dated before t); an opportunity count is how
+    many of a rank's checkpoint opportunities came before an event."""
 
     #: per rank, per checkpoint opportunity: its time and the sends before it
     opportunities: list[list[tuple[float, int]]]
-    #: per application message in send order, six numbers: sender,
-    #: receiver, size, the sender's opportunity count at the send, the
-    #: receiver's at the delivery, the sampler ticks fired before the ack
-    #: reached the sender
+    #: per application message in send order, five ints: sender, receiver,
+    #: size, sender's opportunity count at the send, receiver's at delivery
     messages: array = field(default_factory=lambda: array("q"))
-    #: per sampler tick: its time and every rank's opportunity count
-    ticks: list[tuple[float, list[int]]] = field(default_factory=list)
+    #: per application message: the instant its ack reached the sender
+    acked: array = field(default_factory=lambda: array("d"))
+    #: the instants the last rank finished and the run ended
+    finished: float = 0.0
+    end: float = 0.0
 
 
 class _RecordingHook(ProtocolHook):
@@ -289,18 +292,19 @@ class _RecordingHook(ProtocolHook):
 
     def on_app_send(self, env: Any) -> None:
         t = self.trace
-        env.meta["m"] = len(t.messages)  # the message's row offset
+        env.meta["m"] = len(t.acked)  # the message's index
         t.messages.extend((self.rank, env.dst, env.size,
-                           len(t.opportunities[self.rank]), 0, 0))
+                           len(t.opportunities[self.rank]), 0))
+        t.acked.append(inf)
 
     def on_message(self, env: Any) -> bool:
         m = env.meta["m"]
-        self.trace.messages[m + 4] = len(self.trace.opportunities[self.rank])
+        self.trace.messages[5 * m + 4] = len(self.trace.opportunities[self.rank])
         self.world.network.transmit_ack(self.rank, env.src, m, _ACK_RECORD_NBYTES)
         return True
 
     def on_ack(self, src: int, record: int) -> None:
-        self.trace.messages[record + 5] = len(self.trace.ticks)
+        self.trace.acked[record] = self.world.engine.now
 
     def checkpoint_due(self) -> bool:
         self.trace.opportunities[self.rank].append(
@@ -311,45 +315,46 @@ class _RecordingHook(ProtocolHook):
         raise ConfigError("record_trace: a forced checkpoint fixes an epoch "
                           "the trace cannot leave to the policy")
 
+    def on_program_done(self) -> None:
+        self.trace.finished = self.world.engine.now  # the last call is the latest
+
 
 def record_trace(nprocs: int, program_factory: Callable[[int, int], Any],
-                 period: float, obs: Any = None, **world_kwargs: Any) -> CellTrace:
-    """Run ``program_factory`` failure-free, recording what :func:`trace_cell`
-    needs, with ticks as :class:`SpeSampler` takes snapshots.  ``obs`` and
-    ``world_kwargs`` go to :class:`~repro.simmpi.runtime.World`."""
+                 obs: Any = None) -> CellTrace:
+    """Run ``program_factory`` failure-free under ``obs``, recording what
+    :func:`trace_cell` needs for any policy at any period: the run schedules
+    no tick, so a tick at t reads what the trace dates before t."""
     trace = CellTrace([[] for _ in range(nprocs)])
     world = World(nprocs, program_factory, obs=obs,
-                  hook_factory=lambda r: _RecordingHook(r, trace), **world_kwargs)
-    engine = world.engine
-
-    def tick() -> None:
-        trace.ticks.append((engine.now, [len(o) for o in trace.opportunities]))
-
-    def periodic() -> None:
-        if not world.all_done:
-            tick()
-            engine.schedule(period, periodic)
-
-    try:
-        engine.schedule_at(period, periodic)
+                  hook_factory=lambda r: _RecordingHook(r, trace))
+    with closing(world):
         world.launch()
-        world.run()
-        if not trace.ticks:
-            tick()
-    finally:
-        world.close()
-        del periodic  # it holds itself, and the world with it, in a cycle
+        trace.end = world.run()
     return trace
 
 
-def trace_cell(trace: CellTrace, config: ProtocolConfig,
+def trace_cell(trace: CellTrace, config: ProtocolConfig, period: float,
                obs: Any = None) -> tuple[dict[str, float], list[SpeSnapshot]]:
-    """``config``'s ``logging_stats()`` and SPE snapshots in the run
-    ``trace`` recorded — equal to :func:`measure_rollback`'s — and, into
-    ``obs``, the protocol and checkpoint counters that run would count."""
+    """``config``'s ``logging_stats()`` and SPE snapshots every ``period``
+    in the run ``trace`` recorded, equal to a live :class:`SpeSampler`'s,
+    and, into ``obs``, the protocol and checkpoint counters that run would
+    count.  Ticks fall at ``t = period``, then ``t += period``, while
+    ``t <= trace.finished``; a tick reads the state before every event at
+    its instant, so an ack or opportunity at a tick's time counts after it.
+    A run shorter than that gets one snapshot of its end (dated at the
+    later of ``period`` and ``trace.end``)."""
     if config.checkpoint_size_bytes:
         raise ConfigError("trace_cell: checkpoint writes stall the run, so "
                           "its timing depends on the checkpoint policy")
+    if not period > 0:
+        raise ConfigError(f"trace_cell: the sampling period must be > 0, not {period}")
+    times: list[float] = []
+    t = period
+    while t <= trace.finished:
+        times.append(t)
+        t += period
+    cuts = times or [inf]  # a tick sees what is dated before its cut
+    times = times or [max(period, trace.end)]
     # per rank: its epoch after each opportunity count, and each begun
     # epoch with its start date (the sends before it)
     epochs: list[list[int]] = []
@@ -367,8 +372,7 @@ def trace_cell(trace: CellTrace, config: ProtocolConfig,
             epochs[-1].append(epoch)
     flat = np.array([e for row in epochs for e in row], dtype=np.int64)
     base = np.cumsum([0] + [len(row) for row in epochs[:-1]], dtype=np.int64)
-    src, dst, size, send_opps, recv_opps, ack_ticks = \
-        np.asarray(trace.messages).reshape(-1, 6).T
+    src, dst, size, send_opps, recv_opps = np.asarray(trace.messages).reshape(-1, 5).T
     e_send, e_recv = flat[base[src] + send_opps], flat[base[dst] + recv_opps]
     logged = (e_send < e_recv) & config.log_cross_epoch
     nlogged, total = int(logged.sum()), len(src)
@@ -387,14 +391,18 @@ def trace_cell(trace: CellTrace, config: ProtocolConfig,
     # one SpeSnapshot per tick, as SpeSampler takes it: a confirmed message
     # enters its sender's SPE at the first tick after its ack arrived, and
     # an entry no ack changed is shared with the snapshot before
+    ack_ticks = np.searchsorted(cuts, np.asarray(trace.acked), side="right")
     order = np.flatnonzero(~logged)
     order = order[np.argsort(ack_ticks[order], kind="stable")]
     acks = zip(*(col[order].tolist() for col in (ack_ticks, src, dst, e_send, e_recv)))
+    # per tick, every rank's epoch after its opportunities before the cut
+    at_cut = np.stack([flat[base[r] + np.searchsorted([t for t, _ in opps], cuts)]
+                       for r, opps in enumerate(trace.opportunities)], axis=1)
     spe: list[dict[int, dict[int, int]]] = [{} for _ in epochs]
     tables: list[dict] = [{} for _ in epochs]
     snapshots = []
     pending = next(acks, None)
-    for tick, (time, opps) in enumerate(trace.ticks):
+    for tick, (time, now) in enumerate(zip(times, at_cut.tolist())):
         dirty: defaultdict[int, set[int]] = defaultdict(set)
         while pending is not None and pending[0] <= tick:
             _, k, j, es, er = pending
@@ -403,7 +411,6 @@ def trace_cell(trace: CellTrace, config: ProtocolConfig,
                 row[j] = er
                 dirty[k].add(es)
             pending = next(acks, None)
-        now = {r: epochs[r][n] for r, n in enumerate(opps)}
         for r, table in enumerate(tables):
             begun = now[r] - starts[r][0][0] + 1
             if r not in dirty and begun == len(table):
@@ -413,5 +420,5 @@ def trace_cell(trace: CellTrace, config: ProtocolConfig,
                 table[e] = (start, dict(spe[r].get(e, {})))
             for e in dirty.get(r, ()):
                 table[e] = (table[e][0], dict(spe[r][e]))
-        snapshots.append(SpeSnapshot(time, dict(enumerate(tables)), now))
+        snapshots.append(SpeSnapshot(time, dict(enumerate(tables)), dict(enumerate(now))))
     return stats, snapshots

@@ -39,7 +39,6 @@ def plain_uncoordinated_config(
         checkpoint_jitter=jitter,
         checkpoint_seed=seed,
         log_cross_epoch=False,
-        lightweight=True,
     )
 
 
@@ -62,13 +61,11 @@ def run_domino_analysis(
     sample_interval: float,
     jitter: float = 0.5,
     seed: int = 0,
-    **world_kwargs: Any,
 ) -> DominoStats:
     """Run a kernel under plain uncoordinated checkpointing and measure the
     domino effect with the paper's offline methodology."""
     cfg = plain_uncoordinated_config(checkpoint_interval, jitter, seed)
-    _, snapshots, stats = measure_rollback(nprocs, program_factory, cfg,
-                                           sample_interval, **world_kwargs)
+    _, snapshots, stats = measure_rollback(nprocs, program_factory, cfg, sample_interval)
     depths: list[float] = []
     hit_beginning = 0
     trials = 0

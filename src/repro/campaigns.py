@@ -72,10 +72,9 @@ def table1_setup(params: dict) -> dict[str, Any]:
         checkpoint_interval=6e-5,
         cluster_of=block_clusters(nprocs, ncl),
         cluster_stagger=8e-6, rank_stagger=2e-7,
-        lightweight=True, retain_payloads=False,
     )
     return {"nprocs": nprocs, "program_factory": factory, "config": config,
-            "period": 7e-5, "copy_payloads": False}
+            "period": 7e-5}
 
 
 def table1_cell(params: dict) -> dict:
@@ -102,11 +101,10 @@ def table1_rows(params: dict) -> list[dict]:
     obs = params.get("obs")
     setups = [table1_setup({**params, "clusters": ncl})
               for ncl in params["clusters"]]
-    trace = record_trace(obs=obs, **{k: v for k, v in setups[0].items()
-                                     if k != "config"})
+    trace = record_trace(setups[0]["nprocs"], setups[0]["program_factory"], obs)
 
     def row(ncl: int, setup: dict) -> dict:
-        log, snapshots = trace_cell(trace, setup["config"], obs)
+        log, snapshots = trace_cell(trace, setup["config"], setup["period"], obs)
         return _table1_row(params, ncl, log,
                            rollback_analysis(snapshots, setup["nprocs"]))
 

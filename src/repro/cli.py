@@ -556,8 +556,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     from .core.clustering import Clustering, block_clusters
 
     cls = TABLE1_KERNELS[args.kernel]
-    matrix = collect_matrix(args.ranks, lambda r, s: cls(r, s),
-                            copy_payloads=False)
+    matrix = collect_matrix(args.ranks, lambda r, s: cls(r, s))
     clusters = block_clusters(args.ranks, args.clusters)
     clustering = Clustering(clusters, matrix).reconfigure_epochs()
     print(render_matrix(matrix, clusters, clustering.initial_epochs(),
@@ -574,8 +573,7 @@ def cmd_domino(args: argparse.Namespace) -> int:
 
     factory = lambda r, s: Stencil2D(r, s, niters=40, block=3)
     stats = run_domino_analysis(args.ranks, factory, checkpoint_interval=2e-5,
-                                sample_interval=4e-5, jitter=0.15,
-                                copy_payloads=False)
+                                sample_interval=4e-5, jitter=0.15)
     print(f"plain uncoordinated: {100 * stats.mean_rolled_back_fraction:.1f}% "
           f"rolled back, {100 * stats.restart_from_beginning_fraction:.1f}% "
           f"of failures reach the initial state")

@@ -9,18 +9,25 @@ and read the live world's own counts.
 """
 
 from contextlib import closing
+from dataclasses import replace
 
 from repro.analysis.rollback import SpeSampler, rollback_analysis
 from repro.campaigns import table1_setup
 from repro.core import build_ft_world
 
 
-def live_rollback(nprocs, program_factory, config, period, **world_kwargs):
-    """``measure_rollback``'s answer measured on the live protocol: build,
-    sample, run, end-of-run snapshot, close, analyse (``world_kwargs`` go to
-    :func:`build_ft_world`)."""
-    world, controller = build_ft_world(nprocs, program_factory, config,
-                                       **world_kwargs)
+def live_world(nprocs, program_factory, config, obs=None):
+    """``config``'s protocol world, lightweight: a failure-free measurement
+    reads neither application snapshots nor logged payloads."""
+    return build_ft_world(nprocs, program_factory,
+                          replace(config, lightweight=True, retain_payloads=False),
+                          obs=obs)
+
+
+def live_rollback(nprocs, program_factory, config, period, obs=None):
+    """``measure_rollback``'s answer measured on the live protocol: build
+    (:func:`live_world`), sample, run, end-of-run snapshot, close, analyse."""
+    world, controller = live_world(nprocs, program_factory, config, obs)
     with closing(controller):
         sampler = SpeSampler(controller, period)
         sampler.arm()

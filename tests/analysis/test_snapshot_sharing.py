@@ -16,6 +16,8 @@ from repro.core import ProtocolConfig, build_ft_world
 from repro.core.protocol import CTL
 from repro.core.recovery import RecoveryProcess, compute_recovery_line
 
+from .live_cell import live_world
+
 
 def _sampled_cell(kernel="CG", ranks=16, niters=8):
     """A Table I cell run under a sampler whose every take also records a
@@ -23,7 +25,7 @@ def _sampled_cell(kernel="CG", ranks=16, niters=8):
     cell = table1_setup({"kernel": kernel, "ranks": ranks, "clusters": 4,
                          "niters": niters})
     period = cell.pop("period")
-    world, controller = build_ft_world(**cell)
+    world, controller = live_world(**cell)
     sampler = SpeSampler(controller, period)
     fresh = []
     take = sampler.take

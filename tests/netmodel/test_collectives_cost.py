@@ -23,7 +23,7 @@ def measure(nprocs, body):
             yield from body(api)
             self.state["t1"] = yield api.now()
 
-    world = World(nprocs, P, timing=TIMING, copy_payloads=False)
+    world = World(nprocs, P, timing=TIMING)
     world.launch()
     world.run()
     return (max(p.state["t1"] for p in world.programs)

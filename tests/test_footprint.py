@@ -6,8 +6,9 @@ import tracemalloc
 
 from repro.analysis.rollback import SpeSampler, rollback_analysis
 from repro.campaigns import table1_setup
-from repro.core import build_ft_world
 from repro.core.checkpoint import CheckpointSchedule
+
+from .analysis.live_cell import live_world
 
 #: tracemalloc bytes a finished 256-rank CG cell (4 clusters, 4
 #: iterations) keeps per rank, as landed on CPython 3.11 (27,900 before
@@ -23,7 +24,7 @@ def _finished_cell(ranks: int):
     cell = table1_setup({"kernel": "CG", "ranks": ranks, "clusters": 4,
                          "niters": 4})
     period = cell.pop("period")
-    world, controller = build_ft_world(**cell)
+    world, controller = live_world(**cell)
     sampler = SpeSampler(controller, period)
     sampler.arm()
     world.launch()
