@@ -69,6 +69,9 @@ class SpeSampler:
     """Periodically snapshots the SPE tables of a running world."""
 
     def __init__(self, controller: FTController, interval: float):
+        if not interval > 0:  # a tick would re-schedule itself at its instant
+            raise ConfigError(
+                f"SpeSampler: the sampling interval must be > 0, not {interval}")
         self.controller = controller
         self.interval = interval
         self.snapshots: list[SpeSnapshot] = []

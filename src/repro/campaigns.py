@@ -26,14 +26,13 @@ workers) and a pure function of ``(seed, params)``.
 from __future__ import annotations
 
 import random
-from contextlib import closing
 from itertools import groupby
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .analysis import compare_executions
-from .analysis.rollback import measure_rollback, record_trace, rollback_analysis, trace_cell
+from .analysis.rollback import record_trace, rollback_analysis, trace_cell
 from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS, Stencil2D
-from .core import ProtocolConfig, build_ft_world
+from .core import ProtocolConfig
 from .core.clustering import block_clusters
 from .errors import ConfigError
 from .obs import MetricsRegistry, ProgressStream, stream_progress
@@ -44,7 +43,6 @@ __all__ = [
     "DEFAULTS",
     "CampaignRun",
     "failure_scenario",
-    "failure_tasks",
     "plan",
     "run_campaign",
     "selftest_cell",
@@ -78,26 +76,16 @@ def table1_setup(params: dict) -> dict[str, Any]:
 
 
 def table1_cell(params: dict) -> dict:
-    """Compute one Table I cell; module-level so sweeps can pickle it.
-
-    The simulation is fully deterministic — the sweep-injected ``seed``
-    entry is deliberately unused, so a cell's numbers never depend on
-    worker count or scheduling.
-    """
-    log, _, rb = measure_rollback(**table1_setup(params), obs=params.get("obs"))
-    return _table1_row(params, params["clusters"], log, rb)
-
-
-def _table1_row(params: dict, clusters: int, log: dict, rb: Any) -> dict:
-    return {"kernel": params["kernel"], "ranks": params["ranks"],
-            "clusters": clusters,
-            "pct_log": 100 * log["log_fraction"], "pct_rollback": rb.percent}
+    """Compute one Table I cell: :func:`table1_rows` for the one cluster
+    count ``params["clusters"]``; module-level so sweeps can pickle it."""
+    return table1_rows({**params, "clusters": [params["clusters"]]})[0]
 
 
 def table1_rows(params: dict) -> list[dict]:
-    """:func:`table1_cell`'s rows of one ``(kernel, ranks)`` for each of
+    """The Table I rows of one ``(kernel, ranks)``, one for each of
     ``params["clusters"]``, derived from one recorded simulation: the
-    cells differ only in policy (:func:`~repro.analysis.rollback.trace_cell`)."""
+    cells differ only in policy (:func:`~repro.analysis.rollback.trace_cell`).
+    The sweep-injected ``seed`` is unused: the simulation is deterministic."""
     obs = params.get("obs")
     setups = [table1_setup({**params, "clusters": ncl})
               for ncl in params["clusters"]]
@@ -105,8 +93,10 @@ def table1_rows(params: dict) -> list[dict]:
 
     def row(ncl: int, setup: dict) -> dict:
         log, snapshots = trace_cell(trace, setup["config"], setup["period"], obs)
-        return _table1_row(params, ncl, log,
-                           rollback_analysis(snapshots, setup["nprocs"]))
+        rb = rollback_analysis(snapshots, setup["nprocs"])
+        return {"kernel": params["kernel"], "ranks": params["ranks"],
+                "clusters": ncl, "pct_log": 100 * log["log_fraction"],
+                "pct_rollback": rb.percent}
 
     return [row(ncl, setup) for ncl, setup in zip(params["clusters"], setups)]
 
@@ -134,36 +124,31 @@ def stencil_scenario(nprocs: int, nclusters: int, niters: int = 40,
                      fail_rank: int | None = None,
                      fail_frac: float | None = 0.5, obs: Any = None,
                      record_sequences: bool = False):
-    """The Stencil2D failure scenario behind ``repro sweep`` and the
-    CLI's ``demo`` / ``explain`` / ``obs`` / ``report``:
-    block clusters, and ``fail_rank`` (default: the last rank) killed at
-    ``fail_frac`` of the horizon a failure-free reference run measures
-    first.  ``fail_frac=None`` runs without a failure (and a reference).
-    Returns ``(ref, world, controller, fail_rank, fail_time)`` with
-    ``world`` — the one ``obs`` instruments — run to completion.  Both
-    worlds come back closed: results, reports and statistics stay
+    """The Stencil2D failure scenario behind ``repro sweep`` and the CLI's
+    ``demo`` / ``explain`` / ``obs`` / ``report``, run on the chaos harness
+    (:func:`repro.chaos.run_schedule`): block clusters, and ``fail_rank``
+    (default: the last rank) killed at ``fail_frac`` of the horizon its
+    failure-free reference measures; ``fail_frac=None`` runs no failure.
+    Returns ``(ref, world, controller, fail_rank, fail_time)``, ``world``
+    (the one ``obs`` instruments) run to completion or its error raised.
+    Both worlds come back closed: results, reports and statistics stay
     readable; a caller that compares them arms ``record_sequences``."""
-    config = ProtocolConfig(checkpoint_interval=3e-5,
-                            cluster_of=block_clusters(nprocs, nclusters),
-                            cluster_stagger=5e-6, rank_stagger=1e-6)
-    factory = lambda r, s: Stencil2D(r, s, niters=niters, block=3)
-    ref = fail_time = None
+    from .chaos.schedule import FailureSpec, TrialSchedule
+    from .chaos.trial import run_schedule
+
+    failures: tuple[FailureSpec, ...] = ()
     if fail_frac is not None:
-        ref, ref_controller = build_ft_world(
-            nprocs, factory, config, record_sequences=record_sequences)
-        with closing(ref_controller):
-            ref.launch()
-            ref.run()
         fail_rank = nprocs - 1 if fail_rank is None else fail_rank
-        fail_time = fail_frac * ref.engine.now
-    world, controller = build_ft_world(
-        nprocs, factory, config, obs=obs, record_sequences=record_sequences)
-    with closing(controller):
-        if fail_frac is not None:
-            controller.inject_failure(fail_time, fail_rank)
-            controller.arm()
-        world.launch()
-        world.run()
+        failures = (FailureSpec(fail_rank, "at", frac=fail_frac),)
+    schedule = TrialSchedule(
+        seed=0, kernel="stencil2d", nprocs=nprocs, niters=niters,
+        clusters=nclusters, checkpoint_interval=3e-5, cluster_stagger=5e-6,
+        rank_stagger=1e-6, failures=failures)
+    ref, world, controller, exc, placed = run_schedule(
+        schedule, obs=obs, record_sequences=record_sequences)
+    if exc is not None:
+        raise exc
+    fail_time = placed["placements"][0]["time"] if failures else None
     return ref, world, controller, fail_rank, fail_time
 
 
@@ -192,15 +177,6 @@ def failure_scenario(params: dict) -> dict:
         "pct_log": 100 * stats["log_fraction"],
         "valid": compare_executions(ref, world).valid,
     }
-
-
-def failure_tasks(runs: int, ranks: int, clusters: int, niters: int) -> list:
-    return [
-        SweepTask(name=f"failure-{i:03d}",
-                  params={"ranks": ranks, "clusters": clusters,
-                          "niters": niters})
-        for i in range(runs)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +213,9 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 
 
 def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """Check a campaign spec's shape, kernel names and (ranks, clusters)
-    cells; returns a copy with every field of its kind present (absent or
-    ``None`` fields take the default)."""
+    """Check a campaign spec's shape, counts, kernel names and (ranks,
+    clusters) cells; returns a copy with every field of its kind present
+    (absent or ``None`` fields take the default)."""
     if not isinstance(spec, dict):
         raise ConfigError("campaign spec must be a JSON object")
     kind = spec.get("kind")
@@ -252,6 +228,13 @@ def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
             f"unknown spec field(s) for kind {kind!r}: {', '.join(unknown)}")
     given = {k: v for k, v in spec.items() if v is not None}
     spec = {**DEFAULTS[kind], **given}
+    for name, least in {"niters": 1, "runs": 1, "trials": 1, "tasks": 1,
+                        "shrink": 0}.items():
+        if name in spec and not float(spec[name]) >= least:
+            raise ConfigError(f"{kind} {name} must be >= {least}, not {spec[name]}")
+    if spec.get("timeseries") is not None and not float(spec["timeseries"]) > 0:
+        raise ConfigError(f"{kind} timeseries interval must be > 0, "
+                          f"not {spec['timeseries']}")
     if isinstance(spec.get("kernels"), str):  # a JSON spec may name one kernel
         spec["kernels"] = [spec["kernels"]]
     known = list(TABLE1_KERNELS) if kind == "table1" else list(KERNELS)
@@ -267,12 +250,10 @@ def validate_spec(spec: dict[str, Any]) -> dict[str, Any]:
             raise ConfigError("table1 grid keeps no cell (each needs clusters <= ranks)")
     for nprocs, ncl in cells:
         block_clusters(nprocs, ncl)  # raises ConfigError on a cell it cannot build
-    if kind == "chaos" and spec["bug"]:
-        from .chaos.trial import SYNTHETIC_BUGS
+    if kind == "chaos":
+        from .chaos.schedule import check_bug
 
-        if spec["bug"] not in SYNTHETIC_BUGS:
-            raise ConfigError(f"unknown synthetic bug {spec['bug']!r} "
-                              f"(have {sorted(SYNTHETIC_BUGS)})")
+        check_bug(spec["bug"])
     return spec
 
 
@@ -303,8 +284,9 @@ def plan(spec: dict[str, Any]) -> tuple[Callable, list, int, list[type]]:
     if kind == "selftest":
         return selftest_cell, selftest_tasks(int(spec["tasks"])), base_seed, []
     if kind == "sweep":
-        tasks = failure_tasks(int(spec["runs"]), int(spec["ranks"]),
-                              int(spec["clusters"]), int(spec["niters"]))
+        params = {f: int(spec[f]) for f in ("ranks", "clusters", "niters")}
+        tasks = [SweepTask(f"failure-{i:03d}", dict(params))
+                 for i in range(int(spec["runs"]))]
         return failure_scenario, tasks, base_seed, [Stencil2D]
     names, niters = list(spec["kernels"]), int(spec["niters"])
     cells = table1_tasks(names, _many(spec["ranks"]), _many(spec["clusters"]), niters)

@@ -11,8 +11,9 @@ failing schedule is delta-debugged down to a minimal reproducer emitted as
 a ready-to-paste pytest.
 
 Entry points: ``repro chaos`` on the CLI, :func:`run_campaign` in code,
-:func:`run_trial_schedule` for a single schedule, and
-:func:`shrink_schedule` for minimization.  See ``docs/robustness.md``.
+:func:`run_trial_schedule` for a single schedule, :func:`run_schedule`
+for its reference and failure runs alone, and :func:`shrink_schedule`
+for minimization.  See ``docs/robustness.md``.
 """
 
 from typing import TYPE_CHECKING
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
         with_failures,
     )
     from .shrink import ShrinkResult, reproducer_source, shrink_schedule
-    from .trial import SYNTHETIC_BUGS, run_trial, run_trial_schedule
+    from .trial import SYNTHETIC_BUGS, run_schedule, run_trial, run_trial_schedule
 else:
     __getattr__, __dir__, __all__ = lazy_facade(globals(), {
         "campaign": "CampaignReport replay_trial run_campaign "
@@ -45,5 +46,5 @@ else:
         "schedule": "PLACEMENT_KINDS FailureSpec TrialSchedule "
                     "generate_schedule schedule_from_json with_failures",
         "shrink": "ShrinkResult reproducer_source shrink_schedule",
-        "trial": "SYNTHETIC_BUGS run_trial run_trial_schedule",
+        "trial": "SYNTHETIC_BUGS run_schedule run_trial run_trial_schedule",
     })

@@ -25,12 +25,14 @@ from typing import Any, Callable
 
 from .. import campaigns
 from ..apps import CHAOS_POOL, KERNELS
+from ..core.clustering import block_clusters
 from ..errors import ConfigError
 
 __all__ = [
     "FailureSpec",
     "TrialSchedule",
     "PLACEMENT_KINDS",
+    "SYNTHETIC_BUGS",
     "generate_schedule",
     "schedule_from_json",
     "with_failures",
@@ -51,6 +53,23 @@ _WINDOWS = {
     "recovery": (3e-6, 6e-5),
     "restored": (6e-5, 3e-4),
 }
+
+
+#: available synthetic protocol bugs (shrinker self-test / harness
+#: self-validation); each entry documents what the bug breaks
+SYNTHETIC_BUGS = {
+    "ack_drop": ("sender treats every 3rd acknowledgement as cumulative, "
+                 "dropping every outstanding NonAck record for that peer"),
+    "log_drop": "sender-based log loses every 2nd logged message",
+    "restore_corrupt": "restored app state is perturbed by 1e-3",
+}
+
+
+def check_bug(bug: str) -> None:
+    """Refuse a synthetic bug name :data:`SYNTHETIC_BUGS` lacks ("" is none)."""
+    if bug and bug not in SYNTHETIC_BUGS:
+        raise ConfigError(f"unknown synthetic bug {bug!r} "
+                          f"(have {sorted(SYNTHETIC_BUGS)})")
 
 
 _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
@@ -119,10 +138,7 @@ class TrialSchedule:
             raise ConfigError(f"unknown chaos kernel {self.kernel!r}")
         if self.nprocs < 2:
             raise ConfigError("chaos trials need at least 2 ranks")
-        if not 1 <= self.clusters <= self.nprocs:
-            raise ConfigError("clusters must be in [1, nprocs]")
-        if self.nprocs % self.clusters:
-            raise ConfigError("clusters must divide nprocs (block clustering)")
+        block_clusters(self.nprocs, self.clusters)  # raises on a bad count
         if self.gc_frac and not self.log_cross_epoch:
             raise ConfigError(
                 "gc_frac requires log_cross_epoch=True (GC is unsound "
@@ -132,6 +148,7 @@ class TrialSchedule:
                 raise ConfigError(f"failure rank {spec.rank} out of range")
             if spec.kind not in PLACEMENT_KINDS:
                 raise ConfigError(f"unknown placement kind {spec.kind!r}")
+        check_bug(self.bug)
 
     def factory(self) -> Callable[[int, int], Any]:
         return KERNELS[self.kernel].make(self.niters)

@@ -23,7 +23,8 @@ would have, and a passing trial pays for no recorder.
 one parameter mapping, returns plain data) used by
 :func:`repro.chaos.campaign.run_campaign`;
 :func:`run_trial_schedule` is the in-process API the shrinker and the
-minimized pytest reproducers call.
+minimized pytest reproducers call; :func:`run_schedule` runs executions 1
+and 2 alone (``repro.campaigns.stencil_scenario`` is one such run).
 """
 
 from __future__ import annotations
@@ -47,19 +48,10 @@ from .oracles import (
     oracle_witness,
     run_digest,
 )
-from .schedule import TrialSchedule, generate_schedule, schedule_from_json
+from .schedule import SYNTHETIC_BUGS, TrialSchedule, generate_schedule, schedule_from_json
 
-__all__ = ["run_trial", "run_trial_schedule", "trial_schedule",
-           "SYNTHETIC_BUGS"]
-
-#: available synthetic protocol bugs (shrinker self-test / harness
-#: self-validation); each entry documents what the bug breaks
-SYNTHETIC_BUGS = {
-    "ack_drop": ("sender treats every 3rd acknowledgement as cumulative, "
-                 "dropping every outstanding NonAck record for that peer"),
-    "log_drop": "sender-based log loses every 2nd logged message",
-    "restore_corrupt": "restored app state is perturbed by 1e-3",
-}
+__all__ = ["run_schedule", "run_trial", "run_trial_schedule",
+           "trial_schedule", "SYNTHETIC_BUGS"]
 
 
 @contextlib.contextmanager
@@ -81,15 +73,11 @@ def _sanitize_env(enabled: bool) -> Iterator[None]:
 
 
 def _config(schedule: TrialSchedule) -> ProtocolConfig:
-    cluster_of = (
-        block_clusters(schedule.nprocs, schedule.clusters)
-        if schedule.clusters > 1 else None
-    )
     return ProtocolConfig(
         checkpoint_interval=schedule.checkpoint_interval,
         checkpoint_jitter=schedule.checkpoint_jitter,
         checkpoint_seed=schedule.checkpoint_seed,
-        cluster_of=cluster_of,
+        cluster_of=block_clusters(schedule.nprocs, schedule.clusters),
         cluster_stagger=schedule.cluster_stagger,
         rank_stagger=schedule.rank_stagger,
         log_cross_epoch=schedule.log_cross_epoch,
@@ -104,10 +92,9 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
 
     The bugs are small monkey-patches at well-understood protocol points;
     each reliably breaks at least one oracle once a failure fires, which
-    is what the shrinker needs to minimize against.
+    is what the shrinker needs to minimize against.  ``bug`` is "" or a
+    :data:`SYNTHETIC_BUGS` name (:meth:`TrialSchedule.validate` checks).
     """
-    if not bug:
-        return
     if bug == "ack_drop":
         # Merely *losing* acks is benign by design (NonAck re-send plus
         # duplicate suppression absorb it), so the self-test defect is the
@@ -154,9 +141,6 @@ def _plant_bug(world: Any, controller: Any, bug: str) -> None:
             _perturb_state(world.programs[rank])
 
         controller._install_checkpoint = corrupting
-    else:
-        raise ValueError(f"unknown synthetic bug {bug!r} "
-                         f"(have {sorted(SYNTHETIC_BUGS)})")
 
 
 def _perturb_state(program: Any) -> None:
@@ -179,7 +163,8 @@ def _perturb_state(program: Any) -> None:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _run_reference(schedule: TrialSchedule, sanitize: bool):
+def _run_reference(schedule: TrialSchedule, sanitize: bool,
+                   record_sequences: bool = True):
     """The failure-free run, lightweight (see the module docstring);
     returns its world, closed (everything the oracles and the failure
     placement read stays readable)."""
@@ -188,7 +173,7 @@ def _run_reference(schedule: TrialSchedule, sanitize: bool):
     with _sanitize_env(sanitize):
         world, controller = build_ft_world(
             schedule.nprocs, schedule.factory(), config,
-            record_sequences=True,
+            record_sequences=record_sequences,
         )
         with contextlib.closing(controller):
             world.launch()
@@ -252,14 +237,15 @@ def _inject_schedule(schedule: TrialSchedule, controller: Any,
     return {"placements": resolved}
 
 
-def _run_chaos(schedule: TrialSchedule, ref_world: Any, horizon: float,
-               obs: Any, sanitize: bool):
+def _run_chaos(schedule: TrialSchedule, ref_world: Any, obs: Any,
+               sanitize: bool, record_sequences: bool = True):
     """One chaos execution.  Returns (world, controller, exception,
     placements), the pair closed."""
+    horizon = ref_world.engine.now
     with _sanitize_env(sanitize):
         world, controller = build_ft_world(
             schedule.nprocs, schedule.factory(), _config(schedule), obs=obs,
-            record_sequences=True,
+            record_sequences=record_sequences,
         )
         exc: BaseException | None = None
         with contextlib.closing(controller):
@@ -292,6 +278,17 @@ def _run_chaos(schedule: TrialSchedule, ref_world: Any, horizon: float,
     return world, controller, exc, placements
 
 
+def run_schedule(schedule: TrialSchedule, obs: Any = None,
+                 sanitize: bool = False, record_sequences: bool = True):
+    """``schedule`` as given (unvalidated): its failure-free reference, then
+    its chaos run under ``obs`` and the reference's livelock budget.
+    Returns ``(ref_world, world, controller, exception the chaos run ended
+    in or None, placements)``, worlds closed; set-up errors propagate."""
+    ref_world = _run_reference(schedule, sanitize, record_sequences)
+    return (ref_world,
+            *_run_chaos(schedule, ref_world, obs, sanitize, record_sequences))
+
+
 def run_trial_schedule(
     schedule: TrialSchedule,
     obs: Any = None,
@@ -312,19 +309,17 @@ def run_trial_schedule(
     schedule.validate()
     result = TrialResult(schedule=schedule)
     try:
-        ref_world = _run_reference(schedule, sanitize)
+        ref_world, world, controller, exc, placements = run_schedule(
+            schedule, obs, sanitize)
     except Exception as err:  # noqa: BLE001
         # the reference must never fail — if it does, the trial is broken
-        # before any failure was injected
+        # before any failure was injected (the chaos run's set-up cannot
+        # raise on a schedule that validated)
         result.oracles["settles"] = OracleResult(
             "settles", False, f"reference run failed: {err!r}")
         result.traceback = _traceback.format_exc()
         return result
     horizon = ref_world.engine.now
-
-    world, controller, exc, placements = _run_chaos(
-        schedule, ref_world, horizon, obs, sanitize
-    )
     result.stats = {
         "horizon": horizon,
         "final_time": world.engine.now,
@@ -380,8 +375,7 @@ def run_trial_schedule(
     if check_determinism and exc is None:
         first = run_digest(world, controller)
         world2, controller2, exc2, _ = _run_chaos(
-            schedule, ref_world, horizon, None, sanitize
-        )
+            schedule, ref_world, None, sanitize)
         if exc2 is not None:
             result.oracles["determinism"] = OracleResult(
                 "determinism", False,
@@ -401,7 +395,7 @@ def run_trial_schedule(
         try:
             if obs.flight is None:
                 obs = MetricsRegistry()
-                _run_chaos(schedule, ref_world, horizon, obs, sanitize)
+                _run_chaos(schedule, ref_world, obs, sanitize)
             result.flight_jsonl = dump_flight(obs, "jsonl")
         except Exception:  # noqa: BLE001 — diagnostics must not mask verdicts
             result.flight_jsonl = None

@@ -6,19 +6,25 @@ dates and epochs — and in its logging statistics.
 Run under ``REPRO_SANITIZE=1`` too, so that ``rollback_closure`` checks
 the derived snapshots against the Fig. 4 fix-point."""
 
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.rollback import record_trace, rollback_analysis, trace_cell
+from repro.analysis.rollback import (
+    SpeSampler,
+    record_trace,
+    rollback_analysis,
+    trace_cell,
+)
 from repro.apps import TABLE1_KERNELS, Stencil1D
 from repro.baselines import run_domino_analysis, uncoordinated_plain
 from repro.campaigns import table1_cell, table1_setup
 from repro.core.controller import FTController
 from repro.errors import ConfigError
 
-from .live_cell import live_rollback, live_table1_cell
+from .live_cell import live_rollback, live_table1_cell, live_world
 
 RANKS, NITERS = 16, 4
 
@@ -144,6 +150,18 @@ def test_a_period_must_be_positive(traces, period):
     """Ticks at ``t += period`` would never pass the finish instant."""
     with pytest.raises(ConfigError, match="period"):
         trace_cell(traces["CG"], _setup("CG", 4)["config"], period)
+
+
+@pytest.mark.parametrize("interval", [0.0, float("nan")])
+def test_the_live_sampler_refuses_an_interval_that_is_not_positive(interval):
+    """Its tick would re-schedule itself at its own instant forever; the
+    engine never runs, so a sampler that accepts the interval fails here
+    instead of hanging."""
+    setup = _setup("CG", 4)
+    del setup["period"]
+    _, controller = live_world(**setup)
+    with closing(controller), pytest.raises(ConfigError, match="interval"):
+        SpeSampler(controller, interval)
 
 
 def _domino():

@@ -8,6 +8,7 @@ import pytest
 from perfbench.inputs import CHAOS_SEED_BANK
 from repro.apps import KERNELS
 from repro.chaos import schedule_for_trial
+from repro.chaos import trial as chaos_trial
 from repro.chaos.schedule import (
     PLACEMENT_KINDS,
     FailureSpec,
@@ -73,6 +74,22 @@ def test_bug_field_threaded_through():
     sched = generate_schedule(3, bug="ack_drop")
     assert sched.bug == "ack_drop"
     assert schedule_from_json(sched.to_json()).bug == "ack_drop"
+
+
+def test_an_unknown_bug_is_refused_before_any_run(monkeypatch):
+    """A misspelt bug used to validate, run the trial's whole reference
+    and then fail with a bare ``ValueError`` while planting it."""
+    data = {**generate_schedule(3).to_json(), "bug": "ack_dorp"}
+    with pytest.raises(ConfigError, match="unknown synthetic bug 'ack_dorp'"):
+        schedule_from_json(data)
+    sched = TrialSchedule(seed=0, bug="ack_dorp")
+
+    def no_world(*args, **kwargs):
+        raise AssertionError("a world was built for an invalid schedule")
+
+    monkeypatch.setattr(chaos_trial, "build_ft_world", no_world)
+    with pytest.raises(ConfigError, match="ack_dorp"):
+        chaos_trial.run_trial_schedule(sched)
 
 
 @pytest.mark.parametrize("seed, trial, fields, described", [

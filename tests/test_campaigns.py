@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro import apps, campaigns
+from repro.chaos import trial as chaos_trial
 from repro.cli import _campaign_spec, build_parser, main
 from repro.errors import ConfigError
 from repro.obs import ProgressStream
@@ -241,6 +242,63 @@ def test_an_unrealisable_grid_is_a_usage_error_on_both_doors(case, tmp_path,
     assert main(["submit", "--connect", str(tmp_path / "none.sock")]
                 + argv) == 2
     assert re.search(says, capsys.readouterr().err)
+
+
+#: (campaign kind, its flags, what the refusal says): counts a campaign
+#: cannot run, which used to plan a run of nothing, a program that never
+#: iterates or a time series that failed inside the engine
+OUT_OF_RANGE = [
+    ("table1", ["--niters", "0"], "niters must be >= 1"),
+    ("table1", ["--niters", "-3"], "niters must be >= 1"),
+    ("sweep", ["--ranks", "4", "--runs", "1", "--niters", "-1"],
+     "niters must be >= 1"),
+    ("sweep", ["--runs", "-2"], "runs must be >= 1"),
+    ("chaos", ["--trials", "-1"], "trials must be >= 1"),
+    ("chaos", ["--shrink", "-1"], "shrink must be >= 0"),
+    ("selftest", ["--tasks", "0"], "tasks must be >= 1"),
+    ("table1", ["--timeseries", "0"], "timeseries interval must be > 0"),
+    ("sweep", ["--timeseries", "nan"], "timeseries interval must be > 0"),
+]
+
+
+@pytest.mark.parametrize("kind, argv, says", OUT_OF_RANGE)
+def test_a_count_out_of_range_is_a_usage_error_on_both_doors(
+        kind, argv, says, tmp_path, capsys):
+    for door in _doors(kind, argv):
+        with pytest.raises(ConfigError, match=says):
+            campaigns.validate_spec(door)
+    if kind in ONE_SHOT:
+        assert main([kind] + argv) == 2
+        assert says in capsys.readouterr().err
+    # submit refuses it before connecting, as the service does on submit
+    assert main(["submit", "--connect", str(tmp_path / "none.sock"), kind]
+                + argv) == 2
+    assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", [
+    lambda: main(["demo", "--ranks", "6"]),
+    lambda: main(["explain", "--ranks", "6"]),
+    lambda: main(["obs", "--ranks", "6"]),
+    lambda: main(["obs", "--ranks", "6", "--no-failure"]),
+    lambda: campaigns.failure_scenario(
+        {"ranks": 6, "clusters": 2, "niters": 10, "seed": 3}),
+], ids=["demo", "explain", "obs", "obs-no-failure", "sweep-task"])
+def test_the_failure_scenario_runs_on_the_chaos_harness(run, monkeypatch,
+                                                        capsys):
+    """Both worlds of the Stencil2D scenario come from the chaos harness:
+    its lightweight failure-free reference, then the failure run."""
+    real = chaos_trial.build_ft_world
+    built = []
+
+    def spy(nprocs, factory, config, **kw):
+        built.append(config.lightweight)
+        return real(nprocs, factory, config, **kw)
+
+    monkeypatch.setattr(chaos_trial, "build_ft_world", spy)
+    out = run()
+    assert out == 0 or out["valid"] is True
+    assert built == [True, False]
 
 
 def test_table1_cell_pins_its_numbers():
