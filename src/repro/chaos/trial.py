@@ -11,7 +11,8 @@ A trial is three simulated executions of the same configuration:
    failures, executed under ``REPRO_SANITIZE=1`` so the live protocol
    invariants are armed;
 3. a **bit-identical re-run** of the chaos run for the determinism
-   oracle.
+   oracle.  The chaos run's world is released before the re-run builds
+   its own, so a trial holds at most two worlds at once.
 
 A trial that fails dumps the flight stream of its chaos run.  Unless the
 caller armed a recorder, that stream comes from a re-execution of the
@@ -374,6 +375,7 @@ def run_trial_schedule(
     # Oracle 4: bit-identical re-run.
     if check_determinism and exc is None:
         first = run_digest(world, controller)
+        del world, controller  # a trial holds one chaos world at a time
         world2, controller2, exc2, _ = _run_chaos(
             schedule, ref_world, None, sanitize)
         if exc2 is not None:
@@ -384,6 +386,7 @@ def run_trial_schedule(
             result.oracles["determinism"] = oracle_determinism(
                 first, run_digest(world2, controller2)
             )
+        del world2, controller2  # before a failure dump re-executes
     elif check_determinism:
         result.oracles["determinism"] = OracleResult(
             "determinism", False, "not evaluated: run did not settle")

@@ -61,6 +61,7 @@ from typing import Any, NoReturn, Sequence
 from . import campaigns
 from .apps import CHAOS_POOL, KERNELS, TABLE1_KERNELS
 from .chaos.oracles import ORACLES
+from .errors import ConfigError
 from .lint.certify import (
     DEFAULT_JITTER,
     DEFAULT_REGISTRY,
@@ -610,6 +611,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry, dump_flight, dump_metrics, dump_text
     from .obs.perfetto import dump_perfetto
 
+    if args.timeseries is not None and not args.timeseries > 0:
+        raise ConfigError("obs timeseries interval must be > 0, "
+                          f"not {args.timeseries}")
     registry = MetricsRegistry(timeseries_interval=args.timeseries)
     _, world, controller, _, _ = campaigns.stencil_scenario(
         args.ranks, args.clusters, fail_rank=args.fail_rank, obs=registry,
@@ -724,8 +728,6 @@ class _ReportDoc(dict):
         self.path = path
 
     def __missing__(self, key: str) -> NoReturn:
-        from .errors import ConfigError
-
         raise ConfigError(f"report: {self.path} has no key {key!r}")
 
 
@@ -733,8 +735,6 @@ def _read_report_input(path: str, jsonl: bool = False) -> Any:
     """Parse one ``repro report`` input, every JSON object in it a
     :class:`_ReportDoc`; a file that cannot be opened or parsed, or a JSON
     document that is not an object, is a usage error naming the file."""
-    from .errors import ConfigError
-
     def strict(obj: dict) -> _ReportDoc:
         return _ReportDoc(obj, path)
 
@@ -755,8 +755,6 @@ def _read_bench(paths: list[str]) -> dict[str, Any]:
     """Map BENCH_<name>.json stem -> parsed document; directories scan."""
     import glob as globmod
 
-    from .errors import ConfigError
-
     files: list[str] = []
     for p in (paths or ["results"]):
         if os.path.isdir(p):
@@ -773,7 +771,6 @@ def _read_bench(paths: list[str]) -> dict[str, Any]:
 def cmd_report(args: argparse.Namespace) -> int:
     """Render the self-contained HTML dashboard (inline SVG, no assets)
     from files other commands wrote; it runs nothing."""
-    from .errors import ConfigError
     from .obs import render_report
 
     if (args.timeseries is None and args.sweep is None and args.chaos is None
@@ -886,7 +883,6 @@ def _write_json(path: str, doc, what: str) -> None:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Talk to a running service: submit a campaign or query/stop it."""
-    from .errors import ConfigError
     from .service import ServiceClient
 
     if args.op == "submit":
@@ -974,17 +970,14 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; a :class:`~repro.errors.ConfigError` anywhere in it
     is a usage error: its message on stderr, exit 2."""
-    from .errors import ConfigError
-
     args = build_parser().parse_args(argv)
-    if getattr(args, "timeseries_out", None) and args.timeseries is None:
-        print("--timeseries-out needs --timeseries", file=sys.stderr)
-        return 2
-    if args.sanitize:
-        # must land in the environment before any world is built: every
-        # component snapshots sanitizer state at construction time
-        os.environ[SANITIZE_ENV_VAR] = "1"
     try:
+        if getattr(args, "timeseries_out", None) and args.timeseries is None:
+            raise ConfigError("--timeseries-out needs --timeseries")
+        if args.sanitize:
+            # must land in the environment before any world is built: every
+            # component snapshots sanitizer state at construction time
+            os.environ[SANITIZE_ENV_VAR] = "1"
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

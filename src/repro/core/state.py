@@ -211,13 +211,16 @@ class ProtocolState:
         checkpoint capture and restore.
 
         The shape is known statically, so this is a typed structural copy,
-        not a generic object walk: fresh ``spe`` / ``rpp`` /
-        ``last_date_from`` dicts (their leaves are ints) and fresh records
-        per ``non_ack`` / ``logs`` entry (one record held by both becomes
-        two) whose payloads follow the ``retention_copy`` rule — immutable
+        not a generic object walk: fresh ``spe`` / ``last_date_from`` dicts
+        and ``rpp`` rows (their leaves are ints) and fresh records per
+        ``non_ack`` / ``logs`` entry (one record held by both becomes two)
+        whose payloads follow the ``retention_copy`` rule — immutable
         shared, mutable copied, with one memo across the whole state so a
         payload object referenced by two records is one object in the copy
-        too.  Row caches are left unset."""
+        too.  Row caches are left unset.  Only the RPP rows of closed
+        phases (below ``phase``) are shared: :meth:`record_rpp` writes the
+        current phase's row alone, ``phase`` never decreases, and a restore
+        installs a copy of the image, which starts at the image's phase."""
         memo: dict[int, Any] = {}
         return ProtocolState(
             date=self.date,
@@ -227,7 +230,8 @@ class ProtocolState:
                 e: EpochRecord(rec.start_date, dict(rec.recv_epoch))
                 for e, rec in self.spe.items()
             },
-            rpp={phase: dict(row) for phase, row in self.rpp.items()},
+            rpp={phase: row if phase < self.phase else dict(row)
+                 for phase, row in self.rpp.items()},
             non_ack=_copy_records(self.non_ack, memo),
             logs=_copy_records(self.logs, memo),
             last_date_from=dict(self.last_date_from),

@@ -129,6 +129,46 @@ def test_lightweight_reference_is_the_same_run(kernel):
         assert observed(light) == observed(full)
 
 
+@pytest.mark.parametrize("armed", [False, True])
+def test_a_trial_holds_one_chaos_world_at_a_time(monkeypatch, armed):
+    """By the time the determinism re-run builds its world, the first chaos
+    world is gone — freed by reference count alone, with the cyclic
+    collector off — so a trial holds at most the reference plus one chaos
+    world.  ``armed`` gives the trial the metrics registry a campaign
+    hands it."""
+    import gc
+    import weakref
+
+    from repro.chaos import trial
+    from repro.obs import MetricsRegistry
+
+    build = trial.build_ft_world
+    worlds, first_alive = [], []
+
+    def spy(*args, **kwargs):
+        if len(worlds) == 2:
+            first_alive.append(worlds[1]() is not None)
+        world, controller = build(*args, **kwargs)
+        worlds.append(weakref.ref(world))
+        return world, controller
+
+    monkeypatch.setattr(trial, "build_ft_world", spy)
+    sched = TrialSchedule(
+        seed=11, kernel="stencil", nprocs=4, niters=18,
+        failures=(FailureSpec(1, "at", frac=0.5),),
+    )
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_trial_schedule(
+            sched, obs=MetricsRegistry(flight=False) if armed else None)
+    finally:
+        if collecting:
+            gc.enable()
+    assert result.passed, result.failed_oracles()
+    assert len(worlds) == 3 and first_alive == [False]
+
+
 def test_failure_dump_of_a_re_execution_is_the_first_executions():
     """A failing trial without a recorder of its own dumps a re-execution
     of its chaos run: the stream a recorder armed on the first execution

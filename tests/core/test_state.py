@@ -225,10 +225,12 @@ def test_checkpoint_copy_equals_deepcopy(seed):
     # no row cache travels with a copy
     assert dup._rpp_row is None and dup._spe_rec is None
 
-    # shares no mutable object (or array memory) with its source ...
+    # shares no mutable object (or array memory) with its source but the
+    # RPP rows of closed phases, which nothing writes again ...
     src_objs, src_arrays = _mutable_objects(st)
     dup_objs, dup_arrays = _mutable_objects(dup)
-    assert not src_objs.keys() & dup_objs.keys()
+    assert src_objs.keys() & dup_objs.keys() == {
+        id(row) for phase, row in st.rpp.items() if phase < st.phase}
     assert not any(np.shares_memory(a, b) for a in src_arrays for b in dup_arrays)
     # ... has as many distinct ones (what was shared stays shared, what was
     # separate stays separate) ...
@@ -245,6 +247,69 @@ def test_checkpoint_copy_equals_deepcopy(seed):
     assert not dup.non_ack and not dup.logs
     # draining the copy never touched the source
     assert _comparable(st) == _comparable(reference)
+
+
+def _touch_payload(payload):
+    """Mutate a payload in place where it can be (what a rank program may
+    do to a buffer after sending it)."""
+    if isinstance(payload, np.ndarray):
+        payload += 1
+    elif isinstance(payload, list):
+        payload.append(0)
+    elif isinstance(payload, dict):
+        payload["touched"] = True
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_images_stay_as_captured_while_live_and_restored_states_run_on(seed):
+    """Live state, images and states restored from images may share the
+    RPP rows of closed phases.  Drive every mutator on whichever state is
+    live — capturing images and restoring from them (a copy of an image,
+    whose log epochs and SPE cells are then lifted the way ``adopt_state``
+    lifts them) in between — and every image still equals the deepcopy
+    taken when it was captured."""
+    rng = random.Random(seed)
+    st = ProtocolState.initial(initial_epoch=rng.choice((1, 3)))
+    images = []  # (image, its deepcopy at capture)
+    for step in range(rng.randrange(60, 200)):
+        op = rng.randrange(11)
+        records = [*st.non_ack.values(), *st.logs.values()]
+        if op == 0:
+            st.na_append(SentMessage(
+                dst=rng.randrange(4), tag=0, payload=_random_payload(rng),
+                size=8, date=st.next_date(), epoch_send=st.epoch,
+                phase_send=st.phase, uid=step))
+        elif op == 1 and st.non_ack:
+            pa = st.na_pop(*rng.choice(list(st.non_ack)))
+            if rng.random() < 0.5:
+                pa.epoch_recv = st.epoch + rng.randrange(1, 3)
+                st.lg_append(pa)
+        elif op in (2, 3):
+            st.record_rpp(src=rng.randrange(4), date=1000 * (step + 1))
+        elif op == 4:
+            st.record_spe(rng.randrange(4), rng.choice(list(st.spe)),
+                          rng.randrange(1, st.epoch + 2))
+        elif op == 5:
+            st.begin_epoch()
+        elif op == 6:  # a message from a later phase (``on_message``)
+            st.phase = max(st.phase, st.phase + rng.randrange(0, 3))
+        elif op == 7:
+            st.drop_logs_below(st.epoch + rng.randrange(-1, 2))
+        elif op == 8 and records:
+            _touch_payload(rng.choice(records).payload)
+        elif op == 9:
+            image = st.checkpoint_copy()
+            images.append((image, copy.deepcopy(image)))
+        elif op == 10 and images:
+            st = rng.choice(images)[0].checkpoint_copy()
+            for lm in st.logs.values():
+                lm.epoch_recv += 1
+            for rec in st.spe.values():
+                for dst in rec.recv_epoch:
+                    rec.recv_epoch[dst] += 1
+        for image, captured in images:
+            assert _comparable(image) == _comparable(captured)
+    assert images
 
 
 def test_checkpoint_copy_of_empty_state():

@@ -159,6 +159,20 @@ def test_obs_timeseries_out_requires_flag(tmp_path, capsys):
     assert not metrics.exists() and not path.exists()
 
 
+@pytest.mark.parametrize("interval", ["0", "nan", "-1"])
+def test_obs_timeseries_interval_out_of_range_is_a_usage_error(
+        interval, tmp_path, capsys):
+    """The rule table1 / sweep apply to their spec: one line on stderr,
+    exit 2, before the run writes anything."""
+    metrics = tmp_path / "m.jsonl"
+    assert main(["obs", "--ranks", "4", "--clusters", "2", "--out",
+                 str(metrics), "--timeseries", interval]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"obs timeseries interval must be > 0, not {float(interval)}"]
+    assert not metrics.exists()
+
+
 def test_table1_timeseries_out_requires_flag(tmp_path, capsys):
     # one declaration, one check: table1 refuses what obs refuses
     path = tmp_path / "ts.jsonl"
