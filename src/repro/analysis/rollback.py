@@ -283,9 +283,9 @@ class CellTrace:
 
 
 class _RecordingHook(ProtocolHook):
-    """:class:`~repro.core.protocol.SDProtocol`'s failure-free wire traffic
-    (one ack per delivery, sent before the application sees the message)
-    with every checkpoint opportunity declined, all written onto ``trace``."""
+    """:class:`~repro.core.protocol.SDProtocol`'s failure-free run, the one every analysis,
+    oracle and certifier reads: its wire traffic (one ack per delivery, sent before the
+    application sees the message) and send dates, every checkpoint declined, onto ``trace``."""
 
     __slots__ = ("rank", "trace")
 
@@ -296,6 +296,7 @@ class _RecordingHook(ProtocolHook):
     def on_app_send(self, env: Any) -> None:
         t = self.trace
         env.meta["m"] = len(t.acked)  # the message's index
+        env.meta["date"] = self.proc.app_messages_sent + 1  # _emit counts after
         t.messages.extend((self.rank, env.dst, env.size,
                            len(t.opportunities[self.rank]), 0))
         t.acked.append(inf)

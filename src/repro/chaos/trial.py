@@ -4,11 +4,11 @@ A trial is three simulated executions of the same configuration:
 
 1. a **failure-free reference** (fixes the virtual horizon, provides the
    validity baseline and the per-rank send totals that resolve
-   ``after_sends`` placements).  Nothing restores or replays it, so it
-   keeps no checkpoint images and retains no payloads (the Table-I
-   cells' ``lightweight`` configuration);
-2. the **chaos run** — the reference configuration plus the schedule's
-   failures, executed under ``REPRO_SANITIZE=1`` so the live protocol
+   ``after_sends`` placements): send-determinism makes its sends the
+   protocol's, so it is :func:`repro.analysis.rollback.record_trace`'s
+   protocol-free world (no controller, no checkpoint, no payload kept);
+2. the **chaos run** — the schedule's protocol world plus its failures,
+   executed under ``REPRO_SANITIZE=1`` so the live protocol
    invariants are armed;
 3. a **bit-identical re-run** of the chaos run for the determinism
    oracle.  The chaos run's world is released before the re-run builds
@@ -31,16 +31,17 @@ and 2 alone (``repro.campaigns.stencil_scenario`` is one such run).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import traceback as _traceback
 from typing import Any, Iterator
 
+from ..analysis.rollback import CellTrace, _RecordingHook
 from ..apps import KERNELS
 from ..core import ProtocolConfig, build_ft_world
 from ..core.clustering import block_clusters
 from ..errors import InvariantViolation, ProtocolError
 from ..lint.sanitize import ENV_VAR as _SANITIZE_ENV
+from ..simmpi.runtime import World
 from .oracles import (
     OracleResult,
     TrialResult,
@@ -166,17 +167,14 @@ def _perturb_state(program: Any) -> None:
 # ----------------------------------------------------------------------
 def _run_reference(schedule: TrialSchedule, sanitize: bool,
                    record_sequences: bool = True):
-    """The failure-free run, lightweight (see the module docstring);
-    returns its world, closed (everything the oracles and the failure
-    placement read stays readable)."""
-    config = dataclasses.replace(_config(schedule), lightweight=True,
-                                 retain_payloads=False)
+    """The failure-free run (see the module docstring), returned closed:
+    everything the oracles and the failure placement read stays readable."""
+    trace = CellTrace([[] for _ in range(schedule.nprocs)])
     with _sanitize_env(sanitize):
-        world, controller = build_ft_world(
-            schedule.nprocs, schedule.factory(), config,
-            record_sequences=record_sequences,
-        )
-        with contextlib.closing(controller):
+        world = World(schedule.nprocs, schedule.factory(),
+                      hook_factory=lambda r: _RecordingHook(r, trace),
+                      record_sequences=record_sequences)
+        with contextlib.closing(world):
             world.launch()
             world.run()
     return world

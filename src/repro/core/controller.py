@@ -81,12 +81,12 @@ class ProtocolConfig:
     #: watchdog period for the recovery stall-breaker (virtual seconds);
     #: two consecutive ticks without progress trigger a replay flush
     stall_timeout: float = 1e-3
-    #: skip deep app-state snapshots and checkpoint storage — only valid
-    #: for failure-free analysis runs (Table I methodology) where
-    #: checkpoints are never restored; epoch/SPE bookkeeping still runs
+    #: skip app-state snapshots and checkpoint storage in a run nothing
+    #: restores.  No package code sets it or ``retain_payloads``: only
+    #: perfbench's frozen cells, tests/analysis/live_cell.py and the
+    #: protocol-overhead benchmarks do, until ROADMAP item 4 removes both
     lightweight: bool = False
-    #: keep message payloads in NonAck/Logs (needed for replay); analysis
-    #: runs that never recover can disable it to save time and memory
+    #: keep message payloads in NonAck/Logs (needed for replay)
     retain_payloads: bool = True
     #: disable the epoch-crossing logging rule entirely.  This degrades the
     #: protocol to *plain uncoordinated checkpointing*: every message goes

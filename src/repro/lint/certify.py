@@ -121,10 +121,12 @@ def dynamic_verify(
     K chances to resolve differently).  Send-determinism demands the
     witness chains not care.
     """
-    from ..core.controller import build_ft_world
-    from ..simmpi.network import TimingModel
+    from ..analysis.rollback import CellTrace, _RecordingHook
+    from ..simmpi import TimingModel, World
     from ..simmpi.trace import send_witness_chains
 
+    if schedules < 2:
+        raise ConfigError(f"dynamic_verify needs at least 2 delivery schedules, not {schedules}")
     catalogue = _catalogue()
     entry = catalogue.get(kernel)
     if entry is None:
@@ -132,13 +134,13 @@ def dynamic_verify(
                           f"(have {sorted(catalogue)})")
     nprocs = entry.certify_ranks or entry.ranks[0]
     ref_chains: list[str] | None = None
-    for s in range(max(2, schedules)):
+    for s in range(schedules):
         timing = TimingModel(jitter=0.0 if s == 0 else jitter)
-        world, controller = build_ft_world(
-            nprocs, entry.make(_NITERS), timing=timing,
-            network_seed=base_seed + s, record_sequences=True,
-        )
-        with closing(controller):
+        trace = CellTrace([[] for _ in range(nprocs)])
+        world = World(nprocs, entry.make(_NITERS), timing=timing,
+                      hook_factory=lambda r: _RecordingHook(r, trace),
+                      network_seed=base_seed + s, record_sequences=True)
+        with closing(world):
             world.launch()
             world.run()
         chains = send_witness_chains(world.tracer)
@@ -153,7 +155,7 @@ def dynamic_verify(
                 f"rank(s) {bad}")
     return DynamicVerdict(
         kernel, schedules, True,
-        f"{max(2, schedules)} delivery schedules "
+        f"{schedules} delivery schedules "
         f"(jitter={jitter}), witness chains identical")
 
 

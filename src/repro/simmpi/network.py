@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..obs.registry import DEPTH_BUCKETS, SIZE_BUCKETS
 from .engine import Engine
 from .message import Envelope
@@ -58,6 +58,10 @@ class TimingModel:
     send_overhead: float = 0.3e-6
     per_byte_overhead: float = 0.0
     jitter: float = 0.0  # relative, in [0, 1); 0 disables
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.jitter < 1.0:  # NaN fails too
+            raise ConfigError(f"TimingModel: jitter must be in [0, 1), not {self.jitter}")
 
     def transit_time(self, size: int, rng: random.Random | None = None) -> float:
         """One-way network time for ``size`` bytes (excludes sender CPU)."""

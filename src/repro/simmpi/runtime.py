@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..errors import DeadlockError, SimulationError
+from ..errors import ConfigError, DeadlockError, SimulationError
 from .api import MpiApi
 from .engine import Engine
 from .message import Envelope, retention_copy
@@ -72,7 +72,7 @@ class World:
         record_sequences: bool = False,
     ):
         if nprocs < 1:
-            raise SimulationError("need at least one rank")
+            raise ConfigError(f"need at least one rank, not {nprocs}")
         self.nprocs = nprocs
         self.obs = obs
         self.engine = Engine(obs=obs)

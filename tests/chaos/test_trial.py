@@ -99,34 +99,73 @@ def test_failing_trial_attaches_flight_dump_with_obs():
     assert result.flight_jsonl  # flight-recorder evidence rides along
 
 
+def _observed(world):
+    """What the oracles and the failure placement read of a reference."""
+    from repro.simmpi.trace import payload_digest, send_witness_chains
+
+    return (world.engine.now, world.engine.events_dispatched,
+            [p.app_messages_sent for p in world.procs],
+            world.tracer.logical_send_sequences(),
+            send_witness_chains(world.tracer),
+            [payload_digest(p.result()) for p in world.programs])
+
+
+def _full_capture_run(schedule):
+    """``schedule``'s failure-free run in its protocol world, every image
+    and payload kept."""
+    from contextlib import closing
+
+    from repro.chaos.trial import _config, _sanitize_env
+    from repro.core import build_ft_world
+
+    with _sanitize_env(True):
+        world, controller = build_ft_world(
+            schedule.nprocs, schedule.factory(), _config(schedule),
+            record_sequences=True)
+        with closing(controller):
+            world.launch()
+            world.run()
+    return world
+
+
+def _assert_reference_is_the_full_run(schedule):
+    from repro.analysis.rollback import _RecordingHook
+    from repro.chaos.trial import _run_reference
+
+    ref = _run_reference(schedule, sanitize=True)
+    assert all(isinstance(p.hook, _RecordingHook) for p in ref.procs)
+    assert _observed(ref) == _observed(_full_capture_run(schedule))
+
+
 @pytest.mark.parametrize("kernel", sorted(CHAOS_POOL))
 def test_lightweight_reference_is_the_same_run(kernel):
-    """The reference a trial builds keeps no images and retains no
-    payloads; what the oracles and the failure placement read of it
-    equals a full-capture run's.  Campaign seeds 11 and 62 are two of
-    perfbench's chaos seed bank."""
-    from repro.chaos import schedule_for_trial
-    from repro.chaos.trial import _config, _run_reference, _sanitize_env
-    from repro.core import build_ft_world
-    from repro.simmpi.trace import payload_digest
-
-    def observed(world):
-        return (world.engine.now, world.engine.events_dispatched,
-                [p.app_messages_sent for p in world.procs],
-                world.tracer.logical_send_sequences(),
-                [payload_digest(p.result()) for p in world.programs])
-
+    """The reference a trial builds is the protocol-free recording world
+    (no controller, no image, no payload kept): send-determinism makes its
+    sends the protocol's, dates included, so what the oracles and the
+    failure placement read of it equals a full-capture protocol run's.
+    Campaign seeds 11 and 62 are two of perfbench's chaos seed bank."""
     for seed in (11, 62):
-        schedule = schedule_for_trial(seed, 0, kernels=(kernel,))
-        with _sanitize_env(True):
-            full, controller = build_ft_world(
-                schedule.nprocs, schedule.factory(), _config(schedule),
-                record_sequences=True)
-            full.launch()
-            full.run()
-            controller.close()
-        light = _run_reference(schedule, sanitize=True)
-        assert observed(light) == observed(full)
+        _assert_reference_is_the_full_run(
+            schedule_for_trial(seed, 0, kernels=(kernel,)))
+
+
+def test_the_stencil_scenario_reference_is_the_same_run(monkeypatch):
+    """The Stencil2D scenario's reference (behind ``demo`` / ``sweep``) is
+    the recording world too, and equals its full-capture run."""
+    from repro.chaos import trial as chaos_trial
+
+    seen = []
+    real = chaos_trial._run_reference
+
+    def spy(schedule, *args, **kw):
+        seen.append(schedule)
+        return real(schedule, *args, **kw)
+
+    monkeypatch.setattr(chaos_trial, "_run_reference", spy)
+    campaigns.stencil_scenario(6, 2, niters=10)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    _assert_reference_is_the_full_run(seen[0])
 
 
 @pytest.mark.parametrize("armed", [False, True])
@@ -145,9 +184,9 @@ def test_a_trial_holds_one_chaos_world_at_a_time(monkeypatch, armed):
     build = trial.build_ft_world
     worlds, first_alive = [], []
 
-    def spy(*args, **kwargs):
-        if len(worlds) == 2:
-            first_alive.append(worlds[1]() is not None)
+    def spy(*args, **kwargs):  # the chaos worlds (the reference is a World)
+        if len(worlds) == 1:
+            first_alive.append(worlds[0]() is not None)
         world, controller = build(*args, **kwargs)
         worlds.append(weakref.ref(world))
         return world, controller
@@ -166,7 +205,7 @@ def test_a_trial_holds_one_chaos_world_at_a_time(monkeypatch, armed):
         if collecting:
             gc.enable()
     assert result.passed, result.failed_oracles()
-    assert len(worlds) == 3 and first_alive == [False]
+    assert len(worlds) == 2 and first_alive == [False]
 
 
 def test_failure_dump_of_a_re_execution_is_the_first_executions():

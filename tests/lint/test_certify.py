@@ -15,6 +15,7 @@ from repro.apps.base import RankProgram
 from repro.core.controller import build_ft_world
 from repro.errors import ConfigError
 from repro.lint.certify import (
+    DEFAULT_JITTER,
     OK_VERDICTS,
     REGISTRY_VERSION,
     build_registry,
@@ -72,6 +73,52 @@ def test_dynamic_verifier_catches_order_dependence(monkeypatch):
     verdict = dynamic_verify("OrderEcho", schedules=6)
     assert not verdict.deterministic
     assert "changed the send sequence" in verdict.detail
+
+
+@pytest.mark.parametrize("kernel", CATALOGUED)
+def test_dynamic_verifier_runs_the_recording_world(kernel, monkeypatch):
+    """Each delivery schedule runs the protocol-free recording world:
+    send-determinism makes its sends the protocol's, so at schedule 0
+    (no jitter) and schedule 1 its horizon, event count and witness chains
+    equal a protocol world's under the same timing and network seed."""
+    from contextlib import closing
+
+    from repro import simmpi
+    from repro.analysis.rollback import _RecordingHook
+    from repro.lint import certify
+
+    worlds = []
+    real = simmpi.World
+
+    def spy(*args, **kw):
+        worlds.append(real(*args, **kw))
+        return worlds[-1]
+
+    monkeypatch.setattr(simmpi, "World", spy)
+    assert dynamic_verify(kernel, schedules=2).deterministic
+    monkeypatch.undo()
+    assert len(worlds) == 2
+    entry = certify._catalogue()[kernel]
+    for s, world in enumerate(worlds):
+        assert all(isinstance(p.hook, _RecordingHook) for p in world.procs)
+        full, controller = build_ft_world(
+            world.nprocs, entry.make(certify._NITERS),
+            timing=simmpi.TimingModel(jitter=0.0 if s == 0 else DEFAULT_JITTER),
+            network_seed=certify._SEED_BASE + s, record_sequences=True)
+        with closing(controller):
+            full.launch()
+            full.run()
+        assert ((world.engine.now, world.engine.events_dispatched,
+                 send_witness_chains(world.tracer))
+                == (full.engine.now, full.engine.events_dispatched,
+                    send_witness_chains(full.tracer)))
+
+
+@pytest.mark.parametrize("schedules", [1, 0, -1])
+def test_dynamic_verify_needs_two_schedules(schedules):
+    # one schedule compares nothing: refused, not silently run twice
+    with pytest.raises(ConfigError, match="at least 2 delivery schedules"):
+        dynamic_verify("Stencil1D", schedules=schedules)
 
 
 def test_dynamic_verify_unknown_kernel_is_config_error():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.simmpi.engine import Engine
 from repro.simmpi.message import Envelope
 from repro.simmpi.network import Network, TimingModel
@@ -125,6 +125,19 @@ def test_jitter_is_deterministic_per_seed():
 
     assert arrivals(7) == arrivals(7)
     assert arrivals(7) != arrivals(8)
+
+
+@pytest.mark.parametrize("jitter", [math.nan, -2.0, -1e-9, 1.0, math.inf])
+def test_jitter_outside_unit_interval_is_refused(jitter):
+    # NaN runs a world to virtual time NaN, a negative jitter makes transit
+    # times negative: either would silently stand for a delivery schedule
+    with pytest.raises(ConfigError, match=r"jitter must be in \[0, 1\)"):
+        TimingModel(jitter=jitter)
+
+
+def test_jitter_in_unit_interval_is_accepted():
+    assert [TimingModel(jitter=j).jitter for j in (0.0, 0.35, 0.999)] == [
+        0.0, 0.35, 0.999]
 
 
 def test_zero_latency_model_works():

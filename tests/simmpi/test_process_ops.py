@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.base import RankProgram
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.simmpi import ANY_SOURCE, ANY_TAG, World
 
 
@@ -283,5 +283,7 @@ def test_reincarnate_clears_queues():
 
 
 def test_world_requires_at_least_one_rank():
-    with pytest.raises(SimulationError):
-        World(0, lambda r, s: None)
+    # a configuration error (exit 2 at the CLI), as CollectiveCost's is
+    for nprocs in (0, -3):
+        with pytest.raises(ConfigError, match="need at least one rank"):
+            World(nprocs, lambda r, s: None)

@@ -95,19 +95,24 @@ def test_every_reader_in_src_arms_its_worlds(monkeypatch):
     from repro.lint import certify
 
     built = []
-    real = build_ft_world
 
-    def spy(*args, **kw):
-        world, controller = real(*args, **kw)
-        built.append(world.tracer.record_sequences)
-        return world, controller
+    def spying(real):
+        def spy(*args, **kw):
+            out = real(*args, **kw)  # a recording World or a protocol pair
+            world = out[0] if isinstance(out, tuple) else out
+            built.append(world.tracer.record_sequences)
+            return out
+        return spy
 
-    monkeypatch.setattr(chaos_trial, "build_ft_world", spy)
+    # the trial's reference is a recording World, its chaos runs protocol
+    # worlds; the certifier runs recording Worlds only
+    monkeypatch.setattr(chaos_trial, "World", spying(World))
+    monkeypatch.setattr(chaos_trial, "build_ft_world", spying(build_ft_world))
     assert chaos_trial.run_trial_schedule(schedule_for_trial(0, 0)).passed
     assert built == [True, True, True]
 
     del built[:]
-    monkeypatch.setattr("repro.core.controller.build_ft_world", spy)
+    monkeypatch.setattr("repro.simmpi.World", spying(World))
     assert certify.dynamic_verify("Stencil1D", schedules=2).deterministic
     assert built == [True, True]
 
@@ -125,7 +130,7 @@ def test_every_reader_in_src_arms_its_worlds(monkeypatch):
     # cell's live world, the stencil scenario's two, and the one world a
     # trace-derived cell runs
     del built[:]
-    monkeypatch.setattr(live_cell, "build_ft_world", spy)
+    monkeypatch.setattr(live_cell, "build_ft_world", spying(build_ft_world))
     live_cell.live_table1_cell(
         {"kernel": "MG", "ranks": 16, "clusters": 4, "niters": 2})
     campaigns.stencil_scenario(6, 2, niters=10)

@@ -287,18 +287,24 @@ def test_a_count_out_of_range_is_a_usage_error_on_both_doors(
 def test_the_failure_scenario_runs_on_the_chaos_harness(run, monkeypatch,
                                                         capsys):
     """Both worlds of the Stencil2D scenario come from the chaos harness:
-    its lightweight failure-free reference, then the failure run."""
-    real = chaos_trial.build_ft_world
+    its failure-free reference, a protocol-free recording world, then the
+    failure run, a protocol world."""
+    real_world, real_ft = chaos_trial.World, chaos_trial.build_ft_world
     built = []
 
-    def spy(nprocs, factory, config, **kw):
-        built.append(config.lightweight)
-        return real(nprocs, factory, config, **kw)
+    def world_spy(*args, **kw):
+        built.append("recording")
+        return real_world(*args, **kw)
 
-    monkeypatch.setattr(chaos_trial, "build_ft_world", spy)
+    def ft_spy(*args, **kw):
+        built.append("protocol")
+        return real_ft(*args, **kw)
+
+    monkeypatch.setattr(chaos_trial, "World", world_spy)
+    monkeypatch.setattr(chaos_trial, "build_ft_world", ft_spy)
     out = run()
     assert out == 0 or out["valid"] is True
-    assert built == [True, False]
+    assert built == ["recording", "protocol"]
 
 
 def test_table1_cell_pins_its_numbers():

@@ -1,7 +1,10 @@
 """CLI smoke tests (argument parsing + each command end to end)."""
 
+import os
+
 import pytest
 
+import repro.apps
 from repro.cli import build_parser, main
 
 
@@ -105,6 +108,40 @@ def test_domino_command(capsys):
     assert main(["domino", "--ranks", "8"]) == 0
     out = capsys.readouterr().out
     assert "rolled back" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["domino", "--ranks", "0"],
+    ["domino", "--ranks", "-3"],
+    ["pattern", "CG", "--ranks", "0"],
+], ids=["domino-0", "domino-negative", "pattern-0"])
+def test_no_ranks_is_a_usage_error(argv, capsys):
+    """A world of no rank is refused as a configuration: one line on
+    stderr, exit 2, no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"need at least one rank, not {argv[-1]}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,value,line", [
+    ("--jitter", "nan", "TimingModel: jitter must be in [0, 1), not nan"),
+    ("--jitter", "-2", "TimingModel: jitter must be in [0, 1), not -2.0"),
+    ("--jitter", "1", "TimingModel: jitter must be in [0, 1), not 1.0"),
+    ("--schedules", "1",
+     "dynamic_verify needs at least 2 delivery schedules, not 1"),
+])
+def test_certify_dynamic_bad_input_is_a_usage_error(flag, value, line,
+                                                    capsys):
+    """A jitter outside [0, 1) or a single schedule would verify nothing:
+    one line on stderr, exit 2, and no verdict printed."""
+    apps = os.path.dirname(repro.apps.__file__)
+    assert main(["certify", apps, "--dynamic", "--kernels", "PingPong",
+                 "--out", "-", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert "deterministic" not in captured.out
 
 
 # ----------------------------------------------------------------------
